@@ -160,19 +160,18 @@ def _emit(node):
             return None
         return f"{_COMPILED_CALLS[node.name]}({', '.join(args)})"
     if isinstance(node, Piecewise):
-        conds, branches = [], []
-        for cond, branch in node.branches:
+        # nested np.where with the first branch outermost, so the first
+        # match wins. Uncovered points surface as NaN and are rejected by
+        # the wrapper; the full-shape default keeps the result full-shape
+        # when every branch is constant.
+        source = "(zeros + np.nan)"
+        for cond, branch in reversed(node.branches):
             left, right = _emit(cond.left), _emit(cond.right)
             body = _emit(branch)
             if left is None or right is None or body is None:
                 return None
-            conds.append(f"({left} {cond.op} {right})")
-            branches.append(f"({body} + zeros)")
-        # np.select evaluates first-match-wins; uncovered points surface as
-        # NaN and are rejected by the wrapper
-        return (
-            "np.select([" + ", ".join(conds) + "], [" + ", ".join(branches) + "], default=np.nan)"
-        )
+            source = f"np.where(({left} {cond.op} {right}), {body}, {source})"
+        return source
     return None
 
 
@@ -180,7 +179,7 @@ def _compile(expr):
     source = _emit(expr.ast)
     if source is None:
         return None
-    has_piecewise = "np.select" in source
+    has_piecewise = "np.where" in source
     namespace = {"np": np}
     fn = eval(f"lambda cols, zeros: ({source})", namespace)  # noqa: S307 - generated from our own AST
 

@@ -306,6 +306,13 @@ def _check_partition(spec: ModelSpec, errors: list):
         errors.append(f"partition-overlap: blocks cover 1..{expected - 1}, expected 1..{spec.s}")
 
 
+def check_runtime_probs(values: np.ndarray, clamp_tol: float = 1e-9):
+    """Abort unless every value lies in [0 - tol, 1 + tol]; NaN fails too."""
+    lo, hi = values.min(initial=0.0), values.max(initial=0.0)
+    if not (lo >= -clamp_tol and hi <= 1.0 + clamp_tol):
+        raise ModelError(f"probability-out-of-range at runtime: P in [{lo:.6g}, {hi:.6g}]")
+
+
 @dataclass(frozen=True)
 class ValidatedModel:
     """A validated spec with cached moments and the drift map H.
@@ -342,8 +349,8 @@ class ValidatedModel:
     def block_probs(self, x, clamp_tol: float = 1e-9):
         """All r block probabilities at x (vectorized over leading axes).
 
-        Values outside [0 - tol, 1 + tol] abort: that is model misuse, not
-        noise. Within the tolerance band they are clamped.
+        Values outside [0 - tol, 1 + tol], and NaN, abort: that is model
+        misuse, not noise. Within the tolerance band they are clamped.
         """
         x = np.asarray(x, dtype=float)
         vshape = x.shape[:-1] if self.s > 1 else x.shape
@@ -356,11 +363,7 @@ class ValidatedModel:
             probs = np.stack([np.broadcast_to(v, vshape) for v in values], axis=0)
         else:
             probs = np.zeros((0,) + vshape)
-        lo, hi = probs.min(initial=0.0), probs.max(initial=0.0)
-        if lo < -clamp_tol or hi > 1.0 + clamp_tol:
-            raise ModelError(
-                f"probability-out-of-range at runtime: P in [{lo:.6g}, {hi:.6g}]"
-            )
+        check_runtime_probs(probs, clamp_tol)
         probs = np.clip(probs, 0.0, 1.0)
         tail = 1.0 - probs.sum(axis=0)
         if np.min(tail, initial=1.0) < -clamp_tol:
@@ -459,7 +462,7 @@ def validate_model(spec: ModelSpec, grid_density: int = 201, clip: float = 1.0):
     gridpts = grid[:, 0] if spec.s == 1 else grid
     for i, pm in enumerate(spec.prob_maps):
         vals = np.broadcast_to(np.asarray(pm(gridpts), dtype=float), (grid.shape[0],))
-        bad = np.where((vals < -1e-12) | (vals > 1.0 + 1e-12))[0]
+        bad = np.where(~((vals >= -1e-12) & (vals <= 1.0 + 1e-12)))[0]  # NaN is bad too
         if bad.size:
             errors.append(
                 f"probability-out-of-range: P_{i + 1}({grid[bad[0]].tolist()}) = {vals[bad[0]]:.6g}"

@@ -5,6 +5,20 @@ Every trajectory owns a counter-based stream (Philox keyed by
 step: one for the block choice, one for the step atom. The fixed draw budget
 means switching functionals on or off never perturbs paths, and ensembles
 are bit-for-bit reproducible regardless of batching or thread count.
+
+Two per-batch kernels run the dynamics. ``ensemble`` picks one from the
+model's structure alone:
+
+* unit-step models (s = 1, r = 2, a single step atom, block 1 moves by it
+  and block 2 stays): the +/-1 walk with memory and the presets erw,
+  gerw-1d, linear, quadratic-sym, market, minimal, poly-g, phi-power and
+  cubic-supercritical. One step is ``state += (u1 < P_1(x)) * atom``.
+* everything else: the general kernel (block probabilities, cumulative
+  block choice, step-atom draw).
+
+The unit-step kernel is bit-identical to the general kernel, which stays
+the reference it is tested against; it keeps the same runtime checks
+(probability range and NaN, overflow guard) and the same functionals.
 """
 
 from __future__ import annotations
@@ -16,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ModelError, ValidatedModel
+from .model import ModelError, ValidatedModel, check_runtime_probs
 
 
 def default_checkpoints(n_max: int) -> list:
@@ -153,49 +167,108 @@ def _lil_norm(n: int, mode: str) -> float:
     raise ModelError(f"unknown LIL mode {mode!r}")
 
 
-def _simulate_batch(model, n_max, checkpoints, gens, cfg, out):
-    """Advance one batch of trajectories through all n_max steps."""
-    B = len(gens)
-    s, d, r = model.s, model.d, model.r
-    spec = model.spec
-    atoms = spec.step_law.atoms  # (n_atoms, s)
-    atom_cum = np.cumsum(spec.step_law.probs)
-    init_atoms = spec.initial.atoms
-    init_cum = np.cumsum(spec.initial.probs)
-    masks = model.block_masks  # (r, s)
-    A, b = spec.A, spec.b
-    cp_set = {cp: j for j, cp in enumerate(checkpoints)}
-    max_atom = float(np.max(np.abs(atoms))) if atoms.size else 0.0
-
-    state = np.zeros((B, s))
-    int_lattice = (
-        d == 1
-        and np.allclose(A, np.round(A))
-        and np.allclose(b, np.round(b))
-        and np.allclose(atoms, np.round(atoms))
-        and np.allclose(init_atoms, np.round(init_atoms))
+def _is_unit_step(model: ValidatedModel) -> bool:
+    """True for the one-coordinate walk that moves by its single step atom
+    with probability P_1(x) and stays otherwise (s = 1, r = 2)."""
+    return (
+        model.s == 1
+        and model.r == 2
+        and model.spec.step_law.probs.shape[0] == 1
+        and np.array_equal(model.block_masks, [[1.0], [0.0]])
     )
-    if cfg.track_returns and not int_lattice:
-        raise ModelError("non-lattice-model: return counting needs d=1 integer-valued positions")
 
-    lil_lo, lil_hi = cfg.lil_window
-    lil_hi = n_max if lil_hi is None else lil_hi
-    center = None if cfg.center is None else np.asarray(cfg.center, dtype=float)
 
+def _uniform_chunks(gens, n_max):
+    """Yield ``(t, uniforms)`` where ``uniforms[tt, :, j]`` is the draw pair of
+    trajectory j at time t + tt; chunks cap the buffer at 64 MB."""
+    B = len(gens)
     chunk = max(1, min(n_max, 8_388_608 // max(1, 2 * B)))
-    t = 0
-    while t < n_max:
+    for t in range(0, n_max, chunk):
         span = min(chunk, n_max - t)
         uniforms = np.empty((span, 2, B))
         for j, gen in enumerate(gens):
             uniforms[:, :, j] = gen.random((span, 2))
-        for tt in range(span):
+        yield t, uniforms
+
+
+def _initial_step(initial, u1):
+    idx = np.searchsorted(np.cumsum(initial.probs), u1, side="right")
+    np.clip(idx, 0, len(initial.probs) - 1, out=idx)
+    return initial.atoms[idx]
+
+
+def _overflow_guard(state, t, max_atom):
+    if np.any(np.abs(state) > (t * max_atom) + 1e-9):
+        raise ModelError("overflow-guard: auxiliary position exceeds n * max atom")
+
+
+class _Recorder:
+    """Per-step functionals and checkpoint writes shared by both kernels."""
+
+    def __init__(self, model, n_max, checkpoints, cfg, out):
+        spec = model.spec
+        self.A, self.b = spec.A, spec.b
+        if cfg.track_returns:
+            int_lattice = model.d == 1 and all(
+                np.allclose(v, np.round(v)) for v in (spec.A, spec.b, spec.step_law.atoms, spec.initial.atoms)
+            )
+            if not int_lattice:
+                raise ModelError("non-lattice-model: return counting needs d=1 integer-valued positions")
+        self.cfg, self.out = cfg, out
+        self.cp_set = {cp: j for j, cp in enumerate(checkpoints)}
+        self.per_step = cfg.lil_mode is not None or cfg.track_returns
+        lil_lo, lil_hi = cfg.lil_window
+        self.lil_window = (lil_lo, n_max if lil_hi is None else lil_hi)
+        self.center0 = 0.0 if cfg.center is None else np.asarray(cfg.center, dtype=float).reshape(-1)[0]
+
+    def record(self, state, n_now):
+        """Update the functionals with the (B, s) positions after step n_now.
+
+        Kernels call it only when ``per_step`` is set or n_now is a checkpoint.
+        """
+        cfg, out, A, b = self.cfg, self.out, self.A, self.b
+        if self.per_step:
+            # both functionals read only the first observed coordinate. For
+            # s = 1 it is one product per trajectory, equal to the matrix
+            # product's entry up to the sign of a zero, which == and abs ignore
+            prod = state[:, 0] * A[0, 0] if A.shape[1] == 1 else (state @ A.T)[:, 0]
+            obs = prod + n_now * b[0]
+            if cfg.track_returns:
+                at_zero = obs == 0.0
+                out["return_counts"] += at_zero
+                out["last_return"][at_zero] = n_now
+            if cfg.lil_mode is not None and self.lil_window[0] <= n_now <= self.lil_window[1]:
+                z = np.abs(obs / n_now - self.center0) * _lil_norm(n_now, cfg.lil_mode)
+                np.maximum(out["lil_max"], z, out=out["lil_max"])
+        j = self.cp_set.get(n_now)
+        if j is not None:
+            out["snn"][:, j, :] = state @ A.T / n_now + b
+            if cfg.track_returns:
+                out["returns_at"][:, j] = out["return_counts"]
+
+
+def _simulate_batch(model, n_max, checkpoints, gens, cfg, out):
+    """Advance one batch of trajectories through all n_max steps.
+
+    The general kernel: any s, r and step law. It is also the reference the
+    unit-step kernel is tested against.
+    """
+    B = len(gens)
+    s, r = model.s, model.r
+    spec = model.spec
+    atoms = spec.step_law.atoms  # (n_atoms, s)
+    atom_cum = np.cumsum(spec.step_law.probs)
+    masks = model.block_masks  # (r, s)
+    max_atom = float(np.max(np.abs(atoms))) if atoms.size else 0.0
+    rec = _Recorder(model, n_max, checkpoints, cfg, out)
+
+    state = np.zeros((B, s))
+    for t, uniforms in _uniform_chunks(gens, n_max):
+        for tt in range(uniforms.shape[0]):
             tc = t + tt
             u1, u2 = uniforms[tt, 0], uniforms[tt, 1]
             if tc == 0:
-                idx = np.searchsorted(init_cum, u1, side="right")
-                np.clip(idx, 0, len(init_cum) - 1, out=idx)
-                step_vec = init_atoms[idx]
+                step_vec = _initial_step(spec.initial, u1)
             else:
                 x = state[:, 0] / tc if s == 1 else state / tc
                 probs = model.block_probs(x)  # (r, B)
@@ -211,24 +284,58 @@ def _simulate_batch(model, n_max, checkpoints, gens, cfg, out):
                     out["noise_x"][:, tc - 1] = x if s == 1 else np.nan
                     out["noise_e"][:, tc - 1] = e_vec[:, 0] if s == 1 else np.linalg.norm(e_vec, axis=1)
             state += step_vec
-            n_now = tc + 1
-            if cfg.lil_mode is not None or cfg.track_returns:
-                s_obs = state @ A.T + n_now * b  # (B, d)
-                if cfg.track_returns and n_now >= 1:
-                    at_zero = s_obs[:, 0] == 0.0
-                    out["return_counts"] += at_zero
-                    out["last_return"][at_zero] = n_now
-                if cfg.lil_mode is not None and lil_lo <= n_now <= lil_hi:
-                    dev = s_obs / n_now - (center if center is not None else 0.0)
-                    z = np.abs(dev[:, 0]) * _lil_norm(n_now, cfg.lil_mode)
-                    np.maximum(out["lil_max"], z, out=out["lil_max"])
-            if n_now in cp_set:
-                out["snn"][:, cp_set[n_now], :] = state @ A.T / n_now + b
-                if cfg.track_returns:
-                    out["returns_at"][:, cp_set[n_now]] = out["return_counts"]
-        t += span
-        if np.any(np.abs(state) > (t * max_atom) + 1e-9):
-            raise ModelError("overflow-guard: auxiliary position exceeds n * max atom")
+            if rec.per_step or tc + 1 in rec.cp_set:
+                rec.record(state, tc + 1)
+        _overflow_guard(state, t + uniforms.shape[0], max_atom)
+    out["aux_final"][:, :] = state
+
+
+def _simulate_unit_batch(model, n_max, checkpoints, gens, cfg, out):
+    """The general kernel specialised to unit-step models (:func:`_is_unit_step`).
+
+    With P = P_1(x), the general kernel takes block 1 iff u1 < clip(P, 0, 1),
+    and the clip never changes that comparison; the step is then
+    ``(u1 < P) * atom``, bit for bit the general kernel's. The second uniform
+    is drawn for the fixed budget but never read, so its row of the chunk
+    buffer keeps P. The runtime range abort of ``block_probs`` (NaN included)
+    runs over that row once per chunk, and also before any error raised
+    mid-chunk propagates, so an earlier out-of-range P wins as it does in the
+    general kernel; rows not yet reached still hold uniforms in [0, 1).
+    """
+    B = len(gens)
+    spec = model.spec
+    atom = float(spec.step_law.atoms[0, 0])
+    mu = float(model.mu[0])
+    pm = spec.prob_maps[0]
+    fast = pm.fast
+    rec = _Recorder(model, n_max, checkpoints, cfg, out)
+
+    state = np.zeros((B, 1))
+    aux = state[:, 0]
+    for t, uniforms in _uniform_chunks(gens, n_max):
+        try:
+            for tt in range(uniforms.shape[0]):
+                tc = t + tt
+                u1 = uniforms[tt, 0]
+                if tc == 0:
+                    state += _initial_step(spec.initial, u1)
+                else:
+                    x = aux / tc
+                    P = fast([x]) if fast is not None else pm(x)
+                    uniforms[tt, 1] = P
+                    step_vec = (u1 < P) * atom
+                    aux += step_vec
+                    if cfg.collect_noise:
+                        out["noise_x"][:, tc - 1] = x
+                        # the general kernel's H adds the stay block's tail * 0
+                        out["noise_e"][:, tc - 1] = np.clip(P, 0.0, 1.0) * mu - step_vec
+                if rec.per_step or tc + 1 in rec.cp_set:
+                    rec.record(state, tc + 1)
+        except Exception:
+            check_runtime_probs(uniforms[:, 1])
+            raise
+        check_runtime_probs(uniforms[:, 1])
+        _overflow_guard(state, t + uniforms.shape[0], abs(atom))
     out["aux_final"][:, :] = state
 
 
@@ -280,6 +387,8 @@ def ensemble(model: ValidatedModel, n_max: int, N: int, master_seed: int,
     noise_x = np.empty((N, n_max - 1)) if cfg.collect_noise else None
     noise_e = np.empty((N, n_max - 1)) if cfg.collect_noise else None
 
+    kernel = _simulate_unit_batch if _is_unit_step(model) else _simulate_batch
+
     def run_batch(lo, hi):
         gens = _make_generators(master_seed, lo, hi)
         out = {
@@ -292,7 +401,7 @@ def ensemble(model: ValidatedModel, n_max: int, N: int, master_seed: int,
             "noise_x": noise_x[lo:hi] if noise_x is not None else None,
             "noise_e": noise_e[lo:hi] if noise_e is not None else None,
         }
-        _simulate_batch(model, n_max, checkpoints, gens, cfg, out)
+        kernel(model, n_max, checkpoints, gens, cfg, out)
 
     batches = [(lo, min(lo + batch_size, N)) for lo in range(0, N, batch_size)]
     if threads > 1 and len(batches) > 1:

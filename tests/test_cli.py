@@ -1,9 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from erwlab import build_preset
 from erwlab.cli import main
+from erwlab.model import spec_to_dict
 
 
 def test_presets_listing(capsys):
@@ -93,6 +96,19 @@ def test_verify_inapplicable_suite_is_config_error(tmp_path):
 def test_missing_model_file_exit_2(tmp_path, capsys):
     code = main(["analyze", "--model", str(tmp_path / "nope.json")])
     assert code == 2
+
+
+def test_nan_probability_model_exit_2(tmp_path):
+    # 0 * exp(1000 x) is NaN once exp overflows: the map must not validate
+    doc = spec_to_dict(build_preset("erw", p=0.6))
+    doc["prob_maps"] = ["0.5 + 0*exp(1000*x)"]
+    path = tmp_path / "nan_model.json"
+    path.write_text(json.dumps(doc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["simulate", "--model", str(path), "--n", "200", "--N", "8",
+                     "--out", str(tmp_path / "stats.csv")])
+    assert code == 2
+    assert not (tmp_path / "stats.csv").exists()
 
 
 def test_bad_preset_parameter_exit_2(tmp_path):

@@ -96,6 +96,8 @@ class TestEval:
         e = parse("piecewise(x < 0.0 : x)")
         with pytest.raises(EvalDomainError):
             e(0.5)
+        with pytest.raises(EvalDomainError):
+            e.fast([np.array([-1.0, 0.5])])
 
     def test_piecewise_first_match_wins(self):
         e = parse("piecewise(x <= 0.5 : 1.0 ; x >= 0.5 : 2.0)")
@@ -113,6 +115,7 @@ class TestEval:
         texts = [
             "0.25 + 0.5 * x",
             "piecewise(x<0.5 : x^2+0.25 ; x>=0.5 : 0.75-(1-x)^2)",
+            "piecewise(x <= 0.5 : 1.0 ; x >= 0.5 : 2.0 ; x > 0.25 : x)",
             "sgn(x - 0.5) * abs(x) + tanh(x)^3",
             "(1 - x)^3 / 2",
         ]

@@ -20,7 +20,7 @@ from erwlab import (
     save_model,
     validate_model,
 )
-from erwlab.model import spec_from_dict, spec_to_dict
+from erwlab.model import ValidatedModel, spec_from_dict, spec_to_dict
 from erwlab.presets import build_preset
 
 
@@ -185,6 +185,17 @@ class TestValidation:
         )
         with pytest.raises(ModelError, match="probability-out-of-range"):
             bad.block_probs(np.array([0.9]))
+
+    def test_nan_probability_rejected(self):
+        # exp overflows past x ~ 0.71, and 0 * inf is NaN
+        spec = _erw_spec(prob_text="0.5 + 0*exp(1000*x)")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ModelError, match="probability-out-of-range"):
+                validate_model(spec)
+            bad = ValidatedModel(spec=spec, mu=np.array([1.0]), sigma=np.array([[1.0]]),
+                                 block_masks=np.array([[1.0], [0.0]]))
+            with pytest.raises(ModelError, match="probability-out-of-range"):
+                bad.block_probs(np.array(0.9))
 
 
 class TestJsonRoundTrip:

@@ -3,13 +3,53 @@ import math
 import numpy as np
 import pytest
 
-from erwlab import build_preset, ensemble, trajectory, validate_model
-from erwlab.model import ModelError
-from erwlab.simulate import FunctionalConfig, WalkState, default_checkpoints, step
+from erwlab import build_preset, ensemble, parse, trajectory, validate_model
+from erwlab.model import ModelError, ModelSpec, ValidatedModel
+from erwlab.simulate import (
+    FunctionalConfig,
+    WalkState,
+    _is_unit_step,
+    _lil_norm,
+    _make_generators,
+    _simulate_batch,
+    default_checkpoints,
+    step,
+)
 
 
 def _model(name, **kwargs):
     return validate_model(build_preset(name, **kwargs))
+
+
+UNIT_STEP_PRESETS = [
+    ("erw", dict(p=0.6, q=0.5)),
+    ("gerw-1d", dict(f="x^2", p=0.8, q=0.5)),
+    ("linear", dict(a=0.0, b=0.7, p=0.6, q=0.5)),
+    ("quadratic-sym", dict(p=0.75, q=0.5)),
+    ("market", dict(p=0.5, q=0.5)),
+    ("minimal", dict(f="x^2", p=0.9, q=0.3)),
+    ("poly-g", dict(coeffs=(0.4, 0.2), p=0.7, q=0.5)),
+    ("phi-power", dict(phi="tanh", k=2, p=0.7, q=0.5)),
+    ("cubic-supercritical", dict(p=0.62, q=0.5)),
+]
+
+STATS_ARRAYS = ("snn", "aux_final", "lil_max", "return_counts", "last_return", "returns_at", "noise_x", "noise_e")
+
+
+def _general_kernel(model, stats, cfg):
+    """Rerun an ensemble's trajectories through the general kernel."""
+    out = {name: None if getattr(stats, name) is None else np.zeros_like(getattr(stats, name))
+           for name in STATS_ARRAYS}
+    gens = _make_generators(stats.master_seed, 0, stats.N)
+    _simulate_batch(model, stats.n_max, stats.checkpoints, gens, cfg, out)
+    return out
+
+
+def _hacked_erw(prob_text, q=0.5):
+    """An erw model whose probability map bypasses validation."""
+    model = _model("erw", p=0.75, q=q)
+    spec = ModelSpec(**{**model.spec.__dict__, "prob_maps": (parse(prob_text, arity=1),)})
+    return ValidatedModel(spec=spec, mu=model.mu, sigma=model.sigma, block_masks=model.block_masks)
 
 
 class TestDeterminism:
@@ -67,6 +107,14 @@ class TestSingleStep:
         stats = ensemble(model, 64, 1, master_seed=19)
         assert np.array_equal(state.s_aux, stats.aux_final[0])
         assert np.allclose(state.observed(model) / 64.0, stats.snn[0, -1])
+
+    def test_step_matches_unit_step_kernel(self):
+        model = _model("erw", p=0.6, q=0.5)
+        state = WalkState.fresh(model, seed=19, index=0)
+        for _ in range(200):
+            state = step(state, model)
+        stats = ensemble(model, 200, 1, master_seed=19)
+        assert np.array_equal(state.s_aux, stats.aux_final[0])
 
     def test_saturated_memory_keeps_direction(self):
         # with the up-probability at its ceiling the next step is up almost
@@ -158,6 +206,25 @@ class TestFunctionals:
         stats = ensemble(model, 2000, 100, master_seed=37, functional_config=cfg)
         assert np.all(stats.lil_max > 0)
 
+    def test_functionals_match_scalar_replay(self):
+        # replay the path with the scalar step and recompute both functionals
+        model = _model("erw", p=0.6, q=0.5)
+        cfg = FunctionalConfig(center=np.array([0.2]), lil_mode="diffusive", lil_window=(20, 300),
+                               track_returns=True)
+        stats = trajectory(model, 400, seed=23, functional_config=cfg)
+        state = WalkState.fresh(model, seed=23)
+        returns, last, lil_max = 0, 0, 0.0
+        for n in range(1, 401):
+            state = step(state, model)
+            obs = float(state.observed(model)[0])
+            if obs == 0.0:
+                returns, last = returns + 1, n
+            if 20 <= n <= 300:
+                lil_max = max(lil_max, abs(obs / n - 0.2) * _lil_norm(n, "diffusive"))
+        assert returns > 0
+        assert (stats.return_counts[0], stats.last_return[0]) == (returns, last)
+        assert stats.lil_max[0] == lil_max
+
     def test_noise_collection_shapes(self):
         model = _model("erw", p=0.6, q=0.5)
         cfg = FunctionalConfig(collect_noise=True)
@@ -172,3 +239,84 @@ class TestFunctionals:
         x = stats.snn[:, j, 0]
         manual = (x - x.mean()) @ (x - x.mean()) / 1.0  # N - 1 = 1
         assert stats.cov(j)[0, 0] == pytest.approx(manual, rel=1e-12)
+
+
+class TestUnitStepKernel:
+    """The unit-step kernel must reproduce the general kernel bit for bit."""
+
+    def test_dispatch_by_structure(self):
+        for name, kwargs in UNIT_STEP_PRESETS:
+            assert _is_unit_step(_model(name, **kwargs)), name
+        assert not _is_unit_step(_model("kdim", k=2, p=0.6))
+        assert not _is_unit_step(_model("random-step", p=0.6))
+
+    @pytest.mark.parametrize("batch_size", [17, 2048])
+    @pytest.mark.parametrize("name,kwargs", UNIT_STEP_PRESETS)
+    def test_matches_general_kernel(self, name, kwargs, batch_size):
+        model = _model(name, **kwargs)
+        lil_mode = "critical" if name == "quadratic-sym" else "diffusive"
+        cfg = FunctionalConfig(center=np.array([0.1]), lil_mode=lil_mode, lil_window=(20, 250),
+                               track_returns=True, collect_noise=True)
+        stats = ensemble(model, 300, 40, master_seed=61, functional_config=cfg, batch_size=batch_size)
+        ref = _general_kernel(model, stats, cfg)
+        for field in STATS_ARRAYS:
+            assert np.array_equal(getattr(stats, field), ref[field]), field
+
+    def test_plain_ensemble_matches_general_kernel(self):
+        model = _model("erw", p=0.85, q=0.5)
+        stats = ensemble(model, 500, 33, master_seed=67, checkpoints=[7, 100], batch_size=17)
+        ref = _general_kernel(model, stats, FunctionalConfig())
+        assert np.array_equal(stats.snn, ref["snn"])
+        assert np.array_equal(stats.aux_final, ref["aux_final"])
+
+    @pytest.mark.parametrize("name,kwargs", UNIT_STEP_PRESETS)
+    def test_trajectory_matches_general_kernel(self, name, kwargs):
+        model = _model(name, **kwargs)
+        cfg = FunctionalConfig(lil_mode="diffusive", lil_window=(10, None), track_returns=True,
+                               collect_noise=True)
+        single = trajectory(model, 400, seed=71, functional_config=cfg)
+        ref = _general_kernel(model, single, cfg)
+        for field in STATS_ARRAYS:
+            assert np.array_equal(getattr(single, field), ref[field]), field
+
+
+class TestRuntimeAbort:
+    """Probabilities that leave [0, 1] at runtime abort either kernel."""
+
+    def _both_kernels(self, model, n_max=50, N=8):
+        stats_cfg = FunctionalConfig()
+        yield lambda: ensemble(model, n_max, N, master_seed=3)
+        yield lambda: _simulate_batch(
+            model, n_max, [n_max], _make_generators(3, 0, N), stats_cfg,
+            {"snn": np.zeros((N, 1, 1)), "aux_final": np.zeros((N, 1))},
+        )
+
+    def test_out_of_range_once_a_walk_passes_one_half(self):
+        # P = 2x leaves [0, 1] as soon as a walk's up-fraction passes 1/2
+        model = _hacked_erw("2*x")
+        assert _is_unit_step(model)
+        for run in self._both_kernels(model):
+            with pytest.raises(ModelError, match="probability-out-of-range"):
+                run()
+
+    def test_range_abort_precedes_a_later_piecewise_gap(self):
+        # walks start at x = 0; P = 1/2 + x > 1 past x = 1/2 then drives them
+        # up into the uncovered region x >= 0.9. The range abort comes first
+        # on both paths
+        model = _hacked_erw("piecewise(x < 0.9 : 0.5 + x)", q=1e-300)
+        for run in self._both_kernels(model, n_max=200):
+            with pytest.raises(ModelError, match="probability-out-of-range"):
+                run()
+
+    def test_walks_below_one_half_do_not_abort(self):
+        # every walk starts with a stay step, so x = 0 and P = 0 forever
+        model = _hacked_erw("2*x", q=1e-300)
+        for run in self._both_kernels(model):
+            run()
+
+    def test_nan_probability(self):
+        model = _hacked_erw("0.5 + 0*exp(1000*x)")
+        with np.errstate(over="ignore", invalid="ignore"):
+            for run in self._both_kernels(model, n_max=200):
+                with pytest.raises(ModelError, match="probability-out-of-range"):
+                    run()
