@@ -21,6 +21,7 @@ import numpy as np
 from . import oracle as oracle_mod
 from . import sa as sa_mod
 from . import verify as verify_mod
+from .funcdsl import parse
 from .model import ModelError, load_model, save_model, spec_to_dict, validate_model
 from .presets import build_preset, list_presets
 from .simulate import FunctionalConfig, ensemble, stats_to_rows
@@ -29,6 +30,8 @@ from .theory import classify
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
+
+SUITES = ("slln", "clt", "lil", "super", "expansion", "recurrence")  # verify's order under --suite all
 
 
 class ConfigError(Exception):
@@ -65,24 +68,24 @@ def _resolve_model(args):
         params["z_values"] = [float(v) for v in args.z_values.split(",")]
     if getattr(args, "z_probs", None):
         params["z_probs"] = [float(v) for v in args.z_probs.split(",")]
-    if args.model:
-        path = Path(args.model)
-        if not path.exists():
-            raise ConfigError(f"config-invalid: model file {path} does not exist")
-        spec = load_model(path)
-        source = {"model_file": str(path)}
-    elif args.preset:
-        try:
-            spec = build_preset(args.preset, **params)
-        except ModelError as exc:
-            raise ConfigError(f"config-invalid: {exc}") from exc
-        source = {"preset": args.preset, "params": params}
-    else:
-        raise ConfigError("config-invalid: provide --model or --preset")
+    # ModelError, the DSL's errors and JSONDecodeError are ValueErrors;
+    # a KeyError is a missing field of a model file
     try:
+        if args.model:
+            path = Path(args.model)
+            if not path.exists():
+                raise ConfigError(f"config-invalid: model file {path} does not exist")
+            spec = load_model(path)
+            source = {"model_file": str(path)}
+        elif args.preset:
+            spec = build_preset(args.preset, **params)
+            source = {"preset": args.preset, "params": params}
+        else:
+            raise ConfigError("config-invalid: provide --model or --preset")
         model = validate_model(spec)
-    except ModelError as exc:
-        raise ConfigError(f"config-invalid: {exc}") from exc
+    except (ValueError, KeyError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"config-invalid: {detail}") from exc
     return model, spec, source
 
 
@@ -161,18 +164,14 @@ def cmd_oracle(args) -> int:
     resolved = {"command": "oracle", "source": source, "model": spec_to_dict(spec), "n": args.n}
     digest = _config_hash(resolved)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        if model.s == 1 and model.spec.step_law.atoms.shape == (1, 1) and model.spec.step_law.atoms[0, 0] == 1.0:
-            law = oracle_mod.exact_dp_1d(model, args.n)
-            rows = [(k, float(p), float(law.A * k + law.n * law.b)) for k, p in enumerate(law.pmf)]
-            header = ["k", "probability", "observed_value"]
-        else:
-            sparse = oracle_mod.enumerate_small_multi(model, args.n)
-            rows = [list(pos) + [prob] for pos, prob in sorted(sparse.items())]
-            header = [f"x{j + 1}" for j in range(model.s)] + ["probability"]
-    except ModelError as exc:
-        print(f"config-invalid: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    if model.s == 1 and model.spec.step_law.atoms.shape == (1, 1) and model.spec.step_law.atoms[0, 0] == 1.0:
+        law = oracle_mod.exact_dp_1d(model, args.n)
+        rows = [(k, float(p), float(law.A * k + law.n * law.b)) for k, p in enumerate(law.pmf)]
+        header = ["k", "probability", "observed_value"]
+    else:
+        sparse = oracle_mod.enumerate_small_multi(model, args.n)
+        rows = [list(pos) + [prob] for pos, prob in sorted(sparse.items())]
+        header = [f"x{j + 1}" for j in range(model.s)] + ["probability"]
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -184,74 +183,55 @@ def cmd_oracle(args) -> int:
 
 
 def _run_suites(model, report, args, overrides) -> list:
-    suites = [args.suite] if args.suite != "all" else [
-        "slln", "clt", "lil", "super", "expansion", "recurrence",
-    ]
+    suites = [args.suite] if args.suite != "all" else list(SUITES)
     regime = report.regime
-    d = model.d
-    lattice = d == 1 and np.allclose(model.spec.A, np.round(model.spec.A)) and np.allclose(
+    lattice = model.d == 1 and np.allclose(model.spec.A, np.round(model.spec.A)) and np.allclose(
         model.spec.b, np.round(model.spec.b)
     )
-    wants_lil = "lil" in suites and regime in ("Diffusive", "Critical") and model.s == 1
-    wants_rec = "recurrence" in suites and lattice
+    clt_regime = regime in ("Diffusive", "Critical")
+    in_regime = f"not applicable in regime {regime}"
+    skip_reason = {  # None where the suite applies
+        "slln": None,
+        "clt": None if clt_regime else in_regime,
+        "lil": None if clt_regime and model.s == 1 else f"not applicable (regime {regime}, s={model.s})",
+        "super": None if regime == "Supercritical" else in_regime,
+        "expansion": None if regime == "Supercritical" and model.s == 1 else in_regime,
+        "recurrence": None if lattice else "not applicable: needs a d=1 integer-lattice model",
+    }
+    runs = {suite for suite in suites if skip_reason[suite] is None}
     cfg = FunctionalConfig(
         center=np.asarray(report.limit, dtype=float),
-        lil_mode=("diffusive" if regime == "Diffusive" else "critical") if wants_lil else None,
+        lil_mode=("diffusive" if regime == "Diffusive" else "critical") if "lil" in runs else None,
         lil_window=(max(1000, args.n // 100), None),
-        track_returns=wants_rec,
+        track_returns="recurrence" in runs,
     )
     stats = ensemble(model, args.n, args.N, args.seed, threads=args.threads, functional_config=cfg)
+    checks = {
+        "slln": lambda: verify_mod.slln_test(
+            stats, report.limit, z=overrides.get("slln_z", 3.0), clt_cov=report.clt_variance
+        ),
+        "clt": lambda: verify_mod.fluctuation_test(
+            stats, report, alpha=overrides.get("ks_alpha", 0.01), rel_tol=overrides.get("clt_rel_tol")
+        ),
+        "lil": lambda: verify_mod.lil_envelope_test(
+            stats, report, band=tuple(overrides.get("lil_band", (0.3, 1.8)))
+        ),
+        "super": lambda: verify_mod.supercritical_limit_test(
+            stats, report, threshold=overrides.get("super_threshold", 0.15)
+        ),
+        "expansion": lambda: verify_mod.expansion_residual_test(
+            stats, report, tolerance=overrides.get("expansion_tolerance", 0.15)
+        ),
+        "recurrence": lambda: verify_mod.recurrence_report(stats, report),
+    }
     reports = []
     skipped = []
     for suite in suites:
+        if suite not in runs:
+            skipped.append((suite, skip_reason[suite]))
+            continue
         try:
-            if suite == "slln":
-                reports.append(
-                    verify_mod.slln_test(
-                        stats, report.limit, z=overrides.get("slln_z", 3.0), clt_cov=report.clt_variance
-                    )
-                )
-            elif suite == "clt":
-                if regime not in ("Diffusive", "Critical"):
-                    skipped.append((suite, f"not applicable in regime {regime}"))
-                    continue
-                reports.append(
-                    verify_mod.fluctuation_test(
-                        stats,
-                        report,
-                        alpha=overrides.get("ks_alpha", 0.01),
-                        rel_tol=overrides.get("clt_rel_tol"),
-                    )
-                )
-            elif suite == "lil":
-                if not wants_lil:
-                    skipped.append((suite, f"not applicable (regime {regime}, s={model.s})"))
-                    continue
-                band = tuple(overrides.get("lil_band", (0.3, 1.8)))
-                reports.append(verify_mod.lil_envelope_test(stats, report, band=band))
-            elif suite == "super":
-                if regime != "Supercritical":
-                    skipped.append((suite, f"not applicable in regime {regime}"))
-                    continue
-                reports.append(
-                    verify_mod.supercritical_limit_test(
-                        stats, report, threshold=overrides.get("super_threshold", 0.15)
-                    )
-                )
-            elif suite == "expansion":
-                if regime != "Supercritical" or model.s != 1:
-                    skipped.append((suite, f"not applicable in regime {regime}"))
-                    continue
-                reports.append(
-                    verify_mod.expansion_residual_test(
-                        stats, report, tolerance=overrides.get("expansion_tolerance", 0.15)
-                    )
-                )
-            elif suite == "recurrence":
-                if not wants_rec:
-                    skipped.append((suite, "not applicable: needs a d=1 integer-lattice model"))
-                    continue
-                reports.append(verify_mod.recurrence_report(stats, report))
+            reports.append(checks[suite]())
         except verify_mod.VerifyError as exc:
             skipped.append((suite, str(exc)))
     return reports, skipped
@@ -295,23 +275,13 @@ def cmd_verify(args) -> int:
 def cmd_sa(args) -> int:
     overrides = _load_tol_overrides(args)
     out_path = Path(args.out or "sa_verdicts.json")
-    checks = []
     resolved = {"command": "sa", "seed": args.seed, "n": args.n, "N": args.N}
     if args.model or args.preset:
-        model, spec, source = _resolve_model(args)
+        model, _, source = _resolve_model(args)
         resolved["source"] = source
-        proc = sa_mod.gerw_to_sa(model)
-        noise = sa_mod.noise_moment_check(model, n_max=min(args.n, 4000), N=min(args.N, 500), master_seed=args.seed)
-        checks.append(
-            {
-                "name": noise.name,
-                "passed": noise.passed,
-                "details": noise.details,
-            }
-        )
+        sa_mod.gerw_to_sa(model)  # the reduction needs s = 1 and a fixed point
+        check = sa_mod.noise_moment_check(model, n_max=min(args.n, 4000), N=min(args.N, 500), master_seed=args.seed)
     elif args.drift:
-        from .funcdsl import parse
-
         try:
             noise = sa_mod.NoiseSpec.parse(args.noise)
             proc = sa_mod.SAProcess(
@@ -320,38 +290,20 @@ def cmd_sa(args) -> int:
                 noise=noise,
                 theta1=args.theta1,
             )
-        except (ModelError, ValueError) as exc:
-            print(f"config-invalid: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        except ValueError as exc:  # ModelError and the DSL's errors included
+            raise ConfigError(f"config-invalid: {exc}") from exc
         resolved.update({"drift": args.drift, "theta0": args.theta0, "noise": args.noise})
         paths = sa_mod.run_sa(proc, args.n, N=args.N, master_seed=args.seed)
-        psi_p = proc.psi_prime()
-        if psi_p > 0.5:
-            j = paths.checkpoints.index(args.n)
-            kept = ~paths.escaped
-            var = float(np.var(np.sqrt(args.n) * (paths.theta[kept, j] - proc.theta0), ddof=1))
-            predicted = proc.noise.s2 / (2.0 * psi_p - 1.0)
-            tol = overrides.get("sa_var_tol", 0.05)
-            checks.append(
-                {
-                    "name": "sa-clt-variance",
-                    "passed": bool(abs(var - predicted) <= tol * predicted),
-                    "details": {"statistic": var, "predicted": predicted, "tolerance": tol},
-                }
-            )
+        if proc.psi_prime() > 0.5:
+            check = sa_mod.sa_clt_variance_check(proc, paths, tolerance=overrides.get("sa_var_tol", 0.05))
         else:
-            rep = sa_mod.sa_expansion_check(
-                proc, paths, tolerance=overrides.get("expansion_tolerance", 0.15)
-            )
-            checks.append({"name": rep.name, "passed": rep.passed, "details": rep.details})
+            check = sa_mod.sa_expansion_check(proc, paths, tolerance=overrides.get("expansion_tolerance", 0.15))
     else:
-        print("config-invalid: provide --drift or --model/--preset", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("config-invalid: provide --drift or --model/--preset")
     digest = _config_hash(resolved)
-    _write_json(out_path, {"config_hash": digest, "checks": checks})
-    for c in checks:
-        print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}")
-    return EXIT_OK if all(c["passed"] for c in checks) else EXIT_CHECK_FAILED
+    _write_json(out_path, {"config_hash": digest, "checks": [check.to_dict()]})
+    print(f"{'PASS' if check.passed else 'FAIL'} {check.name}")
+    return EXIT_OK if check.passed else EXIT_CHECK_FAILED
 
 
 def cmd_presets(args) -> int:
@@ -392,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="statistical checks of the limit theorems")
     common(p_ver)
-    p_ver.add_argument("--suite", choices=["slln", "clt", "lil", "super", "expansion", "recurrence", "all"], default="all")
+    p_ver.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     p_ver.add_argument("--n", type=int, default=20000)
     p_ver.add_argument("--N", type=int, default=4000)
     p_ver.set_defaults(func=cmd_verify)

@@ -9,20 +9,22 @@ with Gamma_n the position average, drift gamma(x) = x - H(x), step size
 holds as an identity. This module runs generic scalar recursions of that
 form with synthetic noise, exposes the reduction, and provides the noise
 moment checks and expansion-coefficient verification used by the test
-theorems.
+theorems, each a :class:`CheckReport`. By the identity, the
+expansion-residual core here also serves ``verify.expansion_residual_test``;
+each caller keeps its own paths, coefficients, target and error type.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .funcdsl import FuncExpr, parse, derive_at, NonSmoothError
+from .funcdsl import FuncExpr, derive_at, NonSmoothError
 from .model import ModelError, ValidatedModel
-from .simulate import FunctionalConfig, default_checkpoints, ensemble, trajectory_seed
+from .simulate import FunctionalConfig, default_checkpoints, ensemble, nearest_checkpoint, trajectory_seed
 from .theory import expansion_coeffs
 
 
@@ -187,16 +189,6 @@ class GerwSA:
         out = H * Sig / mu - H ** 2
         return out[0] if np.isscalar(x) or np.ndim(x) == 0 else out
 
-    def path(self, n_max: int, seed: int) -> np.ndarray:
-        """The process path at every checkpointed time: identical to the
-        scaled auxiliary walk (the recursion is an identity, so the path is
-        computed as the position average itself)."""
-        stats = ensemble(self.model, n_max, 1, seed)
-        a = float(self.model.spec.A[0, 0])
-        b = float(self.model.spec.b[0])
-        # invert the observation map to recover the auxiliary average
-        return (stats.snn[0, :, 0] - b) / a, stats.checkpoints
-
 
 def gerw_to_sa(model: ValidatedModel) -> GerwSA:
     """Reduce a validated s=1 model to its stochastic approximation form."""
@@ -218,6 +210,9 @@ class CheckReport:
     name: str
     passed: bool
     details: dict = field(default_factory=dict)
+
+    def to_dict(self) -> dict:
+        return {"name": self.name, "passed": self.passed, "details": self.details}
 
 
 def noise_moment_check(model: ValidatedModel, n_max: int = 4000, N: int = 200,
@@ -242,10 +237,7 @@ def noise_moment_check(model: ValidatedModel, n_max: int = 4000, N: int = 200,
     edges = np.linspace(lo, hi, bins + 1)
     which = np.clip(np.digitize(xs, edges) - 1, 0, bins - 1)
 
-    mu = float(model.mu[0])
-    Sig = float(model.sigma[0, 0])
-    gsa = GerwSA(model, 0.0)
-    pred = gsa.sigma2_fn(xs)
+    pred = GerwSA(model, 0.0).sigma2_fn(xs)
 
     bad_mean, bad_var, used = [], [], 0
     for b_ in range(bins):
@@ -320,7 +312,9 @@ def estimate_terminal_scale(value: float, n: int, exponent: float, coeffs: list)
 
     With only the linear coefficient this is the plain scaled terminal
     value; higher coefficients are inverted by Newton steps (still a
-    function of the final checkpoint alone).
+    function of the final checkpoint alone). The vectorized
+    ``verify._invert_expansion`` has another step guard and stopping rule
+    and differs in the last bit on some paths: merging would change bytes.
     """
     u = value  # first guess: linear inversion of dev = u + c2 u^2 + ...
     if len(coeffs) > 1:
@@ -337,6 +331,62 @@ def estimate_terminal_scale(value: float, n: int, exponent: float, coeffs: list)
             if abs(step) <= 1e-15 * max(1.0, abs(u)):
                 break
     return u * n ** exponent
+
+
+# ---------------------------------------------------------------------------
+# Expansion-residual core (also used by verify.expansion_residual_test)
+
+
+def expansion_residual(dev, n: int, scale, exponent: float, coeffs) -> np.ndarray:
+    """dev - sum_j c_j u^j with u = scale / n^exponent, j counted from 1."""
+    u = scale / n ** exponent
+    expansion = np.zeros_like(u)
+    for j, c in enumerate(coeffs, start=1):
+        expansion += c * u ** j
+    return dev - expansion
+
+
+def residual_variance(values, center: float, checkpoints, n_max: int, eval_ratio: float, scale,
+                      exponent: float, coeffs) -> tuple:
+    """Sample variance (ddof 1) of sqrt(n_e) times the expansion residual at
+    n_e, the checkpoint nearest max(2, round(eval_ratio * n_max)).
+
+    ``values[:, j]`` holds the paths at ``checkpoints[j]``. Returns
+    (statistic, n_e).
+    """
+    n_e, j = nearest_checkpoint(checkpoints, max(2, int(round(eval_ratio * n_max))))
+    residual = expansion_residual(values[:, j] - center, n_e, scale, exponent, coeffs)
+    return float(np.var(math.sqrt(n_e) * residual, ddof=1)), n_e
+
+
+def residual_order_slope(values, center: float, checkpoints, n_max: int, scale,
+                         exponent: float, coeffs) -> tuple:
+    """Slope of log median |residual| against log n over the top decade.
+
+    Values as for :func:`residual_variance`; checkpoints below n_max/10 and
+    n_max itself (which fixed ``scale``) are left out, as are zero medians.
+    Returns (slope, points); the slope is None when fewer than two points
+    remain.
+    """
+    xs, ys = [], []
+    for j, n in enumerate(checkpoints):
+        if n < n_max / 10 or n == n_max:
+            continue
+        residual = expansion_residual(values[:, j] - center, n, scale, exponent, coeffs)
+        med = float(np.median(np.abs(residual)))
+        if med > 0:
+            xs.append(math.log(n))
+            ys.append(math.log(med))
+    return (float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else None), len(xs)
+
+
+def _converged_scales(proc: SAProcess, paths: SAPaths, psi_p: float, coeffs: list, band: float):
+    """Paths the residual checks keep (not escaped, final value within
+    ``band`` of the root) and their terminal scale estimates."""
+    theta_final = paths.theta[:, paths.checkpoints.index(paths.n_max)] - proc.theta0
+    keep = (~paths.escaped) & (np.abs(theta_final) < band)
+    z_hat = np.array([estimate_terminal_scale(v, paths.n_max, psi_p, coeffs) for v in theta_final[keep]])
+    return keep, z_hat
 
 
 def sa_expansion_check(proc: SAProcess, paths: SAPaths, k: Optional[int] = None,
@@ -363,27 +413,13 @@ def sa_expansion_check(proc: SAProcess, paths: SAPaths, k: Optional[int] = None,
     derivs = proc.psi_derivs(upto=subtract_orders)
     coeffs = sa_coeffs(derivs, upto=max(k, min(subtract_orders, len(derivs))))
     n_max = paths.n_max
-    target_ne = max(2, int(round(eval_ratio * n_max)))
-    n_e = min(paths.checkpoints, key=lambda n: abs(n - target_ne))
-    j_final = paths.checkpoints.index(n_max)
-    j_eval = paths.checkpoints.index(n_e)
-
-    theta_final = paths.theta[:, j_final] - proc.theta0
-    theta_eval = paths.theta[:, j_eval] - proc.theta0
-    keep = (~paths.escaped) & (np.abs(theta_final) < converged_band)
+    keep, z_hat = _converged_scales(proc, paths, psi_p, coeffs, converged_band)
     n_keep = int(keep.sum())
     if n_keep < 100:
         raise SAError("too few converged paths for the residual check")
 
-    z_hat = np.array(
-        [estimate_terminal_scale(v, n_max, psi_p, coeffs) for v in theta_final[keep]]
-    )
-    u = z_hat / n_e ** psi_p
-    expansion = np.zeros_like(u)
-    for j, c in enumerate(coeffs, start=1):
-        expansion += c * u ** j
-    residual = theta_eval[keep] - expansion
-    stat = float(np.var(math.sqrt(n_e) * residual, ddof=1))
+    stat, n_e = residual_variance(paths.theta[keep], proc.theta0, paths.checkpoints, n_max, eval_ratio,
+                                  z_hat, psi_p, coeffs)
     rho2 = (n_e / n_max) ** (1.0 - 2.0 * psi_p)
     predicted = paths.s2 / (1.0 - 2.0 * psi_p)
     passed = abs(stat - predicted) <= tolerance * predicted
@@ -419,32 +455,32 @@ def sa_order_check(proc: SAProcess, paths: SAPaths, k: int,
     psi_p = proc.psi_prime()
     if not psi_p < 1.0 / (2.0 * k):
         raise SAError("wrong-derivative-regime: order check needs psi' < 1/(2k)")
-    derivs = proc.psi_derivs(upto=k)
-    coeffs = sa_coeffs(derivs, upto=k)
-    n_max = paths.n_max
-    j_final = paths.checkpoints.index(n_max)
-    theta_final = paths.theta[:, j_final] - proc.theta0
-    keep = (~paths.escaped) & (np.abs(theta_final) < 0.1)
-    z_hat = np.array([estimate_terminal_scale(v, n_max, psi_p, coeffs) for v in theta_final[keep]])
-    xs, ys = [], []
-    for j, n in enumerate(paths.checkpoints):
-        if n < n_max / 10 or n == n_max:
-            continue
-        u = z_hat / n ** psi_p
-        expansion = np.zeros_like(u)
-        for jj, c in enumerate(coeffs, start=1):
-            expansion += c * u ** jj
-        residual = paths.theta[keep, j] - proc.theta0 - expansion
-        med = float(np.median(np.abs(residual)))
-        if med > 0:
-            xs.append(math.log(n))
-            ys.append(math.log(med))
-    if len(xs) < 2:
+    coeffs = sa_coeffs(proc.psi_derivs(upto=k), upto=k)
+    keep, z_hat = _converged_scales(proc, paths, psi_p, coeffs, 0.1)
+    slope, _ = residual_order_slope(paths.theta[keep], proc.theta0, paths.checkpoints, paths.n_max,
+                                    z_hat, psi_p, coeffs)
+    if slope is None:
         raise SAError("not enough checkpoints in the top decade for the slope fit")
-    slope = float(np.polyfit(xs, ys, 1)[0])
     target = -k * psi_p + slope_slack
     return CheckReport(
         name="sa-order",
         passed=slope <= target,
         details={"slope": slope, "target": target, "k": k},
+    )
+
+
+def sa_clt_variance_check(proc: SAProcess, paths: SAPaths, tolerance: float = 0.05) -> CheckReport:
+    """Terminal CLT for psi' > 1/2: Var(sqrt(n) (Theta_n - theta0)) over the
+    paths that did not escape, against s^2 / (2 psi' - 1), relative tolerance."""
+    psi_p = proc.psi_prime()
+    if not psi_p > 0.5:
+        raise SAError("wrong-derivative-regime: the CLT variance check needs psi' > 1/2")
+    j = paths.checkpoints.index(paths.n_max)
+    kept = ~paths.escaped
+    var = float(np.var(np.sqrt(paths.n_max) * (paths.theta[kept, j] - proc.theta0), ddof=1))
+    predicted = paths.s2 / (2.0 * psi_p - 1.0)
+    return CheckReport(
+        name="sa-clt-variance",
+        passed=bool(abs(var - predicted) <= tolerance * predicted),
+        details={"statistic": var, "predicted": predicted, "tolerance": tolerance},
     )

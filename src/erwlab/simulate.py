@@ -43,6 +43,12 @@ def default_checkpoints(n_max: int) -> list:
     return sorted(pts)
 
 
+def nearest_checkpoint(checkpoints, target) -> tuple:
+    """The checkpoint closest to ``target`` (the first one on ties) and its index."""
+    j = min(range(len(checkpoints)), key=lambda i: abs(checkpoints[i] - target))
+    return checkpoints[j], j
+
+
 @dataclass
 class FunctionalConfig:
     """Optional per-trajectory functionals tracked during simulation."""
@@ -52,9 +58,6 @@ class FunctionalConfig:
     lil_window: tuple = (1000, None)  # max taken over n in [lo, hi]
     track_returns: bool = False  # d = 1 integer-lattice models only
     collect_noise: bool = False  # retain noise increments (s = 1 only)
-
-    def wants_per_step(self) -> bool:
-        return self.lil_mode is not None or self.track_returns or self.collect_noise
 
 
 @dataclass
@@ -278,11 +281,10 @@ def _simulate_batch(model, n_max, checkpoints, gens, cfg, out):
                 aidx = np.searchsorted(atom_cum, u2, side="right")
                 np.clip(aidx, 0, len(atom_cum) - 1, out=aidx)
                 step_vec = atoms[aidx] * masks[block]
-                if cfg.collect_noise:
-                    H = probs.T @ (masks * model.mu)  # (B, s)
-                    e_vec = H - step_vec
-                    out["noise_x"][:, tc - 1] = x if s == 1 else np.nan
-                    out["noise_e"][:, tc - 1] = e_vec[:, 0] if s == 1 else np.linalg.norm(e_vec, axis=1)
+                if cfg.collect_noise:  # s = 1: ensemble rejects it otherwise
+                    H = probs.T @ (masks * model.mu)  # (B, 1)
+                    out["noise_x"][:, tc - 1] = x
+                    out["noise_e"][:, tc - 1] = (H - step_vec)[:, 0]
             state += step_vec
             if rec.per_step or tc + 1 in rec.cp_set:
                 rec.record(state, tc + 1)

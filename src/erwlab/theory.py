@@ -706,29 +706,39 @@ def _h_derivatives(model: ValidatedModel, x0, upto: int) -> list:
 REGIME_TOL = 1e-9
 
 
+def _regime(tau: float, regime_tol: float) -> str:
+    """The regime of a top eigenvalue real part: the one statement of the
+    thresholds 1/2 +- regime_tol and 1 - regime_tol."""
+    if tau >= 1.0 - regime_tol:
+        return "Unsupported"
+    if tau < 0.5 - regime_tol:
+        return "Diffusive"
+    if tau <= 0.5 + regime_tol:
+        return "Critical"
+    return "Supercritical"
+
+
 def asymptotic_covariances(model: ValidatedModel, x0, profile: SpectralProfile,
                            regime_tol: float = REGIME_TOL):
     """Sigma0 plus the regime-appropriate limit covariance.
 
     Returns (sigma0, limit_sigma, clt_covariance, lil_constant): the limit
     covariance is the diffusive Lyapunov solution for tau < 1/2, the
-    critical eigenvector form at tau = 1/2, and None in the supercritical
-    regime; clt_covariance maps it through the observation matrix. The
-    scalar iterated-logarithm constant comes back for s = 1 models in the
+    critical eigenvector form at tau = 1/2, and None otherwise;
+    clt_covariance maps it through the observation matrix. The scalar
+    iterated-logarithm constant comes back for s = 1 models in the
     diffusive and critical regimes.
     """
     x0 = np.asarray(x0, dtype=float)
     sigma0 = sigma0_matrix(model, x0)
-    A = model.spec.A
-    tau = profile.tau
-    limit_sigma = None
-    clt_cov = None
-    lil_constant = None
-    if tau < 0.5 - regime_tol:
+    regime = _regime(profile.tau, regime_tol)
+    limit_sigma = clt_cov = lil_constant = None
+    if regime == "Diffusive":
         limit_sigma = solve_sigma1(profile.J, sigma0)
-    elif tau <= 0.5 + regime_tol:
+    elif regime == "Critical":
         limit_sigma = sigma2_critical(profile, sigma0)
     if limit_sigma is not None:
+        A = model.spec.A
         clt_cov = A @ limit_sigma @ A.T
         if model.s == 1:
             lil_constant = math.sqrt(max(float(clt_cov[0, 0]), 0.0))
@@ -762,7 +772,7 @@ def classify(model: ValidatedModel, grid_density: int = 201,
     report = RegimeReport(
         x0=x0,
         limit=limit,
-        regime="Unsupported",
+        regime=_regime(tau, regime_tol),
         tau=tau,
         kappa=kappa,
         downcrossing=down,
@@ -777,34 +787,30 @@ def classify(model: ValidatedModel, grid_density: int = 201,
     if model.s == 1:
         report.eta = tau
 
-    if tau >= 1.0 - regime_tol:
-        report.regime = "Unsupported"
+    if report.regime == "Unsupported":
         notes.append("top eigenvalue real part at or above 1: outside the supported regimes")
         return report
 
-    report.sigma0 = sigma0_matrix(model, x0)
+    try:
+        report.sigma0, limit_sigma, report.clt_variance, report.lil_constant = asymptotic_covariances(
+            model, x0, profile, regime_tol
+        )
+    except TheoryError as exc:
+        # a critical covariance that cannot be computed is only a note
+        if report.regime != "Critical":
+            raise
+        notes.append(str(exc))
+        report.sigma0, limit_sigma = sigma0_matrix(model, x0), None
+    if report.regime == "Diffusive":
+        report.sigma1 = limit_sigma
+    elif report.regime == "Critical":
+        report.sigma2 = limit_sigma
 
     derivs = _h_derivatives(model, x0, upto=7) if model.s == 1 else []
     if model.s == 1 and len(derivs) >= 2:
         report.eta1 = derivs[1]
 
-    if tau < 0.5 - regime_tol:
-        report.regime = "Diffusive"
-        report.sigma1 = solve_sigma1(profile.J, report.sigma0)
-        report.clt_variance = A @ report.sigma1 @ A.T
-        if model.s == 1:
-            report.lil_constant = math.sqrt(max(report.clt_variance[0, 0], 0.0))
-    elif tau <= 0.5 + regime_tol:
-        report.regime = "Critical"
-        try:
-            report.sigma2 = sigma2_critical(profile, report.sigma0)
-            report.clt_variance = A @ report.sigma2 @ A.T
-            if model.s == 1:
-                report.lil_constant = math.sqrt(max(report.clt_variance[0, 0], 0.0))
-        except TheoryError as exc:
-            notes.append(str(exc))
-    else:
-        report.regime = "Supercritical"
+    if report.regime == "Supercritical":
         if model.s == 1:
             sig2_x0 = float(report.sigma0[0, 0])
             a2 = float(A[0, 0]) ** 2

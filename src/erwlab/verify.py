@@ -6,6 +6,9 @@ recomputed from the stored numbers alone. Quantitative tolerances follow
 the regime (critical-regime covariances converge only at logarithmic rate);
 envelope and recurrence checks are property-style by construction and say
 so in their notes.
+
+The expansion-residual test computes its statistics with the residual core
+in :mod:`erwlab.sa`, since the walk reduces to that scalar recursion.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import numpy as np
 from scipy import stats as spstats
 
 from .model import ModelError
-from .simulate import EnsembleStats
+from .sa import residual_order_slope, residual_variance
+from .simulate import EnsembleStats, nearest_checkpoint
 from .theory import RegimeReport
 
 
@@ -221,10 +225,8 @@ def supercritical_limit_test(stats, report: RegimeReport, ratio: float = 10.0,
     if report.kappa != 1:
         raise VerifyError("defective top eigenvalue: per-trajectory limit check needs kappa = 1")
     n_max = stats.checkpoints[-1]
-    target = n_max / ratio
-    n_lo = min(stats.checkpoints, key=lambda n: abs(n - target))
+    n_lo, j_lo = nearest_checkpoint(stats.checkpoints, n_max / ratio)
     j_hi = stats.checkpoints.index(n_max)
-    j_lo = stats.checkpoints.index(n_lo)
     center = np.asarray(report.limit, dtype=float)
     D_hi = stats.scaled_deviation(j_hi, report.tau, center)[:, 0]
     D_lo = stats.scaled_deviation(j_lo, report.tau, center)[:, 0]
@@ -253,7 +255,12 @@ def supercritical_limit_test(stats, report: RegimeReport, ratio: float = 10.0,
 
 def _invert_expansion(dev, n, exponent, coeffs):
     """Estimate the limit scale from the final checkpoint by inverting
-    dev = sum_j c_j (u)^j, u = L / n^exponent (Newton, final value only)."""
+    dev = sum_j c_j (u)^j, u = L / n^exponent (Newton, final value only).
+
+    The per-path ``sa.estimate_terminal_scale`` has another step guard and
+    stopping rule and differs in the last bit on some trajectories: merging
+    the two would change verdict bytes.
+    """
     u = np.asarray(dev, dtype=float).copy()
     if len(coeffs) > 1:
         for _ in range(60):
@@ -295,21 +302,14 @@ def expansion_residual_test(stats, report: RegimeReport, m: Optional[int] = None
     m0 = report.m0 if report.m0 is not None else 0
     center = float(np.asarray(report.limit).reshape(-1)[0])
     n_max = stats.checkpoints[-1]
-    j_final = stats.checkpoints.index(n_max)
-    dev_final = stats.snn[:, j_final, 0] - center
-    L_hat = _invert_expansion(dev_final, n_max, 1.0 - eta, beta)
+    values = stats.snn[:, :, 0]
+    exponent = 1.0 - eta
+    L_hat = _invert_expansion(values[:, stats.checkpoints.index(n_max)] - center, n_max, exponent, beta)
 
     n_sub = min(m, m0)
     if m >= m0:
-        target_ne = max(2, int(round(eval_ratio * n_max)))
-        n_e = min(stats.checkpoints, key=lambda n: abs(n - target_ne))
-        j_e = stats.checkpoints.index(n_e)
-        u = L_hat / n_e ** (1.0 - eta)
-        expansion = np.zeros_like(u)
-        for j in range(n_sub + 1):
-            expansion += beta[j] * u ** (j + 1)
-        residual = stats.snn[:, j_e, 0] - center - expansion
-        stat = float(np.var(math.sqrt(n_e) * residual, ddof=1))
+        stat, n_e = residual_variance(values, center, stats.checkpoints, n_max, eval_ratio, L_hat, exponent,
+                                      beta[: n_sub + 1])
         predicted = report.residual_variance
         rho2 = (n_e / n_max) ** (2.0 * eta - 1.0)
         passed = abs(stat - predicted) <= tolerance * predicted
@@ -332,22 +332,9 @@ def expansion_residual_test(stats, report: RegimeReport, m: Optional[int] = None
         )
 
     # m < m0: almost-sure order check by slope regression
-    xs, ys = [], []
-    for j, n in enumerate(stats.checkpoints):
-        if n < n_max / 10 or n == n_max:
-            continue
-        u = L_hat / n ** (1.0 - eta)
-        expansion = np.zeros_like(u)
-        for jj in range(m + 1):
-            expansion += beta[jj] * u ** (jj + 1)
-        residual = stats.snn[:, j, 0] - center - expansion
-        med = float(np.median(np.abs(residual)))
-        if med > 0:
-            xs.append(math.log(n))
-            ys.append(math.log(med))
-    if len(xs) < 2:
+    slope, points = residual_order_slope(values, center, stats.checkpoints, n_max, L_hat, exponent, beta[: m + 1])
+    if slope is None:
         raise VerifyError("not enough checkpoints in the top decade for the slope fit")
-    slope = float(np.polyfit(xs, ys, 1)[0])
     target = -(1.0 - eta) * (m + 1) + slope_slack
     return VerificationReport(
         theorem="ExpansionResidual",
@@ -357,7 +344,7 @@ def expansion_residual_test(stats, report: RegimeReport, m: Optional[int] = None
         passed=bool(slope <= target),
         mode="one-sided slope: statistic <= predicted + tolerance",
         sample_size=getattr(stats, "N", 0),
-        details={"m": m, "m0": m0, "points": len(xs)},
+        details={"m": m, "m0": m0, "points": points},
     )
 
 

@@ -181,3 +181,66 @@ def test_model_roundtrip_through_cli(tmp_path):
     b = json.loads(out2.read_text())["regime_report"]
     assert a["regime"] == b["regime"]
     assert a["tau"] == pytest.approx(b["tau"], abs=1e-9)
+
+
+def _erw_doc(**changes) -> dict:
+    return {**spec_to_dict(build_preset("erw", p=0.6)), **changes}
+
+
+MALFORMED_MODELS = {
+    "parse-error": lambda: json.dumps(_erw_doc(prob_maps=["0.2*x + ("])),
+    "uncovered-piecewise": lambda: json.dumps(_erw_doc(prob_maps=["piecewise(x < 0.3 : 0.4 ; x > 0.6 : 0.5)"])),
+    "missing-key": lambda: json.dumps({k: v for k, v in _erw_doc().items() if k != "A"}),
+    "truncated-json": lambda: json.dumps(_erw_doc())[:100],
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_malformed_model_file_exit_2(tmp_path, capsys, command, case):
+    path = tmp_path / "bad_model.json"
+    path.write_text(MALFORMED_MODELS[case]())
+    extra = ["--n", "50", "--N", "4"] if command == "simulate" else []
+    code = main([command, "--model", str(path), "--out", str(tmp_path / "out.json")] + extra)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config-invalid:")
+
+
+SUITE_CASES = {
+    "erw-diffusive": (
+        ["--preset", "erw", "--p", "0.6"],
+        ["SLLN", "CLT", "LIL-envelope", "Recurrence"],
+        [("super", "not applicable in regime Diffusive"), ("expansion", "not applicable in regime Diffusive")],
+    ),
+    "quadratic-sym-critical": (
+        ["--preset", "quadratic-sym", "--p", "0.75"],
+        ["SLLN", "CLT", "LIL-envelope", "Recurrence"],
+        [("super", "not applicable in regime Critical"), ("expansion", "not applicable in regime Critical")],
+    ),
+    "erw-supercritical": (
+        ["--preset", "erw", "--p", "0.85"],
+        ["SLLN", "SupercriticalLimit", "ExpansionResidual", "Recurrence"],
+        [("clt", "not applicable in regime Supercritical"), ("lil", "not applicable (regime Supercritical, s=1)")],
+    ),
+    "kdim-3": (
+        ["--preset", "kdim", "--k", "3"],
+        ["SLLN", "CLT"],
+        [
+            ("lil", "not applicable (regime Diffusive, s=5)"),
+            ("super", "not applicable in regime Diffusive"),
+            ("expansion", "not applicable in regime Diffusive"),
+            ("recurrence", "not applicable: needs a d=1 integer-lattice model"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUITE_CASES))
+def test_verify_all_suite_order_and_skip_reasons(tmp_path, case):
+    model_args, theorems, skipped = SUITE_CASES[case]
+    out = tmp_path / "v.json"
+    code = main(["verify", "--suite", "all", "--n", "300", "--N", "32", "--seed", "1", "--out", str(out)] + model_args)
+    assert code in (0, 1)
+    doc = json.loads(out.read_text())
+    assert [c["theorem"] for c in doc["checks"]] == theorems
+    assert [(s["suite"], s["reason"]) for s in doc["skipped"]] == skipped

@@ -91,15 +91,6 @@ class TestReduction:
         assert red.gamma_prime() == pytest.approx(1.0 - 0.2)
         assert red.sigma2_fn(0.5) == pytest.approx(0.25)
 
-    def test_path_identity_with_simulation(self):
-        # the reduction path is the scaled auxiliary walk itself
-        model = _model("erw", p=0.6, q=0.5)
-        red = gerw_to_sa(model)
-        path, checkpoints = red.path(200, seed=7)
-        stats = ensemble(model, 200, 1, 7)
-        aux = (stats.snn[0, :, 0] + 1.0) / 2.0
-        assert np.array_equal(path, aux)
-
     def test_recursion_identity_algebraic(self):
         # Gamma_{n+1} = Gamma_n - a_n (gamma(Gamma_n) + e_{n+1}) holds along
         # simulated paths with the recorded noise

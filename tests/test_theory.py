@@ -462,15 +462,34 @@ class TestClassify:
             assert rep.clt_variance[0, 0] >= 0.0
 
     def test_covariance_bundle_matches_classify(self):
-        for p in (0.6, 0.75, 0.85):
-            model = _model("erw", p=p, q=0.5)
-            x0 = np.array([0.5])
-            prof = spectral_profile(model, x0)
-            sigma0, limit_sigma, clt_cov, lil = asymptotic_covariances(model, x0, prof)
+        cases = [("erw", dict(p=p, q=0.5)) for p in (0.6, 0.75, 0.85)]
+        cases += [("quadratic-sym", dict(p=0.75, q=0.5)), ("kdim", dict(k=2))]
+        for name, kwargs in cases:
+            model = _model(name, **kwargs)
             rep = classify(model)
-            assert np.allclose(sigma0, rep.sigma0)
+            prof = spectral_profile(model, rep.x0)
+            sigma0, limit_sigma, clt_cov, lil = asymptotic_covariances(model, rep.x0, prof)
+            assert np.array_equal(sigma0, rep.sigma0), name
             if rep.regime == "Supercritical":
                 assert limit_sigma is None and clt_cov is None and lil is None
-            else:
-                assert np.allclose(clt_cov, rep.clt_variance)
-                assert lil == pytest.approx(rep.lil_constant)
+                continue
+            assert np.array_equal(limit_sigma, rep.sigma1 if rep.regime == "Diffusive" else rep.sigma2), name
+            assert np.array_equal(clt_cov, rep.clt_variance), name
+            assert lil == rep.lil_constant, name
+        assert rep.regime == "Diffusive" and model.s > 1 and lil is None  # the kdim case ran
+
+    def test_critical_covariance_failure_is_a_note(self, monkeypatch):
+        import erwlab.theory as theory
+
+        def refuse(profile, Sigma0, tol=1e-7):
+            raise TheoryError("unavailable-numerically: refused")
+
+        monkeypatch.setattr(theory, "sigma2_critical", refuse)
+        rep = classify(_model("quadratic-sym", p=0.75, q=0.5))
+        assert rep.regime == "Critical"
+        assert "unavailable-numerically: refused" in rep.notes
+        assert rep.sigma0 is not None and rep.sigma2 is None and rep.clt_variance is None
+        # the diffusive Lyapunov solution has no such fallback
+        monkeypatch.setattr(theory, "solve_sigma1", refuse)
+        with pytest.raises(TheoryError, match="refused"):
+            classify(_model("erw", p=0.6, q=0.5))
