@@ -113,8 +113,14 @@ def _load_tol_overrides(args) -> dict:
     path = Path(args.tol_overrides)
     if not path.exists():
         raise ConfigError(f"config-invalid: tolerance override file {path} does not exist")
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            overrides = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config-invalid: tolerance override file {path}: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"config-invalid: tolerance override file {path} must hold a JSON object")
+    return overrides
 
 
 def cmd_simulate(args) -> int:

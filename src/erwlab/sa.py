@@ -24,7 +24,8 @@ import numpy as np
 
 from .funcdsl import FuncExpr, derive_at, NonSmoothError
 from .model import ModelError, ValidatedModel
-from .simulate import FunctionalConfig, default_checkpoints, ensemble, nearest_checkpoint, trajectory_seed
+from .simulate import (FunctionalConfig, check_master_seed, ensemble, nearest_checkpoint, resolve_checkpoints,
+                       trajectory_seed)
 from .theory import expansion_coeffs
 
 
@@ -116,10 +117,8 @@ def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
     limit theorems condition on the convergence event, so escapes are
     excluded from theorem statistics but always reported.
     """
-    checkpoints = sorted(set(default_checkpoints(n_max) if checkpoints is None else [int(c) for c in checkpoints]))
-    if n_max not in checkpoints:
-        checkpoints.append(n_max)
-        checkpoints.sort()
+    check_master_seed(master_seed)
+    checkpoints = resolve_checkpoints(n_max, checkpoints)
     cp_index = {n: j for j, n in enumerate(checkpoints)}
     theta = np.full(N, float(proc.theta1))
     out = np.empty((N, len(checkpoints)))

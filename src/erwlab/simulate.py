@@ -1,10 +1,18 @@
 """Forward simulation of the walk dynamics with reproducible ensembles.
 
-Every trajectory owns a counter-based stream (Philox keyed by
-(master_seed, trajectory_index)) and consumes exactly two uniforms per time
+Trajectory i of master seed m always consumes the counter-based stream
+``Philox(SeedSequence(m, spawn_key=(i,)))`` and exactly two uniforms per time
 step: one for the block choice, one for the step atom. The fixed draw budget
 means switching functionals on or off never perturbs paths, and ensembles
 are bit-for-bit reproducible regardless of batching or thread count.
+
+A Philox stream is a key plus a block counter, so a batch needs no stream
+objects: :func:`philox_keys` derives the keys of a whole batch in one
+vectorized pass of numpy's ``SeedSequence`` algorithm, and one generator
+per batch is re-keyed and positioned for each trajectory and chunk. Each
+trajectory's draws fill one contiguous row of a trajectory-major buffer,
+which the kernels read through its transposed view. Chunks after the first
+start at an even time step, on a Philox block (4 doubles, two steps).
 
 Two per-batch kernels run the dynamics. ``ensemble`` picks one from the
 model's structure alone:
@@ -107,6 +115,97 @@ def trajectory_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))
 
 
+def check_master_seed(master_seed) -> None:
+    """Reject anything but a non-negative integer before a stream is derived."""
+    if not isinstance(master_seed, (int, np.integer)) or master_seed < 0:
+        raise ModelError(f"master_seed must be a non-negative integer, got {master_seed!r}")
+
+
+def resolve_checkpoints(n_max: int, checkpoints=None) -> list:
+    """Sorted distinct checkpoints in [1, n_max] (geometric by default), n_max included."""
+    checkpoints = sorted(set(default_checkpoints(n_max) if checkpoints is None else [int(c) for c in checkpoints]))
+    if any(c < 1 or c > n_max for c in checkpoints):
+        raise ModelError("checkpoints must lie in [1, n_max]")
+    if n_max not in checkpoints:
+        checkpoints.append(n_max)
+        checkpoints.sort()
+    return checkpoints
+
+
+# numpy's SeedSequence constants (pool of four uint32 words)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+MAX_TRAJECTORIES = 2**32  # a spawn key of one uint32 word
+
+
+def _hashmix(value, hash_const):
+    """SeedSequence's hashmix on a uint32 array; returns (value, next hash_const)."""
+    value = value ^ hash_const
+    hash_const = hash_const * _MULT_A & _MASK32
+    value = value * hash_const
+    return value ^ (value >> 16), hash_const
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 arrays (uint32 arithmetic wraps)."""
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> 16)
+
+
+def philox_keys(master_seed: int, lo: int, hi: int) -> np.ndarray:
+    """The (hi - lo, 2) uint64 Philox keys of trajectories lo..hi-1.
+
+    Row j equals ``trajectory_seed(master_seed, lo + j).generate_state(2,
+    np.uint64)``: numpy's SeedSequence algorithm run once over uint32 arrays
+    in which only the spawn-key word differs between trajectories. The run
+    entropy is the seed's little-endian uint32 words, zero-padded to the
+    pool size because a spawn key is present.
+    """
+    check_master_seed(master_seed)
+    if not 0 <= lo <= hi <= MAX_TRAJECTORIES:
+        raise ModelError(f"trajectory indices must lie in [0, {MAX_TRAJECTORIES}]")
+    seed, run = int(master_seed), []
+    while True:
+        run.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    run += [0] * (_POOL_SIZE - len(run))
+    entropy = [np.array([w], dtype=np.uint32) for w in run]
+    entropy.append(np.arange(lo, hi, dtype=np.uint64).astype(np.uint32))
+
+    hash_const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                value, hash_const = _hashmix(pool[i_src], hash_const)
+                pool[i_dst] = _mix(pool[i_dst], value)
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const)
+            pool[i_dst] = _mix(pool[i_dst], value)
+
+    # generate_state(2, np.uint64): four uint32 words, read little-endian in pairs
+    hash_const = _INIT_B
+    words = []
+    for word in pool:
+        value = word ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        words.append((value ^ (value >> 16)).astype(np.uint64))
+    keys = np.empty((hi - lo, 2), dtype=np.uint64)
+    keys[:, 0] = words[0] | words[1] << np.uint64(32)
+    keys[:, 1] = words[2] | words[3] << np.uint64(32)
+    return keys
+
+
 @dataclass
 class WalkState:
     """Single-trajectory state: time index, auxiliary position, stream.
@@ -127,6 +226,7 @@ class WalkState:
 
     @staticmethod
     def fresh(model: ValidatedModel, seed: int, index: int = 0) -> "WalkState":
+        check_master_seed(seed)
         gen = np.random.Generator(np.random.Philox(trajectory_seed(seed, index)))
         return WalkState(n=0, s_aux=np.zeros(model.s), rng=gen, stream=(seed, index))
 
@@ -158,10 +258,6 @@ def step(state: WalkState, model: ValidatedModel) -> WalkState:
     return WalkState(n=state.n + 1, s_aux=state.s_aux + move, rng=state.rng, stream=state.stream)
 
 
-def _make_generators(master_seed, lo, hi):
-    return [np.random.Generator(np.random.Philox(trajectory_seed(master_seed, i))) for i in range(lo, hi)]
-
-
 def _lil_norm(n: int, mode: str) -> float:
     if mode == "diffusive":
         return math.sqrt(n / (2.0 * math.log(math.log(n))))
@@ -181,17 +277,35 @@ def _is_unit_step(model: ValidatedModel) -> bool:
     )
 
 
-def _uniform_chunks(gens, n_max):
+_CHUNK_DOUBLES = 8_388_608  # uniforms per chunk buffer: 64 MB
+
+
+def _uniform_chunks(keys, n_max):
     """Yield ``(t, uniforms)`` where ``uniforms[tt, :, j]`` is the draw pair of
-    trajectory j at time t + tt; chunks cap the buffer at 64 MB."""
-    B = len(gens)
-    chunk = max(1, min(n_max, 8_388_608 // max(1, 2 * B)))
+    trajectory j (Philox key ``keys[j]``) at time t + tt.
+
+    One generator serves the batch. For each trajectory and chunk it is keyed
+    and set to block counter t // 2 with an empty buffer, so the next double
+    is draw 2t of that trajectory's stream; hence every chunk but the last
+    has even length. The draws fill a trajectory-major buffer, reused across
+    chunks, and ``uniforms`` is its transposed view, not a copy.
+    """
+    B = len(keys)
+    chunk = min(n_max, max(2, _CHUNK_DOUBLES // (2 * B) // 2 * 2))
+    bit_gen = np.random.Philox(0)  # re-keyed before every fill
+    gen = np.random.Generator(bit_gen)
+    counter = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": counter, "key": None},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    buf = np.empty((B, chunk, 2))
     for t in range(0, n_max, chunk):
-        span = min(chunk, n_max - t)
-        uniforms = np.empty((span, 2, B))
-        for j, gen in enumerate(gens):
-            uniforms[:, :, j] = gen.random((span, 2))
-        yield t, uniforms
+        rows = buf[:, :min(chunk, n_max - t)]
+        counter[0] = t // 2
+        for j in range(B):
+            state["state"]["key"] = keys[j]
+            bit_gen.state = state
+            gen.random(out=rows[j])
+        yield t, rows.transpose(1, 2, 0)
 
 
 def _initial_step(initial, u1):
@@ -250,13 +364,13 @@ class _Recorder:
                 out["returns_at"][:, j] = out["return_counts"]
 
 
-def _simulate_batch(model, n_max, checkpoints, gens, cfg, out):
+def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
     """Advance one batch of trajectories through all n_max steps.
 
     The general kernel: any s, r and step law. It is also the reference the
     unit-step kernel is tested against.
     """
-    B = len(gens)
+    B = len(keys)
     s, r = model.s, model.r
     spec = model.spec
     atoms = spec.step_law.atoms  # (n_atoms, s)
@@ -266,7 +380,7 @@ def _simulate_batch(model, n_max, checkpoints, gens, cfg, out):
     rec = _Recorder(model, n_max, checkpoints, cfg, out)
 
     state = np.zeros((B, s))
-    for t, uniforms in _uniform_chunks(gens, n_max):
+    for t, uniforms in _uniform_chunks(keys, n_max):
         for tt in range(uniforms.shape[0]):
             tc = t + tt
             u1, u2 = uniforms[tt, 0], uniforms[tt, 1]
@@ -292,7 +406,7 @@ def _simulate_batch(model, n_max, checkpoints, gens, cfg, out):
     out["aux_final"][:, :] = state
 
 
-def _simulate_unit_batch(model, n_max, checkpoints, gens, cfg, out):
+def _simulate_unit_batch(model, n_max, checkpoints, keys, cfg, out):
     """The general kernel specialised to unit-step models (:func:`_is_unit_step`).
 
     With P = P_1(x), the general kernel takes block 1 iff u1 < clip(P, 0, 1),
@@ -304,7 +418,7 @@ def _simulate_unit_batch(model, n_max, checkpoints, gens, cfg, out):
     mid-chunk propagates, so an earlier out-of-range P wins as it does in the
     general kernel; rows not yet reached still hold uniforms in [0, 1).
     """
-    B = len(gens)
+    B = len(keys)
     spec = model.spec
     atom = float(spec.step_law.atoms[0, 0])
     mu = float(model.mu[0])
@@ -314,7 +428,7 @@ def _simulate_unit_batch(model, n_max, checkpoints, gens, cfg, out):
 
     state = np.zeros((B, 1))
     aux = state[:, 0]
-    for t, uniforms in _uniform_chunks(gens, n_max):
+    for t, uniforms in _uniform_chunks(keys, n_max):
         try:
             for tt in range(uniforms.shape[0]):
                 tc = t + tt
@@ -362,15 +476,11 @@ def ensemble(model: ValidatedModel, n_max: int, N: int, master_seed: int,
     """
     if n_max < 1:
         raise ModelError("n_max must be >= 1")
-    if N < 1:
-        raise ModelError("N must be >= 1")
+    if not 1 <= N <= MAX_TRAJECTORIES:
+        raise ModelError(f"N must lie in [1, {MAX_TRAJECTORIES}]")
+    check_master_seed(master_seed)
     cfg = functional_config or FunctionalConfig()
-    checkpoints = sorted(set(default_checkpoints(n_max) if checkpoints is None else [int(c) for c in checkpoints]))
-    if any(c < 1 or c > n_max for c in checkpoints):
-        raise ModelError("checkpoints must lie in [1, n_max]")
-    if n_max not in checkpoints:
-        checkpoints.append(n_max)
-        checkpoints.sort()
+    checkpoints = resolve_checkpoints(n_max, checkpoints)
     C = len(checkpoints)
     d, s = model.d, model.s
 
@@ -392,7 +502,6 @@ def ensemble(model: ValidatedModel, n_max: int, N: int, master_seed: int,
     kernel = _simulate_unit_batch if _is_unit_step(model) else _simulate_batch
 
     def run_batch(lo, hi):
-        gens = _make_generators(master_seed, lo, hi)
         out = {
             "snn": snn[lo:hi],
             "aux_final": aux_final[lo:hi],
@@ -403,7 +512,7 @@ def ensemble(model: ValidatedModel, n_max: int, N: int, master_seed: int,
             "noise_x": noise_x[lo:hi] if noise_x is not None else None,
             "noise_e": noise_e[lo:hi] if noise_e is not None else None,
         }
-        kernel(model, n_max, checkpoints, gens, cfg, out)
+        kernel(model, n_max, checkpoints, philox_keys(master_seed, lo, hi), cfg, out)
 
     batches = [(lo, min(lo + batch_size, N)) for lo in range(0, N, batch_size)]
     if threads > 1 and len(batches) > 1:

@@ -116,6 +116,30 @@ def test_bad_preset_parameter_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--preset", "erw", "--p", "0.6", "--n", "10", "--N", "4"],
+    ["verify", "--preset", "erw", "--p", "0.6", "--suite", "slln", "--n", "100", "--N", "8"],
+    ["sa", "--drift", "x", "--n", "100", "--N", "4"],
+    ["sa", "--preset", "erw", "--p", "0.6", "--n", "100", "--N", "4"],
+], ids=["simulate", "verify", "sa-drift", "sa-preset"])
+def test_negative_seed_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    code = main(argv + ["--seed", "-3", "--out", str(out)])
+    assert code == 2
+    assert "config-invalid:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ['{"lil_band": ', "[0.2, 2.5]"], ids=["truncated", "not-an-object"])
+def test_malformed_tol_overrides_exit_2(tmp_path, capsys, text):
+    overrides = tmp_path / "tol.json"
+    overrides.write_text(text)
+    code = main(["verify", "--preset", "erw", "--p", "0.6", "--suite", "slln", "--n", "100", "--N", "8",
+                 "--tol-overrides", str(overrides), "--out", str(tmp_path / "v.json")])
+    assert code == 2
+    assert "config-invalid:" in capsys.readouterr().err
+
+
 def test_sa_linear_drift(tmp_path, capsys):
     out = tmp_path / "sa.json"
     code = main([

@@ -5,6 +5,7 @@ import pytest
 
 from erwlab import build_preset, ensemble, validate_model
 from erwlab.funcdsl import parse
+from erwlab.model import ModelError
 from erwlab.sa import (
     GerwSA,
     NoiseSpec,
@@ -56,6 +57,18 @@ class TestRunner:
         a = run_sa(proc, 500, N=8, master_seed=4)
         b = run_sa(proc, 500, N=8, master_seed=4)
         assert np.array_equal(a.theta, b.theta)
+
+    @pytest.mark.parametrize("checkpoints", [[50, 200], [0, 50], [-1]])
+    def test_checkpoints_outside_horizon_rejected(self, checkpoints):
+        proc = SAProcess(drift=parse("x"), theta0=0.0, noise=NoiseSpec("gaussian", 1.0), drift_derivs=[1.0])
+        with pytest.raises(ModelError, match="checkpoints"):
+            run_sa(proc, 100, N=3, checkpoints=checkpoints)
+
+    @pytest.mark.parametrize("seed", [-3, 1.5])
+    def test_bad_master_seed_rejected(self, seed):
+        proc = SAProcess(drift=parse("x"), theta0=0.0, noise=NoiseSpec("gaussian", 1.0), drift_derivs=[1.0])
+        with pytest.raises(ModelError, match="master_seed"):
+            run_sa(proc, 100, N=3, master_seed=seed)
 
     def test_unit_slope_gaussian_variance(self):
         # Var(sqrt(n) Theta_n) -> s^2 / (2 psi' - 1) = 1

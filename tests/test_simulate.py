@@ -3,17 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from erwlab import build_preset, ensemble, parse, trajectory, validate_model
+from erwlab import build_preset, ensemble, parse, simulate, trajectory, validate_model
 from erwlab.model import ModelError, ModelSpec, ValidatedModel
 from erwlab.simulate import (
+    MAX_TRAJECTORIES,
     FunctionalConfig,
     WalkState,
     _is_unit_step,
     _lil_norm,
-    _make_generators,
     _simulate_batch,
+    _uniform_chunks,
     default_checkpoints,
+    philox_keys,
     step,
+    trajectory_seed,
 )
 
 
@@ -40,8 +43,8 @@ def _general_kernel(model, stats, cfg):
     """Rerun an ensemble's trajectories through the general kernel."""
     out = {name: None if getattr(stats, name) is None else np.zeros_like(getattr(stats, name))
            for name in STATS_ARRAYS}
-    gens = _make_generators(stats.master_seed, 0, stats.N)
-    _simulate_batch(model, stats.n_max, stats.checkpoints, gens, cfg, out)
+    keys = philox_keys(stats.master_seed, 0, stats.N)
+    _simulate_batch(model, stats.n_max, stats.checkpoints, keys, cfg, out)
     return out
 
 
@@ -95,6 +98,79 @@ class TestDeterminism:
         a = ensemble(_model("gerw-1d", f="x", p=0.75, q=0.5), 2000, 32, master_seed=5)
         b = ensemble(_model("gerw-1d", f="1 - x", p=0.25, q=0.5), 2000, 32, master_seed=5)
         assert np.array_equal(a.snn, b.snn)
+
+
+class TestStreams:
+    """Trajectory i of master seed m consumes Philox(SeedSequence(m, spawn_key=(i,)))."""
+
+    MASTERS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5)
+
+    @pytest.mark.parametrize("master", MASTERS)
+    def test_bulk_keys_match_seed_sequence(self, master):
+        for i in (0, 1, 2047, 2048, 2**20):
+            expected = trajectory_seed(master, i).generate_state(2, np.uint64)
+            assert np.array_equal(philox_keys(master, i, i + 1)[0], expected), i
+        batch = philox_keys(master, 2040, 2056)
+        for j, i in enumerate(range(2040, 2056)):
+            assert np.array_equal(batch[j], trajectory_seed(master, i).generate_state(2, np.uint64)), i
+
+    @pytest.mark.parametrize("master", MASTERS)
+    def test_batch_uniforms_match_fresh_streams(self, master, monkeypatch):
+        # 42 // (2 * B) = 7 is odd: chunks are cut to 6 steps, so chunks
+        # after the first start on a Philox block
+        B, n_max = 3, 25
+        monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", 42)
+        chunks = [(t, u.copy()) for t, u in _uniform_chunks(philox_keys(master, 7, 7 + B), n_max)]
+        assert [t for t, _ in chunks] == [0, 6, 12, 18, 24]
+        uniforms = np.concatenate([u for _, u in chunks])  # (n_max, 2, B)
+        for j in range(B):
+            gen = np.random.Generator(np.random.Philox(trajectory_seed(master, 7 + j)))
+            assert np.array_equal(uniforms[:, :, j], gen.random(2 * n_max).reshape(n_max, 2)), j
+
+    @pytest.mark.parametrize("name,kwargs", [("erw", dict(p=0.6, q=0.5)), ("kdim", dict(k=2, p=0.6))])
+    def test_small_chunks_do_not_change_paths(self, name, kwargs, monkeypatch):
+        model = _model(name, **kwargs)
+        ref = ensemble(model, 101, 9, master_seed=13)
+        monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", 42)
+        small = ensemble(model, 101, 9, master_seed=13, batch_size=3)
+        assert np.array_equal(small.snn, ref.snn)
+        assert np.array_equal(small.aux_final, ref.aux_final)
+
+    @pytest.mark.parametrize("name,kwargs", [("erw", dict(p=0.6, q=0.5)), ("kdim", dict(k=2, p=0.6))])
+    def test_two_threads_match_one(self, name, kwargs):
+        model = _model(name, **kwargs)
+        a = ensemble(model, 300, 100, master_seed=3, threads=1)
+        b = ensemble(model, 300, 100, master_seed=3, threads=2, batch_size=17)
+        assert np.array_equal(a.snn, b.snn)
+        assert np.array_equal(a.aux_final, b.aux_final)
+
+    def test_step_replay_at_index_five(self):
+        # the scalar step draws from a real SeedSequence-built generator
+        model = _model("kdim", k=2, p=0.6)
+        state = WalkState.fresh(model, seed=19, index=5)
+        for _ in range(64):
+            state = step(state, model)
+        stats = ensemble(model, 64, 8, master_seed=19)
+        assert np.array_equal(state.s_aux, stats.aux_final[5])
+
+    @pytest.mark.parametrize("seed", [-3, 1.5, 2.0, "7", None])
+    def test_bad_master_seed_rejected(self, seed):
+        model = _model("erw", p=0.6, q=0.5)
+        for run in (lambda: ensemble(model, 10, 4, master_seed=seed),
+                    lambda: trajectory(model, 10, seed=seed),
+                    lambda: WalkState.fresh(model, seed),
+                    lambda: philox_keys(seed, 0, 4)):
+            with pytest.raises(ModelError, match="master_seed"):
+                run()
+
+    def test_trajectory_count_fits_one_spawn_word(self):
+        model = _model("erw", p=0.6, q=0.5)
+        with pytest.raises(ModelError, match="N must lie"):
+            ensemble(model, 10, MAX_TRAJECTORIES + 1, master_seed=1)
+        with pytest.raises(ModelError, match="trajectory indices"):
+            philox_keys(1, 0, MAX_TRAJECTORIES + 1)
+        last = philox_keys(1, MAX_TRAJECTORIES - 1, MAX_TRAJECTORIES)[0]
+        assert np.array_equal(last, trajectory_seed(1, MAX_TRAJECTORIES - 1).generate_state(2, np.uint64))
 
 
 class TestSingleStep:
@@ -287,7 +363,7 @@ class TestRuntimeAbort:
         stats_cfg = FunctionalConfig()
         yield lambda: ensemble(model, n_max, N, master_seed=3)
         yield lambda: _simulate_batch(
-            model, n_max, [n_max], _make_generators(3, 0, N), stats_cfg,
+            model, n_max, [n_max], philox_keys(3, 0, N), stats_cfg,
             {"snn": np.zeros((N, 1, 1)), "aux_final": np.zeros((N, 1))},
         )
 
