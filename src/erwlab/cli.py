@@ -49,7 +49,7 @@ def _write_json(path: Path, doc: dict):
         fh.write("\n")
 
 
-def _write_sidecars(out_path: Path, resolved: dict, spec):
+def _write_sidecars(out_path: Path, spec):
     stem = out_path.with_suffix("")
     meta = {"wall_time_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
     _write_json(Path(f"{stem}_runmeta.json"), meta)
@@ -62,15 +62,12 @@ def _resolve_model(args):
         value = getattr(args, name, None)
         if value is not None:
             params[name] = value
-    if getattr(args, "coeffs", None):
-        params["coeffs"] = [float(v) for v in args.coeffs.split(",")]
-    if getattr(args, "z_values", None):
-        params["z_values"] = [float(v) for v in args.z_values.split(",")]
-    if getattr(args, "z_probs", None):
-        params["z_probs"] = [float(v) for v in args.z_probs.split(",")]
-    # ModelError, the DSL's errors and JSONDecodeError are ValueErrors;
-    # a KeyError is a missing field of a model file
+    # ModelError, the DSL's errors, JSONDecodeError and a bad number in a
+    # comma list are ValueErrors; a KeyError is a missing field of a model file
     try:
+        for name in ("coeffs", "z_values", "z_probs"):
+            if getattr(args, name, None):
+                params[name] = [float(v) for v in getattr(args, name).split(",")]
         if args.model:
             path = Path(args.model)
             if not path.exists():
@@ -120,7 +117,19 @@ def _load_tol_overrides(args) -> dict:
         raise ConfigError(f"config-invalid: tolerance override file {path}: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ConfigError(f"config-invalid: tolerance override file {path} must hold a JSON object")
+    for key, value in overrides.items():
+        if key == "lil_band":
+            ok = isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+        else:
+            ok = _is_number(value)
+        if not ok:
+            want = "a list of two numbers" if key == "lil_band" else "a number"
+            raise ConfigError(f"config-invalid: tolerance override {key!r} must be {want}, got {value!r}")
     return overrides
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def cmd_simulate(args) -> int:
@@ -146,7 +155,7 @@ def cmd_simulate(args) -> int:
         for row in stats_to_rows(stats):
             writer.writerow(row)
     _write_json(out_path.with_suffix(".json"), {"config_hash": digest, "config": resolved})
-    _write_sidecars(out_path, resolved, spec)
+    _write_sidecars(out_path, spec)
     print(f"wrote {out_path} ({args.N} trajectories to n={args.n}); config {digest[:12]}")
     return EXIT_OK
 
@@ -159,7 +168,7 @@ def cmd_analyze(args) -> int:
     digest = _config_hash(resolved)
     doc = {"config_hash": digest, "regime_report": report.to_dict()}
     _write_json(out_path, doc)
-    _write_sidecars(out_path, resolved, spec)
+    _write_sidecars(out_path, spec)
     print(f"regime: {report.regime} (tau={report.tau:.6g}, kappa={report.kappa}); wrote {out_path}")
     return EXIT_OK
 
@@ -170,7 +179,7 @@ def cmd_oracle(args) -> int:
     resolved = {"command": "oracle", "source": source, "model": spec_to_dict(spec), "n": args.n}
     digest = _config_hash(resolved)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    if model.s == 1 and model.spec.step_law.atoms.shape == (1, 1) and model.spec.step_law.atoms[0, 0] == 1.0:
+    if oracle_mod.is_unit_step_1d(model):
         law = oracle_mod.exact_dp_1d(model, args.n)
         rows = [(k, float(p), float(law.A * k + law.n * law.b)) for k, p in enumerate(law.pmf)]
         header = ["k", "probability", "observed_value"]
@@ -183,7 +192,7 @@ def cmd_oracle(args) -> int:
         writer.writerow(header)
         writer.writerows(rows)
     _write_json(out_path.with_suffix(".json"), {"config_hash": digest, "config": resolved})
-    _write_sidecars(out_path, resolved, spec)
+    _write_sidecars(out_path, spec)
     print(f"wrote exact law at n={args.n} to {out_path}; config {digest[:12]}")
     return EXIT_OK
 
@@ -191,9 +200,6 @@ def cmd_oracle(args) -> int:
 def _run_suites(model, report, args, overrides) -> list:
     suites = [args.suite] if args.suite != "all" else list(SUITES)
     regime = report.regime
-    lattice = model.d == 1 and np.allclose(model.spec.A, np.round(model.spec.A)) and np.allclose(
-        model.spec.b, np.round(model.spec.b)
-    )
     clt_regime = regime in ("Diffusive", "Critical")
     in_regime = f"not applicable in regime {regime}"
     skip_reason = {  # None where the suite applies
@@ -202,7 +208,7 @@ def _run_suites(model, report, args, overrides) -> list:
         "lil": None if clt_regime and model.s == 1 else f"not applicable (regime {regime}, s={model.s})",
         "super": None if regime == "Supercritical" else in_regime,
         "expansion": None if regime == "Supercritical" and model.s == 1 else in_regime,
-        "recurrence": None if lattice else "not applicable: needs a d=1 integer-lattice model",
+        "recurrence": None if model.integer_lattice else "not applicable: needs a d=1 integer-lattice model",
     }
     runs = {suite for suite in suites if skip_reason[suite] is None}
     cfg = FunctionalConfig(
@@ -267,7 +273,7 @@ def cmd_verify(args) -> int:
         "skipped": [{"suite": s, "reason": why} for s, why in skipped],
     }
     _write_json(out_path, doc)
-    _write_sidecars(out_path, resolved, spec)
+    _write_sidecars(out_path, spec)
     for r in reports:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.theorem}: statistic={r.statistic} predicted={r.predicted}")
     for s, why in skipped:

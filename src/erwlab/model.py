@@ -8,6 +8,12 @@ average position, plus an affine output map S_n = A @ S_aux_n + n * b.
 This module holds the data types (ModelSpec, StepLaw, InitialLaw, Func1D),
 the f/g/h transforms for the one-dimensional family, grid validation, and
 the validated-model wrapper that caches moments and the drift map H.
+
+Point layout: the model's maps (``block_probs``, ``eval_H``,
+``noise_second_moment``) take a point as an array whose last axis has
+length s, and a batch of points as ``(..., s)``. The one-dimensional walks
+are the s = 1 case of the same layout: a point is ``[x]``, never a bare
+scalar.
 """
 
 from __future__ import annotations
@@ -164,10 +170,6 @@ class Domain:
     @property
     def s(self) -> int:
         return self.lower.shape[0]
-
-    def contains(self, x, tol=1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
     def grid(self, density: int, clip: float = 1.0) -> np.ndarray:
         """Cartesian evaluation grid, capped at 1e5 points total."""
@@ -346,19 +348,37 @@ class ValidatedModel:
     def meta(self) -> dict:
         return self.spec.meta
 
-    def block_probs(self, x, clamp_tol: float = 1e-9):
-        """All r block probabilities at x (vectorized over leading axes).
+    @property
+    def integer_lattice(self) -> bool:
+        """d = 1 and A, b, every step atom and every initial atom are integers,
+        so the observed position lives on Z and its returns to 0 can be counted."""
+        spec = self.spec
+        return self.d == 1 and all(
+            np.allclose(v, np.round(v)) for v in (spec.A, spec.b, spec.step_law.atoms, spec.initial.atoms)
+        )
 
-        Values outside [0 - tol, 1 + tol], and NaN, abort: that is model
-        misuse, not noise. Within the tolerance band they are clamped.
-        """
+    def _points(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        vshape = x.shape[:-1] if self.s > 1 else x.shape
-        cols = [x[..., j] for j in range(self.s)] if self.s > 1 else [x]
+        if x.ndim == 0 or x.shape[-1] != self.s:
+            raise ModelError(f"points must have shape (..., {self.s}), got {x.shape}")
+        return x
+
+    def block_probs(self, x, clamp_tol: float = 1e-9):
+        """All r block probabilities at points x of shape (..., s), as (r, ...).
+
+        A 0-d x, or one whose last axis is not s, raises :class:`ModelError`:
+        a leftover bare s = 1 point would otherwise be read as its first
+        element. Values outside [0 - tol, 1 + tol], and NaN, abort: that is
+        model misuse, not noise. Within the tolerance band they are clamped.
+        """
+        x = self._points(x)
+        vshape = x.shape[:-1]
+        cols = [x[..., j] for j in range(self.s)]
+        arg = x if self.s > 1 else cols[0]  # interpreted arity-1 maps take the bare column
         values = []
         for pm in self.spec.prob_maps:
             fast = pm.fast
-            values.append(np.asarray(fast(cols) if fast is not None else pm(x), dtype=float))
+            values.append(np.asarray(fast(cols) if fast is not None else pm(arg), dtype=float))
         if values:
             probs = np.stack([np.broadcast_to(v, vshape) for v in values], axis=0)
         else:
@@ -372,29 +392,26 @@ class ValidatedModel:
         return np.concatenate([probs, tail[None, ...]], axis=0)
 
     def eval_H(self, x) -> np.ndarray:
-        """Drift map H(x) = sum_i P_i(x) * mu masked to block i."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1 if self.s > 1 else x.ndim == 0
-        if self.s == 1:
-            pts = np.atleast_1d(x)
-            if not self.domain.contains([pts.min()]) or not self.domain.contains([pts.max()]):
-                raise DomainViolation(f"point outside model rectangle")
-            probs = self.block_probs(pts)  # (r, n)
-            out = (probs[:, :, None] * (self.block_masks * self.mu)[:, None, :]).sum(axis=0)
-            return out[0] if single else out
-        pts = np.atleast_2d(x)
+        """Drift map H(x) = sum_i P_i(x) * mu masked to block i.
+
+        Takes points of shape (..., s), a single point (s,) or points
+        (n, s) included, and returns H at each in the same shape. A
+        coordinate outside the model rectangle, or NaN, raises
+        :class:`DomainViolation`.
+        """
+        x = self._points(x)
+        pts = x.reshape(-1, self.s)
         for j in range(self.s):
             col = pts[:, j]
-            if col.min() < self.domain.lower[j] - 1e-9 or col.max() > self.domain.upper[j] + 1e-9:
+            if not (col.min() >= self.domain.lower[j] - 1e-9 and col.max() <= self.domain.upper[j] + 1e-9):
                 raise DomainViolation(f"coordinate {j + 1} outside model rectangle")
         probs = self.block_probs(pts)  # (r, n)
         masked_mu = self.block_masks * self.mu  # (r, s)
-        out = np.einsum("rn,rs->ns", probs, masked_mu)
-        return out[0] if single else out
+        return np.einsum("rn,rs->ns", probs, masked_mu).reshape(x.shape)
 
-    def sigma_blocks(self, x=None) -> np.ndarray:
-        """sum_i P_i(x) Sigma^(pi_i) as an (s, s) matrix (x defaults needed)."""
-        probs = self.block_probs(np.asarray(x, dtype=float))
+    def sigma_blocks(self, x) -> np.ndarray:
+        """sum_i P_i(x) Sigma^(pi_i) at a point x of shape (s,), as an (s, s) matrix."""
+        probs = self.block_probs(x)
         out = np.zeros((self.s, self.s))
         for i in range(self.r):
             mask = self.block_masks[i].astype(bool)
@@ -407,7 +424,7 @@ class ValidatedModel:
         return out
 
     def noise_second_moment(self, x) -> np.ndarray:
-        """Sigma(x) = sum_i P_i(x) Sigma^(pi_i) - H(x) H(x)^T."""
+        """Sigma(x) = sum_i P_i(x) Sigma^(pi_i) - H(x) H(x)^T at a point x of shape (s,)."""
         H = self.eval_H(x)
         return self.sigma_blocks(x) - np.outer(H, H)
 

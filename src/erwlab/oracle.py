@@ -29,9 +29,6 @@ class ExactLaw1D:
     A: float
     b: float
 
-    def mean_aux(self) -> float:
-        return math.fsum(float(k * w) for k, w in enumerate(self.pmf))
-
     def moments_observed(self):
         """Exact mean and variance of S_n = A V_n + n b."""
         ks = np.arange(self.n + 1, dtype=float)
@@ -40,12 +37,9 @@ class ExactLaw1D:
         var = math.fsum((self.pmf * (s_vals - mean) ** 2).tolist())
         return mean, var
 
-    def observed_support(self):
-        ks = np.arange(self.n + 1, dtype=float)
-        return self.A * ks + self.n * self.b
 
-
-def _is_unit_step_1d(model: ValidatedModel) -> bool:
+def is_unit_step_1d(model: ValidatedModel) -> bool:
+    """True for s = 1 with the single step atom 1, the models :func:`exact_dp_1d` takes."""
     law = model.spec.step_law
     return model.s == 1 and law.atoms.shape == (1, 1) and law.atoms[0, 0] == 1.0
 
@@ -56,7 +50,7 @@ def exact_dp_1d(model: ValidatedModel, n: int) -> ExactLaw1D:
     Transition: from V_t = k the next auxiliary increment is +1 with
     probability P_1(k/t), else 0. Time 1 is drawn from the initial law.
     """
-    if not _is_unit_step_1d(model):
+    if not is_unit_step_1d(model):
         raise OracleError("unsupported-model: exact DP needs s=1 with unit steps")
     if not 1 <= n <= 2000:
         raise OracleError("exact DP horizon limited to 1 <= n <= 2000")
@@ -68,7 +62,7 @@ def exact_dp_1d(model: ValidatedModel, n: int) -> ExactLaw1D:
         pmf[k] += prob
     for t in range(1, n):
         ks = np.arange(t + 1, dtype=float)
-        up = np.asarray(model.block_probs(ks / t)[0], dtype=float)
+        up = model.block_probs((ks / t)[:, None])[0]
         nxt = np.zeros(t + 2)
         nxt[: t + 1] += pmf * (1.0 - up)
         nxt[1:] += pmf * up
@@ -102,7 +96,7 @@ def enumerate_small_multi(model: ValidatedModel, n: int, max_paths: int = 10_000
         nxt = {}
         for pos, prob in states.items():
             x = np.asarray(pos) / t
-            bp = model.block_probs(x if model.s > 1 else x[0])
+            bp = model.block_probs(x)
             for i in range(model.r):
                 pi = float(bp[i])
                 if pi == 0.0:

@@ -118,6 +118,8 @@ def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
     excluded from theorem statistics but always reported.
     """
     check_master_seed(master_seed)
+    if N < 1:
+        raise SAError("N must be >= 1")
     checkpoints = resolve_checkpoints(n_max, checkpoints)
     cp_index = {n: j for j, n in enumerate(checkpoints)}
     theta = np.full(N, float(proc.theta1))
@@ -169,9 +171,10 @@ class GerwSA:
     theta0: float  # fixed point of H
 
     def gamma(self, x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = xs - np.atleast_2d(self.model.eval_H(xs)).reshape(-1)
-        return float(out[0]) if np.ndim(x) == 0 else out
+        """x - H(x) at a scalar state or an array of them."""
+        x = np.asarray(x, dtype=float)
+        out = x - self.model.eval_H(x[..., None])[..., 0]
+        return float(out) if out.ndim == 0 else out
 
     def gamma_prime(self, x0=None) -> float:
         from .theory import spectral_profile
@@ -181,12 +184,12 @@ class GerwSA:
 
     def sigma2_fn(self, x):
         """Conditional noise variance H(x) Sigma / mu - H(x)^2 (s = 1)."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        H = np.atleast_2d(self.model.eval_H(xs)).reshape(-1)
+        x = np.asarray(x, dtype=float)
+        H = self.model.eval_H(x[..., None])[..., 0]
         mu = float(self.model.mu[0])
         Sig = float(self.model.sigma[0, 0])
         out = H * Sig / mu - H ** 2
-        return out[0] if np.isscalar(x) or np.ndim(x) == 0 else out
+        return float(out) if out.ndim == 0 else out
 
 
 def gerw_to_sa(model: ValidatedModel) -> GerwSA:

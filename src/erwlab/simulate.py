@@ -107,9 +107,6 @@ class EnsembleStats:
         n = self.checkpoints[cp_index]
         return n ** (1.0 - tau) * (self.snn[:, cp_index, :] - np.asarray(center))
 
-    def checkpoint_index(self, n: int) -> int:
-        return self.checkpoints.index(n)
-
 
 def trajectory_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))
@@ -123,6 +120,8 @@ def check_master_seed(master_seed) -> None:
 
 def resolve_checkpoints(n_max: int, checkpoints=None) -> list:
     """Sorted distinct checkpoints in [1, n_max] (geometric by default), n_max included."""
+    if n_max < 1:
+        raise ModelError("n_max must be >= 1")
     checkpoints = sorted(set(default_checkpoints(n_max) if checkpoints is None else [int(c) for c in checkpoints]))
     if any(c < 1 or c > n_max for c in checkpoints):
         raise ModelError("checkpoints must lie in [1, n_max]")
@@ -249,8 +248,8 @@ def step(state: WalkState, model: ValidatedModel) -> WalkState:
                   len(spec.initial.probs) - 1)
         move = spec.initial.atoms[idx]
     else:
-        probs = model.block_probs(state.s_aux / state.n if model.s > 1 else np.array(state.s_aux[0] / state.n))
-        cum = np.cumsum(np.asarray(probs, dtype=float).reshape(-1))
+        probs = model.block_probs(state.s_aux / state.n)
+        cum = np.cumsum(probs)
         block = min(int(np.sum(u1 >= cum)), model.r - 1)
         atom_cum = np.cumsum(spec.step_law.probs)
         aidx = min(int(np.searchsorted(atom_cum, u2, side="right")), len(atom_cum) - 1)
@@ -325,12 +324,8 @@ class _Recorder:
     def __init__(self, model, n_max, checkpoints, cfg, out):
         spec = model.spec
         self.A, self.b = spec.A, spec.b
-        if cfg.track_returns:
-            int_lattice = model.d == 1 and all(
-                np.allclose(v, np.round(v)) for v in (spec.A, spec.b, spec.step_law.atoms, spec.initial.atoms)
-            )
-            if not int_lattice:
-                raise ModelError("non-lattice-model: return counting needs d=1 integer-valued positions")
+        if cfg.track_returns and not model.integer_lattice:
+            raise ModelError("non-lattice-model: return counting needs d=1 integer-valued positions")
         self.cfg, self.out = cfg, out
         self.cp_set = {cp: j for j, cp in enumerate(checkpoints)}
         self.per_step = cfg.lil_mode is not None or cfg.track_returns
@@ -387,7 +382,7 @@ def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
             if tc == 0:
                 step_vec = _initial_step(spec.initial, u1)
             else:
-                x = state[:, 0] / tc if s == 1 else state / tc
+                x = state / tc
                 probs = model.block_probs(x)  # (r, B)
                 cum = np.cumsum(probs, axis=0)
                 block = (u1[None, :] >= cum).sum(axis=0)
@@ -397,7 +392,7 @@ def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
                 step_vec = atoms[aidx] * masks[block]
                 if cfg.collect_noise:  # s = 1: ensemble rejects it otherwise
                     H = probs.T @ (masks * model.mu)  # (B, 1)
-                    out["noise_x"][:, tc - 1] = x
+                    out["noise_x"][:, tc - 1] = x[:, 0]
                     out["noise_e"][:, tc - 1] = (H - step_vec)[:, 0]
             state += step_vec
             if rec.per_step or tc + 1 in rec.cp_set:
@@ -474,10 +469,10 @@ def ensemble(model: ValidatedModel, n_max: int, N: int, master_seed: int,
     always consumes the same stream (master_seed, i), and reductions happen
     on index-ordered arrays.
     """
-    if n_max < 1:
-        raise ModelError("n_max must be >= 1")
     if not 1 <= N <= MAX_TRAJECTORIES:
         raise ModelError(f"N must lie in [1, {MAX_TRAJECTORIES}]")
+    if batch_size < 1:
+        raise ModelError("batch_size must be >= 1")
     check_master_seed(master_seed)
     cfg = functional_config or FunctionalConfig()
     checkpoints = resolve_checkpoints(n_max, checkpoints)

@@ -11,7 +11,7 @@ expansion coefficients for the superdiffusive deviation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -50,10 +50,10 @@ def find_fixed_point(model: ValidatedModel, tol: float = 1e-13, flag_tol: float 
         hi = float(dom.upper[0]) if math.isfinite(dom.upper[0]) else lo + 1.0
 
         def g(x):
-            return float(np.asarray(model.eval_H(np.array([x]))).reshape(-1)[0]) - x
+            return float(model.eval_H(np.array([x]))[0]) - x
 
         xs = np.linspace(lo, hi, 1001)
-        vals = np.atleast_2d(model.eval_H(xs)).reshape(-1) - xs
+        vals = model.eval_H(xs[:, None])[:, 0] - xs
         signs = np.sign(vals)
         crossings = np.where(np.diff(signs) != 0)[0]
         roots = []
@@ -132,10 +132,7 @@ def check_downcrossing(model: ValidatedModel, x0, grid_density: int = 201,
     grid = grid[keep]
     if grid.shape[0] == 0:
         raise TheoryError("downcrossing grid is empty; raise grid_density")
-    H = model.eval_H(grid if model.s > 1 else grid[:, 0])
-    H = np.atleast_2d(H)
-    if H.shape[0] != grid.shape[0]:
-        H = H.T
+    H = model.eval_H(grid)
     values = np.einsum("ij,ij->i", grid - x0, H - grid)
     k = int(np.argmax(values))
     return DowncrossingResult(verified=bool(values[k] < 0.0), max_value=float(values[k]), argmax=grid[k])
@@ -174,11 +171,7 @@ def jacobian(model: ValidatedModel, x0, base_step: float = 1e-3) -> np.ndarray:
     cols = []
     for j in range(model.s):
         step = min(base_step, max(float(dist[j]) / 2.0, 1e-7))
-
-        def H_of(x):
-            return np.atleast_1d(model.eval_H(x if model.s > 1 else x[0]))
-
-        cols.append(_partial(H_of, x0, j, step))
+        cols.append(_partial(model.eval_H, x0, j, step))
     return np.stack(cols, axis=1)
 
 
@@ -306,8 +299,7 @@ def _analyze_clusters(J, clusters, eig, tol):
     return result
 
 
-def spectral_profile_from_jacobian(J, cluster_tol: float = 1e-7,
-                                   unsupported_tol: float = 1e-9) -> SpectralProfile:
+def spectral_profile_from_jacobian(J, cluster_tol: float = 1e-7) -> SpectralProfile:
     """Eigenvalues, tau, kappa, and per-eigenvalue Jordan block sizes.
 
     Clustering starts at ``cluster_tol`` but widens adaptively: a defective
@@ -423,16 +415,7 @@ def spectral_profile(model: ValidatedModel, x0, cluster_tol: float = 1e-7) -> Sp
             raise TheoryError(
                 f"registered top eigenvalue {exact_tau} disagrees with numerics {profile.tau}"
             )
-        profile = SpectralProfile(
-            J=profile.J,
-            eigenvalues=profile.eigenvalues,
-            tau=exact_tau,
-            kappa=profile.kappa,
-            clusters=profile.clusters,
-            top_right=profile.top_right,
-            top_left=profile.top_left,
-            exact_tau=True,
-        )
+        profile = replace(profile, tau=exact_tau, exact_tau=True)
     return profile
 
 
@@ -442,8 +425,7 @@ def spectral_profile(model: ValidatedModel, x0, cluster_tol: float = 1e-7) -> Sp
 
 def sigma0_matrix(model: ValidatedModel, x0) -> np.ndarray:
     """Conditional noise covariance at the fixed point."""
-    x = np.asarray(x0, dtype=float)
-    return model.noise_second_moment(x if model.s > 1 else float(x[0]))
+    return model.noise_second_moment(x0)
 
 
 def solve_sigma1(J, Sigma0, residual_tol: float = 1e-10):

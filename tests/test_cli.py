@@ -130,7 +130,10 @@ def test_negative_seed_exit_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", ['{"lil_band": ', "[0.2, 2.5]"], ids=["truncated", "not-an-object"])
+@pytest.mark.parametrize("text", ['{"lil_band": ', "[0.2, 2.5]", '{"lil_band": 5}', '{"lil_band": [0.2]}',
+                                  '{"lil_band": [0.2, "x"]}', '{"slln_z": "x"}', '{"ks_alpha": true}'],
+                         ids=["truncated", "not-an-object", "band-number", "band-short", "band-string",
+                              "z-string", "alpha-bool"])
 def test_malformed_tol_overrides_exit_2(tmp_path, capsys, text):
     overrides = tmp_path / "tol.json"
     overrides.write_text(text)
@@ -138,6 +141,22 @@ def test_malformed_tol_overrides_exit_2(tmp_path, capsys, text):
                  "--tol-overrides", str(overrides), "--out", str(tmp_path / "v.json")])
     assert code == 2
     assert "config-invalid:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--preset", "poly-g", "--coeffs", "a,b"],
+    ["analyze", "--preset", "random-step", "--z-values", "1,x"],
+    ["analyze", "--preset", "random-step", "--z-probs", "0.5,"],
+    ["sa", "--drift", "x", "--n", "0", "--N", "4"],
+    ["sa", "--drift", "x", "--n", "100", "--N", "0"],
+    ["sa", "--drift", "x", "--n", "100", "--N", "-1"],
+], ids=["coeffs", "z-values", "z-probs", "sa-n-0", "sa-N-0", "sa-N-negative"])
+def test_bad_argument_value_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    code = main(argv + ["--out", str(out)])
+    assert code == 2
+    assert "config-invalid:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sa_linear_drift(tmp_path, capsys):
@@ -245,6 +264,16 @@ SUITE_CASES = {
         ["--preset", "erw", "--p", "0.85"],
         ["SLLN", "SupercriticalLimit", "ExpansionResidual", "Recurrence"],
         [("clt", "not applicable in regime Supercritical"), ("lil", "not applicable (regime Supercritical, s=1)")],
+    ),
+    "random-step-fractional": (
+        ["--preset", "random-step", "--p", "0.6", "--z-values", "0.5,1.5"],
+        ["SLLN", "CLT"],
+        [
+            ("lil", "not applicable (regime Diffusive, s=3)"),
+            ("super", "not applicable in regime Diffusive"),
+            ("expansion", "not applicable in regime Diffusive"),
+            ("recurrence", "not applicable: needs a d=1 integer-lattice model"),
+        ],
     ),
     "kdim-3": (
         ["--preset", "kdim", "--k", "3"],

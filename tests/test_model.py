@@ -164,7 +164,7 @@ class TestValidation:
             cap = model.meta.get("simplex_cap")
             if cap is not None:
                 grid = grid[grid.sum(axis=1) <= cap + 1e-12]
-            H = np.atleast_2d(model.eval_H(grid if model.s > 1 else grid[:, 0]))
+            H = model.eval_H(grid)
             norm_mu = np.linalg.norm(model.mu)
             assert np.all(np.linalg.norm(H, axis=-1) <= norm_mu + 1e-12)
 
@@ -195,7 +195,28 @@ class TestValidation:
             bad = ValidatedModel(spec=spec, mu=np.array([1.0]), sigma=np.array([[1.0]]),
                                  block_masks=np.array([[1.0], [0.0]]))
             with pytest.raises(ModelError, match="probability-out-of-range"):
-                bad.block_probs(np.array(0.9))
+                bad.block_probs(np.array([0.9]))
+
+
+@pytest.mark.parametrize("name,kwargs", [("erw", dict(p=0.7)), ("random-step", dict(p=0.6)), ("kdim", dict(k=3, p=0.6))],
+                         ids=["erw-s1", "random-step-s3", "kdim3-s5"])
+def test_point_layout(name, kwargs):
+    # every point is an (..., s) array, s = 1 included
+    model = validate_model(build_preset(name, **kwargs))
+    grid = model.domain.grid(7)
+    cap = model.meta.get("simplex_cap")
+    if cap is not None:
+        grid = grid[grid.sum(axis=1) <= cap + 1e-12]
+    H = model.eval_H(grid)
+    assert H.shape == grid.shape
+    for i in range(grid.shape[0]):
+        assert np.array_equal(H[i], model.eval_H(grid[i]))
+    assert model.block_probs(grid).shape == (model.r, grid.shape[0])
+    assert model.block_probs(grid[0]).shape == (model.r,)
+    for bad in (np.array(0.5), np.full((4, model.s + 1), 0.1), np.full(model.s + 1, 0.1)):
+        for fn in (model.block_probs, model.eval_H):
+            with pytest.raises(ModelError, match="points must have shape"):
+                fn(bad)
 
 
 class TestJsonRoundTrip:
@@ -223,8 +244,8 @@ class TestNoiseMoments:
         # sigma^2(x) = H(x) Sigma / mu - H(x)^2 reduces to h(1-h) for unit steps
         model = validate_model(_erw_spec(p=0.6))
         for x in (0.2, 0.5, 0.8):
-            h = float(np.asarray(model.eval_H(np.array([x]))).reshape(-1)[0])
-            assert model.noise_sigma2(x) == pytest.approx(h * (1 - h), abs=1e-14)
+            h = float(model.eval_H(np.array([x]))[0])
+            assert model.noise_sigma2(np.array([x])) == pytest.approx(h * (1 - h), abs=1e-14)
 
     def test_sigma0_blockwise_kdim(self):
         model = validate_model(build_preset("kdim", k=2, p=0.5))

@@ -47,14 +47,14 @@ class TestClassicalWalk:
         # the single probability map is the step-up probability (1-p)+(2p-1)f
         model = validate_model(spec)
         probs = model.block_probs(np.array([0.5]))
-        assert probs[0][0] == pytest.approx(0.5)
+        assert probs[0] == pytest.approx(0.5)
 
     def test_half_state_gives_half_probability(self):
         # with f(x) = x the step-up probability at state one-half is exactly
         # one-half for every memory strength
         for p in (0.55, 0.75, 0.95):
             model = _model("erw", p=p, q=0.5)
-            assert float(model.block_probs(np.array([0.5]))[0][0]) == pytest.approx(0.5, abs=1e-15)
+            assert float(model.block_probs(np.array([0.5]))[0]) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestMarket:
@@ -63,7 +63,7 @@ class TestMarket:
         model = _model("market", p=0.5, q=0.5)
         f_val = (0.5 + 1.0) / 2.0  # h(1/2) = 1/2 regardless of p; f(1/2) = 1/2
         probs = model.block_probs(np.array([0.5]))
-        assert float(probs[0][0]) == pytest.approx(0.5, abs=1e-15)
+        assert float(probs[0]) == pytest.approx(0.5, abs=1e-15)
 
     def test_price_rule_endpoints(self):
         spec = build_preset("market", p=0.5, q=0.5)

@@ -64,6 +64,12 @@ class TestRunner:
         with pytest.raises(ModelError, match="checkpoints"):
             run_sa(proc, 100, N=3, checkpoints=checkpoints)
 
+    @pytest.mark.parametrize("n_max,N", [(0, 3), (-2, 3), (100, 0), (100, -1)])
+    def test_bad_run_size_rejected(self, n_max, N):
+        proc = SAProcess(drift=parse("x"), theta0=0.0, noise=NoiseSpec("gaussian", 1.0), drift_derivs=[1.0])
+        with pytest.raises(ModelError, match="must be >= 1"):
+            run_sa(proc, n_max, N=N)
+
     @pytest.mark.parametrize("seed", [-3, 1.5])
     def test_bad_master_seed_rejected(self, seed):
         proc = SAProcess(drift=parse("x"), theta0=0.0, noise=NoiseSpec("gaussian", 1.0), drift_derivs=[1.0])
@@ -117,7 +123,7 @@ class TestReduction:
             for n in range(1, 64):
                 g_n = gamma_path[i, n - 1]
                 e_next = stats.noise_e[i, n - 1]
-                drift = g_n - float(np.asarray(model.eval_H(np.array([g_n]))).reshape(-1)[0])
+                drift = g_n - float(model.eval_H(np.array([g_n]))[0])
                 predicted = g_n - (drift + e_next) / (n + 1)
                 assert predicted == pytest.approx(gamma_path[i, n], abs=1e-12)
 

@@ -163,6 +163,12 @@ class TestStreams:
             with pytest.raises(ModelError, match="master_seed"):
                 run()
 
+    @pytest.mark.parametrize("n_max,batch_size", [(0, 2048), (-1, 2048), (10, 0), (10, -5)])
+    def test_bad_run_size_rejected(self, n_max, batch_size):
+        model = _model("erw", p=0.6, q=0.5)
+        with pytest.raises(ModelError, match="must be >= 1"):
+            ensemble(model, n_max, 4, master_seed=1, batch_size=batch_size)
+
     def test_trajectory_count_fits_one_spawn_word(self):
         model = _model("erw", p=0.6, q=0.5)
         with pytest.raises(ModelError, match="N must lie"):
@@ -196,12 +202,12 @@ class TestSingleStep:
         # with the up-probability at its ceiling the next step is up almost
         # surely: h(1) = p for the affine memory map
         model = _model("erw", p=0.999, q=0.5)
-        p_up = float(np.asarray(model.block_probs(np.array(1.0))).reshape(-1)[0])
+        p_up = float(model.block_probs(np.array([1.0]))[0])
         assert p_up == pytest.approx(0.999, abs=1e-12)
 
     def test_balanced_state_is_fair(self):
         model = _model("erw", p=0.8, q=0.5)
-        p_up = float(np.asarray(model.block_probs(np.array(0.5))).reshape(-1)[0])
+        p_up = float(model.block_probs(np.array([0.5]))[0])
         assert p_up == pytest.approx(0.5, abs=1e-15)
 
     def test_unit_step_counts_alias(self):
