@@ -250,6 +250,8 @@ def _run_suites(model, report, args, overrides) -> list:
 
 
 def cmd_verify(args) -> int:
+    if args.N < 2:  # every check's standard error divides by N - 1
+        raise ConfigError(f"config-invalid: verify needs --N >= 2 trajectories, got {args.N}")
     model, spec, source = _resolve_model(args)
     overrides = _load_tol_overrides(args)
     report = classify(model)

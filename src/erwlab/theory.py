@@ -28,30 +28,56 @@ class TheoryError(ModelError):
 # Fixed point
 
 
+_BISECT_DEPTH = 7  # halvings whose midpoints one eval_H call tabulates
+
+
 def _feasible(model, x):
+    """Clip points of shape (..., s) into the rectangle; a point whose
+    coordinates sum past the model's ``simplex_cap`` is scaled back inside."""
     x = np.clip(x, model.domain.lower, np.minimum(model.domain.upper, model.domain.lower + 1e12))
     cap = model.meta.get("simplex_cap")
-    if cap is not None and x.sum() > cap:
-        x = x * (0.98 * float(cap) / x.sum())
+    if cap is not None:
+        sums = x.sum(axis=-1, keepdims=True)
+        over = sums > cap
+        x = np.where(over, x * (0.98 * float(cap) / np.where(over, sums, 1.0)), x)
     return x
+
+
+def _midpoint_table(a, b, depth):
+    """Midpoints of the 2**depth - 1 brackets the next ``depth`` halvings of
+    [a, b] can reach, in heap order: node i halves into 2i + 1 (left) and
+    2i + 2 (right). Each is ``0.5 * (lo + hi)`` of its own bracket."""
+    ends, mids = np.array([a, b]), []
+    for _ in range(depth):
+        mid = 0.5 * (ends[:-1] + ends[1:])  # the brackets of one level, left to right
+        mids.append(mid)
+        split = np.empty(2 * len(ends) - 1)
+        split[0::2], split[1::2] = ends, mid
+        ends = split
+    return np.concatenate(mids)
 
 
 def find_fixed_point(model: ValidatedModel, tol: float = 1e-13, flag_tol: float = 1e-8):
     """Solve H(x) = x on the model rectangle.
 
-    s = 1 uses bracketing bisection on H(x) - x; s > 1 uses damped
-    fixed-point iteration from the domain center with an eight-corner
-    multi-start fallback. Raises on no root or on distinct multi-start
-    roots (separation > ``flag_tol``).
+    s = 1 brackets every sign change of H(x) - x on a 1001-point grid and
+    bisects each (``fa * fm <= 0`` keeps the left half; stop when the
+    bracket is narrower than ``tol``, or after 200 halvings). One ``eval_H``
+    call tabulates the midpoints the next few halvings can reach, and the
+    bisection then reads its values from that table.
+
+    s > 1 runs damped fixed-point iteration x <- x + (H(x) - x) / 2 from
+    the domain center and 2**min(s, 3) corner starts at once: each round is
+    one ``eval_H`` call on the starts still active, and a start stops once
+    its step is below ``tol`` (20000 rounds at most). The root is the first
+    converged start in list order.
+
+    Raises on no root, or on roots farther apart than ``flag_tol``.
     """
     dom = model.domain
     if model.s == 1:
         lo = float(dom.lower[0])
         hi = float(dom.upper[0]) if math.isfinite(dom.upper[0]) else lo + 1.0
-
-        def g(x):
-            return float(model.eval_H(np.array([x]))[0]) - x
-
         xs = np.linspace(lo, hi, 1001)
         vals = model.eval_H(xs[:, None])[:, 0] - xs
         signs = np.sign(vals)
@@ -60,15 +86,20 @@ def find_fixed_point(model: ValidatedModel, tol: float = 1e-13, flag_tol: float 
         for c in crossings:
             a, b_ = xs[c], xs[c + 1]
             fa = vals[c]
-            for _ in range(200):
-                mid = 0.5 * (a + b_)
-                fm = g(mid)
-                if fa * fm <= 0:
-                    b_ = mid
-                else:
-                    a, fa = mid, fm
-                if b_ - a < tol:
-                    break
+            halvings, done = 0, False
+            while not done:
+                mids = _midpoint_table(a, b_, _BISECT_DEPTH)
+                fmids = model.eval_H(mids[:, None])[:, 0] - mids
+                node = 0
+                for _ in range(_BISECT_DEPTH):
+                    if fa * fmids[node] <= 0:
+                        b_, node = mids[node], 2 * node + 1
+                    else:
+                        a, fa, node = mids[node], fmids[node], 2 * node + 2
+                    halvings += 1
+                    done = b_ - a < tol or halvings == 200
+                    if done:
+                        break
             roots.append(0.5 * (a + b_))
         roots = [r for i, r in enumerate(roots) if all(abs(r - q) > flag_tol for q in roots[:i])]
         if not roots:
@@ -77,25 +108,21 @@ def find_fixed_point(model: ValidatedModel, tol: float = 1e-13, flag_tol: float 
             raise TheoryError(f"multiple-roots: fixed points near {roots}")
         return np.array([roots[0]])
 
-    center = _feasible(model, dom.lower + 0.5 * (np.minimum(dom.upper, dom.lower + 1.0) - dom.lower))
-    starts = [center]
     span = np.minimum(dom.upper, dom.lower + 1.0) - dom.lower
-    for corner in range(2 ** min(model.s, 3)):
-        offs = np.array([(corner >> j) & 1 for j in range(model.s)][: model.s], dtype=float)
-        starts.append(_feasible(model, dom.lower + (0.1 + 0.8 * offs) * span))
-    roots = []
-    for x in starts:
-        x = x.copy()
-        converged = False
-        for _ in range(20000):
-            delta = model.eval_H(x) - x
-            x = _feasible(model, x + 0.5 * delta)
-            if np.max(np.abs(delta)) < tol:
-                converged = True
-                break
-        if converged:
-            roots.append(x)
-    if not roots:
+    offs = np.array([[(corner >> j) & 1 for j in range(model.s)] for corner in range(2 ** min(model.s, 3))],
+                    dtype=float)
+    x = _feasible(model, np.vstack([dom.lower + 0.5 * span, dom.lower + (0.1 + 0.8 * offs) * span]))
+    active = np.ones(len(x), dtype=bool)  # a converged start keeps the iterate of its last round
+    for _ in range(20000):
+        rows = np.flatnonzero(active)
+        xr = x[rows]
+        delta = model.eval_H(xr) - xr
+        x[rows] = _feasible(model, xr + 0.5 * delta)
+        active[rows[np.max(np.abs(delta), axis=1) < tol]] = False
+        if not active.any():
+            break
+    roots = x[~active]
+    if not len(roots):
         raise TheoryError("no-root-in-domain: damped iteration did not converge from any start")
     base = roots[0]
     for r in roots[1:]:

@@ -139,6 +139,8 @@ def fluctuation_test(stats, report: RegimeReport, alpha: float = 0.01,
         log_factor = math.log(n) ** (2 * report.kappa - 1)
     emp = stats.scaled_cov(j) / log_factor
     pred = np.atleast_2d(np.asarray(report.clt_variance, dtype=float))
+    if not np.any(pred):
+        raise VerifyError("zero-clt-variance: the predicted CLT covariance is zero, so no relative gap exists")
     d = pred.shape[0]
     if d == 1:
         gap = abs(float(emp[0, 0]) - float(pred[0, 0])) / abs(float(pred[0, 0]))

@@ -130,6 +130,18 @@ def test_negative_seed_exit_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("suite", ["slln", "clt"])
+@pytest.mark.parametrize("N", ["1", "0"])
+def test_verify_single_trajectory_exit_2(tmp_path, capsys, suite, N):
+    # one trajectory has no sample variance: the checks' standard errors divide by N - 1
+    out = tmp_path / "v.json"
+    code = main(["verify", "--preset", "erw", "--p", "0.6", "--suite", suite, "--n", "100", "--N", N,
+                 "--out", str(out)])
+    assert code == 2
+    assert "config-invalid:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ['{"lil_band": ', "[0.2, 2.5]", '{"lil_band": 5}', '{"lil_band": [0.2]}',
                                   '{"lil_band": [0.2, "x"]}', '{"slln_z": "x"}', '{"ks_alpha": true}'],
                          ids=["truncated", "not-an-object", "band-number", "band-short", "band-string",

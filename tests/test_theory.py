@@ -25,6 +25,83 @@ def _model(name, **kwargs):
     return validate_model(build_preset(name, **kwargs))
 
 
+def _feasible_one(model, x):
+    # one point (s,) at a time, as the sequential search clipped its iterates
+    x = np.clip(x, model.domain.lower, np.minimum(model.domain.upper, model.domain.lower + 1e12))
+    cap = model.meta.get("simplex_cap")
+    if cap is not None and x.sum() > cap:
+        x = x * (0.98 * float(cap) / x.sum())
+    return x
+
+
+def _sequential_fixed_point(model, tol=1e-13, flag_tol=1e-8):
+    """Oracle for find_fixed_point: the search with one eval_H call per
+    bisection midpoint (s = 1), or per damped iteration of one start after
+    another (s > 1)."""
+    dom = model.domain
+    if model.s == 1:
+        lo = float(dom.lower[0])
+        hi = float(dom.upper[0]) if math.isfinite(dom.upper[0]) else lo + 1.0
+
+        def g(x):
+            return float(model.eval_H(np.array([x]))[0]) - x
+
+        xs = np.linspace(lo, hi, 1001)
+        vals = model.eval_H(xs[:, None])[:, 0] - xs
+        crossings = np.where(np.diff(np.sign(vals)) != 0)[0]
+        roots = []
+        for c in crossings:
+            a, b_ = xs[c], xs[c + 1]
+            fa = vals[c]
+            for _ in range(200):
+                mid = 0.5 * (a + b_)
+                fm = g(mid)
+                if fa * fm <= 0:
+                    b_ = mid
+                else:
+                    a, fa = mid, fm
+                if b_ - a < tol:
+                    break
+            roots.append(0.5 * (a + b_))
+        roots = [r for i, r in enumerate(roots) if all(abs(r - q) > flag_tol for q in roots[:i])]
+        if not roots:
+            raise TheoryError("no-root-in-domain: H(x) - x has no sign change")
+        if len(roots) > 1:
+            raise TheoryError(f"multiple-roots: fixed points near {roots}")
+        return np.array([roots[0]])
+
+    span = np.minimum(dom.upper, dom.lower + 1.0) - dom.lower
+    starts = [_feasible_one(model, dom.lower + 0.5 * span)]
+    for corner in range(2 ** min(model.s, 3)):
+        offs = np.array([(corner >> j) & 1 for j in range(model.s)], dtype=float)
+        starts.append(_feasible_one(model, dom.lower + (0.1 + 0.8 * offs) * span))
+    roots = []
+    for x in starts:
+        x = x.copy()
+        for _ in range(20000):
+            delta = model.eval_H(x) - x
+            x = _feasible_one(model, x + 0.5 * delta)
+            if np.max(np.abs(delta)) < tol:
+                roots.append(x)
+                break
+    if not roots:
+        raise TheoryError("no-root-in-domain: damped iteration did not converge from any start")
+    base = roots[0]
+    for r in roots[1:]:
+        if np.max(np.abs(r - base)) > flag_tol:
+            raise TheoryError(f"multiple-roots: fixed points {base.tolist()} and {r.tolist()}")
+    return base
+
+
+def _search_outcome(search, model):
+    """The root's shape and bytes, or the TheoryError message."""
+    try:
+        x0 = search(model)
+    except TheoryError as exc:
+        return str(exc)
+    return x0.shape, x0.tobytes()
+
+
 class TestFixedPoint:
     def test_symmetric_map_fixed_point(self):
         model = _model("erw", p=0.7, q=0.5)
@@ -49,6 +126,63 @@ class TestFixedPoint:
         model = _model("kdim", k=2, p=0.5)
         x0 = find_fixed_point(model)
         assert np.allclose(x0, 0.25, atol=1e-9)
+
+    # kdim k=3 puts corner starts past simplex_cap, so _feasible rescales them
+    @pytest.mark.parametrize("name,kwargs", [
+        ("kdim", {"k": 2}), ("kdim", {"k": 2, "f": "x^2"}), ("kdim", {"k": 3}), ("kdim", {"k": 3, "f": "x^2"}),
+        ("random-step", {}), ("random-step", {"f": "x^2"}),
+    ], ids=["kdim2", "kdim2-sq", "kdim3", "kdim3-sq", "random-step", "random-step-sq"])
+    @pytest.mark.parametrize("p", [0.4, 0.55, 0.7, 0.85, 0.9])
+    def test_batched_multistart_matches_sequential(self, name, kwargs, p):
+        model = _model(name, p=p, **kwargs)
+        assert _search_outcome(find_fixed_point, model) == _search_outcome(_sequential_fixed_point, model)
+
+    @pytest.mark.parametrize("name,kwargs,ps", [
+        ("erw", {"q": 0.5}, (0.3, 0.6, 0.75, 0.9)),  # 0.6 and 0.75: the root is a grid point, two crossings
+        ("gerw-1d", {"f": "0.2 + 0.6*x^3", "q": 0.5}, (0.55, 0.8, 0.95)),
+        ("linear", {"a": 0.5, "b": 0.25, "q": 0.5}, (0.55, 0.8, 0.95)),
+        ("quadratic-sym", {"q": 0.5}, (0.6, 0.75, 0.9)),
+        ("market", {"q": 0.5}, (1.0 / 6.0, 0.3, 0.7)),
+        ("poly-g", {"coeffs": (0.4, 0.2), "q": 0.5}, (0.55, 0.8, 0.95)),
+        ("phi-power", {"phi": "tanh", "k": 2, "q": 0.5}, (0.55, 0.8, 0.95)),
+        ("cubic-supercritical", {"q": 0.5}, (0.4, 0.5, 0.62)),
+        ("minimal", {"f": "x^2", "q": 0.3}, (0.6, 0.875, 0.95)),
+    ])
+    def test_tabulated_bisection_matches_sequential(self, name, kwargs, ps):
+        for p in ps:
+            model = _model(name, p=p, **kwargs)
+            assert _search_outcome(find_fixed_point, model) == _search_outcome(_sequential_fixed_point, model), p
+
+    def test_erw_grid_root_has_two_crossings(self):
+        model = _model("erw", p=0.6, q=0.5)
+        xs = np.linspace(0.0, 1.0, 1001)
+        vals = model.eval_H(xs[:, None])[:, 0] - xs
+        assert np.count_nonzero(np.diff(np.sign(vals))) == 2
+        assert find_fixed_point(model).tobytes() == _sequential_fixed_point(model).tobytes()
+
+    @pytest.mark.parametrize("p", [0.9, 0.95])
+    def test_multiple_roots_message_matches_sequential(self, p):
+        model = _model("kdim", k=2, f="3*x^2-2*x^3", p=p)
+        with pytest.raises(TheoryError, match="^multiple-roots: fixed points ") as got:
+            find_fixed_point(model)
+        with pytest.raises(TheoryError) as want:
+            _sequential_fixed_point(model)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("name,kwargs", [("kdim", {"k": 3, "p": 0.7}), ("random-step", {"p": 0.7})])
+    def test_feasible_rows_match_single_points(self, name, kwargs):
+        from erwlab.theory import _feasible
+
+        model = _model(name, **kwargs)
+        rng = np.random.default_rng(7)
+        pts = rng.uniform(-0.5, 2.5, size=(200, model.s))
+        pts[:5] = 0.0
+        got = _feasible(model, pts)
+        assert got.shape == pts.shape
+        for i in range(len(pts)):
+            assert got[i].tobytes() == _feasible(model, pts[i]).tobytes() == _feasible_one(model, pts[i]).tobytes()
+        if model.meta.get("simplex_cap") is not None:
+            assert np.any(np.clip(pts, 0.0, 1.0).sum(axis=1) > 1.0)  # the cap was exercised
 
 
 class TestDowncrossing:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,6 +83,16 @@ class TestFluctuation:
         stats = ExactStats(checkpoints=[n], means=[mean / n], covs=[cov / n ** 2], d=1)
         rep = fluctuation_test(stats, report, rel_tol=10.0, ks=False)
         assert rep.statistic == pytest.approx(cov[0, 0] / n, rel=1e-12)
+
+    @pytest.mark.parametrize("name,kwargs", [("erw", {"p": 0.6, "q": 0.5}), ("kdim", {"k": 2, "p": 0.5})],
+                             ids=["d1", "d2"])
+    def test_zero_predicted_variance_raises(self, name, kwargs):
+        # the relative gap divides by the predicted variance (d = 1) or its norm
+        report, stats = _run(_model(name, **kwargs), 256, 16, 1)
+        d = report.clt_variance.shape[0]
+        degenerate = replace(report, clt_variance=np.zeros((d, d)))
+        with pytest.raises(VerifyError, match="zero-clt-variance"):
+            fluctuation_test(stats, degenerate)
 
     def test_small_sample_skips_ks(self):
         model = _model("erw", p=0.6, q=0.5)
