@@ -21,7 +21,7 @@ import numpy as np
 from . import oracle as oracle_mod
 from . import sa as sa_mod
 from . import verify as verify_mod
-from .funcdsl import parse
+from .funcdsl import DslError, parse
 from .model import ModelError, load_model, save_model, spec_to_dict, validate_model
 from .presets import build_preset, list_presets
 from .simulate import FunctionalConfig, ensemble, stats_to_rows
@@ -386,7 +386,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
-    except ModelError as exc:
+    except (ModelError, DslError) as exc:
         print(f"config-invalid: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -108,16 +108,21 @@ class FuncExpr:
 
     @property
     def fast(self):
-        """Compiled evaluator ``f(cols) -> array`` or None when the tree
-        contains nodes needing runtime domain checks (log, sqrt, general
-        division or powers). Simulation hot loops use it; the checked
-        interpreter remains the reference semantics."""
+        """Batch evaluator ``f(cols)``: the values at a list of coordinate
+        arrays, one per variable, in their broadcast shape (a scalar for a
+        tree without variables).
+
+        Trees whose nodes need no runtime domain check are compiled to one
+        numpy expression; the others (log, sqrt, general division or
+        powers) run the checked interpreter on the same columns. Both raise
+        :class:`EvalDomainError` out of domain; the interpreter stays the
+        reference semantics."""
         try:
             return object.__getattribute__(self, "_fast")
         except AttributeError:
-            compiled = _compile(self)
-            object.__setattr__(self, "_fast", compiled)
-            return compiled
+            evaluator = _compile(self)
+            object.__setattr__(self, "_fast", evaluator)
+            return evaluator
 
 
 _COMPILED_CALLS = {
@@ -178,7 +183,7 @@ def _emit(node):
 def _compile(expr):
     source = _emit(expr.ast)
     if source is None:
-        return None
+        return lambda cols: np.asarray(_eval(expr.ast, cols), dtype=float)
     has_piecewise = "np.where" in source
     namespace = {"np": np}
     fn = eval(f"lambda cols, zeros: ({source})", namespace)  # noqa: S307 - generated from our own AST
@@ -614,7 +619,6 @@ def derive_at(expr: FuncExpr, x0, order: int = 1, axis: int = 0,
     def estimate(h):
         total = 0.0
         for offset, coeff in stencil:
-            point = x0.copy() if x0.ndim else np.array(x0)
             if expr.arity == 1:
                 point = float(x0) + offset * h
             else:

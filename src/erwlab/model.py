@@ -13,7 +13,9 @@ Point layout: the model's maps (``block_probs``, ``eval_H``,
 ``noise_second_moment``) take a point as an array whose last axis has
 length s, and a batch of points as ``(..., s)``. The one-dimensional walks
 are the s = 1 case of the same layout: a point is ``[x]``, never a bare
-scalar.
+scalar. Those maps evaluate each P_i through ``FuncExpr.fast``, which alone
+decides between compiled and interpreted evaluation; grid validation calls
+the checked interpreter, the reference semantics.
 """
 
 from __future__ import annotations
@@ -368,28 +370,26 @@ class ValidatedModel:
 
         A 0-d x, or one whose last axis is not s, raises :class:`ModelError`:
         a leftover bare s = 1 point would otherwise be read as its first
-        element. Values outside [0 - tol, 1 + tol], and NaN, abort: that is
-        model misuse, not noise. Within the tolerance band they are clamped.
+        element. The maps P_1..P_{r-1} are evaluated through
+        :attr:`FuncExpr.fast` into the first r - 1 rows of one array, and the
+        last row takes the complement. Values outside [0 - tol, 1 + tol], and
+        NaN, abort: that is model misuse, not noise. Within the tolerance
+        band they are clamped.
         """
         x = self._points(x)
-        vshape = x.shape[:-1]
         cols = [x[..., j] for j in range(self.s)]
-        arg = x if self.s > 1 else cols[0]  # interpreted arity-1 maps take the bare column
-        values = []
-        for pm in self.spec.prob_maps:
-            fast = pm.fast
-            values.append(np.asarray(fast(cols) if fast is not None else pm(arg), dtype=float))
-        if values:
-            probs = np.stack([np.broadcast_to(v, vshape) for v in values], axis=0)
-        else:
-            probs = np.zeros((0,) + vshape)
-        check_runtime_probs(probs, clamp_tol)
-        probs = np.clip(probs, 0.0, 1.0)
-        tail = 1.0 - probs.sum(axis=0)
+        probs = np.empty((self.r,) + x.shape[:-1])
+        head = probs[:-1]
+        for i, pm in enumerate(self.spec.prob_maps):
+            head[i, ...] = pm.fast(cols)
+        check_runtime_probs(head, clamp_tol)
+        np.clip(head, 0.0, 1.0, out=head)
+        tail = probs[-1, ...]  # a view, also when x is a single (s,) point
+        np.subtract(1.0, head.sum(axis=0), out=tail)
         if np.min(tail, initial=1.0) < -clamp_tol:
             raise ModelError("probability-out-of-range at runtime: block probabilities sum past 1")
-        tail = np.clip(tail, 0.0, 1.0)
-        return np.concatenate([probs, tail[None, ...]], axis=0)
+        np.clip(tail, 0.0, 1.0, out=tail)
+        return probs
 
     def eval_H(self, x) -> np.ndarray:
         """Drift map H(x) = sum_i P_i(x) * mu masked to block i.

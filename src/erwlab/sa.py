@@ -129,7 +129,6 @@ def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
     if 1 in cp_index:
         out[:, cp_index[1]] = theta
     fast = proc.drift.fast
-    eval_drift = (lambda th: fast([th])) if fast is not None else (lambda th: np.asarray(proc.drift(th), dtype=float))
     chunk = max(1, min(n_max, 4_000_000 // max(1, N)))
     n = 1
     while n < n_max:
@@ -141,8 +140,7 @@ def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
         for i in range(span):
             a_n = 1.0 / (n + 1.0)
             # escaped paths stay frozen at their flagged value
-            drift = eval_drift(theta)
-            moved = theta - a_n * (drift + eps[i])
+            moved = theta - a_n * (fast([theta]) + eps[i])
             theta = np.where(escaped, theta, moved)
             escaped |= np.abs(theta) > guard
             n += 1

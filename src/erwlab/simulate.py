@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -85,7 +85,6 @@ class EnsembleStats:
     returns_at: Optional[np.ndarray] = None  # (N, C) cumulative counts
     noise_x: Optional[np.ndarray] = None  # (N, n_max-1) states fed to the drift
     noise_e: Optional[np.ndarray] = None  # (N, n_max-1) noise increments
-    config: dict = field(default_factory=dict)
 
     def mean(self, cp_index: int) -> np.ndarray:
         return self.snn[:, cp_index, :].mean(axis=0)
@@ -417,8 +416,7 @@ def _simulate_unit_batch(model, n_max, checkpoints, keys, cfg, out):
     spec = model.spec
     atom = float(spec.step_law.atoms[0, 0])
     mu = float(model.mu[0])
-    pm = spec.prob_maps[0]
-    fast = pm.fast
+    fast = spec.prob_maps[0].fast
     rec = _Recorder(model, n_max, checkpoints, cfg, out)
 
     state = np.zeros((B, 1))
@@ -432,7 +430,7 @@ def _simulate_unit_batch(model, n_max, checkpoints, keys, cfg, out):
                     state += _initial_step(spec.initial, u1)
                 else:
                     x = aux / tc
-                    P = fast([x]) if fast is not None else pm(x)
+                    P = fast([x])
                     uniforms[tt, 1] = P
                     step_vec = (u1 < P) * atom
                     aux += step_vec
@@ -485,28 +483,22 @@ def ensemble(model: ValidatedModel, n_max: int, N: int, master_seed: int,
         if N * max(0, n_max - 1) > 200_000_000:
             raise ModelError("noise collection would retain too much data; shrink N or n_max")
 
-    snn = np.empty((N, C, d))
-    aux_final = np.empty((N, s))
-    lil_max = np.zeros(N) if cfg.lil_mode is not None else None
-    return_counts = np.zeros(N, dtype=np.int64) if cfg.track_returns else None
-    last_return = np.zeros(N, dtype=np.int64) if cfg.track_returns else None
-    returns_at = np.zeros((N, C), dtype=np.int64) if cfg.track_returns else None
-    noise_x = np.empty((N, n_max - 1)) if cfg.collect_noise else None
-    noise_e = np.empty((N, n_max - 1)) if cfg.collect_noise else None
+    lil, returns, noise = cfg.lil_mode is not None, cfg.track_returns, cfg.collect_noise
+    arrays = {  # keyed by EnsembleStats field; None where a functional is off
+        "snn": np.empty((N, C, d)),
+        "aux_final": np.empty((N, s)),
+        "lil_max": np.zeros(N) if lil else None,
+        "return_counts": np.zeros(N, dtype=np.int64) if returns else None,
+        "last_return": np.zeros(N, dtype=np.int64) if returns else None,
+        "returns_at": np.zeros((N, C), dtype=np.int64) if returns else None,
+        "noise_x": np.empty((N, n_max - 1)) if noise else None,
+        "noise_e": np.empty((N, n_max - 1)) if noise else None,
+    }
 
     kernel = _simulate_unit_batch if _is_unit_step(model) else _simulate_batch
 
     def run_batch(lo, hi):
-        out = {
-            "snn": snn[lo:hi],
-            "aux_final": aux_final[lo:hi],
-            "lil_max": lil_max[lo:hi] if lil_max is not None else None,
-            "return_counts": return_counts[lo:hi] if return_counts is not None else None,
-            "last_return": last_return[lo:hi] if last_return is not None else None,
-            "returns_at": returns_at[lo:hi] if returns_at is not None else None,
-            "noise_x": noise_x[lo:hi] if noise_x is not None else None,
-            "noise_e": noise_e[lo:hi] if noise_e is not None else None,
-        }
+        out = {name: None if a is None else a[lo:hi] for name, a in arrays.items()}
         kernel(model, n_max, checkpoints, philox_keys(master_seed, lo, hi), cfg, out)
 
     batches = [(lo, min(lo + batch_size, N)) for lo in range(0, N, batch_size)]
@@ -517,29 +509,7 @@ def ensemble(model: ValidatedModel, n_max: int, N: int, master_seed: int,
         for lo, hi in batches:
             run_batch(lo, hi)
 
-    return EnsembleStats(
-        checkpoints=checkpoints,
-        n_max=n_max,
-        N=N,
-        master_seed=master_seed,
-        d=d,
-        snn=snn,
-        aux_final=aux_final,
-        lil_max=lil_max,
-        return_counts=return_counts,
-        last_return=last_return,
-        returns_at=returns_at,
-        noise_x=noise_x,
-        noise_e=noise_e,
-        config={
-            "n_max": n_max,
-            "N": N,
-            "master_seed": master_seed,
-            "checkpoints": checkpoints,
-            "lil_mode": cfg.lil_mode,
-            "track_returns": cfg.track_returns,
-        },
-    )
+    return EnsembleStats(checkpoints=checkpoints, n_max=n_max, N=N, master_seed=master_seed, d=d, **arrays)
 
 
 def stats_to_rows(stats: EnsembleStats) -> list:

@@ -215,9 +215,6 @@ class SpectralProfile:
     top_left: tuple = ()  # matching left eigenvectors, bilinear-normalized
     exact_tau: bool = False
 
-    def block_table(self) -> dict:
-        return {complex(c["value"]): list(c["block_sizes"]) for c in self.clusters}
-
 
 def _rank(mat, threshold):
     if mat.size == 0:

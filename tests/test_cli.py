@@ -261,6 +261,27 @@ def test_malformed_model_file_exit_2(tmp_path, capsys, command, case):
     assert capsys.readouterr().err.startswith("config-invalid:")
 
 
+GAP_COMMANDS = {
+    "simulate": ["simulate", "--n", "20000", "--N", "64", "--out", "stats.csv"],
+    "verify": ["verify", "--suite", "slln", "--out", "verdict.json"],
+    "analyze": ["analyze", "--out", "report.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(GAP_COMMANDS))
+def test_piecewise_gap_off_the_validation_grid_exit_2(tmp_path, capsys, command):
+    # no point of the 201-point validation grid falls in (0.5001, 0.5002], so the
+    # model validates; walks and the fixed-point search near x = 1/2 reach the gap
+    doc = spec_to_dict(build_preset("gerw-1d", f="x", p=0.6))
+    doc["prob_maps"] = ["piecewise(x <= 0.5001 : 0.2 + 0.6 * x ; x > 0.5002 : 0.2 + 0.6 * x)"]
+    path = tmp_path / "gap_model.json"
+    path.write_text(json.dumps(doc))
+    argv = GAP_COMMANDS[command]
+    code = main(argv[:-1] + [str(tmp_path / argv[-1]), "--model", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config-invalid:")
+
+
 SUITE_CASES = {
     "erw-diffusive": (
         ["--preset", "erw", "--p", "0.6"],

@@ -122,13 +122,17 @@ class TestEval:
         xs = np.linspace(0.0, 1.0, 57)
         for text in texts:
             e = parse(text)
-            assert e.fast is not None
+            assert funcdsl._emit(e.ast) is not None  # compiled, not interpreted
             assert np.array_equal(e.fast([xs]), e(xs))
 
-    def test_unsafe_trees_fall_back(self):
-        assert parse("log(x)").fast is None
-        assert parse("x ^ 0.5").fast is None
-        assert parse("1 / x").fast is None
+    def test_uncompiled_trees_run_the_interpreter(self):
+        xs = np.linspace(0.05, 2.0, 40)
+        for text, outside in (("log(x)", 0.0), ("x ^ 0.5", -1.0), ("1 / x", 0.0)):
+            e = parse(text)
+            assert funcdsl._emit(e.ast) is None
+            assert np.array_equal(e.fast([xs]), e(xs))
+            with pytest.raises(EvalDomainError):
+                e.fast([np.array([0.5, outside])])
 
 
 # strategy for random expression trees (kept to total-function nodes so any

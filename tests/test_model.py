@@ -219,6 +219,42 @@ def test_point_layout(name, kwargs):
                 fn(bad)
 
 
+class TestBlockProbs:
+    """One (r, ...) array: the maps, clamped, then their complement."""
+
+    @pytest.mark.parametrize("name,kwargs", [("erw", dict(p=0.7)), ("kdim", dict(k=3, p=0.6))],
+                             ids=["erw-s1", "kdim3-s5"])
+    def test_rows_are_the_maps_and_the_complement(self, name, kwargs):
+        model = validate_model(build_preset(name, **kwargs))
+        grid = model.domain.grid(7)[:6]
+        probs = model.block_probs(grid)
+        assert probs.shape == (model.r, grid.shape[0])
+        arg = grid[:, 0] if model.s == 1 else grid
+        head = np.stack([np.clip(pm(arg), 0.0, 1.0) for pm in model.spec.prob_maps])
+        assert np.array_equal(probs[:-1], head)
+        assert np.array_equal(probs[-1], np.clip(1.0 - head.sum(axis=0), 0.0, 1.0))
+        for j in range(grid.shape[0]):
+            assert np.array_equal(model.block_probs(grid[j]), probs[:, j])
+        assert np.array_equal(model.block_probs(grid.reshape(2, 3, model.s)), probs.reshape(model.r, 2, 3))
+
+    def test_no_maps_give_all_ones(self):
+        spec = ModelSpec(
+            s=1, d=1, r=1, partition=((1,),), step_law=StepLaw.point_mass([1.0]), prob_maps=(),
+            A=[[1.0]], b=[0.0], initial=InitialLaw([[1.0]], [1.0]), domain=Domain([0.0], [1.0]),
+        )
+        model = validate_model(spec)
+        assert np.array_equal(model.block_probs(np.array([0.3])), np.ones(1))
+        assert np.array_equal(model.block_probs(np.linspace(0.0, 1.0, 4)[:, None]), np.ones((1, 4)))
+
+    @pytest.mark.parametrize("text", ["0.3", "0.09 ^ 0.5"], ids=["compiled", "interpreted"])
+    def test_constant_map_fills_every_point(self, text):
+        model = validate_model(_erw_spec(prob_text=text))
+        value = parse(text)(0.0)
+        want = np.array([value, 1.0 - value])
+        assert np.array_equal(model.block_probs(np.array([0.3])), want)
+        assert np.array_equal(model.block_probs(np.full((4, 1), 0.3)), np.repeat(want[:, None], 4, axis=1))
+
+
 class TestJsonRoundTrip:
     def test_save_load(self, tmp_path):
         spec = build_preset("kdim", k=2, p=0.5)

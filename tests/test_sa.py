@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from erwlab import build_preset, ensemble, validate_model
+from erwlab import build_preset, ensemble, funcdsl, validate_model
 from erwlab.funcdsl import parse
 from erwlab.model import ModelError
 from erwlab.sa import (
@@ -19,6 +19,7 @@ from erwlab.sa import (
     sa_expansion_check,
     sa_order_check,
 )
+from erwlab.simulate import trajectory_seed
 from erwlab.theory import expansion_coeffs
 
 
@@ -57,6 +58,19 @@ class TestRunner:
         a = run_sa(proc, 500, N=8, master_seed=4)
         b = run_sa(proc, 500, N=8, master_seed=4)
         assert np.array_equal(a.theta, b.theta)
+
+    def test_interpreted_drift_follows_the_recursion(self):
+        # division by a non-constant does not compile: the runner evaluates the drift
+        # through the interpreter, on the draws of stream (master_seed, 0)
+        drift = parse("2 * x / (1 + x ^ 2)")
+        assert funcdsl._emit(drift.ast) is None
+        proc = SAProcess(drift=drift, theta0=0.0, noise=NoiseSpec("gaussian", 1.0), theta1=0.5)
+        paths = run_sa(proc, 300, N=4, master_seed=4, checkpoints=[300])
+        eps = np.random.Generator(np.random.Philox(trajectory_seed(4, 0))).standard_normal((299, 4))
+        theta = np.full(4, 0.5)
+        for n in range(1, 300):
+            theta = theta - 1.0 / (n + 1.0) * (drift(theta) + eps[n - 1])
+        assert np.array_equal(paths.theta[:, 0], theta)
 
     @pytest.mark.parametrize("checkpoints", [[50, 200], [0, 50], [-1]])
     def test_checkpoints_outside_horizon_rejected(self, checkpoints):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from erwlab import build_preset, ensemble, parse, simulate, trajectory, validate_model
+from erwlab import build_preset, ensemble, funcdsl, parse, simulate, trajectory, validate_model
 from erwlab.model import ModelError, ModelSpec, ValidatedModel
 from erwlab.simulate import (
     MAX_TRAJECTORIES,
@@ -34,6 +34,7 @@ UNIT_STEP_PRESETS = [
     ("poly-g", dict(coeffs=(0.4, 0.2), p=0.7, q=0.5)),
     ("phi-power", dict(phi="tanh", k=2, p=0.7, q=0.5)),
     ("cubic-supercritical", dict(p=0.62, q=0.5)),
+    ("gerw-1d", dict(f="x^1.5", p=0.8, q=0.5)),  # a map that does not compile
 ]
 
 STATS_ARRAYS = ("snn", "aux_final", "lil_max", "return_counts", "last_return", "returns_at", "noise_x", "noise_e")
@@ -197,6 +198,18 @@ class TestSingleStep:
             state = step(state, model)
         stats = ensemble(model, 200, 1, master_seed=19)
         assert np.array_equal(state.s_aux, stats.aux_final[0])
+
+    def test_step_matches_unit_step_kernel_on_an_interpreted_map(self):
+        # x^1.5 does not compile, so the step and the kernel run the interpreter;
+        # UNIT_STEP_PRESETS compares this model's kernels with each other
+        model = _model("gerw-1d", f="x^1.5", p=0.8, q=0.5)
+        assert funcdsl._emit(model.spec.prob_maps[0].ast) is None
+        stats = ensemble(model, 200, 3, master_seed=19)
+        for i in range(3):
+            state = WalkState.fresh(model, seed=19, index=i)
+            for _ in range(200):
+                state = step(state, model)
+            assert np.array_equal(state.s_aux, stats.aux_final[i])
 
     def test_saturated_memory_keeps_direction(self):
         # with the up-probability at its ceiling the next step is up almost
