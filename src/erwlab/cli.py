@@ -33,6 +33,17 @@ EXIT_CONFIG = 2
 
 SUITES = ("slln", "clt", "lil", "super", "expansion", "recurrence")  # verify's order under --suite all
 
+# every --tol-overrides key and the value used when the file omits it
+TOLERANCES = {
+    "slln_z": 3.0,
+    "ks_alpha": 0.01,
+    "clt_rel_tol": None,  # fluctuation_test picks one per regime
+    "lil_band": (0.3, 1.8),
+    "super_threshold": 0.15,
+    "expansion_tolerance": 0.15,
+    "sa_var_tol": 0.05,
+}
+
 
 class ConfigError(Exception):
     pass
@@ -118,6 +129,8 @@ def _load_tol_overrides(args) -> dict:
     if not isinstance(overrides, dict):
         raise ConfigError(f"config-invalid: tolerance override file {path} must hold a JSON object")
     for key, value in overrides.items():
+        if key not in TOLERANCES:
+            raise ConfigError(f"config-invalid: unknown tolerance override {key!r}; known: {', '.join(TOLERANCES)}")
         if key == "lil_band":
             ok = isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
         else:
@@ -218,22 +231,13 @@ def _run_suites(model, report, args, overrides) -> list:
         track_returns="recurrence" in runs,
     )
     stats = ensemble(model, args.n, args.N, args.seed, threads=args.threads, functional_config=cfg)
+    tol = {**TOLERANCES, **overrides}
     checks = {
-        "slln": lambda: verify_mod.slln_test(
-            stats, report.limit, z=overrides.get("slln_z", 3.0), clt_cov=report.clt_variance
-        ),
-        "clt": lambda: verify_mod.fluctuation_test(
-            stats, report, alpha=overrides.get("ks_alpha", 0.01), rel_tol=overrides.get("clt_rel_tol")
-        ),
-        "lil": lambda: verify_mod.lil_envelope_test(
-            stats, report, band=tuple(overrides.get("lil_band", (0.3, 1.8)))
-        ),
-        "super": lambda: verify_mod.supercritical_limit_test(
-            stats, report, threshold=overrides.get("super_threshold", 0.15)
-        ),
-        "expansion": lambda: verify_mod.expansion_residual_test(
-            stats, report, tolerance=overrides.get("expansion_tolerance", 0.15)
-        ),
+        "slln": lambda: verify_mod.slln_test(stats, report.limit, z=tol["slln_z"], clt_cov=report.clt_variance),
+        "clt": lambda: verify_mod.fluctuation_test(stats, report, alpha=tol["ks_alpha"], rel_tol=tol["clt_rel_tol"]),
+        "lil": lambda: verify_mod.lil_envelope_test(stats, report, band=tuple(tol["lil_band"])),
+        "super": lambda: verify_mod.supercritical_limit_test(stats, report, threshold=tol["super_threshold"]),
+        "expansion": lambda: verify_mod.expansion_residual_test(stats, report, tolerance=tol["expansion_tolerance"]),
         "recurrence": lambda: verify_mod.recurrence_report(stats, report),
     }
     reports = []
@@ -288,6 +292,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sa(args) -> int:
     overrides = _load_tol_overrides(args)
+    tol = {**TOLERANCES, **overrides}
     out_path = Path(args.out or "sa_verdicts.json")
     resolved = {"command": "sa", "seed": args.seed, "n": args.n, "N": args.N}
     if args.model or args.preset:
@@ -309,9 +314,9 @@ def cmd_sa(args) -> int:
         resolved.update({"drift": args.drift, "theta0": args.theta0, "noise": args.noise})
         paths = sa_mod.run_sa(proc, args.n, N=args.N, master_seed=args.seed)
         if proc.psi_prime() > 0.5:
-            check = sa_mod.sa_clt_variance_check(proc, paths, tolerance=overrides.get("sa_var_tol", 0.05))
+            check = sa_mod.sa_clt_variance_check(proc, paths, tolerance=tol["sa_var_tol"])
         else:
-            check = sa_mod.sa_expansion_check(proc, paths, tolerance=overrides.get("expansion_tolerance", 0.15))
+            check = sa_mod.sa_expansion_check(proc, paths, tolerance=tol["expansion_tolerance"])
     else:
         raise ConfigError("config-invalid: provide --drift or --model/--preset")
     digest = _config_hash(resolved)

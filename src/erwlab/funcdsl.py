@@ -1,7 +1,9 @@
 """Small arithmetic expression language for memory functions.
 
 Expressions are parsed into immutable ASTs over a scalar variable ``x`` or
-components ``x1..xs``. Evaluation is numpy-vectorized and pure. Derivatives
+components ``x1..xs``, nested at most :data:`MAX_DEPTH` levels. Every tree
+compiles to one numpy expression, the language's only evaluator; partial
+operations run checked helpers inside it. Evaluation is pure. Derivatives
 at a point are obtained by central finite differences with Richardson
 extrapolation (closed forms, when a model registers them, take precedence
 at the call sites in :mod:`erwlab.theory`).
@@ -22,12 +24,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
-_FUNCTIONS_1 = ("abs", "sgn", "sqrt", "sin", "tanh", "exp", "log")
-_FUNCTIONS_2 = ("min", "max")
+# function name -> (compiled source, number of arguments); sqrt and log run
+# the checked helpers below
+_FUNCTIONS = {
+    "abs": ("np.abs", 1), "sgn": ("np.sign", 1), "sqrt": ("_sqrt", 1), "sin": ("np.sin", 1),
+    "tanh": ("np.tanh", 1), "exp": ("np.exp", 1), "log": ("_log", 1),
+    "min": ("np.minimum", 2), "max": ("np.maximum", 2),
+}
 
 
 class DslError(ValueError):
@@ -106,92 +114,98 @@ class FuncExpr:
     def to_string(self) -> str:
         return print_ast(self.ast)
 
-    @property
+    @cached_property
     def fast(self):
         """Batch evaluator ``f(cols)``: the values at a list of coordinate
         arrays, one per variable, in their broadcast shape (a scalar for a
         tree without variables).
 
-        Trees whose nodes need no runtime domain check are compiled to one
-        numpy expression; the others (log, sqrt, general division or
-        powers) run the checked interpreter on the same columns. Both raise
-        :class:`EvalDomainError` out of domain; the interpreter stays the
-        reference semantics."""
-        try:
-            return object.__getattribute__(self, "_fast")
-        except AttributeError:
-            evaluator = _compile(self)
-            object.__setattr__(self, "_fast", evaluator)
-            return evaluator
+        The tree is compiled to one numpy expression on first use, which
+        raises :class:`EvalDomainError` out of domain. A tree containing
+        ``piecewise`` evaluates every branch at every point and raises where
+        its value is NaN; other trees return the generated function itself."""
+        return _compile(self)
 
 
-_COMPILED_CALLS = {
-    "abs": "np.abs",
-    "sgn": "np.sign",
-    "sin": "np.sin",
-    "tanh": "np.tanh",
-    "exp": "np.exp",
-    "min": "np.minimum",
-    "max": "np.maximum",
-}
+def _div(a, b):
+    if np.any(b == 0):
+        raise EvalDomainError("division by zero")
+    return a / b
+
+
+def _pow(a, b):
+    # an integer constant exponent arrives as an int and takes any base;
+    # where Python floats raise, numpy's IEEE pow gives the infinity
+    if not isinstance(b, int) and np.any(np.asarray(a) < 0):
+        raise EvalDomainError("negative base with non-integer exponent")
+    try:
+        return a ** b
+    except (OverflowError, ZeroDivisionError):
+        return np.power(np.float64(a), b)
+
+
+def _sqrt(a):
+    if np.any(np.asarray(a) < 0):
+        raise EvalDomainError("sqrt of negative value")
+    return np.sqrt(a)
+
+
+def _log(a):
+    if np.any(np.asarray(a) <= 0):
+        raise EvalDomainError("log of non-positive value")
+    return np.log(a)
 
 
 def _emit(node):
-    """Python source for nodes that cannot fail at runtime; None otherwise."""
+    """Python source evaluating ``node`` on the coordinate arrays ``cols``.
+
+    Total operations become numpy operators and ufuncs. The partial ones
+    (division by anything but a nonzero constant, a power other than an
+    integer constant, sqrt and log) call the checked helpers above, which
+    raise :class:`EvalDomainError` wherever any point leaves the domain.
+    Every node compiles; :data:`MAX_DEPTH` keeps the source's nesting within
+    what Python's parser accepts."""
     if isinstance(node, Const):
         return repr(node.value)
     if isinstance(node, Var):
         return f"cols[{node.index}]"
     if isinstance(node, Neg):
-        inner = _emit(node.operand)
-        return None if inner is None else f"(-{inner})"
+        return f"(-{_emit(node.operand)})"
     if isinstance(node, BinOp):
         left, right = _emit(node.left), _emit(node.right)
-        if left is None or right is None:
-            return None
-        if node.op in ("+", "-", "*"):
-            return f"({left} {node.op} {right})"
-        if node.op == "/":
-            if isinstance(node.right, Const) and node.right.value != 0:
-                return f"({left} / {right})"
-            return None
+        constant = node.right.value if isinstance(node.right, Const) else None
+        if node.op == "/" and not constant:
+            return f"_div({left}, {right})"
         if node.op == "^":
-            if isinstance(node.right, Const) and float(node.right.value).is_integer():
-                return f"({left} ** {int(node.right.value)})"
-            return None
-    if isinstance(node, Call) and node.name in _COMPILED_CALLS:
-        args = [_emit(a) for a in node.args]
-        if any(a is None for a in args):
-            return None
-        return f"{_COMPILED_CALLS[node.name]}({', '.join(args)})"
+            integer = constant is not None and float(constant).is_integer()
+            if integer and "cols[" in left:  # an array base, whose ** cannot raise
+                return f"({left} ** {int(constant)})"
+            return f"_pow({left}, {int(constant) if integer else right})"
+        return f"({left} {node.op} {right})"
+    if isinstance(node, Call):
+        return f"{_FUNCTIONS[node.name][0]}({', '.join(_emit(a) for a in node.args)})"
     if isinstance(node, Piecewise):
         # nested np.where with the first branch outermost, so the first
-        # match wins. Uncovered points surface as NaN and are rejected by
-        # the wrapper; the full-shape default keeps the result full-shape
-        # when every branch is constant.
+        # match wins. Every branch runs at every point. Uncovered points
+        # surface as NaN and are rejected by _compile; the full-shape
+        # default keeps the result full-shape when every branch is constant.
         source = "(zeros + np.nan)"
         for cond, branch in reversed(node.branches):
-            left, right = _emit(cond.left), _emit(cond.right)
-            body = _emit(branch)
-            if left is None or right is None or body is None:
-                return None
-            source = f"np.where(({left} {cond.op} {right}), {body}, {source})"
+            source = f"np.where(({_emit(cond.left)} {cond.op} {_emit(cond.right)}), {_emit(branch)}, {source})"
         return source
-    return None
+    raise DslError(f"cannot compile node {node!r}")
 
 
 def _compile(expr):
     source = _emit(expr.ast)
-    if source is None:
-        return lambda cols: np.asarray(_eval(expr.ast, cols), dtype=float)
-    has_piecewise = "np.where" in source
-    namespace = {"np": np}
+    namespace = {"np": np, "inf": math.inf, "_div": _div, "_pow": _pow, "_sqrt": _sqrt, "_log": _log}
+    if "np.where" not in source:
+        return eval(f"lambda cols: ({source})", namespace)  # noqa: S307 - generated from our own AST
     fn = eval(f"lambda cols, zeros: ({source})", namespace)  # noqa: S307 - generated from our own AST
 
     def run(cols):
-        zeros = np.zeros(np.broadcast(*cols).shape) if len(cols) > 1 else np.zeros(np.shape(cols[0]))
-        out = fn(cols, zeros)
-        if has_piecewise and np.any(np.isnan(out)):
+        out = fn(cols, np.zeros(np.broadcast(*cols).shape))
+        if np.any(np.isnan(out)):
             raise EvalDomainError("piecewise evaluated outside its covered region")
         return out
 
@@ -259,11 +273,31 @@ def _tokenize(text):
 # Parser (recursive descent, standard precedence)
 
 
+# Deepest nesting parse accepts: one level per node, and per piecewise branch
+# (one np.where each). The compiled source nests at most one parenthesis per
+# level, which leaves affine and substitute room under Python's limit of 200.
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, tokens, arity):
         self.tokens = tokens
         self.pos = 0
         self.arity = arity
+        self.level = 0  # parse_unary frames on the stack; every recursion passes there
+        self.depths = {}  # id(node) -> levels of the tree under node; leaves are absent
+
+    def depth(self, *nodes):
+        return max(self.depths.get(id(node), 1) for node in nodes)
+
+    def bound(self, depth, offset):
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", offset)
+
+    def nest(self, node, depth, offset):
+        self.bound(depth, offset)
+        self.depths[id(node)] = depth
+        return node
 
     def peek(self):
         return self.tokens[self.pos]
@@ -279,32 +313,42 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
+    def binop(self, op, left, right, offset):
+        return self.nest(BinOp(op, left, right), 1 + self.depth(left, right), offset)
+
     def parse_expr(self):
         node = self.parse_term()
         while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            node = BinOp(op, node, self.parse_term())
+            op, _, offset = self.next()
+            node = self.binop(op, node, self.parse_term(), offset)
         return node
 
     def parse_term(self):
         node = self.parse_unary()
         while self.peek()[0] in ("*", "/"):
-            op = self.next()[0]
-            node = BinOp(op, node, self.parse_unary())
+            op, _, offset = self.next()
+            node = self.binop(op, node, self.parse_unary(), offset)
         return node
 
     def parse_unary(self):
-        if self.peek()[0] == "-":
+        kind, _, offset = self.peek()
+        self.level += 1
+        self.bound(self.level, offset)
+        if kind == "-":
             self.next()
-            return Neg(self.parse_unary())
-        return self.parse_power()
+            operand = self.parse_unary()
+            node = self.nest(Neg(operand), 1 + self.depth(operand), offset)
+        else:
+            node = self.parse_power()
+        self.level -= 1
+        return node
 
     def parse_power(self):
         base = self.parse_atom()
         if self.peek()[0] == "^":
-            self.next()
+            offset = self.next()[2]
             # right associative; exponent binds tighter than unary minus
-            return BinOp("^", base, self.parse_unary())
+            return self.binop("^", base, self.parse_unary(), offset)
         return base
 
     def parse_atom(self):
@@ -341,7 +385,8 @@ class _Parser:
                 continue
             break
         self.expect(")")
-        return Piecewise(tuple(branches))
+        depth = max(i + self.depth(*branch) for i, branch in enumerate(branches, start=1))
+        return self.nest(Piecewise(tuple(branches)), depth, offset)
 
     def parse_condition(self):
         left = self.parse_expr()
@@ -349,18 +394,14 @@ class _Parser:
         if kind != "cmp":
             raise ParseError("piecewise branch needs a comparison", offset)
         right = self.parse_expr()
-        return Comparison(value, left, right)
+        return self.nest(Comparison(value, left, right), 1 + self.depth(left, right), offset)
 
     def make_call(self, name, args, offset):
-        if name in _FUNCTIONS_1:
-            if len(args) != 1:
-                raise ParseError(f"{name} takes one argument", offset)
-            return Call(name, tuple(args))
-        if name in _FUNCTIONS_2:
-            if len(args) != 2:
-                raise ParseError(f"{name} takes two arguments", offset)
-            return Call(name, tuple(args))
-        raise ParseError(f"unknown function {name!r}", offset)
+        if name not in _FUNCTIONS:
+            raise ParseError(f"unknown function {name!r}", offset)
+        if len(args) != _FUNCTIONS[name][1]:
+            raise ParseError(f"{name} takes {('one argument', 'two arguments')[_FUNCTIONS[name][1] - 1]}", offset)
+        return self.nest(Call(name, tuple(args)), 1 + self.depth(*args), offset)
 
     def make_var(self, name, offset):
         if name == "x":
@@ -393,111 +434,19 @@ def parse(text: str, arity: int = 1) -> FuncExpr:
 # Evaluation (numpy-vectorized, pure)
 
 
-def _eval(node, cols):
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return cols[node.index]
-    if isinstance(node, Neg):
-        return -_eval(node.operand, cols)
-    if isinstance(node, BinOp):
-        a = _eval(node.left, cols)
-        b = _eval(node.right, cols)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if np.any(b == 0):
-                raise EvalDomainError("division by zero")
-            return a / b
-        if node.op == "^":
-            if isinstance(node.right, Const) and float(node.right.value).is_integer():
-                return a ** int(node.right.value)
-            if np.any(np.asarray(a) < 0):
-                raise EvalDomainError("negative base with non-integer exponent")
-            return a ** b
-    if isinstance(node, Call):
-        args = [_eval(arg, cols) for arg in node.args]
-        if node.name == "abs":
-            return np.abs(args[0])
-        if node.name == "sgn":
-            return np.sign(args[0])
-        if node.name == "sqrt":
-            if np.any(np.asarray(args[0]) < 0):
-                raise EvalDomainError("sqrt of negative value")
-            return np.sqrt(args[0])
-        if node.name == "sin":
-            return np.sin(args[0])
-        if node.name == "tanh":
-            return np.tanh(args[0])
-        if node.name == "exp":
-            return np.exp(args[0])
-        if node.name == "log":
-            if np.any(np.asarray(args[0]) <= 0):
-                raise EvalDomainError("log of non-positive value")
-            return np.log(args[0])
-        if node.name == "min":
-            return np.minimum(args[0], args[1])
-        if node.name == "max":
-            return np.maximum(args[0], args[1])
-    if isinstance(node, Piecewise):
-        return _eval_piecewise(node, cols)
-    raise DslError(f"cannot evaluate node {node!r}")
-
-
-def _eval_comparison(cmp, cols):
-    a = _eval(cmp.left, cols)
-    b = _eval(cmp.right, cols)
-    if cmp.op == "<":
-        return np.less(a, b)
-    if cmp.op == "<=":
-        return np.less_equal(a, b)
-    if cmp.op == ">":
-        return np.greater(a, b)
-    return np.greater_equal(a, b)
-
-
-def _eval_piecewise(node, cols):
-    shape = np.broadcast(*cols).shape if len(cols) > 1 else np.shape(cols[0])
-    out = np.zeros(shape, dtype=float)
-    remaining = np.ones(shape, dtype=bool)
-    for cond, branch in node.branches:
-        mask = np.broadcast_to(_eval_comparison(cond, cols), shape) & remaining
-        if np.any(mask):
-            value = np.broadcast_to(np.asarray(_eval(branch, cols), dtype=float), shape)
-            out = np.where(mask, value, out)
-            remaining = remaining & ~mask
-    if np.any(remaining):
-        raise EvalDomainError("piecewise evaluated outside its covered region")
-    if out.shape == ():
-        return float(out)
-    return out
-
-
 def evaluate(expr: FuncExpr, x):
-    """Evaluate ``expr`` at point(s) ``x``.
+    """Evaluate ``expr`` at point(s) ``x`` through :attr:`FuncExpr.fast`.
 
     For arity 1, ``x`` is a scalar or any array (evaluated elementwise).
     For arity s > 1, ``x`` is an s-vector or an array whose last axis has
-    length s.
+    length s. A single point gives a float.
     """
-    if expr.arity == 1:
-        arr = np.asarray(x, dtype=float)
-        cols = [arr]
-        scalar = arr.ndim == 0
-    else:
-        arr = np.asarray(x, dtype=float)
-        if arr.shape[-1] != expr.arity:
-            raise DslError(f"expected last axis of length {expr.arity}, got shape {arr.shape}")
-        cols = [arr[..., j] for j in range(expr.arity)]
-        scalar = arr.ndim == 1
-    out = _eval(expr.ast, cols)
-    if scalar:
-        return float(out)
-    return np.asarray(out, dtype=float)
+    arr = np.asarray(x, dtype=float)
+    if expr.arity > 1 and arr.shape[-1] != expr.arity:
+        raise DslError(f"expected last axis of length {expr.arity}, got shape {arr.shape}")
+    out = expr.fast([arr] if expr.arity == 1 else [arr[..., j] for j in range(expr.arity)])
+    single_point = arr.ndim == (expr.arity > 1)
+    return float(out) if single_point else np.asarray(out, dtype=float)
 
 
 # ---------------------------------------------------------------------------

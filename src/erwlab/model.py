@@ -13,9 +13,9 @@ Point layout: the model's maps (``block_probs``, ``eval_H``,
 ``noise_second_moment``) take a point as an array whose last axis has
 length s, and a batch of points as ``(..., s)``. The one-dimensional walks
 are the s = 1 case of the same layout: a point is ``[x]``, never a bare
-scalar. Those maps evaluate each P_i through ``FuncExpr.fast``, which alone
-decides between compiled and interpreted evaluation; grid validation calls
-the checked interpreter, the reference semantics.
+scalar. Those maps, and grid validation, evaluate each P_i through
+``FuncExpr.fast``, the expression language's only evaluator, so validation
+checks the same code that runs.
 """
 
 from __future__ import annotations
@@ -402,8 +402,9 @@ class ValidatedModel:
         x = self._points(x)
         pts = x.reshape(-1, self.s)
         for j in range(self.s):
-            col = pts[:, j]
-            if not (col.min() >= self.domain.lower[j] - 1e-9 and col.max() <= self.domain.upper[j] + 1e-9):
+            col = pts[:, j]  # the initial bounds let an empty batch through; NaN still fails
+            if not (col.min(initial=np.inf) >= self.domain.lower[j] - 1e-9
+                    and col.max(initial=-np.inf) <= self.domain.upper[j] + 1e-9):
                 raise DomainViolation(f"coordinate {j + 1} outside model rectangle")
         probs = self.block_probs(pts)  # (r, n)
         masked_mu = self.block_masks * self.mu  # (r, s)
@@ -476,9 +477,9 @@ def validate_model(spec: ModelSpec, grid_density: int = 201, clip: float = 1.0):
     if cap is not None:
         grid = grid[grid.sum(axis=1) <= float(cap) + 1e-12]
     total = np.zeros(grid.shape[0])
-    gridpts = grid[:, 0] if spec.s == 1 else grid
+    cols = [grid[:, j] for j in range(spec.s)]
     for i, pm in enumerate(spec.prob_maps):
-        vals = np.broadcast_to(np.asarray(pm(gridpts), dtype=float), (grid.shape[0],))
+        vals = np.broadcast_to(pm.fast(cols), (grid.shape[0],))
         bad = np.where(~((vals >= -1e-12) & (vals <= 1.0 + 1e-12)))[0]  # NaN is bad too
         if bad.size:
             errors.append(

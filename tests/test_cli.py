@@ -3,10 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from erwlab import build_preset
+from erwlab import build_preset, funcdsl
 from erwlab.cli import main
 from erwlab.model import spec_to_dict
+from test_funcdsl import expression_trees
 
 
 def test_presets_listing(capsys):
@@ -143,9 +145,10 @@ def test_verify_single_trajectory_exit_2(tmp_path, capsys, suite, N):
 
 
 @pytest.mark.parametrize("text", ['{"lil_band": ', "[0.2, 2.5]", '{"lil_band": 5}', '{"lil_band": [0.2]}',
-                                  '{"lil_band": [0.2, "x"]}', '{"slln_z": "x"}', '{"ks_alpha": true}'],
+                                  '{"lil_band": [0.2, "x"]}', '{"slln_z": "x"}', '{"ks_alpha": true}',
+                                  '{"slln_zz": 3}'],
                          ids=["truncated", "not-an-object", "band-number", "band-short", "band-string",
-                              "z-string", "alpha-bool"])
+                              "z-string", "alpha-bool", "unknown-key"])
 def test_malformed_tol_overrides_exit_2(tmp_path, capsys, text):
     overrides = tmp_path / "tol.json"
     overrides.write_text(text)
@@ -162,7 +165,8 @@ def test_malformed_tol_overrides_exit_2(tmp_path, capsys, text):
     ["sa", "--drift", "x", "--n", "0", "--N", "4"],
     ["sa", "--drift", "x", "--n", "100", "--N", "0"],
     ["sa", "--drift", "x", "--n", "100", "--N", "-1"],
-], ids=["coeffs", "z-values", "z-probs", "sa-n-0", "sa-N-0", "sa-N-negative"])
+    ["sa", "--preset", "erw", "--p", "0.6", "--n", "1", "--N", "4"],
+], ids=["coeffs", "z-values", "z-probs", "sa-n-0", "sa-N-0", "sa-N-negative", "sa-model-n-1"])
 def test_bad_argument_value_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "out.json"
     code = main(argv + ["--out", str(out)])
@@ -247,6 +251,10 @@ MALFORMED_MODELS = {
     "uncovered-piecewise": lambda: json.dumps(_erw_doc(prob_maps=["piecewise(x < 0.3 : 0.4 ; x > 0.6 : 0.5)"])),
     "missing-key": lambda: json.dumps({k: v for k, v in _erw_doc().items() if k != "A"}),
     "truncated-json": lambda: json.dumps(_erw_doc())[:100],
+    # nested past funcdsl.MAX_DEPTH: the compiled source would overflow Python's
+    # parser, and the parser's own recursion the stack
+    "sum-too-deep": lambda: json.dumps(_erw_doc(prob_maps=["0.4 + 0.0001*x" + " + 0.0001*x" * 300])),
+    "parentheses-too-deep": lambda: json.dumps(_erw_doc(prob_maps=["(" * 1200 + "0.5" + ")" * 1200])),
 }
 
 
@@ -330,3 +338,55 @@ def test_verify_all_suite_order_and_skip_reasons(tmp_path, case):
     doc = json.loads(out.read_text())
     assert [c["theorem"] for c in doc["checks"]] == theorems
     assert [(s["suite"], s["reason"]) for s in doc["skipped"]] == skipped
+
+
+# main() on random input: an exit code of 0, 1 or 2, never a traceback
+FUZZ = settings(max_examples=60, derandomize=True, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(expression_trees([funcdsl.Var(0, "x")]))
+def test_fuzz_model_file_maps(tmp_path, tree):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_erw_doc(prob_maps=[funcdsl.print_ast(tree)])))
+    for argv in (["analyze"], ["simulate", "--n", "60", "--N", "4"]):
+        assert main(argv + ["--model", str(path), "--out", str(tmp_path / "out.json")]) in (0, 1, 2)
+
+
+_K = st.integers(min_value=0, max_value=3).map(lambda k: ["--k", str(k)])
+PRESET_ARGS = {
+    "cubic-supercritical": st.just([]),
+    "erw": st.just([]),
+    "gerw-1d": st.sampled_from([["--f", "x"], ["--f", "x^2"], ["--f", "sqrt(x)"]]),
+    "kdim": _K,
+    "linear": st.just([]),
+    "market": st.just([]),
+    "minimal": st.just([]),
+    "phi-power": _K.map(lambda k: ["--phi", "tanh"] + k),
+    "poly-g": st.just([]),
+    "quadratic-sym": st.just([]),
+    "random-step": st.just([]),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["simulate", "verify", "sa", "oracle", "analyze"]))
+    if command == "sa" and draw(st.booleans()):
+        argv = ["sa", "--drift", draw(st.sampled_from(["x", "0.3*x + x^2", "x - 1", "sgn(x)"]))]
+    else:
+        preset = draw(st.sampled_from(sorted(PRESET_ARGS)))
+        p = draw(st.sampled_from(["0.3", "0.6", "0.75", "0.9"]))
+        argv = [command, "--preset", preset, "--p", p] + draw(PRESET_ARGS[preset])
+    if command != "analyze":
+        argv += ["--n", str(draw(st.integers(min_value=-1, max_value=50)))]
+    if command not in ("analyze", "oracle"):
+        argv += ["--N", str(draw(st.integers(min_value=-1, max_value=8)))]
+    return argv
+
+
+@FUZZ
+@given(_argv())
+def test_fuzz_bounded_argv(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) in (0, 1, 2)

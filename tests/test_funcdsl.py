@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -14,6 +15,74 @@ from erwlab.funcdsl import (
     parse,
     print_ast,
 )
+from erwlab.model import Func1D, f_from_g, g_from_f, h_from_f
+
+
+# ---------------------------------------------------------------------------
+# Reference semantics: the tree-walking interpreter the compiler must match
+
+
+def _power(a, b):
+    try:
+        return a ** b
+    except (OverflowError, ZeroDivisionError):  # Python floats raise where IEEE pow is infinite
+        return np.power(np.float64(a), b)
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+              "^": _power, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_FUNCTIONS = {"abs": np.abs, "sgn": np.sign, "sqrt": np.sqrt, "sin": np.sin, "tanh": np.tanh,
+              "exp": np.exp, "log": np.log, "min": np.minimum, "max": np.maximum}
+
+
+def _walk(node, cols):
+    """Value of ``node`` on the columns ``cols``, by direct recursion.
+
+    Partial operations raise EvalDomainError if any point leaves their
+    domain. ``piecewise`` evaluates every condition and every branch at every
+    point, takes the first branch whose condition holds, and is NaN where
+    none does."""
+    if isinstance(node, funcdsl.Const):
+        return node.value
+    if isinstance(node, funcdsl.Var):
+        return cols[node.index]
+    if isinstance(node, funcdsl.Neg):
+        return -_walk(node.operand, cols)
+    if isinstance(node, (funcdsl.BinOp, funcdsl.Comparison)):
+        a, b = _walk(node.left, cols), _walk(node.right, cols)
+        if node.op == "/" and np.any(b == 0):
+            raise EvalDomainError("division by zero")
+        if node.op == "^" and isinstance(node.right, funcdsl.Const) and float(b).is_integer():
+            return _power(a, int(b))
+        if node.op == "^" and np.any(np.asarray(a) < 0):
+            raise EvalDomainError("negative base with non-integer exponent")
+        return _OPERATORS[node.op](a, b)
+    if isinstance(node, funcdsl.Call):
+        args = [_walk(arg, cols) for arg in node.args]
+        if node.name == "sqrt" and np.any(np.asarray(args[0]) < 0):
+            raise EvalDomainError("sqrt of negative value")
+        if node.name == "log" and np.any(np.asarray(args[0]) <= 0):
+            raise EvalDomainError("log of non-positive value")
+        return _FUNCTIONS[node.name](*args)
+    if isinstance(node, funcdsl.Piecewise):
+        shape = np.broadcast(*cols).shape
+        out = np.full(shape, np.nan)
+        open_ = np.ones(shape, dtype=bool)
+        for cond, branch in node.branches:
+            take = np.broadcast_to(_walk(cond, cols), shape) & open_
+            out[take] = np.broadcast_to(_walk(branch, cols), shape)[take]
+            open_ &= ~take
+        return out
+    raise TypeError(node)
+
+
+def reference(expr, cols):
+    """``expr`` on ``cols`` by the documented rules: a tree that contains
+    ``piecewise`` raises wherever its value is NaN."""
+    out = _walk(expr.ast, cols)
+    if "piecewise" in print_ast(expr.ast) and np.any(np.isnan(out)):
+        raise EvalDomainError("piecewise evaluated outside its covered region")
+    return out
 
 
 class TestParse:
@@ -124,12 +193,13 @@ class TestEval:
             e = parse(text)
             assert funcdsl._emit(e.ast) is not None  # compiled, not interpreted
             assert np.array_equal(e.fast([xs]), e(xs))
+            assert np.array_equal(e.fast([xs]), reference(e, [xs]))
 
-    def test_uncompiled_trees_run_the_interpreter(self):
+    def test_partial_operations_compile_to_checked_helpers(self):
         xs = np.linspace(0.05, 2.0, 40)
-        for text, outside in (("log(x)", 0.0), ("x ^ 0.5", -1.0), ("1 / x", 0.0)):
+        for text, outside, helper in (("log(x)", 0.0, "_log("), ("x ^ 0.5", -1.0, "_pow("), ("1 / x", 0.0, "_div(")):
             e = parse(text)
-            assert funcdsl._emit(e.ast) is None
+            assert helper in funcdsl._emit(e.ast)
             assert np.array_equal(e.fast([xs]), e(xs))
             with pytest.raises(EvalDomainError):
                 e.fast([np.array([0.5, outside])])
@@ -157,6 +227,109 @@ def _combine(children):
 
 
 _trees = st.recursive(_leaf, _combine, max_leaves=12)
+
+
+def expression_trees(variables, max_leaves=10):
+    """Random trees over ``variables`` with every node kind, partial operations included."""
+    leaf = st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]).map(funcdsl.Const),
+        st.floats(min_value=0.0, max_value=4.0).map(lambda v: funcdsl.Const(round(v, 3))),
+        st.sampled_from(variables),
+    )
+
+    def combine(children):
+        branch = st.tuples(st.sampled_from(["<", "<=", ">", ">="]), children, children, children).map(
+            lambda t: (funcdsl.Comparison(t[0], t[1], t[2]), t[3])
+        )
+        return st.one_of(
+            st.tuples(st.sampled_from(["+", "-", "*", "/", "^"]), children, children).map(
+                lambda t: funcdsl.BinOp(t[0], t[1], t[2])
+            ),
+            st.tuples(children, st.integers(min_value=0, max_value=3)).map(
+                lambda t: funcdsl.BinOp("^", t[0], funcdsl.Const(float(t[1])))
+            ),
+            children.map(funcdsl.Neg),
+            st.sampled_from(sorted(funcdsl._FUNCTIONS)).flatmap(
+                lambda name: st.tuples(*[children] * funcdsl._FUNCTIONS[name][1]).map(lambda a: funcdsl.Call(name, a))
+            ),
+            st.lists(branch, min_size=1, max_size=3).map(lambda bs: funcdsl.Piecewise(tuple(bs))),
+        )
+
+    return st.recursive(leaf, combine, max_leaves=max_leaves)
+
+
+_points = st.lists(
+    st.tuples(*[st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]) | st.floats(min_value=-3.0, max_value=3.0)] * 2),
+    min_size=1, max_size=6,
+)
+
+
+class TestSingleEvaluator:
+    @given(expression_trees([funcdsl.Var(0, "x1"), funcdsl.Var(1, "x2")]), _points)
+    @settings(max_examples=300)
+    def test_compiled_matches_reference(self, tree, points):
+        expr = funcdsl.FuncExpr(tree, 2)
+        cols = [np.array(c) for c in zip(*points)]
+        with np.errstate(all="ignore"):
+            try:
+                want = reference(expr, cols)
+            except EvalDomainError:
+                with pytest.raises(EvalDomainError):
+                    expr.fast(cols)
+                return
+            got = expr.fast(cols)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_every_parsed_tree_compiles(self):
+        # the deepest tree of each kind that parse accepts, and after the
+        # transforms that deepen a model's maps
+        depth = funcdsl.MAX_DEPTH
+        texts = [
+            "0.4" + " + 0.0001*x" * (depth - 2),
+            "sin(" * (depth - 1) + "x" + ")" * (depth - 1),
+            "-" * (depth - 1) + "x",
+            "x^" * (depth - 1) + "1",
+            "piecewise(" + " ; ".join(f"x < {i}.5 : x" for i in range(depth - 3)) + " ; x >= 0 : 1)",
+            "piecewise(" * (depth // 2 - 1) + "x" + " < 2 : x)" * (depth // 2 - 1),
+        ]
+        xs = np.linspace(0.1, 0.9, 5)
+        for text in texts:
+            f = Func1D(parse(text), "f")
+            h = h_from_f(f_from_g(g_from_f(f)), 0.6)
+            with np.errstate(all="ignore"):
+                for e in (f.expr, h.expr):
+                    assert np.array_equal(e.fast([xs]), reference(e, [xs]), equal_nan=True)
+
+    @pytest.mark.parametrize("text,offset", [
+        ("0.4" + " + 0.0001*x" * 300, 1082),
+        ("(" * 1200 + "0.5" + ")" * 1200, 100),
+        ("-" * 1200 + "x", 100),
+        ("piecewise(" + " ; ".join(f"x < {i} : x" for i in range(120)) + ")", 0),
+    ], ids=["sum-chain", "parentheses", "unary-minus", "piecewise-branches"])
+    def test_nesting_past_the_bound_is_a_parse_error(self, text, offset):
+        with pytest.raises(ParseError, match="nested deeper than") as err:
+            parse(text)
+        assert err.value.offset == offset
+
+    def test_piecewise_branches_are_eager(self):
+        # every branch runs at every point, so a domain error in a branch
+        # that no point selects still raises
+        e = parse("piecewise(x >= 0 : x ; x < 0 : log(-x))")
+        assert e(-0.5) == math.log(0.5)
+        with pytest.raises(EvalDomainError, match="log"):
+            e(0.5)
+
+    def test_infinite_literal_compiles(self):
+        e = parse("min(1e999, x) + 0 * x")
+        assert np.array_equal(e.fast([np.array([0.25, 0.5])]), [0.25, 0.5])
+
+    @pytest.mark.parametrize("text,want", [("0 ^ -1.5", math.inf), ("1e200 ^ 2", math.inf),
+                                           ("(-1e200) ^ 3", -math.inf), ("(-2) ^ 3", -8.0)])
+    def test_constant_powers_follow_ieee(self, text, want):
+        # Python floats raise on these where IEEE pow (and an array base) gives infinity
+        with np.errstate(all="ignore"):
+            assert parse(text)(0.5) == want
 
 
 class TestPrinter:

@@ -213,6 +213,9 @@ def test_point_layout(name, kwargs):
         assert np.array_equal(H[i], model.eval_H(grid[i]))
     assert model.block_probs(grid).shape == (model.r, grid.shape[0])
     assert model.block_probs(grid[0]).shape == (model.r,)
+    empty = np.empty((0, model.s))
+    assert model.eval_H(empty).shape == (0, model.s)
+    assert model.block_probs(empty).shape == (model.r, 0)
     for bad in (np.array(0.5), np.full((4, model.s + 1), 0.1), np.full(model.s + 1, 0.1)):
         for fn in (model.block_probs, model.eval_H):
             with pytest.raises(ModelError, match="points must have shape"):

@@ -59,11 +59,11 @@ class TestRunner:
         b = run_sa(proc, 500, N=8, master_seed=4)
         assert np.array_equal(a.theta, b.theta)
 
-    def test_interpreted_drift_follows_the_recursion(self):
-        # division by a non-constant does not compile: the runner evaluates the drift
-        # through the interpreter, on the draws of stream (master_seed, 0)
+    def test_checked_drift_follows_the_recursion(self):
+        # division by a non-constant compiles to the checked _div helper; the
+        # runner evaluates the drift on the draws of stream (master_seed, 0)
         drift = parse("2 * x / (1 + x ^ 2)")
-        assert funcdsl._emit(drift.ast) is None
+        assert funcdsl._emit(drift.ast).startswith("_div(")
         proc = SAProcess(drift=drift, theta0=0.0, noise=NoiseSpec("gaussian", 1.0), theta1=0.5)
         paths = run_sa(proc, 300, N=4, master_seed=4, checkpoints=[300])
         eps = np.random.Generator(np.random.Philox(trajectory_seed(4, 0))).standard_normal((299, 4))

@@ -199,11 +199,11 @@ class TestSingleStep:
         stats = ensemble(model, 200, 1, master_seed=19)
         assert np.array_equal(state.s_aux, stats.aux_final[0])
 
-    def test_step_matches_unit_step_kernel_on_an_interpreted_map(self):
-        # x^1.5 does not compile, so the step and the kernel run the interpreter;
+    def test_step_matches_unit_step_kernel_on_a_checked_map(self):
+        # x^1.5 compiles to the checked _pow helper in the step and the kernel;
         # UNIT_STEP_PRESETS compares this model's kernels with each other
         model = _model("gerw-1d", f="x^1.5", p=0.8, q=0.5)
-        assert funcdsl._emit(model.spec.prob_maps[0].ast) is None
+        assert "_pow(" in funcdsl._emit(model.spec.prob_maps[0].ast)
         stats = ensemble(model, 200, 3, master_seed=19)
         for i in range(3):
             state = WalkState.fresh(model, seed=19, index=i)
