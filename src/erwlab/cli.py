@@ -146,6 +146,8 @@ def _is_number(value) -> bool:
 
 
 def cmd_simulate(args) -> int:
+    if args.N < 2:  # the standard errors and covariances divide by N - 1
+        raise ConfigError(f"config-invalid: simulate needs --N >= 2 trajectories, got {args.N}")
     model, spec, source = _resolve_model(args)
     out_path = Path(args.out or "stats.csv")
     stats = ensemble(model, args.n, args.N, args.seed, threads=args.threads)

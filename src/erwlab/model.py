@@ -317,6 +317,15 @@ def check_runtime_probs(values: np.ndarray, clamp_tol: float = 1e-9):
         raise ModelError(f"probability-out-of-range at runtime: P in [{lo:.6g}, {hi:.6g}]")
 
 
+def check_runtime_sum(totals: np.ndarray, clamp_tol: float = 1e-9):
+    """Abort when a sum of the clipped P_1..P_{r-1} passes 1 + tol.
+
+    Float subtraction is monotone, so this is ``min(1 - totals) < -tol``.
+    """
+    if 1.0 - totals.max(initial=0.0) < -clamp_tol:
+        raise ModelError("probability-out-of-range at runtime: block probabilities sum past 1")
+
+
 @dataclass(frozen=True)
 class ValidatedModel:
     """A validated spec with cached moments and the drift map H.
@@ -384,10 +393,10 @@ class ValidatedModel:
             head[i, ...] = pm.fast(cols)
         check_runtime_probs(head, clamp_tol)
         np.clip(head, 0.0, 1.0, out=head)
+        totals = head.sum(axis=0)
+        check_runtime_sum(totals, clamp_tol)
         tail = probs[-1, ...]  # a view, also when x is a single (s,) point
-        np.subtract(1.0, head.sum(axis=0), out=tail)
-        if np.min(tail, initial=1.0) < -clamp_tol:
-            raise ModelError("probability-out-of-range at runtime: block probabilities sum past 1")
+        np.subtract(1.0, totals, out=tail)
         np.clip(tail, 0.0, 1.0, out=tail)
         return probs
 

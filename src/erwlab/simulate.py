@@ -24,9 +24,11 @@ model's structure alone:
 * everything else: the general kernel (block probabilities, cumulative
   block choice, step-atom draw).
 
-The unit-step kernel is bit-identical to the general kernel, which stays
-the reference it is tested against; it keeps the same runtime checks
-(probability range and NaN, overflow guard) and the same functionals.
+The unit-step kernel is bit-identical to the general kernel, which is the
+reference it is tested against; it keeps the same runtime checks
+(probability range and NaN, overflow guard) and the same functionals. The
+general kernel in turn is tested against a scalar one-step replay kept in
+``tests/``, which evaluates the full ``block_probs`` at every step.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ModelError, ValidatedModel, check_runtime_probs
+from .model import ModelError, ValidatedModel, check_runtime_probs, check_runtime_sum
 
 
 def default_checkpoints(n_max: int) -> list:
@@ -204,58 +206,6 @@ def philox_keys(master_seed: int, lo: int, hi: int) -> np.ndarray:
     return keys
 
 
-@dataclass
-class WalkState:
-    """Single-trajectory state: time index, auxiliary position, stream.
-
-    ``counts`` aliases the auxiliary position for one-dimensional unit-step
-    models (the up-step tally). The stream identity is the (seed, index)
-    pair; the generator is positioned right after draw pair ``n``.
-    """
-
-    n: int
-    s_aux: np.ndarray
-    rng: np.random.Generator
-    stream: tuple = (0, 0)
-
-    @property
-    def counts(self):
-        return self.s_aux
-
-    @staticmethod
-    def fresh(model: ValidatedModel, seed: int, index: int = 0) -> "WalkState":
-        check_master_seed(seed)
-        gen = np.random.Generator(np.random.Philox(trajectory_seed(seed, index)))
-        return WalkState(n=0, s_aux=np.zeros(model.s), rng=gen, stream=(seed, index))
-
-    def observed(self, model: ValidatedModel) -> np.ndarray:
-        return model.observe(self.s_aux, self.n)
-
-
-def step(state: WalkState, model: ValidatedModel) -> WalkState:
-    """Advance one time step, consuming exactly two uniforms.
-
-    Time 1 draws from the initial law; afterwards the block index comes from
-    the probabilities evaluated at the position average and the step atom
-    from the step law (the second draw is burnt at time 1 so the budget
-    stays fixed).
-    """
-    u1, u2 = state.rng.random(2)
-    spec = model.spec
-    if state.n == 0:
-        idx = min(int(np.searchsorted(np.cumsum(spec.initial.probs), u1, side="right")),
-                  len(spec.initial.probs) - 1)
-        move = spec.initial.atoms[idx]
-    else:
-        probs = model.block_probs(state.s_aux / state.n)
-        cum = np.cumsum(probs)
-        block = min(int(np.sum(u1 >= cum)), model.r - 1)
-        atom_cum = np.cumsum(spec.step_law.probs)
-        aidx = min(int(np.searchsorted(atom_cum, u2, side="right")), len(atom_cum) - 1)
-        move = spec.step_law.atoms[aidx] * model.block_masks[block]
-    return WalkState(n=state.n + 1, s_aux=state.s_aux + move, rng=state.rng, stream=state.stream)
-
-
 def _lil_norm(n: int, mode: str) -> float:
     if mode == "diffusive":
         return math.sqrt(n / (2.0 * math.log(math.log(n))))
@@ -361,19 +311,35 @@ class _Recorder:
 def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
     """Advance one batch of trajectories through all n_max steps.
 
-    The general kernel: any s, r and step law. It is also the reference the
-    unit-step kernel is tested against.
+    The general kernel: any s, r and step law. Each step does the work of
+    :meth:`ValidatedModel.block_probs` on reused buffers, in its order: the
+    maps P_1..P_{r-1} into the head rows, the range and NaN abort, the clip,
+    then the sum-past-1 abort on the head's cumulative sums. The block is the
+    number of those sums at or below u1. They never decrease, so the tail
+    row P_r, which ``block_probs`` would add last, cannot change the block
+    and is computed only for noise collection. The step comes from a table
+    of every (block, atom) step. The scalar replay in ``tests/`` is the
+    reference this kernel is tested against.
     """
     B = len(keys)
     s, r = model.s, model.r
     spec = model.spec
     atoms = spec.step_law.atoms  # (n_atoms, s)
     atom_cum = np.cumsum(spec.step_law.probs)
-    masks = model.block_masks  # (r, s)
+    n_atoms = len(atom_cum)
+    # row block * n_atoms + atom: the step of that block with that atom
+    steps = (atoms[None] * model.block_masks[:, None]).reshape(r * n_atoms, s)
     max_atom = float(np.max(np.abs(atoms))) if atoms.size else 0.0
+    maps = [pm.fast for pm in spec.prob_maps]
+    block_mu = model.block_masks * model.mu
     rec = _Recorder(model, n_max, checkpoints, cfg, out)
 
     state = np.zeros((B, s))
+    x = np.empty((B, s))
+    cols = [x[:, j] for j in range(s)]
+    probs = np.empty((r, B))
+    head = probs[:-1]
+    cum = np.empty((r - 1, B))
     for t, uniforms in _uniform_chunks(keys, n_max):
         for tt in range(uniforms.shape[0]):
             tc = t + tt
@@ -381,16 +347,25 @@ def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
             if tc == 0:
                 step_vec = _initial_step(spec.initial, u1)
             else:
-                x = state / tc
-                probs = model.block_probs(x)  # (r, B)
-                cum = np.cumsum(probs, axis=0)
-                block = (u1[None, :] >= cum).sum(axis=0)
-                np.clip(block, 0, r - 1, out=block)
-                aidx = np.searchsorted(atom_cum, u2, side="right")
-                np.clip(aidx, 0, len(atom_cum) - 1, out=aidx)
-                step_vec = atoms[aidx] * masks[block]
+                np.divide(state, tc, out=x)
+                for i, fast in enumerate(maps):
+                    head[i] = fast(cols)
+                check_runtime_probs(head)
+                np.clip(head, 0.0, 1.0, out=head)
+                np.add.accumulate(head, axis=0, out=cum)
+                check_runtime_sum(cum[-1:])  # empty when r = 1
+                row = (u1 >= cum).sum(axis=0)  # the block
+                if n_atoms > 1:
+                    aidx = np.searchsorted(atom_cum, u2, side="right")
+                    np.minimum(aidx, n_atoms - 1, out=aidx)
+                    row *= n_atoms
+                    row += aidx
+                step_vec = steps.take(row, axis=0)
                 if cfg.collect_noise:  # s = 1: ensemble rejects it otherwise
-                    H = probs.T @ (masks * model.mu)  # (B, 1)
+                    tail = probs[-1]
+                    np.subtract(1.0, head.sum(axis=0), out=tail)
+                    np.clip(tail, 0.0, 1.0, out=tail)
+                    H = probs.T @ block_mu  # (B, 1)
                     out["noise_x"][:, tc - 1] = x[:, 0]
                     out["noise_e"][:, tc - 1] = (H - step_vec)[:, 0]
             state += step_vec
@@ -401,7 +376,9 @@ def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
 
 
 def _simulate_unit_batch(model, n_max, checkpoints, keys, cfg, out):
-    """The general kernel specialised to unit-step models (:func:`_is_unit_step`).
+    """The general kernel specialised to unit-step models (:func:`_is_unit_step`),
+    and tested against it; the general kernel is tested against the scalar
+    replay in ``tests/``.
 
     With P = P_1(x), the general kernel takes block 1 iff u1 < clip(P, 0, 1),
     and the clip never changes that comparison; the step is then

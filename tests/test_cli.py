@@ -144,6 +144,17 @@ def test_verify_single_trajectory_exit_2(tmp_path, capsys, suite, N):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("N", ["1", "0"])
+def test_simulate_single_trajectory_exit_2(tmp_path, capsys, recwarn, N):
+    # one trajectory has no sample variance: se, var and cov_* divide by N - 1
+    out = tmp_path / "stats.csv"
+    code = main(["simulate", "--preset", "erw", "--p", "0.6", "--n", "20", "--N", N, "--out", str(out)])
+    assert code == 2
+    assert "config-invalid:" in capsys.readouterr().err
+    assert not out.exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("text", ['{"lil_band": ', "[0.2, 2.5]", '{"lil_band": 5}', '{"lil_band": [0.2]}',
                                   '{"lil_band": [0.2, "x"]}', '{"slln_z": "x"}', '{"ks_alpha": true}',
                                   '{"slln_zz": 3}'],

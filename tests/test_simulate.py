@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from erwlab import build_preset, ensemble, funcdsl, parse, simulate, trajectory, validate_model
-from erwlab.model import ModelError, ModelSpec, ValidatedModel
+from erwlab.model import Domain, InitialLaw, ModelError, ModelSpec, StepLaw, ValidatedModel
 from erwlab.simulate import (
     MAX_TRAJECTORIES,
     FunctionalConfig,
-    WalkState,
     _is_unit_step,
     _lil_norm,
     _simulate_batch,
     _uniform_chunks,
     default_checkpoints,
     philox_keys,
-    step,
     trajectory_seed,
 )
+from walk_replay import WalkState, step
 
 
 def _model(name, **kwargs):
@@ -47,6 +46,52 @@ def _general_kernel(model, stats, cfg):
     keys = philox_keys(stats.master_seed, 0, stats.N)
     _simulate_batch(model, stats.n_max, stats.checkpoints, keys, cfg, out)
     return out
+
+
+GENERAL_MODELS = [
+    ("kdim", dict(k=3, p=0.5)),  # one step atom, r = 6
+    ("kdim", dict(k=2, f="x^2", p=0.7)),
+    ("random-step", dict(p=0.7)),  # two step atoms: the searchsorted path
+    ("random-step", dict(f="x^2", p=0.8, z_values=(2.5,), z_probs=(1.0,))),  # one atom, s = 3, r = 2
+]
+
+
+def _replay(model, n_max, seed, index):
+    """The scalar replay's auxiliary positions after steps 1..n_max, (n_max + 1, s)."""
+    state = WalkState.fresh(model, seed, index)
+    positions = [state.s_aux]
+    for _ in range(n_max):
+        state = step(state, model)
+        positions.append(state.s_aux)
+    return np.array(positions)
+
+
+def _first_replay_error(model, n_max, N, seed):
+    """Replay N trajectories in lockstep; return (n, message) of the first ModelError."""
+    states = [WalkState.fresh(model, seed, i) for i in range(N)]
+    for n in range(1, n_max + 1):
+        for i, state in enumerate(states):
+            try:
+                states[i] = step(state, model)
+            except ModelError as exc:
+                return n, str(exc)
+    return None
+
+
+def _two_atom_line():
+    """s = 1, r = 2 with step atoms {1, 2}: the general kernel, not the unit-step one."""
+    spec = ModelSpec(s=1, d=1, r=2, partition=((1,), ()), step_law=StepLaw.finite([[1.0], [2.0]], [0.4, 0.6]),
+                     prob_maps=(parse("0.2 + 0.3 * x", arity=1),), A=[[1.0]], b=[0.0],
+                     initial=InitialLaw([[1.0], [0.0]], [0.5, 0.5]), domain=Domain([0.0], [2.0]))
+    return validate_model(spec)
+
+
+def _hacked_kdim(*prob_texts):
+    """A kdim k=2 model (s = 3, r = 4) whose three maps bypass validation."""
+    model = _model("kdim", k=2, p=0.6)
+    maps = tuple(parse(text, arity=3) for text in prob_texts)
+    spec = ModelSpec(**{**model.spec.__dict__, "prob_maps": maps})
+    return ValidatedModel(spec=spec, mu=model.mu, sigma=model.sigma, block_masks=model.block_masks)
 
 
 def _hacked_erw(prob_text, q=0.5):
@@ -373,6 +418,80 @@ class TestUnitStepKernel:
         ref = _general_kernel(model, single, cfg)
         for field in STATS_ARRAYS:
             assert np.array_equal(getattr(single, field), ref[field]), field
+
+
+class TestGeneralKernel:
+    """The general kernel must reproduce the scalar replay bit for bit."""
+
+    @pytest.mark.parametrize("chunk_doubles", [None, 42])
+    @pytest.mark.parametrize("batch_size", [5, 2048])
+    @pytest.mark.parametrize("name,kwargs", GENERAL_MODELS)
+    def test_matches_scalar_replay(self, name, kwargs, batch_size, chunk_doubles, monkeypatch):
+        model = _model(name, **kwargs)
+        assert not _is_unit_step(model)
+        if chunk_doubles is not None:
+            monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", chunk_doubles)
+        stats = ensemble(model, 120, 17, master_seed=83, batch_size=batch_size)
+        A, b = model.spec.A, model.spec.b
+        for i in (0, 6, 16):
+            positions = _replay(model, 120, 83, i)
+            assert np.array_equal(stats.aux_final[i], positions[-1]), i
+            for j, n in enumerate(stats.checkpoints):
+                # integer and half-integer positions: the products are exact
+                assert np.array_equal(stats.snn[i, j], positions[n] @ A.T / n + b), (i, n)
+
+    def test_noise_matches_scalar_replay(self):
+        model = _two_atom_line()
+        assert not _is_unit_step(model)
+        n_max = 150
+        stats = ensemble(model, n_max, 9, master_seed=89, functional_config=FunctionalConfig(collect_noise=True),
+                         batch_size=4)
+        block_mu = model.block_masks * model.mu
+        for i in (0, 4, 8):
+            positions = _replay(model, n_max, 89, i)
+            x = positions[1:-1] / np.arange(1, n_max)[:, None]  # the states fed to steps 2..n_max
+            H = np.array([model.block_probs(point) @ block_mu for point in x])
+            assert np.array_equal(stats.noise_x[i], x[:, 0]), i
+            assert np.array_equal(stats.noise_e[i], (H - np.diff(positions[1:], axis=0))[:, 0]), i
+        assert np.array_equal(stats.aux_final[8], positions[-1])
+
+
+class TestGeneralRuntimeAbort:
+    """The general kernel aborts on each step as ``block_probs`` would, r >= 3."""
+
+    # P2 = P3 vanish at the simplex vertices, where every walk sits after
+    # step 1, and sum to 3/2 at x2 = 1/2, which a walk can reach at step 2
+    INTERIOR = "3 * x2 * (1 - x2)"
+
+    def _kernel(self, model, n_max=40, N=8):
+        return ensemble(model, n_max, N, master_seed=3)
+
+    def test_sum_past_one(self):
+        model = _hacked_kdim("x1", self.INTERIOR, self.INTERIOR)
+        n, message = _first_replay_error(model, 40, 8, 3)
+        assert n >= 2 and "sum past 1" in message
+        with pytest.raises(ModelError, match="block probabilities sum past 1"):
+            self._kernel(model)
+
+    @pytest.mark.parametrize("p1,match", [("1.5 * x1", r"P in \[0, 1\.5\]"), ("0 * exp(1000 * x1)", r"P in \[nan")],
+                             ids=["range", "nan"])
+    def test_range_and_nan_precede_a_later_sum_past_one(self, p1, match):
+        # P1 leaves [0, 1] at step 1 on walks whose first step is in block 1;
+        # with P1 = x1 the same walks abort later, with the sum past 1
+        later, _ = _first_replay_error(_hacked_kdim("x1", self.INTERIOR, self.INTERIOR), 40, 8, 3)
+        model = _hacked_kdim(p1, self.INTERIOR, self.INTERIOR)
+        with np.errstate(over="ignore", invalid="ignore"):
+            n, message = _first_replay_error(model, 40, 8, 3)
+            assert n < later and "sum past 1" not in message
+            with pytest.raises(ModelError, match=match):
+                self._kernel(model)
+
+    def test_within_tolerance_band_runs_and_matches_replay(self):
+        # maps up to 5e-10 outside [0, 1], and sums up to 5e-10 past 1, are clamped
+        model = _hacked_kdim("x1 + 5e-10", "x2 - 5e-10", "x3 - 5e-10")
+        stats = ensemble(model, 60, 12, master_seed=7, batch_size=5)
+        for i in (0, 5, 11):
+            assert np.array_equal(stats.aux_final[i], _replay(model, 60, 7, i)[-1]), i
 
 
 class TestRuntimeAbort:
