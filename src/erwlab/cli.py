@@ -360,7 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_or = sub.add_parser("oracle", help="exact small-horizon law")
     common(p_or)
-    p_or.add_argument("--n", type=int, default=12)
+    p_or.add_argument(
+        "--n", type=int, default=12,
+        help="horizon: n <= 2000 for 1-d unit-step models started in {0,1} (dense DP); "
+        "n <= 12 for any other model (sparse enumeration, at most 1e6 state x block x atom entries per step)",
+    )
     p_or.set_defaults(func=cmd_oracle)
 
     p_ver = sub.add_parser("verify", help="statistical checks of the limit theorems")

@@ -383,7 +383,8 @@ class ValidatedModel:
         :attr:`FuncExpr.fast` into the first r - 1 rows of one array, and the
         last row takes the complement. Values outside [0 - tol, 1 + tol], and
         NaN, abort: that is model misuse, not noise. Within the tolerance
-        band they are clamped.
+        band they are clamped. The complement sums the rows in order, so a
+        point gives the same bits alone as in any batch.
         """
         x = self._points(x)
         cols = [x[..., j] for j in range(self.s)]
@@ -393,7 +394,9 @@ class ValidatedModel:
             head[i, ...] = pm.fast(cols)
         check_runtime_probs(head, clamp_tol)
         np.clip(head, 0.0, 1.0, out=head)
-        totals = head.sum(axis=0)
+        totals = head[0] if self.r > 1 else np.zeros(x.shape[:-1])
+        for row in head[1:]:  # in row order, where numpy sums one point's rows pairwise
+            totals = totals + row
         check_runtime_sum(totals, clamp_tol)
         tail = probs[-1, ...]  # a view, also when x is a single (s,) point
         np.subtract(1.0, totals, out=tail)

@@ -2,8 +2,11 @@
 
 The auxiliary walk is a time-inhomogeneous Markov chain in its own position,
 so its exact law can be pushed forward step by step: a dense O(n^2) table for
-one-dimensional unit-step models, and a sparse state-space sum (grouped
-path-probability summation) for small multidimensional models.
+one-dimensional unit-step models (n <= 2000), and a sparse law over the
+reached positions for any model (n <= 12, at most ``max_states`` state x
+block x atom entries per step). Both evaluate the maps in batches, and both
+return the float sums, in the same order, that a scalar step-by-step or
+state-by-state loop gives (``tests/oracle_reference.py`` holds those loops).
 """
 
 from __future__ import annotations
@@ -39,9 +42,18 @@ class ExactLaw1D:
 
 
 def is_unit_step_1d(model: ValidatedModel) -> bool:
-    """True for s = 1 with the single step atom 1, the models :func:`exact_dp_1d` takes."""
+    """True for s = 1 with the single step atom 1 and every initial atom exactly
+    0 or 1, the models :func:`exact_dp_1d` takes."""
     law = model.spec.step_law
-    return model.s == 1 and law.atoms.shape == (1, 1) and law.atoms[0, 0] == 1.0
+    return (
+        model.s == 1
+        and law.atoms.shape == (1, 1)
+        and law.atoms[0, 0] == 1.0
+        and bool(np.isin(model.spec.initial.atoms, (0.0, 1.0)).all())
+    )
+
+
+_DP_POINTS = 32_768  # map points per block_probs call in exact_dp_1d: 256 KB per array
 
 
 def exact_dp_1d(model: ValidatedModel, n: int) -> ExactLaw1D:
@@ -49,67 +61,94 @@ def exact_dp_1d(model: ValidatedModel, n: int) -> ExactLaw1D:
 
     Transition: from V_t = k the next auxiliary increment is +1 with
     probability P_1(k/t), else 0. Time 1 is drawn from the initial law.
+    The maps of consecutive steps are evaluated together, in
+    ``block_probs`` calls of at most ``_DP_POINTS`` points; the loop over
+    steps then only moves the mass.
     """
     if not is_unit_step_1d(model):
-        raise OracleError("unsupported-model: exact DP needs s=1 with unit steps")
+        raise OracleError("unsupported-model: exact DP needs s=1 with unit steps and V_1 in {0,1}")
     if not 1 <= n <= 2000:
         raise OracleError("exact DP horizon limited to 1 <= n <= 2000")
     pmf = np.zeros(2)
     for atom, prob in zip(model.spec.initial.atoms, model.spec.initial.probs):
-        k = int(round(atom[0]))
-        if k not in (0, 1):
-            raise OracleError("unsupported-model: initial law must put V_1 in {0,1}")
-        pmf[k] += prob
-    for t in range(1, n):
-        ks = np.arange(t + 1, dtype=float)
-        up = model.block_probs((ks / t)[:, None])[0]
-        nxt = np.zeros(t + 2)
-        nxt[: t + 1] += pmf * (1.0 - up)
-        nxt[1:] += pmf * up
-        pmf = nxt
+        pmf[int(atom[0])] += prob
+    t = 1
+    while t < n:
+        stop, size = t + 1, t + 1  # steps t..stop-1 take `size` points
+        while stop < n and size + stop + 1 <= _DP_POINTS:
+            size += stop + 1
+            stop += 1
+        us = np.arange(t, stop)
+        counts = us + 1  # step u evaluates the map at k/u, k = 0..u
+        ks = np.arange(size) - np.repeat(np.cumsum(counts) - counts, counts)
+        up = model.block_probs((ks / np.repeat(us, counts))[:, None])[0]
+        stay = 1.0 - up
+        lo = 0
+        for u in us.tolist():
+            hi = lo + u + 1
+            nxt = np.empty(u + 2)
+            np.multiply(pmf, stay[lo:hi], out=nxt[:-1])
+            nxt[-1] = 0.0
+            nxt[1:] += pmf * up[lo:hi]
+            pmf, lo = nxt, hi
+        t = stop
     total = math.fsum(pmf.tolist())
     if abs(total - 1.0) > 1e-12:
         raise OracleError(f"probability mass drifted to {total}")
     return ExactLaw1D(n=n, pmf=pmf, A=float(model.spec.A[0, 0]), b=float(model.spec.b[0]))
 
 
-def enumerate_small_multi(model: ValidatedModel, n: int, max_paths: int = 10_000_000) -> dict:
-    """Exact sparse law of the auxiliary position at time n <= 12.
+def _merge(keys: np.ndarray, probs: np.ndarray):
+    """Sum ``probs`` over equal rows of ``keys``, as a dict would.
 
-    Returns a dict mapping position tuples to probabilities. Implemented as
-    an exact path-probability summation with states merged by position (the
-    chain is Markov in its position, so grouping loses nothing); the
-    ``max_paths`` guard bounds the expanded work r^n * atoms^n.
+    Rows compare by value, so ``-0.0 == 0.0`` as for dict keys. The merged
+    keys come in order of first appearance and keep the bits of that
+    appearance; each sum is taken in row order, starting from 0.0.
+    """
+    order = np.lexsort(keys.T)  # stable: equal rows stay in row order
+    ordered = keys[order]
+    starts = np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1)))
+    first = order[starts]  # the first row of each distinct key
+    label = np.empty(order.size, dtype=np.intp)
+    label[order] = np.argsort(np.argsort(first))[np.cumsum(starts) - 1]
+    sums = np.zeros(first.size)
+    np.add.at(sums, label, probs)
+    return keys[np.sort(first)], sums
+
+
+def enumerate_small_multi(model: ValidatedModel, n: int, max_states: int = 1_000_000) -> dict:
+    """Exact sparse law of the auxiliary position at time n <= 12, any model.
+
+    Returns a dict mapping position tuples to probabilities, in order of
+    first appearance. The chain is Markov in its position, so the law is
+    pushed forward one step at a time with equal positions merged: one
+    ``block_probs`` call per step on all current states, a contribution
+    ``(prob * P_i) * w`` for every (state, block, atom) with ``P_i != 0``,
+    and the contributions summed per position in that order. Every
+    probability is the float sum a dict of positions, filled state by
+    state, gives. Before each step, states x r x atoms above ``max_states``
+    raises ``too-many-states``: that bounds the step's work and memory.
     """
     if n < 1 or n > 12:
         raise OracleError("exhaustive horizon limited to n <= 12")
     law = model.spec.step_law
     n_atoms = law.atoms.shape[0]
-    if (model.r * n_atoms) ** n > max_paths:
-        raise OracleError("too-many-paths")
-    states = {}
-    for atom, prob in zip(model.spec.initial.atoms, model.spec.initial.probs):
-        key = tuple(float(v) for v in atom)
-        states[key] = states.get(key, 0.0) + float(prob)
-    masks = model.block_masks
+    n_entries = model.r * n_atoms
+    steps = model.block_masks[:, None, :] * law.atoms[None, :, :]  # (r, atoms, s)
+    initial = model.spec.initial
+    pos, probs = _merge(initial.atoms, initial.probs)
     for t in range(1, n):
-        nxt = {}
-        for pos, prob in states.items():
-            x = np.asarray(pos) / t
-            bp = model.block_probs(x)
-            for i in range(model.r):
-                pi = float(bp[i])
-                if pi == 0.0:
-                    continue
-                for atom, w in zip(law.atoms, law.probs):
-                    step = atom * masks[i]
-                    key = tuple(float(v) for v in np.asarray(pos) + step)
-                    nxt[key] = nxt.get(key, 0.0) + prob * pi * float(w)
-        states = nxt
-    total = math.fsum(states.values())
+        if len(pos) * n_entries > max_states:
+            raise OracleError(f"too-many-states: {len(pos)} states x {n_entries} (block, atom) pairs at t={t}")
+        bp = model.block_probs(pos / t).T  # (K, r)
+        keep = np.repeat(bp.ravel() != 0.0, n_atoms)
+        keys = (pos[:, None, None, :] + steps).reshape(-1, model.s)
+        contrib = ((probs[:, None] * bp)[:, :, None] * law.probs).ravel()
+        pos, probs = _merge(keys[keep], contrib[keep])
+    total = math.fsum(probs.tolist())
     if abs(total - 1.0) > 1e-12:
         raise OracleError(f"probability mass drifted to {total}")
-    return states
+    return dict(zip(map(tuple, pos.tolist()), probs.tolist()))
 
 
 def exact_moments(law, A=None, b=None, n=None):

@@ -74,6 +74,43 @@ def test_oracle_csv(tmp_path):
     assert abs(sum(probs) - 1.0) < 1e-12
 
 
+def test_oracle_off_lattice_start_uses_enumeration(tmp_path):
+    # V_1 = 0.4 used to be rounded into the dense DP, which wrote the law of a walk started at 0
+    doc = spec_to_dict(build_preset("erw", p=0.6, q=0.5))
+    doc["initial"] = {"atoms": [[0.4]], "probs": [1.0]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "law.csv"
+    assert main(["oracle", "--model", str(path), "--n", "3", "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "x1,probability"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.4", "1.4", "2.4"]
+
+
+def test_oracle_kdim_k2_n12(tmp_path):
+    # 4^12 paths but 455 states: the guard counts states per step, not paths
+    out = tmp_path / "law.csv"
+    assert main(["oracle", "--preset", "kdim", "--k", "2", "--p", "0.6", "--n", "12", "--out", str(out)]) == 0
+    assert len(out.read_text().strip().splitlines()) == 1 + 455
+
+
+@pytest.mark.parametrize("text", ["0.5 + 0.6*exp(-1e8*(x - 0.2857142857142857)^2)",
+                                  "0.5 + 0*exp(1e12*(1e-9 - (x - 0.2857142857142857)^2))"], ids=["range", "nan"])
+def test_oracle_runtime_abort_exit_2(tmp_path, capsys, text):
+    # the map leaves [0, 1] only at x = 2/7, between the validation grid's
+    # points, so the dense DP meets it at step 7, inside a batched map call
+    doc = spec_to_dict(build_preset("erw", p=0.6, q=0.5))
+    doc["prob_maps"] = [text]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "law.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["oracle", "--model", str(path), "--n", "50", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config-invalid: probability-out-of-range")
+    assert not out.exists()
+
+
 def test_verify_slln_passes(tmp_path, capsys):
     out = tmp_path / "verdicts.json"
     code = main([

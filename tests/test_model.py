@@ -240,6 +240,15 @@ class TestBlockProbs:
             assert np.array_equal(model.block_probs(grid[j]), probs[:, j])
         assert np.array_equal(model.block_probs(grid.reshape(2, 3, model.s)), probs.reshape(model.r, 2, 3))
 
+    def test_a_point_gives_the_bits_it_has_in_a_batch(self):
+        # r = 10: numpy sums nine values of a single point pairwise, a batch's rows in order
+        model = validate_model(build_preset("kdim", k=5, p=0.6))
+        points = np.random.default_rng(0).dirichlet(np.ones(model.s + 1), 200)[:, : model.s]
+        probs = model.block_probs(points)
+        for j in range(points.shape[0]):
+            assert np.array_equal(model.block_probs(points[j]), probs[:, j]), j
+            assert np.array_equal(model.block_probs(points[j : j + 1]), probs[:, j : j + 1]), j
+
     def test_no_maps_give_all_ones(self):
         spec = ModelSpec(
             s=1, d=1, r=1, partition=((1,),), step_law=StepLaw.point_mass([1.0]), prob_maps=(),

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from erwlab import build_preset, ensemble, validate_model
+from erwlab import build_preset, ensemble, oracle, parse, validate_model
+from erwlab.model import Domain, InitialLaw, ModelError, ModelSpec, StepLaw
 from erwlab.oracle import (
     OracleError,
     enumerate_small_multi,
     exact_dp_1d,
     exact_moments,
+    is_unit_step_1d,
     observed_pmf,
 )
+from oracle_reference import dp_1d_pmf, enumerate_states
 
 UNIT_STEP_PRESETS = [
     ("erw", dict(p=0.6, q=0.5)),
@@ -27,6 +30,51 @@ UNIT_STEP_PRESETS = [
 
 def _model(name, kwargs):
     return validate_model(build_preset(name, **kwargs))
+
+
+def _with(model, prob_text=None, initial=None):
+    """``model`` with another P_1 or another initial law, validated again."""
+    changes = {}
+    if prob_text is not None:
+        changes["prob_maps"] = (parse(prob_text, arity=model.s),)
+    if initial is not None:
+        changes["initial"] = initial
+    return validate_model(ModelSpec(**{**model.spec.__dict__, **changes}))
+
+
+def _bits(law: dict) -> list:
+    """Each position and probability of a sparse law as raw bytes, in insertion order."""
+    return [(np.array(pos).tobytes(), np.float64(prob).tobytes()) for pos, prob in law.items()]
+
+
+# P_1 leaves [0, 1] only at x = 2/7, between the validation grid's points:
+# the dense DP first evaluates it at step 7, as the 3rd point of that step
+BUMP_AT_2_7 = "0.5 + 0.6*exp(-1e8*(x - 0.2857142857142857)^2)"
+NAN_AT_2_7 = "0.5 + 0*exp(1e12*(1e-9 - (x - 0.2857142857142857)^2))"
+
+# A model whose positions carry -0.0 coordinates: -0.0 + -0.0 stays -0.0,
+# -0.0 + 0.0 is 0.0, and equal positions with other bits must merge as dict
+# keys do, the first appearance keeping its bits
+SIGNED_ZERO = ModelSpec(
+    s=2, d=2, r=2, partition=((1,), (2,)),
+    step_law=StepLaw("finite-support", [[1.0, -0.0], [-0.0, 1.0]], [0.5, 0.5]),
+    prob_maps=(parse("0.25 + 0.5 * x1", arity=2),), A=np.eye(2), b=[0.0, 0.0],
+    initial=InitialLaw([[-0.0, -0.0], [0.0, -0.0]], [0.5, 0.5]), domain=Domain([0.0, 0.0], [1.0, 1.0]),
+)
+
+# with UNIT_STEP_PRESETS these cover the nine unit-step presets of the acceptance oracle test
+MORE_UNIT_STEP_PRESETS = [
+    ("gerw-1d", dict(f="x^2", p=0.8, q=0.5)),
+    ("poly-g", dict(coeffs=(0.4, 0.2), p=0.7, q=0.5)),
+]
+
+REFERENCE_MODELS = [
+    *UNIT_STEP_PRESETS,
+    *MORE_UNIT_STEP_PRESETS,
+    ("random-step", dict(p=0.6, q=0.5)),  # two step atoms
+    ("kdim", dict(k=3, p=0.6)),
+    ("kdim", dict(k=2, f="x^2", p=0.6)),
+]
 
 
 class TestExactDP:
@@ -110,10 +158,121 @@ class TestEnumeration:
         assert min(values) >= -6.0 and max(values) <= 6.0
         assert math.fsum(pmf.values()) == pytest.approx(1.0, abs=1e-13)
 
-    def test_path_guard(self):
+    def test_state_guard(self):
+        # kdim k=3 reaches 4,368 states x 6 blocks at step 11
         model = _model("kdim", dict(k=3, p=0.5))
-        with pytest.raises(OracleError, match="too-many-paths"):
-            enumerate_small_multi(model, 12, max_paths=10_000)
+        with pytest.raises(OracleError, match="too-many-states"):
+            enumerate_small_multi(model, 12, max_states=10_000)
+
+    def test_state_guard_counts_merged_states(self):
+        # 4^11 paths reach only 364 positions at step 11, and 455 at n = 12
+        model = _model("kdim", dict(k=2, p=0.6))
+        sparse = enumerate_small_multi(model, 12)
+        assert len(sparse) == 455
+        assert math.fsum(sparse.values()) == pytest.approx(1.0, abs=1e-14)
+        assert enumerate_small_multi(model, 12, max_states=364 * 4) == sparse
+        with pytest.raises(OracleError, match="too-many-states: 364 states x 4"):
+            enumerate_small_multi(model, 12, max_states=364 * 4 - 1)
+
+
+class TestReferenceLoops:
+    """The batched oracles give the scalar loops' bits: values, keys, order."""
+
+    @pytest.mark.parametrize("name,kwargs", REFERENCE_MODELS)
+    def test_enumeration(self, name, kwargs):
+        model = _model(name, kwargs)
+        for n in range(1, 9):
+            assert _bits(enumerate_small_multi(model, n)) == _bits(enumerate_states(model, n)), n
+
+    def test_enumeration_ten_blocks(self):
+        # r = 10: block_probs must sum a state's maps alone as in a batch
+        model = _model("kdim", dict(k=5, p=0.6))
+        for n in range(1, 6):
+            assert _bits(enumerate_small_multi(model, n)) == _bits(enumerate_states(model, n)), n
+
+    def test_enumeration_merges_signed_zeros(self):
+        model = validate_model(SIGNED_ZERO)
+        for n in range(1, 7):
+            sparse = enumerate_small_multi(model, n)
+            assert _bits(sparse) == _bits(enumerate_states(model, n)), n
+            assert any(np.signbit(pos).any() for pos in sparse)
+        assert list(enumerate_small_multi(model, 2)) == [(1.0, -0.0), (-0.0, 0.0), (-0.0, 1.0)]
+
+    def test_zero_block_probabilities_are_skipped(self):
+        # P_1 = x: a walk at x = 0 never moves up and one at x = 1 never
+        # stays, so only V_n = 0 and V_n = n are ever reached
+        model = _with(_model("erw", dict(p=0.6, q=0.3)), prob_text="x")
+        for n in range(1, 9):
+            sparse = enumerate_small_multi(model, n)
+            assert _bits(sparse) == _bits(enumerate_states(model, n))
+            assert set(sparse) == {(0.0,), (float(n),)}
+            assert exact_dp_1d(model, n).pmf.tobytes() == dp_1d_pmf(model, n).tobytes()
+
+    @pytest.mark.parametrize("name,kwargs", UNIT_STEP_PRESETS + MORE_UNIT_STEP_PRESETS)
+    def test_dp(self, name, kwargs):
+        model = _model(name, kwargs)
+        for n in (1, 2, 12, 50, 2000):
+            assert exact_dp_1d(model, n).pmf.tobytes() == dp_1d_pmf(model, n).tobytes(), n
+
+    @pytest.mark.parametrize("points", [1, 7, 40, 1000, 65_536])
+    def test_dp_steps_straddle_calls(self, monkeypatch, points):
+        model = _model("phi-power", dict(phi="tanh", k=2, p=0.7, q=0.5))
+        want = dp_1d_pmf(model, 60)
+        counted = []
+        block_probs = type(model).block_probs
+        monkeypatch.setattr(type(model), "block_probs", lambda self, x: counted.append(len(x)) or block_probs(self, x))
+        monkeypatch.setattr(oracle, "_DP_POINTS", points)
+        assert exact_dp_1d(model, 60).pmf.tobytes() == want.tobytes()
+        # each call takes as many whole steps as fit in `points`, at least one
+        sizes = list(range(2, 61))  # step t evaluates the map at t + 1 points
+        i = 0
+        for size in counted:
+            j = i + 1
+            while sum(sizes[i:j]) < size:
+                j += 1
+            assert sum(sizes[i:j]) == size
+            assert size <= points or j == i + 1
+            assert j == len(sizes) or size + sizes[j] > points
+            i = j
+        assert i == len(sizes)
+        assert (len(counted) == 1) == (points == 65_536)
+
+
+class TestRuntimeAbort:
+    """Maps that leave [0, 1] mid-batch still abort the dense DP."""
+
+    @pytest.mark.parametrize("text,match", [(BUMP_AT_2_7, r"P in \[0, 1\.1\]"), (NAN_AT_2_7, r"P in \[nan")],
+                             ids=["range", "nan"])
+    @pytest.mark.parametrize("points", [1, 20, 65_536])
+    def test_dp(self, monkeypatch, text, match, points):
+        monkeypatch.setattr(oracle, "_DP_POINTS", points)
+        model = _with(_model("erw", dict(p=0.6, q=0.5)), prob_text=text)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert exact_dp_1d(model, 7).pmf.tobytes() == dp_1d_pmf(model, 7).tobytes()
+            for n in (8, 50):
+                with pytest.raises(ModelError, match=match):
+                    exact_dp_1d(model, n)
+            with pytest.raises(ModelError, match=match):
+                enumerate_small_multi(model, 12)
+
+
+class TestInitialLaw:
+    def test_dp_needs_every_initial_atom_in_0_1(self):
+        # V_1 = 0.4: the DP used to round it to 0 and return the law of a walk started at 0
+        model = _with(_model("erw", dict(p=0.6, q=0.5)), initial=InitialLaw([[0.4]], [1.0]))
+        assert not is_unit_step_1d(model)
+        with pytest.raises(OracleError, match="unsupported-model"):
+            exact_dp_1d(model, 3)
+        sparse = enumerate_small_multi(model, 3)
+        assert list(sparse) == [(2.4,), (1.4,), (0.4,)]
+        # P_1(x) = 0.2x + 0.4 stays with probability 0.52 at x = 0.4 (t = 1) and 0.56 at x = 0.2
+        assert sparse[(0.4,)] == pytest.approx(0.52 * 0.56, abs=1e-15)
+
+    def test_unit_step_starts_keep_the_dp(self):
+        erw = _model("erw", dict(p=0.6, q=0.5))
+        assert is_unit_step_1d(erw)
+        assert is_unit_step_1d(_with(erw, initial=InitialLaw([[-0.0], [1.0]], [0.25, 0.75])))
+        assert not is_unit_step_1d(_with(erw, initial=InitialLaw([[2.0]], [1.0])))
 
 
 class TestMoments:
