@@ -311,10 +311,17 @@ def _check_partition(spec: ModelSpec, errors: list):
 
 
 def check_runtime_probs(values: np.ndarray, clamp_tol: float = 1e-9):
-    """Abort unless every value lies in [0 - tol, 1 + tol]; NaN fails too."""
-    lo, hi = values.min(initial=0.0), values.max(initial=0.0)
-    if not (lo >= -clamp_tol and hi <= 1.0 + clamp_tol):
-        raise ModelError(f"probability-out-of-range at runtime: P in [{lo:.6g}, {hi:.6g}]")
+    """Abort unless every value lies in [0 - tol, 1 + tol]; NaN fails too.
+
+    The test itself is two plain reductions (0 joins them, so an empty input
+    passes); the reported range is that of the non-NaN values.
+    """
+    if not (values.min(initial=0.0) >= -clamp_tol and values.max(initial=0.0) <= 1.0 + clamp_tol):
+        nan = np.isnan(values)
+        real = values[~nan]
+        span = f"[{real.min():.6g}, {real.max():.6g}]" if real.size else "[nan, nan]"
+        note = " (NaN present)" if nan.any() else ""
+        raise ModelError(f"probability-out-of-range at runtime: P in {span}{note}")
 
 
 def check_runtime_sum(totals: np.ndarray, clamp_tol: float = 1e-9):

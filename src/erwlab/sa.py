@@ -130,6 +130,7 @@ def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
         out[:, cp_index[1]] = theta
     fast = proc.drift.fast
     chunk = max(1, min(n_max, 4_000_000 // max(1, N)))
+    clear = True  # no path has escaped or gone NaN yet
     n = 1
     while n < n_max:
         span = min(chunk, n_max - n)
@@ -139,10 +140,17 @@ def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
             eps = (2.0 * (gen.random((span, N)) < 0.5) - 1.0) * proc.noise.sd
         for i in range(span):
             a_n = 1.0 / (n + 1.0)
-            # escaped paths stay frozen at their flagged value
             moved = theta - a_n * (fast([theta]) + eps[i])
-            theta = np.where(escaped, theta, moved)
-            escaped |= np.abs(theta) > guard
+            # while every path is clear and stays within the guard, the
+            # freeze below keeps every moved value and flags none; a NaN
+            # fails this test and takes the freeze, as it fails ``> guard``
+            if clear and np.abs(moved).max() <= guard:
+                theta = moved
+            else:
+                clear = False
+                # escaped paths stay frozen at their flagged value
+                theta = np.where(escaped, theta, moved)
+                escaped |= np.abs(theta) > guard
             n += 1
             if n in cp_index:
                 out[:, cp_index[n]] = theta

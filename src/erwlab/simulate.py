@@ -29,6 +29,14 @@ reference it is tested against; it keeps the same runtime checks
 (probability range and NaN, overflow guard) and the same functionals. The
 general kernel in turn is tested against a scalar one-step replay kept in
 ``tests/``, which evaluates the full ``block_probs`` at every step.
+
+Both kernels share :class:`_Recorder` for the functionals (LIL maximum,
+return counts, noise increments) and the checkpoint rows. A step only
+writes one row of a reused block of about 32K doubles, sized to stay in
+cache; the functionals' elementwise operations then run once over the
+block, when it fills, at every checkpoint and at every chunk end. They are
+the per-step operations applied row by row, so the results are the same
+bits as a per-step update, the reference kept in ``tests/``.
 """
 
 from __future__ import annotations
@@ -267,45 +275,104 @@ def _overflow_guard(state, t, max_atom):
         raise ModelError("overflow-guard: auxiliary position exceeds n * max atom")
 
 
-class _Recorder:
-    """Per-step functionals and checkpoint writes shared by both kernels."""
+_BLOCK_DOUBLES = 32_768  # doubles per functional block buffer: 256 KB, well inside L2
 
-    def __init__(self, model, n_max, checkpoints, cfg, out):
+
+class _Recorder:
+    """Functionals and checkpoint writes shared by both kernels, flushed per block.
+
+    Bound to the kernel's (B, s) ``state`` array, which the kernel updates in
+    place. Per step, :meth:`record` only writes the first observed
+    coordinate's product ``state[:, 0] * A[0, 0]`` (for s > 1 the column of
+    ``state @ A.T``) into one row of a (K, B) block of about
+    ``_BLOCK_DOUBLES`` doubles; noise collection fills rows of two more such
+    blocks. :meth:`flush` runs each functional's elementwise operations once
+    over the filled rows: when the block is full, at every checkpoint and at
+    every chunk end. They are the operations a per-step update runs on each
+    row, and the maximum, the hit count and the last hit do not depend on
+    the order of the rows, so the results are the same bits.
+    """
+
+    def __init__(self, model, n_max, checkpoints, cfg, out, state, fill_noise_e=None):
+        """``fill_noise_e(tc, rows)``, when given, writes the noise increments
+        of steps tc, tc + 1, ... into ``rows`` at a flush; otherwise the
+        kernel writes each step's increment into ``noise_e[k]``."""
         spec = model.spec
         self.A, self.b = spec.A, spec.b
         if cfg.track_returns and not model.integer_lattice:
             raise ModelError("non-lattice-model: return counting needs d=1 integer-valued positions")
-        self.cfg, self.out = cfg, out
+        self.cfg, self.out, self.state = cfg, out, state
         self.cp_set = {cp: j for j, cp in enumerate(checkpoints)}
-        self.per_step = cfg.lil_mode is not None or cfg.track_returns
         lil_lo, lil_hi = cfg.lil_window
         self.lil_window = (lil_lo, n_max if lil_hi is None else lil_hi)
         self.center0 = 0.0 if cfg.center is None else np.asarray(cfg.center, dtype=float).reshape(-1)[0]
+        per_step = cfg.lil_mode is not None or cfg.track_returns
+        self.blocked = per_step or cfg.collect_noise
+        B = len(state)
+        K = max(1, _BLOCK_DOUBLES // B)
+        self.K, self.k, self.n = K, 0, 0  # rows, rows filled, step of the last row
+        self.prod = np.empty((K, B)) if per_step else None
+        # both functionals read only the first observed coordinate. For s = 1
+        # it is one product per trajectory, equal to the matrix product's
+        # entry up to the sign of a zero, which == and abs ignore
+        self.col = state[:, 0] if self.A.shape[1] == 1 else None
+        noise = cfg.collect_noise
+        self.noise_x = np.empty((K, B)) if noise else None
+        self.noise_e = np.empty((K, B)) if noise else None
+        self.fill_noise_e = fill_noise_e
 
-    def record(self, state, n_now):
-        """Update the functionals with the (B, s) positions after step n_now.
+    def record(self, n):
+        """Take the positions after step n. Kernels call it only when
+        ``blocked`` is set or n is a checkpoint."""
+        if self.blocked:
+            if self.prod is not None:
+                if self.col is not None:
+                    np.multiply(self.col, self.A[0, 0], out=self.prod[self.k])
+                else:
+                    self.prod[self.k] = (self.state @ self.A.T)[:, 0]
+            self.k += 1
+            self.n = n
+        j = self.cp_set.get(n)
+        if j is not None or self.k == self.K:
+            self.flush()
+        if j is not None:
+            self.out["snn"][:, j, :] = self.state @ self.A.T / n + self.b
+            if self.cfg.track_returns:
+                self.out["returns_at"][:, j] = self.out["return_counts"]
 
-        Kernels call it only when ``per_step`` is set or n_now is a checkpoint.
-        """
-        cfg, out, A, b = self.cfg, self.out, self.A, self.b
-        if self.per_step:
-            # both functionals read only the first observed coordinate. For
-            # s = 1 it is one product per trajectory, equal to the matrix
-            # product's entry up to the sign of a zero, which == and abs ignore
-            prod = state[:, 0] * A[0, 0] if A.shape[1] == 1 else (state @ A.T)[:, 0]
-            obs = prod + n_now * b[0]
+    def flush(self):
+        """Update the functionals with the filled rows and empty the block."""
+        k, cfg, out = self.k, self.cfg, self.out
+        if not k:
+            return
+        self.k = 0
+        n_lo = self.n - k + 1
+        if self.prod is not None:
+            ns = np.arange(n_lo, self.n + 1)[:, None]
+            obs = self.prod[:k]
+            obs += ns * self.b[0]
             if cfg.track_returns:
                 at_zero = obs == 0.0
-                out["return_counts"] += at_zero
-                out["last_return"][at_zero] = n_now
-            if cfg.lil_mode is not None and self.lil_window[0] <= n_now <= self.lil_window[1]:
-                z = np.abs(obs / n_now - self.center0) * _lil_norm(n_now, cfg.lil_mode)
-                np.maximum(out["lil_max"], z, out=out["lil_max"])
-        j = self.cp_set.get(n_now)
-        if j is not None:
-            out["snn"][:, j, :] = state @ A.T / n_now + b
-            if cfg.track_returns:
-                out["returns_at"][:, j] = out["return_counts"]
+                out["return_counts"] += at_zero.sum(axis=0)
+                np.maximum(out["last_return"], (at_zero * ns).max(axis=0), out=out["last_return"])
+            lo, hi = max(self.lil_window[0], n_lo), min(self.lil_window[1], self.n)
+            if cfg.lil_mode is not None and lo <= hi:
+                z = obs[lo - n_lo:hi - n_lo + 1]
+                z /= ns[lo - n_lo:hi - n_lo + 1]
+                z -= self.center0
+                np.abs(z, out=z)
+                z *= np.array([_lil_norm(n, cfg.lil_mode) for n in range(lo, hi + 1)])[:, None]
+                np.maximum(out["lil_max"], z.max(axis=0), out=out["lil_max"])
+        if self.noise_x is not None:
+            first = 1 if n_lo == 1 else 0  # step 0 draws the initial position: no noise
+            if first < k:
+                tc = n_lo - 1 + first
+                rows = slice(first, k)
+                if self.fill_noise_e is not None:
+                    self.fill_noise_e(tc, self.noise_e[rows])
+                # noise column tc - 1 belongs to step tc
+                out["noise_x"][:, tc - 1:self.n - 1] = self.noise_x[rows].T
+                out["noise_e"][:, tc - 1:self.n - 1] = self.noise_e[rows].T
 
 
 def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
@@ -332,9 +399,9 @@ def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
     max_atom = float(np.max(np.abs(atoms))) if atoms.size else 0.0
     maps = [pm.fast for pm in spec.prob_maps]
     block_mu = model.block_masks * model.mu
-    rec = _Recorder(model, n_max, checkpoints, cfg, out)
 
     state = np.zeros((B, s))
+    rec = _Recorder(model, n_max, checkpoints, cfg, out, state)
     x = np.empty((B, s))
     cols = [x[:, j] for j in range(s)]
     probs = np.empty((r, B))
@@ -366,11 +433,12 @@ def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
                     np.subtract(1.0, head.sum(axis=0), out=tail)
                     np.clip(tail, 0.0, 1.0, out=tail)
                     H = probs.T @ block_mu  # (B, 1)
-                    out["noise_x"][:, tc - 1] = x[:, 0]
-                    out["noise_e"][:, tc - 1] = (H - step_vec)[:, 0]
+                    rec.noise_x[rec.k] = x[:, 0]
+                    np.subtract(H[:, 0], step_vec[:, 0], out=rec.noise_e[rec.k])
             state += step_vec
-            if rec.per_step or tc + 1 in rec.cp_set:
-                rec.record(state, tc + 1)
+            if rec.blocked or tc + 1 in rec.cp_set:
+                rec.record(tc + 1)
+        rec.flush()
         _overflow_guard(state, t + uniforms.shape[0], max_atom)
     out["aux_final"][:, :] = state
 
@@ -389,15 +457,23 @@ def _simulate_unit_batch(model, n_max, checkpoints, keys, cfg, out):
     mid-chunk propagates, so an earlier out-of-range P wins as it does in the
     general kernel; rows not yet reached still hold uniforms in [0, 1).
     """
-    B = len(keys)
     spec = model.spec
     atom = float(spec.step_law.atoms[0, 0])
     mu = float(model.mu[0])
     fast = spec.prob_maps[0].fast
-    rec = _Recorder(model, n_max, checkpoints, cfg, out)
 
-    state = np.zeros((B, 1))
+    def fill_noise_e(tc, rows):
+        # the general kernel's H adds the stay block's tail * 0. Flushes
+        # never cross a chunk end, so the rows lie in the current chunk
+        u1, P = uniforms[tc - t:tc - t + len(rows)].transpose(1, 0, 2)
+        np.clip(P, 0.0, 1.0, out=rows)
+        rows *= mu
+        rows -= (u1 < P) * atom
+
+    state = np.zeros((len(keys), 1))
     aux = state[:, 0]
+    rec = _Recorder(model, n_max, checkpoints, cfg, out, state, fill_noise_e)
+    x_rows = rec.noise_x
     for t, uniforms in _uniform_chunks(keys, n_max):
         try:
             for tt in range(uniforms.shape[0]):
@@ -406,17 +482,13 @@ def _simulate_unit_batch(model, n_max, checkpoints, keys, cfg, out):
                 if tc == 0:
                     state += _initial_step(spec.initial, u1)
                 else:
-                    x = aux / tc
+                    x = aux / tc if x_rows is None else np.divide(aux, tc, out=x_rows[rec.k])
                     P = fast([x])
                     uniforms[tt, 1] = P
-                    step_vec = (u1 < P) * atom
-                    aux += step_vec
-                    if cfg.collect_noise:
-                        out["noise_x"][:, tc - 1] = x
-                        # the general kernel's H adds the stay block's tail * 0
-                        out["noise_e"][:, tc - 1] = np.clip(P, 0.0, 1.0) * mu - step_vec
-                if rec.per_step or tc + 1 in rec.cp_set:
-                    rec.record(state, tc + 1)
+                    aux += (u1 < P) * atom
+                if rec.blocked or tc + 1 in rec.cp_set:
+                    rec.record(tc + 1)
+            rec.flush()
         except Exception:
             check_runtime_probs(uniforms[:, 1])
             raise

@@ -1,0 +1,42 @@
+"""The stochastic approximation runner with the freeze applied on every step.
+
+The reference :func:`erwlab.sa.run_sa` is tested against, bit for bit: each
+step keeps every escaped path's value with ``np.where`` and flags the paths
+whose magnitude passes the guard, whether or not any path is near it. It
+draws the same noise from stream (master_seed, 0), chunk by chunk, and does
+not check its arguments.
+"""
+
+import numpy as np
+
+from erwlab.simulate import resolve_checkpoints, trajectory_seed
+
+
+def run_sa_reference(proc, n_max, N, master_seed, checkpoints=None, guard=1e9):
+    """``(theta, escaped)``: the (N, C) checkpoint values and the (N,) escape flags."""
+    checkpoints = resolve_checkpoints(n_max, checkpoints)
+    cp_index = {n: j for j, n in enumerate(checkpoints)}
+    theta = np.full(N, float(proc.theta1))
+    out = np.empty((N, len(checkpoints)))
+    escaped = np.zeros(N, dtype=bool)
+    gen = np.random.Generator(np.random.Philox(trajectory_seed(master_seed, 0)))
+    if 1 in cp_index:
+        out[:, cp_index[1]] = theta
+    fast = proc.drift.fast
+    chunk = max(1, min(n_max, 4_000_000 // max(1, N)))
+    n = 1
+    while n < n_max:
+        span = min(chunk, n_max - n)
+        if proc.noise.kind == "gaussian":
+            eps = gen.standard_normal((span, N)) * proc.noise.sd
+        else:
+            eps = (2.0 * (gen.random((span, N)) < 0.5) - 1.0) * proc.noise.sd
+        for i in range(span):
+            a_n = 1.0 / (n + 1.0)
+            moved = theta - a_n * (fast([theta]) + eps[i])
+            theta = np.where(escaped, theta, moved)
+            escaped |= np.abs(theta) > guard
+            n += 1
+            if n in cp_index:
+                out[:, cp_index[n]] = theta
+    return out, escaped

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from erwlab import build_preset, funcdsl
-from erwlab.cli import main
+from erwlab.cli import _parser, build_parser, main
 from erwlab.model import spec_to_dict
 from test_funcdsl import expression_trees
 
@@ -18,6 +18,41 @@ def test_presets_listing(capsys):
         assert name in out
     # every row carries its parameter list and a source note
     assert "Harbola" in out and "Bercu" in out
+
+
+REPEATED_COMMANDS = [
+    ["simulate", "--preset", "erw", "--p", "0.6", "--n", "200", "--N", "16", "--seed", "7"],
+    ["analyze", "--preset", "quadratic-sym", "--p", "0.75"],
+    ["verify", "--preset", "erw", "--p", "0.6", "--suite", "slln", "--n", "300", "--N", "40", "--seed", "3"],
+    ["oracle", "--preset", "erw", "--p", "0.75", "--n", "12"],
+    ["sa", "--drift", "x", "--theta0", "0", "--n", "500", "--N", "50", "--seed", "2"],
+    ["simulate", "--preset", "market", "--p", "0.5", "--n", "150", "--N", "9", "--seed", "4", "--threads", "2"],
+]
+
+
+def _artifacts(directory):
+    """Every file the commands wrote, but the wall-clock sidecars."""
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if "runmeta" not in p.name}
+
+
+def test_cached_parser_matches_a_fresh_one(tmp_path):
+    # main() builds the parser once per process; parsing must leave it unchanged
+    assert _parser() is _parser()
+    cached, fresh = tmp_path / "cached", tmp_path / "fresh"
+    cached.mkdir()
+    fresh.mkdir()
+    codes = {"cached": [], "fresh": []}
+    for round_ in range(2):
+        for i, argv in enumerate(REPEATED_COMMANDS):
+            codes["cached"].append(main(argv + ["--out", str(cached / f"{round_}_{i}.out")]))
+    for round_ in range(2):
+        for i, argv in enumerate(REPEATED_COMMANDS):
+            args = build_parser().parse_args(argv + ["--out", str(fresh / f"{round_}_{i}.out")])
+            codes["fresh"].append(args.func(args))
+    assert codes["cached"] == codes["fresh"]
+    assert set(codes["cached"]) <= {0, 1}  # passed or a check failed: every command wrote its artifacts
+    assert _artifacts(cached) == _artifacts(fresh)
+    assert len(_artifacts(cached)) >= 2 * len(REPEATED_COMMANDS)
 
 
 def test_analyze_critical(tmp_path, capsys):

@@ -186,6 +186,24 @@ class TestValidation:
         with pytest.raises(ModelError, match="probability-out-of-range"):
             bad.block_probs(np.array([0.9]))
 
+    @pytest.mark.parametrize("values,message", [
+        ([0.5, 1.1], r"P in \[0\.5, 1\.1\]$"),
+        ([[-0.25, 0.75], [0.5, 0.6]], r"P in \[-0\.25, 0\.75\]$"),
+        ([0.3, np.nan, 0.7], r"P in \[0\.3, 0\.7\] \(NaN present\)$"),
+        ([np.nan], r"P in \[nan, nan\] \(NaN present\)$"),
+    ])
+    def test_runtime_range_report(self, values, message):
+        from erwlab.model import check_runtime_probs
+
+        with pytest.raises(ModelError, match=message):
+            check_runtime_probs(np.array(values))
+
+    @pytest.mark.parametrize("values", [[], [[], []], [0.0, 1.0, 1.0 + 1e-10], [-1e-10, 0.5]])
+    def test_runtime_range_passes(self, values):
+        from erwlab.model import check_runtime_probs
+
+        check_runtime_probs(np.array(values, dtype=float))
+
     def test_nan_probability_rejected(self):
         # exp overflows past x ~ 0.71, and 0 * inf is NaN
         spec = _erw_spec(prob_text="0.5 + 0*exp(1000*x)")

@@ -241,7 +241,8 @@ class TestReferenceLoops:
 class TestRuntimeAbort:
     """Maps that leave [0, 1] mid-batch still abort the dense DP."""
 
-    @pytest.mark.parametrize("text,match", [(BUMP_AT_2_7, r"P in \[0, 1\.1\]"), (NAN_AT_2_7, r"P in \[nan")],
+    @pytest.mark.parametrize("text,match", [(BUMP_AT_2_7, r"P in \[0\.5, 1\.1\]$"),
+                                           (NAN_AT_2_7, r"P in \[0\.5, 0\.5\] \(NaN present\)$")],
                              ids=["range", "nan"])
     @pytest.mark.parametrize("points", [1, 20, 65_536])
     def test_dp(self, monkeypatch, text, match, points):

@@ -21,6 +21,7 @@ from erwlab.sa import (
 )
 from erwlab.simulate import trajectory_seed
 from erwlab.theory import expansion_coeffs
+from sa_reference import run_sa_reference
 
 
 def _model(name, **kwargs):
@@ -114,6 +115,32 @@ class TestRunner:
         paths = run_sa(proc, 4000, N=400, master_seed=2, guard=100.0)
         assert paths.escaped.sum() > 0  # wide noise pushes paths past the unstable root
         assert np.all(np.abs(paths.theta[~paths.escaped, -1]) <= 100.0)
+
+
+class TestRunnerMatchesReference:
+    """``run_sa`` skips the freeze while every path is clear of the guard,
+    with the same bits as the reference that applies it on every step."""
+
+    @pytest.mark.parametrize("drift,noise,n_max,N,guard,escapes", [
+        ("0.3*x + x^2", "gaussian:0.05", 10_000, 256, 1e9, False),
+        ("x", "rademacher:1.0", 3_000, 64, 1e9, False),
+        ("0.3*x + x^2", "gaussian:3", 10_000, 256, 1e9, True),  # escapes mid-run
+        ("x - 1 + exp(x)", "gaussian:2000", 200, 256, 1e9, True),  # exp overflows: paths jump to -inf
+        ("x - 1 + exp(x)", "gaussian:2000", 200, 256, np.inf, False),  # no guard: paths reach inf, then NaN
+        ("0.3*x + x^2", "gaussian:3", 10_000, 1000, 1e9, True),  # 4000-step noise chunks
+    ])
+    def test_bit_identical(self, drift, noise, n_max, N, guard, escapes):
+        proc = SAProcess(drift=parse(drift), theta0=0.0, noise=NoiseSpec.parse(noise))
+        checkpoints = [c for c in (1, 2, 3, 50, 3999, 4000, 4001, n_max // 2) if c <= n_max]
+        with np.errstate(all="ignore"):
+            paths = run_sa(proc, n_max, N=N, master_seed=5, checkpoints=checkpoints, guard=guard)
+            theta, escaped = run_sa_reference(proc, n_max, N, 5, checkpoints, guard)
+        assert paths.theta.tobytes() == theta.tobytes()
+        assert np.array_equal(paths.escaped, escaped)
+        assert escaped.any() == escapes
+        if drift.endswith("exp(x)"):
+            assert not np.isfinite(theta[:, -1]).all()
+            assert np.isnan(theta[:, -1]).any() == (guard == np.inf)
 
 
 class TestReduction:

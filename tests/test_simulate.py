@@ -16,7 +16,7 @@ from erwlab.simulate import (
     philox_keys,
     trajectory_seed,
 )
-from walk_replay import WalkState, step
+from walk_replay import WalkState, replay_stats, step
 
 
 def _model(name, **kwargs):
@@ -420,6 +420,67 @@ class TestUnitStepKernel:
             assert np.array_equal(getattr(single, field), ref[field]), field
 
 
+class TestBlockFunctionals:
+    """Functionals flushed per block reproduce the per-step update bit for bit."""
+
+    # (name, kwargs, force the general kernel, center, LIL mode, collect noise)
+    CASES = [
+        ("erw", dict(p=0.6, q=0.5), False, 0.2, "diffusive", True),
+        ("quadratic-sym", dict(p=0.75, q=0.5), False, 0.0, "critical", False),
+        ("random-step", dict(p=0.7), False, 0.3, "diffusive", False),  # s = 3: the matrix-product column
+        ("erw", dict(p=0.6, q=0.5), True, 0.2, "diffusive", True),
+    ]
+    # (N = batch size, n_max, checkpoints, LIL window, _BLOCK_DOUBLES, _CHUNK_DOUBLES); None keeps the default
+    LAYOUTS = [
+        # 128-row blocks: checkpoints on an edge, just past one, and on a later edge; horizon off the edges
+        (256, 301, [128, 129, 257], (200, 290), None, None),
+        (1, 301, None, (37, None), None, None),  # one trajectory: the block never fills
+        (2100, 100, [15, 16, 45, 61], (20, None), None, None),  # B > 2048: 15-row blocks
+        (5, 301, [6, 8, 9, 150], (17, 299), 20, 70),  # 4-row blocks, 6-step chunks and a last chunk of one
+        (7, 203, [5, 10, 11, 100], (18, None), 35, None),  # 5-row blocks
+    ]
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("name,kwargs,general,center,lil_mode,noise", CASES)
+    def test_matches_per_step_replay(self, name, kwargs, general, center, lil_mode, noise, layout, monkeypatch):
+        N, n_max, checkpoints, window, block_doubles, chunk_doubles = layout
+        model = _model(name, **kwargs)
+        if general:
+            monkeypatch.setattr(simulate, "_is_unit_step", lambda model: False)
+        if block_doubles is not None:
+            monkeypatch.setattr(simulate, "_BLOCK_DOUBLES", block_doubles)
+        if chunk_doubles is not None:
+            monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", chunk_doubles)
+        cfg = FunctionalConfig(center=np.array([center]), lil_mode=lil_mode, lil_window=window,
+                               track_returns=True, collect_noise=noise)
+        stats = ensemble(model, n_max, N, master_seed=97, checkpoints=checkpoints, functional_config=cfg,
+                         batch_size=N)
+        for i in sorted({0, N // 2, N - 1}):
+            ref = replay_stats(model, n_max, 97, i, checkpoints, cfg)
+            for field in STATS_ARRAYS:
+                got = getattr(stats, field)
+                if ref[field] is None:
+                    assert got is None, field
+                else:
+                    assert got[i].dtype == ref[field].dtype, field
+                    assert got[i].tobytes() == ref[field][0].tobytes(), (i, field)
+        assert stats.return_counts.max() > 0
+        if lil_mode is not None:
+            assert stats.lil_max.min() > 0
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        model = _model("erw", p=0.6, q=0.5)
+        cfg = FunctionalConfig(center=np.array([0.2]), lil_mode="diffusive", lil_window=(30, None),
+                               track_returns=True, collect_noise=True)
+        runs = []
+        for block_doubles in (1, 3 * 40, simulate._BLOCK_DOUBLES):
+            monkeypatch.setattr(simulate, "_BLOCK_DOUBLES", block_doubles)
+            runs.append(ensemble(model, 500, 40, master_seed=101, functional_config=cfg))
+        for field in STATS_ARRAYS:
+            for other in runs[1:]:
+                assert getattr(runs[0], field).tobytes() == getattr(other, field).tobytes(), field
+
+
 class TestGeneralKernel:
     """The general kernel must reproduce the scalar replay bit for bit."""
 
@@ -473,7 +534,7 @@ class TestGeneralRuntimeAbort:
         with pytest.raises(ModelError, match="block probabilities sum past 1"):
             self._kernel(model)
 
-    @pytest.mark.parametrize("p1,match", [("1.5 * x1", r"P in \[0, 1\.5\]"), ("0 * exp(1000 * x1)", r"P in \[nan")],
+    @pytest.mark.parametrize("p1,match", [("1.5 * x1", r"P in \[0, 1\.5\]"), ("0 * exp(1000 * x1)", r"P in \[0, 0\] \(NaN present\)$")],
                              ids=["range", "nan"])
     def test_range_and_nan_precede_a_later_sum_past_one(self, p1, match):
         # P1 leaves [0, 1] at step 1 on walks whose first step is in block 1;
