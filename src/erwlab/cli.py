@@ -45,6 +45,10 @@ TOLERANCES = {
     "sa_var_tol": 0.05,
 }
 
+# every preset parameter flag and its type; a list is given as a comma list of numbers
+PRESET_PARAMS = {"p": float, "q": float, "a": float, "b": float, "k": int, "f": str, "init": float, "phi": str,
+                 "U": float, "L": float, "coeffs": list, "z_values": list, "z_probs": list}
+
 
 class ConfigError(Exception):
     pass
@@ -68,18 +72,31 @@ def _write_sidecars(out_path: Path, spec):
     save_model(spec, Path(f"{stem}_model.json"))
 
 
+def _write_table(out_path: Path, header, rows, resolved: dict, spec) -> str:
+    """Write a CSV table, its config JSON and the sidecars; return the config hash."""
+    digest = _config_hash(resolved)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    with open(out_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    _write_json(out_path.with_suffix(".json"), {"config_hash": digest, "config": resolved})
+    _write_sidecars(out_path, spec)
+    return digest
+
+
 def _resolve_model(args):
     params = {}
-    for name in ("p", "q", "a", "b", "k", "f", "init", "phi", "U", "L"):
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = value
     # ModelError, the DSL's errors, JSONDecodeError and a bad number in a
     # comma list are ValueErrors; a KeyError is a missing field of a model file
     try:
-        for name in ("coeffs", "z_values", "z_probs"):
-            if getattr(args, name, None):
-                params[name] = [float(v) for v in getattr(args, name).split(",")]
+        for name, kind in PRESET_PARAMS.items():
+            value = getattr(args, name)
+            if kind is list:
+                if value:
+                    params[name] = [float(v) for v in value.split(",")]
+            elif value is not None:
+                params[name] = value
         if args.model:
             path = Path(args.model)
             if not path.exists():
@@ -101,19 +118,9 @@ def _resolve_model(args):
 def _add_model_args(parser):
     parser.add_argument("--model", help="model JSON file")
     parser.add_argument("--preset", help="preset name (see `erw-lab presets`)")
-    parser.add_argument("--p", type=float, default=None)
-    parser.add_argument("--q", type=float, default=None)
-    parser.add_argument("--a", type=float, default=None)
-    parser.add_argument("--b", type=float, default=None)
-    parser.add_argument("--k", type=int, default=None)
-    parser.add_argument("--f", type=str, default=None)
-    parser.add_argument("--init", type=float, default=None)
-    parser.add_argument("--phi", type=str, default=None)
-    parser.add_argument("--U", type=float, default=None)
-    parser.add_argument("--L", type=float, default=None)
-    parser.add_argument("--coeffs", type=str, default=None, help="comma list for poly-g")
-    parser.add_argument("--z-values", dest="z_values", type=str, default=None)
-    parser.add_argument("--z-probs", dest="z_probs", type=str, default=None)
+    for name, kind in PRESET_PARAMS.items():
+        parser.add_argument("--" + name.replace("_", "-"), type=str if kind is list else kind, default=None,
+                            help="comma list of numbers" if kind is list else None)
 
 
 def _load_tol_overrides(args) -> dict:
@@ -161,17 +168,8 @@ def cmd_simulate(args) -> int:
         "seed": args.seed,
         "checkpoints": stats.checkpoints,
     }
-    digest = _config_hash(resolved)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["checkpoint", "component", "mean", "se", "var"] + [f"cov_{k}" for k in range(model.d)]
-        )
-        for row in stats_to_rows(stats):
-            writer.writerow(row)
-    _write_json(out_path.with_suffix(".json"), {"config_hash": digest, "config": resolved})
-    _write_sidecars(out_path, spec)
+    header = ["checkpoint", "component", "mean", "se", "var"] + [f"cov_{k}" for k in range(model.d)]
+    digest = _write_table(out_path, header, stats_to_rows(stats), resolved, spec)
     print(f"wrote {out_path} ({args.N} trajectories to n={args.n}); config {digest[:12]}")
     return EXIT_OK
 
@@ -193,8 +191,6 @@ def cmd_oracle(args) -> int:
     model, spec, source = _resolve_model(args)
     out_path = Path(args.out or "law.csv")
     resolved = {"command": "oracle", "source": source, "model": spec_to_dict(spec), "n": args.n}
-    digest = _config_hash(resolved)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     if oracle_mod.is_unit_step_1d(model):
         law = oracle_mod.exact_dp_1d(model, args.n)
         rows = [(k, float(p), float(law.A * k + law.n * law.b)) for k, p in enumerate(law.pmf)]
@@ -203,12 +199,7 @@ def cmd_oracle(args) -> int:
         sparse = oracle_mod.enumerate_small_multi(model, args.n)
         rows = [list(pos) + [prob] for pos, prob in sorted(sparse.items())]
         header = [f"x{j + 1}" for j in range(model.s)] + ["probability"]
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    _write_json(out_path.with_suffix(".json"), {"config_hash": digest, "config": resolved})
-    _write_sidecars(out_path, spec)
+    digest = _write_table(out_path, header, rows, resolved, spec)
     print(f"wrote exact law at n={args.n} to {out_path}; config {digest[:12]}")
     return EXIT_OK
 

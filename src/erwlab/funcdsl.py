@@ -599,3 +599,17 @@ def derive_at(expr: FuncExpr, x0, order: int = 1, axis: int = 0,
             "the expression may be non-smooth there"
         )
     return best, best_err
+
+
+def derivatives(expr: FuncExpr, x0, upto: int) -> list:
+    """Values of :func:`derive_at` at ``x0`` for orders 1, 2, ... up to
+    ``min(upto, MAX_DERIV_ORDER)``, ending before the first order that
+    raises :class:`NonSmoothError`."""
+    out = []
+    for order in range(1, min(upto, MAX_DERIV_ORDER) + 1):
+        try:
+            value, _ = derive_at(expr, x0, order=order)
+        except NonSmoothError:
+            break
+        out.append(value)
+    return out

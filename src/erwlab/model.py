@@ -43,6 +43,19 @@ class DomainViolation(ModelError):
 # Step and initial laws
 
 
+def _finite_law(law, name: str):
+    """Store a finite law's atoms as an (n_atoms, s) float array and its
+    probabilities as floats; they must align, be nonnegative and sum to 1."""
+    atoms = np.atleast_2d(np.asarray(law.atoms, dtype=float))
+    probs = np.asarray(law.probs, dtype=float)
+    object.__setattr__(law, "atoms", atoms)
+    object.__setattr__(law, "probs", probs)
+    if probs.ndim != 1 or atoms.shape[0] != probs.shape[0]:
+        raise ModelError("atoms and probabilities must align")
+    if np.any(probs < 0) or abs(math.fsum(probs.tolist()) - 1.0) > 1e-12:
+        raise ModelError(f"{name} probabilities must be nonnegative and sum to 1")
+
+
 @dataclass(frozen=True)
 class StepLaw:
     """Finite-support law of the i.i.d. draws Y on the model rectangle.
@@ -62,15 +75,8 @@ class StepLaw:
     probs: np.ndarray  # (n_atoms,)
 
     def __post_init__(self):
-        atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
-        probs = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "probs", probs)
-        if atoms.shape[0] != probs.shape[0]:
-            raise ModelError("atoms and probabilities must align")
-        if np.any(probs < 0) or abs(math.fsum(probs.tolist()) - 1.0) > 1e-12:
-            raise ModelError("step-law probabilities must be nonnegative and sum to 1")
-        if np.any(atoms < 0):
+        _finite_law(self, "step-law")
+        if np.any(self.atoms < 0):
             raise ModelError("step atoms must be nonnegative (walk lives in [0, inf)^s)")
 
     @property
@@ -138,12 +144,7 @@ class InitialLaw:
     probs: np.ndarray
 
     def __post_init__(self):
-        atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
-        probs = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "probs", probs)
-        if np.any(probs < 0) or abs(math.fsum(probs.tolist()) - 1.0) > 1e-12:
-            raise ModelError("initial-law probabilities must be nonnegative and sum to 1")
+        _finite_law(self, "initial-law")
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +184,11 @@ class Domain:
             axes.append(np.linspace(lo, top, per_axis))
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    @property
+    def reach(self) -> np.ndarray:
+        """``upper`` with an infinite edge cut at ``lower + 1e12``."""
+        return np.minimum(self.upper, self.lower + 1e12)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +464,23 @@ class ValidatedModel:
         return s_aux @ self.spec.A.T + float(n) * self.spec.b
 
 
+def validation_grid(spec: ModelSpec, density: int, clip: float) -> tuple:
+    """The grid that validation and the downcrossing check probe, and its interior.
+
+    Returns ``(grid, interior)``: the :meth:`Domain.grid` points, and a mask of
+    those more than 1e-12 inside every edge of [lower, reach]. Models whose
+    reachable states live on a simplex (one unit-mass block per step) declare
+    a cap on the coordinate sum; the grid keeps only the points within it.
+    """
+    grid = spec.domain.grid(density, clip=clip)
+    cap = spec.meta.get("simplex_cap")
+    if cap is not None:
+        grid = grid[grid.sum(axis=1) <= float(cap) + 1e-12]
+    dom = spec.domain
+    interior = np.all((grid > dom.lower + 1e-12) & (grid < dom.reach - 1e-12), axis=1)
+    return grid, interior
+
+
 def validate_model(spec: ModelSpec, grid_density: int = 201, clip: float = 1.0):
     """Validate a spec on a finite grid.
 
@@ -488,13 +511,7 @@ def validate_model(spec: ModelSpec, grid_density: int = 201, clip: float = 1.0):
     if errors:
         raise ModelError("; ".join(errors))
 
-    grid = spec.domain.grid(grid_density, clip=clip)
-    # models whose reachable states live on a simplex (one unit-mass block
-    # per step) declare a cap on the coordinate sum; the probability
-    # constraint only needs to hold there
-    cap = spec.meta.get("simplex_cap")
-    if cap is not None:
-        grid = grid[grid.sum(axis=1) <= float(cap) + 1e-12]
+    grid, interior = validation_grid(spec, grid_density, clip)
     total = np.zeros(grid.shape[0])
     cols = [grid[:, j] for j in range(spec.s)]
     for i, pm in enumerate(spec.prob_maps):
@@ -505,10 +522,6 @@ def validate_model(spec: ModelSpec, grid_density: int = 201, clip: float = 1.0):
                 f"probability-out-of-range: P_{i + 1}({grid[bad[0]].tolist()}) = {vals[bad[0]]:.6g}"
             )
         total += vals
-    interior = np.all(
-        (grid > spec.domain.lower + 1e-12) & (grid < np.minimum(spec.domain.upper, spec.domain.lower + 1e12)),
-        axis=1,
-    )
     over = np.where(total > 1.0 + 1e-12)[0]
     if over.size:
         errors.append(

@@ -22,11 +22,11 @@ from typing import Optional
 
 import numpy as np
 
-from .funcdsl import FuncExpr, derive_at, NonSmoothError
+from .funcdsl import FuncExpr, derivatives, derive_at
 from .model import ModelError, ValidatedModel
 from .simulate import (FunctionalConfig, check_master_seed, ensemble, nearest_checkpoint, resolve_checkpoints,
                        trajectory_seed)
-from .theory import expansion_coeffs
+from .theory import expansion_coeffs, report_dict
 
 
 class SAError(ModelError):
@@ -87,14 +87,7 @@ class SAProcess:
             out = [float(v) for v in self.drift_derivs]
             out += [0.0] * max(0, upto - len(out))
             return out[:upto]
-        out = []
-        for order in range(1, upto + 1):
-            try:
-                value, _ = derive_at(self.drift, self.theta0, order=order)
-            except NonSmoothError:
-                break
-            out.append(value)
-        return out
+        return derivatives(self.drift, self.theta0, upto)
 
 
 @dataclass
@@ -220,7 +213,7 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "details": self.details}
+        return report_dict(self)
 
 
 def noise_moment_check(model: ValidatedModel, n_max: int = 4000, N: int = 200,

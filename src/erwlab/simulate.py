@@ -214,12 +214,13 @@ def philox_keys(master_seed: int, lo: int, hi: int) -> np.ndarray:
     return keys
 
 
+_LIL_FIRST_N = {"diffusive": 3, "critical": 16}  # the least n at which each norm's logs are positive
+
+
 def _lil_norm(n: int, mode: str) -> float:
     if mode == "diffusive":
         return math.sqrt(n / (2.0 * math.log(math.log(n))))
-    if mode == "critical":
-        return math.sqrt(n / (2.0 * math.log(n) * math.log(math.log(math.log(n)))))
-    raise ModelError(f"unknown LIL mode {mode!r}")
+    return math.sqrt(n / (2.0 * math.log(n) * math.log(math.log(math.log(n)))))
 
 
 def _is_unit_step(model: ValidatedModel) -> bool:
@@ -443,6 +444,17 @@ def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
     out["aux_final"][:, :] = state
 
 
+def _check_unit_probs(P):
+    """The range abort over the P rows (steps, B) of a chunk: one test of the
+    whole, and on failure the report of the first failing row."""
+    try:
+        check_runtime_probs(P)
+    except ModelError:
+        for row in P:
+            check_runtime_probs(row)
+        raise
+
+
 def _simulate_unit_batch(model, n_max, checkpoints, keys, cfg, out):
     """The general kernel specialised to unit-step models (:func:`_is_unit_step`),
     and tested against it; the general kernel is tested against the scalar
@@ -453,9 +465,10 @@ def _simulate_unit_batch(model, n_max, checkpoints, keys, cfg, out):
     ``(u1 < P) * atom``, bit for bit the general kernel's. The second uniform
     is drawn for the fixed budget but never read, so its row of the chunk
     buffer keeps P. The runtime range abort of ``block_probs`` (NaN included)
-    runs over that row once per chunk, and also before any error raised
-    mid-chunk propagates, so an earlier out-of-range P wins as it does in the
-    general kernel; rows not yet reached still hold uniforms in [0, 1).
+    runs over the P of the steps taken, once per chunk, and also before any
+    error raised mid-chunk propagates, so an earlier out-of-range P wins as
+    it does in the general kernel. It reports the range of the first step
+    that fails, as the general kernel does.
     """
     spec = model.spec
     atom = float(spec.step_law.atoms[0, 0])
@@ -475,6 +488,8 @@ def _simulate_unit_batch(model, n_max, checkpoints, keys, cfg, out):
     rec = _Recorder(model, n_max, checkpoints, cfg, out, state, fill_noise_e)
     x_rows = rec.noise_x
     for t, uniforms in _uniform_chunks(keys, n_max):
+        first = 1 if t == 0 else 0  # time 0 draws the initial position: no P
+        tt = 0
         try:
             for tt in range(uniforms.shape[0]):
                 tc = t + tt
@@ -490,9 +505,9 @@ def _simulate_unit_batch(model, n_max, checkpoints, keys, cfg, out):
                     rec.record(tc + 1)
             rec.flush()
         except Exception:
-            check_runtime_probs(uniforms[:, 1])
+            _check_unit_probs(uniforms[first:tt + 1, 1])  # row tt holds P or a uniform in [0, 1)
             raise
-        check_runtime_probs(uniforms[:, 1])
+        _check_unit_probs(uniforms[first:, 1])
         _overflow_guard(state, t + uniforms.shape[0], abs(atom))
     out["aux_final"][:, :] = state
 
@@ -526,6 +541,14 @@ def ensemble(model: ValidatedModel, n_max: int, N: int, master_seed: int,
     C = len(checkpoints)
     d, s = model.d, model.s
 
+    if cfg.lil_mode is not None:
+        if cfg.lil_mode not in _LIL_FIRST_N:
+            raise ModelError(f"unknown LIL mode {cfg.lil_mode!r}")
+        lil_lo, lil_hi = cfg.lil_window
+        first, last = max(lil_lo, 1), n_max if lil_hi is None else min(lil_hi, n_max)
+        least = _LIL_FIRST_N[cfg.lil_mode]
+        if first < least and first <= last:
+            raise ModelError(f"LIL window reaches n = {first}; the {cfg.lil_mode} norm needs n >= {least}")
     if cfg.collect_noise:
         if model.s != 1:
             raise ModelError("noise collection is implemented for s = 1 models")

@@ -11,13 +11,14 @@ expansion coefficients for the superdiffusive deviation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
-from .model import ModelError, ValidatedModel
+from . import funcdsl
+from .model import ModelError, ValidatedModel, validation_grid
 
 
 class TheoryError(ModelError):
@@ -34,7 +35,7 @@ _BISECT_DEPTH = 7  # halvings whose midpoints one eval_H call tabulates
 def _feasible(model, x):
     """Clip points of shape (..., s) into the rectangle; a point whose
     coordinates sum past the model's ``simplex_cap`` is scaled back inside."""
-    x = np.clip(x, model.domain.lower, np.minimum(model.domain.upper, model.domain.lower + 1e12))
+    x = np.clip(x, model.domain.lower, model.domain.reach)
     cap = model.meta.get("simplex_cap")
     if cap is not None:
         sums = x.sum(axis=-1, keepdims=True)
@@ -147,13 +148,7 @@ def check_downcrossing(model: ValidatedModel, x0, grid_density: int = 201,
     around x0. A nonnegative maximum reports the offending point.
     """
     x0 = np.asarray(x0, dtype=float)
-    grid = model.domain.grid(grid_density)
-    cap = model.meta.get("simplex_cap")
-    if cap is not None:
-        grid = grid[grid.sum(axis=1) <= float(cap) + 1e-12]
-    lower = model.domain.lower
-    upper = np.minimum(model.domain.upper, model.domain.lower + 1e12)
-    interior = np.all((grid > lower + 1e-12) & (grid < upper - 1e-12), axis=1)
+    grid, interior = validation_grid(model.spec, grid_density, 1.0)
     grid = grid[interior]
     keep = np.linalg.norm(grid - x0, axis=1) > exclusion_radius
     grid = grid[keep]
@@ -191,10 +186,7 @@ def _partial(fun, x0, axis, base_step):
 def jacobian(model: ValidatedModel, x0, base_step: float = 1e-3) -> np.ndarray:
     """Numeric Jacobian of the drift map H at x0 (column j = dH/dx_j)."""
     x0 = np.asarray(x0, dtype=float)
-    dist = np.minimum(
-        x0 - model.domain.lower,
-        np.minimum(model.domain.upper, model.domain.lower + 1e12) - x0,
-    )
+    dist = np.minimum(x0 - model.domain.lower, model.domain.reach - x0)
     cols = []
     for j in range(model.s):
         step = min(base_step, max(float(dist[j]) / 2.0, 1e-7))
@@ -615,6 +607,26 @@ def expansion_coeffs(derivs, tau: float, m: int, scale: str = "auxiliary"):
 # Regime report
 
 
+def plain(value):
+    """``value`` with numpy arrays and scalars, also inside dicts, lists and
+    tuples, turned into the Python objects JSON writes."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    return value
+
+
+def report_dict(report, skip=()) -> dict:
+    """A report dataclass as a JSON-ready dict: every field not in ``skip``,
+    through :func:`plain`."""
+    return {f.name: plain(getattr(report, f.name)) for f in fields(report) if f.name not in skip}
+
+
 @dataclass
 class RegimeReport:
     """Everything the limit theorems predict for one model."""
@@ -641,33 +653,9 @@ class RegimeReport:
     provenance: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        def arr(a):
-            return None if a is None else np.asarray(a).tolist()
-
         return {
-            "x0": arr(self.x0),
-            "limit": arr(self.limit),
-            "regime": self.regime,
-            "tau": self.tau,
-            "kappa": self.kappa,
-            "eta": self.eta,
-            "eta1": self.eta1,
-            "sigma0": arr(self.sigma0),
-            "sigma1": arr(self.sigma1),
-            "sigma2": arr(self.sigma2),
-            "clt_variance": arr(self.clt_variance),
-            "lil_constant": self.lil_constant,
-            "residual_variance": self.residual_variance,
-            "expansion_b": self.expansion_b,
-            "expansion_beta": self.expansion_beta,
-            "m0": self.m0,
-            "downcrossing": None
-            if self.downcrossing is None
-            else {
-                "verified": self.downcrossing.verified,
-                "max_value": self.downcrossing.max_value,
-                "argmax": self.downcrossing.argmax.tolist(),
-            },
+            **report_dict(self, skip=("downcrossing", "profile")),
+            "downcrossing": None if self.downcrossing is None else report_dict(self.downcrossing),
             "eigenvalues": None
             if self.profile is None
             else [[z.real, z.imag] for z in np.atleast_1d(self.profile.eigenvalues)],
@@ -677,8 +665,6 @@ class RegimeReport:
                 {"value": [c["value"].real, c["value"].imag], "block_sizes": list(c["block_sizes"])}
                 for c in self.profile.clusters
             ],
-            "notes": list(self.notes),
-            "provenance": self.provenance,
         }
 
 
@@ -686,27 +672,15 @@ def _h_derivatives(model: ValidatedModel, x0, upto: int) -> list:
     """Drift-map derivatives H', H'', ... at x0 (s = 1), exact when known."""
     exact = model.meta.get("exact", {})
     max_order = exact.get("max_smooth_order", None)
+    limit = upto if max_order is None else min(upto, max_order)
     listed = exact.get("h_derivs")
     if listed is not None:
         out = [float(v) for v in listed]
         if max_order is None:
             out += [0.0] * max(0, upto - len(out))
-            return out[:upto]
-        return out[: min(upto, max_order)]
-    from . import funcdsl
-
-    out = []
-    limit = upto if max_order is None else min(upto, max_order)
-    limit = min(limit, funcdsl.MAX_DERIV_ORDER)
-    expr = model.spec.prob_maps[0]
+        return out[:limit]
     mu = float(model.mu[0])
-    for order in range(1, limit + 1):
-        try:
-            value, _ = funcdsl.derive_at(expr, float(x0[0]), order=order)
-        except funcdsl.NonSmoothError:
-            break
-        out.append(value * mu)
-    return out
+    return [value * mu for value in funcdsl.derivatives(model.spec.prob_maps[0], float(x0[0]), limit)]
 
 
 REGIME_TOL = 1e-9

@@ -23,7 +23,7 @@ from scipy import stats as spstats
 from .model import ModelError
 from .sa import residual_order_slope, residual_variance
 from .simulate import EnsembleStats, nearest_checkpoint
-from .theory import RegimeReport
+from .theory import RegimeReport, report_dict
 
 
 class VerifyError(ModelError):
@@ -43,24 +43,7 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        def plain(v):
-            if isinstance(v, np.ndarray):
-                return v.tolist()
-            if isinstance(v, (np.floating, np.integer)):
-                return v.item()
-            return v
-
-        return {
-            "theorem": self.theorem,
-            "statistic": plain(self.statistic),
-            "predicted": plain(self.predicted),
-            "tolerance": plain(self.tolerance),
-            "passed": self.passed,
-            "mode": self.mode,
-            "sample_size": self.sample_size,
-            "notes": list(self.notes),
-            "details": {k: plain(v) for k, v in self.details.items()},
-        }
+        return report_dict(self)
 
 
 @dataclass
