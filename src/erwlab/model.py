@@ -30,6 +30,11 @@ import numpy as np
 from . import funcdsl
 from .funcdsl import FuncExpr, parse
 
+try:  # the ufunc np.clip ends in, called directly to skip its Python wrappers
+    from numpy._core.umath import clip as clip_ufunc
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as clip_ufunc
+
 
 class ModelError(ValueError):
     """Invalid model definition."""
@@ -320,9 +325,11 @@ def check_runtime_probs(values: np.ndarray, clamp_tol: float = 1e-9):
     """Abort unless every value lies in [0 - tol, 1 + tol]; NaN fails too.
 
     The test itself is two plain reductions (0 joins them, so an empty input
-    passes); the reported range is that of the non-NaN values.
+    passes), called as ufuncs because it runs on every simulation step; the
+    reported range is that of the non-NaN values.
     """
-    if not (values.min(initial=0.0) >= -clamp_tol and values.max(initial=0.0) <= 1.0 + clamp_tol):
+    if not (np.minimum.reduce(values, axis=None, initial=0.0) >= -clamp_tol
+            and np.maximum.reduce(values, axis=None, initial=0.0) <= 1.0 + clamp_tol):
         nan = np.isnan(values)
         real = values[~nan]
         span = f"[{real.min():.6g}, {real.max():.6g}]" if real.size else "[nan, nan]"
@@ -335,7 +342,7 @@ def check_runtime_sum(totals: np.ndarray, clamp_tol: float = 1e-9):
 
     Float subtraction is monotone, so this is ``min(1 - totals) < -tol``.
     """
-    if 1.0 - totals.max(initial=0.0) < -clamp_tol:
+    if 1.0 - np.maximum.reduce(totals, axis=None, initial=0.0) < -clamp_tol:
         raise ModelError("probability-out-of-range at runtime: block probabilities sum past 1")
 
 
@@ -406,14 +413,14 @@ class ValidatedModel:
         for i, pm in enumerate(self.spec.prob_maps):
             head[i, ...] = pm.fast(cols)
         check_runtime_probs(head, clamp_tol)
-        np.clip(head, 0.0, 1.0, out=head)
+        clip_ufunc(head, 0.0, 1.0, out=head)
         totals = head[0] if self.r > 1 else np.zeros(x.shape[:-1])
         for row in head[1:]:  # in row order, where numpy sums one point's rows pairwise
             totals = totals + row
         check_runtime_sum(totals, clamp_tol)
         tail = probs[-1, ...]  # a view, also when x is a single (s,) point
         np.subtract(1.0, totals, out=tail)
-        np.clip(tail, 0.0, 1.0, out=tail)
+        clip_ufunc(tail, 0.0, 1.0, out=tail)
         return probs
 
     def eval_H(self, x) -> np.ndarray:

@@ -169,21 +169,3 @@ def exact_moments(law, A=None, b=None, n=None):
     centered = s_vals - mean
     cov = (centered.T * probs) @ centered
     return mean, cov
-
-
-def observed_pmf(law, A=None, b=None, n=None, decimals: int = 9) -> dict:
-    """Collapse an auxiliary law to the law of the observed position."""
-    if isinstance(law, ExactLaw1D):
-        out = {}
-        for k, w in enumerate(law.pmf):
-            key = (round(float(law.A * k + law.n * law.b), decimals),)
-            out[key] = out.get(key, 0.0) + float(w)
-        return out
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    out = {}
-    for pos, w in law.items():
-        s = np.asarray(pos) @ A.T + float(n) * b
-        key = tuple(round(float(v), decimals) for v in s)
-        out[key] = out.get(key, 0.0) + float(w)
-    return out

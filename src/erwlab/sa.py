@@ -446,30 +446,6 @@ def sa_expansion_check(proc: SAProcess, paths: SAPaths, k: Optional[int] = None,
     )
 
 
-def sa_order_check(proc: SAProcess, paths: SAPaths, k: int,
-                   slope_slack: float = 0.1) -> CheckReport:
-    """Slope check of the almost sure expansion order for psi' < 1/(2k).
-
-    Regresses log median absolute residual on log n over the top decade of
-    checkpoints; the fitted slope must be at most -(k) psi' + slack.
-    """
-    psi_p = proc.psi_prime()
-    if not psi_p < 1.0 / (2.0 * k):
-        raise SAError("wrong-derivative-regime: order check needs psi' < 1/(2k)")
-    coeffs = sa_coeffs(proc.psi_derivs(upto=k), upto=k)
-    keep, z_hat = _converged_scales(proc, paths, psi_p, coeffs, 0.1)
-    slope, _ = residual_order_slope(paths.theta[keep], proc.theta0, paths.checkpoints, paths.n_max,
-                                    z_hat, psi_p, coeffs)
-    if slope is None:
-        raise SAError("not enough checkpoints in the top decade for the slope fit")
-    target = -k * psi_p + slope_slack
-    return CheckReport(
-        name="sa-order",
-        passed=slope <= target,
-        details={"slope": slope, "target": target, "k": k},
-    )
-
-
 def sa_clt_variance_check(proc: SAProcess, paths: SAPaths, tolerance: float = 0.05) -> CheckReport:
     """Terminal CLT for psi' > 1/2: Var(sqrt(n) (Theta_n - theta0)) over the
     paths that did not escape, against s^2 / (2 psi' - 1), relative tolerance."""

@@ -48,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ModelError, ValidatedModel, check_runtime_probs, check_runtime_sum
+from .model import ModelError, ValidatedModel, check_runtime_probs, check_runtime_sum, clip_ufunc
 
 
 def default_checkpoints(n_max: int) -> list:
@@ -382,19 +382,26 @@ def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
     The general kernel: any s, r and step law. Each step does the work of
     :meth:`ValidatedModel.block_probs` on reused buffers, in its order: the
     maps P_1..P_{r-1} into the head rows, the range and NaN abort, the clip,
-    then the sum-past-1 abort on the head's cumulative sums. The block is the
-    number of those sums at or below u1. They never decrease, so the tail
-    row P_r, which ``block_probs`` would add last, cannot change the block
-    and is computed only for noise collection. The step comes from a table
-    of every (block, atom) step. The scalar replay in ``tests/`` is the
+    then the sum-past-1 abort on the head's cumulative sums, added row by
+    row. For r = 2 the one clipped P is its own sum and at most 1, so that
+    abort could never fire and is skipped; a NaN has already failed the
+    range abort. The block is the number of cumulative sums at or below u1.
+    They never decrease, so the tail row P_r, which ``block_probs`` would
+    add last, cannot change the block and is computed only for noise
+    collection. The atom is the number of the step law's cumulative
+    probabilities at or below u2, the last one left out, so the last atom
+    also takes a u2 past a final sum that rounds below 1. The two counts
+    index a table of every (block, atom) step. Each stage is one numpy call
+    into a reused buffer: at a few hundred trajectories the fixed cost of a
+    call is most of a step. The scalar replay in ``tests/`` is the
     reference this kernel is tested against.
     """
     B = len(keys)
     s, r = model.s, model.r
     spec = model.spec
     atoms = spec.step_law.atoms  # (n_atoms, s)
-    atom_cum = np.cumsum(spec.step_law.probs)
-    n_atoms = len(atom_cum)
+    atom_cuts = np.cumsum(spec.step_law.probs)[:-1, None]
+    n_atoms = len(atoms)
     # row block * n_atoms + atom: the step of that block with that atom
     steps = (atoms[None] * model.block_masks[:, None]).reshape(r * n_atoms, s)
     max_atom = float(np.max(np.abs(atoms))) if atoms.size else 0.0
@@ -403,11 +410,20 @@ def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
 
     state = np.zeros((B, s))
     rec = _Recorder(model, n_max, checkpoints, cfg, out, state)
+    blocked, cp_set = rec.blocked, rec.cp_set
     x = np.empty((B, s))
     cols = [x[:, j] for j in range(s)]
     probs = np.empty((r, B))
     head = probs[:-1]
-    cum = np.empty((r - 1, B))
+    cum = head if r <= 2 else np.empty((r - 1, B))
+    sums = list(zip(cum[:-1], head[1:], cum[1:]))  # (previous sum, P_i, sum through P_i)
+    # 1 where a cut is at or below its uniform: each block cut n_atoms times,
+    # then the atom cuts, so the rows add up to the row of the step table
+    hits = np.empty((r * n_atoms - 1, B), dtype=np.intp)
+    block_hits = hits[:(r - 1) * n_atoms].reshape(r - 1, n_atoms, B)
+    atom_hits = hits[(r - 1) * n_atoms:]
+    block_cuts = cum[:, None]
+    row = np.empty(B, dtype=np.intp)
     for t, uniforms in _uniform_chunks(keys, n_max):
         for tt in range(uniforms.shape[0]):
             tc = t + tt
@@ -419,15 +435,16 @@ def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
                 for i, fast in enumerate(maps):
                     head[i] = fast(cols)
                 check_runtime_probs(head)
-                np.clip(head, 0.0, 1.0, out=head)
-                np.add.accumulate(head, axis=0, out=cum)
-                check_runtime_sum(cum[-1:])  # empty when r = 1
-                row = (u1 >= cum).sum(axis=0)  # the block
+                clip_ufunc(head, 0.0, 1.0, out=head)
+                if r > 2:
+                    cum[0] = head[0]
+                    for prev, p, through in sums:
+                        np.add(prev, p, out=through)
+                    check_runtime_sum(cum[-1])
+                np.greater_equal(u1, block_cuts, out=block_hits)
                 if n_atoms > 1:
-                    aidx = np.searchsorted(atom_cum, u2, side="right")
-                    np.minimum(aidx, n_atoms - 1, out=aidx)
-                    row *= n_atoms
-                    row += aidx
+                    np.greater_equal(u2, atom_cuts, out=atom_hits)
+                np.add.reduce(hits, axis=0, out=row)  # block * n_atoms + atom
                 step_vec = steps.take(row, axis=0)
                 if cfg.collect_noise:  # s = 1: ensemble rejects it otherwise
                     tail = probs[-1]
@@ -437,7 +454,7 @@ def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
                     rec.noise_x[rec.k] = x[:, 0]
                     np.subtract(H[:, 0], step_vec[:, 0], out=rec.noise_e[rec.k])
             state += step_vec
-            if rec.blocked or tc + 1 in rec.cp_set:
+            if blocked or tc + 1 in cp_set:
                 rec.record(tc + 1)
         rec.flush()
         _overflow_guard(state, t + uniforms.shape[0], max_atom)
@@ -535,6 +552,8 @@ def ensemble(model: ValidatedModel, n_max: int, N: int, master_seed: int,
         raise ModelError(f"N must lie in [1, {MAX_TRAJECTORIES}]")
     if batch_size < 1:
         raise ModelError("batch_size must be >= 1")
+    if threads < 1:
+        raise ModelError(f"threads must be >= 1, got {threads}")
     check_master_seed(master_seed)
     cfg = functional_config or FunctionalConfig()
     checkpoints = resolve_checkpoints(n_max, checkpoints)

@@ -6,11 +6,13 @@ one step per call; :func:`enumerate_states` pushes a dict of positions forward
 one state per call, merging equal positions as dict keys do (the first
 appearance keeps its bits) and skipping blocks of probability exactly 0.
 Neither checks horizons, guards or models: the oracles do that.
+:func:`observed_pmf` collapses either law to the law of the observed position.
 """
 
 import numpy as np
 
 from erwlab.model import ValidatedModel
+from erwlab.oracle import ExactLaw1D
 
 
 def dp_1d_pmf(model: ValidatedModel, n: int) -> np.ndarray:
@@ -51,3 +53,21 @@ def enumerate_states(model: ValidatedModel, n: int) -> dict:
                     nxt[key] = nxt.get(key, 0.0) + prob * pi * float(w)
         states = nxt
     return states
+
+
+def observed_pmf(law, A=None, b=None, n=None, decimals: int = 9) -> dict:
+    """Collapse an auxiliary law to the law of the observed position."""
+    if isinstance(law, ExactLaw1D):
+        out = {}
+        for k, w in enumerate(law.pmf):
+            key = (round(float(law.A * k + law.n * law.b), decimals),)
+            out[key] = out.get(key, 0.0) + float(w)
+        return out
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    out = {}
+    for pos, w in law.items():
+        s = np.asarray(pos) @ A.T + float(n) * b
+        key = tuple(round(float(v), decimals) for v in s)
+        out[key] = out.get(key, 0.0) + float(w)
+    return out

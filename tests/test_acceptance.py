@@ -19,7 +19,6 @@ from erwlab.sa import NoiseSpec, SAProcess, noise_moment_check, run_sa, sa_expan
 from erwlab.simulate import FunctionalConfig
 from erwlab.theory import (
     expansion_coeffs,
-    sigma1_quadrature,
     solve_sigma1,
     spectral_profile_from_jacobian,
 )
@@ -29,6 +28,7 @@ from erwlab.verify import (
     slln_test,
     supercritical_limit_test,
 )
+from theory_reference import sigma1_quadrature
 
 
 def _model(name, **kwargs):

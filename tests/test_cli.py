@@ -204,6 +204,19 @@ def test_negative_seed_exit_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--preset", "erw", "--p", "0.6", "--n", "10", "--N", "4"],
+    ["verify", "--preset", "erw", "--p", "0.6", "--suite", "slln", "--n", "100", "--N", "8"],
+], ids=["simulate", "verify"])
+def test_threads_below_one_exit_2(tmp_path, capsys, argv, threads):
+    out = tmp_path / "out.json"
+    code = main(argv + ["--threads", threads, "--out", str(out)])
+    assert code == 2
+    assert f"config-invalid: threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("suite", ["slln", "clt"])
 @pytest.mark.parametrize("N", ["1", "0"])
 def test_verify_single_trajectory_exit_2(tmp_path, capsys, suite, N):

@@ -204,6 +204,48 @@ class TestValidation:
 
         check_runtime_probs(np.array(values, dtype=float))
 
+    # (values, range check passes, sum check passes). The checks call the
+    # reduction ufuncs directly; each outcome must also be that of the same
+    # tests written with the ndarray methods
+    PAST_TOP = np.nextafter(1.0 + 1e-9, 2.0)
+    PAST_BOTTOM = np.nextafter(-1e-9, -1.0)
+
+    @pytest.mark.parametrize("values,range_ok,sum_ok", [
+        ([], True, True),
+        ([[], []], True, True),
+        ([[np.nan, np.nan], [np.nan, np.nan]], False, True),  # NaN totals are left to the range check
+        ([0.3, np.nan, 0.7], False, True),
+        ([np.nan, 1.5], False, True),
+        ([[0.0, 1.0 + 5e-10], [-5e-10, 0.5]], True, True),
+        ([-1e-9, 1.0 + 1e-9], True, False),  # 1 - (1 + 1e-9) rounds past -1e-9
+        ([0.5, PAST_TOP], False, False),
+        ([PAST_BOTTOM, 0.5], False, True),
+    ], ids=["empty", "empty-rows", "all-nan", "nan-among-valid", "nan-and-past-one", "within-band",
+            "band-edges", "just-past-top", "just-past-bottom"])
+    def test_runtime_checks_match_the_method_reductions(self, values, range_ok, sum_ok):
+        from erwlab.model import check_runtime_probs, check_runtime_sum
+
+        values = np.array(values, dtype=float)
+        tol = 1e-9
+        assert range_ok == bool(values.min(initial=0.0) >= -tol and values.max(initial=0.0) <= 1.0 + tol)
+        assert sum_ok == (not 1.0 - values.max(initial=0.0) < -tol)
+        for check, ok in ((check_runtime_probs, range_ok), (check_runtime_sum, sum_ok)):
+            if ok:
+                check(values)
+            else:
+                with pytest.raises(ModelError, match="probability-out-of-range"):
+                    check(values)
+
+    def test_clip_ufunc_is_np_clip(self):
+        # the kernels clip through the ufunc behind np.clip; it keeps -0.0 as np.clip does
+        from erwlab.model import clip_ufunc
+
+        values = np.array([-0.0, 0.0, -1e-12, 0.25, 1.0 + 1e-12, np.nan, -np.inf, np.inf])
+        got = clip_ufunc(values, 0.0, 1.0)
+        assert np.array_equal(got, np.clip(values, 0.0, 1.0), equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(np.clip(values, 0.0, 1.0)))
+        assert np.signbit(got[0]) and not np.signbit(got[1])
+
     def test_nan_probability_rejected(self):
         # exp overflows past x ~ 0.71, and 0 * inf is NaN
         spec = _erw_spec(prob_text="0.5 + 0*exp(1000*x)")

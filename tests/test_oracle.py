@@ -11,9 +11,8 @@ from erwlab.oracle import (
     exact_dp_1d,
     exact_moments,
     is_unit_step_1d,
-    observed_pmf,
 )
-from oracle_reference import dp_1d_pmf, enumerate_states
+from oracle_reference import dp_1d_pmf, enumerate_states, observed_pmf
 
 UNIT_STEP_PRESETS = [
     ("erw", dict(p=0.6, q=0.5)),

@@ -17,11 +17,10 @@ from erwlab.sa import (
     run_sa,
     sa_coeffs,
     sa_expansion_check,
-    sa_order_check,
 )
 from erwlab.simulate import trajectory_seed
 from erwlab.theory import expansion_coeffs
-from sa_reference import run_sa_reference
+from sa_reference import run_sa_reference, sa_order_check
 
 
 def _model(name, **kwargs):

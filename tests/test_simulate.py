@@ -51,7 +51,7 @@ def _general_kernel(model, stats, cfg):
 GENERAL_MODELS = [
     ("kdim", dict(k=3, p=0.5)),  # one step atom, r = 6
     ("kdim", dict(k=2, f="x^2", p=0.7)),
-    ("random-step", dict(p=0.7)),  # two step atoms: the searchsorted path
+    ("random-step", dict(p=0.7)),  # two step atoms: the atom draw
     ("random-step", dict(f="x^2", p=0.8, z_values=(2.5,), z_probs=(1.0,))),  # one atom, s = 3, r = 2
 ]
 
@@ -84,6 +84,35 @@ def _two_atom_line():
                      prob_maps=(parse("0.2 + 0.3 * x", arity=1),), A=[[1.0]], b=[0.0],
                      initial=InitialLaw([[1.0], [0.0]], [0.5, 0.5]), domain=Domain([0.0], [2.0]))
     return validate_model(spec)
+
+
+def _hand_built(atoms, probs, maps, initial=None):
+    """A general-kernel model with A = I and b = 0: block i moves coordinate i
+    by the drawn atom, and with r - 1 maps on s coordinates r is s or s + 1
+    (the last block stays). The domain is [0, largest atom]^s, on which the
+    callers' maps keep every sum of P below 1."""
+    atoms = np.asarray(atoms, dtype=float)
+    s = atoms.shape[1]
+    r = len(maps) + 1
+    partition = tuple((j + 1,) for j in range(s)) + (((),) if r == s + 1 else ())
+    initial = initial or InitialLaw([[1.0] * s, [0.0] * s], [0.5, 0.5])
+    spec = ModelSpec(s=s, d=s, r=r, partition=partition, step_law=StepLaw.finite(atoms, probs),
+                     prob_maps=tuple(parse(text, arity=s) for text in maps), A=np.eye(s), b=np.zeros(s),
+                     initial=initial, domain=Domain([0.0] * s, [float(atoms.max())] * s))
+    return validate_model(spec)
+
+
+# the cumulative sums of these step probabilities end one ulp below 1
+SHORT_PROBS = (0.7, 0.2, 0.1)
+
+HAND_BUILT_MODELS = {  # general-kernel branches no preset reaches
+    "r3-three-atoms": lambda: _hand_built([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]], SHORT_PROBS,
+                                          ["0.3 + 0.1 * x1", "0.2 + 0.1 * x2"]),
+    "r4-two-atoms": lambda: _hand_built([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], (0.4, 0.6),
+                                        ["0.2 + 0.1 * x1", "0.2 + 0.1 * x2", "0.1 + 0.1 * x3"]),
+    "r2-three-atoms": lambda: _hand_built([[1.0], [2.0], [3.0]], SHORT_PROBS, ["0.5 + 0.1 * x"]),
+    "r1-two-atoms": lambda: _hand_built([[1.0], [2.0]], (0.4, 0.6), []),
+}
 
 
 def _hacked_kdim(*prob_texts):
@@ -488,7 +517,16 @@ class TestGeneralKernel:
     @pytest.mark.parametrize("batch_size", [5, 2048])
     @pytest.mark.parametrize("name,kwargs", GENERAL_MODELS)
     def test_matches_scalar_replay(self, name, kwargs, batch_size, chunk_doubles, monkeypatch):
-        model = _model(name, **kwargs)
+        self._assert_matches_replay(_model(name, **kwargs), batch_size, chunk_doubles, monkeypatch)
+
+    @pytest.mark.parametrize("chunk_doubles", [None, 42])
+    @pytest.mark.parametrize("batch_size", [5, 2048])
+    @pytest.mark.parametrize("build", HAND_BUILT_MODELS.values(), ids=HAND_BUILT_MODELS.keys())
+    def test_hand_built_models_match_scalar_replay(self, build, batch_size, chunk_doubles, monkeypatch):
+        self._assert_matches_replay(build(), batch_size, chunk_doubles, monkeypatch)
+
+    @staticmethod
+    def _assert_matches_replay(model, batch_size, chunk_doubles, monkeypatch):
         assert not _is_unit_step(model)
         if chunk_doubles is not None:
             monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", chunk_doubles)
@@ -500,6 +538,29 @@ class TestGeneralKernel:
             for j, n in enumerate(stats.checkpoints):
                 # integer and half-integer positions: the products are exact
                 assert np.array_equal(stats.snn[i, j], positions[n] @ A.T / n + b), (i, n)
+
+    def test_atom_draw_takes_the_last_atom_past_the_last_cut(self, monkeypatch):
+        # the cumulative step probabilities end one ulp below 1, at the largest
+        # uniform; u2 at or past a cut takes the next atom, and at or past the
+        # last cut the last atom
+        model = _hand_built([[1.0], [2.0], [3.0]], SHORT_PROBS, ["0.5 + 0.1 * x"], initial=InitialLaw([[0.0]], [1.0]))
+        atom_cum = np.cumsum(SHORT_PROBS)
+        assert atom_cum[-1] == np.nextafter(1.0, 0.0)
+        u2 = np.array([0.0, np.nextafter(atom_cum[0], 0.0), atom_cum[0], np.nextafter(atom_cum[1], 0.0),
+                       atom_cum[1], atom_cum[2], atom_cum[2]])
+        u1 = np.array([0.0] * 6 + [0.75])  # P = 0.5 at x = 0: block 1 (move), then block 2 (stay)
+        B = len(u2)
+        uniforms = np.stack([np.zeros((2, B)), np.stack([u1, u2])])  # step 0 draws the initial point mass
+        monkeypatch.setattr(simulate, "_uniform_chunks", lambda keys, n_max: iter([(0, uniforms)]))
+        out = {"snn": np.zeros((B, 1, 1)), "aux_final": np.zeros((B, 1))}
+        _simulate_batch(model, 2, [2], philox_keys(0, 0, B), FunctionalConfig(), out)
+        # the reference formula: searchsorted over every cut, capped at the last atom
+        P = np.clip(model.spec.prob_maps[0].fast([np.zeros(B)]), 0.0, 1.0)
+        block = (u1 >= P[None]).sum(axis=0)
+        aidx = np.minimum(np.searchsorted(atom_cum, u2, side="right"), len(atom_cum) - 1)
+        old_steps = model.spec.step_law.atoms[aidx] * model.block_masks[block]
+        assert np.array_equal(out["aux_final"], old_steps)
+        assert np.array_equal(out["aux_final"][:, 0], [1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 0.0])
 
     def test_noise_matches_scalar_replay(self):
         model = _two_atom_line()
@@ -515,6 +576,24 @@ class TestGeneralKernel:
             assert np.array_equal(stats.noise_x[i], x[:, 0]), i
             assert np.array_equal(stats.noise_e[i], (H - np.diff(positions[1:], axis=0))[:, 0]), i
         assert np.array_equal(stats.aux_final[8], positions[-1])
+
+    @pytest.mark.parametrize("text", ["-(0*x)", "-(0.4 * (0 - x))"], ids=["always", "at-zero"])
+    def test_negative_zero_probability_matches_scalar_replay(self, text):
+        # the map gives -0.0 (always, or where x = 0); every output must carry
+        # the replay's bits, the sign of each zero included
+        spec = ModelSpec(s=1, d=1, r=2, partition=((1,), ()), step_law=StepLaw.finite([[1.0], [2.0]], [0.4, 0.6]),
+                         prob_maps=(parse(text, arity=1),), A=[[1.0]], b=[0.0],
+                         initial=InitialLaw([[1.0], [0.0]], [0.5, 0.5]), domain=Domain([0.0], [2.0]))
+        model = validate_model(spec)
+        assert not _is_unit_step(model) and np.signbit(model.spec.prob_maps[0].fast([np.zeros(1)]))[0]
+        cfg = FunctionalConfig(collect_noise=True)
+        stats = ensemble(model, 60, 6, master_seed=13, functional_config=cfg, batch_size=4)
+        for i in range(6):
+            want = replay_stats(model, 60, 13, i, stats.checkpoints, cfg)
+            for name in ("snn", "aux_final", "noise_x", "noise_e"):
+                got = getattr(stats, name)[i:i + 1]
+                assert np.array_equal(got, want[name]), (i, name)
+                assert np.array_equal(np.signbit(got), np.signbit(want[name])), (i, name)
 
 
 class TestGeneralRuntimeAbort:

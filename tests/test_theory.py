@@ -12,13 +12,13 @@ from erwlab.theory import (
     enumerate_partitions,
     expansion_coeffs,
     sigma0_matrix,
-    sigma1_quadrature,
     sigma2_critical,
     sigma2_from_blocks,
     solve_sigma1,
     spectral_profile,
     spectral_profile_from_jacobian,
 )
+from theory_reference import sigma1_quadrature
 
 
 def _model(name, **kwargs):
