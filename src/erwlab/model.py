@@ -30,10 +30,16 @@ import numpy as np
 from . import funcdsl
 from .funcdsl import FuncExpr, parse
 
-try:  # the ufunc np.clip ends in, called directly to skip its Python wrappers
+# The ufunc np.clip ends in. Calling it directly only skips np.clip's Python
+# wrappers, about 3 us a call; the values are the same. numpy keeps it in a
+# private module, so if it moves the kernels fall back to np.clip itself.
+try:
     from numpy._core.umath import clip as clip_ufunc
-except ImportError:  # numpy < 2
-    from numpy.core.umath import clip as clip_ufunc
+except ImportError:
+    try:  # numpy < 2
+        from numpy.core.umath import clip as clip_ufunc
+    except ImportError:
+        clip_ufunc = np.clip
 
 
 class ModelError(ValueError):

@@ -376,6 +376,13 @@ class _Recorder:
                 out["noise_e"][:, tc - 1:self.n - 1] = self.noise_e[rows].T
 
 
+# Step tables up to this many rows draw the (block, atom) row by comparisons
+# alone. Past it a binary search for the atom costs less: at 2048
+# trajectories the two draws cost about the same at 8 rows, and at 48 rows
+# the comparisons take 3.4 times as long (numpy 2.4, 2-core Xeon).
+_COUNTED_TABLE_ROWS = 8
+
+
 def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
     """Advance one batch of trajectories through all n_max steps.
 
@@ -391,17 +398,23 @@ def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
     collection. The atom is the number of the step law's cumulative
     probabilities at or below u2, the last one left out, so the last atom
     also takes a u2 past a final sum that rounds below 1. The two counts
-    index a table of every (block, atom) step. Each stage is one numpy call
-    into a reused buffer: at a few hundred trajectories the fixed cost of a
-    call is most of a step. The scalar replay in ``tests/`` is the
-    reference this kernel is tested against.
+    index a table of every (block, atom) step, row block * n_atoms + atom.
+    While that table has at most :data:`_COUNTED_TABLE_ROWS` rows, one
+    comparison per uniform and one sum give the row at once: each block cut
+    is compared n_atoms times. That work grows as r * n_atoms, so a larger
+    law counts the block alone and finds the atom by binary search. Each
+    stage is one numpy call into a reused buffer: at a few hundred
+    trajectories the fixed cost of a call is most of a step. The scalar
+    replay in ``tests/`` is the reference this kernel is tested against.
     """
     B = len(keys)
     s, r = model.s, model.r
     spec = model.spec
     atoms = spec.step_law.atoms  # (n_atoms, s)
-    atom_cuts = np.cumsum(spec.step_law.probs)[:-1, None]
+    atom_cum = np.cumsum(spec.step_law.probs)
     n_atoms = len(atoms)
+    counted = n_atoms > 1 and r * n_atoms <= _COUNTED_TABLE_ROWS
+    searched = n_atoms > 1 and not counted
     # row block * n_atoms + atom: the step of that block with that atom
     steps = (atoms[None] * model.block_masks[:, None]).reshape(r * n_atoms, s)
     max_atom = float(np.max(np.abs(atoms))) if atoms.size else 0.0
@@ -417,12 +430,15 @@ def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
     head = probs[:-1]
     cum = head if r <= 2 else np.empty((r - 1, B))
     sums = list(zip(cum[:-1], head[1:], cum[1:]))  # (previous sum, P_i, sum through P_i)
-    # 1 where a cut is at or below its uniform: each block cut n_atoms times,
-    # then the atom cuts, so the rows add up to the row of the step table
-    hits = np.empty((r * n_atoms - 1, B), dtype=np.intp)
-    block_hits = hits[:(r - 1) * n_atoms].reshape(r - 1, n_atoms, B)
-    atom_hits = hits[(r - 1) * n_atoms:]
+    # 1 where a cut is at or below its uniform. Counted: each block cut
+    # n_atoms times, then the atom cuts, so the rows add up to the row of the
+    # step table. Otherwise each block cut once: the rows add up to the block
+    reps = n_atoms if counted else 1
+    hits = np.empty(((r - 1) * reps + (n_atoms - 1) * counted, B), dtype=np.intp)
+    block_hits = hits[:(r - 1) * reps].reshape(r - 1, reps, B)
+    atom_hits = hits[(r - 1) * reps:]
     block_cuts = cum[:, None]
+    atom_cuts = atom_cum[:-1, None]
     row = np.empty(B, dtype=np.intp)
     for t, uniforms in _uniform_chunks(keys, n_max):
         for tt in range(uniforms.shape[0]):
@@ -442,9 +458,14 @@ def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
                         np.add(prev, p, out=through)
                     check_runtime_sum(cum[-1])
                 np.greater_equal(u1, block_cuts, out=block_hits)
-                if n_atoms > 1:
+                if counted:
                     np.greater_equal(u2, atom_cuts, out=atom_hits)
-                np.add.reduce(hits, axis=0, out=row)  # block * n_atoms + atom
+                np.add.reduce(hits, axis=0, out=row)  # block * n_atoms + atom, or the block
+                if searched:
+                    atom = np.searchsorted(atom_cum, u2, side="right")
+                    np.minimum(atom, n_atoms - 1, out=atom)
+                    np.multiply(row, n_atoms, out=row)
+                    np.add(row, atom, out=row)
                 step_vec = steps.take(row, axis=0)
                 if cfg.collect_noise:  # s = 1: ensemble rejects it otherwise
                     tail = probs[-1]

@@ -106,12 +106,16 @@ def _hand_built(atoms, probs, maps, initial=None):
 SHORT_PROBS = (0.7, 0.2, 0.1)
 
 HAND_BUILT_MODELS = {  # general-kernel branches no preset reaches
+    # r * n_atoms table rows: up to simulate._COUNTED_TABLE_ROWS (8) the kernel
+    # counts the atom, past it the kernel searches for it
     "r3-three-atoms": lambda: _hand_built([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]], SHORT_PROBS,
-                                          ["0.3 + 0.1 * x1", "0.2 + 0.1 * x2"]),
+                                          ["0.3 + 0.1 * x1", "0.2 + 0.1 * x2"]),  # 9 rows
     "r4-two-atoms": lambda: _hand_built([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], (0.4, 0.6),
-                                        ["0.2 + 0.1 * x1", "0.2 + 0.1 * x2", "0.1 + 0.1 * x3"]),
-    "r2-three-atoms": lambda: _hand_built([[1.0], [2.0], [3.0]], SHORT_PROBS, ["0.5 + 0.1 * x"]),
-    "r1-two-atoms": lambda: _hand_built([[1.0], [2.0]], (0.4, 0.6), []),
+                                        ["0.2 + 0.1 * x1", "0.2 + 0.1 * x2", "0.1 + 0.1 * x3"]),  # 8 rows
+    "r2-three-atoms": lambda: _hand_built([[1.0], [2.0], [3.0]], SHORT_PROBS, ["0.5 + 0.1 * x"]),  # 6 rows
+    "r1-two-atoms": lambda: _hand_built([[1.0], [2.0]], (0.4, 0.6), []),  # 2 rows
+    "r2-twelve-atoms": lambda: _hand_built([[1.0 + j / 4] for j in range(12)], [1 / 12] * 12,
+                                           ["0.5 + 0.1 * x"]),  # 24 rows
 }
 
 
@@ -539,10 +543,12 @@ class TestGeneralKernel:
                 # integer and half-integer positions: the products are exact
                 assert np.array_equal(stats.snn[i, j], positions[n] @ A.T / n + b), (i, n)
 
-    def test_atom_draw_takes_the_last_atom_past_the_last_cut(self, monkeypatch):
+    @pytest.mark.parametrize("table_rows", [simulate._COUNTED_TABLE_ROWS, 0], ids=["counted", "searched"])
+    def test_atom_draw_takes_the_last_atom_past_the_last_cut(self, table_rows, monkeypatch):
         # the cumulative step probabilities end one ulp below 1, at the largest
         # uniform; u2 at or past a cut takes the next atom, and at or past the
-        # last cut the last atom
+        # last cut the last atom, whichever way the kernel draws the atom
+        monkeypatch.setattr(simulate, "_COUNTED_TABLE_ROWS", table_rows)
         model = _hand_built([[1.0], [2.0], [3.0]], SHORT_PROBS, ["0.5 + 0.1 * x"], initial=InitialLaw([[0.0]], [1.0]))
         atom_cum = np.cumsum(SHORT_PROBS)
         assert atom_cum[-1] == np.nextafter(1.0, 0.0)
