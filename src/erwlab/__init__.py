@@ -8,16 +8,11 @@ walks and the scalar stochastic approximation processes they reduce to.
 from .funcdsl import FuncExpr, parse
 from .model import (
     Domain,
-    Func1D,
     InitialLaw,
     ModelError,
     ModelSpec,
     StepLaw,
     ValidatedModel,
-    dual,
-    f_from_g,
-    g_from_f,
-    h_from_f,
     load_model,
     save_model,
     validate_model,
@@ -30,16 +25,11 @@ __all__ = [
     "FuncExpr",
     "parse",
     "Domain",
-    "Func1D",
     "InitialLaw",
     "ModelError",
     "ModelSpec",
     "StepLaw",
     "ValidatedModel",
-    "dual",
-    "f_from_g",
-    "g_from_f",
-    "h_from_f",
     "load_model",
     "save_model",
     "validate_model",

@@ -124,7 +124,7 @@ def _add_model_args(parser):
 
 
 def _load_tol_overrides(args) -> dict:
-    if not getattr(args, "tol_overrides", None):
+    if not args.tol_overrides:
         return {}
     path = Path(args.tol_overrides)
     if not path.exists():
@@ -292,7 +292,7 @@ def cmd_sa(args) -> int:
     if args.model or args.preset:
         model, _, source = _resolve_model(args)
         resolved["source"] = source
-        sa_mod.gerw_to_sa(model)  # the reduction needs s = 1 and a fixed point
+        sa_mod.walk_theta0(model)  # the reduction needs s = 1 and a unique fixed point
         check = sa_mod.noise_moment_check(model, n_max=min(args.n, 4000), N=min(args.N, 500), master_seed=args.seed)
     elif args.drift:
         try:
@@ -332,22 +332,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="erw-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True):
-        p.add_argument("--seed", type=int, default=42, help="master seed (no wall-clock seeding)")
-        p.add_argument("--threads", type=int, default=1)
+    def common(p, *flags):
+        """--out and the model flags, plus those of --seed, --threads and --tol-overrides named in flags."""
+        if "seed" in flags:
+            p.add_argument("--seed", type=int, default=42, help="master seed (no wall-clock seeding)")
+        if "threads" in flags:
+            p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--tol-overrides", dest="tol_overrides", type=str, default=None)
-        if model:
-            _add_model_args(p)
+        if "tol_overrides" in flags:
+            p.add_argument("--tol-overrides", dest="tol_overrides", type=str, default=None)
+        _add_model_args(p)
 
     p_sim = sub.add_parser("simulate", help="run a seeded ensemble and write checkpoint statistics")
-    common(p_sim)
+    common(p_sim, "seed", "threads")
     p_sim.add_argument("--n", type=int, default=10000)
     p_sim.add_argument("--N", type=int, default=1000)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_an = sub.add_parser("analyze", help="compute the full analytic regime report")
-    common(p_an)
+    common(p_an, "threads")  # checked but unused: analyze runs no ensemble
     p_an.set_defaults(func=cmd_analyze)
 
     p_or = sub.add_parser("oracle", help="exact small-horizon law")
@@ -360,14 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.set_defaults(func=cmd_oracle)
 
     p_ver = sub.add_parser("verify", help="statistical checks of the limit theorems")
-    common(p_ver)
+    common(p_ver, "seed", "threads", "tol_overrides")
     p_ver.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     p_ver.add_argument("--n", type=int, default=20000)
     p_ver.add_argument("--N", type=int, default=4000)
     p_ver.set_defaults(func=cmd_verify)
 
     p_sa = sub.add_parser("sa", help="stochastic approximation runner and checks")
-    common(p_sa)
+    common(p_sa, "seed", "threads", "tol_overrides")
     p_sa.add_argument("--drift", type=str, default=None, help="drift expression in x, e.g. '0.3*x + x^2'")
     p_sa.add_argument("--theta0", type=float, default=0.0)
     p_sa.add_argument("--theta1", type=float, default=0.0)
@@ -390,6 +393,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ConfigError(f"config-invalid: threads must be >= 1, got {args.threads}")
         return args.func(args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)

@@ -526,10 +526,6 @@ def substitute(expr: FuncExpr, replacement: Node) -> FuncExpr:
     return FuncExpr(walk(expr.ast), 1)
 
 
-def one_minus(expr: FuncExpr) -> FuncExpr:
-    return FuncExpr(BinOp("-", Const(1.0), expr.ast), expr.arity)
-
-
 # ---------------------------------------------------------------------------
 # Numerical differentiation
 

@@ -5,9 +5,11 @@ time n+1 picks one of r coordinate blocks of an i.i.d. draw Y according to
 state-dependent block probabilities P_1..P_{r-1} evaluated at the running
 average position, plus an affine output map S_n = A @ S_aux_n + n * b.
 
-This module holds the data types (ModelSpec, StepLaw, InitialLaw, Func1D),
-the f/g/h transforms for the one-dimensional family, grid validation, and
-the validated-model wrapper that caches moments and the drift map H.
+This module holds the data types (ModelSpec, StepLaw, InitialLaw, Domain),
+grid validation, and the validated-model wrapper that caches moments and the
+drift map H. Every map of a model, P_1..P_{r-1}, is a
+:class:`~erwlab.funcdsl.FuncExpr`; the one-dimensional walks build theirs as
+affine images of a memory map f (see :mod:`erwlab.presets`).
 
 Point layout: the model's maps (``block_probs``, ``eval_H``,
 ``noise_second_moment``) take a point as an array whose last axis has
@@ -22,12 +24,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from . import funcdsl
 from .funcdsl import FuncExpr, parse
 
 # The ufunc np.clip ends in. Calling it directly only skips np.clip's Python
@@ -126,26 +127,6 @@ class StepLaw:
             atoms, probs = new_atoms, new_probs
         return StepLaw("product", np.asarray(atoms), np.asarray(probs))
 
-    @staticmethod
-    def scalar_family(name: str, **params) -> list:
-        """Named scalar families with exact moments, as (value, prob) lists."""
-        if name == "constant":
-            return [(params.get("value", 1.0), 1.0)]
-        if name == "bernoulli-scaled":
-            p = params["p"]
-            c = params.get("scale", 1.0)
-            return [(0.0, 1.0 - p), (c, p)]
-        if name == "discrete-uniform":
-            lo, hi = int(params["lo"]), int(params["hi"])
-            values = list(range(lo, hi + 1))
-            return [(v, 1.0 / len(values)) for v in values]
-        if name == "geometric-truncated":
-            p, kmax = params["p"], int(params["kmax"])
-            raw = [(k, p * (1 - p) ** (k - 1)) for k in range(1, kmax + 1)]
-            z = sum(w for _, w in raw)
-            return [(k, w / z) for k, w in raw]
-        raise ModelError(f"unknown scalar step family {name!r}")
-
 
 @dataclass(frozen=True)
 class InitialLaw:
@@ -200,80 +181,6 @@ class Domain:
     def reach(self) -> np.ndarray:
         """``upper`` with an infinite edge cut at ``lower + 1e12``."""
         return np.minimum(self.upper, self.lower + 1e12)
-
-
-# ---------------------------------------------------------------------------
-# One-dimensional memory functions and transforms
-
-
-@dataclass(frozen=True)
-class Func1D:
-    """A memory function together with its role in the 1-d family.
-
-    role ``f`` maps [0,1] -> [0,1]; role ``g`` maps [-1,1] -> [-1,1]; role
-    ``h`` is the step-up probability (1-p) + (2p-1) f with memory strength p.
-    """
-
-    expr: FuncExpr
-    role: str  # f | g | h
-    memory_p: Optional[float] = None
-
-    def __post_init__(self):
-        if self.role not in ("f", "g", "h"):
-            raise ModelError("role must be one of f, g, h")
-        if self.role == "h" and self.memory_p is None:
-            raise ModelError("role h requires the memory parameter p")
-
-    def __call__(self, x):
-        return self.expr(x)
-
-    def range_ok(self, grid_density: int = 201, tol: float = 1e-9) -> bool:
-        lo, hi = (-1.0, 1.0) if self.role == "g" else (0.0, 1.0)
-        xs = np.linspace(lo, hi, grid_density)
-        vals = self.expr(xs)
-        return bool(np.all(vals >= lo - tol) and np.all(vals <= hi + tol))
-
-    def is_symmetric(self, grid_density: int = 201, tol: float = 1e-12) -> bool:
-        """f(x) + f(1-x) = 1 on a grid (roles f and h); g odd for role g."""
-        if self.role == "g":
-            xs = np.linspace(-1.0, 1.0, grid_density)
-            return bool(np.max(np.abs(self.expr(xs) + self.expr(-xs))) <= tol)
-        xs = np.linspace(0.0, 1.0, grid_density)
-        return bool(np.max(np.abs(self.expr(xs) + self.expr(1.0 - xs) - 1.0)) <= tol)
-
-
-def h_from_f(f: Func1D, p: float) -> Func1D:
-    """Step-up probability h(x) = (1-p) + (2p-1) f(x)."""
-    if not 0.0 < p < 1.0:
-        raise ModelError("memory parameter p must lie in (0,1)")
-    if f.role != "f":
-        raise ModelError("h_from_f expects a role-f function")
-    return Func1D(funcdsl.affine(f.expr, 2.0 * p - 1.0, 1.0 - p), "h", memory_p=p)
-
-
-def g_from_f(f: Func1D) -> Func1D:
-    """Location form g(x) = 2 f((x+1)/2) - 1 on [-1, 1]."""
-    if f.role != "f":
-        raise ModelError("g_from_f expects a role-f function")
-    half = funcdsl.BinOp("/", funcdsl.BinOp("+", funcdsl.Var(0, "x"), funcdsl.Const(1.0)), funcdsl.Const(2.0))
-    composed = funcdsl.substitute(f.expr, half)
-    return Func1D(funcdsl.affine(composed, 2.0, -1.0), "g")
-
-
-def f_from_g(g: Func1D) -> Func1D:
-    """Inverse transform f(x) = (g(2x-1) + 1) / 2."""
-    if g.role != "g":
-        raise ModelError("f_from_g expects a role-g function")
-    inner = funcdsl.BinOp("-", funcdsl.BinOp("*", funcdsl.Const(2.0), funcdsl.Var(0, "x")), funcdsl.Const(1.0))
-    composed = funcdsl.substitute(g.expr, inner)
-    return Func1D(funcdsl.affine(composed, 0.5, 0.5), "f")
-
-
-def dual(f: Func1D, p: float) -> tuple:
-    """Reflected parameterization (f*, p*) = (1-f, 1-p) inducing the same h."""
-    if f.role != "f":
-        raise ModelError("dual expects a role-f function")
-    return Func1D(funcdsl.one_minus(f.expr), "f"), 1.0 - p
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +373,6 @@ class ValidatedModel:
         """Sigma(x) = sum_i P_i(x) Sigma^(pi_i) - H(x) H(x)^T at a point x of shape (s,)."""
         H = self.eval_H(x)
         return self.sigma_blocks(x) - np.outer(H, H)
-
-    def noise_sigma2(self, x):
-        """sigma^2(x) = tr Sigma(x); for s = 1 this is H(x)/mu * Sigma - H(x)^2."""
-        return float(np.trace(self.noise_second_moment(x)))
 
     def observe(self, s_aux, n):
         """Map auxiliary positions to observed positions A s_aux + n b."""

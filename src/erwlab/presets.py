@@ -14,15 +14,7 @@ import numpy as np
 
 from . import funcdsl
 from .funcdsl import FuncExpr, parse
-from .model import (
-    Domain,
-    InitialLaw,
-    ModelError,
-    ModelSpec,
-    StepLaw,
-    h_from_f,
-    Func1D,
-)
+from .model import Domain, InitialLaw, ModelError, ModelSpec, StepLaw
 
 
 class UnknownPresetError(ModelError):
@@ -40,10 +32,19 @@ def _prob(name, value):
     return value
 
 
+def _unit_map(f_text, message="f must map [0,1] into [0,1]"):
+    """Parse a memory map of x and check it sends 201 points of [0, 1] into [0, 1] (tolerance 1e-9)."""
+    f = parse(f_text, 1)
+    vals = f(np.linspace(0.0, 1.0, 201))
+    if not (np.all(vals >= -1e-9) and np.all(vals <= 1.0 + 1e-9)):
+        raise ParameterError(f"parameter-out-of-range: {message}")
+    return f
+
+
 def _erw_like_spec(f_text, p, q, meta):
-    """1-d walk with +/-1 observed steps: unit auxiliary steps, A=2, b=-1."""
-    f = Func1D(parse(f_text, 1), "f")
-    h = h_from_f(f, p)
+    """1-d walk with +/-1 observed steps: unit auxiliary steps, A=2, b=-1;
+    the step-up probability is h = (2p-1) f + (1-p)."""
+    h = funcdsl.affine(parse(f_text, 1), 2.0 * p - 1.0, 1.0 - p)
     meta = dict(meta)
     meta.update({"f": f_text, "p": p, "q": q, "family": "erw-like"})
     return ModelSpec(
@@ -52,7 +53,7 @@ def _erw_like_spec(f_text, p, q, meta):
         r=2,
         partition=((1,), ()),
         step_law=StepLaw.point_mass([1.0]),
-        prob_maps=(h.expr,),
+        prob_maps=(h,),
         A=[[2.0]],
         b=[-1.0],
         initial=InitialLaw([[1.0], [0.0]], [q, 1.0 - q]),
@@ -132,9 +133,7 @@ def _build_market(p=0.5, q=0.5, U=0.5, L=-0.5):
     # thresholds, so the randomized middle branch covers the whole domain.
     gap = "(x^3 / 2 - (1 - x)^3 / 2)"
     f_text = f"({U!r} - {gap}) / {U - L!r}"
-    f = Func1D(parse(f_text, 1), "f")
-    if not f.range_ok():
-        raise ParameterError("parameter-out-of-range: price rule leaves [0,1] on the unit interval")
+    _unit_map(f_text, "price rule leaves [0,1] on the unit interval")
     # f'(1/2) = -(3/8 + 3/8)/(U-L)
     fprime = -0.75 / (U - L)
     tau = (2.0 * p - 1.0) * fprime
@@ -209,10 +208,7 @@ def _build_cubic_supercritical(p=0.6, q=0.5):
 
 def _build_minimal(f="x", p=0.5, q=0.5, init=0.5):
     p, q, init = _prob("p", p), _prob("q", q), _prob("init", init)
-    f_expr = Func1D(parse(f, 1), "f")
-    if not f_expr.range_ok():
-        raise ParameterError("parameter-out-of-range: f must map [0,1] into [0,1]")
-    p1 = funcdsl.affine(f_expr.expr, p - q, q)
+    p1 = funcdsl.affine(_unit_map(f), p - q, q)
     exact = {}
     if f.replace(" ", "") in ("x^2", "x*x"):
         d = p - q
@@ -256,9 +252,7 @@ def _build_random_step(f="x", p=0.5, q=0.5, z_values=(1.0, 2.0), z_probs=(0.5, 0
     z_probs = [float(w) for w in z_probs]
     if len(z_values) != len(z_probs) or any(z <= 0 for z in z_values):
         raise ParameterError("parameter-out-of-range: step magnitudes must be positive with matching probabilities")
-    f1 = Func1D(parse(f, 1), "f")
-    if not f1.range_ok():
-        raise ParameterError("parameter-out-of-range: f must map [0,1] into [0,1]")
+    _unit_map(f)
     # P_1 depends on the first coordinate only: (2p-1) f(x1) + (1-p)
     inner = _subst_component(f, 1, 3)
     p1 = FuncExpr(funcdsl.affine(inner, 2.0 * p - 1.0, 1.0 - p).ast, 3)
@@ -299,9 +293,7 @@ def _build_kdim(k=2, f="x", p=0.5):
         raise ParameterError("parameter-out-of-range: k must be a positive integer")
     s = 2 * k - 1
     r = 2 * k
-    f1 = Func1D(parse(f, 1), "f")
-    if not f1.range_ok():
-        raise ParameterError("parameter-out-of-range: f must map [0,1] into [0,1]")
+    _unit_map(f)
     off = (1.0 - p) / (2.0 * k - 1.0)
     prob_maps = []
     for j in range(1, s + 1):

@@ -7,11 +7,13 @@ with Gamma_n the position average, drift gamma(x) = x - H(x), step size
     Gamma_{n+1} = Gamma_n - (1/(n+1)) * (gamma(Gamma_n) + e_{n+1})
 
 holds as an identity. This module runs generic scalar recursions of that
-form with synthetic noise, exposes the reduction, and provides the noise
-moment checks and expansion-coefficient verification used by the test
-theorems, each a :class:`CheckReport`. By the identity, the
-expansion-residual core here also serves ``verify.expansion_residual_test``;
-each caller keeps its own paths, coefficients, target and error type.
+form with synthetic noise, finds the walk's root theta0 (``walk_theta0``),
+and provides the noise moment checks, which read H and the step moments
+straight from the validated model, and the expansion-coefficient
+verification used by the test theorems, each a :class:`CheckReport`. By
+the identity, the expansion-residual core here also serves
+``verify.expansion_residual_test``; each caller keeps its own paths,
+coefficients, target and error type.
 """
 
 from __future__ import annotations
@@ -162,44 +164,15 @@ def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
 # Walk reduction
 
 
-@dataclass
-class GerwSA:
-    """The walk-induced stochastic approximation data for an s=1 model."""
-
-    model: ValidatedModel
-    theta0: float  # fixed point of H
-
-    def gamma(self, x):
-        """x - H(x) at a scalar state or an array of them."""
-        x = np.asarray(x, dtype=float)
-        out = x - self.model.eval_H(x[..., None])[..., 0]
-        return float(out) if out.ndim == 0 else out
-
-    def gamma_prime(self, x0=None) -> float:
-        from .theory import spectral_profile
-
-        prof = spectral_profile(self.model, np.atleast_1d(self.theta0 if x0 is None else x0))
-        return 1.0 - prof.tau
-
-    def sigma2_fn(self, x):
-        """Conditional noise variance H(x) Sigma / mu - H(x)^2 (s = 1)."""
-        x = np.asarray(x, dtype=float)
-        H = self.model.eval_H(x[..., None])[..., 0]
-        mu = float(self.model.mu[0])
-        Sig = float(self.model.sigma[0, 0])
-        out = H * Sig / mu - H ** 2
-        return float(out) if out.ndim == 0 else out
-
-
-def gerw_to_sa(model: ValidatedModel) -> GerwSA:
-    """Reduce a validated s=1 model to its stochastic approximation form."""
+def walk_theta0(model: ValidatedModel) -> float:
+    """Root theta0 of the walk's drift gamma(x) = x - H(x), for an s = 1 model
+    with a unique fixed point (the exact one a preset registers, if any)."""
     if model.s != 1:
         raise SAError("the scalar reduction needs s = 1")
     from .theory import find_fixed_point
 
     exact = model.meta.get("exact", {})
-    theta0 = float(exact["x0"][0]) if "x0" in exact else float(find_fixed_point(model)[0])
-    return GerwSA(model=model, theta0=theta0)
+    return float(exact["x0"][0]) if "x0" in exact else float(find_fixed_point(model)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +211,8 @@ def noise_moment_check(model: ValidatedModel, n_max: int = 4000, N: int = 200,
     edges = np.linspace(lo, hi, bins + 1)
     which = np.clip(np.digitize(xs, edges) - 1, 0, bins - 1)
 
-    pred = GerwSA(model, 0.0).sigma2_fn(xs)
+    H = model.eval_H(xs[..., None])[..., 0]
+    pred = H * float(model.sigma[0, 0]) / float(model.mu[0]) - H ** 2
 
     bad_mean, bad_var, used = [], [], 0
     for b_ in range(bins):

@@ -439,11 +439,6 @@ def spectral_profile(model: ValidatedModel, x0, cluster_tol: float = 1e-7) -> Sp
 # Asymptotic covariances
 
 
-def sigma0_matrix(model: ValidatedModel, x0) -> np.ndarray:
-    """Conditional noise covariance at the fixed point."""
-    return model.noise_second_moment(x0)
-
-
 def solve_sigma1(J, Sigma0, residual_tol: float = 1e-10):
     """Diffusive covariance: (J - I/2) X + X (J - I/2)^T = -Sigma0.
 
@@ -683,7 +678,7 @@ def asymptotic_covariances(model: ValidatedModel, x0, profile: SpectralProfile,
     diffusive and critical regimes.
     """
     x0 = np.asarray(x0, dtype=float)
-    sigma0 = sigma0_matrix(model, x0)
+    sigma0 = model.noise_second_moment(x0)
     regime = _regime(profile.tau, regime_tol)
     limit_sigma = clt_cov = lil_constant = None
     if regime == "Diffusive":
@@ -753,7 +748,7 @@ def classify(model: ValidatedModel, grid_density: int = 201,
         if report.regime != "Critical":
             raise
         notes.append(str(exc))
-        report.sigma0, limit_sigma = sigma0_matrix(model, x0), None
+        report.sigma0, limit_sigma = model.noise_second_moment(x0), None
     if report.regime == "Diffusive":
         report.sigma1 = limit_sigma
     elif report.regime == "Critical":

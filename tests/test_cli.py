@@ -208,12 +208,31 @@ def test_negative_seed_exit_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["simulate", "--preset", "erw", "--p", "0.6", "--n", "10", "--N", "4"],
     ["verify", "--preset", "erw", "--p", "0.6", "--suite", "slln", "--n", "100", "--N", "8"],
-], ids=["simulate", "verify"])
+    ["analyze", "--preset", "erw", "--p", "0.6"],
+    ["sa", "--drift", "x", "--n", "100", "--N", "4"],
+    ["sa", "--preset", "erw", "--p", "0.6", "--n", "100", "--N", "4"],
+], ids=["simulate", "verify", "analyze", "sa-drift", "sa-preset"])
 def test_threads_below_one_exit_2(tmp_path, capsys, argv, threads):
     out = tmp_path / "out.json"
     code = main(argv + ["--threads", threads, "--out", str(out)])
     assert code == 2
     assert f"config-invalid: threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["analyze", "--preset", "erw", "--p", "0.6"], ["--seed", "3"]),
+    (["analyze", "--preset", "erw", "--p", "0.6"], ["--tol-overrides", "tol.json"]),
+    (["oracle", "--preset", "erw", "--p", "0.6", "--n", "5"], ["--seed", "3"]),
+    (["oracle", "--preset", "erw", "--p", "0.6", "--n", "5"], ["--tol-overrides", "tol.json"]),
+    (["oracle", "--preset", "erw", "--p", "0.6", "--n", "5"], ["--threads", "1"]),
+    (["simulate", "--preset", "erw", "--p", "0.6", "--n", "10", "--N", "4"], ["--tol-overrides", "tol.json"]),
+], ids=["analyze-seed", "analyze-tol", "oracle-seed", "oracle-tol", "oracle-threads", "simulate-tol"])
+def test_flag_the_command_does_not_read_exit_2(tmp_path, argv, flag):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag + ["--out", str(out)])
+    assert exc.value.code == 2
     assert not out.exists()
 
 

@@ -15,7 +15,6 @@ from erwlab.funcdsl import (
     parse,
     print_ast,
 )
-from erwlab.model import Func1D, f_from_g, g_from_f, h_from_f
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +281,8 @@ class TestSingleEvaluator:
         assert np.array_equal(got, want, equal_nan=True)
 
     def test_every_parsed_tree_compiles(self):
-        # the deepest tree of each kind that parse accepts, and after the
-        # transforms that deepen a model's maps
+        # the deepest tree of each kind that parse accepts, and after
+        # substitutions and affine maps that deepen it further
         depth = funcdsl.MAX_DEPTH
         texts = [
             "0.4" + " + 0.0001*x" * (depth - 2),
@@ -293,12 +292,17 @@ class TestSingleEvaluator:
             "piecewise(" + " ; ".join(f"x < {i}.5 : x" for i in range(depth - 3)) + " ; x >= 0 : 1)",
             "piecewise(" * (depth // 2 - 1) + "x" + " < 2 : x)" * (depth // 2 - 1),
         ]
+        x = funcdsl.Var(0, "x")
+        half = funcdsl.BinOp("/", funcdsl.BinOp("+", x, funcdsl.Const(1.0)), funcdsl.Const(2.0))
+        twice = funcdsl.BinOp("-", funcdsl.BinOp("*", funcdsl.Const(2.0), x), funcdsl.Const(1.0))
         xs = np.linspace(0.1, 0.9, 5)
         for text in texts:
-            f = Func1D(parse(text), "f")
-            h = h_from_f(f_from_g(g_from_f(f)), 0.6)
+            f = parse(text)
+            g = funcdsl.affine(funcdsl.substitute(f, half), 2.0, -1.0)  # 2 f((x+1)/2) - 1
+            back = funcdsl.affine(funcdsl.substitute(g, twice), 0.5, 0.5)  # (g(2x-1) + 1) / 2
+            h = funcdsl.affine(back, 2.0 * 0.6 - 1.0, 1.0 - 0.6)
             with np.errstate(all="ignore"):
-                for e in (f.expr, h.expr):
+                for e in (f, h):
                     assert np.array_equal(e.fast([xs]), reference(e, [xs]), equal_nan=True)
 
     @pytest.mark.parametrize("text,offset", [

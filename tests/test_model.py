@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import erwlab
 from erwlab import (
     Domain,
-    Func1D,
     InitialLaw,
     ModelError,
     ModelSpec,
     StepLaw,
-    dual,
-    f_from_g,
-    g_from_f,
-    h_from_f,
+    funcdsl,
     load_model,
     parse,
     save_model,
@@ -25,66 +22,22 @@ from erwlab.presets import build_preset
 
 
 def _erw_spec(p=0.75, q=0.5, prob_text=None):
-    f = Func1D(parse("x"), "f")
-    h = h_from_f(f, p) if prob_text is None else Func1D(parse(prob_text), "h", memory_p=p)
+    h = funcdsl.affine(parse("x"), 2.0 * p - 1.0, 1.0 - p) if prob_text is None else parse(prob_text)
     return ModelSpec(
         s=1, d=1, r=2,
         partition=((1,), ()),
         step_law=StepLaw.point_mass([1.0]),
-        prob_maps=(h.expr,),
+        prob_maps=(h,),
         A=[[2.0]], b=[-1.0],
         initial=InitialLaw([[1.0], [0.0]], [q, 1 - q]),
         domain=Domain([0.0], [1.0]),
     )
 
 
-class TestTransforms:
-    def test_h_from_f_fixed_point_at_symmetry(self):
-        h = h_from_f(Func1D(parse("x"), "f"), 0.75)
-        assert h(0.5) == 0.5
-        assert h(0.0) == 0.25
-        xs = np.linspace(0, 1, 11)
-        assert np.allclose(h.expr(xs), 0.5 * xs + 0.25)
-
-    def test_g_from_f_identity(self):
-        g = g_from_f(Func1D(parse("x"), "f"))
-        xs = np.linspace(-1, 1, 21)
-        assert np.max(np.abs(g.expr(xs) - xs)) < 1e-15
-
-    def test_g_f_inverse_on_grid(self):
-        for text in ("x", "x^2", "0.3*x + 0.2", "piecewise(x<0.5 : x^2+0.25 ; x>=0.5 : 0.75-(1-x)^2)"):
-            f = Func1D(parse(text), "f")
-            back = f_from_g(g_from_f(f))
-            xs = np.linspace(0, 1, 101)
-            assert np.max(np.abs(back.expr(xs) - f.expr(xs))) < 1e-12
-
-    def test_symmetric_f_iff_odd_g(self):
-        f_sym = Func1D(parse("piecewise(x<0.5 : x^2+0.25 ; x>=0.5 : 0.75-(1-x)^2)"), "f")
-        assert f_sym.is_symmetric()
-        g = g_from_f(f_sym)
-        assert g.is_symmetric()  # oddness for role g
-        f_asym = Func1D(parse("x^2"), "f")
-        assert not f_asym.is_symmetric()
-        assert not g_from_f(f_asym).is_symmetric()
-
-    def test_dual_preserves_h(self):
-        p = 0.75
-        f = Func1D(parse("x"), "f")
-        f_star, p_star = dual(f, p)
-        assert p_star == 0.25
-        xs = np.linspace(0, 1, 101)
-        assert np.max(np.abs(f_star.expr(xs) - (1 - xs))) == 0.0
-        h = h_from_f(f, p)
-        h_star = h_from_f(f_star, p_star)
-        assert np.max(np.abs(h.expr(xs) - h_star.expr(xs))) <= 1e-15
-
-    @given(st.floats(min_value=0.05, max_value=0.95), st.floats(min_value=0.0, max_value=1.0))
-    def test_dual_involution_pointwise(self, p, x):
-        f = Func1D(parse("x^2"), "f")
-        f_star, p_star = dual(f, p)
-        h = h_from_f(f, p)
-        h_star = h_from_f(f_star, p_star)
-        assert h(x) == pytest.approx(h_star(x), abs=1e-15)
+def test_every_exported_name_resolves():
+    namespace = {}
+    exec("from erwlab import *", namespace)  # raises AttributeError for a stale name
+    assert set(erwlab.__all__) <= set(namespace)
 
 
 class TestStepLaw:
@@ -103,12 +56,6 @@ class TestStepLaw:
         law = StepLaw.product([[(1.0, 0.5), (2.0, 0.5)], [(1.0, 1.0)]])
         assert law.atoms.shape == (2, 2)
         assert np.allclose(law.mu, [1.5, 1.0])
-
-    def test_scalar_families(self):
-        fam = StepLaw.scalar_family("geometric-truncated", p=0.5, kmax=4)
-        assert sum(w for _, w in fam) == pytest.approx(1.0)
-        fam = StepLaw.scalar_family("discrete-uniform", lo=1, hi=3)
-        assert [v for v, _ in fam] == [1, 2, 3]
 
     def test_probabilities_validated(self):
         with pytest.raises(ModelError):
@@ -353,7 +300,9 @@ class TestNoiseMoments:
         model = validate_model(_erw_spec(p=0.6))
         for x in (0.2, 0.5, 0.8):
             h = float(model.eval_H(np.array([x]))[0])
-            assert model.noise_sigma2(np.array([x])) == pytest.approx(h * (1 - h), abs=1e-14)
+            sigma = model.noise_second_moment(np.array([x]))
+            assert sigma.shape == (1, 1)
+            assert sigma[0, 0] == pytest.approx(h * (1 - h), abs=1e-14)
 
     def test_sigma0_blockwise_kdim(self):
         model = validate_model(build_preset("kdim", k=2, p=0.5))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -150,3 +151,77 @@ class TestExactMeta:
         assert exact["tau"] == pytest.approx(3 * 0.24)
         assert exact["eta1"] == pytest.approx(2 * 0.24)
         assert exact["max_smooth_order"] == 2
+
+
+class TestMemoryMapRange:
+    # market, minimal, random-step and kdim check f at 201 points of [0, 1] with tolerance 1e-9
+    @pytest.mark.parametrize("name,params,message", [
+        ("market", {"U": 0.1, "L": -0.1}, "price rule leaves [0,1] on the unit interval"),
+        ("minimal", {"f": "2*x"}, "f must map [0,1] into [0,1]"),
+        ("random-step", {"f": "x + 0.5"}, "f must map [0,1] into [0,1]"),
+        ("kdim", {"f": "x - 0.5"}, "f must map [0,1] into [0,1]"),
+    ])
+    def test_map_leaving_the_unit_interval(self, name, params, message):
+        with pytest.raises(ParameterError, match=re.escape(f"parameter-out-of-range: {message}") + "$"):
+            build_preset(name, **params)
+
+    @pytest.mark.parametrize("name", ["minimal", "random-step", "kdim"])
+    @pytest.mark.parametrize("f,accepted", [
+        ("x + 5e-10", True),
+        ("x + 2e-9", False),
+        ("x - 2e-9", False),
+        ("piecewise(x < 0.004 : x ; x > 0.006 : x ; x >= 0 : 2)", False),  # 0.005 is a grid point
+        ("piecewise(x < 0.0005 : x ; x > 0.001 : x ; x >= 0 : 2)", True),  # between grid points
+    ], ids=["within-tolerance", "above", "below", "on-grid", "between-grid"])
+    def test_tolerance_and_grid(self, name, f, accepted):
+        if accepted:
+            build_preset(name, f=f)
+        else:
+            with pytest.raises(ParameterError, match=re.escape("f must map [0,1] into [0,1]")):
+                build_preset(name, f=f)
+
+
+# each preset's block probability maps as printed; model files and run
+# artifacts carry these strings, so a rewrite of a builder must keep them
+DEFAULT_MAPS = {
+    "cubic-supercritical": ["0.19999999999999996 * (((0.5 + 3.0 * (x - 0.5)) + (x - 0.5) ^ 2.0)"
+                            " + sgn(x - 0.5) * (x - 0.5) ^ 3.0) + 0.4"],
+    "erw": ["0.0 * x + 0.5"],
+    "gerw-1d": ["0.0 * x + 0.5"],
+    "kdim": [f"0.33333333333333337 * x{j} + 0.16666666666666666" for j in (1, 2, 3)],
+    "linear": ["0.0 * (0.0 * x + 0.5) + 0.5"],
+    "market": ["0.0 * ((0.5 - (x ^ 3.0 / 2.0 - ((1.0 - x) ^ 3.0 / 2.0))) / 1.0) + 0.5"],
+    "minimal": ["0.0 * x + 0.5"],
+    "phi-power": ["0.0 * ((tanh(2.0 * x - 1.0) + 1.0) / 2.0) + 0.5"],
+    "poly-g": ["0.0 * ((0.5 * (2.0 * x - 1.0) + 1.0) / 2.0) + 0.5"],
+    "quadratic-sym": ["0.0 * piecewise(x < 0.5 : x ^ 2.0 + 0.25 ; x >= 0.5 : 0.75 - (1.0 - x) ^ 2.0) + 0.5"],
+    "random-step": ["0.0 * x1 + 0.5"],
+}
+
+SCALED_MAPS = [
+    ("erw", {"p": 0.7, "q": 0.4}, ["0.3999999999999999 * x + 0.30000000000000004"]),
+    ("gerw-1d", {"f": "x^2", "p": 0.7}, ["0.3999999999999999 * x ^ 2.0 + 0.30000000000000004"]),
+    ("linear", {"a": 0.5, "b": 0.25, "p": 0.7},
+     ["0.3999999999999999 * (0.5 * x + 0.25) + 0.30000000000000004"]),
+    ("market", {"p": 0.7}, ["0.3999999999999999 * ((0.5 - (x ^ 3.0 / 2.0 - ((1.0 - x) ^ 3.0 / 2.0))) / 1.0)"
+                            " + 0.30000000000000004"]),
+    ("poly-g", {"coeffs": (0.4, 0.2), "p": 0.7},
+     ["0.3999999999999999 * (((0.4 * (2.0 * x - 1.0) + 0.2 * (2.0 * x - 1.0) ^ 2.0) + 1.0) / 2.0)"
+      " + 0.30000000000000004"]),
+    ("cubic-supercritical", {"p": 0.55},
+     ["0.10000000000000009 * (((0.5 + 3.0 * (x - 0.5)) + (x - 0.5) ^ 2.0) + sgn(x - 0.5) * (x - 0.5) ^ 3.0)"
+      " + 0.44999999999999996"]),
+    ("minimal", {"f": "x^2", "p": 0.7, "q": 0.4}, ["0.29999999999999993 * x ^ 2.0 + 0.4"]),
+    ("random-step", {"f": "x^2", "p": 0.7}, ["0.3999999999999999 * x1 ^ 2.0 + 0.30000000000000004"]),
+    ("kdim", {"k": 2, "f": "x^2", "p": 0.7}, [f"0.6 * x{j} ^ 2.0 + 0.10000000000000002" for j in (1, 2, 3)]),
+]
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_MAPS))
+def test_default_maps_as_printed(name):
+    assert [m.to_string() for m in build_preset(name).prob_maps] == DEFAULT_MAPS[name]
+
+
+@pytest.mark.parametrize("name,params,want", SCALED_MAPS, ids=[case[0] for case in SCALED_MAPS])
+def test_scaled_maps_as_printed(name, params, want):
+    assert [m.to_string() for m in build_preset(name, **params).prob_maps] == want

@@ -6,20 +6,20 @@ import pytest
 from erwlab import build_preset, ensemble, funcdsl, validate_model
 from erwlab.funcdsl import parse
 from erwlab.model import ModelError
+from erwlab import sa as sa_mod
 from erwlab.sa import (
-    GerwSA,
     NoiseSpec,
     SAError,
     SAProcess,
     estimate_terminal_scale,
-    gerw_to_sa,
     noise_moment_check,
     run_sa,
     sa_coeffs,
     sa_expansion_check,
+    walk_theta0,
 )
 from erwlab.simulate import trajectory_seed
-from erwlab.theory import expansion_coeffs
+from erwlab.theory import expansion_coeffs, find_fixed_point, spectral_profile
 from sa_reference import run_sa_reference, sa_order_check
 
 
@@ -145,10 +145,20 @@ class TestRunnerMatchesReference:
 class TestReduction:
     def test_drift_slope_and_noise_variance(self):
         model = _model("erw", p=0.6, q=0.5)
-        red = gerw_to_sa(model)
-        assert red.theta0 == pytest.approx(0.5)
-        assert red.gamma_prime() == pytest.approx(1.0 - 0.2)
-        assert red.sigma2_fn(0.5) == pytest.approx(0.25)
+        theta0 = walk_theta0(model)
+        assert theta0 == pytest.approx(0.5)
+        # gamma'(theta0) = 1 - H'(theta0); the noise variance at the root is h(1-h)
+        assert 1.0 - spectral_profile(model, np.array([theta0])).tau == pytest.approx(1.0 - 0.2)
+        assert model.noise_second_moment(np.array([theta0]))[0, 0] == pytest.approx(0.25)
+
+    def test_theta0_without_a_registered_root(self):
+        model = _model("gerw-1d", f="x^2", p=0.6, q=0.5)
+        assert "x0" not in model.meta["exact"]
+        assert walk_theta0(model) == float(find_fixed_point(model)[0])
+
+    def test_theta0_needs_one_dimension(self):
+        with pytest.raises(SAError, match="s = 1"):
+            walk_theta0(_model("kdim", k=2, p=0.5))
 
     def test_recursion_identity_algebraic(self):
         # Gamma_{n+1} = Gamma_n - a_n (gamma(Gamma_n) + e_{n+1}) holds along
@@ -167,10 +177,26 @@ class TestReduction:
                 predicted = g_n - (drift + e_next) / (n + 1)
                 assert predicted == pytest.approx(gamma_path[i, n], abs=1e-12)
 
-    def test_noise_bound(self):
-        model = _model("random-step", p=0.6, q=0.5)
-        bound = float(np.abs(model.mu).sum() + np.max(np.abs(model.spec.step_law.atoms)))
-        assert bound > 0  # |e| <= |mu| + max |Y| is asserted inside the checker
+    @staticmethod
+    def _check_with_one_noise_value(monkeypatch, value):
+        # the erw walk's noise bound is |mu| + max |Y| = 2; one recorded value is replaced
+        run = sa_mod.ensemble
+
+        def one_noise_value(*args, **kwargs):
+            stats = run(*args, **kwargs)
+            stats.noise_e[0, 0] = value
+            return stats
+
+        monkeypatch.setattr(sa_mod, "ensemble", one_noise_value)
+        return noise_moment_check(_model("erw", p=0.6, q=0.5), n_max=200, N=20, master_seed=5, min_count=10)
+
+    def test_noise_bound(self, monkeypatch):
+        with pytest.raises(SAError, match="noise increment exceeded its a priori bound"):
+            self._check_with_one_noise_value(monkeypatch, 2.0 + 1e-9)
+
+    def test_noise_at_its_bound_is_accepted(self, monkeypatch):
+        rep = self._check_with_one_noise_value(monkeypatch, 2.0)
+        assert rep.details["max_abs_noise"] == rep.details["noise_bound"] == 2.0
 
 
 class TestNoiseMoments:

@@ -11,7 +11,6 @@ from erwlab.theory import (
     check_downcrossing,
     enumerate_partitions,
     expansion_coeffs,
-    sigma0_matrix,
     sigma2_critical,
     sigma2_from_blocks,
     solve_sigma1,
