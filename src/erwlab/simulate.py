@@ -11,32 +11,31 @@ objects: :func:`philox_keys` derives the keys of a whole batch in one
 vectorized pass of numpy's ``SeedSequence`` algorithm, and one generator
 per batch is re-keyed and positioned for each trajectory and chunk. Each
 trajectory's draws fill one contiguous row of a trajectory-major buffer,
-which the kernels read through its transposed view. Chunks after the first
+which the kernel reads through its transposed view. Chunks after the first
 start at an even time step, on a Philox block (4 doubles, two steps).
 
-Two per-batch kernels run the dynamics. ``ensemble`` picks one from the
-model's structure alone:
+One per-batch kernel runs every model, any s, r and step law. A step
+evaluates the maps P_1..P_{r-1} at the position average, takes the block
+as the count of cumulative block probabilities at or below the first
+uniform and the step atom from the second, and reads the step from a
+table of every (block, atom) pair. The one-dimensional +/-1 walk with
+memory (s = 1, r = 2, one step atom: the presets erw, gerw-1d, linear,
+quadratic-sym, market, minimal, poly-g, phi-power and
+cubic-supercritical) is its s = 1, r = 2 case and needs no kernel of its
+own: there a step is one map, one comparison and one table read. The
+kernel keeps the runtime checks of ``block_probs`` (probability range and
+NaN, sums past 1) and an overflow guard, and it is tested against a scalar
+one-step replay kept in ``tests/``, which evaluates the full
+``block_probs`` at every step.
 
-* unit-step models (s = 1, r = 2, a single step atom, block 1 moves by it
-  and block 2 stays): the +/-1 walk with memory and the presets erw,
-  gerw-1d, linear, quadratic-sym, market, minimal, poly-g, phi-power and
-  cubic-supercritical. One step is ``state += (u1 < P_1(x)) * atom``.
-* everything else: the general kernel (block probabilities, cumulative
-  block choice, step-atom draw).
-
-The unit-step kernel is bit-identical to the general kernel, which is the
-reference it is tested against; it keeps the same runtime checks
-(probability range and NaN, overflow guard) and the same functionals. The
-general kernel in turn is tested against a scalar one-step replay kept in
-``tests/``, which evaluates the full ``block_probs`` at every step.
-
-Both kernels share :class:`_Recorder` for the functionals (LIL maximum,
-return counts, noise increments) and the checkpoint rows. A step only
-writes one row of a reused block of about 32K doubles, sized to stay in
-cache; the functionals' elementwise operations then run once over the
+:class:`_Recorder` holds the per-step rows and the functionals (LIL
+maximum, return counts, noise increments) and writes the checkpoint rows.
+A step only writes one row of each of a few reused blocks of about 32K
+doubles, sized to stay in cache. The range abort, the functionals'
+elementwise operations and the noise increments then run once over the
 block, when it fills, at every checkpoint and at every chunk end. They are
 the per-step operations applied row by row, so the results are the same
-bits as a per-step update, the reference kept in ``tests/``.
+bits as a per-step update, and an error reports the first failing step.
 """
 
 from __future__ import annotations
@@ -223,17 +222,6 @@ def _lil_norm(n: int, mode: str) -> float:
     return math.sqrt(n / (2.0 * math.log(n) * math.log(math.log(math.log(n)))))
 
 
-def _is_unit_step(model: ValidatedModel) -> bool:
-    """True for the one-coordinate walk that moves by its single step atom
-    with probability P_1(x) and stays otherwise (s = 1, r = 2)."""
-    return (
-        model.s == 1
-        and model.r == 2
-        and model.spec.step_law.probs.shape[0] == 1
-        and np.array_equal(model.block_masks, [[1.0], [0.0]])
-    )
-
-
 _CHUNK_DOUBLES = 8_388_608  # uniforms per chunk buffer: 64 MB
 
 
@@ -276,28 +264,34 @@ def _overflow_guard(state, t, max_atom):
         raise ModelError("overflow-guard: auxiliary position exceeds n * max atom")
 
 
-_BLOCK_DOUBLES = 32_768  # doubles per functional block buffer: 256 KB, well inside L2
+_BLOCK_DOUBLES = 32_768  # doubles per (K, B) block: 256 KB, well inside L2 (the P block holds r - 1)
 
 
 class _Recorder:
-    """Functionals and checkpoint writes shared by both kernels, flushed per block.
+    """The kernel's per-step rows and the functionals, flushed per block.
 
     Bound to the kernel's (B, s) ``state`` array, which the kernel updates in
-    place. Per step, :meth:`record` only writes the first observed
-    coordinate's product ``state[:, 0] * A[0, 0]`` (for s > 1 the column of
-    ``state @ A.T``) into one row of a (K, B) block of about
-    ``_BLOCK_DOUBLES`` doubles; noise collection fills rows of two more such
-    blocks. :meth:`flush` runs each functional's elementwise operations once
-    over the filled rows: when the block is full, at every checkpoint and at
-    every chunk end. They are the operations a per-step update runs on each
-    row, and the maximum, the hit count and the last hit do not depend on
-    the order of the rows, so the results are the same bits.
+    place. Each block has K rows of B entries, about ``_BLOCK_DOUBLES`` in
+    all, and row k belongs to step k of the block. The kernel
+    writes the raw P_1..P_{r-1} of a step into ``probs[k]`` (K, r - 1, B),
+    its drawn row of the step table into ``rows[k]`` and, for noise
+    collection, the state fed to the maps into ``noise_x[k]``. Then
+    :meth:`record` writes the first observed coordinate's product
+    ``state[:, 0] * A[0, 0]`` (for s > 1 the column of ``state @ A.T``) into
+    ``prod[k]`` and moves to the next row. The P block starts zeroed, so the
+    row of step 0, which draws the initial position, is in range.
+
+    :meth:`flush` runs when the block is full, at every checkpoint and at
+    every chunk end. It first runs the range and NaN abort of
+    ``block_probs`` over the filled P rows, then each functional's
+    elementwise operations once over the filled rows. They are the
+    operations a per-step update runs on each row, and the maximum, the hit
+    count and the last hit do not depend on the order of the rows, so the
+    results are the same bits.
     """
 
-    def __init__(self, model, n_max, checkpoints, cfg, out, state, fill_noise_e=None):
-        """``fill_noise_e(tc, rows)``, when given, writes the noise increments
-        of steps tc, tc + 1, ... into ``rows`` at a flush; otherwise the
-        kernel writes each step's increment into ``noise_e[k]``."""
+    def __init__(self, model, n_max, checkpoints, cfg, out, state, steps):
+        """``steps`` is the kernel's step table, indexed by ``rows``."""
         spec = model.spec
         self.A, self.b = spec.A, spec.b
         if cfg.track_returns and not model.integer_lattice:
@@ -307,32 +301,31 @@ class _Recorder:
         lil_lo, lil_hi = cfg.lil_window
         self.lil_window = (lil_lo, n_max if lil_hi is None else lil_hi)
         self.center0 = 0.0 if cfg.center is None else np.asarray(cfg.center, dtype=float).reshape(-1)[0]
-        per_step = cfg.lil_mode is not None or cfg.track_returns
-        self.blocked = per_step or cfg.collect_noise
         B = len(state)
         K = max(1, _BLOCK_DOUBLES // B)
         self.K, self.k, self.n = K, 0, 0  # rows, rows filled, step of the last row
+        self.probs = np.zeros((K, model.r - 1, B))
+        self.rows = np.zeros((K, B), dtype=np.intp)
+        per_step = cfg.lil_mode is not None or cfg.track_returns
         self.prod = np.empty((K, B)) if per_step else None
         # both functionals read only the first observed coordinate. For s = 1
         # it is one product per trajectory, equal to the matrix product's
         # entry up to the sign of a zero, which == and abs ignore
         self.col = state[:, 0] if self.A.shape[1] == 1 else None
-        noise = cfg.collect_noise
-        self.noise_x = np.empty((K, B)) if noise else None
-        self.noise_e = np.empty((K, B)) if noise else None
-        self.fill_noise_e = fill_noise_e
+        self.noise_x = np.empty((K, B)) if cfg.collect_noise else None
+        # noise (s = 1): the drift H = P . (block masks * mu) and the steps' first column
+        self.block_mu = (model.block_masks * model.mu)[:, 0]
+        self.step0 = steps[:, 0]
 
     def record(self, n):
-        """Take the positions after step n. Kernels call it only when
-        ``blocked`` is set or n is a checkpoint."""
-        if self.blocked:
-            if self.prod is not None:
-                if self.col is not None:
-                    np.multiply(self.col, self.A[0, 0], out=self.prod[self.k])
-                else:
-                    self.prod[self.k] = (self.state @ self.A.T)[:, 0]
-            self.k += 1
-            self.n = n
+        """Take the positions after step n, whose row the kernel has written."""
+        if self.prod is not None:
+            if self.col is not None:
+                np.multiply(self.col, self.A[0, 0], out=self.prod[self.k])
+            else:
+                self.prod[self.k] = (self.state @ self.A.T)[:, 0]
+        self.k += 1
+        self.n = n
         j = self.cp_set.get(n)
         if j is not None or self.k == self.K:
             self.flush()
@@ -341,12 +334,25 @@ class _Recorder:
             if self.cfg.track_returns:
                 self.out["returns_at"][:, j] = self.out["return_counts"]
 
+    def check_probs(self, k):
+        """The range abort over P rows 0..k-1: one test of the whole, and on
+        failure the report of the first failing row, as a per-step check
+        would give."""
+        P = self.probs[:k]
+        try:
+            check_runtime_probs(P)
+        except ModelError:
+            for row in P:
+                check_runtime_probs(row)
+            raise
+
     def flush(self):
-        """Update the functionals with the filled rows and empty the block."""
+        """Check the filled P rows, update the functionals and empty the block."""
         k, cfg, out = self.k, self.cfg, self.out
         if not k:
             return
-        self.k = 0
+        self.k = 0  # before the check, so a failure here is not checked again
+        self.check_probs(k)
         n_lo = self.n - k + 1
         if self.prod is not None:
             ns = np.arange(n_lo, self.n + 1)[:, None]
@@ -367,13 +373,17 @@ class _Recorder:
         if self.noise_x is not None:
             first = 1 if n_lo == 1 else 0  # step 0 draws the initial position: no noise
             if first < k:
-                tc = n_lo - 1 + first
-                rows = slice(first, k)
-                if self.fill_noise_e is not None:
-                    self.fill_noise_e(tc, self.noise_e[rows])
+                # s = 1, so r <= 2 and H = clip(P_1) * mu + clip(1 - clip(P_1)) * (0 * mu):
+                # block_probs' rows times the masked mu. As mu >= 0 the last
+                # term is +0, so H has the matrix product's bits, signed zeros included
+                head = clip_ufunc(self.probs[first:k], 0.0, 1.0)
+                H = np.clip(1.0 - head.sum(axis=1), 0.0, 1.0) * self.block_mu[-1]
+                if len(self.block_mu) == 2:
+                    H = head[:, 0] * self.block_mu[0] + H
                 # noise column tc - 1 belongs to step tc
-                out["noise_x"][:, tc - 1:self.n - 1] = self.noise_x[rows].T
-                out["noise_e"][:, tc - 1:self.n - 1] = self.noise_e[rows].T
+                span = slice(n_lo - 2 + first, self.n - 1)
+                out["noise_x"][:, span] = self.noise_x[first:k].T
+                out["noise_e"][:, span] = (H - self.step0.take(self.rows[first:k])).T
 
 
 # Step tables up to this many rows draw the (block, atom) row by comparisons
@@ -386,26 +396,30 @@ _COUNTED_TABLE_ROWS = 8
 def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
     """Advance one batch of trajectories through all n_max steps.
 
-    The general kernel: any s, r and step law. Each step does the work of
-    :meth:`ValidatedModel.block_probs` on reused buffers, in its order: the
-    maps P_1..P_{r-1} into the head rows, the range and NaN abort, the clip,
-    then the sum-past-1 abort on the head's cumulative sums, added row by
-    row. For r = 2 the one clipped P is its own sum and at most 1, so that
-    abort could never fire and is skipped; a NaN has already failed the
-    range abort. The block is the number of cumulative sums at or below u1.
+    The one kernel: any s, r and step law. Each step does the work of
+    :meth:`ValidatedModel.block_probs` on reused buffers: the maps
+    P_1..P_{r-1} go into the recorder's P row of the step. Their range and
+    NaN abort runs over the block's rows at each flush, and in an
+    ``except`` around the step loop before any other error propagates, so
+    the first failing step wins as it does in a per-step check. At r = 2
+    the block is 1 iff u1 >= P, which for u1 in [0, 1) equals u1 >=
+    clip(P, 0, 1), so the raw P is the cut. At r > 2 the clipped P go into
+    the cumulative sums, added row by row, and the sum-past-1 abort runs on
+    each step. The block is the number of cumulative sums at or below u1.
     They never decrease, so the tail row P_r, which ``block_probs`` would
-    add last, cannot change the block and is computed only for noise
-    collection. The atom is the number of the step law's cumulative
-    probabilities at or below u2, the last one left out, so the last atom
-    also takes a u2 past a final sum that rounds below 1. The two counts
-    index a table of every (block, atom) step, row block * n_atoms + atom.
-    While that table has at most :data:`_COUNTED_TABLE_ROWS` rows, one
-    comparison per uniform and one sum give the row at once: each block cut
-    is compared n_atoms times. That work grows as r * n_atoms, so a larger
-    law counts the block alone and finds the atom by binary search. Each
-    stage is one numpy call into a reused buffer: at a few hundred
-    trajectories the fixed cost of a call is most of a step. The scalar
-    replay in ``tests/`` is the reference this kernel is tested against.
+    add last, cannot change it. The atom is the number of the step law's
+    cumulative probabilities at or below u2, the last one left out, so the
+    last atom also takes a u2 past a final sum that rounds below 1. The two
+    counts index a table of every (block, atom) step, row block * n_atoms +
+    atom, and the drawn row goes into the recorder's row block. While that
+    table has at most :data:`_COUNTED_TABLE_ROWS` rows, one comparison per
+    uniform and one sum give the row at once: each block cut is compared
+    n_atoms times, and at r = 2 with one atom the block hit is the row. That
+    work grows as r * n_atoms, so a larger law counts the block alone and
+    finds the atom by binary search. Each stage is one numpy call into a
+    reused buffer: at a few hundred trajectories the fixed cost of a call is
+    most of a step. The scalar replay in ``tests/`` is the reference this
+    kernel is tested against.
     """
     B = len(keys)
     s, r = model.s, model.r
@@ -415,21 +429,23 @@ def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
     n_atoms = len(atoms)
     counted = n_atoms > 1 and r * n_atoms <= _COUNTED_TABLE_ROWS
     searched = n_atoms > 1 and not counted
+    single = r == 2 and not counted  # the block hit alone is the row
     # row block * n_atoms + atom: the step of that block with that atom
     steps = (atoms[None] * model.block_masks[:, None]).reshape(r * n_atoms, s)
     max_atom = float(np.max(np.abs(atoms))) if atoms.size else 0.0
     maps = [pm.fast for pm in spec.prob_maps]
-    block_mu = model.block_masks * model.mu
 
     state = np.zeros((B, s))
-    rec = _Recorder(model, n_max, checkpoints, cfg, out, state)
-    blocked, cp_set = rec.blocked, rec.cp_set
+    rec = _Recorder(model, n_max, checkpoints, cfg, out, state, steps)
+    # the recorder's rows as views made once: indexing a list costs less than an array
+    P_rows, drawn_rows = list(rec.probs), list(rec.rows)
+    cut_rows = list(rec.probs[:, 0]) if single else None
+    x_rows = None if rec.noise_x is None else list(rec.noise_x)
     x = np.empty((B, s))
     cols = [x[:, j] for j in range(s)]
-    probs = np.empty((r, B))
-    head = probs[:-1]
-    cum = head if r <= 2 else np.empty((r - 1, B))
-    sums = list(zip(cum[:-1], head[1:], cum[1:]))  # (previous sum, P_i, sum through P_i)
+    aux = state[:, 0]
+    cum = np.empty((r - 1, B))
+    sums = list(zip(cum[:-1], cum[1:]))  # (sum before P_i, P_i and then the sum through it)
     # 1 where a cut is at or below its uniform. Counted: each block cut
     # n_atoms times, then the atom cuts, so the rows add up to the row of the
     # step table. Otherwise each block cut once: the rows add up to the block
@@ -437,97 +453,8 @@ def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
     hits = np.empty(((r - 1) * reps + (n_atoms - 1) * counted, B), dtype=np.intp)
     block_hits = hits[:(r - 1) * reps].reshape(r - 1, reps, B)
     atom_hits = hits[(r - 1) * reps:]
-    block_cuts = cum[:, None]
     atom_cuts = atom_cum[:-1, None]
-    row = np.empty(B, dtype=np.intp)
     for t, uniforms in _uniform_chunks(keys, n_max):
-        for tt in range(uniforms.shape[0]):
-            tc = t + tt
-            u1, u2 = uniforms[tt, 0], uniforms[tt, 1]
-            if tc == 0:
-                step_vec = _initial_step(spec.initial, u1)
-            else:
-                np.divide(state, tc, out=x)
-                for i, fast in enumerate(maps):
-                    head[i] = fast(cols)
-                check_runtime_probs(head)
-                clip_ufunc(head, 0.0, 1.0, out=head)
-                if r > 2:
-                    cum[0] = head[0]
-                    for prev, p, through in sums:
-                        np.add(prev, p, out=through)
-                    check_runtime_sum(cum[-1])
-                np.greater_equal(u1, block_cuts, out=block_hits)
-                if counted:
-                    np.greater_equal(u2, atom_cuts, out=atom_hits)
-                np.add.reduce(hits, axis=0, out=row)  # block * n_atoms + atom, or the block
-                if searched:
-                    atom = np.searchsorted(atom_cum, u2, side="right")
-                    np.minimum(atom, n_atoms - 1, out=atom)
-                    np.multiply(row, n_atoms, out=row)
-                    np.add(row, atom, out=row)
-                step_vec = steps.take(row, axis=0)
-                if cfg.collect_noise:  # s = 1: ensemble rejects it otherwise
-                    tail = probs[-1]
-                    np.subtract(1.0, head.sum(axis=0), out=tail)
-                    np.clip(tail, 0.0, 1.0, out=tail)
-                    H = probs.T @ block_mu  # (B, 1)
-                    rec.noise_x[rec.k] = x[:, 0]
-                    np.subtract(H[:, 0], step_vec[:, 0], out=rec.noise_e[rec.k])
-            state += step_vec
-            if blocked or tc + 1 in cp_set:
-                rec.record(tc + 1)
-        rec.flush()
-        _overflow_guard(state, t + uniforms.shape[0], max_atom)
-    out["aux_final"][:, :] = state
-
-
-def _check_unit_probs(P):
-    """The range abort over the P rows (steps, B) of a chunk: one test of the
-    whole, and on failure the report of the first failing row."""
-    try:
-        check_runtime_probs(P)
-    except ModelError:
-        for row in P:
-            check_runtime_probs(row)
-        raise
-
-
-def _simulate_unit_batch(model, n_max, checkpoints, keys, cfg, out):
-    """The general kernel specialised to unit-step models (:func:`_is_unit_step`),
-    and tested against it; the general kernel is tested against the scalar
-    replay in ``tests/``.
-
-    With P = P_1(x), the general kernel takes block 1 iff u1 < clip(P, 0, 1),
-    and the clip never changes that comparison; the step is then
-    ``(u1 < P) * atom``, bit for bit the general kernel's. The second uniform
-    is drawn for the fixed budget but never read, so its row of the chunk
-    buffer keeps P. The runtime range abort of ``block_probs`` (NaN included)
-    runs over the P of the steps taken, once per chunk, and also before any
-    error raised mid-chunk propagates, so an earlier out-of-range P wins as
-    it does in the general kernel. It reports the range of the first step
-    that fails, as the general kernel does.
-    """
-    spec = model.spec
-    atom = float(spec.step_law.atoms[0, 0])
-    mu = float(model.mu[0])
-    fast = spec.prob_maps[0].fast
-
-    def fill_noise_e(tc, rows):
-        # the general kernel's H adds the stay block's tail * 0. Flushes
-        # never cross a chunk end, so the rows lie in the current chunk
-        u1, P = uniforms[tc - t:tc - t + len(rows)].transpose(1, 0, 2)
-        np.clip(P, 0.0, 1.0, out=rows)
-        rows *= mu
-        rows -= (u1 < P) * atom
-
-    state = np.zeros((len(keys), 1))
-    aux = state[:, 0]
-    rec = _Recorder(model, n_max, checkpoints, cfg, out, state, fill_noise_e)
-    x_rows = rec.noise_x
-    for t, uniforms in _uniform_chunks(keys, n_max):
-        first = 1 if t == 0 else 0  # time 0 draws the initial position: no P
-        tt = 0
         try:
             for tt in range(uniforms.shape[0]):
                 tc = t + tt
@@ -535,18 +462,42 @@ def _simulate_unit_batch(model, n_max, checkpoints, keys, cfg, out):
                 if tc == 0:
                     state += _initial_step(spec.initial, u1)
                 else:
-                    x = aux / tc if x_rows is None else np.divide(aux, tc, out=x_rows[rec.k])
-                    P = fast([x])
-                    uniforms[tt, 1] = P
-                    aux += (u1 < P) * atom
-                if rec.blocked or tc + 1 in rec.cp_set:
-                    rec.record(tc + 1)
+                    k = rec.k
+                    if x_rows is None:
+                        np.divide(state, tc, out=x)
+                    else:  # s = 1: the noise row is the map's input
+                        cols[0] = np.divide(aux, tc, out=x_rows[k])
+                    P, row = P_rows[k], drawn_rows[k]
+                    for i, fast in enumerate(maps):
+                        P[i] = fast(cols)
+                    if r > 2:
+                        clip_ufunc(P, 0.0, 1.0, out=cum)
+                        for prev, through in sums:
+                            np.add(prev, through, out=through)
+                        try:
+                            check_runtime_sum(cum[-1])
+                        except ModelError:
+                            rec.k += 1  # this step's P row is whole: its range abort goes first
+                            raise
+                    if single:
+                        np.greater_equal(u1, cut_rows[k], out=row)
+                    else:
+                        np.greater_equal(u1, (cum if r > 2 else P)[:, None], out=block_hits)
+                        if counted:
+                            np.greater_equal(uniforms[tt, 1], atom_cuts, out=atom_hits)
+                        np.add.reduce(hits, axis=0, out=row)  # block * n_atoms + atom, or the block
+                    if searched:
+                        atom = np.searchsorted(atom_cum, uniforms[tt, 1], side="right")
+                        np.minimum(atom, n_atoms - 1, out=atom)
+                        np.multiply(row, n_atoms, out=row)
+                        np.add(row, atom, out=row)
+                    state += steps.take(row, axis=0)
+                rec.record(tc + 1)
             rec.flush()
         except Exception:
-            _check_unit_probs(uniforms[first:tt + 1, 1])  # row tt holds P or a uniform in [0, 1)
+            rec.check_probs(rec.k)
             raise
-        _check_unit_probs(uniforms[first:, 1])
-        _overflow_guard(state, t + uniforms.shape[0], abs(atom))
+        _overflow_guard(state, t + uniforms.shape[0], max_atom)
     out["aux_final"][:, :] = state
 
 
@@ -607,11 +558,9 @@ def ensemble(model: ValidatedModel, n_max: int, N: int, master_seed: int,
         "noise_e": np.empty((N, n_max - 1)) if noise else None,
     }
 
-    kernel = _simulate_unit_batch if _is_unit_step(model) else _simulate_batch
-
     def run_batch(lo, hi):
         out = {name: None if a is None else a[lo:hi] for name, a in arrays.items()}
-        kernel(model, n_max, checkpoints, philox_keys(master_seed, lo, hi), cfg, out)
+        _simulate_batch(model, n_max, checkpoints, philox_keys(master_seed, lo, hi), cfg, out)
 
     batches = [(lo, min(lo + batch_size, N)) for lo in range(0, N, batch_size)]
     if threads > 1 and len(batches) > 1:

@@ -5,7 +5,7 @@ default and the reference seed, in this process, through the benchmark's own
 ``run_pass``. It only reads ``perfbench/``. A change that moves one byte of
 an ensemble, an oracle law, a classify or analyze output or a CLI artifact
 fails here, not only in the benchmark; the default size is the one that
-reaches the LIL window and both step kernels' full horizons.
+reaches the LIL window and the step kernel's full horizons.
 """
 
 import importlib.util

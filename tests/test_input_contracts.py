@@ -1,6 +1,6 @@
 """Configuration errors that every entry point reports the same way.
 
-The unit-step and general kernels name the same out-of-range step, a LIL
+The kernel names the range of the first out-of-range step, a LIL
 window where the norm is undefined fails before any draw, and an initial
 law whose atoms and probabilities do not align is a configuration error
 (exit code 2) in every command.
@@ -26,41 +26,31 @@ def _message(model, n_max, N, seed):
     return str(info.value)
 
 
-def _both_kernels(model, n_max, N, seed, monkeypatch):
-    """The messages of the unit-step kernel and of the general kernel on the same walks."""
-    assert simulate._is_unit_step(model)
-    unit = _message(model, n_max, N, seed)
-    monkeypatch.setattr(simulate, "_is_unit_step", lambda model: False)
-    return unit, _message(model, n_max, N, seed)
-
-
 class TestKernelRangeMessages:
-    """The unit-step kernel reports the P range of the first failing step, as the general kernel does."""
+    """The kernel reports the P range of the first failing step."""
 
-    def test_first_failing_step(self, monkeypatch):
+    def test_first_failing_step(self):
         # every walk starts at x in {0, 1}, so P in {0.5, 2.5} at step 1
-        messages = _both_kernels(_hacked_erw("0.5 + 2*x"), 100, 4, 42, monkeypatch)
-        assert messages == ("probability-out-of-range at runtime: P in [0.5, 2.5]",) * 2
+        assert _message(_hacked_erw("0.5 + 2*x"), 100, 4, 42) == \
+            "probability-out-of-range at runtime: P in [0.5, 2.5]"
 
-    @pytest.mark.parametrize("text,q", [
-        ("0.5 + 0*exp(1000*x)", 0.5),  # NaN once a walk passes x = 0.71
-        ("piecewise(x < 0.9 : 0.5 + x)", 1e-300),  # out of range before a later gap raises mid-chunk
+    @pytest.mark.parametrize("text,q,message", [
+        # NaN once a walk passes x = 0.71
+        ("0.5 + 0*exp(1000*x)", 0.5, "probability-out-of-range at runtime: P in [0.5, 0.5] (NaN present)"),
+        # out of range before a later gap raises mid-chunk
+        ("piecewise(x < 0.9 : 0.5 + x)", 1e-300, "probability-out-of-range at runtime: P in [0.5, 1.16667]"),
     ], ids=["nan", "before-a-gap"])
-    def test_kernels_agree(self, monkeypatch, text, q):
-        unit, general = _both_kernels(_hacked_erw(text, q=q), 200, 8, 3, monkeypatch)
-        assert unit == general
-        assert unit.startswith("probability-out-of-range")
+    def test_message(self, text, q, message):
+        assert _message(_hacked_erw(text, q=q), 200, 8, 3) == message
 
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_failure_in_a_later_chunk(self, monkeypatch, seed):
+    @pytest.mark.parametrize("seed,span", [(0, "[0.842857, 1.01429]"), (3, "[0.961538, 1.00769]")])
+    def test_failure_in_a_later_chunk(self, monkeypatch, seed, span):
         # walks start at 0 and x_t <= (t - 1)/t, so P = 0.5 + 0.6 x passes 1
         # no earlier than step 7: after the first 6-step chunk (B = 4)
         model = _hacked_erw("0.5 + 0.6*x", q=1e-300)
         monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", 48)
         ensemble(model, 6, 4, master_seed=seed)
-        unit, general = _both_kernels(model, 100, 4, seed, monkeypatch)
-        assert unit == general
-        assert unit.startswith("probability-out-of-range")
+        assert _message(model, 100, 4, seed) == f"probability-out-of-range at runtime: P in {span}"
 
 
 class TestLilWindow:

@@ -184,7 +184,7 @@ class TestValidation:
                     check(values)
 
     def test_clip_ufunc_is_np_clip(self):
-        # the kernels clip through the ufunc behind np.clip; it keeps -0.0 as np.clip does
+        # the kernel and block_probs clip through the ufunc behind np.clip; it keeps -0.0 as np.clip does
         from erwlab.model import clip_ufunc
 
         values = np.array([-0.0, 0.0, -1e-12, 0.25, 1.0 + 1e-12, np.nan, -np.inf, np.inf])

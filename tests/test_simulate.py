@@ -8,7 +8,6 @@ from erwlab.model import Domain, InitialLaw, ModelError, ModelSpec, StepLaw, Val
 from erwlab.simulate import (
     MAX_TRAJECTORIES,
     FunctionalConfig,
-    _is_unit_step,
     _lil_norm,
     _simulate_batch,
     _uniform_chunks,
@@ -39,13 +38,17 @@ UNIT_STEP_PRESETS = [
 STATS_ARRAYS = ("snn", "aux_final", "lil_max", "return_counts", "last_return", "returns_at", "noise_x", "noise_e")
 
 
-def _general_kernel(model, stats, cfg):
-    """Rerun an ensemble's trajectories through the general kernel."""
-    out = {name: None if getattr(stats, name) is None else np.zeros_like(getattr(stats, name))
-           for name in STATS_ARRAYS}
-    keys = philox_keys(stats.master_seed, 0, stats.N)
-    _simulate_batch(model, stats.n_max, stats.checkpoints, keys, cfg, out)
-    return out
+def _assert_matches_replay_stats(model, stats, cfg, indices):
+    """Every array of the given trajectories equals the scalar replay's, bit for bit."""
+    for i in indices:
+        ref = replay_stats(model, stats.n_max, stats.master_seed, i, stats.checkpoints, cfg)
+        for field in STATS_ARRAYS:
+            got = getattr(stats, field)
+            if ref[field] is None:
+                assert got is None, field
+            else:
+                assert got[i].dtype == ref[field].dtype, field
+                assert got[i].tobytes() == ref[field][0].tobytes(), (i, field)
 
 
 GENERAL_MODELS = [
@@ -67,19 +70,21 @@ def _replay(model, n_max, seed, index):
 
 
 def _first_replay_error(model, n_max, N, seed):
-    """Replay N trajectories in lockstep; return (n, message) of the first ModelError."""
+    """Replay N trajectories in lockstep; return (n, message) of the first error.
+
+    A map's own errors (a ``piecewise`` gap) and the runtime aborts are all ValueErrors."""
     states = [WalkState.fresh(model, seed, i) for i in range(N)]
     for n in range(1, n_max + 1):
         for i, state in enumerate(states):
             try:
                 states[i] = step(state, model)
-            except ModelError as exc:
+            except ValueError as exc:
                 return n, str(exc)
     return None
 
 
 def _two_atom_line():
-    """s = 1, r = 2 with step atoms {1, 2}: the general kernel, not the unit-step one."""
+    """s = 1, r = 2 with step atoms {1, 2}."""
     spec = ModelSpec(s=1, d=1, r=2, partition=((1,), ()), step_law=StepLaw.finite([[1.0], [2.0]], [0.4, 0.6]),
                      prob_maps=(parse("0.2 + 0.3 * x", arity=1),), A=[[1.0]], b=[0.0],
                      initial=InitialLaw([[1.0], [0.0]], [0.5, 0.5]), domain=Domain([0.0], [2.0]))
@@ -119,19 +124,21 @@ HAND_BUILT_MODELS = {  # general-kernel branches no preset reaches
 }
 
 
-def _hacked_kdim(*prob_texts):
-    """A kdim k=2 model (s = 3, r = 4) whose three maps bypass validation."""
-    model = _model("kdim", k=2, p=0.6)
-    maps = tuple(parse(text, arity=3) for text in prob_texts)
+def _with_maps(model, *prob_texts):
+    """``model`` with its probability maps replaced, bypassing validation."""
+    maps = tuple(parse(text, arity=model.s) for text in prob_texts)
     spec = ModelSpec(**{**model.spec.__dict__, "prob_maps": maps})
     return ValidatedModel(spec=spec, mu=model.mu, sigma=model.sigma, block_masks=model.block_masks)
 
 
+def _hacked_kdim(*prob_texts):
+    """A kdim k=2 model (s = 3, r = 4) whose three maps bypass validation."""
+    return _with_maps(_model("kdim", k=2, p=0.6), *prob_texts)
+
+
 def _hacked_erw(prob_text, q=0.5):
     """An erw model whose probability map bypasses validation."""
-    model = _model("erw", p=0.75, q=q)
-    spec = ModelSpec(**{**model.spec.__dict__, "prob_maps": (parse(prob_text, arity=1),)})
-    return ValidatedModel(spec=spec, mu=model.mu, sigma=model.sigma, block_masks=model.block_masks)
+    return _with_maps(_model("erw", p=0.75, q=q), prob_text)
 
 
 class TestDeterminism:
@@ -279,7 +286,7 @@ class TestSingleStep:
 
     def test_step_matches_unit_step_kernel_on_a_checked_map(self):
         # x^1.5 compiles to the checked _pow helper in the step and the kernel;
-        # UNIT_STEP_PRESETS compares this model's kernels with each other
+        # TestUnitStepModels checks this model's functionals too
         model = _model("gerw-1d", f="x^1.5", p=0.8, q=0.5)
         assert "_pow(" in funcdsl._emit(model.spec.prob_maps[0].ast)
         stats = ensemble(model, 200, 3, master_seed=19)
@@ -414,54 +421,43 @@ class TestFunctionals:
         assert stats.cov(j)[0, 0] == pytest.approx(manual, rel=1e-12)
 
 
-class TestUnitStepKernel:
-    """The unit-step kernel must reproduce the general kernel bit for bit."""
-
-    def test_dispatch_by_structure(self):
-        for name, kwargs in UNIT_STEP_PRESETS:
-            assert _is_unit_step(_model(name, **kwargs)), name
-        assert not _is_unit_step(_model("kdim", k=2, p=0.6))
-        assert not _is_unit_step(_model("random-step", p=0.6))
+class TestUnitStepModels:
+    """The s = 1, r = 2 walks with one step atom, which every one-dimensional
+    preset is, reproduce the scalar replay bit for bit, every functional on."""
 
     @pytest.mark.parametrize("batch_size", [17, 2048])
     @pytest.mark.parametrize("name,kwargs", UNIT_STEP_PRESETS)
-    def test_matches_general_kernel(self, name, kwargs, batch_size):
+    def test_matches_scalar_replay(self, name, kwargs, batch_size):
         model = _model(name, **kwargs)
+        assert (model.s, model.r, len(model.spec.step_law.atoms)) == (1, 2, 1)
         lil_mode = "critical" if name == "quadratic-sym" else "diffusive"
         cfg = FunctionalConfig(center=np.array([0.1]), lil_mode=lil_mode, lil_window=(20, 250),
                                track_returns=True, collect_noise=True)
         stats = ensemble(model, 300, 40, master_seed=61, functional_config=cfg, batch_size=batch_size)
-        ref = _general_kernel(model, stats, cfg)
-        for field in STATS_ARRAYS:
-            assert np.array_equal(getattr(stats, field), ref[field]), field
+        _assert_matches_replay_stats(model, stats, cfg, (0, 16, 17, 39))  # the edges of the 17-trajectory batches
 
-    def test_plain_ensemble_matches_general_kernel(self):
+    def test_plain_ensemble_matches_scalar_replay(self):
         model = _model("erw", p=0.85, q=0.5)
         stats = ensemble(model, 500, 33, master_seed=67, checkpoints=[7, 100], batch_size=17)
-        ref = _general_kernel(model, stats, FunctionalConfig())
-        assert np.array_equal(stats.snn, ref["snn"])
-        assert np.array_equal(stats.aux_final, ref["aux_final"])
+        _assert_matches_replay_stats(model, stats, FunctionalConfig(), (0, 16, 17, 32))
 
     @pytest.mark.parametrize("name,kwargs", UNIT_STEP_PRESETS)
-    def test_trajectory_matches_general_kernel(self, name, kwargs):
+    def test_trajectory_matches_scalar_replay(self, name, kwargs):
         model = _model(name, **kwargs)
         cfg = FunctionalConfig(lil_mode="diffusive", lil_window=(10, None), track_returns=True,
                                collect_noise=True)
         single = trajectory(model, 400, seed=71, functional_config=cfg)
-        ref = _general_kernel(model, single, cfg)
-        for field in STATS_ARRAYS:
-            assert np.array_equal(getattr(single, field), ref[field]), field
+        _assert_matches_replay_stats(model, single, cfg, (0,))
 
 
 class TestBlockFunctionals:
     """Functionals flushed per block reproduce the per-step update bit for bit."""
 
-    # (name, kwargs, force the general kernel, center, LIL mode, collect noise)
+    # (name, kwargs, center, LIL mode, collect noise)
     CASES = [
-        ("erw", dict(p=0.6, q=0.5), False, 0.2, "diffusive", True),
-        ("quadratic-sym", dict(p=0.75, q=0.5), False, 0.0, "critical", False),
-        ("random-step", dict(p=0.7), False, 0.3, "diffusive", False),  # s = 3: the matrix-product column
-        ("erw", dict(p=0.6, q=0.5), True, 0.2, "diffusive", True),
+        ("erw", dict(p=0.6, q=0.5), 0.2, "diffusive", True),
+        ("quadratic-sym", dict(p=0.75, q=0.5), 0.0, "critical", False),
+        ("random-step", dict(p=0.7), 0.3, "diffusive", False),  # s = 3: the matrix-product column
     ]
     # (N = batch size, n_max, checkpoints, LIL window, _BLOCK_DOUBLES, _CHUNK_DOUBLES); None keeps the default
     LAYOUTS = [
@@ -474,12 +470,10 @@ class TestBlockFunctionals:
     ]
 
     @pytest.mark.parametrize("layout", LAYOUTS)
-    @pytest.mark.parametrize("name,kwargs,general,center,lil_mode,noise", CASES)
-    def test_matches_per_step_replay(self, name, kwargs, general, center, lil_mode, noise, layout, monkeypatch):
+    @pytest.mark.parametrize("name,kwargs,center,lil_mode,noise", CASES)
+    def test_matches_per_step_replay(self, name, kwargs, center, lil_mode, noise, layout, monkeypatch):
         N, n_max, checkpoints, window, block_doubles, chunk_doubles = layout
         model = _model(name, **kwargs)
-        if general:
-            monkeypatch.setattr(simulate, "_is_unit_step", lambda model: False)
         if block_doubles is not None:
             monkeypatch.setattr(simulate, "_BLOCK_DOUBLES", block_doubles)
         if chunk_doubles is not None:
@@ -488,15 +482,7 @@ class TestBlockFunctionals:
                                track_returns=True, collect_noise=noise)
         stats = ensemble(model, n_max, N, master_seed=97, checkpoints=checkpoints, functional_config=cfg,
                          batch_size=N)
-        for i in sorted({0, N // 2, N - 1}):
-            ref = replay_stats(model, n_max, 97, i, checkpoints, cfg)
-            for field in STATS_ARRAYS:
-                got = getattr(stats, field)
-                if ref[field] is None:
-                    assert got is None, field
-                else:
-                    assert got[i].dtype == ref[field].dtype, field
-                    assert got[i].tobytes() == ref[field][0].tobytes(), (i, field)
+        _assert_matches_replay_stats(model, stats, cfg, sorted({0, N // 2, N - 1}))
         assert stats.return_counts.max() > 0
         if lil_mode is not None:
             assert stats.lil_max.min() > 0
@@ -515,7 +501,7 @@ class TestBlockFunctionals:
 
 
 class TestGeneralKernel:
-    """The general kernel must reproduce the scalar replay bit for bit."""
+    """Models off the one-dimensional unit step reproduce the scalar replay bit for bit."""
 
     @pytest.mark.parametrize("chunk_doubles", [None, 42])
     @pytest.mark.parametrize("batch_size", [5, 2048])
@@ -531,7 +517,6 @@ class TestGeneralKernel:
 
     @staticmethod
     def _assert_matches_replay(model, batch_size, chunk_doubles, monkeypatch):
-        assert not _is_unit_step(model)
         if chunk_doubles is not None:
             monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", chunk_doubles)
         stats = ensemble(model, 120, 17, master_seed=83, batch_size=batch_size)
@@ -570,7 +555,6 @@ class TestGeneralKernel:
 
     def test_noise_matches_scalar_replay(self):
         model = _two_atom_line()
-        assert not _is_unit_step(model)
         n_max = 150
         stats = ensemble(model, n_max, 9, master_seed=89, functional_config=FunctionalConfig(collect_noise=True),
                          batch_size=4)
@@ -583,27 +567,34 @@ class TestGeneralKernel:
             assert np.array_equal(stats.noise_e[i], (H - np.diff(positions[1:], axis=0))[:, 0]), i
         assert np.array_equal(stats.aux_final[8], positions[-1])
 
+    @pytest.mark.parametrize("atoms,probs", [([[1.0], [2.0]], [0.4, 0.6]), ([[1.0]], [1.0])],
+                             ids=["two-atoms", "one-atom"])
     @pytest.mark.parametrize("text", ["-(0*x)", "-(0.4 * (0 - x))"], ids=["always", "at-zero"])
-    def test_negative_zero_probability_matches_scalar_replay(self, text):
+    def test_negative_zero_probability_matches_scalar_replay(self, text, atoms, probs):
         # the map gives -0.0 (always, or where x = 0); every output must carry
-        # the replay's bits, the sign of each zero included
-        spec = ModelSpec(s=1, d=1, r=2, partition=((1,), ()), step_law=StepLaw.finite([[1.0], [2.0]], [0.4, 0.6]),
+        # the replay's bits, the sign of each zero included. With one atom
+        # the model is a one-dimensional unit-step walk
+        spec = ModelSpec(s=1, d=1, r=2, partition=((1,), ()), step_law=StepLaw.finite(atoms, probs),
                          prob_maps=(parse(text, arity=1),), A=[[1.0]], b=[0.0],
                          initial=InitialLaw([[1.0], [0.0]], [0.5, 0.5]), domain=Domain([0.0], [2.0]))
         model = validate_model(spec)
-        assert not _is_unit_step(model) and np.signbit(model.spec.prob_maps[0].fast([np.zeros(1)]))[0]
+        assert np.signbit(model.spec.prob_maps[0].fast([np.zeros(1)]))[0]
         cfg = FunctionalConfig(collect_noise=True)
         stats = ensemble(model, 60, 6, master_seed=13, functional_config=cfg, batch_size=4)
-        for i in range(6):
-            want = replay_stats(model, 60, 13, i, stats.checkpoints, cfg)
-            for name in ("snn", "aux_final", "noise_x", "noise_e"):
-                got = getattr(stats, name)[i:i + 1]
-                assert np.array_equal(got, want[name]), (i, name)
-                assert np.array_equal(np.signbit(got), np.signbit(want[name])), (i, name)
+        _assert_matches_replay_stats(model, stats, cfg, range(6))  # bytes: the sign of each zero too
+
+    def test_noise_in_the_tolerance_band_matches_scalar_replay(self):
+        # P = x + 1e-9 (x - 1/2) leaves [0, 1] by 5e-10 at x = 0 and x = 1,
+        # where walks that start at 0 or 1 stay: the drift takes the clipped P
+        model = _hacked_erw("x + 1e-9 * (x - 0.5)")
+        cfg = FunctionalConfig(collect_noise=True)
+        stats = ensemble(model, 60, 6, master_seed=13, functional_config=cfg, batch_size=4)
+        assert set(stats.noise_x.ravel()) == {0.0, 1.0}
+        _assert_matches_replay_stats(model, stats, cfg, range(6))
 
 
 class TestGeneralRuntimeAbort:
-    """The general kernel aborts on each step as ``block_probs`` would, r >= 3."""
+    """The kernel aborts on each step as ``block_probs`` would, r >= 3."""
 
     # P2 = P3 vanish at the simplex vertices, where every walk sits after
     # step 1, and sum to 3/2 at x2 = 1/2, which a walk can reach at step 2
@@ -641,42 +632,109 @@ class TestGeneralRuntimeAbort:
 
 
 class TestRuntimeAbort:
-    """Probabilities that leave [0, 1] at runtime abort either kernel."""
+    """Probabilities that leave [0, 1] at runtime abort the kernel, r = 2."""
 
-    def _both_kernels(self, model, n_max=50, N=8):
-        stats_cfg = FunctionalConfig()
-        yield lambda: ensemble(model, n_max, N, master_seed=3)
-        yield lambda: _simulate_batch(
-            model, n_max, [n_max], philox_keys(3, 0, N), stats_cfg,
-            {"snn": np.zeros((N, 1, 1)), "aux_final": np.zeros((N, 1))},
-        )
+    @staticmethod
+    def _run(model, n_max=50, N=8):
+        return ensemble(model, n_max, N, master_seed=3)
 
     def test_out_of_range_once_a_walk_passes_one_half(self):
         # P = 2x leaves [0, 1] as soon as a walk's up-fraction passes 1/2
-        model = _hacked_erw("2*x")
-        assert _is_unit_step(model)
-        for run in self._both_kernels(model):
-            with pytest.raises(ModelError, match="probability-out-of-range"):
-                run()
+        with pytest.raises(ModelError, match="probability-out-of-range"):
+            self._run(_hacked_erw("2*x"))
 
     def test_range_abort_precedes_a_later_piecewise_gap(self):
         # walks start at x = 0; P = 1/2 + x > 1 past x = 1/2 then drives them
         # up into the uncovered region x >= 0.9. The range abort comes first
-        # on both paths
-        model = _hacked_erw("piecewise(x < 0.9 : 0.5 + x)", q=1e-300)
-        for run in self._both_kernels(model, n_max=200):
-            with pytest.raises(ModelError, match="probability-out-of-range"):
-                run()
+        with pytest.raises(ModelError, match="probability-out-of-range"):
+            self._run(_hacked_erw("piecewise(x < 0.9 : 0.5 + x)", q=1e-300), n_max=200)
 
     def test_walks_below_one_half_do_not_abort(self):
         # every walk starts with a stay step, so x = 0 and P = 0 forever
-        model = _hacked_erw("2*x", q=1e-300)
-        for run in self._both_kernels(model):
-            run()
+        self._run(_hacked_erw("2*x", q=1e-300))
 
     def test_nan_probability(self):
-        model = _hacked_erw("0.5 + 0*exp(1000*x)")
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ModelError, match="probability-out-of-range"):
+            self._run(_hacked_erw("0.5 + 0*exp(1000*x)"), n_max=200)
+
+
+def _cut(t):
+    """A cut between (t - 2) / (t - 1) and (t - 1) / t, the states fed to
+    steps t - 1 and t of a walk that starts at 0 and then moves at every step."""
+    return ((t - 2) / (t - 1) + (t - 1) / t) / 2
+
+
+def _out_from(t, var="x"):
+    """1 before step t, then 1 + x: out of range, with a new value at each step."""
+    return f"piecewise({var} < {_cut(t)!r} : 1 ; {var} >= {_cut(t)!r} : 1 + {var})"
+
+
+def _nan_at(t, var="x"):
+    """1, but NaN at step t alone, where it is 0 * exp(800)."""
+    return f"1 + 0 * exp(1e8 * (8e-6 - ({var} - {(t - 1) / t!r})^2))"
+
+
+def _sum_from(t):
+    """0 before step t, then 0.5: with P_1 >= 1 the sum passes 1 from step t on."""
+    return f"piecewise(x1 < {_cut(t)!r} : 0 ; x1 >= {_cut(t)!r} : 0.5)"
+
+
+_GAP = f"piecewise(x1 < {_cut(6)!r} : 0)"  # no branch covers step 6 on
+_SUM = _sum_from(6)
+
+_EDGES = {"block-last": 13, "block-first": 14, "chunk-last": 19}
+# (id, r = 2 or 3, maps, first failing step, maps whose first error is a later one at step 6)
+DEFERRED_CASES = [
+    *[(f"{kind}-{edge}-r2", 2, (bad(t),), t, None)
+      for kind, bad in (("range", _out_from), ("nan", _nan_at)) for edge, t in _EDGES.items()],
+    *[(f"{kind}-{edge}-r3", 3, (bad(t, "x1"), "0"), t, None)
+      for kind, bad in (("range", _out_from), ("nan", _nan_at)) for edge, t in _EDGES.items()],
+    ("range-before-gap-r2", 2, (f"piecewise(x < {_cut(4)!r} : 1 ; x < {_cut(6)!r} : 1 + x)",), 4,
+     (f"piecewise(x < {_cut(6)!r} : 1)",)),
+    ("range-before-gap-r3", 3, (_out_from(4, "x1"), _GAP), 4, ("1", _GAP)),
+    ("nan-before-gap-r3", 3, (_nan_at(4, "x1"), _GAP), 4, ("1", _GAP)),
+    ("range-before-sum-r3", 3, (_out_from(4, "x1"), _SUM), 4, ("1", _SUM)),
+    ("nan-before-sum-r3", 3, (_nan_at(4, "x1"), _SUM), 4, ("1", _SUM)),
+    ("range-with-sum-r3", 3, (_out_from(4, "x1"), _sum_from(4)), 4, None),  # block_probs checks the range first
+]
+
+
+class TestDeferredRangeCheck:
+    """The range and NaN abort runs over a block of steps, and the first
+    failing step still wins, as the scalar replay decides.
+
+    P_1 >= 1 (out of range and NaN included) takes block 1 at every step,
+    so every walk starts at 0, then moves by 1 and feeds x = (t - 1) / t to
+    step t. With B = 2, 4-row blocks (_BLOCK_DOUBLES = 8), 10-step chunks
+    (_CHUNK_DOUBLES = 40) and one checkpoint at n = 30, the blocks hold steps
+    0-3, 4-7, 8-9 | 10-13, 14-17, 18-19 | 20-23, ...
+    """
+
+    @staticmethod
+    def _walk(r, maps):
+        if r == 2:
+            return _hacked_erw(maps[0], q=1e-300)
+        plane = _hand_built([[1.0, 1.0]], (1.0,), ["0.5", "0.25"], initial=InitialLaw([[0.0, 0.0]], [1.0]))
+        return _with_maps(plane, *maps)
+
+    @staticmethod
+    def _errors(model):
+        """The replay's first (n, message) and the kernel's message."""
         with np.errstate(over="ignore", invalid="ignore"):
-            for run in self._both_kernels(model, n_max=200):
-                with pytest.raises(ModelError, match="probability-out-of-range"):
-                    run()
+            first = _first_replay_error(model, 30, 2, 5)
+            with pytest.raises(ValueError) as info:
+                ensemble(model, 30, 2, master_seed=5, checkpoints=[30])
+        return first, str(info.value)
+
+    @pytest.mark.parametrize("r,maps,t,later", [case[1:] for case in DEFERRED_CASES],
+                             ids=[case[0] for case in DEFERRED_CASES])
+    def test_first_failing_step_wins(self, r, maps, t, later, monkeypatch):
+        monkeypatch.setattr(simulate, "_BLOCK_DOUBLES", 8)
+        monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", 40)
+        (n, want), got = self._errors(self._walk(r, maps))
+        assert n == t + 1 and want.startswith("probability-out-of-range at runtime: P in ")
+        assert got == want
+        if later is not None:  # the error the range abort must precede
+            (n, want), got = self._errors(self._walk(r, later))
+            assert n == 7 and "P in" not in want
+            assert got == want
