@@ -166,16 +166,19 @@ class Domain:
     def s(self) -> int:
         return self.lower.shape[0]
 
+    def axes(self, density: int, clip: float = 1.0) -> list:
+        """The grid's values on each axis: ``density`` evenly spaced points
+        from lower to upper (to lower + clip on an infinite edge), fewer when
+        that would give more than 1e5 points in all."""
+        per_axis = min(density, max(2, int(1e5 ** (1.0 / self.s))))
+        return [np.linspace(lo, lo + clip if math.isinf(hi) else hi, per_axis)
+                for lo, hi in zip(self.lower, self.upper)]
+
     def grid(self, density: int, clip: float = 1.0) -> np.ndarray:
-        """Cartesian evaluation grid, capped at 1e5 points total."""
-        s = self.s
-        per_axis = min(density, max(2, int(1e5 ** (1.0 / s))))
-        axes = []
-        for lo, hi in zip(self.lower, self.upper):
-            top = lo + clip if math.isinf(hi) else hi
-            axes.append(np.linspace(lo, top, per_axis))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        """Cartesian evaluation grid of :meth:`axes`, capped at 1e5 points
+        total, as (n, s) rows in lexicographic order: the last coordinate
+        varies fastest, as in ``np.meshgrid(..., indexing="ij")``."""
+        return _grid_product(self.axes(density, clip))
 
     @property
     def reach(self) -> np.ndarray:
@@ -346,11 +349,15 @@ class ValidatedModel:
         """
         x = self._points(x)
         pts = x.reshape(-1, self.s)
-        for j in range(self.s):
-            col = pts[:, j]  # the initial bounds let an empty batch through; NaN still fails
-            if not (col.min(initial=np.inf) >= self.domain.lower[j] - 1e-9
-                    and col.max(initial=-np.inf) <= self.domain.upper[j] + 1e-9):
-                raise DomainViolation(f"coordinate {j + 1} outside model rectangle")
+        # Each coordinate's values made contiguous: reduced over axis 0 of
+        # pts, numpy's inner loop would run over one point's s values, 10
+        # times slower on a large grid. The initial bounds let an empty batch
+        # through; NaN still fails.
+        coords = np.ascontiguousarray(pts.T)
+        inside = ((np.minimum.reduce(coords, axis=1, initial=np.inf) >= self.domain.lower - 1e-9)
+                  & (np.maximum.reduce(coords, axis=1, initial=-np.inf) <= self.domain.upper + 1e-9))
+        if not inside.all():
+            raise DomainViolation(f"coordinate {int(np.argmin(inside)) + 1} outside model rectangle")
         probs = self.block_probs(pts)  # (r, n)
         masked_mu = self.block_masks * self.mu  # (r, s)
         return np.einsum("rn,rs->ns", probs, masked_mu).reshape(x.shape)
@@ -374,27 +381,82 @@ class ValidatedModel:
         H = self.eval_H(x)
         return self.sigma_blocks(x) - np.outer(H, H)
 
-    def observe(self, s_aux, n):
-        """Map auxiliary positions to observed positions A s_aux + n b."""
-        s_aux = np.asarray(s_aux, dtype=float)
-        return s_aux @ self.spec.A.T + float(n) * self.spec.b
+
+def _grid_product(axes, cap=None) -> np.ndarray:
+    """The Cartesian product of the 1-d ``axes`` as (n, s) rows in
+    lexicographic order, keeping only rows with ``row.sum() <= cap`` when a
+    cap is given.
+
+    The product grows one axis at a time, and a row is dropped as soon as
+    the running sum of its first coordinates passes the cap by more than
+    the rounding of an s-term sum. The axes hold values >= 0, as a
+    :class:`Domain`'s do, so the exact sum of the full row is at least that
+    of its prefix, and numpy's float sum of the full row, in whatever order
+    numpy adds it, still passes the cap: such a row would fail the final
+    filter. That filter, ``rows.sum(axis=1) <= cap`` on the full rows,
+    decides every row that is left, so the result equals the whole product
+    filtered once, bit for bit.
+    """
+    rows, total = np.zeros((1, 0)), np.zeros(1)
+    if cap is not None:
+        limit = cap + abs(cap) * 8 * len(axes) * np.finfo(float).eps
+    for values in axes:
+        n, k = rows.shape
+        if cap is None:
+            grown = np.empty((n, len(values), k + 1))
+            grown[..., :k] = rows[:, None]
+            grown[..., k] = values
+        else:
+            sums = total[:, None] + values
+            head, tail = np.nonzero(~(sums > limit))  # row-major: the order stays lexicographic
+            total = sums[head, tail]
+            grown = np.empty((len(head), k + 1))
+            grown[:, :k] = rows[head]
+            grown[:, k] = values[tail]
+        rows = grown.reshape(-1, k + 1)
+    if cap is not None:
+        rows = rows[rows.sum(axis=1) <= cap]
+    return rows
+
+
+def _inside(values, lo, hi):
+    """Which values lie more than 1e-12 inside the edges lo and hi of one axis."""
+    return (values > lo + 1e-12) & (values < hi - 1e-12)
+
+
+def _model_grid(spec: ModelSpec, axes) -> np.ndarray:
+    """The product of ``axes``; models whose reachable states live on a
+    simplex (one unit-mass block per step) declare a cap on the coordinate
+    sum, and the grid keeps only the points within it (plus 1e-12)."""
+    cap = spec.meta.get("simplex_cap")
+    return _grid_product(axes, None if cap is None else float(cap) + 1e-12)
 
 
 def validation_grid(spec: ModelSpec, density: int, clip: float) -> tuple:
-    """The grid that validation and the downcrossing check probe, and its interior.
+    """The grid that validation probes, and its interior.
 
-    Returns ``(grid, interior)``: the :meth:`Domain.grid` points, and a mask of
-    those more than 1e-12 inside every edge of [lower, reach]. Models whose
-    reachable states live on a simplex (one unit-mass block per step) declare
-    a cap on the coordinate sum; the grid keeps only the points within it.
+    Returns ``(grid, interior)``: the :meth:`Domain.grid` points within the
+    model's ``simplex_cap``, built by :func:`_grid_product` without the rows
+    past the cap, and a mask of those more than 1e-12 inside every edge of
+    [lower, reach].
     """
-    grid = spec.domain.grid(density, clip=clip)
-    cap = spec.meta.get("simplex_cap")
-    if cap is not None:
-        grid = grid[grid.sum(axis=1) <= float(cap) + 1e-12]
     dom = spec.domain
-    interior = np.all((grid > dom.lower + 1e-12) & (grid < dom.reach - 1e-12), axis=1)
+    grid = _model_grid(spec, dom.axes(density, clip))
+    # column by column: a comparison with the (s,) bounds would loop over the s values of each row
+    interior = np.logical_and.reduce([_inside(col, lo, hi) for col, lo, hi in zip(grid.T, dom.lower, dom.reach)])
     return grid, interior
+
+
+def interior_grid(spec: ModelSpec, density: int, clip: float) -> tuple:
+    """``grid[interior]`` of :func:`validation_grid`, and the axes it is built from.
+
+    Being interior is a test on each coordinate alone, so this is the
+    product of each axis's interior values, within the cap, in the same
+    order, and no boundary row is built. Returns ``(grid, axes)``.
+    """
+    dom = spec.domain
+    axes = [values[_inside(values, lo, hi)] for values, lo, hi in zip(dom.axes(density, clip), dom.lower, dom.reach)]
+    return _model_grid(spec, axes), axes
 
 
 def validate_model(spec: ModelSpec, grid_density: int = 201, clip: float = 1.0):

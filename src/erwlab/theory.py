@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from . import funcdsl
-from .model import ModelError, ValidatedModel, validation_grid
+from .model import ModelError, ValidatedModel, interior_grid
 
 
 class TheoryError(ModelError):
@@ -146,16 +146,29 @@ def check_downcrossing(model: ValidatedModel, x0, grid_density: int = 201,
     The sup in the condition runs over closed subsets of the open rectangle,
     so the grid keeps strictly interior points and excludes a small ball
     around x0. A nonnegative maximum reports the offending point.
+
+    The grid is :func:`~erwlab.model.interior_grid`, built from the
+    interior values of each axis: the interior rows of the validation grid,
+    with no boundary row built. The ball drops the rows whose norm
+    ``|x - x0|`` is at most ``exclusion_radius`` (r). That norm is the
+    square root of a float sum of squares, never less than one of its
+    terms, so a dropped row has ``sqrt(d_j * d_j) <= r`` on every axis j,
+    where d_j is its deviation from x0 there. If some axis has no value
+    that close to x0, no row can be dropped, and the norms are not taken.
+    A NaN in x0 or r never counts as far, so the norms are taken and drop
+    every row.
     """
     x0 = np.asarray(x0, dtype=float)
-    grid, interior = validation_grid(model.spec, grid_density, 1.0)
-    grid = grid[interior]
-    keep = np.linalg.norm(grid - x0, axis=1) > exclusion_radius
-    grid = grid[keep]
+    grid, axes = interior_grid(model.spec, grid_density, 1.0)
+    dev = grid - x0
+    if not any(np.all(np.sqrt(d * d) > exclusion_radius)
+               for d in map(np.subtract, axes, np.broadcast_to(x0, (len(axes),)))):
+        keep = np.linalg.norm(dev, axis=1) > exclusion_radius
+        grid, dev = grid[keep], dev[keep]
     if grid.shape[0] == 0:
         raise TheoryError("downcrossing grid is empty; raise grid_density")
     H = model.eval_H(grid)
-    values = np.einsum("ij,ij->i", grid - x0, H - grid)
+    values = np.einsum("ij,ij->i", dev, H - grid)
     k = int(np.argmax(values))
     return DowncrossingResult(verified=bool(values[k] < 0.0), max_value=float(values[k]), argmax=grid[k])
 

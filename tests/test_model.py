@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,8 +18,16 @@ from erwlab import (
     save_model,
     validate_model,
 )
-from erwlab.model import ValidatedModel, spec_from_dict, spec_to_dict
-from erwlab.presets import build_preset
+from erwlab.model import (
+    DomainViolation,
+    ValidatedModel,
+    interior_grid,
+    spec_from_dict,
+    spec_to_dict,
+    validation_grid,
+)
+from erwlab.presets import build_preset, list_presets
+from theory_reference import reference_validation_grid
 
 
 def _erw_spec(p=0.75, q=0.5, prob_text=None):
@@ -310,3 +319,84 @@ class TestNoiseMoments:
         sigma0 = model.noise_second_moment(x0)
         expected = np.diag([0.25] * 3) - np.outer(x0, x0)
         assert np.allclose(sigma0, expected, atol=1e-12)
+
+
+GRID_PRESETS = [(name, {}) for name, _, _ in list_presets()] + [
+    ("kdim", dict(k=3, p=0.6)),
+    ("kdim", dict(k=2, f="x^2", p=0.7)),
+    ("random-step", dict(f="x^2", p=0.7)),
+]
+
+
+class TestValidationGrid:
+    """The grid built row by row within the cap equals the whole meshgrid
+    product filtered afterwards (``tests/theory_reference.py``), bit for bit."""
+
+    @staticmethod
+    def _assert_same(spec, density, clip):
+        grid, interior = validation_grid(spec, density, clip)
+        ref_grid, ref_interior = reference_validation_grid(spec, density, clip)
+        assert grid.shape == ref_grid.shape and grid.flags.c_contiguous
+        assert grid.tobytes() == ref_grid.tobytes()
+        assert np.array_equal(interior, ref_interior)
+        inner, axes = interior_grid(spec, density, clip)
+        assert inner.tobytes() == ref_grid[ref_interior].tobytes()
+        assert len(axes) == spec.domain.s
+        return grid
+
+    @pytest.mark.parametrize("name,kwargs", GRID_PRESETS,
+                             ids=[f"{n}-{'-'.join(map(str, k.values()))}" for n, k in GRID_PRESETS])
+    @pytest.mark.parametrize("density,clip", [(201, 1.0), (21, 1.0), (2, 0.5)])
+    def test_presets(self, name, kwargs, density, clip):
+        self._assert_same(build_preset(name, **kwargs), density, clip)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+    def test_random_domains(self, s):
+        rng = np.random.default_rng(100 + s)
+        for trial in range(4):
+            lower = rng.choice([0.0, 0.0, 0.3], size=s) * rng.random(s)
+            upper = lower + rng.choice([0.2, 1.0, 3.0, math.inf], size=s)
+            domain = Domain(lower, upper)
+            # 201 per axis exceeds the 1e5-point cap for s >= 3
+            for density in (201, 7):
+                probe = self._assert_same(SimpleNamespace(domain=domain, meta={}), density, 0.7)
+                # caps at a row's own sum, between sums, at 0 and below every row
+                row_sum = float(probe[rng.integers(len(probe))].sum())
+                for cap in (row_sum, row_sum - 1e-12, 0.37 * s, 0.0, -1.0):
+                    self._assert_same(SimpleNamespace(domain=domain, meta={"simplex_cap": cap}), density, 0.7)
+
+    def test_caps_at_every_row_sum(self):
+        # the threshold cap + 1e-12 lands on, or an ulp beside, a row's sum
+        domain = Domain([0.0] * 3, [0.4, 0.3, 1.0])
+        for total in np.unique(domain.grid(6).sum(axis=1)):
+            for cap in (float(total), float(total) - 1e-12):
+                self._assert_same(SimpleNamespace(domain=domain, meta={"simplex_cap": cap}), 6, 1.0)
+
+
+class TestDomainCheck:
+    """``eval_H`` names the lowest coordinate outside the rectangle."""
+
+    def test_lowest_failing_coordinate_is_named(self):
+        model = validate_model(build_preset("kdim", k=3, p=0.6))  # s = 5 on [0, 1]^5
+        ok = np.full(model.s, 0.1)
+        cases = [
+            ({1: 1.5, 3: -0.5}, 2),
+            ({3: -0.5, 4: 1.5}, 4),
+            ({4: 2.0, 2: np.nan}, 3),
+            ({0: np.nan, 1: np.nan}, 1),
+            ({2: 1.0 + 2e-9, 4: np.nan}, 3),
+        ]
+        for bad, named in cases:
+            pts = np.tile(ok, (4, 1))
+            for j, value in bad.items():
+                pts[(j + 1) % 4, j] = value  # each failure in a different row
+            for batch in (pts, pts.reshape(2, 2, model.s)):
+                with pytest.raises(DomainViolation, match=f"^coordinate {named} outside"):
+                    model.eval_H(batch)
+
+    def test_tolerance_and_empty_batches_pass(self):
+        model = validate_model(build_preset("kdim", k=3, p=0.6))
+        edge = np.array([[1.0 + 1e-9, 0.0, 0.0, 0.0, 0.0], [0.0, -1e-9, 0.0, 0.0, 0.0]])
+        assert model.eval_H(edge).shape == (2, model.s)
+        for shape in ((0, model.s), (2, 0, model.s)):
+            assert model.eval_H(np.empty(shape)).shape == shape

@@ -213,6 +213,19 @@ class TestStreams:
             gen = np.random.Generator(np.random.Philox(trajectory_seed(master, 7 + j)))
             assert np.array_equal(uniforms[:, :, j], gen.random(2 * n_max).reshape(n_max, 2)), j
 
+    @pytest.mark.parametrize("B", [256, 2048])
+    def test_uniform_rows_are_not_a_page_multiple_apart(self, B):
+        # past a chunk, a chunk is 2**22 / B steps: unpadded, the B reads of
+        # one step would be a power of two apart and share a few cache sets
+        chunks = _uniform_chunks(philox_keys(5, 0, B), 10**6)
+        _, uniforms = next(chunks)
+        chunks.close()
+        assert uniforms.shape == (2**22 // B, 2, B)
+        assert uniforms.strides[2] % 4096 != 0
+        # a row of an odd number of cache lines (12 steps: 3 lines) is not padded
+        _, short = next(_uniform_chunks(philox_keys(5, 0, B), 12))
+        assert short.strides[2] == 12 * 16
+
     @pytest.mark.parametrize("name,kwargs", [("erw", dict(p=0.6, q=0.5)), ("kdim", dict(k=2, p=0.6))])
     def test_small_chunks_do_not_change_paths(self, name, kwargs, monkeypatch):
         model = _model(name, **kwargs)

@@ -17,7 +17,8 @@ from erwlab.theory import (
     spectral_profile,
     spectral_profile_from_jacobian,
 )
-from theory_reference import sigma1_quadrature
+from erwlab.model import interior_grid
+from theory_reference import reference_check_downcrossing, sigma1_quadrature
 
 
 def _model(name, **kwargs):
@@ -219,6 +220,66 @@ class TestDowncrossing:
     def test_quadratic_sym_verified(self):
         model = _model("quadratic-sym", p=0.7, q=0.5)
         assert check_downcrossing(model, np.array([0.5])).verified
+
+
+MULTI_PRESETS = [
+    ("kdim", dict(k=2, p=0.6)),
+    ("kdim", dict(k=3, p=0.6)),
+    ("kdim", dict(k=2, f="x^2", p=0.7)),
+    ("random-step", dict(p=0.6)),
+    ("random-step", dict(f="x^2", p=0.7)),
+]
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        res = fn(*args, **kwargs)
+    except TheoryError as exc:
+        return str(exc)
+    return res.verified, res.max_value.hex(), res.argmax.tobytes()
+
+
+class TestDowncrossingReference:
+    """The interior grid built from each axis, with the exclusion norms
+    skipped where no row can be excluded, gives the result of the whole grid
+    filtered row by row (``tests/theory_reference.py``), bit for bit."""
+
+    def _assert_same(self, model, x0, **kwargs):
+        got = _outcome(check_downcrossing, model, x0, **kwargs)
+        assert got == _outcome(reference_check_downcrossing, model, x0, **kwargs)
+        return got
+
+    @pytest.mark.parametrize("name,kwargs", MULTI_PRESETS,
+                             ids=[f"{n}-{'-'.join(map(str, k.values()))}" for n, k in MULTI_PRESETS])
+    def test_presets_at_the_fixed_point(self, name, kwargs):
+        model = _model(name, **kwargs)
+        assert model.s > 1
+        self._assert_same(model, find_fixed_point(model))
+
+    @pytest.mark.parametrize("name,kwargs", MULTI_PRESETS[:2] + MULTI_PRESETS[3:4],
+                             ids=["kdim-2", "kdim-3", "random-step"])
+    def test_edge_cases(self, name, kwargs):
+        model = _model(name, **kwargs)
+        r = 1e-6
+        grid = interior_grid(model.spec, 21, 1.0)[0]
+        on = grid[np.argmin(np.linalg.norm(grid - find_fixed_point(model), axis=1))]
+        unit = np.eye(model.s)[0]
+        # x0 on the grid point nearest the fixed point: the ball drops that
+        # row, whose value 0 would otherwise be the maximum
+        assert self._assert_same(model, on, grid_density=21)[0]
+        assert not self._assert_same(model, on, grid_density=21, exclusion_radius=-1.0)[0]
+        # x0 in (r, 2r] from a grid point on one axis, and within r on
+        # every axis of one whose norm is past r: no row is dropped
+        self._assert_same(model, on + 1.5 * r * unit, grid_density=21)
+        self._assert_same(model, on + 0.9 * r, grid_density=21)
+        self._assert_same(model, on, grid_density=21, exclusion_radius=0.0)
+        self._assert_same(model, on, grid_density=21, exclusion_radius=0.15)
+        # NaN drops every row; an empty interior raises the same error
+        for x0, density in ((np.full(model.s, np.nan), 21), (on + np.nan * unit, 21), (on, 2)):
+            message = self._assert_same(model, x0, grid_density=density)
+            assert message == "downcrossing grid is empty; raise grid_density"
+        message = self._assert_same(model, on, grid_density=21, exclusion_radius=math.nan)
+        assert message == "downcrossing grid is empty; raise grid_density"
 
 
 class TestSpectral:

@@ -1,13 +1,52 @@
-"""An independent cross-check of the diffusive covariance, kept for the tests.
+"""Independent cross-checks of the limit theory, kept for the tests.
 
 :func:`sigma1_quadrature` integrates the matrix exponential numerically,
 where :func:`erwlab.theory.solve_sigma1` solves the Lyapunov equation.
+:func:`reference_validation_grid` and :func:`reference_check_downcrossing`
+build the whole Cartesian grid with ``np.meshgrid`` and filter it afterwards,
+where :mod:`erwlab.model` builds only the rows it keeps.
 """
 
+import math
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
+
+from erwlab.theory import DowncrossingResult, TheoryError
+
+
+def reference_validation_grid(spec, density: int, clip: float) -> tuple:
+    """``(grid, interior)`` of :func:`erwlab.model.validation_grid`: the
+    whole meshgrid product, then the ``simplex_cap`` filter on its rows."""
+    dom = spec.domain
+    per_axis = min(density, max(2, int(1e5 ** (1.0 / dom.s))))
+    axes = [np.linspace(lo, lo + clip if math.isinf(hi) else hi, per_axis)
+            for lo, hi in zip(dom.lower, dom.upper)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    grid = np.stack([m.ravel() for m in mesh], axis=-1)
+    cap = spec.meta.get("simplex_cap")
+    if cap is not None:
+        grid = grid[grid.sum(axis=1) <= float(cap) + 1e-12]
+    interior = np.all((grid > dom.lower + 1e-12) & (grid < dom.reach - 1e-12), axis=1)
+    return grid, interior
+
+
+def reference_check_downcrossing(model, x0, grid_density: int = 201,
+                                 exclusion_radius: float = 1e-6) -> DowncrossingResult:
+    """:func:`erwlab.theory.check_downcrossing` on the interior rows of the
+    whole grid, with the exclusion norm taken on every row."""
+    x0 = np.asarray(x0, dtype=float)
+    grid, interior = reference_validation_grid(model.spec, grid_density, 1.0)
+    grid = grid[interior]
+    keep = np.linalg.norm(grid - x0, axis=1) > exclusion_radius
+    grid = grid[keep]
+    if grid.shape[0] == 0:
+        raise TheoryError("downcrossing grid is empty; raise grid_density")
+    H = model.eval_H(grid)
+    values = np.einsum("ij,ij->i", grid - x0, H - grid)
+    k = int(np.argmax(values))
+    return DowncrossingResult(verified=bool(values[k] < 0.0), max_value=float(values[k]), argmax=grid[k])
 
 
 def sigma1_quadrature(J, Sigma0, horizon: Optional[float] = None, panels: int = 10000):

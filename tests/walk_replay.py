@@ -41,7 +41,8 @@ class WalkState:
         return WalkState(n=0, s_aux=np.zeros(model.s), rng=gen, stream=(seed, index))
 
     def observed(self, model: ValidatedModel) -> np.ndarray:
-        return model.observe(self.s_aux, self.n)
+        """The observed position A s_aux + n b."""
+        return self.s_aux @ model.spec.A.T + float(self.n) * model.spec.b
 
 
 def _block_probs(model: ValidatedModel, x) -> np.ndarray:
