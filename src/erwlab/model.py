@@ -174,12 +174,6 @@ class Domain:
         return [np.linspace(lo, lo + clip if math.isinf(hi) else hi, per_axis)
                 for lo, hi in zip(self.lower, self.upper)]
 
-    def grid(self, density: int, clip: float = 1.0) -> np.ndarray:
-        """Cartesian evaluation grid of :meth:`axes`, capped at 1e5 points
-        total, as (n, s) rows in lexicographic order: the last coordinate
-        varies fastest, as in ``np.meshgrid(..., indexing="ij")``."""
-        return _grid_product(self.axes(density, clip))
-
     @property
     def reach(self) -> np.ndarray:
         """``upper`` with an infinite edge cut at ``lower + 1e12``."""
@@ -435,10 +429,12 @@ def _model_grid(spec: ModelSpec, axes) -> np.ndarray:
 def validation_grid(spec: ModelSpec, density: int, clip: float) -> tuple:
     """The grid that validation probes, and its interior.
 
-    Returns ``(grid, interior)``: the :meth:`Domain.grid` points within the
-    model's ``simplex_cap``, built by :func:`_grid_product` without the rows
-    past the cap, and a mask of those more than 1e-12 inside every edge of
-    [lower, reach].
+    Returns ``(grid, interior)``: the Cartesian product of
+    :meth:`Domain.axes` as (n, s) rows in lexicographic order (the last
+    coordinate varies fastest, as in ``np.meshgrid(..., indexing="ij")``),
+    within the model's ``simplex_cap`` and built by :func:`_grid_product`
+    without the rows past the cap, and a mask of those more than 1e-12
+    inside every edge of [lower, reach].
     """
     dom = spec.domain
     grid = _model_grid(spec, dom.axes(density, clip))

@@ -155,14 +155,14 @@ def check_downcrossing(model: ValidatedModel, x0, grid_density: int = 201,
     terms, so a dropped row has ``sqrt(d_j * d_j) <= r`` on every axis j,
     where d_j is its deviation from x0 there. If some axis has no value
     that close to x0, no row can be dropped, and the norms are not taken.
-    A NaN in x0 or r never counts as far, so the norms are taken and drop
-    every row.
+    A NaN in x0 makes every norm NaN, and a NaN r makes every comparison
+    false: in both cases the norms are taken and drop every row.
     """
     x0 = np.asarray(x0, dtype=float)
     grid, axes = interior_grid(model.spec, grid_density, 1.0)
     dev = grid - x0
-    if not any(np.all(np.sqrt(d * d) > exclusion_radius)
-               for d in map(np.subtract, axes, np.broadcast_to(x0, (len(axes),)))):
+    if np.isnan(x0).any() or not any(np.all(np.sqrt(d * d) > exclusion_radius)
+                                     for d in map(np.subtract, axes, np.broadcast_to(x0, (len(axes),)))):
         keep = np.linalg.norm(dev, axis=1) > exclusion_radius
         grid, dev = grid[keep], dev[keep]
     if grid.shape[0] == 0:

@@ -21,6 +21,7 @@ from erwlab import (
 from erwlab.model import (
     DomainViolation,
     ValidatedModel,
+    _grid_product,
     interior_grid,
     spec_from_dict,
     spec_to_dict,
@@ -116,10 +117,7 @@ class TestValidation:
             ("random-step", dict(p=0.6)),
         ]:
             model = validate_model(build_preset(name, **kwargs))
-            grid = model.domain.grid(21)
-            cap = model.meta.get("simplex_cap")
-            if cap is not None:
-                grid = grid[grid.sum(axis=1) <= cap + 1e-12]
+            grid = validation_grid(model.spec, 21, 1.0)[0]
             H = model.eval_H(grid)
             norm_mu = np.linalg.norm(model.mu)
             assert np.all(np.linalg.norm(H, axis=-1) <= norm_mu + 1e-12)
@@ -219,10 +217,7 @@ class TestValidation:
 def test_point_layout(name, kwargs):
     # every point is an (..., s) array, s = 1 included
     model = validate_model(build_preset(name, **kwargs))
-    grid = model.domain.grid(7)
-    cap = model.meta.get("simplex_cap")
-    if cap is not None:
-        grid = grid[grid.sum(axis=1) <= cap + 1e-12]
+    grid = validation_grid(model.spec, 7, 1.0)[0]
     H = model.eval_H(grid)
     assert H.shape == grid.shape
     for i in range(grid.shape[0]):
@@ -245,7 +240,7 @@ class TestBlockProbs:
                              ids=["erw-s1", "kdim3-s5"])
     def test_rows_are_the_maps_and_the_complement(self, name, kwargs):
         model = validate_model(build_preset(name, **kwargs))
-        grid = model.domain.grid(7)[:6]
+        grid = _grid_product(model.domain.axes(7))[:6]
         probs = model.block_probs(grid)
         assert probs.shape == (model.r, grid.shape[0])
         arg = grid[:, 0] if model.s == 1 else grid
@@ -368,7 +363,7 @@ class TestValidationGrid:
     def test_caps_at_every_row_sum(self):
         # the threshold cap + 1e-12 lands on, or an ulp beside, a row's sum
         domain = Domain([0.0] * 3, [0.4, 0.3, 1.0])
-        for total in np.unique(domain.grid(6).sum(axis=1)):
+        for total in np.unique(_grid_product(domain.axes(6)).sum(axis=1)):
             for cap in (float(total), float(total) - 1e-12):
                 self._assert_same(SimpleNamespace(domain=domain, meta={"simplex_cap": cap}), 6, 1.0)
 

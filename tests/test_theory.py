@@ -274,8 +274,10 @@ class TestDowncrossingReference:
         self._assert_same(model, on + 0.9 * r, grid_density=21)
         self._assert_same(model, on, grid_density=21, exclusion_radius=0.0)
         self._assert_same(model, on, grid_density=21, exclusion_radius=0.15)
-        # NaN drops every row; an empty interior raises the same error
-        for x0, density in ((np.full(model.s, np.nan), 21), (on + np.nan * unit, 21), (on, 2)):
+        # NaN drops every row, also where the other coordinates lie off the
+        # grid on some axis; an empty interior raises the same error
+        off = np.where(unit == 1.0, np.nan, 0.51)
+        for x0, density in ((np.full(model.s, np.nan), 21), (on + np.nan * unit, 21), (off, 21), (off, 201), (on, 2)):
             message = self._assert_same(model, x0, grid_density=density)
             assert message == "downcrossing grid is empty; raise grid_density"
         message = self._assert_same(model, on, grid_density=21, exclusion_radius=math.nan)
