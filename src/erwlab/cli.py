@@ -23,7 +23,7 @@ from . import oracle as oracle_mod
 from . import sa as sa_mod
 from . import verify as verify_mod
 from .funcdsl import DslError, parse
-from .model import ModelError, load_model, save_model, spec_to_dict, validate_model
+from .model import ModelError, is_number, load_model, save_model, spec_to_dict, validate_model
 from .presets import build_preset, list_presets
 from .simulate import FunctionalConfig, ensemble, stats_to_rows
 from .theory import classify
@@ -140,17 +140,13 @@ def _load_tol_overrides(args) -> dict:
         if key not in TOLERANCES:
             raise ConfigError(f"config-invalid: unknown tolerance override {key!r}; known: {', '.join(TOLERANCES)}")
         if key == "lil_band":
-            ok = isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+            ok = isinstance(value, list) and len(value) == 2 and all(map(is_number, value))
         else:
-            ok = _is_number(value)
+            ok = is_number(value)
         if not ok:
             want = "a list of two numbers" if key == "lil_band" else "a number"
             raise ConfigError(f"config-invalid: tolerance override {key!r} must be {want}, got {value!r}")
     return overrides
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def cmd_simulate(args) -> int:
@@ -370,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_sa = sub.add_parser("sa", help="stochastic approximation runner and checks")
-    common(p_sa, "seed", "threads", "tol_overrides")
+    common(p_sa, "seed", "threads", "tol_overrides")  # threads checked but unused: perfbench passes it
     p_sa.add_argument("--drift", type=str, default=None, help="drift expression in x, e.g. '0.3*x + x^2'")
     p_sa.add_argument("--theta0", type=float, default=0.0)
     p_sa.add_argument("--theta1", type=float, default=0.0)

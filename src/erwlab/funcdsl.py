@@ -3,10 +3,11 @@
 Expressions are parsed into immutable ASTs over a scalar variable ``x`` or
 components ``x1..xs``, nested at most :data:`MAX_DEPTH` levels. Every tree
 compiles to one numpy expression, the language's only evaluator; partial
-operations run checked helpers inside it. Evaluation is pure. Derivatives
-at a point are obtained by central finite differences with Richardson
-extrapolation (closed forms, when a model registers them, take precedence
-at the call sites in :mod:`erwlab.theory`).
+operations run checked helpers inside it. Evaluation is pure.
+:func:`derive_at` takes derivatives of arity-1 expressions at a point by
+central finite differences with Richardson extrapolation; :mod:`erwlab.theory`
+and :mod:`erwlab.sa` call it, and closed forms, when a model registers them,
+take precedence at their call sites.
 
 Grammar (see docs/grammar.md for the full EBNF)::
 
@@ -442,7 +443,7 @@ def evaluate(expr: FuncExpr, x):
     length s. A single point gives a float.
     """
     arr = np.asarray(x, dtype=float)
-    if expr.arity > 1 and arr.shape[-1] != expr.arity:
+    if expr.arity > 1 and (arr.ndim == 0 or arr.shape[-1] != expr.arity):
         raise DslError(f"expected last axis of length {expr.arity}, got shape {arr.shape}")
     out = expr.fast([arr] if expr.arity == 1 else [arr[..., j] for j in range(expr.arity)])
     single_point = arr.ndim == (expr.arity > 1)
@@ -546,41 +547,36 @@ class NonSmoothError(DslError):
     """Raised when Richardson extrapolants diverge at the requested point."""
 
 
-def derive_at(expr: FuncExpr, x0, order: int = 1, axis: int = 0,
-              base_step: float = 1e-2, levels: int = 7):
-    """Derivative of ``expr`` of the given order at ``x0``.
+def derive_at(expr: FuncExpr, x0, order: int = 1):
+    """Derivative of the arity-1 ``expr`` of the given order at ``x0``.
 
-    For arity > 1 the derivative is the partial along ``axis``. Uses central
-    differences at steps ``base_step * 2**-k``, k = 0..levels-1, combined by
+    Uses central differences at steps ``1e-2 * 2**-k``, k = 0..6, combined by
     Richardson extrapolation; the returned pair is ``(value, error_estimate)``.
     Raises :class:`NonSmoothError` if successive extrapolants diverge, which
     signals a kink or jump within the sampled neighbourhood.
     """
+    if expr.arity != 1:
+        raise DslError(f"derive_at takes arity-1 expressions, got arity {expr.arity}")
     if not 1 <= order <= MAX_DERIV_ORDER:
         raise DslError(f"derivative order must be in 1..{MAX_DERIV_ORDER}")
     stencil = _STENCILS[order]
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.asarray(x0, dtype=float)  # an array, as the NonSmoothError message shows it
 
     def estimate(h):
         total = 0.0
         for offset, coeff in stencil:
-            if expr.arity == 1:
-                point = float(x0) + offset * h
-            else:
-                point = x0.copy()
-                point[axis] += offset * h
-            total += coeff * evaluate(expr, point)
+            total += coeff * evaluate(expr, float(x0) + offset * h)
         return total / h ** order
 
     # Richardson/Neville table with error tracking (Ridders' scheme): the
     # ladder eliminates successive powers of h (not only even ones, so
     # expressions with jumps in higher derivatives still converge); keep the
     # entry whose neighbouring extrapolants agree best.
-    table = [[estimate(base_step)]]
+    table = [[estimate(1e-2)]]
     best = table[0][0]
     best_err = math.inf
-    for k in range(1, levels):
-        h = base_step * 2.0 ** (-k)
+    for k in range(1, 7):
+        h = 1e-2 * 2.0 ** (-k)
         row = [estimate(h)]
         for j in range(1, k + 1):
             factor = 2.0 ** j

@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -75,8 +74,9 @@ class StepLaw:
     kinds:
       * ``point-mass``     one atom, probability one
       * ``finite-support`` explicit atoms (s-vectors) and probabilities
-      * ``product``        independent per-axis scalar finite laws, expanded
-                           to their joint support at construction
+
+    A model file's ``kind`` is a free-form label; there is no ``product``
+    constructor, so a product law is written out as its joint atoms.
 
     Restricting to finite support keeps the mean ``mu`` and the second-moment
     matrix E[Y Y^T] exact, which the covariance formulas downstream require.
@@ -112,20 +112,6 @@ class StepLaw:
     @staticmethod
     def finite(atoms, probs) -> "StepLaw":
         return StepLaw("finite-support", np.atleast_2d(atoms), np.asarray(probs, dtype=float))
-
-    @staticmethod
-    def product(factors: Sequence[Sequence[tuple]]) -> "StepLaw":
-        """Joint law of independent axes; each factor is [(value, prob), ...]."""
-        atoms = [[]]
-        probs = [1.0]
-        for factor in factors:
-            new_atoms, new_probs = [], []
-            for a, p in zip(atoms, probs):
-                for value, q in factor:
-                    new_atoms.append(a + [float(value)])
-                    new_probs.append(p * float(q))
-            atoms, probs = new_atoms, new_probs
-        return StepLaw("product", np.asarray(atoms), np.asarray(probs))
 
 
 @dataclass(frozen=True)
@@ -231,15 +217,50 @@ def _check_partition(spec: ModelSpec, errors: list):
         errors.append(f"partition-overlap: blocks cover 1..{expected - 1}, expected 1..{spec.s}")
 
 
-def check_runtime_probs(values: np.ndarray, clamp_tol: float = 1e-9):
-    """Abort unless every value lies in [0 - tol, 1 + tol]; NaN fails too.
+def is_number(value) -> bool:
+    """Whether a JSON value is a number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_meta(spec: ModelSpec, errors: list):
+    """``meta`` must be a dict whose ``simplex_cap`` is a number or null, and
+    whose ``exact`` entry is a dict; the keys of ``exact`` that
+    :mod:`erwlab.theory` reads must have the types it reads them as."""
+    if not isinstance(spec.meta, dict):
+        errors.append(f"meta must be a JSON object, got {spec.meta!r}")
+        return
+    cap = spec.meta.get("simplex_cap")
+    if not (cap is None or is_number(cap)):
+        errors.append(f"meta.simplex_cap must be a number or null, got {cap!r}")
+    exact = spec.meta.get("exact", {})
+    if not isinstance(exact, dict):
+        errors.append(f"meta.exact must be a JSON object, got {exact!r}")
+        return
+    wanted = {
+        "x0": (f"a list of {spec.s} numbers",
+               lambda v: isinstance(v, (list, tuple)) and len(v) == spec.s and all(map(is_number, v))),
+        "tau": ("a number", is_number),
+        "h_derivs": ("a list of numbers", lambda v: isinstance(v, (list, tuple)) and all(map(is_number, v))),
+        "max_smooth_order": ("an integer or null",
+                             lambda v: v is None or (isinstance(v, int) and not isinstance(v, bool))),
+    }
+    for key, (want, ok) in wanted.items():
+        if key in exact and not ok(exact[key]):
+            errors.append(f"meta.exact.{key} must be {want}, got {exact[key]!r}")
+
+
+CLAMP_TOL = 1e-9  # how far past [0, 1] a probability may stray at run time and be clamped back
+
+
+def check_runtime_probs(values: np.ndarray):
+    """Abort unless every value lies in [0 - CLAMP_TOL, 1 + CLAMP_TOL]; NaN fails too.
 
     The test itself is two plain reductions (0 joins them, so an empty input
     passes), called as ufuncs because it runs on every simulation step; the
     reported range is that of the non-NaN values.
     """
-    if not (np.minimum.reduce(values, axis=None, initial=0.0) >= -clamp_tol
-            and np.maximum.reduce(values, axis=None, initial=0.0) <= 1.0 + clamp_tol):
+    if not (np.minimum.reduce(values, axis=None, initial=0.0) >= -CLAMP_TOL
+            and np.maximum.reduce(values, axis=None, initial=0.0) <= 1.0 + CLAMP_TOL):
         nan = np.isnan(values)
         real = values[~nan]
         span = f"[{real.min():.6g}, {real.max():.6g}]" if real.size else "[nan, nan]"
@@ -247,12 +268,12 @@ def check_runtime_probs(values: np.ndarray, clamp_tol: float = 1e-9):
         raise ModelError(f"probability-out-of-range at runtime: P in {span}{note}")
 
 
-def check_runtime_sum(totals: np.ndarray, clamp_tol: float = 1e-9):
-    """Abort when a sum of the clipped P_1..P_{r-1} passes 1 + tol.
+def check_runtime_sum(totals: np.ndarray):
+    """Abort when a sum of the clipped P_1..P_{r-1} passes 1 + CLAMP_TOL.
 
-    Float subtraction is monotone, so this is ``min(1 - totals) < -tol``.
+    Float subtraction is monotone, so this is ``min(1 - totals) < -CLAMP_TOL``.
     """
-    if 1.0 - np.maximum.reduce(totals, axis=None, initial=0.0) < -clamp_tol:
+    if 1.0 - np.maximum.reduce(totals, axis=None, initial=0.0) < -CLAMP_TOL:
         raise ModelError("probability-out-of-range at runtime: block probabilities sum past 1")
 
 
@@ -304,17 +325,17 @@ class ValidatedModel:
             raise ModelError(f"points must have shape (..., {self.s}), got {x.shape}")
         return x
 
-    def block_probs(self, x, clamp_tol: float = 1e-9):
+    def block_probs(self, x):
         """All r block probabilities at points x of shape (..., s), as (r, ...).
 
         A 0-d x, or one whose last axis is not s, raises :class:`ModelError`:
         a leftover bare s = 1 point would otherwise be read as its first
         element. The maps P_1..P_{r-1} are evaluated through
         :attr:`FuncExpr.fast` into the first r - 1 rows of one array, and the
-        last row takes the complement. Values outside [0 - tol, 1 + tol], and
-        NaN, abort: that is model misuse, not noise. Within the tolerance
-        band they are clamped. The complement sums the rows in order, so a
-        point gives the same bits alone as in any batch.
+        last row takes the complement. Values outside [0 - CLAMP_TOL,
+        1 + CLAMP_TOL], and NaN, abort: that is model misuse, not noise.
+        Within the tolerance band they are clamped. The complement sums the
+        rows in order, so a point gives the same bits alone as in any batch.
         """
         x = self._points(x)
         cols = [x[..., j] for j in range(self.s)]
@@ -322,12 +343,12 @@ class ValidatedModel:
         head = probs[:-1]
         for i, pm in enumerate(self.spec.prob_maps):
             head[i, ...] = pm.fast(cols)
-        check_runtime_probs(head, clamp_tol)
+        check_runtime_probs(head)
         clip_ufunc(head, 0.0, 1.0, out=head)
         totals = head[0] if self.r > 1 else np.zeros(x.shape[:-1])
         for row in head[1:]:  # in row order, where numpy sums one point's rows pairwise
             totals = totals + row
-        check_runtime_sum(totals, clamp_tol)
+        check_runtime_sum(totals)
         tail = probs[-1, ...]  # a view, also when x is a single (s,) point
         np.subtract(1.0, totals, out=tail)
         clip_ufunc(tail, 0.0, 1.0, out=tail)
@@ -455,8 +476,11 @@ def interior_grid(spec: ModelSpec, density: int, clip: float) -> tuple:
     return _model_grid(spec, axes), axes
 
 
-def validate_model(spec: ModelSpec, grid_density: int = 201, clip: float = 1.0):
-    """Validate a spec on a finite grid.
+GRID_DENSITY = 201  # grid points per axis in validation and the downcrossing check
+
+
+def validate_model(spec: ModelSpec):
+    """Validate a spec on a finite grid of :data:`GRID_DENSITY` points per axis.
 
     Returns a :class:`ValidatedModel` or raises :class:`ModelError` carrying
     the full list of violations (with an offending grid point each, where
@@ -479,13 +503,14 @@ def validate_model(spec: ModelSpec, grid_density: int = 201, clip: float = 1.0):
         errors.append("initial-law atoms must be s-vectors")
     if spec.domain.s != spec.s:
         errors.append("domain dimension mismatch")
+    _check_meta(spec, errors)
     sm = spec.step_law.second_moment
     if not np.allclose(sm, sm.T):
         errors.append("moment-missing: second-moment matrix is not symmetric")
     if errors:
         raise ModelError("; ".join(errors))
 
-    grid, interior = validation_grid(spec, grid_density, clip)
+    grid, interior = validation_grid(spec, GRID_DENSITY, 1.0)
     total = np.zeros(grid.shape[0])
     cols = [grid[:, j] for j in range(spec.s)]
     for i, pm in enumerate(spec.prob_maps):
@@ -555,20 +580,38 @@ def spec_to_dict(spec: ModelSpec) -> dict:
     }
 
 
-def spec_from_dict(doc: dict) -> ModelSpec:
-    s = int(doc["s"])
-    upper = [math.inf if u is None else float(u) for u in doc["domain"]["upper"]]
+def spec_from_dict(doc) -> ModelSpec:
+    """The spec a model file's JSON document describes.
+
+    A missing field raises ``KeyError``. A document that is not a JSON
+    object, or a field of the wrong JSON type, raises :class:`ModelError`
+    naming the field.
+    """
+    if not isinstance(doc, dict):
+        raise ModelError(f"a model file must hold a JSON object, got {type(doc).__name__}")
+
+    def read(key, build):
+        try:
+            return build(doc[key])
+        except (TypeError, AttributeError) as exc:
+            raise ModelError(f"model field {key!r} has the wrong type: {exc}") from exc
+
+    def domain(value):
+        upper = [math.inf if u is None else float(u) for u in value["upper"]]
+        return Domain(np.asarray(value["lower"], dtype=float), np.asarray(upper, dtype=float))
+
+    s = read("s", int)
     return ModelSpec(
         s=s,
-        d=int(doc["d"]),
-        r=int(doc["r"]),
-        partition=tuple(tuple(blk) for blk in doc["partition"]),
-        step_law=StepLaw(doc["step_law"]["kind"], np.asarray(doc["step_law"]["atoms"]), np.asarray(doc["step_law"]["probs"])),
-        prob_maps=tuple(parse(text, arity=s) for text in doc["prob_maps"]),
-        A=np.asarray(doc["A"]),
-        b=np.asarray(doc["b"]),
-        initial=InitialLaw(np.asarray(doc["initial"]["atoms"]), np.asarray(doc["initial"]["probs"])),
-        domain=Domain(np.asarray(doc["domain"]["lower"], dtype=float), np.asarray(upper, dtype=float)),
+        d=read("d", int),
+        r=read("r", int),
+        partition=read("partition", lambda v: tuple(tuple(int(i) for i in blk) for blk in v)),
+        step_law=read("step_law", lambda v: StepLaw(v["kind"], np.asarray(v["atoms"]), np.asarray(v["probs"]))),
+        prob_maps=read("prob_maps", lambda v: tuple(parse(text, arity=s) for text in v)),
+        A=read("A", lambda v: np.asarray(v, dtype=float)),
+        b=read("b", lambda v: np.asarray(v, dtype=float)),
+        initial=read("initial", lambda v: InitialLaw(np.asarray(v["atoms"]), np.asarray(v["probs"]))),
+        domain=read("domain", domain),
         meta=doc.get("meta", {}),
     )
 

@@ -190,15 +190,15 @@ class CheckReport:
 
 
 def noise_moment_check(model: ValidatedModel, n_max: int = 4000, N: int = 200,
-                       master_seed: int = 7, bins: int = 16, min_count: int = 500,
-                       lindeberg_delta: float = 0.2) -> CheckReport:
+                       master_seed: int = 7, min_count: int = 500) -> CheckReport:
     """Empirical verification of the reduction noise moments (s = 1).
 
-    Bins pairs (Gamma_n, e_{n+1}) by state: conditional mean within 3 SE of
-    zero and conditional second moment within 3 SE of the predicted
-    H(x) Sigma / mu - H(x)^2, per bin with enough samples. The Lindeberg
-    tail statistic is evaluated on a doubling time grid; with bounded steps
-    it hits exactly zero once delta * sqrt(n) passes the noise bound.
+    Bins pairs (Gamma_n, e_{n+1}) by state into 16 bins: conditional mean
+    within 3 SE of zero and conditional second moment within 3 SE of the
+    predicted H(x) Sigma / mu - H(x)^2, per bin with enough samples. The
+    Lindeberg tail statistic is evaluated on a doubling time grid at
+    delta = 0.2; with bounded steps it hits exactly zero once delta * sqrt(n)
+    passes the noise bound.
     """
     if model.s != 1:
         raise SAError("noise checks implemented for s = 1")
@@ -208,6 +208,7 @@ def noise_moment_check(model: ValidatedModel, n_max: int = 4000, N: int = 200,
     es = stats.noise_e.ravel()
     lo = float(model.domain.lower[0])
     hi = float(min(model.domain.upper[0], lo + 1.0))
+    bins = 16
     edges = np.linspace(lo, hi, bins + 1)
     which = np.clip(np.digitize(xs, edges) - 1, 0, bins - 1)
 
@@ -238,7 +239,7 @@ def noise_moment_check(model: ValidatedModel, n_max: int = 4000, N: int = 200,
     grid = [n for n in stats.checkpoints if n > 1]
     lindeberg = []
     for n in grid:
-        thr = lindeberg_delta * math.sqrt(n)
+        thr = 0.2 * math.sqrt(n)
         e_slice = stats.noise_e[:, : n - 1]
         tail = np.where(np.abs(e_slice) >= thr, e_slice ** 2, 0.0)
         lindeberg.append(float(tail.sum(axis=1).mean() / n))
@@ -278,7 +279,7 @@ def sa_coeffs(psi_derivs: list, upto: int) -> list:
     psi_p = float(psi_derivs[0])
     hs = [-float(v) for v in psi_derivs[1:]]
     hs += [0.0] * max(0, (upto - 1) - len(hs))
-    coeffs, _ = expansion_coeffs(hs[: upto - 1], 1.0 - psi_p, upto - 1, scale="auxiliary")
+    coeffs, _ = expansion_coeffs(hs[: upto - 1], 1.0 - psi_p, upto - 1)
     return coeffs
 
 
@@ -364,8 +365,7 @@ def _converged_scales(proc: SAProcess, paths: SAPaths, psi_p: float, coeffs: lis
     return keep, z_hat
 
 
-def sa_expansion_check(proc: SAProcess, paths: SAPaths, k: Optional[int] = None,
-                       eval_ratio: float = 2.0 ** -10, subtract_orders: int = 6,
+def sa_expansion_check(proc: SAProcess, paths: SAPaths, eval_ratio: float = 2.0 ** -10,
                        tolerance: float = 0.15, converged_band: float = 0.1) -> CheckReport:
     """Residual checks for the scalar expansion theorems (psi' < 1/2).
 
@@ -381,12 +381,11 @@ def sa_expansion_check(proc: SAProcess, paths: SAPaths, k: Optional[int] = None,
     psi_p = proc.psi_prime()
     if not 0.0 < psi_p < 0.5:
         raise SAError("wrong-derivative-regime: residual expansion needs 0 < psi' < 1/2")
-    if k is None:
-        k = int(math.floor(1.0 / (2.0 * psi_p) + 1e-12))
-        if abs(psi_p - 1.0 / (2.0 * (k + 1))) < 1e-12:
-            k += 1  # boundary psi' = 1/(2k) belongs to the k path
-    derivs = proc.psi_derivs(upto=subtract_orders)
-    coeffs = sa_coeffs(derivs, upto=max(k, min(subtract_orders, len(derivs))))
+    k = int(math.floor(1.0 / (2.0 * psi_p) + 1e-12))
+    if abs(psi_p - 1.0 / (2.0 * (k + 1))) < 1e-12:
+        k += 1  # boundary psi' = 1/(2k) belongs to the k path
+    derivs = proc.psi_derivs(upto=6)
+    coeffs = sa_coeffs(derivs, upto=max(k, len(derivs)))
     n_max = paths.n_max
     keep, z_hat = _converged_scales(proc, paths, psi_p, coeffs, converged_band)
     n_keep = int(keep.sum())
@@ -428,6 +427,8 @@ def sa_clt_variance_check(proc: SAProcess, paths: SAPaths, tolerance: float = 0.
         raise SAError("wrong-derivative-regime: the CLT variance check needs psi' > 1/2")
     j = paths.checkpoints.index(paths.n_max)
     kept = ~paths.escaped
+    if kept.sum() < 2:
+        raise SAError(f"the CLT variance check needs at least 2 paths that did not escape, got {int(kept.sum())}")
     var = float(np.var(np.sqrt(paths.n_max) * (paths.theta[kept, j] - proc.theta0), ddof=1))
     predicted = paths.s2 / (2.0 * psi_p - 1.0)
     return CheckReport(

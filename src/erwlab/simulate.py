@@ -508,14 +508,15 @@ def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
     out["aux_final"][:, :] = state
 
 
-def trajectory(model: ValidatedModel, n_max: int, seed: int, checkpoints=None,
+def trajectory(model: ValidatedModel, n_max: int, seed: int,
                functional_config: Optional[FunctionalConfig] = None):
-    """Single trajectory; deterministic function of (model, seed).
+    """Single trajectory at the default checkpoints; deterministic function
+    of (model, seed).
 
     Equals trajectory ``index=0`` of an ensemble run with ``master_seed=seed``.
     Returns an :class:`EnsembleStats` with N=1.
     """
-    return ensemble(model, n_max, 1, seed, checkpoints, functional_config, threads=1)
+    return ensemble(model, n_max, 1, seed, functional_config=functional_config, threads=1)
 
 
 def ensemble(model: ValidatedModel, n_max: int, N: int, master_seed: int,

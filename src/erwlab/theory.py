@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from . import funcdsl
-from .model import ModelError, ValidatedModel, interior_grid
+from .model import GRID_DENSITY, ModelError, ValidatedModel, interior_grid
 
 
 class TheoryError(ModelError):
@@ -58,22 +58,22 @@ def _midpoint_table(a, b, depth):
     return np.concatenate(mids)
 
 
-def find_fixed_point(model: ValidatedModel, tol: float = 1e-13, flag_tol: float = 1e-8):
+def find_fixed_point(model: ValidatedModel):
     """Solve H(x) = x on the model rectangle.
 
     s = 1 brackets every sign change of H(x) - x on a 1001-point grid and
     bisects each (``fa * fm <= 0`` keeps the left half; stop when the
-    bracket is narrower than ``tol``, or after 200 halvings). One ``eval_H``
+    bracket is narrower than 1e-13, or after 200 halvings). One ``eval_H``
     call tabulates the midpoints the next few halvings can reach, and the
     bisection then reads its values from that table.
 
     s > 1 runs damped fixed-point iteration x <- x + (H(x) - x) / 2 from
     the domain center and 2**min(s, 3) corner starts at once: each round is
     one ``eval_H`` call on the starts still active, and a start stops once
-    its step is below ``tol`` (20000 rounds at most). The root is the first
+    its step is below 1e-13 (20000 rounds at most). The root is the first
     converged start in list order.
 
-    Raises on no root, or on roots farther apart than ``flag_tol``.
+    Raises on no root, or on roots farther apart than 1e-8.
     """
     dom = model.domain
     if model.s == 1:
@@ -98,11 +98,11 @@ def find_fixed_point(model: ValidatedModel, tol: float = 1e-13, flag_tol: float 
                     else:
                         a, fa, node = mids[node], fmids[node], 2 * node + 2
                     halvings += 1
-                    done = b_ - a < tol or halvings == 200
+                    done = b_ - a < 1e-13 or halvings == 200
                     if done:
                         break
             roots.append(0.5 * (a + b_))
-        roots = [r for i, r in enumerate(roots) if all(abs(r - q) > flag_tol for q in roots[:i])]
+        roots = [r for i, r in enumerate(roots) if all(abs(r - q) > 1e-8 for q in roots[:i])]
         if not roots:
             raise TheoryError("no-root-in-domain: H(x) - x has no sign change")
         if len(roots) > 1:
@@ -119,7 +119,7 @@ def find_fixed_point(model: ValidatedModel, tol: float = 1e-13, flag_tol: float 
         xr = x[rows]
         delta = model.eval_H(xr) - xr
         x[rows] = _feasible(model, xr + 0.5 * delta)
-        active[rows[np.max(np.abs(delta), axis=1) < tol]] = False
+        active[rows[np.max(np.abs(delta), axis=1) < 1e-13]] = False
         if not active.any():
             break
     roots = x[~active]
@@ -127,7 +127,7 @@ def find_fixed_point(model: ValidatedModel, tol: float = 1e-13, flag_tol: float 
         raise TheoryError("no-root-in-domain: damped iteration did not converge from any start")
     base = roots[0]
     for r in roots[1:]:
-        if np.max(np.abs(r - base)) > flag_tol:
+        if np.max(np.abs(r - base)) > 1e-8:
             raise TheoryError(f"multiple-roots: fixed points {base.tolist()} and {r.tolist()}")
     return base
 
@@ -139,7 +139,7 @@ class DowncrossingResult:
     argmax: np.ndarray
 
 
-def check_downcrossing(model: ValidatedModel, x0, grid_density: int = 201,
+def check_downcrossing(model: ValidatedModel, x0, grid_density: int = GRID_DENSITY,
                        exclusion_radius: float = 1e-6) -> DowncrossingResult:
     """Grid check of sup (x - x0)^T (H(x) - x) < 0 away from x0.
 
@@ -196,13 +196,13 @@ def _partial(fun, x0, axis, base_step):
     return best
 
 
-def jacobian(model: ValidatedModel, x0, base_step: float = 1e-3) -> np.ndarray:
+def jacobian(model: ValidatedModel, x0) -> np.ndarray:
     """Numeric Jacobian of the drift map H at x0 (column j = dH/dx_j)."""
     x0 = np.asarray(x0, dtype=float)
     dist = np.minimum(x0 - model.domain.lower, model.domain.reach - x0)
     cols = []
     for j in range(model.s):
-        step = min(base_step, max(float(dist[j]) / 2.0, 1e-7))
+        step = min(1e-3, max(float(dist[j]) / 2.0, 1e-7))
         cols.append(_partial(model.eval_H, x0, j, step))
     return np.stack(cols, axis=1)
 
@@ -228,7 +228,10 @@ def _rank(mat, threshold):
     return int(np.sum(sv > threshold))
 
 
-def _cluster_eigenvalues(eig, tol, scale=1.0, rcond=None):
+CLUSTER_TOL = 1e-7  # eigenvalue clustering; also picks the top cluster in sigma2_critical
+
+
+def _cluster_eigenvalues(eig, scale, rcond):
     """Agglomerative eigenvalue clustering.
 
     A defective eigenvalue of multiplicity m computed in finite precision
@@ -241,14 +244,14 @@ def _cluster_eigenvalues(eig, tol, scale=1.0, rcond=None):
     """
     eps = np.finfo(float).eps
     n = len(eig)
-    ill = np.zeros(n, dtype=bool) if rcond is None else np.asarray(rcond) < 1e-3
+    ill = rcond < 1e-3
     groups = [[complex(eig[i]), [i]] for i in range(n)]
 
     ring_scale = 10.0 * (eps * max(1.0, scale)) ** 0.25
 
     def gap_threshold(a, b):
         touchy = any(ill[i] for i in groups[a][1]) or any(ill[i] for i in groups[b][1])
-        return max(tol, ring_scale) if touchy else tol
+        return max(CLUSTER_TOL, ring_scale) if touchy else CLUSTER_TOL
 
     merged = True
     while merged and len(groups) > 1:
@@ -272,7 +275,7 @@ def _cluster_eigenvalues(eig, tol, scale=1.0, rcond=None):
     return out
 
 
-def _block_sizes_for_cluster(J, lam, members, eig, tol):
+def _block_sizes_for_cluster(J, lam, members, eig):
     """Jordan block sizes for one eigenvalue cluster by rank gaps.
 
     Works on the cluster's invariant block of the complex Schur form, so
@@ -287,7 +290,7 @@ def _block_sizes_for_cluster(J, lam, members, eig, tol):
     # subspace has the right dimension
     Tc = None
     for factor in (2.0, 10.0, 50.0):
-        sort_tol = max(tol, factor * spread + 1e3 * np.finfo(float).eps)
+        sort_tol = max(CLUSTER_TOL, factor * spread + 1e3 * np.finfo(float).eps)
         T, Z, sdim = scipy.linalg.schur(
             J.astype(complex), output="complex", sort=lambda z: abs(z - lam) <= sort_tol
         )
@@ -318,20 +321,20 @@ def _block_sizes_for_cluster(J, lam, members, eig, tol):
     return sorted(sizes, reverse=True)
 
 
-def _analyze_clusters(J, clusters, eig, tol):
+def _analyze_clusters(J, clusters, eig):
     result = []
     for lam, members in clusters:
-        sizes = _block_sizes_for_cluster(J, lam, members, eig, max(tol, 10 * np.finfo(float).eps))
+        sizes = _block_sizes_for_cluster(J, lam, members, eig)
         if sizes is None:
             return None
         result.append({"value": complex(lam), "multiplicity": len(members), "block_sizes": tuple(sizes), "members": members})
     return result
 
 
-def spectral_profile_from_jacobian(J, cluster_tol: float = 1e-7) -> SpectralProfile:
+def spectral_profile_from_jacobian(J) -> SpectralProfile:
     """Eigenvalues, tau, kappa, and per-eigenvalue Jordan block sizes.
 
-    Clustering starts at ``cluster_tol`` but widens adaptively: a defective
+    Clustering starts at :data:`CLUSTER_TOL` but widens adaptively: a defective
     eigenvalue computed in finite precision splits into a ring of radius
     about eps^(1/kappa), far beyond any fixed tight tolerance. Ring members
     betray themselves through huge eigenvalue condition numbers (left and
@@ -347,11 +350,10 @@ def spectral_profile_from_jacobian(J, cluster_tol: float = 1e-7) -> SpectralProf
     rcond = np.abs(np.einsum("ij,ij->j", wl.conj(), vr))
     rcond /= np.linalg.norm(wl, axis=0) * np.linalg.norm(vr, axis=0)
 
-    clusters = _cluster_eigenvalues(eig, cluster_tol, scale=scale, rcond=rcond)
+    clusters = _cluster_eigenvalues(eig, scale, rcond)
     profile_clusters = None
-    used_tol = cluster_tol
     for _ in range(2 * s):
-        result = _analyze_clusters(J, clusters, eig, used_tol)
+        result = _analyze_clusters(J, clusters, eig)
         suspect = None
         if result is not None:
             for idx, entry in enumerate(result):
@@ -386,7 +388,7 @@ def spectral_profile_from_jacobian(J, cluster_tol: float = 1e-7) -> SpectralProf
         entry.pop("members", None)
 
     tau = max(c["value"].real for c in profile_clusters)
-    top = [c for c in profile_clusters if abs(c["value"].real - tau) <= max(used_tol, 1e-9)]
+    top = [c for c in profile_clusters if abs(c["value"].real - tau) <= CLUSTER_TOL]
     kappa = max(max(c["block_sizes"]) for c in top)
 
     top_right, top_left = (), ()
@@ -396,8 +398,8 @@ def spectral_profile_from_jacobian(J, cluster_tol: float = 1e-7) -> SpectralProf
         rights, lefts = [], []
         for c in top:
             lam = c["value"]
-            ridx = [i for i in range(s) if abs(vals_r[i] - lam) <= max(used_tol, 1e-7)]
-            lidx = [i for i in range(s) if abs(vals_l[i] - lam) <= max(used_tol, 1e-7)]
+            ridx = [i for i in range(s) if abs(vals_r[i] - lam) <= CLUSTER_TOL]
+            lidx = [i for i in range(s) if abs(vals_l[i] - lam) <= CLUSTER_TOL]
             if not ridx or len(ridx) != len(lidx):
                 continue
             V = vecs_r[:, ridx]
@@ -425,7 +427,7 @@ def spectral_profile_from_jacobian(J, cluster_tol: float = 1e-7) -> SpectralProf
     )
 
 
-def spectral_profile(model: ValidatedModel, x0, cluster_tol: float = 1e-7) -> SpectralProfile:
+def spectral_profile(model: ValidatedModel, x0) -> SpectralProfile:
     """Spectral profile of the model drift at x0.
 
     Presets that registered a closed-form top eigenvalue override the
@@ -437,7 +439,7 @@ def spectral_profile(model: ValidatedModel, x0, cluster_tol: float = 1e-7) -> Sp
         J = np.array([[float(exact["h_derivs"][0])]])
     else:
         J = jacobian(model, x0)
-    profile = spectral_profile_from_jacobian(J, cluster_tol=cluster_tol)
+    profile = spectral_profile_from_jacobian(J)
     if "tau" in exact:
         exact_tau = float(exact["tau"])
         if abs(exact_tau - profile.tau) > 1e-4:
@@ -452,7 +454,7 @@ def spectral_profile(model: ValidatedModel, x0, cluster_tol: float = 1e-7) -> Sp
 # Asymptotic covariances
 
 
-def solve_sigma1(J, Sigma0, residual_tol: float = 1e-10):
+def solve_sigma1(J, Sigma0):
     """Diffusive covariance: (J - I/2) X + X (J - I/2)^T = -Sigma0.
 
     Valid when every eigenvalue of J has real part < 1/2. The scalar case is
@@ -469,18 +471,18 @@ def solve_sigma1(J, Sigma0, residual_tol: float = 1e-10):
     X = scipy.linalg.solve_continuous_lyapunov(M, -Sigma0)
     X = 0.5 * (X + X.T)
     residual = np.linalg.norm(M @ X + X @ M.T + Sigma0)
-    if residual > residual_tol * max(np.linalg.norm(Sigma0), 1e-300):
+    if residual > 1e-10 * max(np.linalg.norm(Sigma0), 1e-300):
         raise TheoryError(f"lyapunov-singular: residual {residual:.3e} too large")
     return X
 
 
-def sigma2_critical(profile: SpectralProfile, Sigma0, tol: float = 1e-7):
+def sigma2_critical(profile: SpectralProfile, Sigma0):
     """Critical covariance from the top-eigenvalue eigenvector formula.
 
     Only the diagonalizable-at-top case (kappa = 1) is computed from
     numerical eigenvectors: cross terms pair eigenvectors belonging to the
-    same eigenvalue. Defective tops need exact chain data; see
-    :func:`sigma2_from_blocks`.
+    same eigenvalue. Defective tops need exact chain data, which numerics
+    do not give, and are refused.
     """
     if profile.kappa != 1:
         raise TheoryError("unavailable-numerically: critical covariance needs exact block data when kappa > 1")
@@ -490,34 +492,17 @@ def sigma2_critical(profile: SpectralProfile, Sigma0, tol: float = 1e-7):
     rights, lefts = profile.top_right, profile.top_left
     lams = []
     for c in profile.clusters:
-        if abs(c["value"].real - profile.tau) <= max(tol, 1e-9):
+        if abs(c["value"].real - profile.tau) <= CLUSTER_TOL:
             lams.extend([c["value"]] * c["multiplicity"])
     for j1 in range(len(rights)):
         for j2 in range(len(rights)):
-            if abs(lams[j1] - lams[j2]) > tol:
+            if abs(lams[j1] - lams[j2]) > CLUSTER_TOL:
                 continue
             v1, w1 = rights[j1], lefts[j1]
             v2, w2 = rights[j2], lefts[j2]
             out += np.outer(v1, v2) * (w1 @ Sigma0 @ w2)
     if np.max(np.abs(out.imag)) > 1e-8 * max(1.0, np.max(np.abs(out.real))):
         raise TheoryError("critical covariance came out non-real; eigenvector pairing failed")
-    return out.real
-
-
-def sigma2_from_blocks(chain_rights, chain_lefts, kappa: int, Sigma0):
-    """Critical covariance from exact top-block chain vectors.
-
-    ``chain_rights`` holds, per top block, the expanding direction (the
-    right chain column of the drift Jacobian); ``chain_lefts`` the matching
-    dual column, normalized so dual^T chain = identity blockwise.
-    """
-    Sigma0 = np.atleast_2d(np.asarray(Sigma0, dtype=float))
-    s = Sigma0.shape[0]
-    out = np.zeros((s, s), dtype=complex)
-    for v1, w1 in zip(chain_rights, chain_lefts):
-        for v2, w2 in zip(chain_rights, chain_lefts):
-            out += np.outer(v1, v2) * (np.asarray(w1) @ Sigma0 @ np.asarray(w2))
-    out /= math.factorial(kappa - 1) ** 2 * (2 * kappa - 1)
     return out.real
 
 
@@ -549,19 +534,16 @@ def enumerate_partitions(i: int, t: int) -> list:
     return out
 
 
-def expansion_coeffs(derivs, tau: float, m: int, scale: str = "auxiliary"):
+def expansion_coeffs(derivs, tau: float, m: int):
     """Recursive coefficients of the superdiffusive deviation expansion.
 
     ``derivs`` lists the drift-map derivatives of orders 2..m+1 at the fixed
-    point (observed-1d scale: derivatives of the step-up probability at the
-    matching point, with the extra 2^(i-1) denominators). Returns
+    point (auxiliary scale). Returns
     (coefficients c_1..c_{m+1} with c_1 = 1, m0) where m0 is the number of
     correction terms beyond the linear one in the supercritical regime.
     """
     if abs(1.0 - tau) < 1e-12:
         raise TheoryError("tau-equals-one: expansion undefined at the boundary")
-    if scale not in ("auxiliary", "observed-1d"):
-        raise TheoryError(f"unknown expansion scale {scale!r}")
     derivs = [float(v) for v in derivs]
     if len(derivs) < m:
         raise TheoryError(f"need derivatives of orders 2..{m + 1}, got {len(derivs)}")
@@ -569,14 +551,13 @@ def expansion_coeffs(derivs, tau: float, m: int, scale: str = "auxiliary"):
     for j in range(1, m + 1):
         total = 0.0
         for i in range(2, j + 2):
-            denom = math.factorial(i) * (2.0 ** (i - 1) if scale == "observed-1d" else 1.0)
             term = 0.0
             for tup, nu in enumerate_partitions(i, j + 1):
                 prod = 1.0
                 for c in tup:
                     prod *= coeffs[c - 1]
                 term += nu * prod
-            total += derivs[i - 2] / denom * term
+            total += derivs[i - 2] / math.factorial(i) * term
         coeffs.append(-total / (j * (1.0 - tau)))
     m0 = None
     if 0.5 < tau < 1.0:
@@ -667,20 +648,19 @@ def _h_derivatives(model: ValidatedModel, x0, upto: int) -> list:
 REGIME_TOL = 1e-9
 
 
-def _regime(tau: float, regime_tol: float) -> str:
+def _regime(tau: float) -> str:
     """The regime of a top eigenvalue real part: the one statement of the
-    thresholds 1/2 +- regime_tol and 1 - regime_tol."""
-    if tau >= 1.0 - regime_tol:
+    thresholds 1/2 +- REGIME_TOL and 1 - REGIME_TOL."""
+    if tau >= 1.0 - REGIME_TOL:
         return "Unsupported"
-    if tau < 0.5 - regime_tol:
+    if tau < 0.5 - REGIME_TOL:
         return "Diffusive"
-    if tau <= 0.5 + regime_tol:
+    if tau <= 0.5 + REGIME_TOL:
         return "Critical"
     return "Supercritical"
 
 
-def asymptotic_covariances(model: ValidatedModel, x0, profile: SpectralProfile,
-                           regime_tol: float = REGIME_TOL):
+def asymptotic_covariances(model: ValidatedModel, x0, profile: SpectralProfile):
     """Sigma0 plus the regime-appropriate limit covariance.
 
     Returns (sigma0, limit_sigma, clt_covariance, lil_constant): the limit
@@ -692,7 +672,7 @@ def asymptotic_covariances(model: ValidatedModel, x0, profile: SpectralProfile,
     """
     x0 = np.asarray(x0, dtype=float)
     sigma0 = model.noise_second_moment(x0)
-    regime = _regime(profile.tau, regime_tol)
+    regime = _regime(profile.tau)
     limit_sigma = clt_cov = lil_constant = None
     if regime == "Diffusive":
         limit_sigma = solve_sigma1(profile.J, sigma0)
@@ -706,8 +686,7 @@ def asymptotic_covariances(model: ValidatedModel, x0, profile: SpectralProfile,
     return sigma0, limit_sigma, clt_cov, lil_constant
 
 
-def classify(model: ValidatedModel, grid_density: int = 201,
-             regime_tol: float = REGIME_TOL) -> RegimeReport:
+def classify(model: ValidatedModel) -> RegimeReport:
     """Full analytic report: regime plus every applicable limit constant."""
     exact = model.meta.get("exact", {})
     notes = []
@@ -719,7 +698,7 @@ def classify(model: ValidatedModel, grid_density: int = 201,
             raise TheoryError(f"registered fixed point {x0} disagrees with numerics {numeric_x0}")
     else:
         x0 = find_fixed_point(model)
-    down = check_downcrossing(model, x0, grid_density)
+    down = check_downcrossing(model, x0)
     if not down.verified:
         notes.append(f"downcrossing violated on grid at {down.argmax.tolist()} (value {down.max_value:.3e})")
 
@@ -733,15 +712,15 @@ def classify(model: ValidatedModel, grid_density: int = 201,
     report = RegimeReport(
         x0=x0,
         limit=limit,
-        regime=_regime(tau, regime_tol),
+        regime=_regime(tau),
         tau=tau,
         kappa=kappa,
         downcrossing=down,
         profile=profile,
         notes=notes,
         provenance={
-            "grid_density": grid_density,
-            "regime_tol": regime_tol,
+            "grid_density": GRID_DENSITY,
+            "regime_tol": REGIME_TOL,
             "exact_tau": profile.exact_tau,
         },
     )
@@ -753,9 +732,7 @@ def classify(model: ValidatedModel, grid_density: int = 201,
         return report
 
     try:
-        report.sigma0, limit_sigma, report.clt_variance, report.lil_constant = asymptotic_covariances(
-            model, x0, profile, regime_tol
-        )
+        report.sigma0, limit_sigma, report.clt_variance, report.lil_constant = asymptotic_covariances(model, x0, profile)
     except TheoryError as exc:
         # a critical covariance that cannot be computed is only a note
         if report.regime != "Critical":
@@ -779,7 +756,7 @@ def classify(model: ValidatedModel, grid_density: int = 201,
         complex_top = [
             c["value"].imag
             for c in profile.clusters
-            if abs(c["value"].real - tau) <= regime_tol and abs(c["value"].imag) > regime_tol
+            if abs(c["value"].real - tau) <= REGIME_TOL and abs(c["value"].imag) > REGIME_TOL
         ]
         if complex_top:
             freqs = ", ".join(f"{w:+.6g}" for w in sorted(set(round(w, 12) for w in complex_top)))
@@ -790,7 +767,7 @@ def classify(model: ValidatedModel, grid_density: int = 201,
 
     if model.s == 1 and derivs:
         m_avail = max(0, min(len(derivs), 7) - 1)
-        b_coeffs, m0 = expansion_coeffs(derivs[1 : m_avail + 1], tau, m_avail, scale="auxiliary")
+        b_coeffs, m0 = expansion_coeffs(derivs[1 : m_avail + 1], tau, m_avail)
         report.expansion_b = b_coeffs
         a_scalar = float(A[0, 0])
         report.expansion_beta = [b / a_scalar ** j for j, b in enumerate(b_coeffs)]

@@ -152,7 +152,7 @@ def test_06_coefficient_recursion_cross_check():
         d = p - q
         u = math.sqrt(1 - 4 * q * d)
         tau = 1 - u
-        general, _ = expansion_coeffs([2 * d] + [0.0] * 4, tau=tau, m=5, scale="auxiliary")
+        general, _ = expansion_coeffs([2 * d] + [0.0] * 4, tau=tau, m=5)
         closed = [1.0]
         for j in range(1, 6):
             acc = sum(closed[l - 1] * closed[j - l] for l in range(1, j + 1))

@@ -281,7 +281,8 @@ def test_malformed_tol_overrides_exit_2(tmp_path, capsys, text):
     ["sa", "--drift", "x", "--n", "100", "--N", "0"],
     ["sa", "--drift", "x", "--n", "100", "--N", "-1"],
     ["sa", "--preset", "erw", "--p", "0.6", "--n", "1", "--N", "4"],
-], ids=["coeffs", "z-values", "z-probs", "sa-n-0", "sa-N-0", "sa-N-negative", "sa-model-n-1"])
+    ["sa", "--drift", "x", "--theta0", "0", "--n", "100", "--N", "1"],
+], ids=["coeffs", "z-values", "z-probs", "sa-n-0", "sa-N-0", "sa-N-negative", "sa-model-n-1", "sa-clt-N-1"])
 def test_bad_argument_value_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "out.json"
     code = main(argv + ["--out", str(out)])
@@ -370,6 +371,18 @@ MALFORMED_MODELS = {
     # parser, and the parser's own recursion the stack
     "sum-too-deep": lambda: json.dumps(_erw_doc(prob_maps=["0.4 + 0.0001*x" + " + 0.0001*x" * 300])),
     "parentheses-too-deep": lambda: json.dumps(_erw_doc(prob_maps=["(" * 1200 + "0.5" + ")" * 1200])),
+    # wrongly typed fields: spec_from_dict and validate_model's meta check refuse them
+    "top-level-array": lambda: json.dumps([_erw_doc()]),
+    "partition-null": lambda: json.dumps(_erw_doc(partition=None)),
+    "partition-block-number": lambda: json.dumps(_erw_doc(partition=[1, []])),
+    "prob-map-number": lambda: json.dumps(_erw_doc(prob_maps=[0.5])),
+    "meta-list": lambda: json.dumps(_erw_doc(meta=[])),
+    "simplex-cap-list": lambda: json.dumps(_erw_doc(meta={"simplex_cap": [1]})),
+    "exact-string": lambda: json.dumps(_erw_doc(meta={"exact": "abc"})),
+    "exact-h-derivs-string": lambda: json.dumps(_erw_doc(meta={"exact": {"h_derivs": "ab"}})),
+    "exact-tau-string": lambda: json.dumps(_erw_doc(meta={"exact": {"tau": "ab"}})),
+    "exact-x0-too-long": lambda: json.dumps(_erw_doc(meta={"exact": {"x0": [0.5, 0.5]}})),
+    "exact-max-order-float": lambda: json.dumps(_erw_doc(meta={"exact": {"max_smooth_order": 2.0}})),
 }
 
 

@@ -132,6 +132,8 @@ class TestParse:
             parse("x", arity=2)
         e = parse("x1 + x2", arity=2)
         assert e([1.0, 2.0]) == 3.0
+        with pytest.raises(funcdsl.DslError, match=r"got shape \(\)"):
+            e(0.5)  # a bare scalar is no point of arity 2
 
     def test_trailing_input(self):
         with pytest.raises(ParseError):
@@ -392,9 +394,11 @@ class TestDerivatives:
         assert value == pytest.approx(exact, abs=1e-9 * max(1.0, abs(exact)))
 
     def test_nonsmooth_flagged(self):
-        with pytest.raises(NonSmoothError):
+        with pytest.raises(NonSmoothError, match=r"do not converge at array\(0\.\) \(order 1\)"):
             derive_at(parse("sgn(x)"), 0.0, order=1)
 
     def test_order_bounds(self):
         with pytest.raises(funcdsl.DslError):
             derive_at(parse("x"), 0.0, order=7)
+        with pytest.raises(funcdsl.DslError, match="arity-1 expressions, got arity 2"):
+            derive_at(parse("x1 * x2", arity=2), [0.5, 0.5])

@@ -62,11 +62,6 @@ class TestStepLaw:
         assert np.allclose(law.second_moment[1, 1], 0.5 * 1 + 0.5 * 4)
         assert np.allclose(law.second_moment, law.second_moment.T)
 
-    def test_product_law(self):
-        law = StepLaw.product([[(1.0, 0.5), (2.0, 0.5)], [(1.0, 1.0)]])
-        assert law.atoms.shape == (2, 2)
-        assert np.allclose(law.mu, [1.5, 1.0])
-
     def test_probabilities_validated(self):
         with pytest.raises(ModelError):
             StepLaw.finite([[1.0]], [0.7])

@@ -14,6 +14,7 @@ from erwlab.sa import (
     estimate_terminal_scale,
     noise_moment_check,
     run_sa,
+    sa_clt_variance_check,
     sa_coeffs,
     sa_expansion_check,
     walk_theta0,
@@ -233,7 +234,7 @@ class TestCoefficients:
         for _ in range(50):
             tau = rng.uniform(0.05, 0.95)
             h_derivs = rng.uniform(-2, 2, size=4)
-            b_aux, _ = expansion_coeffs(h_derivs, tau, 4, scale="auxiliary")
+            b_aux, _ = expansion_coeffs(h_derivs, tau, 4)
             psi_derivs = [1.0 - tau] + list(-h_derivs)
             b_sa = sa_coeffs(psi_derivs, upto=5)
             for x, y in zip(b_aux, b_sa):
@@ -264,6 +265,16 @@ class TestExpansionCheck:
         paths = run_sa(proc, 256, N=8, master_seed=1)
         with pytest.raises(SAError, match="wrong-derivative-regime"):
             sa_expansion_check(proc, paths)
+
+    def test_clt_variance_needs_two_kept_paths(self):
+        # a ddof-1 variance over one path is NaN, which is no verdict
+        proc = SAProcess(drift=parse("x"), theta0=0.0, noise=NoiseSpec("gaussian", 1.0), drift_derivs=[1.0])
+        for N, escaped in ((1, [False]), (3, [True, True, False])):  # the second: all but one escaped
+            paths = run_sa(proc, 256, N=N, master_seed=1)
+            paths.escaped[:] = escaped
+            with pytest.raises(SAError, match="at least 2 paths that did not escape, got 1"):
+                sa_clt_variance_check(proc, paths)
+        assert np.isfinite(sa_clt_variance_check(proc, run_sa(proc, 256, N=2, master_seed=1)).details["statistic"])
 
     def test_order_check_small_slope(self):
         proc = SAProcess(drift=parse("0.2*x"), theta0=0.0, noise=NoiseSpec("gaussian", 0.2), drift_derivs=[0.2])

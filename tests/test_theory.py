@@ -12,13 +12,12 @@ from erwlab.theory import (
     enumerate_partitions,
     expansion_coeffs,
     sigma2_critical,
-    sigma2_from_blocks,
     solve_sigma1,
     spectral_profile,
     spectral_profile_from_jacobian,
 )
 from erwlab.model import interior_grid
-from theory_reference import reference_check_downcrossing, sigma1_quadrature
+from theory_reference import observed_expansion_coeffs, reference_check_downcrossing, sigma1_quadrature
 
 
 def _model(name, **kwargs):
@@ -443,18 +442,6 @@ class TestCovariances:
         total *= h / 3.0 / T
         assert np.allclose(out, total, atol=5e-3)
 
-    def test_sigma2_defective_block_formula(self):
-        # exact chain data for a size-2 critical block of the drift Jacobian
-        # J = [[1/2, 1], [0, 1/2]]: the scaled integral tends to
-        # Sigma0_22 / 3 in the (1,1) corner
-        Sigma0 = np.array([[0.7, 0.2], [0.2, 0.9]])
-        chain_rights = [np.array([1.0, 0.0])]  # expanding direction of J
-        chain_lefts = [np.array([0.0, 1.0])]  # dual chain column
-        out = sigma2_from_blocks(chain_rights, chain_lefts, kappa=2, Sigma0=Sigma0)
-        expected = np.zeros((2, 2))
-        expected[0, 0] = Sigma0[1, 1] / 3.0
-        assert np.allclose(out, expected, atol=1e-14)
-
     def test_sigma2_defective_numeric_refused(self):
         prof = spectral_profile_from_jacobian([[0.5, 1.0], [0.0, 0.5]])
         with pytest.raises(TheoryError, match="unavailable-numerically"):
@@ -484,7 +471,7 @@ class TestPartitions:
 
 class TestExpansionCoeffs:
     def test_affine_map_all_higher_vanish(self):
-        coeffs, m0 = expansion_coeffs([0.0] * 6, tau=0.7, m=6, scale="auxiliary")
+        coeffs, m0 = expansion_coeffs([0.0] * 6, tau=0.7, m=6)
         assert coeffs[0] == 1.0
         assert all(c == 0.0 for c in coeffs[1:])
         assert m0 == 0
@@ -514,7 +501,7 @@ class TestExpansionCoeffs:
             tau = 2 * d * x0
             assert tau == pytest.approx(1 - u, abs=1e-12)
             derivs = [2 * d, 0, 0, 0, 0]  # H'', higher all vanish
-            general, _ = expansion_coeffs(derivs, tau=tau, m=5, scale="auxiliary")
+            general, _ = expansion_coeffs(derivs, tau=tau, m=5)
             closed = [1.0]
             for j in range(1, 6):
                 acc = sum(closed[l - 1] * closed[j - l] for l in range(1, j + 1))
@@ -534,8 +521,8 @@ class TestExpansionCoeffs:
     def test_observed_scale_matches_auxiliary(self, tau, h_derivs):
         # beta_{j+1} * 2^j = b_{j+1} for the +/-1 observed walk, any smooth map
         m = len(h_derivs)
-        b, _ = expansion_coeffs(h_derivs, tau, m, scale="auxiliary")
-        beta, _ = expansion_coeffs(h_derivs, tau, m, scale="observed-1d")
+        b, _ = expansion_coeffs(h_derivs, tau, m)
+        beta = observed_expansion_coeffs(h_derivs, tau, m)
         for j in range(m + 1):
             assert beta[j] * 2.0 ** j == pytest.approx(b[j], rel=1e-12, abs=1e-12)
 
@@ -571,6 +558,7 @@ class TestClassify:
     def test_supercritical_report_fields(self):
         rep = classify(_model("erw", p=0.85, q=0.5))
         assert rep.regime == "Supercritical"
+        assert rep.provenance == {"grid_density": 201, "regime_tol": 1e-9, "exact_tau": True}
         assert rep.m0 == 0
         assert rep.residual_variance == pytest.approx(1.0 / (2 * 0.7 - 1), abs=1e-9)
         assert rep.expansion_beta[0] == 1.0
@@ -677,7 +665,7 @@ class TestClassify:
     def test_critical_covariance_failure_is_a_note(self, monkeypatch):
         import erwlab.theory as theory
 
-        def refuse(profile, Sigma0, tol=1e-7):
+        def refuse(profile, Sigma0):
             raise TheoryError("unavailable-numerically: refused")
 
         monkeypatch.setattr(theory, "sigma2_critical", refuse)

@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from erwlab import build_preset, classify, ensemble, validate_model
 from erwlab.oracle import exact_dp_1d, exact_moments
 from erwlab.simulate import FunctionalConfig
 from erwlab.verify import (
-    ExactStats,
     VerifyError,
     expansion_residual_test,
     fluctuation_test,
@@ -21,6 +21,30 @@ from erwlab.verify import (
 
 def _model(name, **kwargs):
     return validate_model(build_preset(name, **kwargs))
+
+
+@dataclass
+class ExactStats:
+    """Adapter feeding an exact small-n law through the same checks."""
+
+    checkpoints: list
+    means: list  # per checkpoint, d-vector
+    covs: list  # per checkpoint, d x d
+    N: int = 10 ** 12  # exact law: sampling error treated as nil
+    snn: Optional[np.ndarray] = None
+    d: int = 1
+
+    def mean(self, j):
+        return np.asarray(self.means[j], dtype=float)
+
+    def cov(self, j):
+        return np.atleast_2d(np.asarray(self.covs[j], dtype=float))
+
+    def se(self, j):
+        return np.zeros_like(self.mean(j))
+
+    def scaled_cov(self, j):
+        return self.checkpoints[j] * self.cov(j)
 
 
 def _run(model, n, N, seed, **cfg_kwargs):
@@ -133,6 +157,9 @@ class TestSupercritical:
         rep = supercritical_limit_test(stats, report)
         assert rep.passed
         assert rep.statistic <= 0.15
+        # the earlier checkpoint is the one nearest n_max / 10
+        want = min(stats.checkpoints, key=lambda n: abs(n - stats.checkpoints[-1] / 10))
+        assert rep.details["n_lo"] == want
 
     def test_exponent_value(self):
         report = classify(_model("erw", p=0.85, q=0.5))
@@ -201,6 +228,8 @@ class TestExpansionResidual:
         rep = expansion_residual_test(stats, report, m=0)
         assert rep.mode.startswith("one-sided slope")
         assert rep.passed
+        assert rep.tolerance == 0.1
+        assert rep.predicted == -(1.0 - report.tau) * (0 + 1)
 
 
 class TestRecurrence:
@@ -211,6 +240,8 @@ class TestRecurrence:
         rep = recurrence_report(stats, report)
         assert rep.passed
         assert rep.mode.startswith("recurrent")
+        assert rep.predicted == 1.2
+        assert rep.details["N0"] == 10_000 // 2
 
     def test_simple_walk_recurrent(self):
         model = _model("erw", p=0.5, q=0.5)
@@ -224,6 +255,7 @@ class TestRecurrence:
         rep = recurrence_report(stats, report)
         assert rep.passed
         assert rep.mode.startswith("transient")
+        assert rep.details["N0"] == 10_000 // 2
 
     def test_conjecture_region_descriptive(self):
         model = _model("erw", p=0.85, q=0.5)

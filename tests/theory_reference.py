@@ -5,6 +5,9 @@ where :func:`erwlab.theory.solve_sigma1` solves the Lyapunov equation.
 :func:`reference_validation_grid` and :func:`reference_check_downcrossing`
 build the whole Cartesian grid with ``np.meshgrid`` and filter it afterwards,
 where :mod:`erwlab.model` builds only the rows it keeps.
+:func:`observed_expansion_coeffs` runs the expansion recursion of
+:func:`erwlab.theory.expansion_coeffs` on the scale of the observed +/-1
+walk, whose coefficients are the auxiliary ones divided by 2^j.
 """
 
 import math
@@ -13,7 +16,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from erwlab.theory import DowncrossingResult, TheoryError
+from erwlab.theory import DowncrossingResult, TheoryError, enumerate_partitions
 
 
 def reference_validation_grid(spec, density: int, clip: float) -> tuple:
@@ -74,3 +77,24 @@ def sigma1_quadrature(J, Sigma0, horizon: Optional[float] = None, panels: int = 
         if i < nodes - 1:
             E = E @ E_h
     return total * h / 3.0
+
+
+def observed_expansion_coeffs(derivs, tau: float, m: int) -> list:
+    """Coefficients beta_1..beta_{m+1} of the deviation expansion of the
+    observed +/-1 walk: the recursion of
+    :func:`erwlab.theory.expansion_coeffs` with ``derivs`` (orders 2..m+1)
+    taken as derivatives of the step-up probability, hence the extra
+    2^(i-1) in each order-i denominator."""
+    coeffs = [1.0]
+    for j in range(1, m + 1):
+        total = 0.0
+        for i in range(2, j + 2):
+            term = 0.0
+            for tup, nu in enumerate_partitions(i, j + 1):
+                prod = 1.0
+                for c in tup:
+                    prod *= coeffs[c - 1]
+                term += nu * prod
+            total += float(derivs[i - 2]) / (math.factorial(i) * 2.0 ** (i - 1)) * term
+        coeffs.append(-total / (j * (1.0 - tau)))
+    return coeffs
