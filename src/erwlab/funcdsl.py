@@ -421,7 +421,9 @@ def parse(text: str, arity: int = 1) -> FuncExpr:
     """Parse ``text`` into a :class:`FuncExpr` with ``arity`` variables."""
     if not isinstance(arity, int) or arity < 1:
         raise DslError("arity must be a positive integer")
-    if not text or not text.strip():
+    if not isinstance(text, str):
+        raise ParseError(f"expression must be a string, got {type(text).__name__}", 0)
+    if not text.strip():
         raise ParseError("empty expression", 0)
     parser = _Parser(_tokenize(text), arity)
     node = parser.parse_expr()

@@ -222,6 +222,11 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def is_integer(value) -> bool:
+    """Whether a JSON value is an integer, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_meta(spec: ModelSpec, errors: list):
     """``meta`` must be a dict whose ``simplex_cap`` is a number or null, and
     whose ``exact`` entry is a dict; the keys of ``exact`` that
@@ -241,8 +246,7 @@ def _check_meta(spec: ModelSpec, errors: list):
                lambda v: isinstance(v, (list, tuple)) and len(v) == spec.s and all(map(is_number, v))),
         "tau": ("a number", is_number),
         "h_derivs": ("a list of numbers", lambda v: isinstance(v, (list, tuple)) and all(map(is_number, v))),
-        "max_smooth_order": ("an integer or null",
-                             lambda v: v is None or (isinstance(v, int) and not isinstance(v, bool))),
+        "max_smooth_order": ("an integer or null", lambda v: v is None or is_integer(v)),
     }
     for key, (want, ok) in wanted.items():
         if key in exact and not ok(exact[key]):
@@ -596,18 +600,28 @@ def spec_from_dict(doc) -> ModelSpec:
         except (TypeError, AttributeError) as exc:
             raise ModelError(f"model field {key!r} has the wrong type: {exc}") from exc
 
+    def integer(value):
+        if not is_integer(value):
+            raise TypeError(f"expected an integer, got {value!r}")
+        return value
+
+    def expression(text):
+        if not isinstance(text, str):
+            raise TypeError(f"expected a string, got {text!r}")
+        return parse(text, arity=s)
+
     def domain(value):
         upper = [math.inf if u is None else float(u) for u in value["upper"]]
         return Domain(np.asarray(value["lower"], dtype=float), np.asarray(upper, dtype=float))
 
-    s = read("s", int)
+    s = read("s", integer)
     return ModelSpec(
         s=s,
-        d=read("d", int),
-        r=read("r", int),
-        partition=read("partition", lambda v: tuple(tuple(int(i) for i in blk) for blk in v)),
+        d=read("d", integer),
+        r=read("r", integer),
+        partition=read("partition", lambda v: tuple(tuple(integer(i) for i in blk) for blk in v)),
         step_law=read("step_law", lambda v: StepLaw(v["kind"], np.asarray(v["atoms"]), np.asarray(v["probs"]))),
-        prob_maps=read("prob_maps", lambda v: tuple(parse(text, arity=s) for text in v)),
+        prob_maps=read("prob_maps", lambda v: tuple(map(expression, v))),
         A=read("A", lambda v: np.asarray(v, dtype=float)),
         b=read("b", lambda v: np.asarray(v, dtype=float)),
         initial=read("initial", lambda v: InitialLaw(np.asarray(v["atoms"]), np.asarray(v["probs"]))),

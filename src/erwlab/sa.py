@@ -35,6 +35,9 @@ class SAError(ModelError):
     pass
 
 
+_SLICE = 1 << 16  # doubles per noise buffer, samples per slice of the moment check
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Synthetic i.i.d. noise for the generic runner.
@@ -124,15 +127,23 @@ def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
     if 1 in cp_index:
         out[:, cp_index[1]] = theta
     fast = proc.drift.fast
-    chunk = max(1, min(n_max, 4_000_000 // max(1, N)))
+    # each chunk of noise is drawn into one reused buffer and scaled in
+    # place; the stream continues across draws, so the values do not depend
+    # on the chunk length
+    buf = np.empty((max(1, min(n_max - 1, _SLICE // N)), N))
     clear = True  # no path has escaped or gone NaN yet
     n = 1
     while n < n_max:
-        span = min(chunk, n_max - n)
+        span = min(len(buf), n_max - n)
+        eps = buf[:span]
         if proc.noise.kind == "gaussian":
-            eps = gen.standard_normal((span, N)) * proc.noise.sd
+            gen.standard_normal(out=eps)
         else:
-            eps = (2.0 * (gen.random((span, N)) < 0.5) - 1.0) * proc.noise.sd
+            gen.random(out=eps)
+            np.less(eps, 0.5, out=eps)
+            eps *= 2.0
+            eps -= 1.0
+        eps *= proc.noise.sd
         for i in range(span):
             a_n = 1.0 / (n + 1.0)
             moved = theta - a_n * (fast([theta]) + eps[i])
@@ -210,10 +221,17 @@ def noise_moment_check(model: ValidatedModel, n_max: int = 4000, N: int = 200,
     hi = float(min(model.domain.upper[0], lo + 1.0))
     bins = 16
     edges = np.linspace(lo, hi, bins + 1)
-    which = np.clip(np.digitize(xs, edges) - 1, 0, bins - 1)
-
-    H = model.eval_H(xs[..., None])[..., 0]
-    pred = H * float(model.sigma[0, 0]) / float(model.mu[0]) - H ** 2
+    # the bin of each sample, its predicted second moment and max |e|, one
+    # slice at a time so that no temporary spans every sample
+    which = np.empty(xs.size, dtype=np.uint8)
+    pred = np.empty(xs.size)
+    peaks = []
+    for at in range(0, xs.size, _SLICE):
+        part = slice(at, at + _SLICE)
+        which[part] = np.clip(np.digitize(xs[part], edges) - 1, 0, bins - 1)
+        H = model.eval_H(xs[part, None])[..., 0]
+        pred[part] = H * float(model.sigma[0, 0]) / float(model.mu[0]) - H ** 2
+        peaks.append(np.abs(es[part]).max())
 
     bad_mean, bad_var, used = [], [], 0
     for b_ in range(bins):
@@ -234,15 +252,20 @@ def noise_moment_check(model: ValidatedModel, n_max: int = 4000, N: int = 200,
         raise SAError("insufficient-bin-counts: no bin reached the minimum sample size")
 
     bound = float(np.abs(model.mu).sum() + np.max(np.abs(model.spec.step_law.atoms)))
-    if np.max(np.abs(es)) > bound + 1e-12:
+    max_abs_noise = float(np.max(peaks))
+    if max_abs_noise > bound + 1e-12:
         raise SAError("noise increment exceeded its a priori bound")
     grid = [n for n in stats.checkpoints if n > 1]
     lindeberg = []
+    row_sums = np.empty(N)
     for n in grid:
         thr = 0.2 * math.sqrt(n)
-        e_slice = stats.noise_e[:, : n - 1]
-        tail = np.where(np.abs(e_slice) >= thr, e_slice ** 2, 0.0)
-        lindeberg.append(float(tail.sum(axis=1).mean() / n))
+        rows = max(1, _SLICE // (n - 1))
+        for first in range(0, N, rows):
+            e_slice = stats.noise_e[first:first + rows, : n - 1]
+            tail = np.where(np.abs(e_slice) >= thr, e_slice ** 2, 0.0)
+            row_sums[first:first + rows] = tail.sum(axis=1)
+        lindeberg.append(float(row_sums.mean() / n))
     # tiny horizons keep the indicator active; the trend requirement starts
     # once delta sqrt(n) can clear the (bounded) noise
     settled = [v for n, v in zip(grid, lindeberg) if n >= 16]
@@ -259,7 +282,7 @@ def noise_moment_check(model: ValidatedModel, n_max: int = 4000, N: int = 200,
             "bad_mean_bins": bad_mean,
             "bad_second_moment_bins": bad_var,
             "noise_bound": bound,
-            "max_abs_noise": float(np.max(np.abs(es))),
+            "max_abs_noise": max_abs_noise,
             "lindeberg": dict(zip(map(int, grid), lindeberg)),
             "lindeberg_trend_ok": trend_ok,
             "samples": int(xs.size),

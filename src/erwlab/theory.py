@@ -15,10 +15,13 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import funcdsl
 from .model import GRID_DENSITY, ModelError, ValidatedModel, interior_grid
+
+# scipy.linalg is imported where it is called: the import costs about 0.25 s,
+# and simulate, sa, oracle and presets import this module without ever
+# reaching those calls.
 
 
 class TheoryError(ModelError):
@@ -288,6 +291,8 @@ def _block_sizes_for_cluster(J, lam, members, eig):
     # the Schur recomputation spreads a defective ring slightly differently
     # than the eigensolver; widen the capture radius until the invariant
     # subspace has the right dimension
+    import scipy.linalg
+
     Tc = None
     for factor in (2.0, 10.0, 50.0):
         sort_tol = max(CLUSTER_TOL, factor * spread + 1e3 * np.finfo(float).eps)
@@ -343,6 +348,8 @@ def spectral_profile_from_jacobian(J) -> SpectralProfile:
     """
     J = np.atleast_2d(np.asarray(J, dtype=float))
     s = J.shape[0]
+    import scipy.linalg
+
     eig, wl, vr = scipy.linalg.eig(J, left=True, right=True)
     scale = float(np.linalg.norm(J, 2))
     # reciprocal eigenvalue condition numbers; defective ring members have
@@ -468,6 +475,8 @@ def solve_sigma1(J, Sigma0):
         raise TheoryError("lyapunov-singular: drift Jacobian has eigenvalue real part >= 1/2")
     if s == 1:
         return Sigma0 / (1.0 - 2.0 * J[0, 0])
+    import scipy.linalg
+
     X = scipy.linalg.solve_continuous_lyapunov(M, -Sigma0)
     X = 0.5 * (X + X.T)
     residual = np.linalg.norm(M @ X + X @ M.T + Sigma0)

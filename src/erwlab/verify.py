@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import stats as spstats
 
 from .model import ModelError
 from .sa import residual_order_slope, residual_variance
@@ -122,6 +121,8 @@ def fluctuation_test(stats, report: RegimeReport, alpha: float = 0.01,
             dev = stats.snn[:, j, 0] - float(np.asarray(report.limit).reshape(-1)[0])
             scale = math.sqrt(n / log_factor)
             zvals = dev * scale / math.sqrt(float(pred[0, 0]))
+            from scipy import stats as spstats  # loads in ~0.6 s; only this branch needs it
+
             ks_stat, ks_p = spstats.kstest(zvals, "norm")
             details["ks_statistic"] = float(ks_stat)
             details["ks_pvalue"] = float(ks_p)

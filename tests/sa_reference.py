@@ -1,20 +1,27 @@
-"""The stochastic approximation runner with the freeze applied on every step.
+"""References that :mod:`erwlab.sa` is tested against, bit for bit, and a
+check that only the tests run.
 
-The reference :func:`erwlab.sa.run_sa` is tested against, bit for bit: each
-step keeps every escaped path's value with ``np.where`` and flags the paths
-whose magnitude passes the guard, whether or not any path is near it. It
-draws the same noise from stream (master_seed, 0), chunk by chunk, and does
-not check its arguments.
+:func:`run_sa_reference` is the runner with the freeze applied on every
+step: it keeps every escaped path's value with ``np.where`` and flags the
+paths whose magnitude passes the guard, whether or not any path is near it.
+It draws the same noise from stream (master_seed, 0) in chunks of up to 4M
+draws, each a fresh array scaled into a second one, and does not check its
+arguments.
 
-:func:`sa_order_check` is a slope check of the expansion order that only
-the tests run.
+:func:`noise_moment_check_reference` is the noise moment check computed
+over whole arrays: the bin index, H, |e| and every Lindeberg tail span all
+the samples at once.
+
+:func:`sa_order_check` is a slope check of the expansion order.
 """
+
+import math
 
 import numpy as np
 
 from erwlab.sa import (CheckReport, SAError, SAPaths, SAProcess, _converged_scales, residual_order_slope,
                        sa_coeffs)
-from erwlab.simulate import resolve_checkpoints, trajectory_seed
+from erwlab.simulate import FunctionalConfig, ensemble, resolve_checkpoints, trajectory_seed
 
 
 def run_sa_reference(proc, n_max, N, master_seed, checkpoints=None, guard=1e9):
@@ -45,6 +52,70 @@ def run_sa_reference(proc, n_max, N, master_seed, checkpoints=None, guard=1e9):
             if n in cp_index:
                 out[:, cp_index[n]] = theta
     return out, escaped
+
+
+def noise_moment_check_reference(model, n_max, N, master_seed, min_count=500) -> CheckReport:
+    """:func:`erwlab.sa.noise_moment_check` with full-length temporaries."""
+    stats = ensemble(model, n_max, N, master_seed, functional_config=FunctionalConfig(collect_noise=True))
+    xs = stats.noise_x.ravel()
+    es = stats.noise_e.ravel()
+    lo = float(model.domain.lower[0])
+    hi = float(min(model.domain.upper[0], lo + 1.0))
+    bins = 16
+    edges = np.linspace(lo, hi, bins + 1)
+    which = np.clip(np.digitize(xs, edges) - 1, 0, bins - 1)
+
+    H = model.eval_H(xs[..., None])[..., 0]
+    pred = H * float(model.sigma[0, 0]) / float(model.mu[0]) - H ** 2
+
+    bad_mean, bad_var, used = [], [], 0
+    for b_ in range(bins):
+        mask = which == b_
+        cnt = int(mask.sum())
+        if cnt < min_count:
+            continue
+        used += 1
+        e = es[mask]
+        se_mean = e.std(ddof=1) / math.sqrt(cnt)
+        if abs(e.mean()) > 3.0 * max(se_mean, 1e-12):
+            bad_mean.append(b_)
+        e2 = e ** 2
+        se_m2 = e2.std(ddof=1) / math.sqrt(cnt)
+        if abs(e2.mean() - pred[mask].mean()) > 3.0 * max(se_m2, 1e-12):
+            bad_var.append(b_)
+    if used == 0:
+        raise SAError("insufficient-bin-counts: no bin reached the minimum sample size")
+
+    bound = float(np.abs(model.mu).sum() + np.max(np.abs(model.spec.step_law.atoms)))
+    if np.max(np.abs(es)) > bound + 1e-12:
+        raise SAError("noise increment exceeded its a priori bound")
+    grid = [n for n in stats.checkpoints if n > 1]
+    lindeberg = []
+    for n in grid:
+        thr = 0.2 * math.sqrt(n)
+        e_slice = stats.noise_e[:, : n - 1]
+        tail = np.where(np.abs(e_slice) >= thr, e_slice ** 2, 0.0)
+        lindeberg.append(float(tail.sum(axis=1).mean() / n))
+    settled = [v for n, v in zip(grid, lindeberg) if n >= 16]
+    trend_ok = bool(settled) and all(
+        b2 <= a2 + 1e-12 for a2, b2 in zip(settled, settled[1:])
+    ) and settled[-1] <= 1e-12
+
+    passed = not bad_mean and not bad_var and trend_ok
+    return CheckReport(
+        name="noise-moments",
+        passed=passed,
+        details={
+            "bins_used": used,
+            "bad_mean_bins": bad_mean,
+            "bad_second_moment_bins": bad_var,
+            "noise_bound": bound,
+            "max_abs_noise": float(np.max(np.abs(es))),
+            "lindeberg": dict(zip(map(int, grid), lindeberg)),
+            "lindeberg_trend_ok": trend_ok,
+            "samples": int(xs.size),
+        },
+    )
 
 
 def sa_order_check(proc: SAProcess, paths: SAPaths, k: int,

@@ -383,6 +383,15 @@ MALFORMED_MODELS = {
     "exact-tau-string": lambda: json.dumps(_erw_doc(meta={"exact": {"tau": "ab"}})),
     "exact-x0-too-long": lambda: json.dumps(_erw_doc(meta={"exact": {"x0": [0.5, 0.5]}})),
     "exact-max-order-float": lambda: json.dumps(_erw_doc(meta={"exact": {"max_smooth_order": 2.0}})),
+    # s, d, r and the partition indices are JSON integers, not floats or bools
+    "s-float": lambda: json.dumps(_erw_doc(s=1.9)),
+    "s-integral-float": lambda: json.dumps(_erw_doc(s=1.0)),
+    "s-bool": lambda: json.dumps(_erw_doc(s=True)),
+    "s-string": lambda: json.dumps(_erw_doc(s="1")),
+    "d-float": lambda: json.dumps(_erw_doc(d=1.5)),
+    "r-float": lambda: json.dumps(_erw_doc(r=2.0)),
+    "partition-index-float": lambda: json.dumps(_erw_doc(partition=[[1.0], []])),
+    "partition-index-bool": lambda: json.dumps(_erw_doc(partition=[[True], []])),
 }
 
 
@@ -395,6 +404,26 @@ def test_malformed_model_file_exit_2(tmp_path, capsys, command, case):
     code = main([command, "--model", str(path), "--out", str(tmp_path / "out.json")] + extra)
     assert code == 2
     assert capsys.readouterr().err.startswith("config-invalid:")
+
+
+MODEL_COMMANDS = {
+    "analyze": [],
+    "simulate": ["--n", "50", "--N", "4"],
+    "oracle": ["--n", "5"],
+    "verify": ["--n", "50", "--N", "4"],
+    "sa": ["--n", "50", "--N", "4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))
+@pytest.mark.parametrize("field,value", [("s", 1.9), ("d", True), ("r", 2.0)])
+def test_non_integer_dimension_exit_2_naming_the_field(tmp_path, capsys, command, field, value):
+    path = tmp_path / "bad_model.json"
+    path.write_text(json.dumps(_erw_doc(**{field: value})))
+    code = main([command, "--model", str(path), "--out", str(tmp_path / "out")] + MODEL_COMMANDS[command])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config-invalid:") and f"model field {field!r}" in err
 
 
 GAP_COMMANDS = {

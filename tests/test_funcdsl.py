@@ -135,6 +135,11 @@ class TestParse:
         with pytest.raises(funcdsl.DslError, match=r"got shape \(\)"):
             e(0.5)  # a bare scalar is no point of arity 2
 
+    @pytest.mark.parametrize("text", [0.5, None, b"x", ["x"]])
+    def test_text_that_is_not_a_string(self, text):
+        with pytest.raises(ParseError, match="must be a string"):
+            parse(text)
+
     def test_trailing_input(self):
         with pytest.raises(ParseError):
             parse("x + 1) * 2")

@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from erwlab.sa import (
 )
 from erwlab.simulate import trajectory_seed
 from erwlab.theory import expansion_coeffs, find_fixed_point, spectral_profile
-from sa_reference import run_sa_reference, sa_order_check
+from sa_reference import noise_moment_check_reference, run_sa_reference, sa_order_check
 
 
 def _model(name, **kwargs):
@@ -110,6 +112,19 @@ class TestRunner:
         iqr = np.subtract(*np.percentile(d_hi, [75, 25]))
         assert np.median(np.abs(d_hi - d_lo)) / iqr < 0.3
 
+    def test_peak_memory(self):
+        proc = SAProcess(drift=parse("x"), theta0=0.0, noise=NoiseSpec("gaussian", 1.0), drift_derivs=[1.0])
+        run_sa(proc, 100, N=4)  # compile the drift outside the trace
+        tracemalloc.start()
+        try:
+            run_sa(proc, 10_000, N=256, master_seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the noise buffer and a few (N,) arrays a step; a whole 4M-value
+        # chunk of noise and its scaled copy took 20 MB
+        assert peak < 4e6
+
     def test_divergence_guard_reports(self):
         proc = SAProcess(drift=parse("0.3*x + x^2"), theta0=0.0, noise=NoiseSpec("gaussian", 1.0), drift_derivs=[0.3, 2.0])
         paths = run_sa(proc, 4000, N=400, master_seed=2, guard=100.0)
@@ -119,7 +134,9 @@ class TestRunner:
 
 class TestRunnerMatchesReference:
     """``run_sa`` skips the freeze while every path is clear of the guard,
-    with the same bits as the reference that applies it on every step."""
+    and draws its noise into one buffer of about ``_SLICE`` doubles, with the
+    same bits as the reference that applies the freeze on every step and
+    draws up to 4M values at a time."""
 
     @pytest.mark.parametrize("drift,noise,n_max,N,guard,escapes", [
         ("0.3*x + x^2", "gaussian:0.05", 10_000, 256, 1e9, False),
@@ -128,6 +145,9 @@ class TestRunnerMatchesReference:
         ("x - 1 + exp(x)", "gaussian:2000", 200, 256, 1e9, True),  # exp overflows: paths jump to -inf
         ("x - 1 + exp(x)", "gaussian:2000", 200, 256, np.inf, False),  # no guard: paths reach inf, then NaN
         ("0.3*x + x^2", "gaussian:3", 10_000, 1000, 1e9, True),  # 4000-step noise chunks
+        ("x", "rademacher:1.0", 3_000, 3000, 1e9, False),  # 21 steps a buffer: 3000 does not divide 2^16
+        ("0.3*x + x^2", "rademacher:2.5", 3_000, 1000, 1e9, True),
+        ("x", "rademacher:0.5", 10, 70_000, 1e9, False),  # more paths than the buffer's 2^16: one step
     ])
     def test_bit_identical(self, drift, noise, n_max, N, guard, escapes):
         proc = SAProcess(drift=parse(drift), theta0=0.0, noise=NoiseSpec.parse(noise))
@@ -210,6 +230,23 @@ class TestNoiseMoments:
         # the final Lindeberg value is exactly zero for bounded steps
         last = max(rep.details["lindeberg"])
         assert rep.details["lindeberg"][last] == 0.0
+
+    @pytest.mark.parametrize("name,params", [
+        ("erw", {"p": 0.6, "q": 0.5}),
+        ("gerw-1d", {"f": "x^2", "p": 0.6, "q": 0.5}),
+        ("cubic-supercritical", {}),
+    ])
+    @pytest.mark.parametrize("n_max,N,min_count", [
+        (701, 97, 500),  # 67,900 samples: a short second slice, and some bins skipped
+        (3001, 37, 500),  # Lindeberg groups of 21 rows, the last of 16
+        (50, 3, 10),  # fewer samples than one slice
+    ])
+    def test_matches_whole_array_reference(self, name, params, n_max, N, min_count):
+        model = _model(name, **params)
+        rep = noise_moment_check(model, n_max=n_max, N=N, master_seed=7, min_count=min_count)
+        ref = noise_moment_check_reference(model, n_max, N, 7, min_count)
+        assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(ref.to_dict(), sort_keys=True)
+        assert 0 < rep.details["bins_used"] < 16
 
     def test_insufficient_bins(self):
         model = _model("erw", p=0.6, q=0.5)
