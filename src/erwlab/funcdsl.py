@@ -129,7 +129,7 @@ class FuncExpr:
 
 
 def _div(a, b):
-    if np.any(b == 0):
+    if np.equal(b, 0).any():
         raise EvalDomainError("division by zero")
     return a / b
 
@@ -137,7 +137,7 @@ def _div(a, b):
 def _pow(a, b):
     # an integer constant exponent arrives as an int and takes any base;
     # where Python floats raise, numpy's IEEE pow gives the infinity
-    if not isinstance(b, int) and np.any(np.asarray(a) < 0):
+    if not isinstance(b, int) and np.less(a, 0).any():
         raise EvalDomainError("negative base with non-integer exponent")
     try:
         return a ** b
@@ -146,13 +146,13 @@ def _pow(a, b):
 
 
 def _sqrt(a):
-    if np.any(np.asarray(a) < 0):
+    if np.less(a, 0).any():
         raise EvalDomainError("sqrt of negative value")
     return np.sqrt(a)
 
 
 def _log(a):
-    if np.any(np.asarray(a) <= 0):
+    if np.less_equal(a, 0).any():
         raise EvalDomainError("log of non-positive value")
     return np.log(a)
 
@@ -206,7 +206,7 @@ def _compile(expr):
 
     def run(cols):
         out = fn(cols, np.zeros(np.broadcast(*cols).shape))
-        if np.any(np.isnan(out)):
+        if np.isnan(out).any():
             raise EvalDomainError("piecewise evaluated outside its covered region")
         return out
 

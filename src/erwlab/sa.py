@@ -114,6 +114,15 @@ def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
     ``escaped`` (never silently clipped): with a locally attracting root the
     limit theorems condition on the convergence event, so escapes are
     excluded from theorem statistics but always reported.
+
+    The noise is drawn one buffer of about ``_SLICE`` doubles at a time.
+    While no path has escaped, a buffer is first stepped speculatively by
+    :func:`_step_clear`, which writes theta after every step into a row of a
+    reused path buffer. If every value stays within the guard, its rows
+    give the checkpoints and its last row the next theta. Otherwise, or if
+    the speculative pass raised, the buffer is replayed from its first theta
+    one step at a time with the freeze, which gives the same values, escape
+    flags, warnings and exceptions as stepping every buffer that way.
     """
     check_master_seed(master_seed)
     if N < 1:
@@ -131,6 +140,7 @@ def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
     # place; the stream continues across draws, so the values do not depend
     # on the chunk length
     buf = np.empty((max(1, min(n_max - 1, _SLICE // N)), N))
+    path = np.empty_like(buf)
     clear = True  # no path has escaped or gone NaN yet
     n = 1
     while n < n_max:
@@ -144,6 +154,13 @@ def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
             eps *= 2.0
             eps -= 1.0
         eps *= proc.noise.sd
+        if clear and _step_clear(fast, theta, eps, n, path, guard):
+            for c, j in cp_index.items():
+                if n < c <= n + span:
+                    out[:, j] = path[c - n - 1]
+            theta = path[span - 1].copy()
+            n += span
+            continue
         for i in range(span):
             a_n = 1.0 / (n + 1.0)
             moved = theta - a_n * (fast([theta]) + eps[i])
@@ -169,6 +186,30 @@ def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
         master_seed=master_seed,
         s2=proc.noise.s2,
     )
+
+
+def _step_clear(fast, theta, eps, n, path, guard) -> bool:
+    """Step every path from theta_n through the noise rows ``eps`` with no
+    freeze, row i of ``path`` taking theta_{n+1+i}, as ``run_sa``'s per-step
+    loop computes it (m counts n + 1.0, n + 2.0, ... exactly, so 1 / m is
+    its a_n). True when every value lies within the guard; False when one
+    does not, is NaN, or the pass raised on some path, which the freeze
+    might have stopped before it got there: a domain error of the drift, or
+    a floating-point event that the caller's ``np.errstate`` does not
+    ignore, so that the replay reports it as the caller asked."""
+    strict = {kind: "ignore" if mode == "ignore" else "raise" for kind, mode in np.geterr().items()}
+    prev, m = theta, n + 1.0
+    try:
+        with np.errstate(**strict):
+            for e, row in zip(eps, path):
+                np.add(fast([prev]), e, row)
+                np.multiply(row, 1.0 / m, row)
+                np.subtract(prev, row, row)
+                prev, m = row, m + 1.0
+    except Exception:  # noqa: BLE001 - the replay raises it again if the freeze does not prevent it
+        return False
+    moved = path[:len(eps)]
+    return bool(moved.max() <= guard and -moved.min() <= guard)
 
 
 # ---------------------------------------------------------------------------
@@ -221,25 +262,27 @@ def noise_moment_check(model: ValidatedModel, n_max: int = 4000, N: int = 200,
     hi = float(min(model.domain.upper[0], lo + 1.0))
     bins = 16
     edges = np.linspace(lo, hi, bins + 1)
-    # the bin of each sample, its predicted second moment and max |e|, one
-    # slice at a time so that no temporary spans every sample
+    # the bin of each sample, its predicted second moment, the bin counts and
+    # max |e|, one slice at a time so that no temporary spans every sample
     which = np.empty(xs.size, dtype=np.uint8)
     pred = np.empty(xs.size)
+    counts = np.zeros(bins, dtype=np.int64)
     peaks = []
     for at in range(0, xs.size, _SLICE):
         part = slice(at, at + _SLICE)
         which[part] = np.clip(np.digitize(xs[part], edges) - 1, 0, bins - 1)
+        counts += np.bincount(which[part], minlength=bins)
         H = model.eval_H(xs[part, None])[..., 0]
         pred[part] = H * float(model.sigma[0, 0]) / float(model.mu[0]) - H ** 2
         peaks.append(np.abs(es[part]).max())
 
     bad_mean, bad_var, used = [], [], 0
     for b_ in range(bins):
-        mask = which == b_
-        cnt = int(mask.sum())
+        cnt = int(counts[b_])
         if cnt < min_count:
             continue
         used += 1
+        mask = which == b_
         e = es[mask]
         se_mean = e.std(ddof=1) / math.sqrt(cnt)
         if abs(e.mean()) > 3.0 * max(se_mean, 1e-12):

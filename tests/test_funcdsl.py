@@ -174,6 +174,24 @@ class TestEval:
         with pytest.raises(EvalDomainError):
             e.fast([np.array([-1.0, 0.5])])
 
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+    @pytest.mark.parametrize("bad", [1.5, np.inf], ids=["uncovered", "nan-branch"])
+    def test_piecewise_raises_exactly_where_nan(self, shape, bad):
+        # 1.5 falls between the branches; at inf the second branch's 0 * x is NaN
+        e = parse("piecewise(x <= 1 : x ; x >= 2 : 0 * x)")
+        xs = np.full(shape, 0.25)
+        xs.flat[1 % xs.size] = 3.0
+        out = e.fast([xs])
+        assert out.shape == shape and not np.isnan(out).any()
+        xs.flat[-1] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(EvalDomainError, match="outside its covered region"):
+            e.fast([xs])
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_piecewise_empty_batch(self, shape):
+        out = parse("piecewise(x <= 1 : x ; x >= 2 : 0 * x)").fast([np.empty(shape)])
+        assert isinstance(out, np.ndarray) and out.shape == shape
+
     def test_piecewise_first_match_wins(self):
         e = parse("piecewise(x <= 0.5 : 1.0 ; x >= 0.5 : 2.0)")
         assert e(0.5) == 1.0

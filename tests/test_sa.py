@@ -1,12 +1,13 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from erwlab import build_preset, ensemble, funcdsl, validate_model
-from erwlab.funcdsl import parse
+from erwlab.funcdsl import EvalDomainError, parse
 from erwlab.model import ModelError
 from erwlab import sa as sa_mod
 from erwlab.sa import (
@@ -127,14 +128,19 @@ class TestRunner:
 
     def test_divergence_guard_reports(self):
         proc = SAProcess(drift=parse("0.3*x + x^2"), theta0=0.0, noise=NoiseSpec("gaussian", 1.0), drift_derivs=[0.3, 2.0])
-        paths = run_sa(proc, 4000, N=400, master_seed=2, guard=100.0)
+        with warnings.catch_warnings():
+            # the escaped paths overflow only if they are not frozen
+            warnings.simplefilter("error")
+            paths = run_sa(proc, 4000, N=400, master_seed=2, guard=100.0)
         assert paths.escaped.sum() > 0  # wide noise pushes paths past the unstable root
         assert np.all(np.abs(paths.theta[~paths.escaped, -1]) <= 100.0)
 
 
 class TestRunnerMatchesReference:
-    """``run_sa`` skips the freeze while every path is clear of the guard,
-    and draws its noise into one buffer of about ``_SLICE`` doubles, with the
+    """``run_sa`` draws its noise into one buffer of about ``_SLICE`` doubles
+    and, while every path is clear of the guard, steps each buffer with no
+    freeze into a path buffer, replaying it one step at a time with the
+    freeze when some value passes the guard or the pass raises. It gives the
     same bits as the reference that applies the freeze on every step and
     draws up to 4M values at a time."""
 
@@ -161,6 +167,65 @@ class TestRunnerMatchesReference:
         if drift.endswith("exp(x)"):
             assert not np.isfinite(theta[:, -1]).all()
             assert np.isnan(theta[:, -1]).any() == (guard == np.inf)
+
+    @pytest.mark.parametrize("drift,noise,theta1,n_max,N,guard,escapes", [
+        ("x", "gaussian:1", 150.0, 600, 64, 100.0, False),  # theta1 past the guard, every theta2 within it
+        ("x", "gaussian:1", 1000.0, 600, 64, 100.0, True),  # every path escapes on the first step
+        ("x", "rademacher:1.0", 0.0, 1000, 256, 1e9, False),  # 256-step buffers, the last one short
+        ("0.3*x + x^2", "gaussian:3", 0.0, 1000, 256, 100.0, True),
+    ])
+    def test_buffer_edges(self, drift, noise, theta1, n_max, N, guard, escapes):
+        proc = SAProcess(drift=parse(drift), theta0=0.0, noise=NoiseSpec.parse(noise), theta1=theta1)
+        rows = min(n_max - 1, sa_mod._SLICE // N)
+        # theta after the first and the last step of each buffer
+        checkpoints = [1] + [c for b in range(0, n_max - 1, rows) for c in (b + 2, min(b + rows + 1, n_max))]
+        with np.errstate(all="ignore"):
+            paths = run_sa(proc, n_max, N=N, master_seed=3, checkpoints=checkpoints, guard=guard)
+            theta, escaped = run_sa_reference(proc, n_max, N, 3, checkpoints, guard)
+        assert paths.checkpoints == checkpoints
+        assert paths.theta.tobytes() == theta.tobytes()
+        assert np.array_equal(paths.escaped, escaped)
+        assert escaped.any() == escapes
+
+    def test_domain_error_past_the_guard_is_replayed(self, monkeypatch):
+        # the reference evaluates the drift at the frozen, finite values of
+        # the escaped paths and never raises; the speculative pass runs them
+        # on to -inf, where both branches give NaN and the piecewise raises
+        drift = parse("piecewise(x < 0 : 0.3*x + x^2 ; x >= 0 : 0.3*x + x^2)")
+        proc = SAProcess(drift=drift, theta0=0.0, noise=NoiseSpec.parse("gaussian:3"))
+        fast, raised = drift.fast, []
+
+        def counting(cols):
+            try:
+                return fast(cols)
+            except EvalDomainError:
+                raised.append(len(cols[0]))
+                raise
+
+        monkeypatch.setitem(drift.__dict__, "fast", counting)
+        with np.errstate(all="ignore"):
+            paths = run_sa(proc, 3000, N=256, master_seed=5, guard=100.0)
+            theta, escaped = run_sa_reference(proc, 3000, 256, 5, None, 100.0)
+        assert raised
+        assert paths.theta.tobytes() == theta.tobytes()
+        assert np.array_equal(paths.escaped, escaped) and escaped.any()
+
+    def test_floating_point_events_reported_as_the_caller_asks(self):
+        # exp(-x) overflows at theta1 = -1000 while 1 / (1 + exp(-x)) and
+        # every path stay finite and within the guard
+        proc = SAProcess(drift=parse("x + 1 / (1 + exp(-x)) - 0.5"), theta0=0.0, noise=NoiseSpec.parse("gaussian:1"),
+                         theta1=-1000.0)
+        runs = []
+        for run in (lambda: run_sa(proc, 300, N=8, master_seed=2).theta,
+                    lambda: run_sa_reference(proc, 300, 8, 2)[0]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                theta = run()
+            runs.append((theta.tobytes(), [str(w.message) for w in caught]))
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+                run()
+        assert runs[0] == runs[1]
+        assert runs[0][1] == ["overflow encountered in exp"]
 
 
 class TestReduction:
