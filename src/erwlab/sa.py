@@ -26,8 +26,8 @@ import numpy as np
 
 from .funcdsl import FuncExpr, derivatives, derive_at
 from .model import ModelError, ValidatedModel
-from .simulate import (FunctionalConfig, check_master_seed, ensemble, nearest_checkpoint, resolve_checkpoints,
-                       trajectory_seed)
+from .simulate import (FunctionalConfig, check_integer, check_master_seed, ensemble, nearest_checkpoint,
+                       resolve_checkpoints, trajectory_seed)
 from .theory import expansion_coeffs, report_dict
 
 
@@ -125,6 +125,7 @@ def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
     flags, warnings and exceptions as stepping every buffer that way.
     """
     check_master_seed(master_seed)
+    check_integer("N", N, SAError)
     if N < 1:
         raise SAError("N must be >= 1")
     checkpoints = resolve_checkpoints(n_max, checkpoints)

@@ -9,10 +9,12 @@ are bit-for-bit reproducible regardless of batching or thread count.
 A Philox stream is a key plus a block counter, so a batch needs no stream
 objects: :func:`philox_keys` derives the keys of a whole batch in one
 vectorized pass of numpy's ``SeedSequence`` algorithm, and one generator
-per batch is re-keyed and positioned for each trajectory and chunk. Each
-trajectory's draws fill one contiguous row of a trajectory-major buffer,
-which the kernel reads through its transposed view. Chunks after the first
-start at an even time step, on a Philox block (4 doubles, two steps).
+per batch is re-keyed and positioned for each trajectory and chunk. Its
+state words are handed over as Python ints, which numpy's ``state`` setter
+reads faster than numpy scalars. Each trajectory's draws fill one
+contiguous row of a trajectory-major buffer, which the kernel reads
+through its transposed view. Chunks after the first start at an even time
+step, on a Philox block (4 doubles, two steps).
 
 One per-batch kernel runs every model, any s, r and step law. A step
 evaluates the maps P_1..P_{r-1} at the position average, takes the block
@@ -47,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ModelError, ValidatedModel, check_runtime_probs, check_runtime_sum, clip_ufunc
+from .model import ModelError, ValidatedModel, check_runtime_probs, check_runtime_sum, clip_ufunc, is_integer
 
 
 def default_checkpoints(n_max: int) -> list:
@@ -116,25 +118,43 @@ class EnsembleStats:
         return n ** (1.0 - tau) * (self.snn[:, cp_index, :] - np.asarray(center))
 
 
-def trajectory_seed(master_seed: int, index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))
+def _is_int(value) -> bool:
+    """An int or a numpy integer, not a bool."""
+    return is_integer(value) or isinstance(value, np.integer)
+
+
+def check_integer(name: str, value, error=ModelError) -> None:
+    """Reject a run size or index that is not an integer (a float, a bool, a string)."""
+    if not _is_int(value):
+        raise error(f"{name} must be an integer, got {value!r}")
 
 
 def check_master_seed(master_seed) -> None:
     """Reject anything but a non-negative integer before a stream is derived."""
-    if not isinstance(master_seed, (int, np.integer)) or master_seed < 0:
+    if not _is_int(master_seed) or master_seed < 0:
         raise ModelError(f"master_seed must be a non-negative integer, got {master_seed!r}")
+
+
+def trajectory_seed(master_seed: int, index: int) -> np.random.SeedSequence:
+    check_master_seed(master_seed)
+    check_integer("index", index)
+    return np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))
 
 
 def resolve_checkpoints(n_max: int, checkpoints=None) -> list:
     """Sorted distinct checkpoints in [1, n_max] (geometric by default), n_max included."""
+    check_integer("n_max", n_max)
     if n_max < 1:
         raise ModelError("n_max must be >= 1")
-    checkpoints = sorted(set(default_checkpoints(n_max) if checkpoints is None else [int(c) for c in checkpoints]))
+    checkpoints = default_checkpoints(n_max) if checkpoints is None else list(checkpoints)
+    for c in checkpoints:
+        if not _is_int(c):
+            raise ModelError(f"checkpoints must be integers, got {c!r}")
+    checkpoints = sorted({int(c) for c in checkpoints})
     if any(c < 1 or c > n_max for c in checkpoints):
         raise ModelError("checkpoints must lie in [1, n_max]")
     if n_max not in checkpoints:
-        checkpoints.append(n_max)
+        checkpoints.append(int(n_max))
         checkpoints.sort()
     return checkpoints
 
@@ -172,6 +192,8 @@ def philox_keys(master_seed: int, lo: int, hi: int) -> np.ndarray:
     pool size because a spawn key is present.
     """
     check_master_seed(master_seed)
+    check_integer("lo", lo)
+    check_integer("hi", hi)
     if not 0 <= lo <= hi <= MAX_TRAJECTORIES:
         raise ModelError(f"trajectory indices must lie in [0, {MAX_TRAJECTORIES}]")
     seed, run = int(master_seed), []
@@ -232,31 +254,38 @@ def _uniform_chunks(keys, n_max):
     One generator serves the batch. For each trajectory and chunk it is keyed
     and set to block counter t // 2 with an empty buffer, so the next double
     is draw 2t of that trajectory's stream; hence every chunk but the last
-    has even length. The draws fill a trajectory-major buffer, reused across
-    chunks, and ``uniforms`` is its transposed view, not a copy. A step
-    reads B doubles one row apart. When a row is an even number of 64-byte
-    cache lines, as a full chunk for a power-of-two B is, those reads fall
-    into a few cache sets, so the row is padded by 4 steps (one line) to an
-    odd number of lines. The rule is measured, not derived: a pad on every
-    row made the 12-step rows (3 lines) of an n = 12 ensemble 16 steps,
-    256 bytes, apart and ran 3% slower, so only rows of an even number of
-    lines are padded.
+    has even length. The re-key is a ``state`` assignment whose key, counter
+    and buffer words are Python ints (the keys converted once per batch by
+    ``tolist``): numpy's setter reads the ten words one at a time, and a
+    word read from a uint64 array is first boxed as a numpy scalar, which
+    made the setter take 2.3 times as long (1.3 against 0.6 µs, timeit,
+    numpy 2.4.6, 2-core Xeon). The state is the same, and so are the draws.
+
+    The draws fill a trajectory-major buffer, reused across chunks, and
+    ``uniforms`` is its transposed view, not a copy. A step reads B doubles
+    one row apart. When a row is an even number of 64-byte cache lines, as
+    a full chunk for a power-of-two B is, those reads fall into a few cache
+    sets, so the row is padded by 4 steps (one line) to an odd number of
+    lines. The rule is measured, not derived: a pad on every row made the
+    12-step rows (3 lines) of an n = 12 ensemble 16 steps, 256 bytes, apart
+    and ran 3% slower, so only rows of an even number of lines are padded.
     """
     B = len(keys)
     chunk = min(n_max, max(2, _CHUNK_DOUBLES // (2 * B) // 2 * 2))
     bit_gen = np.random.Philox(0)  # re-keyed before every fill
     gen = np.random.Generator(bit_gen)
-    counter = np.zeros(4, dtype=np.uint64)
-    state = {"bit_generator": "Philox", "state": {"counter": counter, "key": None},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    key_list = keys.tolist()  # [[k0, k1], ...] as Python ints
+    inner = {"counter": [0, 0, 0, 0], "key": None}
+    state = {"bit_generator": "Philox", "state": inner,
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     buf = np.empty((B, chunk + (4 if chunk % 8 == 0 else 0), 2))[:, :chunk]
     for t in range(0, n_max, chunk):
         rows = buf[:, :min(chunk, n_max - t)]
-        counter[0] = t // 2
-        for j in range(B):
-            state["state"]["key"] = keys[j]
+        inner["counter"] = [t // 2, 0, 0, 0]
+        for key, row in zip(key_list, rows):
+            inner["key"] = key
             bit_gen.state = state
-            gen.random(out=rows[j])
+            gen.random(out=row)
         yield t, rows.transpose(1, 2, 0)
 
 
@@ -528,6 +557,8 @@ def ensemble(model: ValidatedModel, n_max: int, N: int, master_seed: int,
     always consumes the same stream (master_seed, i), and reductions happen
     on index-ordered arrays.
     """
+    for name, value in (("N", N), ("batch_size", batch_size), ("threads", threads)):
+        check_integer(name, value)
     if not 1 <= N <= MAX_TRAJECTORIES:
         raise ModelError(f"N must lie in [1, {MAX_TRAJECTORIES}]")
     if batch_size < 1:

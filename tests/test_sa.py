@@ -88,7 +88,30 @@ class TestRunner:
         with pytest.raises(ModelError, match="must be >= 1"):
             run_sa(proc, n_max, N=N)
 
-    @pytest.mark.parametrize("seed", [-3, 1.5])
+    @pytest.mark.parametrize("name,value,error", [
+        ("n_max", 100.0, ModelError), ("n_max", True, ModelError), ("N", 3.0, SAError),
+        ("N", True, SAError), ("N", np.bool_(True), SAError),
+    ])
+    def test_non_integer_run_size_rejected(self, name, value, error):
+        proc = SAProcess(drift=parse("x"), theta0=0.0, noise=NoiseSpec("gaussian", 1.0), drift_derivs=[1.0])
+        args = dict(n_max=100, N=3) | {name: value}
+        with pytest.raises(error, match=f"^{name} must be an integer, got"):
+            run_sa(proc, **args)
+
+    @pytest.mark.parametrize("checkpoints", [[2.7], [10, 50.0], [False]])
+    def test_non_integer_checkpoint_rejected(self, checkpoints):
+        proc = SAProcess(drift=parse("x"), theta0=0.0, noise=NoiseSpec("gaussian", 1.0), drift_derivs=[1.0])
+        with pytest.raises(ModelError, match="checkpoints must be integers"):
+            run_sa(proc, 100, N=3, checkpoints=checkpoints)
+
+    def test_numpy_integers_accepted(self):
+        proc = SAProcess(drift=parse("x"), theta0=0.0, noise=NoiseSpec("gaussian", 1.0), drift_derivs=[1.0])
+        ref = run_sa(proc, 100, N=3, master_seed=4, checkpoints=[10, 50])
+        got = run_sa(proc, np.int64(100), N=np.int32(3), master_seed=np.uint8(4), checkpoints=np.array([10, 50]))
+        assert got.checkpoints == ref.checkpoints
+        assert np.array_equal(got.theta, ref.theta)
+
+    @pytest.mark.parametrize("seed", [-3, 1.5, True])
     def test_bad_master_seed_rejected(self, seed):
         proc = SAProcess(drift=parse("x"), theta0=0.0, noise=NoiseSpec("gaussian", 1.0), drift_derivs=[1.0])
         with pytest.raises(ModelError, match="master_seed"):

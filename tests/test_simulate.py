@@ -200,6 +200,12 @@ class TestStreams:
         for j, i in enumerate(range(2040, 2056)):
             assert np.array_equal(batch[j], trajectory_seed(master, i).generate_state(2, np.uint64)), i
 
+    @staticmethod
+    def _fresh(master, i, n_max):
+        """The first n_max draw pairs of trajectory i's own stream."""
+        gen = np.random.Generator(np.random.Philox(trajectory_seed(master, i)))
+        return gen.random(2 * n_max).reshape(n_max, 2)
+
     @pytest.mark.parametrize("master", MASTERS)
     def test_batch_uniforms_match_fresh_streams(self, master, monkeypatch):
         # 42 // (2 * B) = 7 is odd: chunks are cut to 6 steps, so chunks
@@ -210,8 +216,41 @@ class TestStreams:
         assert [t for t, _ in chunks] == [0, 6, 12, 18, 24]
         uniforms = np.concatenate([u for _, u in chunks])  # (n_max, 2, B)
         for j in range(B):
-            gen = np.random.Generator(np.random.Philox(trajectory_seed(master, 7 + j)))
-            assert np.array_equal(uniforms[:, :, j], gen.random(2 * n_max).reshape(n_max, 2)), j
+            assert np.array_equal(uniforms[:, :, j], self._fresh(master, 7 + j, n_max)), j
+
+    def test_key_words_past_the_signed_range(self, monkeypatch):
+        # the re-key hands the key words over as Python ints: a word >= 2**63
+        # must reach Philox as the same unsigned value as one below it
+        master, lo, B, n_max = 5, 0, 8, 25
+        keys = philox_keys(master, lo, lo + B)
+        assert (keys >= np.uint64(2**63)).any() and (keys < np.uint64(2**63)).any()
+        monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", 2 * 2 * B)  # 2-step chunks
+        uniforms = np.concatenate([u.copy() for _, u in _uniform_chunks(keys, n_max)])
+        for j in range(B):
+            assert np.array_equal(uniforms[:, :, j], self._fresh(master, lo + j, n_max)), j
+
+    def test_generators_advanced_alternately_share_no_state(self, monkeypatch):
+        # threads > 1 runs one generator per batch side by side. Each round
+        # takes one chunk of every generator (6 steps at B = 3, 4 at B = 4)
+        # and copies them only when all have moved, so neither the Philox
+        # state nor the buffer may be shared
+        n_max = 25
+        monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", 42)
+        spans = {(3, 0): 3, (3, 100): 3, (9, 40): 4}
+        gens = {span: _uniform_chunks(philox_keys(*span, span[1] + B), n_max) for span, B in spans.items()}
+        got = {span: [] for span in spans}
+        while gens:
+            views = {span: next(gen, None) for span, gen in gens.items()}
+            for span, chunk in views.items():
+                if chunk is None:
+                    del gens[span]
+                else:
+                    got[span].append(chunk[1].copy())
+        assert [len(got[span]) for span in spans] == [5, 5, 7]
+        for (master, lo), B in spans.items():
+            uniforms = np.concatenate(got[master, lo])
+            for j in range(B):
+                assert np.array_equal(uniforms[:, :, j], self._fresh(master, lo + j, n_max)), (master, lo, j)
 
     @pytest.mark.parametrize("B", [256, 2048])
     def test_uniform_rows_are_not_a_page_multiple_apart(self, B):
@@ -252,13 +291,14 @@ class TestStreams:
         stats = ensemble(model, 64, 8, master_seed=19)
         assert np.array_equal(state.s_aux, stats.aux_final[5])
 
-    @pytest.mark.parametrize("seed", [-3, 1.5, 2.0, "7", None])
+    @pytest.mark.parametrize("seed", [-3, 1.5, 2.0, "7", None, True, np.bool_(False)])
     def test_bad_master_seed_rejected(self, seed):
         model = _model("erw", p=0.6, q=0.5)
         for run in (lambda: ensemble(model, 10, 4, master_seed=seed),
                     lambda: trajectory(model, 10, seed=seed),
                     lambda: WalkState.fresh(model, seed),
-                    lambda: philox_keys(seed, 0, 4)):
+                    lambda: philox_keys(seed, 0, 4),
+                    lambda: trajectory_seed(seed, 0)):
             with pytest.raises(ModelError, match="master_seed"):
                 run()
 
@@ -267,6 +307,40 @@ class TestStreams:
         model = _model("erw", p=0.6, q=0.5)
         with pytest.raises(ModelError, match="must be >= 1"):
             ensemble(model, n_max, 4, master_seed=1, batch_size=batch_size)
+
+    @pytest.mark.parametrize("name,value", [
+        ("n_max", 5.0), ("n_max", True), ("N", 10.0), ("N", np.float64(10)), ("N", False),
+        ("batch_size", 2.5), ("batch_size", True), ("threads", 1.0), ("threads", np.bool_(True)),
+    ])
+    def test_non_integer_run_size_rejected(self, name, value):
+        model = _model("erw", p=0.6, q=0.5)
+        args = dict(n_max=10, N=5, master_seed=1) | {name: value}
+        with pytest.raises(ModelError, match=f"^{name} must be an integer, got"):
+            ensemble(model, **args)
+
+    @pytest.mark.parametrize("checkpoints", [[2.7], [3, 5.0], [True, 4], ["3"]])
+    def test_non_integer_checkpoint_rejected(self, checkpoints):
+        model = _model("erw", p=0.6, q=0.5)
+        with pytest.raises(ModelError, match="checkpoints must be integers"):
+            ensemble(model, 10, 4, master_seed=1, checkpoints=checkpoints)
+
+    @pytest.mark.parametrize("lo,hi,name", [(0.0, 4, "lo"), (True, 4, "lo"), (0, 4.0, "hi"), (0, True, "hi")])
+    def test_non_integer_trajectory_index_rejected(self, lo, hi, name):
+        with pytest.raises(ModelError, match=f"^{name} must be an integer"):
+            philox_keys(1, lo, hi)
+        with pytest.raises(ModelError, match="^index must be an integer"):
+            trajectory_seed(1, hi if name == "hi" else lo)
+
+    def test_numpy_integers_accepted(self):
+        model = _model("erw", p=0.6, q=0.5)
+        ref = ensemble(model, 20, 6, master_seed=3, checkpoints=[5, 10], batch_size=4, threads=2)
+        got = ensemble(model, np.int64(20), np.int32(6), master_seed=np.uint64(3),
+                       checkpoints=np.array([5, 10]), batch_size=np.int16(4), threads=np.int8(2))
+        assert got.checkpoints == ref.checkpoints == [5, 10, 20]
+        assert all(type(c) is int for c in got.checkpoints)
+        assert np.array_equal(got.snn, ref.snn)
+        assert np.array_equal(got.aux_final, ref.aux_final)
+        assert np.array_equal(philox_keys(3, np.uint32(2), np.int64(6)), philox_keys(3, 2, 6))
 
     def test_trajectory_count_fits_one_spawn_word(self):
         model = _model("erw", p=0.6, q=0.5)
