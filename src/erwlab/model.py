@@ -56,15 +56,18 @@ class DomainViolation(ModelError):
 
 def _finite_law(law, name: str):
     """Store a finite law's atoms as an (n_atoms, s) float array and its
-    probabilities as floats; they must align, be nonnegative and sum to 1."""
+    probabilities as floats; they must align, the atoms must be finite, and
+    the probabilities nonnegative (so not NaN) with a sum of 1 (so finite)."""
     atoms = np.atleast_2d(np.asarray(law.atoms, dtype=float))
     probs = np.asarray(law.probs, dtype=float)
     object.__setattr__(law, "atoms", atoms)
     object.__setattr__(law, "probs", probs)
     if probs.ndim != 1 or atoms.shape[0] != probs.shape[0]:
         raise ModelError("atoms and probabilities must align")
-    if np.any(probs < 0) or abs(math.fsum(probs.tolist()) - 1.0) > 1e-12:
-        raise ModelError(f"{name} probabilities must be nonnegative and sum to 1")
+    if not np.isfinite(atoms).all():
+        raise ModelError(f"{name} atoms must be finite")
+    if not (np.all(probs >= 0) and abs(math.fsum(probs.tolist()) - 1.0) <= 1e-12):
+        raise ModelError(f"{name} probabilities must be finite, nonnegative and sum to 1")
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,8 @@ class Domain:
     """Axis-aligned rectangle with the origin as one corner.
 
     ``upper`` entries may be ``inf``; validation grids never probe infinite
-    edges and instead span [lo, lo + clip] there.
+    edges and instead span [lo, lo + clip] there. ``lower`` is finite, and
+    no bound is NaN.
     """
 
     lower: np.ndarray
@@ -145,8 +149,9 @@ class Domain:
         hi = np.asarray(self.upper, dtype=float)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        if lo.shape != hi.shape or np.any(lo < 0) or np.any(hi <= lo):
-            raise ModelError("domain must satisfy 0 <= lower < upper per axis")
+        if not (lo.shape == hi.shape and np.all(lo >= 0) and np.all(hi > lo)):  # NaN and lower = inf fail
+            raise ModelError(f"domain must satisfy 0 <= lower < upper per axis, got lower {lo.tolist()}, "
+                             f"upper {hi.tolist()}")
 
     @property
     def s(self) -> int:
@@ -339,7 +344,11 @@ class ValidatedModel:
         last row takes the complement. Values outside [0 - CLAMP_TOL,
         1 + CLAMP_TOL], and NaN, abort: that is model misuse, not noise.
         Within the tolerance band they are clamped. The complement sums the
-        rows in order, so a point gives the same bits alone as in any batch.
+        rows in order, so a point's row of an (n, s) batch has the same bits
+        in every batch. A bare (s,) point is the exception: its maps run on
+        0-d arrays, so on numpy scalar math, whose ``**`` (libm ``pow``) can
+        differ in the last bit from the array loop. ROADMAP item 4(i)
+        evaluates a bare point as a batch of one.
         """
         x = self._points(x)
         cols = [x[..., j] for j in range(self.s)]
@@ -501,6 +510,9 @@ def validate_model(spec: ModelSpec):
         errors.append(f"A must be {spec.d}x{spec.s}, got {spec.A.shape}")
     if spec.b.shape != (spec.d,):
         errors.append(f"b must be a {spec.d}-vector")
+    for name, value in (("A", spec.A), ("b", spec.b)):
+        if not np.isfinite(value).all():
+            errors.append(f"{name} must be finite, got {value.tolist()}")
     if len(spec.prob_maps) != spec.r - 1:
         errors.append(f"need r-1={spec.r - 1} probability maps, got {len(spec.prob_maps)}")
     if spec.initial.atoms.shape[1] != spec.s:
@@ -508,9 +520,6 @@ def validate_model(spec: ModelSpec):
     if spec.domain.s != spec.s:
         errors.append("domain dimension mismatch")
     _check_meta(spec, errors)
-    sm = spec.step_law.second_moment
-    if not np.allclose(sm, sm.T):
-        errors.append("moment-missing: second-moment matrix is not symmetric")
     if errors:
         raise ModelError("; ".join(errors))
 
@@ -518,7 +527,8 @@ def validate_model(spec: ModelSpec):
     total = np.zeros(grid.shape[0])
     cols = [grid[:, j] for j in range(spec.s)]
     for i, pm in enumerate(spec.prob_maps):
-        vals = np.broadcast_to(pm.fast(cols), (grid.shape[0],))
+        with np.errstate(all="ignore"):  # every non-finite or out-of-range value is reported below
+            vals = np.broadcast_to(pm.fast(cols), (grid.shape[0],))
         bad = np.where(~((vals >= -1e-12) & (vals <= 1.0 + 1e-12)))[0]  # NaN is bad too
         if bad.size:
             errors.append(

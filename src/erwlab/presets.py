@@ -35,7 +35,8 @@ def _prob(name, value):
 def _unit_map(f_text, message="f must map [0,1] into [0,1]"):
     """Parse a memory map of x and check it sends 201 points of [0, 1] into [0, 1] (tolerance 1e-9)."""
     f = parse(f_text, 1)
-    vals = f(np.linspace(0.0, 1.0, 201))
+    with np.errstate(all="ignore"):  # a non-finite value fails the range test below
+        vals = f(np.linspace(0.0, 1.0, 201))
     if not (np.all(vals >= -1e-9) and np.all(vals <= 1.0 + 1e-9)):
         raise ParameterError(f"parameter-out-of-range: {message}")
     return f

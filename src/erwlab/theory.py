@@ -219,8 +219,9 @@ class SpectralProfile:
     tau: float
     kappa: int
     clusters: tuple  # of dicts: value, multiplicity, block_sizes
-    top_right: tuple = ()  # right eigenvectors of J in the tau cluster (kappa=1)
-    top_left: tuple = ()  # matching left eigenvectors, bilinear-normalized
+    # per top cluster when kappa = 1: right and left eigenvectors (V, W) with
+    # W^T V = I, or the reason they cannot be paired
+    top_pairs: tuple = ()
     exact_tau: bool = False
 
 
@@ -231,7 +232,7 @@ def _rank(mat, threshold):
     return int(np.sum(sv > threshold))
 
 
-CLUSTER_TOL = 1e-7  # eigenvalue clustering; also picks the top cluster in sigma2_critical
+CLUSTER_TOL = 1e-7  # eigenvalue clustering; also matches the top clusters' eigenvectors
 
 
 def _cluster_eigenvalues(eig, scale, rcond):
@@ -326,28 +327,20 @@ def _block_sizes_for_cluster(J, lam, members, eig):
     return sorted(sizes, reverse=True)
 
 
-def _analyze_clusters(J, clusters, eig):
-    result = []
-    for lam, members in clusters:
-        sizes = _block_sizes_for_cluster(J, lam, members, eig)
-        if sizes is None:
-            return None
-        result.append({"value": complex(lam), "multiplicity": len(members), "block_sizes": tuple(sizes), "members": members})
-    return result
-
-
 def spectral_profile_from_jacobian(J) -> SpectralProfile:
     """Eigenvalues, tau, kappa, and per-eigenvalue Jordan block sizes.
 
-    Clustering starts at :data:`CLUSTER_TOL` but widens adaptively: a defective
-    eigenvalue computed in finite precision splits into a ring of radius
-    about eps^(1/kappa), far beyond any fixed tight tolerance. Ring members
-    betray themselves through huge eigenvalue condition numbers (left and
-    right eigenvectors nearly orthogonal), so ill-conditioned eigenvalues
-    are never left in nominally simple clusters.
+    The eigenvalues are clustered once (:func:`_cluster_eigenvalues`) and
+    each cluster is sized once (:func:`_block_sizes_for_cluster`). A
+    cluster that cannot be sized, or whose blocks all have size 1 although
+    it holds an eigenvalue with reciprocal condition number below 1e-3 (a
+    member of a defective ring), raises ``jacobian-nonsmooth``: no verdict
+    is read off an unresolved structure.
+
+    When kappa = 1, ``top_pairs`` holds each top cluster's eigenvectors,
+    or the reason they cannot be paired, for :func:`sigma2_critical`.
     """
     J = np.atleast_2d(np.asarray(J, dtype=float))
-    s = J.shape[0]
     import scipy.linalg
 
     eig, wl, vr = scipy.linalg.eig(J, left=True, right=True)
@@ -357,80 +350,46 @@ def spectral_profile_from_jacobian(J) -> SpectralProfile:
     rcond = np.abs(np.einsum("ij,ij->j", wl.conj(), vr))
     rcond /= np.linalg.norm(wl, axis=0) * np.linalg.norm(vr, axis=0)
 
-    clusters = _cluster_eigenvalues(eig, scale, rcond)
-    profile_clusters = None
-    for _ in range(2 * s):
-        result = _analyze_clusters(J, clusters, eig)
-        suspect = None
-        if result is not None:
-            for idx, entry in enumerate(result):
-                if max(entry["block_sizes"]) == 1 and any(rcond[m] < 1e-3 for m in entry["members"]):
-                    suspect = idx
-                    break
-            if suspect is None:
-                profile_clusters = result
-                break
-        if len(clusters) <= 1:
-            break
-        # merge the offending (or first unresolvable) cluster with its
-        # nearest neighbour and retry
-        target = suspect if suspect is not None else 0
-        lam_t = clusters[target][0]
-        nearest = min(
-            (i for i in range(len(clusters)) if i != target),
-            key=lambda i: abs(clusters[i][0] - lam_t),
-        )
-        a, b = sorted((target, nearest))
-        merged_members = clusters[a][1] + clusters[b][1]
-        merged_value = np.mean([eig[m] for m in merged_members])
-        clusters = (
-            clusters[:a]
-            + [(merged_value, merged_members)]
-            + clusters[a + 1 : b]
-            + clusters[b + 1 :]
-        )
-    if profile_clusters is None:
-        raise TheoryError("jacobian-nonsmooth: could not resolve a consistent Jordan structure")
-    for entry in profile_clusters:
-        entry.pop("members", None)
+    clusters = []
+    for lam, members in _cluster_eigenvalues(eig, scale, rcond):
+        sizes = _block_sizes_for_cluster(J, lam, members, eig)
+        if sizes is None or (max(sizes) == 1 and any(rcond[i] < 1e-3 for i in members)):
+            raise TheoryError(f"jacobian-nonsmooth: unresolved Jordan structure near eigenvalue {complex(lam)}")
+        clusters.append({"value": complex(lam), "multiplicity": len(members), "block_sizes": tuple(sizes)})
 
-    tau = max(c["value"].real for c in profile_clusters)
-    top = [c for c in profile_clusters if abs(c["value"].real - tau) <= CLUSTER_TOL]
+    tau = max(c["value"].real for c in clusters)
+    top = [c for c in clusters if abs(c["value"].real - tau) <= CLUSTER_TOL]
     kappa = max(max(c["block_sizes"]) for c in top)
 
-    top_right, top_left = (), ()
+    top_pairs = []
     if kappa == 1:
-        vals_r, vecs_r = np.linalg.eig(J)
-        vals_l, vecs_l = np.linalg.eig(J.T)
-        rights, lefts = [], []
+        (vals_r, vecs_r), (vals_l, vecs_l) = np.linalg.eig(J), np.linalg.eig(J.T)
         for c in top:
-            lam = c["value"]
-            ridx = [i for i in range(s) if abs(vals_r[i] - lam) <= CLUSTER_TOL]
-            lidx = [i for i in range(s) if abs(vals_l[i] - lam) <= CLUSTER_TOL]
-            if not ridx or len(ridx) != len(lidx):
+            lam, m = c["value"], c["multiplicity"]
+            ridx = np.flatnonzero(np.abs(vals_r - lam) <= CLUSTER_TOL)
+            lidx = np.flatnonzero(np.abs(vals_l - lam) <= CLUSTER_TOL)
+            if len(ridx) != m or len(lidx) != m:
+                top_pairs.append(f"eigenvector-pairing: {len(ridx)} right and {len(lidx)} left "
+                                 f"eigenvectors for top eigenvalue {lam} of multiplicity {m}")
                 continue
-            V = vecs_r[:, ridx]
-            W = vecs_l[:, lidx]
+            V, W = vecs_r[:, ridx], vecs_l[:, lidx]
             # enforce the dual-basis condition W^T V = I on the whole
             # eigenspace (bilinear pairing; per-vector scaling is not
             # enough when the eigenvalue repeats)
             G = W.T @ V
             if abs(np.linalg.det(G)) < 1e-12:
-                continue
-            W = W @ np.linalg.inv(G).T
-            for col in range(V.shape[1]):
-                rights.append(V[:, col])
-                lefts.append(W[:, col])
-        top_right, top_left = tuple(rights), tuple(lefts)
+                top_pairs.append(f"eigenvector-pairing: left and right eigenvectors of top eigenvalue {lam} "
+                                 "are near orthogonal")
+            else:
+                top_pairs.append((V, W @ np.linalg.inv(G).T))
 
     return SpectralProfile(
         J=J,
         eigenvalues=eig,
         tau=float(tau),
         kappa=int(kappa),
-        clusters=tuple(profile_clusters),
-        top_right=top_right,
-        top_left=top_left,
+        clusters=tuple(clusters),
+        top_pairs=tuple(top_pairs),
     )
 
 
@@ -490,26 +449,22 @@ def sigma2_critical(profile: SpectralProfile, Sigma0):
 
     Only the diagonalizable-at-top case (kappa = 1) is computed from
     numerical eigenvectors: cross terms pair eigenvectors belonging to the
-    same eigenvalue. Defective tops need exact chain data, which numerics
-    do not give, and are refused.
+    same top cluster, the (V, W) pairs of ``profile.top_pairs``. Defective
+    tops need exact chain data, which numerics do not give, and are
+    refused; so is a top cluster whose eigenvectors could not be paired.
     """
     if profile.kappa != 1:
         raise TheoryError("unavailable-numerically: critical covariance needs exact block data when kappa > 1")
     Sigma0 = np.atleast_2d(np.asarray(Sigma0, dtype=float))
     s = Sigma0.shape[0]
     out = np.zeros((s, s), dtype=complex)
-    rights, lefts = profile.top_right, profile.top_left
-    lams = []
-    for c in profile.clusters:
-        if abs(c["value"].real - profile.tau) <= CLUSTER_TOL:
-            lams.extend([c["value"]] * c["multiplicity"])
-    for j1 in range(len(rights)):
-        for j2 in range(len(rights)):
-            if abs(lams[j1] - lams[j2]) > CLUSTER_TOL:
-                continue
-            v1, w1 = rights[j1], lefts[j1]
-            v2, w2 = rights[j2], lefts[j2]
-            out += np.outer(v1, v2) * (w1 @ Sigma0 @ w2)
+    for pair in profile.top_pairs:
+        if isinstance(pair, str):
+            raise TheoryError(pair)
+        V, W = pair
+        for j1 in range(V.shape[1]):
+            for j2 in range(V.shape[1]):
+                out += np.outer(V[:, j1], V[:, j2]) * (W[:, j1] @ Sigma0 @ W[:, j2])
     if np.max(np.abs(out.imag)) > 1e-8 * max(1.0, np.max(np.abs(out.real))):
         raise TheoryError("critical covariance came out non-real; eigenvector pairing failed")
     return out.real

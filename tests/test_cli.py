@@ -362,48 +362,111 @@ def _erw_doc(**changes) -> dict:
     return {**spec_to_dict(build_preset("erw", p=0.6)), **changes}
 
 
+_NAN, _INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infinity
+
+# case -> (model file text, a fragment of the config-invalid message)
 MALFORMED_MODELS = {
-    "parse-error": lambda: json.dumps(_erw_doc(prob_maps=["0.2*x + ("])),
-    "uncovered-piecewise": lambda: json.dumps(_erw_doc(prob_maps=["piecewise(x < 0.3 : 0.4 ; x > 0.6 : 0.5)"])),
-    "missing-key": lambda: json.dumps({k: v for k, v in _erw_doc().items() if k != "A"}),
-    "truncated-json": lambda: json.dumps(_erw_doc())[:100],
+    "parse-error": (lambda: json.dumps(_erw_doc(prob_maps=["0.2*x + ("])), "unexpected token"),
+    "uncovered-piecewise": (lambda: json.dumps(_erw_doc(prob_maps=["piecewise(x < 0.3 : 0.4 ; x > 0.6 : 0.5)"])),
+                            "piecewise evaluated outside its covered region"),
+    "missing-key": (lambda: json.dumps({k: v for k, v in _erw_doc().items() if k != "A"}), "missing key 'A'"),
+    "truncated-json": (lambda: json.dumps(_erw_doc())[:100], "Expecting ',' delimiter"),
     # nested past funcdsl.MAX_DEPTH: the compiled source would overflow Python's
     # parser, and the parser's own recursion the stack
-    "sum-too-deep": lambda: json.dumps(_erw_doc(prob_maps=["0.4 + 0.0001*x" + " + 0.0001*x" * 300])),
-    "parentheses-too-deep": lambda: json.dumps(_erw_doc(prob_maps=["(" * 1200 + "0.5" + ")" * 1200])),
+    "sum-too-deep": (lambda: json.dumps(_erw_doc(prob_maps=["0.4 + 0.0001*x" + " + 0.0001*x" * 300])),
+                     "expression nested deeper than 100 levels"),
+    "parentheses-too-deep": (lambda: json.dumps(_erw_doc(prob_maps=["(" * 1200 + "0.5" + ")" * 1200])),
+                             "expression nested deeper than 100 levels"),
     # wrongly typed fields: spec_from_dict and validate_model's meta check refuse them
-    "top-level-array": lambda: json.dumps([_erw_doc()]),
-    "partition-null": lambda: json.dumps(_erw_doc(partition=None)),
-    "partition-block-number": lambda: json.dumps(_erw_doc(partition=[1, []])),
-    "prob-map-number": lambda: json.dumps(_erw_doc(prob_maps=[0.5])),
-    "meta-list": lambda: json.dumps(_erw_doc(meta=[])),
-    "simplex-cap-list": lambda: json.dumps(_erw_doc(meta={"simplex_cap": [1]})),
-    "exact-string": lambda: json.dumps(_erw_doc(meta={"exact": "abc"})),
-    "exact-h-derivs-string": lambda: json.dumps(_erw_doc(meta={"exact": {"h_derivs": "ab"}})),
-    "exact-tau-string": lambda: json.dumps(_erw_doc(meta={"exact": {"tau": "ab"}})),
-    "exact-x0-too-long": lambda: json.dumps(_erw_doc(meta={"exact": {"x0": [0.5, 0.5]}})),
-    "exact-max-order-float": lambda: json.dumps(_erw_doc(meta={"exact": {"max_smooth_order": 2.0}})),
+    "top-level-array": (lambda: json.dumps([_erw_doc()]), "a model file must hold a JSON object, got list"),
+    "partition-null": (lambda: json.dumps(_erw_doc(partition=None)), "model field 'partition' has the wrong type"),
+    "partition-block-number": (lambda: json.dumps(_erw_doc(partition=[1, []])),
+                               "model field 'partition' has the wrong type"),
+    "prob-map-number": (lambda: json.dumps(_erw_doc(prob_maps=[0.5])), "model field 'prob_maps' has the wrong type"),
+    "meta-list": (lambda: json.dumps(_erw_doc(meta=[])), "meta must be a JSON object"),
+    "simplex-cap-list": (lambda: json.dumps(_erw_doc(meta={"simplex_cap": [1]})),
+                         "meta.simplex_cap must be a number or null"),
+    "exact-string": (lambda: json.dumps(_erw_doc(meta={"exact": "abc"})), "meta.exact must be a JSON object"),
+    "exact-h-derivs-string": (lambda: json.dumps(_erw_doc(meta={"exact": {"h_derivs": "ab"}})),
+                              "meta.exact.h_derivs must be a list of numbers"),
+    "exact-tau-string": (lambda: json.dumps(_erw_doc(meta={"exact": {"tau": "ab"}})),
+                         "meta.exact.tau must be a number"),
+    "exact-x0-too-long": (lambda: json.dumps(_erw_doc(meta={"exact": {"x0": [0.5, 0.5]}})),
+                          "meta.exact.x0 must be a list of 1 numbers"),
+    "exact-max-order-float": (lambda: json.dumps(_erw_doc(meta={"exact": {"max_smooth_order": 2.0}})),
+                              "meta.exact.max_smooth_order must be an integer or null"),
     # s, d, r and the partition indices are JSON integers, not floats or bools
-    "s-float": lambda: json.dumps(_erw_doc(s=1.9)),
-    "s-integral-float": lambda: json.dumps(_erw_doc(s=1.0)),
-    "s-bool": lambda: json.dumps(_erw_doc(s=True)),
-    "s-string": lambda: json.dumps(_erw_doc(s="1")),
-    "d-float": lambda: json.dumps(_erw_doc(d=1.5)),
-    "r-float": lambda: json.dumps(_erw_doc(r=2.0)),
-    "partition-index-float": lambda: json.dumps(_erw_doc(partition=[[1.0], []])),
-    "partition-index-bool": lambda: json.dumps(_erw_doc(partition=[[True], []])),
+    "s-float": (lambda: json.dumps(_erw_doc(s=1.9)), "model field 's' has the wrong type"),
+    "s-integral-float": (lambda: json.dumps(_erw_doc(s=1.0)), "model field 's' has the wrong type"),
+    "s-bool": (lambda: json.dumps(_erw_doc(s=True)), "model field 's' has the wrong type"),
+    "s-string": (lambda: json.dumps(_erw_doc(s="1")), "model field 's' has the wrong type"),
+    "d-float": (lambda: json.dumps(_erw_doc(d=1.5)), "model field 'd' has the wrong type"),
+    "r-float": (lambda: json.dumps(_erw_doc(r=2.0)), "model field 'r' has the wrong type"),
+    "partition-index-float": (lambda: json.dumps(_erw_doc(partition=[[1.0], []])),
+                              "model field 'partition' has the wrong type: expected an integer, got 1.0"),
+    "partition-index-bool": (lambda: json.dumps(_erw_doc(partition=[[True], []])),
+                             "model field 'partition' has the wrong type: expected an integer, got True"),
+    # well-typed fields that validate_model's structural checks refuse
+    "r-zero": (lambda: json.dumps(_erw_doc(r=0, partition=[], prob_maps=[])), "dimensions s, d, r must be positive"),
+    "A-shape": (lambda: json.dumps(_erw_doc(A=[[2.0, 1.0]])), "A must be 1x1, got (1, 2)"),
+    "b-shape": (lambda: json.dumps(_erw_doc(b=[-1.0, 0.0])), "b must be a 1-vector"),
+    "map-count": (lambda: json.dumps(_erw_doc(prob_maps=["0.5", "0.2"])), "need r-1=1 probability maps, got 2"),
+    "step-law-dimension": (lambda: json.dumps(_erw_doc(step_law={"kind": "point-mass", "atoms": [[1.0, 1.0]],
+                                                                 "probs": [1.0]})),
+                           "step law dimension 2 != s=1"),
+    "initial-law-dimension": (lambda: json.dumps(_erw_doc(initial={"atoms": [[1.0, 0.0], [0.0, 0.0]],
+                                                                   "probs": [0.5, 0.5]})),
+                              "initial-law atoms must be s-vectors"),
+    "domain-dimension": (lambda: json.dumps(_erw_doc(domain={"lower": [0.0, 0.0], "upper": [1.0, 1.0]})),
+                         "domain dimension mismatch"),
+    "domain-order": (lambda: json.dumps(_erw_doc(domain={"lower": [1.0], "upper": [0.5]})),
+                     "domain must satisfy 0 <= lower < upper per axis, got lower [1.0], upper [0.5]"),
+    "partition-count": (lambda: json.dumps(_erw_doc(partition=[[1], [], []])), "partition has 3 blocks, expected r=2"),
+    "partition-gap": (lambda: json.dumps(_erw_doc(partition=[[], [1]])),
+                      "partition-overlap: only the last block may be empty (block 1)"),
+    "partition-cover": (lambda: json.dumps(_erw_doc(partition=[[1, 2], []])),
+                        "partition-overlap: blocks cover 1..2, expected 1..1"),
+    # NaN and Infinity, which Python's json reads
+    "A-nan": (lambda: json.dumps(_erw_doc(A=[[_NAN]])), "A must be finite, got [[nan]]"),
+    "b-infinity": (lambda: json.dumps(_erw_doc(b=[_INF])), "b must be finite, got [inf]"),
+    "step-atom-nan": (lambda: json.dumps(_erw_doc(step_law={"kind": "point-mass", "atoms": [[_NAN]], "probs": [1.0]})),
+                      "step-law atoms must be finite"),
+    "step-prob-nan": (lambda: json.dumps(_erw_doc(step_law={"kind": "finite-support", "atoms": [[1.0], [0.5]],
+                                                            "probs": [_NAN, 0.5]})),
+                      "step-law probabilities must be finite"),
+    "initial-atom-infinity": (lambda: json.dumps(_erw_doc(initial={"atoms": [[_INF], [0.0]], "probs": [0.5, 0.5]})),
+                              "initial-law atoms must be finite"),
+    "initial-prob-infinity": (lambda: json.dumps(_erw_doc(initial={"atoms": [[1.0], [0.0]], "probs": [_INF, 0.5]})),
+                              "initial-law probabilities must be finite"),
+    "domain-lower-nan": (lambda: json.dumps(_erw_doc(domain={"lower": [_NAN], "upper": [1.0]})),
+                         "domain must satisfy 0 <= lower < upper per axis, got lower [nan]"),
+    "domain-upper-nan": (lambda: json.dumps(_erw_doc(domain={"lower": [0.0], "upper": [_NAN]})),
+                         "domain must satisfy 0 <= lower < upper per axis, got lower [0.0], upper [nan]"),
+    "domain-lower-infinity": (lambda: json.dumps(_erw_doc(domain={"lower": [_INF], "upper": [None]})),
+                              "domain must satisfy 0 <= lower < upper per axis, got lower [inf]"),
 }
 
 
-@pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("command", ["analyze", "oracle", "simulate"])
 @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
 def test_malformed_model_file_exit_2(tmp_path, capsys, command, case):
+    text, message = MALFORMED_MODELS[case]
     path = tmp_path / "bad_model.json"
-    path.write_text(MALFORMED_MODELS[case]())
-    extra = ["--n", "50", "--N", "4"] if command == "simulate" else []
-    code = main([command, "--model", str(path), "--out", str(tmp_path / "out.json")] + extra)
+    path.write_text(text())
+    code = main([command, "--model", str(path), "--out", str(tmp_path / "out.json")] + MODEL_COMMANDS[command])
     assert code == 2
-    assert capsys.readouterr().err.startswith("config-invalid:")
+    err = capsys.readouterr().err
+    assert err.startswith("config-invalid:") and message in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("flag,value,message", [("--z-values", "1,inf", "step-law atoms must be finite"),
+                                                ("--z-probs", "nan,0.5", "step-law probabilities must be finite")])
+def test_non_finite_preset_flag_exit_2(tmp_path, capsys, command, flag, value, message):
+    argv = [command, "--preset", "random-step", flag, value, "--out", str(tmp_path / "out.json")]
+    assert main(argv + MODEL_COMMANDS[command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config-invalid:") and message in err
 
 
 MODEL_COMMANDS = {

@@ -335,6 +335,33 @@ class TestSpectral:
         assert prof.tau == pytest.approx(tau_true, abs=1e-6)
         assert prof.kappa == kappa_true
 
+    @staticmethod
+    def _conjugated(seed, D, scales):
+        # S D S^-1 with S built as in test_random_similarity_recovery;
+        # scales(rng) gives S's singular values
+        rng = np.random.default_rng(seed)
+        n = D.shape[0]
+        q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        S = q1 @ np.diag(scales(rng)) @ q2
+        return S @ D @ np.linalg.inv(S)
+
+    def test_ill_conditioned_triple_top_refused(self):
+        # cond(S) = 1e4 makes the semisimple triple 0.5 ill-conditioned;
+        # merging its cluster with a neighbour reads tau = 0.425, kappa = 2,
+        # a critical model as diffusive
+        J = self._conjugated(0, np.diag([-0.3, 0.2, 0.5, 0.5, 0.5]), lambda rng: np.logspace(0, -4, 5))
+        with pytest.raises(TheoryError, match="jacobian-nonsmooth"):
+            spectral_profile_from_jacobian(J)
+
+    def test_jordan_block_past_detection_range_refused(self):
+        # a 6x6 block is past the ring scale's supported size 4; merging
+        # clusters reads it as kappa = 2
+        D = np.diag([0.5] * 6 + [0.2, -0.3]) + np.diag([1.0] * 5 + [0.0, 0.0], 1)
+        J = self._conjugated(1, D, lambda rng: rng.uniform(0.5, 2.0, size=8))
+        with pytest.raises(TheoryError, match="jacobian-nonsmooth"):
+            spectral_profile_from_jacobian(J)
+
 
 class TestCovariances:
     def test_scalar_lyapunov_exact(self):
@@ -441,6 +468,25 @@ class TestCovariances:
             E = E @ E_h
         total *= h / 3.0 / T
         assert np.allclose(out, total, atol=5e-3)
+
+    def test_sigma2_double_top_matches_quadrature(self):
+        # a semisimple double top eigenvalue under a non-orthogonal
+        # similarity: its two eigenvectors are paired as one (V, W) block
+        P = np.array([[1.0, 1.0, 0.5], [0.0, 1.0, 1.0], [0.3, 0.0, 1.0]])
+        J = P @ np.diag([0.5, 0.5, 0.1]) @ np.linalg.inv(P)
+        prof = spectral_profile_from_jacobian(J)
+        assert prof.kappa == 1 and [c["multiplicity"] for c in prof.clusters] == [2, 1]
+        Sigma0 = np.array([[0.5, 0.2, 0.1], [0.2, 0.3, 0.05], [0.1, 0.05, 0.4]])
+        T = 6000.0
+        total = sigma1_quadrature(J, Sigma0, horizon=T, panels=30000) / T
+        assert np.allclose(sigma2_critical(prof, Sigma0), total, atol=5e-3)
+
+    def test_sigma2_unpaired_top_refused(self):
+        # the top cluster {0.5 + 1.98e-7} holds one eigenvalue, but 0.5 + 0.99e-7
+        # of the next cluster also lies within CLUSTER_TOL of it
+        prof = spectral_profile_from_jacobian(np.diag([0.5, 0.5 + 0.99e-7, 0.5 + 1.98e-7]))
+        with pytest.raises(TheoryError, match="eigenvector-pairing: 2 right and 2 left"):
+            sigma2_critical(prof, np.eye(3))
 
     def test_sigma2_defective_numeric_refused(self):
         prof = spectral_profile_from_jacobian([[0.5, 1.0], [0.0, 0.5]])
