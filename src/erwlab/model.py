@@ -297,7 +297,6 @@ class ValidatedModel:
     mu: np.ndarray
     sigma: np.ndarray  # E[Y Y^T]
     block_masks: np.ndarray  # (r, s) 0/1
-    notes: tuple = ()
 
     @property
     def s(self) -> int:
@@ -500,7 +499,6 @@ def validate_model(spec: ModelSpec):
     applicable).
     """
     errors = []
-    notes = []
     if spec.s < 1 or spec.d < 1 or spec.r < 1:
         errors.append("dimensions s, d, r must be positive")
     _check_partition(spec, errors)
@@ -545,8 +543,6 @@ def validate_model(spec: ModelSpec):
         errors.append(
             f"probability-out-of-range: block probabilities reach 1 at interior point {grid[at_one[0]].tolist()}"
         )
-    if np.any(total >= 1.0 - 1e-15):
-        notes.append("block probabilities attain 1 on the domain boundary (grid-verified only)")
     if errors:
         raise ModelError("; ".join(errors))
 
@@ -554,13 +550,11 @@ def validate_model(spec: ModelSpec):
     for i, blk in enumerate(spec.partition):
         for j in blk:
             masks[i, j - 1] = 1.0
-    notes.append("probability constraints grid-verified only")
     return ValidatedModel(
         spec=spec,
         mu=spec.step_law.mu,
         sigma=spec.step_law.second_moment,
         block_masks=masks,
-        notes=tuple(notes),
     )
 
 

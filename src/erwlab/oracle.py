@@ -151,15 +151,10 @@ def enumerate_small_multi(model: ValidatedModel, n: int, max_states: int = 1_000
     return dict(zip(map(tuple, pos.tolist()), probs.tolist()))
 
 
-def exact_moments(law, A=None, b=None, n=None):
-    """Exact mean vector and covariance of S_n = A s_aux + n b.
-
-    ``law`` is either an :class:`ExactLaw1D` or a sparse dict from
-    :func:`enumerate_small_multi` (then A, b, n must be given).
-    """
-    if isinstance(law, ExactLaw1D):
-        mean, var = law.moments_observed()
-        return np.array([mean]), np.array([[var]])
+def exact_moments(law, A, b, n):
+    """Exact mean vector and covariance of S_n = A s_aux + n b under the
+    sparse law of :func:`enumerate_small_multi` (an :class:`ExactLaw1D`
+    gives its own through ``moments_observed``)."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     positions = np.array([list(k) for k in law.keys()], dtype=float)

@@ -306,7 +306,7 @@ def _build_kdim(k=2, f="x", p=0.5):
         A[row, 2 * row] = 1.0
         A[row, 2 * row + 1] = -1.0
     A[k - 1, :] = 1.0
-    A[k - 1, s - 1] = 2.0 if k > 1 else 2.0
+    A[k - 1, s - 1] = 2.0
     b = np.zeros(k)
     b[k - 1] = -1.0
     init_atoms = [np.eye(s)[j].tolist() for j in range(s)] + [[0.0] * s]

@@ -26,9 +26,8 @@ import numpy as np
 
 from .funcdsl import FuncExpr, derivatives, derive_at
 from .model import ModelError, ValidatedModel
-from .simulate import (FunctionalConfig, check_integer, check_master_seed, ensemble, nearest_checkpoint,
-                       resolve_checkpoints, trajectory_seed)
-from .theory import expansion_coeffs, report_dict
+from .simulate import FunctionalConfig, check_integer, ensemble, nearest_checkpoint, philox_keys, resolve_checkpoints
+from .theory import expansion_coeffs, fixed_point, report_dict
 
 
 class SAError(ModelError):
@@ -115,7 +114,9 @@ def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
     limit theorems condition on the convergence event, so escapes are
     excluded from theorem statistics but always reported.
 
-    The noise is drawn one buffer of about ``_SLICE`` doubles at a time.
+    The noise is one Philox stream, keyed with ``philox_keys(master_seed,
+    0, 1)[0]``: the key of trajectory 0 of an :func:`ensemble` of the same
+    seed. It is drawn one buffer of about ``_SLICE`` doubles at a time.
     While no path has escaped, a buffer is first stepped speculatively by
     :func:`_step_clear`, which writes theta after every step into a row of a
     reused path buffer. If every value stays within the guard, its rows
@@ -124,7 +125,7 @@ def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
     one step at a time with the freeze, which gives the same values, escape
     flags, warnings and exceptions as stepping every buffer that way.
     """
-    check_master_seed(master_seed)
+    gen = np.random.Generator(np.random.Philox(key=philox_keys(master_seed, 0, 1)[0]))
     check_integer("N", N, SAError)
     if N < 1:
         raise SAError("N must be >= 1")
@@ -133,7 +134,6 @@ def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
     theta = np.full(N, float(proc.theta1))
     out = np.empty((N, len(checkpoints)))
     escaped = np.zeros(N, dtype=bool)
-    gen = np.random.Generator(np.random.Philox(trajectory_seed(master_seed, 0)))
     if 1 in cp_index:
         out[:, cp_index[1]] = theta
     fast = proc.drift.fast
@@ -142,7 +142,6 @@ def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
     # on the chunk length
     buf = np.empty((max(1, min(n_max - 1, _SLICE // N)), N))
     path = np.empty_like(buf)
-    clear = True  # no path has escaped or gone NaN yet
     n = 1
     while n < n_max:
         span = min(len(buf), n_max - n)
@@ -155,7 +154,7 @@ def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
             eps *= 2.0
             eps -= 1.0
         eps *= proc.noise.sd
-        if clear and _step_clear(fast, theta, eps, n, path, guard):
+        if not escaped.any() and _step_clear(fast, theta, eps, n, path, guard):
             for c, j in cp_index.items():
                 if n < c <= n + span:
                     out[:, j] = path[c - n - 1]
@@ -165,16 +164,9 @@ def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
         for i in range(span):
             a_n = 1.0 / (n + 1.0)
             moved = theta - a_n * (fast([theta]) + eps[i])
-            # while every path is clear and stays within the guard, the
-            # freeze below keeps every moved value and flags none; a NaN
-            # fails this test and takes the freeze, as it fails ``> guard``
-            if clear and np.abs(moved).max() <= guard:
-                theta = moved
-            else:
-                clear = False
-                # escaped paths stay frozen at their flagged value
-                theta = np.where(escaped, theta, moved)
-                escaped |= np.abs(theta) > guard
+            # escaped paths stay frozen at their flagged value
+            theta = np.where(escaped, theta, moved)
+            escaped |= np.abs(theta) > guard
             n += 1
             if n in cp_index:
                 out[:, cp_index[n]] = theta
@@ -192,12 +184,12 @@ def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
 def _step_clear(fast, theta, eps, n, path, guard) -> bool:
     """Step every path from theta_n through the noise rows ``eps`` with no
     freeze, row i of ``path`` taking theta_{n+1+i}, as ``run_sa``'s per-step
-    loop computes it (m counts n + 1.0, n + 2.0, ... exactly, so 1 / m is
-    its a_n). True when every value lies within the guard; False when one
-    does not, is NaN, or the pass raised on some path, which the freeze
-    might have stopped before it got there: a domain error of the drift, or
-    a floating-point event that the caller's ``np.errstate`` does not
-    ignore, so that the replay reports it as the caller asked."""
+    loop computes it (m counts n + 1.0, n + 2.0, ... with no rounding, so
+    1 / m is its a_n). True when every value lies within the guard; False
+    when one does not, is NaN, or the pass raised on some path, which the
+    freeze might have stopped before it got there: a domain error of the
+    drift, or a floating-point event that the caller's ``np.errstate`` does
+    not ignore, so that the replay reports it as the caller asked."""
     strict = {kind: "ignore" if mode == "ignore" else "raise" for kind, mode in np.geterr().items()}
     prev, m = theta, n + 1.0
     try:
@@ -219,13 +211,11 @@ def _step_clear(fast, theta, eps, n, path, guard) -> bool:
 
 def walk_theta0(model: ValidatedModel) -> float:
     """Root theta0 of the walk's drift gamma(x) = x - H(x), for an s = 1 model
-    with a unique fixed point (the exact one a preset registers, if any)."""
+    with a unique fixed point: :func:`theory.fixed_point`'s, which ``classify``
+    reports too."""
     if model.s != 1:
         raise SAError("the scalar reduction needs s = 1")
-    from .theory import find_fixed_point
-
-    exact = model.meta.get("exact", {})
-    return float(exact["x0"][0]) if "x0" in exact else float(find_fixed_point(model)[0])
+    return float(fixed_point(model)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +240,8 @@ def noise_moment_check(model: ValidatedModel, n_max: int = 4000, N: int = 200,
     within 3 SE of zero and conditional second moment within 3 SE of the
     predicted H(x) Sigma / mu - H(x)^2, per bin with enough samples. The
     Lindeberg tail statistic is evaluated on a doubling time grid at
-    delta = 0.2; with bounded steps it hits exactly zero once delta * sqrt(n)
-    passes the noise bound.
+    delta = 0.2; with bounded steps it is zero once delta * sqrt(n) passes
+    the noise bound.
     """
     if model.s != 1:
         raise SAError("noise checks implemented for s = 1")
@@ -426,7 +416,7 @@ def residual_order_slope(values, center: float, checkpoints, n_max: int, scale,
 def _converged_scales(proc: SAProcess, paths: SAPaths, psi_p: float, coeffs: list, band: float):
     """Paths the residual checks keep (not escaped, final value within
     ``band`` of the root) and their terminal scale estimates."""
-    theta_final = paths.theta[:, paths.checkpoints.index(paths.n_max)] - proc.theta0
+    theta_final = paths.theta[:, -1] - proc.theta0  # the last checkpoint is n_max
     keep = (~paths.escaped) & (np.abs(theta_final) < band)
     z_hat = np.array([estimate_terminal_scale(v, paths.n_max, psi_p, coeffs) for v in theta_final[keep]])
     return keep, z_hat
@@ -492,11 +482,10 @@ def sa_clt_variance_check(proc: SAProcess, paths: SAPaths, tolerance: float = 0.
     psi_p = proc.psi_prime()
     if not psi_p > 0.5:
         raise SAError("wrong-derivative-regime: the CLT variance check needs psi' > 1/2")
-    j = paths.checkpoints.index(paths.n_max)
     kept = ~paths.escaped
     if kept.sum() < 2:
         raise SAError(f"the CLT variance check needs at least 2 paths that did not escape, got {int(kept.sum())}")
-    var = float(np.var(np.sqrt(paths.n_max) * (paths.theta[kept, j] - proc.theta0), ddof=1))
+    var = float(np.var(np.sqrt(paths.n_max) * (paths.theta[kept, -1] - proc.theta0), ddof=1))
     predicted = paths.s2 / (2.0 * psi_p - 1.0)
     return CheckReport(
         name="sa-clt-variance",

@@ -5,6 +5,7 @@ Trajectory i of master seed m always consumes the counter-based stream
 step: one for the block choice, one for the step atom. The fixed draw budget
 means switching functionals on or off never perturbs paths, and ensembles
 are bit-for-bit reproducible regardless of batching or thread count.
+``sa.run_sa`` draws its noise from trajectory 0's stream.
 
 A Philox stream is a key plus a block counter, so a batch needs no stream
 objects: :func:`philox_keys` derives the keys of a whole batch in one
@@ -135,12 +136,6 @@ def check_master_seed(master_seed) -> None:
         raise ModelError(f"master_seed must be a non-negative integer, got {master_seed!r}")
 
 
-def trajectory_seed(master_seed: int, index: int) -> np.random.SeedSequence:
-    check_master_seed(master_seed)
-    check_integer("index", index)
-    return np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))
-
-
 def resolve_checkpoints(n_max: int, checkpoints=None) -> list:
     """Sorted distinct checkpoints in [1, n_max] (geometric by default), n_max included."""
     check_integer("n_max", n_max)
@@ -185,11 +180,12 @@ def _mix(x, y):
 def philox_keys(master_seed: int, lo: int, hi: int) -> np.ndarray:
     """The (hi - lo, 2) uint64 Philox keys of trajectories lo..hi-1.
 
-    Row j equals ``trajectory_seed(master_seed, lo + j).generate_state(2,
-    np.uint64)``: numpy's SeedSequence algorithm run once over uint32 arrays
-    in which only the spawn-key word differs between trajectories. The run
-    entropy is the seed's little-endian uint32 words, zero-padded to the
-    pool size because a spawn key is present.
+    Row j equals ``SeedSequence(master_seed, spawn_key=(lo + j,))
+    .generate_state(2, np.uint64)``: numpy's SeedSequence algorithm run
+    once over uint32 arrays in which only the spawn-key word differs
+    between trajectories. The run entropy is the seed's little-endian
+    uint32 words, zero-padded to the pool size because a spawn key is
+    present.
     """
     check_master_seed(master_seed)
     check_integer("lo", lo)

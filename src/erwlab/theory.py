@@ -109,7 +109,7 @@ def find_fixed_point(model: ValidatedModel):
         if not roots:
             raise TheoryError("no-root-in-domain: H(x) - x has no sign change")
         if len(roots) > 1:
-            raise TheoryError(f"multiple-roots: fixed points near {roots}")
+            raise TheoryError(f"multiple-roots: fixed points near {[float(r) for r in roots]}")
         return np.array([roots[0]])
 
     span = np.minimum(dom.upper, dom.lower + 1.0) - dom.lower
@@ -133,6 +133,25 @@ def find_fixed_point(model: ValidatedModel):
         if np.max(np.abs(r - base)) > 1e-8:
             raise TheoryError(f"multiple-roots: fixed points {base.tolist()} and {r.tolist()}")
     return base
+
+
+def fixed_point(model: ValidatedModel):
+    """``(x0, registered)``: the model's fixed point, and whether it is the
+    ``meta.exact.x0`` a preset registers.
+
+    :func:`find_fixed_point` runs either way, so a registered root is
+    refused with the same errors as a numeric one (``multiple-roots``
+    included), and also when it lies farther than 1e-6 from the numeric
+    root in some coordinate.
+    """
+    numeric = find_fixed_point(model)
+    exact = model.meta.get("exact", {})
+    if "x0" not in exact:
+        return numeric, False
+    x0 = np.asarray(exact["x0"], dtype=float)
+    if np.max(np.abs(numeric - x0)) > 1e-6:
+        raise TheoryError(f"registered fixed point {x0} disagrees with numerics {numeric}")
+    return x0, True
 
 
 @dataclass(frozen=True)
@@ -652,16 +671,8 @@ def asymptotic_covariances(model: ValidatedModel, x0, profile: SpectralProfile):
 
 def classify(model: ValidatedModel) -> RegimeReport:
     """Full analytic report: regime plus every applicable limit constant."""
-    exact = model.meta.get("exact", {})
-    notes = []
-    if "x0" in exact:
-        x0 = np.asarray(exact["x0"], dtype=float)
-        notes.append("fixed point from closed form")
-        numeric_x0 = find_fixed_point(model)
-        if np.max(np.abs(numeric_x0 - x0)) > 1e-6:
-            raise TheoryError(f"registered fixed point {x0} disagrees with numerics {numeric_x0}")
-    else:
-        x0 = find_fixed_point(model)
+    x0, registered = fixed_point(model)
+    notes = ["fixed point from closed form"] if registered else []
     down = check_downcrossing(model, x0)
     if not down.verified:
         notes.append(f"downcrossing violated on grid at {down.argmax.tolist()} (value {down.max_value:.3e})")

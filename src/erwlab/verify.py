@@ -113,7 +113,7 @@ def fluctuation_test(stats, report: RegimeReport, alpha: float = 0.01,
         "scaling": "sqrt(n)" if report.regime == "Diffusive" else f"sqrt(n)/(log n)^{report.kappa - 0.5}",
     }
     ks_p = None
-    if ks and d == 1 and stats.snn is not None:
+    if ks and d == 1:
         N = stats.snn.shape[0]
         if N < 5000:
             notes.append("KS normality skipped: needs N >= 5000")
@@ -187,9 +187,8 @@ def supercritical_limit_test(stats, report: RegimeReport, threshold: float = 0.1
         raise VerifyError("defective top eigenvalue: per-trajectory limit check needs kappa = 1")
     n_max = stats.checkpoints[-1]
     n_lo, j_lo = nearest_checkpoint(stats.checkpoints, n_max / 10.0)
-    j_hi = stats.checkpoints.index(n_max)
     center = np.asarray(report.limit, dtype=float)
-    D_hi = stats.scaled_deviation(j_hi, report.tau, center)[:, 0]
+    D_hi = stats.scaled_deviation(-1, report.tau, center)[:, 0]
     D_lo = stats.scaled_deviation(j_lo, report.tau, center)[:, 0]
     iqr = float(np.subtract(*np.percentile(D_hi, [75, 25])))
     med = float(np.median(np.abs(D_hi - D_lo)))
@@ -265,7 +264,7 @@ def expansion_residual_test(stats, report: RegimeReport, m: Optional[int] = None
     n_max = stats.checkpoints[-1]
     values = stats.snn[:, :, 0]
     exponent = 1.0 - eta
-    L_hat = _invert_expansion(values[:, stats.checkpoints.index(n_max)] - center, n_max, exponent, beta)
+    L_hat = _invert_expansion(values[:, -1] - center, n_max, exponent, beta)
 
     n_sub = min(m, m0)
     if m >= m0:
@@ -328,8 +327,8 @@ def recurrence_report(stats: EnsembleStats, report: RegimeReport) -> Verificatio
     s0 = float(np.asarray(report.limit).reshape(-1)[0])
     counts = stats.return_counts
     last = stats.last_return
-    j_decade = int(np.argmin(np.abs(np.asarray(stats.checkpoints) - n_max / 10)))
-    mean_early = float(stats.returns_at[:, j_decade].mean()) if stats.returns_at is not None else None
+    _, j_decade = nearest_checkpoint(stats.checkpoints, n_max / 10)
+    mean_early = float(stats.returns_at[:, j_decade].mean())
     details = {
         "N0": int(N0),
         "mean_returns": float(counts.mean()),
@@ -346,7 +345,7 @@ def recurrence_report(stats: EnsembleStats, report: RegimeReport) -> Verificatio
         stat = frac
         predicted = 0.99
     elif report.regime in ("Diffusive", "Critical"):
-        if mean_early is None or mean_early <= 0:
+        if mean_early <= 0:
             raise VerifyError("return counts at the earlier decade unavailable")
         stat = float(counts.mean()) / mean_early
         predicted = 1.2

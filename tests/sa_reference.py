@@ -21,7 +21,8 @@ import numpy as np
 
 from erwlab.sa import (CheckReport, SAError, SAPaths, SAProcess, _converged_scales, residual_order_slope,
                        sa_coeffs)
-from erwlab.simulate import FunctionalConfig, ensemble, resolve_checkpoints, trajectory_seed
+from erwlab.simulate import FunctionalConfig, ensemble, resolve_checkpoints
+from walk_replay import trajectory_seed
 
 
 def run_sa_reference(proc, n_max, N, master_seed, checkpoints=None, guard=1e9):

@@ -315,6 +315,56 @@ def test_sa_model_noise_check(tmp_path):
     assert doc["checks"][0]["passed"]
 
 
+THREE_ROOT_MAP = dict(f="0.9*(3*x^2 - 2*x^3) + 0.1*x^2", p=0.95)  # H(x) = x at 0.0582, 0.5743 and 0.9230
+
+
+def test_multiple_roots_message_prints_plain_floats(tmp_path, capsys):
+    code = main(["analyze", "--preset", "gerw-1d", "--f", THREE_ROOT_MAP["f"], "--p", "0.95",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config-invalid: multiple-roots: fixed points near [0.0582")
+    assert "np.float64" not in err
+
+
+@pytest.mark.parametrize("preset,params,x0,message", [
+    ("erw", dict(p=0.6), [0.3], "registered fixed point [0.3] disagrees with numerics [0.5]"),
+    ("gerw-1d", THREE_ROOT_MAP, [0.058222794428846106], "multiple-roots: fixed points near [0.0582"),
+], ids=["erw-wrong-root", "three-roots"])
+def test_sa_refuses_the_registered_root_analyze_refuses(tmp_path, capsys, preset, params, x0, message):
+    # sa --model finds its root through the check classify applies to a registered x0
+    doc = spec_to_dict(build_preset(preset, **params))
+    doc["meta"]["exact"] = {"x0": x0}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    errors = []
+    for command in ("analyze", "sa"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--model", str(path), "--out", str(out)] + MODEL_COMMANDS[command]) == 2
+        assert not out.exists()
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"config-invalid: {message}")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["analyze"], "config-invalid: provide --model or --preset"),
+    (["verify", "--preset", "erw", "--p", "0.6", "--suite", "slln", "--n", "100", "--N", "8",
+      "--tol-overrides", "{tmp}/absent.json"],
+     "config-invalid: tolerance override file {tmp}/absent.json does not exist"),
+    (["sa", "--drift", "x", "--noise", "cauchy"], "config-invalid: unknown noise kind 'cauchy'"),
+    (["sa"], "config-invalid: provide --drift or --model/--preset"),
+    (["oracle", "--preset", "kdim", "--k", "2", "--n", "13"],
+     "config-invalid: exhaustive horizon limited to n <= 12"),
+], ids=["no-model", "absent-tol-overrides", "sa-unknown-noise", "sa-nothing-to-run", "oracle-horizon"])
+def test_config_error_message_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.json"
+    code = main([arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == message.format(tmp=tmp_path) + "\n"
+    assert not out.exists()
+
+
 def test_verify_lil_suite_with_overrides(tmp_path):
     overrides = tmp_path / "tol.json"
     overrides.write_text(json.dumps({"lil_band": [0.2, 2.5]}))

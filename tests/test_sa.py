@@ -22,9 +22,9 @@ from erwlab.sa import (
     sa_expansion_check,
     walk_theta0,
 )
-from erwlab.simulate import trajectory_seed
 from erwlab.theory import expansion_coeffs, find_fixed_point, spectral_profile
 from sa_reference import noise_moment_check_reference, run_sa_reference, sa_order_check
+from walk_replay import trajectory_seed
 
 
 def _model(name, **kwargs):
@@ -161,11 +161,11 @@ class TestRunner:
 
 class TestRunnerMatchesReference:
     """``run_sa`` draws its noise into one buffer of about ``_SLICE`` doubles
-    and, while every path is clear of the guard, steps each buffer with no
-    freeze into a path buffer, replaying it one step at a time with the
-    freeze when some value passes the guard or the pass raises. It gives the
-    same bits as the reference that applies the freeze on every step and
-    draws up to 4M values at a time."""
+    and, while no path has escaped, steps each buffer with no freeze into a
+    path buffer, replaying it one step at a time with the freeze when some
+    value passes the guard, is NaN, or the pass raises. It gives the same
+    bits as the reference that applies the freeze on every step and draws
+    up to 4M values at a time."""
 
     @pytest.mark.parametrize("drift,noise,n_max,N,guard,escapes", [
         ("0.3*x + x^2", "gaussian:0.05", 10_000, 256, 1e9, False),
@@ -190,6 +190,16 @@ class TestRunnerMatchesReference:
         if drift.endswith("exp(x)"):
             assert not np.isfinite(theta[:, -1]).all()
             assert np.isnan(theta[:, -1]).any() == (guard == np.inf)
+
+    @pytest.mark.parametrize("noise", ["gaussian:1", "rademacher:1"])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+    def test_stream_is_trajectory_zero_of_the_seed(self, noise, seed):
+        # run_sa keys Philox with philox_keys(seed, 0, 1)[0]; the reference
+        # builds its generator from trajectory 0's SeedSequence
+        proc = SAProcess(drift=parse("x"), theta0=0.0, noise=NoiseSpec.parse(noise))
+        paths = run_sa(proc, 1000, N=3, master_seed=seed, checkpoints=range(1, 1001))
+        theta, _ = run_sa_reference(proc, 1000, 3, seed, range(1, 1001))
+        assert paths.theta.tobytes() == theta.tobytes()
 
     @pytest.mark.parametrize("drift,noise,theta1,n_max,N,guard,escapes", [
         ("x", "gaussian:1", 150.0, 600, 64, 100.0, False),  # theta1 past the guard, every theta2 within it

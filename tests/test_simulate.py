@@ -13,9 +13,8 @@ from erwlab.simulate import (
     _uniform_chunks,
     default_checkpoints,
     philox_keys,
-    trajectory_seed,
 )
-from walk_replay import WalkState, replay_stats, step
+from walk_replay import WalkState, replay_stats, step, trajectory_seed
 
 
 def _model(name, **kwargs):
@@ -307,6 +306,11 @@ class TestStreams:
         model = _model("erw", p=0.6, q=0.5)
         with pytest.raises(ModelError, match="must be >= 1"):
             ensemble(model, n_max, 4, master_seed=1, batch_size=batch_size)
+
+    def test_zero_threads_rejected(self):
+        # the CLI checks --threads itself; a library caller meets this check
+        with pytest.raises(ModelError, match="^threads must be >= 1, got 0$"):
+            ensemble(_model("erw", p=0.6, q=0.5), 10, 4, master_seed=1, threads=0)
 
     @pytest.mark.parametrize("name,value", [
         ("n_max", 5.0), ("n_max", True), ("N", 10.0), ("N", np.float64(10)), ("N", False),

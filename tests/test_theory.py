@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from erwlab.theory import (
     check_downcrossing,
     enumerate_partitions,
     expansion_coeffs,
+    fixed_point,
     sigma2_critical,
     solve_sigma1,
     spectral_profile,
@@ -66,7 +68,7 @@ def _sequential_fixed_point(model, tol=1e-13, flag_tol=1e-8):
         if not roots:
             raise TheoryError("no-root-in-domain: H(x) - x has no sign change")
         if len(roots) > 1:
-            raise TheoryError(f"multiple-roots: fixed points near {roots}")
+            raise TheoryError(f"multiple-roots: fixed points near {[float(r) for r in roots]}")
         return np.array([roots[0]])
 
     span = np.minimum(dom.upper, dom.lower + 1.0) - dom.lower
@@ -167,6 +169,19 @@ class TestFixedPoint:
         with pytest.raises(TheoryError) as want:
             _sequential_fixed_point(model)
         assert str(got.value) == str(want.value)
+
+    def test_registered_root_is_checked(self):
+        model = _model("erw", p=0.6, q=0.5)
+        x0, registered = fixed_point(model)
+        assert registered and x0.tolist() == model.meta["exact"]["x0"]
+        assert "fixed point from closed form" in classify(model).notes
+        unregistered = _model("gerw-1d", f="x^2", p=0.6, q=0.5)
+        x0, registered = fixed_point(unregistered)
+        assert not registered and x0.tobytes() == find_fixed_point(unregistered).tobytes()
+        spec = model.spec
+        wrong = validate_model(replace(spec, meta={**spec.meta, "exact": {**spec.meta["exact"], "x0": [0.500002]}}))
+        with pytest.raises(TheoryError, match=r"^registered fixed point \[0.500002\] disagrees with numerics \[0.5\]$"):
+            fixed_point(wrong)
 
     @pytest.mark.parametrize("name,kwargs", [("kdim", {"k": 3, "p": 0.7}), ("random-step", {"p": 0.7})])
     def test_feasible_rows_match_single_points(self, name, kwargs):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from erwlab import build_preset, classify, ensemble, validate_model
-from erwlab.oracle import exact_dp_1d, exact_moments
+from erwlab.oracle import exact_dp_1d
 from erwlab.simulate import FunctionalConfig
 from erwlab.verify import (
     VerifyError,
@@ -103,10 +103,10 @@ class TestFluctuation:
         report = classify(model)
         n = 12
         law = exact_dp_1d(model, n)
-        mean, cov = exact_moments(law)
-        stats = ExactStats(checkpoints=[n], means=[mean / n], covs=[cov / n ** 2], d=1)
+        mean, var = law.moments_observed()
+        stats = ExactStats(checkpoints=[n], means=[[mean / n]], covs=[[[var / n ** 2]]], d=1)
         rep = fluctuation_test(stats, report, rel_tol=10.0, ks=False)
-        assert rep.statistic == pytest.approx(cov[0, 0] / n, rel=1e-12)
+        assert rep.statistic == pytest.approx(var / n, rel=1e-12)
 
     @pytest.mark.parametrize("name,kwargs", [("erw", {"p": 0.6, "q": 0.5}), ("kdim", {"k": 2, "p": 0.5})],
                              ids=["d1", "d2"])

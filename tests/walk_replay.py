@@ -13,7 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from erwlab.model import ModelError, ValidatedModel
-from erwlab.simulate import _lil_norm, check_master_seed, resolve_checkpoints, trajectory_seed
+from erwlab.simulate import _lil_norm, check_integer, check_master_seed, resolve_checkpoints
+
+
+def trajectory_seed(master_seed: int, index: int) -> np.random.SeedSequence:
+    """Trajectory ``index``'s SeedSequence: the reference for
+    ``simulate.philox_keys``, and through it for ``sa.run_sa``'s stream."""
+    check_master_seed(master_seed)
+    check_integer("index", index)
+    return np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))
 
 
 @dataclass
