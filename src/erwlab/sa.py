@@ -27,7 +27,7 @@ import numpy as np
 from .funcdsl import FuncExpr, derivatives, derive_at
 from .model import ModelError, ValidatedModel
 from .simulate import FunctionalConfig, check_integer, ensemble, nearest_checkpoint, philox_keys, resolve_checkpoints
-from .theory import expansion_coeffs, fixed_point, report_dict
+from .theory import expansion_coeffs, fixed_point, report_dict, strict_errstate
 
 
 class SAError(ModelError):
@@ -190,10 +190,9 @@ def _step_clear(fast, theta, eps, n, path, guard) -> bool:
     freeze might have stopped before it got there: a domain error of the
     drift, or a floating-point event that the caller's ``np.errstate`` does
     not ignore, so that the replay reports it as the caller asked."""
-    strict = {kind: "ignore" if mode == "ignore" else "raise" for kind, mode in np.geterr().items()}
     prev, m = theta, n + 1.0
     try:
-        with np.errstate(**strict):
+        with strict_errstate():
             for e, row in zip(eps, path):
                 np.add(fast([prev]), e, row)
                 np.multiply(row, 1.0 / m, row)

@@ -28,6 +28,15 @@ class TheoryError(ModelError):
     pass
 
 
+def strict_errstate():
+    """``np.errstate`` raising on every floating-point event that the
+    caller's settings do not ignore. A batched fast path runs under it, and
+    when it raises, the exact code it stands for runs again under the
+    caller's settings, so the caller sees that code's warnings, errors and
+    results."""
+    return np.errstate(**{kind: "ignore" if mode == "ignore" else "raise" for kind, mode in np.geterr().items()})
+
+
 # ---------------------------------------------------------------------------
 # Fixed point
 
@@ -161,6 +170,12 @@ class DowncrossingResult:
     argmax: np.ndarray
 
 
+# Doubles per temporary of one check_downcrossing slice (64 KiB): under
+# glibc's initial 128 KiB mmap threshold, so the temporaries come from the
+# heap and do not fault in fresh pages on every call.
+_DOWN_SLICE = 1 << 13
+
+
 def check_downcrossing(model: ValidatedModel, x0, grid_density: int = GRID_DENSITY,
                        exclusion_radius: float = 1e-6) -> DowncrossingResult:
     """Grid check of sup (x - x0)^T (H(x) - x) < 0 away from x0.
@@ -179,18 +194,31 @@ def check_downcrossing(model: ValidatedModel, x0, grid_density: int = GRID_DENSI
     that close to x0, no row can be dropped, and the norms are not taken.
     A NaN in x0 makes every norm NaN, and a NaN r makes every comparison
     false: in both cases the norms are taken and drop every row.
+
+    The values are taken in slices of ``_DOWN_SLICE // max(s, r)`` rows
+    (at least one), so that no temporary of ``eval_H`` or of the product
+    is larger than ``_DOWN_SLICE`` doubles, and written into one array,
+    whose first maximum is reported: a row's value has the same bits in
+    every slice. The slices run under :func:`strict_errstate`; if one
+    raises, the whole grid is evaluated at once, which raises or warns as
+    a single ``eval_H`` call on it does.
     """
     x0 = np.asarray(x0, dtype=float)
     grid, axes = interior_grid(model.spec, grid_density, 1.0)
-    dev = grid - x0
     if np.isnan(x0).any() or not any(np.all(np.sqrt(d * d) > exclusion_radius)
                                      for d in map(np.subtract, axes, np.broadcast_to(x0, (len(axes),)))):
-        keep = np.linalg.norm(dev, axis=1) > exclusion_radius
-        grid, dev = grid[keep], dev[keep]
+        grid = grid[np.linalg.norm(grid - x0, axis=1) > exclusion_radius]
     if grid.shape[0] == 0:
         raise TheoryError("downcrossing grid is empty; raise grid_density")
-    H = model.eval_H(grid)
-    values = np.einsum("ij,ij->i", dev, H - grid)
+    rows = max(1, _DOWN_SLICE // max(model.s, model.r))
+    values = np.empty(grid.shape[0])
+    try:
+        with strict_errstate():
+            for at in range(0, grid.shape[0], rows):
+                part = grid[at:at + rows]
+                np.einsum("ij,ij->i", part - x0, model.eval_H(part) - part, out=values[at:at + rows])
+    except Exception:  # noqa: BLE001 - the whole grid raises it again, or warns as the caller asked
+        values = np.einsum("ij,ij->i", grid - x0, model.eval_H(grid) - grid)
     k = int(np.argmax(values))
     return DowncrossingResult(verified=bool(values[k] < 0.0), max_value=float(values[k]), argmax=grid[k])
 
@@ -199,34 +227,54 @@ def check_downcrossing(model: ValidatedModel, x0, grid_density: int = GRID_DENSI
 # Jacobian and spectral structure
 
 
-def _partial(fun, x0, axis, base_step):
-    """Second-order central partial derivative with Richardson refinement."""
-    best, best_err = None, math.inf
-    prev = None
-    for k in range(6):
-        h = base_step * 2.0 ** (-k)
-        xp, xm = x0.copy(), x0.copy()
-        xp[axis] += h
-        xm[axis] -= h
-        d = (fun(xp) - fun(xm)) / (2.0 * h)
-        if prev is not None:
-            extrap = (4.0 * d - prev) / 3.0
-            err = np.max(np.abs(extrap - d))
-            if err < best_err:
-                best, best_err = extrap, err
-        prev = d
-    return best
+def _richardson(drift, steps) -> np.ndarray:
+    """Second-order central differences with Richardson refinement, column
+    j from base step ``steps[j]``: ``drift(12 j + 2 k)`` and
+    ``drift(12 j + 2 k + 1)`` are H at x0 + h e_j and x0 - h e_j, with
+    h = steps[j] * 2**-k, and are read in that order."""
+    cols = []
+    for j, base_step in enumerate(steps):
+        best, best_err = None, math.inf
+        prev = None
+        for k in range(6):
+            h = base_step * 2.0 ** (-k)
+            d = (drift(12 * j + 2 * k) - drift(12 * j + 2 * k + 1)) / (2.0 * h)
+            if prev is not None:
+                extrap = (4.0 * d - prev) / 3.0
+                err = np.max(np.abs(extrap - d))
+                if err < best_err:
+                    best, best_err = extrap, err
+            prev = d
+        cols.append(best)
+    return np.stack(cols, axis=1)
 
 
 def jacobian(model: ValidatedModel, x0) -> np.ndarray:
-    """Numeric Jacobian of the drift map H at x0 (column j = dH/dx_j)."""
+    """Numeric Jacobian of the drift map H at x0 (column j = dH/dx_j).
+
+    Column j refines central differences of H at x0 +- h e_j over the
+    steps h = step_j * 2**-k, k = 0..5, where step_j is half the distance
+    from x0 to the nearer edge of axis j, kept within [1e-7, 1e-3]
+    (:func:`_richardson`). The whole stencil of 12 s points is one
+    ``eval_H`` call under :func:`strict_errstate`, and a point's drift has
+    the same bits in that batch as alone. If the batch raises, the points
+    are evaluated again one at a time in stencil order (x0 + h e_j, then
+    x0 - h e_j, for each k and each axis), so the first that fails raises
+    its own error, as each point's own call does.
+    """
     x0 = np.asarray(x0, dtype=float)
     dist = np.minimum(x0 - model.domain.lower, model.domain.reach - x0)
-    cols = []
-    for j in range(model.s):
-        step = min(1e-3, max(float(dist[j]) / 2.0, 1e-7))
-        cols.append(_partial(model.eval_H, x0, j, step))
-    return np.stack(cols, axis=1)
+    steps = [min(1e-3, max(float(dist[j]) / 2.0, 1e-7)) for j in range(model.s)]
+    stencil = np.repeat(x0[None], 12 * model.s, axis=0)
+    for j, base_step in enumerate(steps):
+        h = [base_step * 2.0 ** (-k) for k in range(6)]
+        stencil[12 * j:12 * j + 12:2, j] += h
+        stencil[12 * j + 1:12 * j + 12:2, j] -= h
+    try:
+        with strict_errstate():
+            return _richardson(model.eval_H(stencil).__getitem__, steps)
+    except Exception:  # noqa: BLE001 - the replay raises it again, or warns as the caller asked
+        return _richardson(lambda at: model.eval_H(stencil[at]), steps)
 
 
 @dataclass(frozen=True)

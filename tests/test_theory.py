@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -13,17 +14,38 @@ from erwlab.theory import (
     enumerate_partitions,
     expansion_coeffs,
     fixed_point,
+    jacobian,
     sigma2_critical,
     solve_sigma1,
     spectral_profile,
     spectral_profile_from_jacobian,
 )
-from erwlab.model import interior_grid
-from theory_reference import observed_expansion_coeffs, reference_check_downcrossing, sigma1_quadrature
+from erwlab.model import DomainViolation, ModelError, ValidatedModel, interior_grid
+from theory_reference import (
+    observed_expansion_coeffs,
+    reference_check_downcrossing,
+    reference_jacobian,
+    sigma1_quadrature,
+)
 
 
 def _model(name, **kwargs):
     return validate_model(build_preset(name, **kwargs))
+
+
+def _scalar_model(text):
+    """The s = 1 walk whose step-up probability is ``text`` on [0, 1]."""
+    from erwlab.funcdsl import parse
+    from erwlab.model import Domain, InitialLaw, ModelSpec, StepLaw
+
+    return validate_model(ModelSpec(
+        s=1, d=1, r=2, partition=((1,), ()),
+        step_law=StepLaw.point_mass([1.0]),
+        prob_maps=(parse(text),),
+        A=[[2.0]], b=[-1.0],
+        initial=InitialLaw([[1.0], [0.0]], [0.5, 0.5]),
+        domain=Domain([0.0], [1.0]),
+    ))
 
 
 def _feasible_one(model, x):
@@ -245,6 +267,19 @@ MULTI_PRESETS = [
 ]
 
 
+def _eval_H_shapes(monkeypatch) -> list:
+    """The shapes of the points of every ``eval_H`` call from now on."""
+    shapes = []
+    eval_H = ValidatedModel.eval_H
+
+    def spy(model, x):
+        shapes.append(np.shape(x))
+        return eval_H(model, x)
+
+    monkeypatch.setattr(ValidatedModel, "eval_H", spy)
+    return shapes
+
+
 def _outcome(fn, *args, **kwargs):
     try:
         res = fn(*args, **kwargs)
@@ -296,6 +331,190 @@ class TestDowncrossingReference:
             assert message == "downcrossing grid is empty; raise grid_density"
         message = self._assert_same(model, on, grid_density=21, exclusion_radius=math.nan)
         assert message == "downcrossing grid is empty; raise grid_density"
+
+
+    @pytest.mark.parametrize("name,kwargs,width,rows,total,last", [
+        ("random-step", dict(p=0.6), 3, 85184 // 8, 85184, 85184 // 8),  # the grid ends on a slice boundary
+        ("random-step", dict(p=0.6), 3, 85183 // 7, 85184, 1),  # one row past a boundary
+        ("erw", dict(p=0.6, q=0.5), 2, 1, 198, 1),  # one row per slice; the ball drops x0 = 0.5
+    ], ids=["on-boundary", "one-past", "one-row"])
+    def test_slice_edges(self, monkeypatch, name, kwargs, width, rows, total, last):
+        import erwlab.theory as theory
+
+        model = _model(name, **kwargs)
+        assert max(model.s, model.r) == width
+        x0 = find_fixed_point(model)
+        monkeypatch.setattr(theory, "_DOWN_SLICE", width * rows)
+        want = _outcome(reference_check_downcrossing, model, x0)
+        shapes = _eval_H_shapes(monkeypatch)
+        assert _outcome(check_downcrossing, model, x0) == want
+        assert [shape[0] for shape in shapes] == [rows] * (len(shapes) - 1) + [last]
+        assert sum(shape[0] for shape in shapes) == total
+
+    def test_failing_slice_raises_the_whole_grid_error(self, monkeypatch):
+        # the map leaves [0, 1] only near 2/7, a point of the 701-point grid
+        # but not of the validation grid; the range a slice reports differs
+        # from the whole grid's, and the whole grid's is raised
+        import erwlab.theory as theory
+
+        model = _scalar_model("0.3 + 0.2*x + 0.8*exp(-1e8*(x - 0.2857142857142857)^2)")
+        monkeypatch.setattr(theory, "_DOWN_SLICE", 2 * 50)
+        with pytest.raises(ModelError, match="^probability-out-of-range at runtime") as want:
+            reference_check_downcrossing(model, [0.5], grid_density=701)
+        with pytest.raises(ModelError) as got:
+            check_downcrossing(model, [0.5], grid_density=701)
+        assert str(got.value) == str(want.value)
+        grid = interior_grid(model.spec, 701, 1.0)[0]
+        with pytest.raises(ModelError) as one_slice:
+            model.eval_H(grid[150:200])
+        assert str(one_slice.value) != str(want.value)
+
+    def test_slice_warnings_are_the_whole_grid_warnings(self, monkeypatch):
+        # exp overflows on the rows past x = 0.70978, which span several slices
+        import warnings
+
+        import erwlab.theory as theory
+
+        model = _scalar_model("0.4 + 0.1/(1 + exp(1000*x))")
+        monkeypatch.setattr(theory, "_DOWN_SLICE", 2 * 20)
+        heard = []
+        for fn in (reference_check_downcrossing, check_downcrossing):
+            with warnings.catch_warnings(record=True) as caught, np.errstate(over="warn"):
+                warnings.simplefilter("always")
+                outcome = _outcome(fn, model, [0.5])
+            heard.append((outcome, [str(w.message) for w in caught]))
+        assert heard[0] == heard[1]
+        assert heard[0][1] == ["overflow encountered in exp"]
+        with np.errstate(over="ignore"):
+            assert _outcome(check_downcrossing, model, [0.5]) == heard[0][0]
+
+    def test_memory_is_bounded_by_the_grid(self):
+        # the slices keep every temporary small: the peak is the grid, the
+        # values and one slice's temporaries
+        import tracemalloc
+
+        model = _model("random-step", p=0.6)
+        x0 = find_fixed_point(model)
+        grid = interior_grid(model.spec, 201, 1.0)[0]
+        tracemalloc.start()
+        try:
+            check_downcrossing(model, x0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * grid.nbytes
+
+
+def _erw_stops_doc(p=0.5, q=0.2) -> dict:
+    """The elephant random walk with stops as a model document: it repeats
+    a remembered step with probability p, reverses it with q and stays put
+    otherwise. Its fixed point is the corner (0, 0)."""
+    return {
+        "s": 2, "d": 1, "r": 3, "partition": [[1], [2], []],
+        "step_law": {"kind": "point-mass", "atoms": [[1.0, 1.0]], "probs": [1.0]},
+        "prob_maps": [f"{p}*x1 + {q}*x2", f"{q}*x1 + {p}*x2"],
+        "A": [[1.0, -1.0]], "b": [0.0],
+        "initial": {"atoms": [[1.0, 0.0], [0.0, 1.0]], "probs": [0.5, 0.5]},
+        "domain": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+        "meta": {"simplex_cap": 1.0},
+    }
+
+
+class TestJacobianReference:
+    """The stencil evaluated in one ``eval_H`` call gives the Jacobian of the
+    per-point loop (``tests/theory_reference.py``), bit for bit, and its
+    errors."""
+
+    @staticmethod
+    def _assert_same(model, x0):
+        got = jacobian(model, x0)
+        assert got.shape == (model.s, model.s)
+        assert got.tobytes() == reference_jacobian(model, x0).tobytes()
+
+    @pytest.mark.parametrize("name,kwargs", MULTI_PRESETS,
+                             ids=[f"{n}-{'-'.join(map(str, k.values()))}" for n, k in MULTI_PRESETS])
+    def test_presets_at_the_fixed_point(self, name, kwargs):
+        model = _model(name, **kwargs)
+        self._assert_same(model, find_fixed_point(model))
+
+    @pytest.mark.parametrize("name,kwargs", [
+        ("gerw-1d", dict(f="0.2 + 0.6*x^3", p=0.8, q=0.5)),
+        ("market", dict(p=0.3, q=0.5)),
+        ("phi-power", dict(phi="tanh", k=2, p=0.8, q=0.5)),
+    ], ids=["gerw-1d", "market", "phi-power"])
+    def test_scalar_presets_without_registered_derivatives(self, name, kwargs):
+        model = _model(name, **kwargs)
+        assert not model.meta.get("exact", {}).get("h_derivs")
+        self._assert_same(model, find_fixed_point(model))
+
+    def test_near_an_edge(self):
+        # 4e-4 from the lower edge of axis 0: half that distance is its step
+        model = _model("random-step", p=0.6)
+        x0 = find_fixed_point(model).copy()
+        x0[0] = model.domain.lower[0] + 4e-4
+        self._assert_same(model, x0)
+
+    def test_one_eval_H_call(self, monkeypatch):
+        model = _model("kdim", k=3, p=0.6)
+        x0 = find_fixed_point(model)
+        shapes = _eval_H_shapes(monkeypatch)
+        jacobian(model, x0)
+        assert shapes == [(12 * model.s, model.s)]
+
+    def test_stencil_outside_the_rectangle(self, tmp_path, capsys):
+        # x0 - h leaves the rectangle at the corner fixed point: the first
+        # point that does is on axis 0, as in the per-point loop
+        from erwlab.cli import main
+        from erwlab.model import spec_from_dict
+
+        doc = _erw_stops_doc()
+        model = validate_model(spec_from_dict(doc))
+        x0 = find_fixed_point(model)
+        assert np.all((x0 >= 0.0) & (x0 < 1e-12))
+        for fn in (reference_jacobian, jacobian):
+            with pytest.raises(DomainViolation, match=r"^coordinate 1 outside model rectangle$"):
+                fn(model, x0)
+        path = tmp_path / "erw_stops.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", "--model", str(path), "--out", str(tmp_path / "report.json")]) == 2
+        assert capsys.readouterr().err.strip() == "config-invalid: coordinate 1 outside model rectangle"
+
+    def test_stencil_warnings_are_the_per_point_warnings(self):
+        # exp overflows past x = 0.70978, so at 9 of the 12 stencil points
+        # around x0 = 0.71: one warning a point, as in the per-point loop
+        import warnings
+
+        model = _scalar_model("0.71 + 0.01/(1 + exp(1000*x))")
+        with np.errstate(over="ignore"):
+            x0 = find_fixed_point(model)
+        heard = []
+        for fn in (reference_jacobian, jacobian):
+            with warnings.catch_warnings(record=True) as caught, np.errstate(over="warn"):
+                warnings.simplefilter("always")
+                J = fn(model, x0)
+            heard.append((J.tobytes(), [str(w.message) for w in caught]))
+        assert heard[0] == heard[1]
+        assert heard[0][1] == ["overflow encountered in exp"] * 9
+
+    @pytest.mark.parametrize("text,message", [
+        ("piecewise(x <= 0.4446944 : 0.2 + 0.55*x ; x > 0.4446945 : 0.2 + 0.55*x)",
+         "piecewise evaluated outside its covered region"),
+        ("0.2 + 0.55*x + 0.9*exp(-1e14*(x - 0.44469444)^2)",
+         "probability-out-of-range at runtime: P in [1.34281, 1.34281]"),
+    ], ids=["gap", "bump"])
+    def test_failing_stencil_point(self, text, message):
+        # the gap (0.4446944, 0.4446945], and the bump past 1, hold the
+        # stencil point x0 + 2.5e-4 and none of the points the validation
+        # grid, the scan or the bisection evaluates; the bump's message
+        # gives the range of the values of the one call that fails
+        model = _scalar_model(text)
+        x0 = find_fixed_point(model)
+        assert 0.4446944 < x0[0] + 2.5e-4 <= 0.4446945
+        with pytest.raises(ValueError) as want:  # funcdsl's EvalDomainError, the model's ModelError
+            reference_jacobian(model, x0)
+        with pytest.raises(ValueError) as got:
+            jacobian(model, x0)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value) == message
 
 
 class TestSpectral:
@@ -637,8 +856,6 @@ class TestClassify:
         assert np.allclose(rep.clt_variance, 1.5 * np.eye(2), atol=1e-9)
 
     def test_report_serializes(self):
-        import json
-
         rep = classify(_model("erw", p=0.75, q=0.5))
         text = json.dumps(rep.to_dict(), sort_keys=True)
         assert "Critical" in text

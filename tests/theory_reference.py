@@ -5,6 +5,8 @@ where :func:`erwlab.theory.solve_sigma1` solves the Lyapunov equation.
 :func:`reference_validation_grid` and :func:`reference_check_downcrossing`
 build the whole Cartesian grid with ``np.meshgrid`` and filter it afterwards,
 where :mod:`erwlab.model` builds only the rows it keeps.
+:func:`reference_jacobian` evaluates the drift one stencil point at a time,
+where :func:`erwlab.theory.jacobian` evaluates the whole stencil in one call.
 :func:`observed_expansion_coeffs` runs the expansion recursion of
 :func:`erwlab.theory.expansion_coeffs` on the scale of the observed +/-1
 walk, whose coefficients are the auxiliary ones divided by 2^j.
@@ -50,6 +52,37 @@ def reference_check_downcrossing(model, x0, grid_density: int = 201,
     values = np.einsum("ij,ij->i", grid - x0, H - grid)
     k = int(np.argmax(values))
     return DowncrossingResult(verified=bool(values[k] < 0.0), max_value=float(values[k]), argmax=grid[k])
+
+
+def _partial(fun, x0, axis, base_step):
+    """Second-order central partial derivative with Richardson refinement."""
+    best, best_err = None, math.inf
+    prev = None
+    for k in range(6):
+        h = base_step * 2.0 ** (-k)
+        xp, xm = x0.copy(), x0.copy()
+        xp[axis] += h
+        xm[axis] -= h
+        d = (fun(xp) - fun(xm)) / (2.0 * h)
+        if prev is not None:
+            extrap = (4.0 * d - prev) / 3.0
+            err = np.max(np.abs(extrap - d))
+            if err < best_err:
+                best, best_err = extrap, err
+        prev = d
+    return best
+
+
+def reference_jacobian(model, x0) -> np.ndarray:
+    """:func:`erwlab.theory.jacobian` with one ``eval_H`` call per stencil
+    point: x0 + h e_j, then x0 - h e_j, for each step h and each axis j."""
+    x0 = np.asarray(x0, dtype=float)
+    dist = np.minimum(x0 - model.domain.lower, model.domain.reach - x0)
+    cols = []
+    for j in range(model.s):
+        step = min(1e-3, max(float(dist[j]) / 2.0, 1e-7))
+        cols.append(_partial(model.eval_H, x0, j, step))
+    return np.stack(cols, axis=1)
 
 
 def sigma1_quadrature(J, Sigma0, horizon: Optional[float] = None, panels: int = 10000):
