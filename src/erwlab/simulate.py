@@ -241,6 +241,7 @@ def _lil_norm(n: int, mode: str) -> float:
 
 
 _CHUNK_DOUBLES = 8_388_608  # uniforms per chunk buffer: 64 MB
+_CHUNK_STEPS = 1024  # steps per chunk: 4 MB of uniforms at B = 256
 
 
 def _uniform_chunks(keys, n_max):
@@ -265,9 +266,17 @@ def _uniform_chunks(keys, n_max):
     lines. The rule is measured, not derived: a pad on every row made the
     12-step rows (3 lines) of an n = 12 ensemble 16 steps, 256 bytes, apart
     and ran 3% slower, so only rows of an even number of lines are padded.
+
+    A chunk holds at most ``_CHUNK_STEPS`` steps, and its buffer at most
+    ``_CHUNK_DOUBLES`` doubles. The step bound keeps the buffer of a long
+    batch a few megabytes. A buffer of the whole horizon (10 MB at B = 256,
+    n = 2500) came from wherever malloc's heap had a hole of that size, so
+    the resident set of two runs of the same commands differed by a whole
+    buffer. Each chunk past the first re-keys every trajectory once more:
+    at 1024 steps that costs one re-key per 2048 draws of a trajectory.
     """
     B = len(keys)
-    chunk = min(n_max, max(2, _CHUNK_DOUBLES // (2 * B) // 2 * 2))
+    chunk = min(n_max, _CHUNK_STEPS, max(2, _CHUNK_DOUBLES // (2 * B) // 2 * 2))
     bit_gen = np.random.Philox(0)  # re-keyed before every fill
     gen = np.random.Generator(bit_gen)
     key_list = keys.tolist()  # [[k0, k1], ...] as Python ints

@@ -251,14 +251,17 @@ class TestStreams:
             for j in range(B):
                 assert np.array_equal(uniforms[:, :, j], self._fresh(master, lo + j, n_max)), (master, lo, j)
 
-    @pytest.mark.parametrize("B", [256, 2048])
-    def test_uniform_rows_are_not_a_page_multiple_apart(self, B):
-        # past a chunk, a chunk is 2**22 / B steps: unpadded, the B reads of
-        # one step would be a power of two apart and share a few cache sets
+    @pytest.mark.parametrize("B,chunk_doubles,steps", [(256, None, 1024), (2048, None, 1024), (256, 2**18, 512)])
+    def test_uniform_rows_are_not_a_page_multiple_apart(self, B, chunk_doubles, steps, monkeypatch):
+        # past a chunk, a chunk is _CHUNK_STEPS steps, or fewer where the
+        # buffer would pass _CHUNK_DOUBLES: unpadded, the B reads of one step
+        # would be a power of two apart and share a few cache sets
+        if chunk_doubles is not None:
+            monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", chunk_doubles)
         chunks = _uniform_chunks(philox_keys(5, 0, B), 10**6)
         _, uniforms = next(chunks)
         chunks.close()
-        assert uniforms.shape == (2**22 // B, 2, B)
+        assert uniforms.shape == (steps, 2, B)
         assert uniforms.strides[2] % 4096 != 0
         # a row of an odd number of cache lines (12 steps: 3 lines) is not padded
         _, short = next(_uniform_chunks(philox_keys(5, 0, B), 12))
@@ -272,6 +275,14 @@ class TestStreams:
         small = ensemble(model, 101, 9, master_seed=13, batch_size=3)
         assert np.array_equal(small.snn, ref.snn)
         assert np.array_equal(small.aux_final, ref.aux_final)
+
+    def test_step_bound_does_not_change_paths(self, monkeypatch):
+        model = _model("random-step", p=0.7)
+        ref = ensemble(model, 2100, 5, master_seed=13)  # chunks of 1024, 1024 and 52 steps
+        monkeypatch.setattr(simulate, "_CHUNK_STEPS", 10**6)
+        whole = ensemble(model, 2100, 5, master_seed=13)
+        assert np.array_equal(whole.snn, ref.snn)
+        assert np.array_equal(whole.aux_final, ref.aux_final)
 
     @pytest.mark.parametrize("name,kwargs", [("erw", dict(p=0.6, q=0.5)), ("kdim", dict(k=2, p=0.6))])
     def test_two_threads_match_one(self, name, kwargs):
