@@ -19,6 +19,7 @@ coefficients, target and error type.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -49,6 +50,13 @@ class NoiseSpec:
     kind: str
     sd: float = 1.0
 
+    def __post_init__(self):
+        if self.kind not in ("gaussian", "rademacher"):
+            raise SAError(f"unknown noise kind {self.kind!r}")
+        # s2 = sd^2 enters the checks' predicted variances
+        if not (math.isfinite(self.sd) and math.isfinite(self.sd * self.sd)):
+            raise SAError(f"noise scale {self.sd!r} must be finite, with a finite square")
+
     @property
     def s2(self) -> float:
         return self.sd ** 2
@@ -56,10 +64,7 @@ class NoiseSpec:
     @staticmethod
     def parse(text: str) -> "NoiseSpec":
         name, _, arg = text.partition(":")
-        sd = float(arg) if arg else 1.0
-        if name not in ("gaussian", "rademacher"):
-            raise SAError(f"unknown noise kind {name!r}")
-        return NoiseSpec(name, sd)
+        return NoiseSpec(name, float(arg) if arg else 1.0)
 
 
 @dataclass
@@ -116,7 +121,13 @@ def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
 
     The noise is one Philox stream, keyed with ``philox_keys(master_seed,
     0, 1)[0]``: the key of trajectory 0 of an :func:`ensemble` of the same
-    seed. It is drawn one buffer of about ``_SLICE`` doubles at a time.
+    seed. It is drawn one buffer of about ``_SLICE`` doubles at a time, one
+    buffer ahead of the steps, by one helper thread: two buffers take turns,
+    and buffer i + 1 is asked for only once buffer i is taken, so the stream
+    is read in order and every value is the one a single thread would draw.
+    The helper only fills buffers. The Rademacher transform, the scaling and
+    the steps run on the caller's thread, under its ``np.errstate`` and
+    warning filters. The helper is joined before the call returns or raises.
     While no path has escaped, a buffer is first stepped speculatively by
     :func:`_step_clear`, which writes theta after every step into a row of a
     reused path buffer. If every value stays within the guard, its rows
@@ -137,39 +148,47 @@ def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
     if 1 in cp_index:
         out[:, cp_index[1]] = theta
     fast = proc.drift.fast
-    # each chunk of noise is drawn into one reused buffer and scaled in
-    # place; the stream continues across draws, so the values do not depend
-    # on the chunk length
-    buf = np.empty((max(1, min(n_max - 1, _SLICE // N)), N))
-    path = np.empty_like(buf)
+    gaussian = proc.noise.kind == "gaussian"
+    fill = gen.standard_normal if gaussian else gen.random
+    # the noise of steps n, n + 1, ... is drawn in place into one of two
+    # buffers, which take turns; the stream continues across draws, so the
+    # values do not depend on the buffer length
+    rows = max(1, min(n_max - 1, _SLICE // N))
+    bufs = (np.empty((rows, N)), np.empty((rows, N)))
+    path = np.empty_like(bufs[0])
+
+    def rows_from(at):
+        return bufs[(at - 1) // rows % 2][:min(rows, n_max - at)]
+
     n = 1
-    while n < n_max:
-        span = min(len(buf), n_max - n)
-        eps = buf[:span]
-        if proc.noise.kind == "gaussian":
-            gen.standard_normal(out=eps)
-        else:
-            gen.random(out=eps)
-            np.less(eps, 0.5, out=eps)
-            eps *= 2.0
-            eps -= 1.0
-        eps *= proc.noise.sd
-        if not escaped.any() and _step_clear(fast, theta, eps, n, path, guard):
-            for c, j in cp_index.items():
-                if n < c <= n + span:
-                    out[:, j] = path[c - n - 1]
-            theta = path[span - 1].copy()
-            n += span
-            continue
-        for i in range(span):
-            a_n = 1.0 / (n + 1.0)
-            moved = theta - a_n * (fast([theta]) + eps[i])
-            # escaped paths stay frozen at their flagged value
-            theta = np.where(escaped, theta, moved)
-            escaped |= np.abs(theta) > guard
-            n += 1
-            if n in cp_index:
-                out[:, cp_index[n]] = theta
+    with ThreadPoolExecutor(1) as pool:
+        drawn = pool.submit(fill, out=rows_from(1)) if n_max > 1 else None
+        while n < n_max:
+            eps = drawn.result()
+            span = len(eps)
+            if n + span < n_max:  # the worker fills the other buffer while this one is stepped
+                drawn = pool.submit(fill, out=rows_from(n + span))
+            if not gaussian:
+                np.less(eps, 0.5, out=eps)
+                eps *= 2.0
+                eps -= 1.0
+            eps *= proc.noise.sd
+            if not escaped.any() and _step_clear(fast, theta, eps, n, path, guard):
+                for c, j in cp_index.items():
+                    if n < c <= n + span:
+                        out[:, j] = path[c - n - 1]
+                theta = path[span - 1].copy()
+                n += span
+                continue
+            for i in range(span):
+                a_n = 1.0 / (n + 1.0)
+                moved = theta - a_n * (fast([theta]) + eps[i])
+                # escaped paths stay frozen at their flagged value
+                theta = np.where(escaped, theta, moved)
+                escaped |= np.abs(theta) > guard
+                n += 1
+                if n in cp_index:
+                    out[:, cp_index[n]] = theta
     return SAPaths(
         checkpoints=checkpoints,
         theta=out,

@@ -303,6 +303,17 @@ def test_sa_linear_drift(tmp_path, capsys):
     assert doc["checks"][0]["passed"]
 
 
+@pytest.mark.parametrize("noise", ["gaussian:1e200", "rademacher:1e308", "gaussian:nan", "gaussian:inf"])
+def test_sa_noise_scale_without_a_finite_square_exit_2(tmp_path, capsys, noise):
+    # refused before any draw: no traceback from s2, no residual check on NaN paths
+    out = tmp_path / "sa.json"
+    code = main(["sa", "--drift", "0.3*x", "--noise", noise, "--n", "200", "--N", "128", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config-invalid: noise scale") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sa_model_noise_check(tmp_path):
     out = tmp_path / "sa.json"
     code = main([

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -45,6 +46,15 @@ class TestProcess:
         assert spec.kind == "gaussian" and spec.s2 == 0.25
         with pytest.raises(SAError):
             NoiseSpec.parse("cauchy:1.0")
+
+    @pytest.mark.parametrize("text", ["gaussian:1e200", "rademacher:1e308", "gaussian:nan", "gaussian:inf"])
+    def test_noise_scale_without_a_finite_square_rejected(self, text):
+        with pytest.raises(SAError, match="noise scale"):
+            NoiseSpec.parse(text)
+
+    @pytest.mark.parametrize("text,s2", [("gaussian:0", 0.0), ("rademacher:-0.05", 0.05 ** 2), ("gaussian:1e154", 1e308)])
+    def test_noise_scale_with_a_finite_square_accepted(self, text, s2):
+        assert NoiseSpec.parse(text).s2 == s2
 
 
 class TestRunner:
@@ -145,9 +155,24 @@ class TestRunner:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the noise buffer and a few (N,) arrays a step; a whole 4M-value
+        # the two noise buffers and a few (N,) arrays a step; a whole 4M-value
         # chunk of noise and its scaled copy took 20 MB
         assert peak < 4e6
+
+    @pytest.mark.parametrize("drift,noise,n_max,N,error", [
+        ("0.3*x + x^2", "gaussian:0.05", 3000, 64, None),
+        ("0.3*x + x^2", "gaussian:0.05", 1, 64, None),  # nothing to draw
+        ("log(1 + x)", "gaussian:5", 3000, 64, EvalDomainError),  # a path passes x = -1 partway
+    ], ids=["returns", "no-step", "raises"])
+    def test_noise_worker_joined(self, drift, noise, n_max, N, error):
+        proc = SAProcess(drift=parse(drift), theta0=0.0, noise=NoiseSpec.parse(noise))
+        before = threading.active_count()
+        if error is None:
+            run_sa(proc, n_max, N=N, master_seed=1)
+        else:
+            with pytest.raises(error):
+                run_sa(proc, n_max, N=N, master_seed=1)
+        assert threading.active_count() == before
 
     def test_divergence_guard_reports(self):
         proc = SAProcess(drift=parse("0.3*x + x^2"), theta0=0.0, noise=NoiseSpec("gaussian", 1.0), drift_derivs=[0.3, 2.0])
@@ -160,8 +185,8 @@ class TestRunner:
 
 
 class TestRunnerMatchesReference:
-    """``run_sa`` draws its noise into one buffer of about ``_SLICE`` doubles
-    and, while no path has escaped, steps each buffer with no freeze into a
+    """``run_sa`` draws its noise into two buffers of about ``_SLICE`` doubles,
+    which take turns, and, while no path has escaped, steps each buffer with no freeze into a
     path buffer, replaying it one step at a time with the freeze when some
     value passes the guard, is NaN, or the pass raises. It gives the same
     bits as the reference that applies the freeze on every step and draws
@@ -206,12 +231,19 @@ class TestRunnerMatchesReference:
         ("x", "gaussian:1", 1000.0, 600, 64, 100.0, True),  # every path escapes on the first step
         ("x", "rademacher:1.0", 0.0, 1000, 256, 1e9, False),  # 256-step buffers, the last one short
         ("0.3*x + x^2", "gaussian:3", 0.0, 1000, 256, 100.0, True),
+        # the two noise buffers taking turns
+        ("x", "gaussian:1", 0.0, 2, 256, 1e9, False),  # a single one-step buffer
+        ("x", "gaussian:1", 1000.0, 2, 256, 100.0, True),
+        ("0.3*x + x^2", "rademacher:0.05", -0.3, 257, 256, 100.0, False),  # one full buffer
+        ("0.3*x + x^2", "gaussian:0.05", -0.3, 257, 256, 100.0, True),  # the first escape at n = 256
+        ("0.3*x + x^2", "rademacher:0.05", -0.3, 514, 256, 100.0, False),  # three buffers, the last of one step
+        ("0.3*x + x^2", "gaussian:0.05", -0.29, 514, 256, 100.0, True),  # one escape, at n = 329
     ])
     def test_buffer_edges(self, drift, noise, theta1, n_max, N, guard, escapes):
         proc = SAProcess(drift=parse(drift), theta0=0.0, noise=NoiseSpec.parse(noise), theta1=theta1)
         rows = min(n_max - 1, sa_mod._SLICE // N)
         # theta after the first and the last step of each buffer
-        checkpoints = [1] + [c for b in range(0, n_max - 1, rows) for c in (b + 2, min(b + rows + 1, n_max))]
+        checkpoints = sorted({1} | {c for b in range(0, n_max - 1, rows) for c in (b + 2, min(b + rows + 1, n_max))})
         with np.errstate(all="ignore"):
             paths = run_sa(proc, n_max, N=N, master_seed=3, checkpoints=checkpoints, guard=guard)
             theta, escaped = run_sa_reference(proc, n_max, N, 3, checkpoints, guard)
