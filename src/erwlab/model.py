@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -233,15 +235,21 @@ def is_integer(value) -> bool:
 
 
 def _check_meta(spec: ModelSpec, errors: list):
-    """``meta`` must be a dict whose ``simplex_cap`` is a number or null, and
-    whose ``exact`` entry is a dict; the keys of ``exact`` that
-    :mod:`erwlab.theory` reads must have the types it reads them as."""
+    """``meta`` must be a dict whose ``simplex_cap`` is null or a finite
+    number above the coordinate sum of the rectangle's lower corner (so the
+    grids keep that corner), and whose ``exact`` entry is a dict; the keys
+    of ``exact`` that :mod:`erwlab.theory` reads must have the types it
+    reads them as."""
     if not isinstance(spec.meta, dict):
         errors.append(f"meta must be a JSON object, got {spec.meta!r}")
         return
     cap = spec.meta.get("simplex_cap")
+    corner = float(spec.domain.lower.sum())
     if not (cap is None or is_number(cap)):
         errors.append(f"meta.simplex_cap must be a number or null, got {cap!r}")
+    elif cap is not None and not corner < cap <= sys.float_info.max:  # NaN fails, and an int past any float
+        errors.append(f"meta.simplex_cap must be a finite number above {corner!r}, the coordinate sum of the "
+                      f"rectangle's lower corner, got {cap!r}")
     exact = spec.meta.get("exact", {})
     if not isinstance(exact, dict):
         errors.append(f"meta.exact must be a JSON object, got {exact!r}")
@@ -349,15 +357,19 @@ class ValidatedModel:
         differ in the last bit from the array loop. ROADMAP item 4(i)
         evaluates a bare point as a batch of one.
         """
-        x = self._points(x)
-        cols = [x[..., j] for j in range(self.s)]
-        probs = np.empty((self.r,) + x.shape[:-1])
+        return self._probs(self._points(x))
+
+    def _probs(self, x) -> np.ndarray:
+        """:meth:`block_probs` at points x already checked by :meth:`_points`."""
+        r = self.r
+        cols = [x[..., j] for j in range(x.shape[-1])]
+        probs = np.empty((r,) + x.shape[:-1])
         head = probs[:-1]
         for i, pm in enumerate(self.spec.prob_maps):
             head[i, ...] = pm.fast(cols)
         check_runtime_probs(head)
         clip_ufunc(head, 0.0, 1.0, out=head)
-        totals = head[0] if self.r > 1 else np.zeros(x.shape[:-1])
+        totals = head[0] if r > 1 else np.zeros(x.shape[:-1])
         for row in head[1:]:  # in row order, where numpy sums one point's rows pairwise
             totals = totals + row
         check_runtime_sum(totals)
@@ -366,28 +378,39 @@ class ValidatedModel:
         clip_ufunc(tail, 0.0, 1.0, out=tail)
         return probs
 
+    @cached_property
+    def _drift(self) -> tuple:
+        """What every :meth:`eval_H` call reads of the model: mu masked to
+        each block, shape (r, s), and the rectangle widened by 1e-9 on each
+        side, as the bounds of its domain check."""
+        dom = self.spec.domain
+        return self.block_masks * self.mu, dom.lower - 1e-9, dom.upper + 1e-9
+
     def eval_H(self, x) -> np.ndarray:
         """Drift map H(x) = sum_i P_i(x) * mu masked to block i.
 
         Takes points of shape (..., s), a single point (s,) or points
         (n, s) included, and returns H at each in the same shape. A
         coordinate outside the model rectangle, or NaN, raises
-        :class:`DomainViolation`.
+        :class:`DomainViolation`. The points are checked once, and the
+        masked mu and the domain bounds are computed once per model
+        (:attr:`_drift`), so a call on a few points, as in each round of
+        the fixed-point search, costs little more than the maps themselves.
         """
         x = self._points(x)
-        pts = x.reshape(-1, self.s)
+        pts = x if x.ndim == 2 else x.reshape(-1, x.shape[-1])
+        masked_mu, low, high = self._drift
         # Each coordinate's values made contiguous: reduced over axis 0 of
         # pts, numpy's inner loop would run over one point's s values, 10
         # times slower on a large grid. The initial bounds let an empty batch
         # through; NaN still fails.
         coords = np.ascontiguousarray(pts.T)
-        inside = ((np.minimum.reduce(coords, axis=1, initial=np.inf) >= self.domain.lower - 1e-9)
-                  & (np.maximum.reduce(coords, axis=1, initial=-np.inf) <= self.domain.upper + 1e-9))
+        inside = ((np.minimum.reduce(coords, axis=1, initial=np.inf) >= low)
+                  & (np.maximum.reduce(coords, axis=1, initial=-np.inf) <= high))
         if not inside.all():
             raise DomainViolation(f"coordinate {int(np.argmin(inside)) + 1} outside model rectangle")
-        probs = self.block_probs(pts)  # (r, n)
-        masked_mu = self.block_masks * self.mu  # (r, s)
-        return np.einsum("rn,rs->ns", probs, masked_mu).reshape(x.shape)
+        H = np.einsum("rn,rs->ns", self._probs(pts), masked_mu)
+        return H if pts is x else H.reshape(x.shape)
 
     def sigma_blocks(self, x) -> np.ndarray:
         """sum_i P_i(x) Sigma^(pi_i) at a point x of shape (s,), as an (s, s) matrix."""
@@ -491,6 +514,22 @@ def interior_grid(spec: ModelSpec, density: int, clip: float) -> tuple:
 GRID_DENSITY = 201  # grid points per axis in validation and the downcrossing check
 
 
+def _check_initial_atoms(spec: ModelSpec, errors: list):
+    """The walk's average position at time 1 is its initial atom, so each
+    atom must lie in the set the maps are validated on: the rectangle, and
+    within ``simplex_cap`` (plus 1e-12, as the grid). The first atom
+    outside it is reported."""
+    dom, cap = spec.domain, spec.meta.get("simplex_cap")
+    for atom in spec.initial.atoms:
+        if not (np.all(atom >= dom.lower) and np.all(atom <= dom.upper)):
+            errors.append(f"initial-law atom {atom.tolist()} lies outside the model rectangle "
+                          f"[{dom.lower.tolist()}, {dom.upper.tolist()}]")
+            return
+        if cap is not None and atom.sum() > float(cap) + 1e-12:
+            errors.append(f"initial-law atom {atom.tolist()} sums past meta.simplex_cap {cap!r}")
+            return
+
+
 def validate_model(spec: ModelSpec):
     """Validate a spec on a finite grid of :data:`GRID_DENSITY` points per axis.
 
@@ -521,6 +560,7 @@ def validate_model(spec: ModelSpec):
     if errors:
         raise ModelError("; ".join(errors))
 
+    _check_initial_atoms(spec, errors)
     grid, interior = validation_grid(spec, GRID_DENSITY, 1.0)
     total = np.zeros(grid.shape[0])
     cols = [grid[:, j] for j in range(spec.s)]

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import funcdsl
-from .model import GRID_DENSITY, ModelError, ValidatedModel, interior_grid
+from .model import GRID_DENSITY, ModelError, ValidatedModel, clip_ufunc, interior_grid
 
 # scipy.linalg is imported where it is called: the import costs about 0.25 s,
 # and simulate, sa, oracle and presets import this module without ever
@@ -47,27 +47,42 @@ _BISECT_DEPTH = 7  # halvings whose midpoints one eval_H call tabulates
 def _feasible(model, x):
     """Clip points of shape (..., s) into the rectangle; a point whose
     coordinates sum past the model's ``simplex_cap`` is scaled back inside."""
-    x = np.clip(x, model.domain.lower, model.domain.reach)
+    return _feasible_map(model)(x)
+
+
+def _feasible_map(model):
+    """:func:`_feasible` as a function of the points alone, with the model's
+    bounds and cap read once. A batch with no row past the cap is returned
+    as clipped: the scaling would select every value unchanged."""
+    lower, reach = model.domain.lower, model.domain.reach
     cap = model.meta.get("simplex_cap")
-    if cap is not None:
-        sums = x.sum(axis=-1, keepdims=True)
-        over = sums > cap
-        x = np.where(over, x * (0.98 * float(cap) / np.where(over, sums, 1.0)), x)
-    return x
+
+    def feasible(x):
+        x = clip_ufunc(x, lower, reach)
+        if cap is not None:
+            sums = x.sum(axis=-1, keepdims=True)
+            over = sums > cap
+            if over.any():
+                x = np.where(over, x * (0.98 * float(cap) / np.where(over, sums, 1.0)), x)
+        return x
+
+    return feasible
 
 
 def _midpoint_table(a, b, depth):
     """Midpoints of the 2**depth - 1 brackets the next ``depth`` halvings of
     [a, b] can reach, in heap order: node i halves into 2i + 1 (left) and
-    2i + 2 (right). Each is ``0.5 * (lo + hi)`` of its own bracket."""
-    ends, mids = np.array([a, b]), []
+    2i + 2 (right). Each is ``0.5 * (lo + hi)`` of its own bracket, computed
+    on Python floats, which are IEEE doubles as numpy's are, and returned as
+    one array."""
+    ends, mids = [float(a), float(b)], []
     for _ in range(depth):
-        mid = 0.5 * (ends[:-1] + ends[1:])  # the brackets of one level, left to right
-        mids.append(mid)
-        split = np.empty(2 * len(ends) - 1)
+        mid = [0.5 * (lo + hi) for lo, hi in zip(ends, ends[1:])]  # the brackets of one level, left to right
+        mids += mid
+        split = [0.0] * (2 * len(ends) - 1)
         split[0::2], split[1::2] = ends, mid
         ends = split
-    return np.concatenate(mids)
+    return np.array(mids)
 
 
 def find_fixed_point(model: ValidatedModel):
@@ -76,14 +91,18 @@ def find_fixed_point(model: ValidatedModel):
     s = 1 brackets every sign change of H(x) - x on a 1001-point grid and
     bisects each (``fa * fm <= 0`` keeps the left half; stop when the
     bracket is narrower than 1e-13, or after 200 halvings). One ``eval_H``
-    call tabulates the midpoints the next few halvings can reach, and the
-    bisection then reads its values from that table.
+    call tabulates the midpoints the next few halvings can reach
+    (:func:`_midpoint_table`), and the bisection then reads its values from
+    that table.
 
     s > 1 runs damped fixed-point iteration x <- x + (H(x) - x) / 2 from
     the domain center and 2**min(s, 3) corner starts at once: each round is
     one ``eval_H`` call on the starts still active, and a start stops once
-    its step is below 1e-13 (20000 rounds at most). The root is the first
-    converged start in list order.
+    its step is below 1e-13 (20000 rounds at most). The active starts'
+    iterates stay in one array; only a round in which some start converges
+    writes them back and drops the converged rows, so a converged start
+    keeps the iterate of its last round and is never evaluated again. The
+    root is the first converged start in list order.
 
     Raises on no root, or on roots farther apart than 1e-8.
     """
@@ -121,20 +140,24 @@ def find_fixed_point(model: ValidatedModel):
             raise TheoryError(f"multiple-roots: fixed points near {[float(r) for r in roots]}")
         return np.array([roots[0]])
 
+    feasible = _feasible_map(model)
     span = np.minimum(dom.upper, dom.lower + 1.0) - dom.lower
     offs = np.array([[(corner >> j) & 1 for j in range(model.s)] for corner in range(2 ** min(model.s, 3))],
                     dtype=float)
-    x = _feasible(model, np.vstack([dom.lower + 0.5 * span, dom.lower + (0.1 + 0.8 * offs) * span]))
-    active = np.ones(len(x), dtype=bool)  # a converged start keeps the iterate of its last round
+    x = feasible(np.vstack([dom.lower + 0.5 * span, dom.lower + (0.1 + 0.8 * offs) * span]))
+    rows, xr = np.arange(len(x)), x  # the active starts, and their iterates
     for _ in range(20000):
-        rows = np.flatnonzero(active)
-        xr = x[rows]
         delta = model.eval_H(xr) - xr
-        x[rows] = _feasible(model, xr + 0.5 * delta)
-        active[rows[np.max(np.abs(delta), axis=1) < 1e-13]] = False
-        if not active.any():
-            break
-    roots = x[~active]
+        xr = feasible(xr + 0.5 * delta)
+        done = np.maximum.reduce(np.abs(delta), axis=1) < 1e-13  # np.max without its wrapper
+        if done.any():
+            x[rows] = xr
+            rows, xr = rows[~done], xr[~done]
+            if not len(rows):
+                break
+    converged = np.ones(len(x), dtype=bool)
+    converged[rows] = False
+    roots = x[converged]
     if not len(roots):
         raise TheoryError("no-root-in-domain: damped iteration did not converge from any start")
     base = roots[0]
@@ -193,7 +216,9 @@ def check_downcrossing(model: ValidatedModel, x0, grid_density: int = GRID_DENSI
     where d_j is its deviation from x0 there. If some axis has no value
     that close to x0, no row can be dropped, and the norms are not taken.
     A NaN in x0 makes every norm NaN, and a NaN r makes every comparison
-    false: in both cases the norms are taken and drop every row.
+    false: in both cases the norms are taken and drop every row. An empty
+    grid raises with its cause: no interior row within ``simplex_cap`` (or
+    no interior value on some axis), or the ball dropping every row.
 
     The values are taken in slices of ``_DOWN_SLICE // max(s, r)`` rows
     (at least one), so that no temporary of ``eval_H`` or of the product
@@ -205,11 +230,18 @@ def check_downcrossing(model: ValidatedModel, x0, grid_density: int = GRID_DENSI
     """
     x0 = np.asarray(x0, dtype=float)
     grid, axes = interior_grid(model.spec, grid_density, 1.0)
+    if grid.shape[0] == 0:  # an axis without interior values, or the simplex cap
+        per_axis = len(model.domain.axes(grid_density)[0])
+        cause = (f"no interior point of the {per_axis}-per-axis grid (s = {model.s}) lies within simplex_cap "
+                 f"{model.meta.get('simplex_cap')!r}" if all(map(len, axes))
+                 else f"the {per_axis}-per-axis grid has no interior point")
+        raise TheoryError(f"downcrossing grid is empty: {cause}")
     if np.isnan(x0).any() or not any(np.all(np.sqrt(d * d) > exclusion_radius)
                                      for d in map(np.subtract, axes, np.broadcast_to(x0, (len(axes),)))):
         grid = grid[np.linalg.norm(grid - x0, axis=1) > exclusion_radius]
     if grid.shape[0] == 0:
-        raise TheoryError("downcrossing grid is empty; raise grid_density")
+        raise TheoryError(f"downcrossing grid is empty: the exclusion ball of radius {exclusion_radius!r} "
+                          f"around x0 = {x0.tolist()} drops every interior point")
     rows = max(1, _DOWN_SLICE // max(model.s, model.r))
     values = np.empty(grid.shape[0])
     try:

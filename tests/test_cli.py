@@ -671,3 +671,16 @@ def _argv(draw):
 @given(_argv())
 def test_fuzz_bounded_argv(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path / "out.json")]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("cap", [_NAN, -1.0, 0.0], ids=["nan", "negative", "zero"])
+def test_simplex_cap_out_of_range_exit_2(tmp_path, capsys, cap):
+    # NaN and -1 kept no validation row, and 0 only the origin: analyze then
+    # failed at run time, or ran 20,000 damped rounds to no-root-in-domain
+    doc = spec_to_dict(build_preset("kdim", k=2, p=0.6))
+    path = tmp_path / "kdim.json"
+    path.write_text(json.dumps({**doc, "meta": {**doc["meta"], "simplex_cap": cap}}))
+    assert main(["analyze", "--model", str(path), "--out", str(tmp_path / "report.json")]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"config-invalid: meta.simplex_cap must be a finite number above 0.0, the coordinate sum of the "
+        f"rectangle's lower corner, got {cap!r}")

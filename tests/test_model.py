@@ -195,6 +195,43 @@ class TestValidation:
         assert np.array_equal(np.signbit(got), np.signbit(np.clip(values, 0.0, 1.0)))
         assert np.signbit(got[0]) and not np.signbit(got[1])
 
+    @pytest.mark.parametrize("cap", [math.nan, -1.0, 0, 0.0, math.inf, -math.inf, 10 ** 400],
+                             ids=["nan", "negative", "zero-int", "zero", "inf", "-inf", "huge-int"])
+    def test_simplex_cap_range_refused(self, cap):
+        # the lower corner of kdim's [0, 1]^3 sums to 0, and the cap must lie above it
+        spec = build_preset("kdim", k=2, p=0.6)
+        with pytest.raises(ModelError, match=r"^meta\.simplex_cap must be a finite number above 0\.0, the "
+                                             r"coordinate sum of the rectangle's lower corner, got "):
+            validate_model(ModelSpec(**{**spec.__dict__, "meta": {**spec.meta, "simplex_cap": cap}}))
+
+    def test_simplex_cap_above_the_lower_corner(self):
+        spec = _erw_spec()
+        for lower, cap, ok in ((0.0, -0.0, False), (0.0, 1e-300, True), (0.25, 0.25, False), (0.25, 0.2500001, True),
+                                 (0.0, 2, True)):
+            shifted = ModelSpec(**{**spec.__dict__, "meta": {"simplex_cap": cap},
+                                   "initial": InitialLaw([[lower]], [1.0]), "domain": Domain([lower], [1.0])})
+            if ok:
+                validate_model(shifted)
+            else:
+                with pytest.raises(ModelError, match=r"^meta\.simplex_cap must be a finite number above"):
+                    validate_model(shifted)
+
+    @pytest.mark.parametrize("name,changes,message", [
+        ("erw", {"initial": InitialLaw([[1.0], [1.5]], [0.5, 0.5])},
+         "initial-law atom [1.5] lies outside the model rectangle [[0.0], [1.0]]"),
+        ("erw", {"initial": InitialLaw([[1.0], [-0.5]], [0.5, 0.5])},
+         "initial-law atom [-0.5] lies outside the model rectangle [[0.0], [1.0]]"),
+        ("erw", {"domain": Domain([0.1], [0.9])},
+         "initial-law atom [1.0] lies outside the model rectangle [[0.1], [0.9]]"),
+        ("kdim", {"initial": InitialLaw([[0.6, 0.0, 0.0], [0.6, 0.6, 0.0]], [0.5, 0.5])},
+         "initial-law atom [0.6, 0.6, 0.0] sums past meta.simplex_cap 1.0"),
+    ], ids=["above", "below", "narrow-rectangle", "past-cap"])
+    def test_initial_atom_outside_refused(self, name, changes, message):
+        spec = build_preset(name, p=0.6, **({"k": 2} if name == "kdim" else {}))
+        with pytest.raises(ModelError) as exc:
+            validate_model(ModelSpec(**{**spec.__dict__, **changes}))
+        assert str(exc.value) == message
+
     def test_nan_probability_rejected(self):
         # exp overflows past x ~ 0.71, and 0 * inf is NaN
         spec = _erw_spec(prob_text="0.5 + 0*exp(1000*x)")

@@ -272,7 +272,9 @@ class TestInitialLaw:
         erw = _model("erw", dict(p=0.6, q=0.5))
         assert is_unit_step_1d(erw)
         assert is_unit_step_1d(_with(erw, initial=InitialLaw([[-0.0], [1.0]], [0.25, 0.75])))
-        assert not is_unit_step_1d(_with(erw, initial=InitialLaw([[2.0]], [1.0])))
+        # a start outside the rectangle is refused before the DP could see it
+        with pytest.raises(ModelError, match=r"^initial-law atom \[2\.0\] lies outside the model rectangle"):
+            _with(erw, initial=InitialLaw([[2.0]], [1.0]))
 
 
 class TestMoments:

@@ -24,7 +24,9 @@ from erwlab.model import DomainViolation, ModelError, ValidatedModel, interior_g
 from theory_reference import (
     observed_expansion_coeffs,
     reference_check_downcrossing,
+    reference_damped_search,
     reference_jacobian,
+    reference_midpoint_table,
     sigma1_quadrature,
 )
 
@@ -221,6 +223,116 @@ class TestFixedPoint:
             assert np.any(np.clip(pts, 0.0, 1.0).sum(axis=1) > 1.0)  # the cap was exercised
 
 
+SEARCH_CASES = [(name, {**kwargs, "p": p})
+                for name, kwargs in (("kdim", {"k": 2}), ("kdim", {"k": 2, "f": "x^2"}), ("kdim", {"k": 3}),
+                                     ("kdim", {"k": 3, "f": "x^2"}), ("random-step", {}),
+                                     ("random-step", {"f": "x^2"}))
+                for p in (0.4, 0.55, 0.7, 0.85, 0.9)]
+SEARCH_CASES += [("kdim", {"k": 2, "f": "3*x^2-2*x^3", "p": p}) for p in (0.9, 0.95)]  # multiple roots
+
+
+def _plane_model(p1, p2):
+    """An s = 2 walk on [0, 1]^2 whose two blocks are picked with P_1 = p1
+    and P_2 = p2; it has no simplex cap."""
+    from erwlab.funcdsl import parse as parse_expr
+    from erwlab.model import Domain, InitialLaw, ModelSpec, StepLaw
+
+    return validate_model(ModelSpec(
+        s=2, d=2, r=3, partition=((1,), (2,), ()),
+        step_law=StepLaw.point_mass([1.0, 1.0]),
+        prob_maps=(parse_expr(p1, arity=2), parse_expr(p2, arity=2)),
+        A=np.eye(2), b=[0.0, 0.0],
+        initial=InitialLaw([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5]),
+        domain=Domain([0.0, 0.0], [1.0, 1.0]),
+    ))
+
+
+def _root_or_error(search, model):
+    """The root's shape and bytes, or the type and message of the error."""
+    try:
+        x0 = search(model)
+    except ValueError as exc:  # TheoryError, ModelError and the DSL's errors
+        return type(exc), str(exc)
+    return x0.shape, x0.tobytes()
+
+
+def _eval_H_calls(monkeypatch) -> list:
+    """``(points, H)`` of every ``eval_H`` call from now on, as copies."""
+    calls = []
+    eval_H = ValidatedModel.eval_H
+
+    def spy(model, x):
+        H = eval_H(model, x)
+        calls.append((np.array(x, dtype=float), H.copy()))
+        return H
+
+    monkeypatch.setattr(ValidatedModel, "eval_H", spy)
+    return calls
+
+
+class TestSearchReference:
+    """The damped search that keeps its active rows between rounds gives the
+    root, or the error, of the search that gathers and scatters every round
+    (``tests/theory_reference.py``), and the Python-float midpoint table the
+    numpy one, bit for bit."""
+
+    @pytest.mark.parametrize("name,kwargs", SEARCH_CASES,
+                             ids=[f"{n}-{'-'.join(map(str, k.values()))}" for n, k in SEARCH_CASES])
+    def test_presets(self, name, kwargs):
+        model = _model(name, **kwargs)
+        assert _root_or_error(find_fixed_point, model) == _root_or_error(reference_damped_search, model)
+
+    @pytest.mark.parametrize("text,error,message", [
+        ("0.1 + 0.3*x1 + 0.9*exp(-1e20*(x1 - {c})^2)", ModelError, "probability-out-of-range at runtime: P in "),
+        ("piecewise(x1 < {c} : 0.1 + 0.3*x1 ; x1 > {c} : 0.1 + 0.3*x1)", ValueError,
+         "piecewise evaluated outside its covered region"),
+    ], ids=["bump", "gap"])
+    def test_iterate_that_fails_a_map(self, text, error, message):
+        # the center start reaches x1 = c after three rounds; the bump past
+        # 1, and the gap of the piecewise map, lie at c alone, which no
+        # point of the validation grid is near
+        base = _plane_model("0.1 + 0.3*x1", "0.1 + 0.3*x2")
+        x = np.array([[0.5, 0.5]])
+        for _ in range(3):
+            x = x + 0.5 * (base.eval_H(x) - x)
+        model = _plane_model(text.format(c=repr(float(x[0, 0]))), "0.1 + 0.3*x2")
+        got = _root_or_error(find_fixed_point, model)
+        assert got == _root_or_error(reference_damped_search, model)
+        assert issubclass(got[0], error) and got[1].startswith(message)
+        assert _root_or_error(find_fixed_point, base) == _root_or_error(reference_damped_search, base)
+
+    def test_one_call_per_round_on_the_active_starts(self, monkeypatch):
+        from erwlab.theory import _feasible
+
+        model = _model("kdim", k=3, p=0.7)
+        calls = _eval_H_calls(monkeypatch)
+        root = find_fixed_point(model)
+        assert len(calls[0][0]) == 1 + 2 ** 3
+        for (points, H), (following, _) in zip(calls, calls[1:]):
+            delta = H - points
+            done = np.max(np.abs(delta), axis=1) < 1e-13
+            # a start that converged in this round is not evaluated again
+            assert following.tobytes() == _feasible(model, points + 0.5 * delta)[~done].tobytes()
+        points, H = calls[-1]
+        assert np.all(np.max(np.abs(H - points), axis=1) < 1e-13)
+        assert len({len(points) for points, _ in calls}) >= 4  # the active set shrank three times
+        assert root.tobytes() == reference_damped_search(model).tobytes()
+
+    def test_midpoint_table(self):
+        from erwlab.theory import _midpoint_table
+
+        rng = np.random.default_rng(3)
+        lows = rng.uniform(-2.0, 2.0, 400)
+        widths = np.concatenate([rng.uniform(0.0, 1.0, 100), np.zeros(50), rng.uniform(0.5e-13, 2e-13, 150),
+                                 10.0 ** rng.uniform(-17.0, -11.0, 100)])
+        for a, width in zip(lows, widths):
+            for lo, hi in ((a, a + width), (float(a), float(a + width)), (a + width, a)):
+                for depth in (1, 7):
+                    want = reference_midpoint_table(lo, hi, depth)
+                    assert _midpoint_table(lo, hi, depth).tobytes() == want.tobytes()
+        assert _midpoint_table(-0.0, 0.0, 7).tobytes() == reference_midpoint_table(-0.0, 0.0, 7).tobytes()
+
+
 class TestDowncrossing:
     def test_standard_memory_verified(self):
         model = _model("erw", p=0.6, q=0.5)
@@ -324,13 +436,25 @@ class TestDowncrossingReference:
         self._assert_same(model, on, grid_density=21, exclusion_radius=0.0)
         self._assert_same(model, on, grid_density=21, exclusion_radius=0.15)
         # NaN drops every row, also where the other coordinates lie off the
-        # grid on some axis; an empty interior raises the same error
+        # grid on some axis; an empty interior raises with its own cause
         off = np.where(unit == 1.0, np.nan, 0.51)
-        for x0, density in ((np.full(model.s, np.nan), 21), (on + np.nan * unit, 21), (off, 21), (off, 201), (on, 2)):
+        for x0, density in ((np.full(model.s, np.nan), 21), (on + np.nan * unit, 21), (off, 21), (off, 201)):
             message = self._assert_same(model, x0, grid_density=density)
-            assert message == "downcrossing grid is empty; raise grid_density"
+            assert message == (f"downcrossing grid is empty: the exclusion ball of radius 1e-06 around "
+                               f"x0 = {x0.tolist()} drops every interior point")
+        message = self._assert_same(model, on, grid_density=2)
+        assert message == "downcrossing grid is empty: the 2-per-axis grid has no interior point"
         message = self._assert_same(model, on, grid_density=21, exclusion_radius=math.nan)
-        assert message == "downcrossing grid is empty; raise grid_density"
+        assert message == (f"downcrossing grid is empty: the exclusion ball of radius nan around "
+                           f"x0 = {on.tolist()} drops every interior point")
+
+    def test_no_interior_point_under_the_cap(self):
+        # kdim k=4 has s = 7, so 5 points per axis; each interior coordinate
+        # is at least 0.25, and 7 of them pass the cap 1
+        model = _model("kdim", k=4, p=0.6)
+        message = self._assert_same(model, np.full(model.s, 0.1))
+        assert message == ("downcrossing grid is empty: no interior point of the 5-per-axis grid (s = 7) "
+                           "lies within simplex_cap 1.0")
 
 
     @pytest.mark.parametrize("name,kwargs,width,rows,total,last", [
@@ -862,7 +986,8 @@ class TestClassify:
 
     def test_complex_top_supercritical_note(self):
         # cross-coupled block probabilities give a rotational drift Jacobian
-        # (0.6 +/- 0.3i): the oscillatory correction is noted, not estimated
+        # (0.6 +/- 0.1i): the oscillatory correction is noted, not estimated.
+        # The maps are valid on the whole simplex, where the walk lives.
         from erwlab.funcdsl import parse as parse_expr
         from erwlab.model import Domain, InitialLaw, ModelSpec, StepLaw
 
@@ -870,23 +995,26 @@ class TestClassify:
             s=2, d=2, r=3, partition=((1,), (2,), ()),
             step_law=StepLaw.point_mass([1.0, 1.0]),
             prob_maps=(
-                parse_expr("0.3 + 0.6*(x1 - 0.3) - 0.3*(x2 - 0.3)", arity=2),
-                parse_expr("0.3 + 0.3*(x1 - 0.3) + 0.6*(x2 - 0.3)", arity=2),
+                parse_expr("0.2 + 0.6*(x1 - 0.2) - 0.1*(x2 - 0.2)", arity=2),
+                parse_expr("0.2 + 0.1*(x1 - 0.2) + 0.6*(x2 - 0.2)", arity=2),
             ),
             A=np.eye(2), b=[0.0, 0.0],
             initial=InitialLaw([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5]),
-            domain=Domain([0.1, 0.1], [0.5, 0.5]),
+            domain=Domain([0.0, 0.0], [1.0, 1.0]),
+            meta={"simplex_cap": 1.0},
         )
         rep = classify(validate_model(spec))
         assert rep.regime == "Supercritical"
         assert rep.tau == pytest.approx(0.6, abs=1e-7)
-        assert np.allclose(rep.x0, [0.3, 0.3], atol=1e-9)
+        assert np.allclose(sorted(z.imag for z in rep.profile.eigenvalues), [-0.1, 0.1], atol=1e-7)
+        assert np.allclose(rep.x0, [0.2, 0.2], atol=1e-9)
         assert rep.downcrossing.verified
         assert any("oscillatory" in n for n in rep.notes)
 
     def test_unsupported_regime_reported(self):
         # a drift steeper than the identity at its fixed point sits outside
-        # the supported range; it also has no downcrossing there
+        # the supported range; it also has no downcrossing there. The initial
+        # atoms lie in the rectangle, as validation requires.
         from erwlab.funcdsl import parse as parse_expr
         from erwlab.model import Domain, InitialLaw, ModelSpec, StepLaw
 
@@ -895,7 +1023,7 @@ class TestClassify:
             step_law=StepLaw.point_mass([1.0]),
             prob_maps=(parse_expr("1.05 * x - 0.025"),),
             A=[[2.0]], b=[-1.0],
-            initial=InitialLaw([[1.0], [0.0]], [0.5, 0.5]),
+            initial=InitialLaw([[0.9], [0.1]], [0.5, 0.5]),
             domain=Domain([0.1], [0.9]),
         )
         rep = classify(validate_model(spec))

@@ -1,5 +1,10 @@
 """Independent cross-checks of the limit theory, kept for the tests.
 
+:func:`reference_damped_search` is the s > 1 search of
+:func:`erwlab.theory.find_fixed_point` written with a gather from and a
+scatter into every start's row each round, and a fresh active set;
+:func:`reference_midpoint_table` tabulates the bisection's midpoints with
+numpy arrays, where :func:`erwlab.theory._midpoint_table` uses Python floats.
 :func:`sigma1_quadrature` integrates the matrix exponential numerically,
 where :func:`erwlab.theory.solve_sigma1` solves the Lyapunov equation.
 :func:`reference_validation_grid` and :func:`reference_check_downcrossing`
@@ -18,17 +23,60 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from erwlab.theory import DowncrossingResult, TheoryError, enumerate_partitions
+from erwlab.theory import DowncrossingResult, TheoryError, _feasible, enumerate_partitions
+
+
+def reference_damped_search(model):
+    """The damped multistart iteration of :func:`erwlab.theory.find_fixed_point`
+    (s > 1): each round gathers the active starts' rows of ``x``, scatters
+    their new iterates back and recomputes the active set."""
+    dom = model.domain
+    span = np.minimum(dom.upper, dom.lower + 1.0) - dom.lower
+    offs = np.array([[(corner >> j) & 1 for j in range(model.s)] for corner in range(2 ** min(model.s, 3))],
+                    dtype=float)
+    x = _feasible(model, np.vstack([dom.lower + 0.5 * span, dom.lower + (0.1 + 0.8 * offs) * span]))
+    active = np.ones(len(x), dtype=bool)  # a converged start keeps the iterate of its last round
+    for _ in range(20000):
+        rows = np.flatnonzero(active)
+        xr = x[rows]
+        delta = model.eval_H(xr) - xr
+        x[rows] = _feasible(model, xr + 0.5 * delta)
+        active[rows[np.max(np.abs(delta), axis=1) < 1e-13]] = False
+        if not active.any():
+            break
+    roots = x[~active]
+    if not len(roots):
+        raise TheoryError("no-root-in-domain: damped iteration did not converge from any start")
+    base = roots[0]
+    for r in roots[1:]:
+        if np.max(np.abs(r - base)) > 1e-8:
+            raise TheoryError(f"multiple-roots: fixed points {base.tolist()} and {r.tolist()}")
+    return base
+
+
+def reference_midpoint_table(a, b, depth):
+    """:func:`erwlab.theory._midpoint_table` on numpy arrays, one level of
+    brackets at a time."""
+    ends, mids = np.array([a, b]), []
+    for _ in range(depth):
+        mid = 0.5 * (ends[:-1] + ends[1:])  # the brackets of one level, left to right
+        mids.append(mid)
+        split = np.empty(2 * len(ends) - 1)
+        split[0::2], split[1::2] = ends, mid
+        ends = split
+    return np.concatenate(mids)
+
+
+def _axes(dom, density: int, clip: float) -> list:
+    per_axis = min(density, max(2, int(1e5 ** (1.0 / dom.s))))
+    return [np.linspace(lo, lo + clip if math.isinf(hi) else hi, per_axis) for lo, hi in zip(dom.lower, dom.upper)]
 
 
 def reference_validation_grid(spec, density: int, clip: float) -> tuple:
     """``(grid, interior)`` of :func:`erwlab.model.validation_grid`: the
     whole meshgrid product, then the ``simplex_cap`` filter on its rows."""
     dom = spec.domain
-    per_axis = min(density, max(2, int(1e5 ** (1.0 / dom.s))))
-    axes = [np.linspace(lo, lo + clip if math.isinf(hi) else hi, per_axis)
-            for lo, hi in zip(dom.lower, dom.upper)]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*_axes(dom, density, clip), indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=-1)
     cap = spec.meta.get("simplex_cap")
     if cap is not None:
@@ -42,12 +90,21 @@ def reference_check_downcrossing(model, x0, grid_density: int = 201,
     """:func:`erwlab.theory.check_downcrossing` on the interior rows of the
     whole grid, with the exclusion norm taken on every row."""
     x0 = np.asarray(x0, dtype=float)
+    dom = model.domain
     grid, interior = reference_validation_grid(model.spec, grid_density, 1.0)
     grid = grid[interior]
-    keep = np.linalg.norm(grid - x0, axis=1) > exclusion_radius
-    grid = grid[keep]
     if grid.shape[0] == 0:
-        raise TheoryError("downcrossing grid is empty; raise grid_density")
+        axes = _axes(dom, grid_density, 1.0)
+        if all(np.any((a > lo + 1e-12) & (a < hi - 1e-12)) for a, lo, hi in zip(axes, dom.lower, dom.reach)):
+            cause = (f"no interior point of the {len(axes[0])}-per-axis grid (s = {model.s}) lies within "
+                     f"simplex_cap {model.meta['simplex_cap']!r}")
+        else:
+            cause = f"the {len(axes[0])}-per-axis grid has no interior point"
+        raise TheoryError(f"downcrossing grid is empty: {cause}")
+    grid = grid[np.linalg.norm(grid - x0, axis=1) > exclusion_radius]
+    if grid.shape[0] == 0:
+        raise TheoryError(f"downcrossing grid is empty: the exclusion ball of radius {exclusion_radius!r} "
+                          f"around x0 = {x0.tolist()} drops every interior point")
     H = model.eval_H(grid)
     values = np.einsum("ij,ij->i", grid - x0, H - grid)
     k = int(np.argmax(values))
