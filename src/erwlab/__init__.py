@@ -18,7 +18,7 @@ from .model import (
     validate_model,
 )
 from .presets import build_preset, list_presets
-from .simulate import EnsembleStats, FunctionalConfig, ensemble, trajectory
+from .simulate import EnsembleStats, FunctionalConfig, ensemble
 from .theory import RegimeReport, classify, find_fixed_point
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "EnsembleStats",
     "FunctionalConfig",
     "ensemble",
-    "trajectory",
     "RegimeReport",
     "classify",
     "find_fixed_point",

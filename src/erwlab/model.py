@@ -335,11 +335,12 @@ class ValidatedModel:
             np.allclose(v, np.round(v)) for v in (spec.A, spec.b, spec.step_law.atoms, spec.initial.atoms)
         )
 
-    def _points(self, x) -> np.ndarray:
+    def _points(self, x) -> tuple:
+        """The points as a float array (..., s), and as an (n, s) batch: a point (s,) is a batch of one."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.s:
             raise ModelError(f"points must have shape (..., {self.s}), got {x.shape}")
-        return x
+        return x, x if x.ndim == 2 else x.reshape(-1, x.shape[-1])
 
     def block_probs(self, x):
         """All r block probabilities at points x of shape (..., s), as (r, ...).
@@ -351,29 +352,29 @@ class ValidatedModel:
         last row takes the complement. Values outside [0 - CLAMP_TOL,
         1 + CLAMP_TOL], and NaN, abort: that is model misuse, not noise.
         Within the tolerance band they are clamped. The complement sums the
-        rows in order, so a point's row of an (n, s) batch has the same bits
-        in every batch. A bare (s,) point is the exception: its maps run on
-        0-d arrays, so on numpy scalar math, whose ``**`` (libm ``pow``) can
-        differ in the last bit from the array loop. ROADMAP item 4(i)
-        evaluates a bare point as a batch of one.
+        rows in order, and every shape is evaluated as an (n, s) batch, a
+        single (s,) point as a batch of one, so a point's probabilities have
+        the same bits alone as in any batch.
         """
-        return self._probs(self._points(x))
+        x, pts = self._points(x)
+        probs = self._probs(pts)
+        return probs if pts is x else probs.reshape((self.r,) + x.shape[:-1])
 
     def _probs(self, x) -> np.ndarray:
-        """:meth:`block_probs` at points x already checked by :meth:`_points`."""
+        """:meth:`block_probs` at an (n, s) batch x already checked by :meth:`_points`."""
         r = self.r
-        cols = [x[..., j] for j in range(x.shape[-1])]
-        probs = np.empty((r,) + x.shape[:-1])
+        cols = [x[:, j] for j in range(x.shape[1])]
+        probs = np.empty((r, len(x)))
         head = probs[:-1]
         for i, pm in enumerate(self.spec.prob_maps):
-            head[i, ...] = pm.fast(cols)
+            head[i] = pm.fast(cols)
         check_runtime_probs(head)
         clip_ufunc(head, 0.0, 1.0, out=head)
-        totals = head[0] if r > 1 else np.zeros(x.shape[:-1])
+        totals = head[0] if r > 1 else np.zeros(len(x))
         for row in head[1:]:  # in row order, where numpy sums one point's rows pairwise
             totals = totals + row
         check_runtime_sum(totals)
-        tail = probs[-1, ...]  # a view, also when x is a single (s,) point
+        tail = probs[-1]
         np.subtract(1.0, totals, out=tail)
         clip_ufunc(tail, 0.0, 1.0, out=tail)
         return probs
@@ -397,8 +398,7 @@ class ValidatedModel:
         (:attr:`_drift`), so a call on a few points, as in each round of
         the fixed-point search, costs little more than the maps themselves.
         """
-        x = self._points(x)
-        pts = x if x.ndim == 2 else x.reshape(-1, x.shape[-1])
+        x, pts = self._points(x)
         masked_mu, low, high = self._drift
         # Each coordinate's values made contiguous: reduced over axis 0 of
         # pts, numpy's inner loop would run over one point's s values, 10

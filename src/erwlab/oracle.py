@@ -3,7 +3,7 @@
 The auxiliary walk is a time-inhomogeneous Markov chain in its own position,
 so its exact law can be pushed forward step by step: a dense O(n^2) table for
 one-dimensional unit-step models (n <= 2000), and a sparse law over the
-reached positions for any model (n <= 12, at most ``max_states`` state x
+reached positions for any model (n <= 12, at most ``_MAX_STATES`` state x
 block x atom entries per step). Both evaluate the maps in batches, and both
 return the float sums, in the same order, that a scalar step-by-step or
 state-by-state loop gives (``tests/oracle_reference.py`` holds those loops).
@@ -54,6 +54,7 @@ def is_unit_step_1d(model: ValidatedModel) -> bool:
 
 
 _DP_POINTS = 32_768  # map points per block_probs call in exact_dp_1d: 256 KB per array
+_MAX_STATES = 1_000_000  # state x block x atom entries one step of enumerate_small_multi may hold
 
 
 def exact_dp_1d(model: ValidatedModel, n: int) -> ExactLaw1D:
@@ -116,7 +117,7 @@ def _merge(keys: np.ndarray, probs: np.ndarray):
     return keys[np.sort(first)], sums
 
 
-def enumerate_small_multi(model: ValidatedModel, n: int, max_states: int = 1_000_000) -> dict:
+def enumerate_small_multi(model: ValidatedModel, n: int) -> dict:
     """Exact sparse law of the auxiliary position at time n <= 12, any model.
 
     Returns a dict mapping position tuples to probabilities, in order of
@@ -126,7 +127,7 @@ def enumerate_small_multi(model: ValidatedModel, n: int, max_states: int = 1_000
     ``(prob * P_i) * w`` for every (state, block, atom) with ``P_i != 0``,
     and the contributions summed per position in that order. Every
     probability is the float sum a dict of positions, filled state by
-    state, gives. Before each step, states x r x atoms above ``max_states``
+    state, gives. Before each step, states x r x atoms above ``_MAX_STATES``
     raises ``too-many-states``: that bounds the step's work and memory.
     """
     if n < 1 or n > 12:
@@ -138,7 +139,7 @@ def enumerate_small_multi(model: ValidatedModel, n: int, max_states: int = 1_000
     initial = model.spec.initial
     pos, probs = _merge(initial.atoms, initial.probs)
     for t in range(1, n):
-        if len(pos) * n_entries > max_states:
+        if len(pos) * n_entries > _MAX_STATES:
             raise OracleError(f"too-many-states: {len(pos)} states x {n_entries} (block, atom) pairs at t={t}")
         bp = model.block_probs(pos / t).T  # (K, r)
         keep = np.repeat(bp.ravel() != 0.0, n_atoms)

@@ -36,6 +36,7 @@ class SAError(ModelError):
 
 
 _SLICE = 1 << 16  # doubles per noise buffer, samples per slice of the moment check
+_GUARD = 1e9  # |theta| past which run_sa freezes a path as escaped
 
 
 @dataclass(frozen=True)
@@ -111,10 +112,10 @@ class SAPaths:
 
 
 def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
-           checkpoints=None, guard: float = 1e9) -> SAPaths:
+           checkpoints=None) -> SAPaths:
     """Simulate N independent paths of the recursion, a_n = 1/(n+1).
 
-    Paths whose magnitude passes ``guard`` are frozen and reported in
+    Paths whose magnitude passes ``_GUARD`` are frozen and reported in
     ``escaped`` (never silently clipped): with a locally attracting root the
     limit theorems condition on the convergence event, so escapes are
     excluded from theorem statistics but always reported.
@@ -173,7 +174,7 @@ def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
                 eps *= 2.0
                 eps -= 1.0
             eps *= proc.noise.sd
-            if not escaped.any() and _step_clear(fast, theta, eps, n, path, guard):
+            if not escaped.any() and _step_clear(fast, theta, eps, n, path):
                 for c, j in cp_index.items():
                     if n < c <= n + span:
                         out[:, j] = path[c - n - 1]
@@ -185,7 +186,7 @@ def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
                 moved = theta - a_n * (fast([theta]) + eps[i])
                 # escaped paths stay frozen at their flagged value
                 theta = np.where(escaped, theta, moved)
-                escaped |= np.abs(theta) > guard
+                escaped |= np.abs(theta) > _GUARD
                 n += 1
                 if n in cp_index:
                     out[:, cp_index[n]] = theta
@@ -200,11 +201,11 @@ def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
     )
 
 
-def _step_clear(fast, theta, eps, n, path, guard) -> bool:
+def _step_clear(fast, theta, eps, n, path) -> bool:
     """Step every path from theta_n through the noise rows ``eps`` with no
     freeze, row i of ``path`` taking theta_{n+1+i}, as ``run_sa``'s per-step
     loop computes it (m counts n + 1.0, n + 2.0, ... with no rounding, so
-    1 / m is its a_n). True when every value lies within the guard; False
+    1 / m is its a_n). True when every value lies within ``_GUARD``; False
     when one does not, is NaN, or the pass raised on some path, which the
     freeze might have stopped before it got there: a domain error of the
     drift, or a floating-point event that the caller's ``np.errstate`` does
@@ -220,7 +221,7 @@ def _step_clear(fast, theta, eps, n, path, guard) -> bool:
     except Exception:  # noqa: BLE001 - the replay raises it again if the freeze does not prevent it
         return False
     moved = path[:len(eps)]
-    return bool(moved.max() <= guard and -moved.min() <= guard)
+    return bool(moved.max() <= _GUARD and -moved.min() <= _GUARD)
 
 
 # ---------------------------------------------------------------------------
@@ -259,20 +260,23 @@ def noise_moment_check(model: ValidatedModel, n_max: int = 4000, N: int = 200,
     predicted H(x) Sigma / mu - H(x)^2, per bin with enough samples. The
     Lindeberg tail statistic is evaluated on a doubling time grid at
     delta = 0.2; with bounded steps it is zero once delta * sqrt(n) passes
-    the noise bound.
+    the noise bound. The noise e_{n+1} = H(Gamma_n) - X_{n+1} is written
+    over the recorded increments in place, slice by slice, from the one
+    ``eval_H`` call that also gives the slice's predicted second moment.
     """
     if model.s != 1:
         raise SAError("noise checks implemented for s = 1")
     cfg = FunctionalConfig(collect_noise=True)
     stats = ensemble(model, n_max, N, master_seed, functional_config=cfg)
+    noise = stats.noise_step  # X_{n+1}, and e_{n+1} once the slice loop has passed
     xs = stats.noise_x.ravel()
-    es = stats.noise_e.ravel()
+    es = noise.ravel()
     lo = float(model.domain.lower[0])
     hi = float(min(model.domain.upper[0], lo + 1.0))
     bins = 16
     edges = np.linspace(lo, hi, bins + 1)
-    # the bin of each sample, its predicted second moment, the bin counts and
-    # max |e|, one slice at a time so that no temporary spans every sample
+    # the noise, the bin of each sample, its predicted second moment, the bin
+    # counts and max |e|, one slice at a time so that no temporary spans every sample
     which = np.empty(xs.size, dtype=np.uint8)
     pred = np.empty(xs.size)
     counts = np.zeros(bins, dtype=np.int64)
@@ -282,6 +286,7 @@ def noise_moment_check(model: ValidatedModel, n_max: int = 4000, N: int = 200,
         which[part] = np.clip(np.digitize(xs[part], edges) - 1, 0, bins - 1)
         counts += np.bincount(which[part], minlength=bins)
         H = model.eval_H(xs[part, None])[..., 0]
+        np.subtract(H, es[part], out=es[part])
         pred[part] = H * float(model.sigma[0, 0]) / float(model.mu[0]) - H ** 2
         peaks.append(np.abs(es[part]).max())
 
@@ -314,7 +319,7 @@ def noise_moment_check(model: ValidatedModel, n_max: int = 4000, N: int = 200,
         thr = 0.2 * math.sqrt(n)
         rows = max(1, _SLICE // (n - 1))
         for first in range(0, N, rows):
-            e_slice = stats.noise_e[first:first + rows, : n - 1]
+            e_slice = noise[first:first + rows, : n - 1]
             tail = np.where(np.abs(e_slice) >= thr, e_slice ** 2, 0.0)
             row_sums[first:first + rows] = tail.sum(axis=1)
         lindeberg.append(float(row_sums.mean() / n))
@@ -456,6 +461,8 @@ def sa_expansion_check(proc: SAProcess, paths: SAPaths, eval_ratio: float = 2.0 
     psi_p = proc.psi_prime()
     if not 0.0 < psi_p < 0.5:
         raise SAError("wrong-derivative-regime: residual expansion needs 0 < psi' < 1/2")
+    if paths.n_max < 2:  # every path is still theta1
+        raise SAError(f"the residual expansion check needs n >= 2: at n = {paths.n_max} the recursion has not stepped")
     k = int(math.floor(1.0 / (2.0 * psi_p) + 1e-12))
     if abs(psi_p - 1.0 / (2.0 * (k + 1))) < 1e-12:
         k += 1  # boundary psi' = 1/(2k) belongs to the k path
@@ -500,6 +507,8 @@ def sa_clt_variance_check(proc: SAProcess, paths: SAPaths, tolerance: float = 0.
     psi_p = proc.psi_prime()
     if not psi_p > 0.5:
         raise SAError("wrong-derivative-regime: the CLT variance check needs psi' > 1/2")
+    if paths.n_max < 2:
+        raise SAError(f"the CLT variance check needs n >= 2: at n = {paths.n_max} the recursion has not stepped")
     kept = ~paths.escaped
     if kept.sum() < 2:
         raise SAError(f"the CLT variance check needs at least 2 paths that did not escape, got {int(kept.sum())}")

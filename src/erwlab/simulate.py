@@ -32,13 +32,14 @@ one-step replay kept in ``tests/``, which evaluates the full
 ``block_probs`` at every step.
 
 :class:`_Recorder` holds the per-step rows and the functionals (LIL
-maximum, return counts, noise increments) and writes the checkpoint rows.
+maximum, return counts, the noise samples) and writes the checkpoint rows.
 A step only writes one row of each of a few reused blocks of about 32K
 doubles, sized to stay in cache. The range abort, the functionals'
-elementwise operations and the noise increments then run once over the
-block, when it fills, at every checkpoint and at every chunk end. They are
-the per-step operations applied row by row, so the results are the same
-bits as a per-step update, and an error reports the first failing step.
+elementwise operations and the copy of the noise samples then run once
+over the block, when it fills, at every checkpoint and at every chunk end.
+They are the per-step operations applied row by row, so the results are
+the same bits as a per-step update, and an error reports the first failing
+step.
 """
 
 from __future__ import annotations
@@ -77,12 +78,15 @@ class FunctionalConfig:
     lil_mode: Optional[str] = None  # "diffusive" | "critical"
     lil_window: tuple = (1000, None)  # max taken over n in [lo, hi]
     track_returns: bool = False  # d = 1 integer-lattice models only
-    collect_noise: bool = False  # retain noise increments (s = 1 only)
+    collect_noise: bool = False  # retain each step's state and increment (s = 1 only)
 
 
 @dataclass
 class EnsembleStats:
-    """Checkpointed ensemble summaries plus retained per-trajectory data."""
+    """Checkpointed ensemble summaries plus retained per-trajectory data.
+
+    Noise collection keeps, in column n - 1, the state Gamma_n and the drawn
+    increment X_{n+1}; the reduction's noise is e_{n+1} = H(Gamma_n) - X_{n+1}."""
 
     checkpoints: list
     n_max: int
@@ -95,8 +99,8 @@ class EnsembleStats:
     return_counts: Optional[np.ndarray] = None  # (N,)
     last_return: Optional[np.ndarray] = None  # (N,)
     returns_at: Optional[np.ndarray] = None  # (N, C) cumulative counts
-    noise_x: Optional[np.ndarray] = None  # (N, n_max-1) states fed to the drift
-    noise_e: Optional[np.ndarray] = None  # (N, n_max-1) noise increments
+    noise_x: Optional[np.ndarray] = None  # (N, n_max-1) states Gamma_n fed to the drift
+    noise_step: Optional[np.ndarray] = None  # (N, n_max-1) drawn increments X_{n+1}
 
     def mean(self, cp_index: int) -> np.ndarray:
         return self.snn[:, cp_index, :].mean(axis=0)
@@ -240,8 +244,8 @@ def _lil_norm(n: int, mode: str) -> float:
     return math.sqrt(n / (2.0 * math.log(n) * math.log(math.log(math.log(n)))))
 
 
-_CHUNK_DOUBLES = 8_388_608  # uniforms per chunk buffer: 64 MB
-_CHUNK_STEPS = 1024  # steps per chunk: 4 MB of uniforms at B = 256
+_BATCH = 2048  # trajectories per kernel batch
+_CHUNK_STEPS = 1024  # steps per chunk, even: 4 MB of uniforms at B = 256, 32 MB at B = _BATCH
 
 
 def _uniform_chunks(keys, n_max):
@@ -250,13 +254,14 @@ def _uniform_chunks(keys, n_max):
 
     One generator serves the batch. For each trajectory and chunk it is keyed
     and set to block counter t // 2 with an empty buffer, so the next double
-    is draw 2t of that trajectory's stream; hence every chunk but the last
-    has even length. The re-key is a ``state`` assignment whose key, counter
-    and buffer words are Python ints (the keys converted once per batch by
-    ``tolist``): numpy's setter reads the ten words one at a time, and a
-    word read from a uint64 array is first boxed as a numpy scalar, which
-    made the setter take 2.3 times as long (1.3 against 0.6 µs, timeit,
-    numpy 2.4.6, 2-core Xeon). The state is the same, and so are the draws.
+    is draw 2t of that trajectory's stream; hence a chunk that another
+    follows has even length, and ``_CHUNK_STEPS`` is even. The re-key is a
+    ``state`` assignment whose key, counter and buffer words are Python ints
+    (the keys converted once per batch by ``tolist``): numpy's setter reads
+    the ten words one at a time, and a word read from a uint64 array is
+    first boxed as a numpy scalar, which made the setter take 2.3 times as
+    long (1.3 against 0.6 µs, timeit, numpy 2.4.6, 2-core Xeon). The state
+    is the same, and so are the draws.
 
     The draws fill a trajectory-major buffer, reused across chunks, and
     ``uniforms`` is its transposed view, not a copy. A step reads B doubles
@@ -267,16 +272,16 @@ def _uniform_chunks(keys, n_max):
     12-step rows (3 lines) of an n = 12 ensemble 16 steps, 256 bytes, apart
     and ran 3% slower, so only rows of an even number of lines are padded.
 
-    A chunk holds at most ``_CHUNK_STEPS`` steps, and its buffer at most
-    ``_CHUNK_DOUBLES`` doubles. The step bound keeps the buffer of a long
-    batch a few megabytes. A buffer of the whole horizon (10 MB at B = 256,
-    n = 2500) came from wherever malloc's heap had a hole of that size, so
-    the resident set of two runs of the same commands differed by a whole
-    buffer. Each chunk past the first re-keys every trajectory once more:
-    at 1024 steps that costs one re-key per 2048 draws of a trajectory.
+    A chunk holds at most ``_CHUNK_STEPS`` steps, which keeps the buffer of
+    a long batch a few megabytes. A buffer of the whole horizon (10 MB at
+    B = 256, n = 2500) came from wherever malloc's heap had a hole of that
+    size, so the resident set of two runs of the same commands differed by
+    a whole buffer. Each chunk past the first re-keys every trajectory once
+    more: at 1024 steps that costs one re-key per 2048 draws of a
+    trajectory.
     """
     B = len(keys)
-    chunk = min(n_max, _CHUNK_STEPS, max(2, _CHUNK_DOUBLES // (2 * B) // 2 * 2))
+    chunk = min(n_max, _CHUNK_STEPS)
     bit_gen = np.random.Philox(0)  # re-keyed before every fill
     gen = np.random.Generator(bit_gen)
     key_list = keys.tolist()  # [[k0, k1], ...] as Python ints
@@ -316,7 +321,9 @@ class _Recorder:
     all, and row k belongs to step k of the block. The kernel
     writes the raw P_1..P_{r-1} of a step into ``probs[k]`` (K, r - 1, B),
     its drawn row of the step table into ``rows[k]`` and, for noise
-    collection, the state fed to the maps into ``noise_x[k]``. Then
+    collection, the state fed to the maps into ``noise_x[k]``; at a flush
+    that state and the first coordinate of the drawn step go to the output's
+    ``noise_x`` and ``noise_step``. Then
     :meth:`record` writes the first observed coordinate's product
     ``state[:, 0] * A[0, 0]`` (for s > 1 the column of ``state @ A.T``) into
     ``prod[k]`` and moves to the next row. The P block starts zeroed, so the
@@ -354,9 +361,7 @@ class _Recorder:
         # entry up to the sign of a zero, which == and abs ignore
         self.col = state[:, 0] if self.A.shape[1] == 1 else None
         self.noise_x = np.empty((K, B)) if cfg.collect_noise else None
-        # noise (s = 1): the drift H = P . (block masks * mu) and the steps' first column
-        self.block_mu = (model.block_masks * model.mu)[:, 0]
-        self.step0 = steps[:, 0]
+        self.step0 = steps[:, 0]  # the increment X of each row of the step table (s = 1)
 
     def record(self, n):
         """Take the positions after step n, whose row the kernel has written."""
@@ -414,17 +419,10 @@ class _Recorder:
         if self.noise_x is not None:
             first = 1 if n_lo == 1 else 0  # step 0 draws the initial position: no noise
             if first < k:
-                # s = 1, so r <= 2 and H = clip(P_1) * mu + clip(1 - clip(P_1)) * (0 * mu):
-                # block_probs' rows times the masked mu. As mu >= 0 the last
-                # term is +0, so H has the matrix product's bits, signed zeros included
-                head = clip_ufunc(self.probs[first:k], 0.0, 1.0)
-                H = np.clip(1.0 - head.sum(axis=1), 0.0, 1.0) * self.block_mu[-1]
-                if len(self.block_mu) == 2:
-                    H = head[:, 0] * self.block_mu[0] + H
                 # noise column tc - 1 belongs to step tc
                 span = slice(n_lo - 2 + first, self.n - 1)
                 out["noise_x"][:, span] = self.noise_x[first:k].T
-                out["noise_e"][:, span] = (H - self.step0.take(self.rows[first:k])).T
+                out["noise_step"][:, span] = self.step0.take(self.rows[first:k]).T
 
 
 # Step tables up to this many rows draw the (block, atom) row by comparisons
@@ -542,32 +540,20 @@ def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
     out["aux_final"][:, :] = state
 
 
-def trajectory(model: ValidatedModel, n_max: int, seed: int,
-               functional_config: Optional[FunctionalConfig] = None):
-    """Single trajectory at the default checkpoints; deterministic function
-    of (model, seed).
-
-    Equals trajectory ``index=0`` of an ensemble run with ``master_seed=seed``.
-    Returns an :class:`EnsembleStats` with N=1.
-    """
-    return ensemble(model, n_max, 1, seed, functional_config=functional_config, threads=1)
-
-
 def ensemble(model: ValidatedModel, n_max: int, N: int, master_seed: int,
              checkpoints=None, functional_config: Optional[FunctionalConfig] = None,
-             threads: int = 1, batch_size: int = 2048) -> EnsembleStats:
-    """Monte Carlo ensemble of N independent trajectories.
+             threads: int = 1) -> EnsembleStats:
+    """Monte Carlo ensemble of N independent trajectories, run in batches of
+    ``_BATCH`` (on ``threads`` threads when there are several).
 
-    Results are independent of ``threads`` and ``batch_size``: trajectory i
+    Results are independent of the batching and of ``threads``: trajectory i
     always consumes the same stream (master_seed, i), and reductions happen
-    on index-ordered arrays.
+    on index-ordered arrays. One trajectory is the ensemble with N = 1.
     """
-    for name, value in (("N", N), ("batch_size", batch_size), ("threads", threads)):
+    for name, value in (("N", N), ("threads", threads)):
         check_integer(name, value)
     if not 1 <= N <= MAX_TRAJECTORIES:
         raise ModelError(f"N must lie in [1, {MAX_TRAJECTORIES}]")
-    if batch_size < 1:
-        raise ModelError("batch_size must be >= 1")
     if threads < 1:
         raise ModelError(f"threads must be >= 1, got {threads}")
     check_master_seed(master_seed)
@@ -599,14 +585,14 @@ def ensemble(model: ValidatedModel, n_max: int, N: int, master_seed: int,
         "last_return": np.zeros(N, dtype=np.int64) if returns else None,
         "returns_at": np.zeros((N, C), dtype=np.int64) if returns else None,
         "noise_x": np.empty((N, n_max - 1)) if noise else None,
-        "noise_e": np.empty((N, n_max - 1)) if noise else None,
+        "noise_step": np.empty((N, n_max - 1)) if noise else None,
     }
 
     def run_batch(lo, hi):
         out = {name: None if a is None else a[lo:hi] for name, a in arrays.items()}
         _simulate_batch(model, n_max, checkpoints, philox_keys(master_seed, lo, hi), cfg, out)
 
-    batches = [(lo, min(lo + batch_size, N)) for lo in range(0, N, batch_size)]
+    batches = [(lo, min(lo + _BATCH, N)) for lo in range(0, N, _BATCH)]
     if threads > 1 and len(batches) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(lambda span: run_batch(*span), batches))

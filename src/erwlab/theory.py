@@ -44,16 +44,12 @@ def strict_errstate():
 _BISECT_DEPTH = 7  # halvings whose midpoints one eval_H call tabulates
 
 
-def _feasible(model, x):
-    """Clip points of shape (..., s) into the rectangle; a point whose
-    coordinates sum past the model's ``simplex_cap`` is scaled back inside."""
-    return _feasible_map(model)(x)
-
-
 def _feasible_map(model):
-    """:func:`_feasible` as a function of the points alone, with the model's
-    bounds and cap read once. A batch with no row past the cap is returned
-    as clipped: the scaling would select every value unchanged."""
+    """The map that clips points of shape (..., s) into the model's
+    rectangle and scales a point whose coordinates sum past its
+    ``simplex_cap`` back inside, with the bounds and cap read once. A batch
+    with no row past the cap is returned as clipped: the scaling would
+    select every value unchanged."""
     lower, reach = model.domain.lower, model.domain.reach
     cap = model.meta.get("simplex_cap")
 
@@ -197,26 +193,27 @@ class DowncrossingResult:
 # glibc's initial 128 KiB mmap threshold, so the temporaries come from the
 # heap and do not fault in fresh pages on every call.
 _DOWN_SLICE = 1 << 13
+_EXCLUSION_RADIUS = 1e-6  # radius of the ball around x0 that check_downcrossing leaves out
 
 
-def check_downcrossing(model: ValidatedModel, x0, grid_density: int = GRID_DENSITY,
-                       exclusion_radius: float = 1e-6) -> DowncrossingResult:
+def check_downcrossing(model: ValidatedModel, x0) -> DowncrossingResult:
     """Grid check of sup (x - x0)^T (H(x) - x) < 0 away from x0.
 
     The sup in the condition runs over closed subsets of the open rectangle,
     so the grid keeps strictly interior points and excludes a small ball
     around x0. A nonnegative maximum reports the offending point.
 
-    The grid is :func:`~erwlab.model.interior_grid`, built from the
+    The grid is :func:`~erwlab.model.interior_grid` at
+    :data:`~erwlab.model.GRID_DENSITY` points per axis, built from the
     interior values of each axis: the interior rows of the validation grid,
     with no boundary row built. The ball drops the rows whose norm
-    ``|x - x0|`` is at most ``exclusion_radius`` (r). That norm is the
+    ``|x - x0|`` is at most ``_EXCLUSION_RADIUS`` (r). That norm is the
     square root of a float sum of squares, never less than one of its
     terms, so a dropped row has ``sqrt(d_j * d_j) <= r`` on every axis j,
     where d_j is its deviation from x0 there. If some axis has no value
     that close to x0, no row can be dropped, and the norms are not taken.
-    A NaN in x0 makes every norm NaN, and a NaN r makes every comparison
-    false: in both cases the norms are taken and drop every row. An empty
+    A NaN in x0 makes every norm NaN: then the norms are taken and drop
+    every row. An empty
     grid raises with its cause: no interior row within ``simplex_cap`` (or
     no interior value on some axis), or the ball dropping every row.
 
@@ -229,18 +226,18 @@ def check_downcrossing(model: ValidatedModel, x0, grid_density: int = GRID_DENSI
     a single ``eval_H`` call on it does.
     """
     x0 = np.asarray(x0, dtype=float)
-    grid, axes = interior_grid(model.spec, grid_density, 1.0)
+    grid, axes = interior_grid(model.spec, GRID_DENSITY, 1.0)
     if grid.shape[0] == 0:  # an axis without interior values, or the simplex cap
-        per_axis = len(model.domain.axes(grid_density)[0])
+        per_axis = len(model.domain.axes(GRID_DENSITY)[0])
         cause = (f"no interior point of the {per_axis}-per-axis grid (s = {model.s}) lies within simplex_cap "
                  f"{model.meta.get('simplex_cap')!r}" if all(map(len, axes))
                  else f"the {per_axis}-per-axis grid has no interior point")
         raise TheoryError(f"downcrossing grid is empty: {cause}")
-    if np.isnan(x0).any() or not any(np.all(np.sqrt(d * d) > exclusion_radius)
+    if np.isnan(x0).any() or not any(np.all(np.sqrt(d * d) > _EXCLUSION_RADIUS)
                                      for d in map(np.subtract, axes, np.broadcast_to(x0, (len(axes),)))):
-        grid = grid[np.linalg.norm(grid - x0, axis=1) > exclusion_radius]
+        grid = grid[np.linalg.norm(grid - x0, axis=1) > _EXCLUSION_RADIUS]
     if grid.shape[0] == 0:
-        raise TheoryError(f"downcrossing grid is empty: the exclusion ball of radius {exclusion_radius!r} "
+        raise TheoryError(f"downcrossing grid is empty: the exclusion ball of radius {_EXCLUSION_RADIUS!r} "
                           f"around x0 = {x0.tolist()} drops every interior point")
     rows = max(1, _DOWN_SLICE // max(model.s, model.r))
     values = np.empty(grid.shape[0])

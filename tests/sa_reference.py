@@ -19,13 +19,13 @@ import math
 
 import numpy as np
 
-from erwlab.sa import (CheckReport, SAError, SAPaths, SAProcess, _converged_scales, residual_order_slope,
+from erwlab.sa import (_GUARD, CheckReport, SAError, SAPaths, SAProcess, _converged_scales, residual_order_slope,
                        sa_coeffs)
 from erwlab.simulate import FunctionalConfig, ensemble, resolve_checkpoints
 from walk_replay import trajectory_seed
 
 
-def run_sa_reference(proc, n_max, N, master_seed, checkpoints=None, guard=1e9):
+def run_sa_reference(proc, n_max, N, master_seed, checkpoints=None, guard=_GUARD):
     """``(theta, escaped)``: the (N, C) checkpoint values and the (N,) escape flags."""
     checkpoints = resolve_checkpoints(n_max, checkpoints)
     cp_index = {n: j for j, n in enumerate(checkpoints)}
@@ -59,7 +59,6 @@ def noise_moment_check_reference(model, n_max, N, master_seed, min_count=500) ->
     """:func:`erwlab.sa.noise_moment_check` with full-length temporaries."""
     stats = ensemble(model, n_max, N, master_seed, functional_config=FunctionalConfig(collect_noise=True))
     xs = stats.noise_x.ravel()
-    es = stats.noise_e.ravel()
     lo = float(model.domain.lower[0])
     hi = float(min(model.domain.upper[0], lo + 1.0))
     bins = 16
@@ -67,6 +66,7 @@ def noise_moment_check_reference(model, n_max, N, master_seed, min_count=500) ->
     which = np.clip(np.digitize(xs, edges) - 1, 0, bins - 1)
 
     H = model.eval_H(xs[..., None])[..., 0]
+    es = H - stats.noise_step.ravel()
     pred = H * float(model.sigma[0, 0]) / float(model.mu[0]) - H ** 2
 
     bad_mean, bad_var, used = [], [], 0
@@ -94,7 +94,7 @@ def noise_moment_check_reference(model, n_max, N, master_seed, min_count=500) ->
     lindeberg = []
     for n in grid:
         thr = 0.2 * math.sqrt(n)
-        e_slice = stats.noise_e[:, : n - 1]
+        e_slice = es.reshape(stats.noise_step.shape)[:, : n - 1]
         tail = np.where(np.abs(e_slice) >= thr, e_slice ** 2, 0.0)
         lindeberg.append(float(tail.sum(axis=1).mean() / n))
     settled = [v for n, v in zip(grid, lindeberg) if n >= 16]

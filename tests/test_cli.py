@@ -282,7 +282,10 @@ def test_malformed_tol_overrides_exit_2(tmp_path, capsys, text):
     ["sa", "--drift", "x", "--n", "100", "--N", "-1"],
     ["sa", "--preset", "erw", "--p", "0.6", "--n", "1", "--N", "4"],
     ["sa", "--drift", "x", "--theta0", "0", "--n", "100", "--N", "1"],
-], ids=["coeffs", "z-values", "z-probs", "sa-n-0", "sa-N-0", "sa-N-negative", "sa-model-n-1", "sa-clt-N-1"])
+    ["sa", "--drift", "0.3*x", "--n", "1", "--N", "200"],  # no step taken
+    ["sa", "--drift", "0.8*x", "--n", "1", "--N", "5"],
+], ids=["coeffs", "z-values", "z-probs", "sa-n-0", "sa-N-0", "sa-N-negative", "sa-model-n-1", "sa-clt-N-1",
+        "sa-expansion-n-1", "sa-clt-n-1"])
 def test_bad_argument_value_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "out.json"
     code = main(argv + ["--out", str(out)])

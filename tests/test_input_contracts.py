@@ -46,9 +46,9 @@ class TestKernelRangeMessages:
     @pytest.mark.parametrize("seed,span", [(0, "[0.842857, 1.01429]"), (3, "[0.961538, 1.00769]")])
     def test_failure_in_a_later_chunk(self, monkeypatch, seed, span):
         # walks start at 0 and x_t <= (t - 1)/t, so P = 0.5 + 0.6 x passes 1
-        # no earlier than step 7: after the first 6-step chunk (B = 4)
+        # no earlier than step 7: after the first 6-step chunk
         model = _hacked_erw("0.5 + 0.6*x", q=1e-300)
-        monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", 48)
+        monkeypatch.setattr(simulate, "_CHUNK_STEPS", 6)
         ensemble(model, 6, 4, master_seed=seed)
         assert _message(model, 100, 4, seed) == f"probability-out-of-range at runtime: P in {span}"
 

@@ -292,6 +292,15 @@ class TestBlockProbs:
             assert np.array_equal(model.block_probs(points[j]), probs[:, j]), j
             assert np.array_equal(model.block_probs(points[j : j + 1]), probs[:, j : j + 1]), j
 
+    def test_a_bare_point_is_a_batch_of_one(self):
+        # on 0-d arrays the maps would run on numpy scalar math, whose ** is
+        # libm pow: it differs from the array loop in the last bit at one of
+        # these cubes (seed 0)
+        model = validate_model(build_preset("cubic-supercritical"))
+        points = np.random.default_rng(0).uniform(0.0, 1.0, (1000, 1))
+        for x in points:
+            assert model.block_probs(x).tobytes() == model.block_probs(x[None])[:, 0].tobytes(), x
+
     def test_no_maps_give_all_ones(self):
         spec = ModelSpec(
             s=1, d=1, r=1, partition=((1,),), step_law=StepLaw.point_mass([1.0]), prob_maps=(),

@@ -157,21 +157,24 @@ class TestEnumeration:
         assert min(values) >= -6.0 and max(values) <= 6.0
         assert math.fsum(pmf.values()) == pytest.approx(1.0, abs=1e-13)
 
-    def test_state_guard(self):
+    def test_state_guard(self, monkeypatch):
         # kdim k=3 reaches 4,368 states x 6 blocks at step 11
         model = _model("kdim", dict(k=3, p=0.5))
+        monkeypatch.setattr(oracle, "_MAX_STATES", 10_000)
         with pytest.raises(OracleError, match="too-many-states"):
-            enumerate_small_multi(model, 12, max_states=10_000)
+            enumerate_small_multi(model, 12)
 
-    def test_state_guard_counts_merged_states(self):
+    def test_state_guard_counts_merged_states(self, monkeypatch):
         # 4^11 paths reach only 364 positions at step 11, and 455 at n = 12
         model = _model("kdim", dict(k=2, p=0.6))
         sparse = enumerate_small_multi(model, 12)
         assert len(sparse) == 455
         assert math.fsum(sparse.values()) == pytest.approx(1.0, abs=1e-14)
-        assert enumerate_small_multi(model, 12, max_states=364 * 4) == sparse
+        monkeypatch.setattr(oracle, "_MAX_STATES", 364 * 4)
+        assert enumerate_small_multi(model, 12) == sparse
+        monkeypatch.setattr(oracle, "_MAX_STATES", 364 * 4 - 1)
         with pytest.raises(OracleError, match="too-many-states: 364 states x 4"):
-            enumerate_small_multi(model, 12, max_states=364 * 4 - 1)
+            enumerate_small_multi(model, 12)
 
 
 class TestReferenceLoops:

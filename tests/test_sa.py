@@ -174,12 +174,13 @@ class TestRunner:
                 run_sa(proc, n_max, N=N, master_seed=1)
         assert threading.active_count() == before
 
-    def test_divergence_guard_reports(self):
+    def test_divergence_guard_reports(self, monkeypatch):
         proc = SAProcess(drift=parse("0.3*x + x^2"), theta0=0.0, noise=NoiseSpec("gaussian", 1.0), drift_derivs=[0.3, 2.0])
+        monkeypatch.setattr(sa_mod, "_GUARD", 100.0)
         with warnings.catch_warnings():
             # the escaped paths overflow only if they are not frozen
             warnings.simplefilter("error")
-            paths = run_sa(proc, 4000, N=400, master_seed=2, guard=100.0)
+            paths = run_sa(proc, 4000, N=400, master_seed=2)
         assert paths.escaped.sum() > 0  # wide noise pushes paths past the unstable root
         assert np.all(np.abs(paths.theta[~paths.escaped, -1]) <= 100.0)
 
@@ -203,11 +204,12 @@ class TestRunnerMatchesReference:
         ("0.3*x + x^2", "rademacher:2.5", 3_000, 1000, 1e9, True),
         ("x", "rademacher:0.5", 10, 70_000, 1e9, False),  # more paths than the buffer's 2^16: one step
     ])
-    def test_bit_identical(self, drift, noise, n_max, N, guard, escapes):
+    def test_bit_identical(self, drift, noise, n_max, N, guard, escapes, monkeypatch):
         proc = SAProcess(drift=parse(drift), theta0=0.0, noise=NoiseSpec.parse(noise))
         checkpoints = [c for c in (1, 2, 3, 50, 3999, 4000, 4001, n_max // 2) if c <= n_max]
+        monkeypatch.setattr(sa_mod, "_GUARD", guard)
         with np.errstate(all="ignore"):
-            paths = run_sa(proc, n_max, N=N, master_seed=5, checkpoints=checkpoints, guard=guard)
+            paths = run_sa(proc, n_max, N=N, master_seed=5, checkpoints=checkpoints)
             theta, escaped = run_sa_reference(proc, n_max, N, 5, checkpoints, guard)
         assert paths.theta.tobytes() == theta.tobytes()
         assert np.array_equal(paths.escaped, escaped)
@@ -239,13 +241,14 @@ class TestRunnerMatchesReference:
         ("0.3*x + x^2", "rademacher:0.05", -0.3, 514, 256, 100.0, False),  # three buffers, the last of one step
         ("0.3*x + x^2", "gaussian:0.05", -0.29, 514, 256, 100.0, True),  # one escape, at n = 329
     ])
-    def test_buffer_edges(self, drift, noise, theta1, n_max, N, guard, escapes):
+    def test_buffer_edges(self, drift, noise, theta1, n_max, N, guard, escapes, monkeypatch):
         proc = SAProcess(drift=parse(drift), theta0=0.0, noise=NoiseSpec.parse(noise), theta1=theta1)
         rows = min(n_max - 1, sa_mod._SLICE // N)
         # theta after the first and the last step of each buffer
         checkpoints = sorted({1} | {c for b in range(0, n_max - 1, rows) for c in (b + 2, min(b + rows + 1, n_max))})
+        monkeypatch.setattr(sa_mod, "_GUARD", guard)
         with np.errstate(all="ignore"):
-            paths = run_sa(proc, n_max, N=N, master_seed=3, checkpoints=checkpoints, guard=guard)
+            paths = run_sa(proc, n_max, N=N, master_seed=3, checkpoints=checkpoints)
             theta, escaped = run_sa_reference(proc, n_max, N, 3, checkpoints, guard)
         assert paths.checkpoints == checkpoints
         assert paths.theta.tobytes() == theta.tobytes()
@@ -268,8 +271,9 @@ class TestRunnerMatchesReference:
                 raise
 
         monkeypatch.setitem(drift.__dict__, "fast", counting)
+        monkeypatch.setattr(sa_mod, "_GUARD", 100.0)
         with np.errstate(all="ignore"):
-            paths = run_sa(proc, 3000, N=256, master_seed=5, guard=100.0)
+            paths = run_sa(proc, 3000, N=256, master_seed=5)
             theta, escaped = run_sa_reference(proc, 3000, 256, 5, None, 100.0)
         assert raised
         assert paths.theta.tobytes() == theta.tobytes()
@@ -313,7 +317,7 @@ class TestReduction:
 
     def test_recursion_identity_algebraic(self):
         # Gamma_{n+1} = Gamma_n - a_n (gamma(Gamma_n) + e_{n+1}) holds along
-        # simulated paths with the recorded noise
+        # simulated paths with the noise e_{n+1} = H(Gamma_n) - X_{n+1}
         model = _model("erw", p=0.7, q=0.5)
         from erwlab.simulate import FunctionalConfig
 
@@ -323,23 +327,28 @@ class TestReduction:
         for i in range(4):
             for n in range(1, 64):
                 g_n = gamma_path[i, n - 1]
-                e_next = stats.noise_e[i, n - 1]
-                drift = g_n - float(model.eval_H(np.array([g_n]))[0])
+                H = float(model.eval_H(np.array([g_n]))[0])
+                e_next = H - stats.noise_step[i, n - 1]
+                drift = g_n - H
                 predicted = g_n - (drift + e_next) / (n + 1)
                 assert predicted == pytest.approx(gamma_path[i, n], abs=1e-12)
 
     @staticmethod
     def _check_with_one_noise_value(monkeypatch, value):
-        # the erw walk's noise bound is |mu| + max |Y| = 2; one recorded value is replaced
+        # the erw walk's noise bound is |mu| + max |Y| = 2; one recorded
+        # increment is replaced by one that makes the first noise value e = H - X
         run = sa_mod.ensemble
+        model = _model("erw", p=0.6, q=0.5)
 
         def one_noise_value(*args, **kwargs):
             stats = run(*args, **kwargs)
-            stats.noise_e[0, 0] = value
+            H = model.eval_H(stats.noise_x[0, :1, None])[0, 0]
+            stats.noise_step[0, 0] = H - value
+            assert H - stats.noise_step[0, 0] == value
             return stats
 
         monkeypatch.setattr(sa_mod, "ensemble", one_noise_value)
-        return noise_moment_check(_model("erw", p=0.6, q=0.5), n_max=200, N=20, master_seed=5, min_count=10)
+        return noise_moment_check(model, n_max=200, N=20, master_seed=5, min_count=10)
 
     def test_noise_bound(self, monkeypatch):
         with pytest.raises(SAError, match="noise increment exceeded its a priori bound"):
@@ -442,6 +451,14 @@ class TestExpansionCheck:
             with pytest.raises(SAError, match="at least 2 paths that did not escape, got 1"):
                 sa_clt_variance_check(proc, paths)
         assert np.isfinite(sa_clt_variance_check(proc, run_sa(proc, 256, N=2, master_seed=1)).details["statistic"])
+
+    @pytest.mark.parametrize("drift,check", [("0.3*x", sa_expansion_check), ("0.8*x", sa_clt_variance_check)],
+                             ids=["expansion", "clt"])
+    def test_paths_that_never_stepped_rejected(self, drift, check):
+        # at n = 1 every path is theta1: there is nothing to check
+        proc = SAProcess(drift=parse(drift), theta0=0.0, noise=NoiseSpec("gaussian", 1.0))
+        with pytest.raises(SAError, match="needs n >= 2: at n = 1 the recursion has not stepped"):
+            check(proc, run_sa(proc, 1, N=200, master_seed=1))
 
     def test_order_check_small_slope(self):
         proc = SAProcess(drift=parse("0.2*x"), theta0=0.0, noise=NoiseSpec("gaussian", 0.2), drift_derivs=[0.2])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from erwlab import build_preset, ensemble, funcdsl, parse, simulate, trajectory, validate_model
+from erwlab import build_preset, ensemble, funcdsl, parse, simulate, validate_model
 from erwlab.model import Domain, InitialLaw, ModelError, ModelSpec, StepLaw, ValidatedModel
 from erwlab.simulate import (
     MAX_TRAJECTORIES,
@@ -34,11 +34,14 @@ UNIT_STEP_PRESETS = [
     ("gerw-1d", dict(f="x^1.5", p=0.8, q=0.5)),  # a map that does not compile
 ]
 
-STATS_ARRAYS = ("snn", "aux_final", "lil_max", "return_counts", "last_return", "returns_at", "noise_x", "noise_e")
+STATS_ARRAYS = ("snn", "aux_final", "lil_max", "return_counts", "last_return", "returns_at", "noise_x",
+                "noise_step")
 
 
 def _assert_matches_replay_stats(model, stats, cfg, indices):
-    """Every array of the given trajectories equals the scalar replay's, bit for bit."""
+    """Every array of the given trajectories equals the scalar replay's, bit
+    for bit, and so does the noise e = H - X that ``sa.noise_moment_check``
+    forms from the recorded states and increments."""
     for i in indices:
         ref = replay_stats(model, stats.n_max, stats.master_seed, i, stats.checkpoints, cfg)
         for field in STATS_ARRAYS:
@@ -48,6 +51,15 @@ def _assert_matches_replay_stats(model, stats, cfg, indices):
             else:
                 assert got[i].dtype == ref[field].dtype, field
                 assert got[i].tobytes() == ref[field][0].tobytes(), (i, field)
+        if cfg.collect_noise:
+            noise = model.eval_H(stats.noise_x[i][:, None])[:, 0] - stats.noise_step[i]
+            assert noise.tobytes() == ref["noise"][0].tobytes(), i
+
+
+def _small_chunks(monkeypatch, doubles, B):
+    """Set the chunk length so that a batch of B trajectories draws at most
+    ``doubles`` uniforms per chunk: an even number of steps, at least 2."""
+    monkeypatch.setattr(simulate, "_CHUNK_STEPS", max(2, doubles // (2 * B) // 2 * 2))
 
 
 GENERAL_MODELS = [
@@ -148,15 +160,16 @@ class TestDeterminism:
         assert np.array_equal(a.snn, b.snn)
         assert np.array_equal(a.aux_final, b.aux_final)
 
-    def test_independent_of_batching_and_threads(self):
+    def test_independent_of_batching_and_threads(self, monkeypatch):
         model = _model("erw", p=0.6, q=0.5)
-        a = ensemble(model, 400, 100, master_seed=3, batch_size=100)
-        b = ensemble(model, 400, 100, master_seed=3, batch_size=17, threads=4)
+        a = ensemble(model, 400, 100, master_seed=3)
+        monkeypatch.setattr(simulate, "_BATCH", 17)
+        b = ensemble(model, 400, 100, master_seed=3, threads=4)
         assert np.array_equal(a.snn, b.snn)
 
     def test_trajectory_matches_ensemble_index_zero(self):
         model = _model("erw", p=0.6, q=0.5)
-        single = trajectory(model, 300, seed=11)
+        single = ensemble(model, 300, 1, master_seed=11)
         ens = ensemble(model, 300, 5, master_seed=11)
         assert np.array_equal(single.snn[0], ens.snn[0])
 
@@ -207,10 +220,9 @@ class TestStreams:
 
     @pytest.mark.parametrize("master", MASTERS)
     def test_batch_uniforms_match_fresh_streams(self, master, monkeypatch):
-        # 42 // (2 * B) = 7 is odd: chunks are cut to 6 steps, so chunks
-        # after the first start on a Philox block
+        # 6-step chunks: chunks after the first start on a Philox block
         B, n_max = 3, 25
-        monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", 42)
+        monkeypatch.setattr(simulate, "_CHUNK_STEPS", 6)
         chunks = [(t, u.copy()) for t, u in _uniform_chunks(philox_keys(master, 7, 7 + B), n_max)]
         assert [t for t, _ in chunks] == [0, 6, 12, 18, 24]
         uniforms = np.concatenate([u for _, u in chunks])  # (n_max, 2, B)
@@ -223,20 +235,19 @@ class TestStreams:
         master, lo, B, n_max = 5, 0, 8, 25
         keys = philox_keys(master, lo, lo + B)
         assert (keys >= np.uint64(2**63)).any() and (keys < np.uint64(2**63)).any()
-        monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", 2 * 2 * B)  # 2-step chunks
+        monkeypatch.setattr(simulate, "_CHUNK_STEPS", 2)
         uniforms = np.concatenate([u.copy() for _, u in _uniform_chunks(keys, n_max)])
         for j in range(B):
             assert np.array_equal(uniforms[:, :, j], self._fresh(master, lo + j, n_max)), j
 
     def test_generators_advanced_alternately_share_no_state(self, monkeypatch):
         # threads > 1 runs one generator per batch side by side. Each round
-        # takes one chunk of every generator (6 steps at B = 3, 4 at B = 4)
-        # and copies them only when all have moved, so neither the Philox
-        # state nor the buffer may be shared
-        n_max = 25
-        monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", 42)
-        spans = {(3, 0): 3, (3, 100): 3, (9, 40): 4}
-        gens = {span: _uniform_chunks(philox_keys(*span, span[1] + B), n_max) for span, B in spans.items()}
+        # takes one 4-step chunk of every generator, and copies them only
+        # when all have moved, so neither the Philox state nor the buffer
+        # may be shared
+        monkeypatch.setattr(simulate, "_CHUNK_STEPS", 4)
+        spans = {(3, 0): (3, 17), (3, 100): (3, 20), (9, 40): (4, 25)}  # (master, lo): (B, n_max)
+        gens = {span: _uniform_chunks(philox_keys(*span, span[1] + B), n_max) for span, (B, n_max) in spans.items()}
         got = {span: [] for span in spans}
         while gens:
             views = {span: next(gen, None) for span, gen in gens.items()}
@@ -246,18 +257,17 @@ class TestStreams:
                 else:
                     got[span].append(chunk[1].copy())
         assert [len(got[span]) for span in spans] == [5, 5, 7]
-        for (master, lo), B in spans.items():
+        for (master, lo), (B, n_max) in spans.items():
             uniforms = np.concatenate(got[master, lo])
             for j in range(B):
                 assert np.array_equal(uniforms[:, :, j], self._fresh(master, lo + j, n_max)), (master, lo, j)
 
-    @pytest.mark.parametrize("B,chunk_doubles,steps", [(256, None, 1024), (2048, None, 1024), (256, 2**18, 512)])
-    def test_uniform_rows_are_not_a_page_multiple_apart(self, B, chunk_doubles, steps, monkeypatch):
-        # past a chunk, a chunk is _CHUNK_STEPS steps, or fewer where the
-        # buffer would pass _CHUNK_DOUBLES: unpadded, the B reads of one step
-        # would be a power of two apart and share a few cache sets
-        if chunk_doubles is not None:
-            monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", chunk_doubles)
+    @pytest.mark.parametrize("B,chunk_steps,steps", [(256, None, 1024), (2048, None, 1024), (256, 512, 512)])
+    def test_uniform_rows_are_not_a_page_multiple_apart(self, B, chunk_steps, steps, monkeypatch):
+        # past a chunk, a chunk is _CHUNK_STEPS steps: unpadded, the B reads
+        # of one step would be a power of two apart and share a few cache sets
+        if chunk_steps is not None:
+            monkeypatch.setattr(simulate, "_CHUNK_STEPS", chunk_steps)
         chunks = _uniform_chunks(philox_keys(5, 0, B), 10**6)
         _, uniforms = next(chunks)
         chunks.close()
@@ -271,8 +281,9 @@ class TestStreams:
     def test_small_chunks_do_not_change_paths(self, name, kwargs, monkeypatch):
         model = _model(name, **kwargs)
         ref = ensemble(model, 101, 9, master_seed=13)
-        monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", 42)
-        small = ensemble(model, 101, 9, master_seed=13, batch_size=3)
+        monkeypatch.setattr(simulate, "_CHUNK_STEPS", 6)
+        monkeypatch.setattr(simulate, "_BATCH", 3)
+        small = ensemble(model, 101, 9, master_seed=13)
         assert np.array_equal(small.snn, ref.snn)
         assert np.array_equal(small.aux_final, ref.aux_final)
 
@@ -285,10 +296,11 @@ class TestStreams:
         assert np.array_equal(whole.aux_final, ref.aux_final)
 
     @pytest.mark.parametrize("name,kwargs", [("erw", dict(p=0.6, q=0.5)), ("kdim", dict(k=2, p=0.6))])
-    def test_two_threads_match_one(self, name, kwargs):
+    def test_two_threads_match_one(self, name, kwargs, monkeypatch):
         model = _model(name, **kwargs)
         a = ensemble(model, 300, 100, master_seed=3, threads=1)
-        b = ensemble(model, 300, 100, master_seed=3, threads=2, batch_size=17)
+        monkeypatch.setattr(simulate, "_BATCH", 17)
+        b = ensemble(model, 300, 100, master_seed=3, threads=2)
         assert np.array_equal(a.snn, b.snn)
         assert np.array_equal(a.aux_final, b.aux_final)
 
@@ -305,18 +317,17 @@ class TestStreams:
     def test_bad_master_seed_rejected(self, seed):
         model = _model("erw", p=0.6, q=0.5)
         for run in (lambda: ensemble(model, 10, 4, master_seed=seed),
-                    lambda: trajectory(model, 10, seed=seed),
                     lambda: WalkState.fresh(model, seed),
                     lambda: philox_keys(seed, 0, 4),
                     lambda: trajectory_seed(seed, 0)):
             with pytest.raises(ModelError, match="master_seed"):
                 run()
 
-    @pytest.mark.parametrize("n_max,batch_size", [(0, 2048), (-1, 2048), (10, 0), (10, -5)])
-    def test_bad_run_size_rejected(self, n_max, batch_size):
+    @pytest.mark.parametrize("n_max,N", [(0, 2048), (-1, 2048), (10, 0), (10, -5)])
+    def test_bad_run_size_rejected(self, n_max, N):
         model = _model("erw", p=0.6, q=0.5)
-        with pytest.raises(ModelError, match="must be >= 1"):
-            ensemble(model, n_max, 4, master_seed=1, batch_size=batch_size)
+        with pytest.raises(ModelError, match=r"^(n_max must be >= 1|N must lie in \[1, )"):
+            ensemble(model, n_max, N, master_seed=1)
 
     def test_zero_threads_rejected(self):
         # the CLI checks --threads itself; a library caller meets this check
@@ -325,7 +336,7 @@ class TestStreams:
 
     @pytest.mark.parametrize("name,value", [
         ("n_max", 5.0), ("n_max", True), ("N", 10.0), ("N", np.float64(10)), ("N", False),
-        ("batch_size", 2.5), ("batch_size", True), ("threads", 1.0), ("threads", np.bool_(True)),
+        ("threads", 2.5), ("threads", True), ("threads", 1.0), ("threads", np.bool_(True)),
     ])
     def test_non_integer_run_size_rejected(self, name, value):
         model = _model("erw", p=0.6, q=0.5)
@@ -348,9 +359,9 @@ class TestStreams:
 
     def test_numpy_integers_accepted(self):
         model = _model("erw", p=0.6, q=0.5)
-        ref = ensemble(model, 20, 6, master_seed=3, checkpoints=[5, 10], batch_size=4, threads=2)
+        ref = ensemble(model, 20, 6, master_seed=3, checkpoints=[5, 10], threads=2)
         got = ensemble(model, np.int64(20), np.int32(6), master_seed=np.uint64(3),
-                       checkpoints=np.array([5, 10]), batch_size=np.int16(4), threads=np.int8(2))
+                       checkpoints=np.array([5, 10]), threads=np.int8(2))
         assert got.checkpoints == ref.checkpoints == [5, 10, 20]
         assert all(type(c) is int for c in got.checkpoints)
         assert np.array_equal(got.snn, ref.snn)
@@ -493,7 +504,7 @@ class TestFunctionals:
         model = _model("erw", p=0.6, q=0.5)
         cfg = FunctionalConfig(center=np.array([0.2]), lil_mode="diffusive", lil_window=(20, 300),
                                track_returns=True)
-        stats = trajectory(model, 400, seed=23, functional_config=cfg)
+        stats = ensemble(model, 400, 1, master_seed=23, functional_config=cfg)
         state = WalkState.fresh(model, seed=23)
         returns, last, lil_max = 0, 0, 0.0
         for n in range(1, 401):
@@ -511,8 +522,8 @@ class TestFunctionals:
         model = _model("erw", p=0.6, q=0.5)
         cfg = FunctionalConfig(collect_noise=True)
         stats = ensemble(model, 100, 8, master_seed=41, functional_config=cfg)
-        assert stats.noise_e.shape == (8, 99)
-        assert np.max(np.abs(stats.noise_e)) <= 2.0  # |mu| + max |Y|
+        assert stats.noise_x.shape == stats.noise_step.shape == (8, 99)
+        assert set(np.unique(stats.noise_step)) <= {-1.0, 0.0, 1.0}  # the steps of the +/-1 walk
 
     def test_covariance_denominator(self):
         model = _model("erw", p=0.6, q=0.5)
@@ -529,18 +540,20 @@ class TestUnitStepModels:
 
     @pytest.mark.parametrize("batch_size", [17, 2048])
     @pytest.mark.parametrize("name,kwargs", UNIT_STEP_PRESETS)
-    def test_matches_scalar_replay(self, name, kwargs, batch_size):
+    def test_matches_scalar_replay(self, name, kwargs, batch_size, monkeypatch):
         model = _model(name, **kwargs)
         assert (model.s, model.r, len(model.spec.step_law.atoms)) == (1, 2, 1)
         lil_mode = "critical" if name == "quadratic-sym" else "diffusive"
         cfg = FunctionalConfig(center=np.array([0.1]), lil_mode=lil_mode, lil_window=(20, 250),
                                track_returns=True, collect_noise=True)
-        stats = ensemble(model, 300, 40, master_seed=61, functional_config=cfg, batch_size=batch_size)
+        monkeypatch.setattr(simulate, "_BATCH", batch_size)
+        stats = ensemble(model, 300, 40, master_seed=61, functional_config=cfg)
         _assert_matches_replay_stats(model, stats, cfg, (0, 16, 17, 39))  # the edges of the 17-trajectory batches
 
-    def test_plain_ensemble_matches_scalar_replay(self):
+    def test_plain_ensemble_matches_scalar_replay(self, monkeypatch):
         model = _model("erw", p=0.85, q=0.5)
-        stats = ensemble(model, 500, 33, master_seed=67, checkpoints=[7, 100], batch_size=17)
+        monkeypatch.setattr(simulate, "_BATCH", 17)
+        stats = ensemble(model, 500, 33, master_seed=67, checkpoints=[7, 100])
         _assert_matches_replay_stats(model, stats, FunctionalConfig(), (0, 16, 17, 32))
 
     @pytest.mark.parametrize("name,kwargs", UNIT_STEP_PRESETS)
@@ -548,7 +561,7 @@ class TestUnitStepModels:
         model = _model(name, **kwargs)
         cfg = FunctionalConfig(lil_mode="diffusive", lil_window=(10, None), track_returns=True,
                                collect_noise=True)
-        single = trajectory(model, 400, seed=71, functional_config=cfg)
+        single = ensemble(model, 400, 1, master_seed=71, functional_config=cfg)
         _assert_matches_replay_stats(model, single, cfg, (0,))
 
 
@@ -561,29 +574,29 @@ class TestBlockFunctionals:
         ("quadratic-sym", dict(p=0.75, q=0.5), 0.0, "critical", False),
         ("random-step", dict(p=0.7), 0.3, "diffusive", False),  # s = 3: the matrix-product column
     ]
-    # (N = batch size, n_max, checkpoints, LIL window, _BLOCK_DOUBLES, _CHUNK_DOUBLES); None keeps the default
+    # (N = batch size, n_max, checkpoints, LIL window, _BLOCK_DOUBLES, _CHUNK_STEPS); None keeps the default
     LAYOUTS = [
         # 128-row blocks: checkpoints on an edge, just past one, and on a later edge; horizon off the edges
         (256, 301, [128, 129, 257], (200, 290), None, None),
         (1, 301, None, (37, None), None, None),  # one trajectory: the block never fills
         (2100, 100, [15, 16, 45, 61], (20, None), None, None),  # B > 2048: 15-row blocks
-        (5, 301, [6, 8, 9, 150], (17, 299), 20, 70),  # 4-row blocks, 6-step chunks and a last chunk of one
+        (5, 301, [6, 8, 9, 150], (17, 299), 20, 6),  # 4-row blocks, 6-step chunks and a last chunk of one
         (7, 203, [5, 10, 11, 100], (18, None), 35, None),  # 5-row blocks
     ]
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("name,kwargs,center,lil_mode,noise", CASES)
     def test_matches_per_step_replay(self, name, kwargs, center, lil_mode, noise, layout, monkeypatch):
-        N, n_max, checkpoints, window, block_doubles, chunk_doubles = layout
+        N, n_max, checkpoints, window, block_doubles, chunk_steps = layout
         model = _model(name, **kwargs)
+        monkeypatch.setattr(simulate, "_BATCH", N)
         if block_doubles is not None:
             monkeypatch.setattr(simulate, "_BLOCK_DOUBLES", block_doubles)
-        if chunk_doubles is not None:
-            monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", chunk_doubles)
+        if chunk_steps is not None:
+            monkeypatch.setattr(simulate, "_CHUNK_STEPS", chunk_steps)
         cfg = FunctionalConfig(center=np.array([center]), lil_mode=lil_mode, lil_window=window,
                                track_returns=True, collect_noise=noise)
-        stats = ensemble(model, n_max, N, master_seed=97, checkpoints=checkpoints, functional_config=cfg,
-                         batch_size=N)
+        stats = ensemble(model, n_max, N, master_seed=97, checkpoints=checkpoints, functional_config=cfg)
         _assert_matches_replay_stats(model, stats, cfg, sorted({0, N // 2, N - 1}))
         assert stats.return_counts.max() > 0
         if lil_mode is not None:
@@ -619,9 +632,10 @@ class TestGeneralKernel:
 
     @staticmethod
     def _assert_matches_replay(model, batch_size, chunk_doubles, monkeypatch):
+        monkeypatch.setattr(simulate, "_BATCH", batch_size)
         if chunk_doubles is not None:
-            monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", chunk_doubles)
-        stats = ensemble(model, 120, 17, master_seed=83, batch_size=batch_size)
+            _small_chunks(monkeypatch, chunk_doubles, min(batch_size, 17))
+        stats = ensemble(model, 120, 17, master_seed=83)
         A, b = model.spec.A, model.spec.b
         for i in (0, 6, 16):
             positions = _replay(model, 120, 83, i)
@@ -655,24 +669,26 @@ class TestGeneralKernel:
         assert np.array_equal(out["aux_final"], old_steps)
         assert np.array_equal(out["aux_final"][:, 0], [1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 0.0])
 
-    def test_noise_matches_scalar_replay(self):
+    def test_noise_matches_scalar_replay(self, monkeypatch):
         model = _two_atom_line()
         n_max = 150
-        stats = ensemble(model, n_max, 9, master_seed=89, functional_config=FunctionalConfig(collect_noise=True),
-                         batch_size=4)
+        monkeypatch.setattr(simulate, "_BATCH", 4)
+        stats = ensemble(model, n_max, 9, master_seed=89, functional_config=FunctionalConfig(collect_noise=True))
         block_mu = model.block_masks * model.mu
         for i in (0, 4, 8):
             positions = _replay(model, n_max, 89, i)
             x = positions[1:-1] / np.arange(1, n_max)[:, None]  # the states fed to steps 2..n_max
+            steps = np.diff(positions[1:], axis=0)
             H = np.array([model.block_probs(point) @ block_mu for point in x])
             assert np.array_equal(stats.noise_x[i], x[:, 0]), i
-            assert np.array_equal(stats.noise_e[i], (H - np.diff(positions[1:], axis=0))[:, 0]), i
+            assert np.array_equal(stats.noise_step[i], steps[:, 0]), i
+            assert np.array_equal(model.eval_H(x)[:, 0] - stats.noise_step[i], (H - steps)[:, 0]), i
         assert np.array_equal(stats.aux_final[8], positions[-1])
 
     @pytest.mark.parametrize("atoms,probs", [([[1.0], [2.0]], [0.4, 0.6]), ([[1.0]], [1.0])],
                              ids=["two-atoms", "one-atom"])
     @pytest.mark.parametrize("text", ["-(0*x)", "-(0.4 * (0 - x))"], ids=["always", "at-zero"])
-    def test_negative_zero_probability_matches_scalar_replay(self, text, atoms, probs):
+    def test_negative_zero_probability_matches_scalar_replay(self, text, atoms, probs, monkeypatch):
         # the map gives -0.0 (always, or where x = 0); every output must carry
         # the replay's bits, the sign of each zero included. With one atom
         # the model is a one-dimensional unit-step walk
@@ -682,15 +698,17 @@ class TestGeneralKernel:
         model = validate_model(spec)
         assert np.signbit(model.spec.prob_maps[0].fast([np.zeros(1)]))[0]
         cfg = FunctionalConfig(collect_noise=True)
-        stats = ensemble(model, 60, 6, master_seed=13, functional_config=cfg, batch_size=4)
+        monkeypatch.setattr(simulate, "_BATCH", 4)
+        stats = ensemble(model, 60, 6, master_seed=13, functional_config=cfg)
         _assert_matches_replay_stats(model, stats, cfg, range(6))  # bytes: the sign of each zero too
 
-    def test_noise_in_the_tolerance_band_matches_scalar_replay(self):
+    def test_noise_in_the_tolerance_band_matches_scalar_replay(self, monkeypatch):
         # P = x + 1e-9 (x - 1/2) leaves [0, 1] by 5e-10 at x = 0 and x = 1,
         # where walks that start at 0 or 1 stay: the drift takes the clipped P
         model = _hacked_erw("x + 1e-9 * (x - 0.5)")
         cfg = FunctionalConfig(collect_noise=True)
-        stats = ensemble(model, 60, 6, master_seed=13, functional_config=cfg, batch_size=4)
+        monkeypatch.setattr(simulate, "_BATCH", 4)
+        stats = ensemble(model, 60, 6, master_seed=13, functional_config=cfg)
         assert set(stats.noise_x.ravel()) == {0.0, 1.0}
         _assert_matches_replay_stats(model, stats, cfg, range(6))
 
@@ -725,10 +743,11 @@ class TestGeneralRuntimeAbort:
             with pytest.raises(ModelError, match=match):
                 self._kernel(model)
 
-    def test_within_tolerance_band_runs_and_matches_replay(self):
+    def test_within_tolerance_band_runs_and_matches_replay(self, monkeypatch):
         # maps up to 5e-10 outside [0, 1], and sums up to 5e-10 past 1, are clamped
         model = _hacked_kdim("x1 + 5e-10", "x2 - 5e-10", "x3 - 5e-10")
-        stats = ensemble(model, 60, 12, master_seed=7, batch_size=5)
+        monkeypatch.setattr(simulate, "_BATCH", 5)
+        stats = ensemble(model, 60, 12, master_seed=7)
         for i in (0, 5, 11):
             assert np.array_equal(stats.aux_final[i], _replay(model, 60, 7, i)[-1]), i
 
@@ -808,7 +827,7 @@ class TestDeferredRangeCheck:
     P_1 >= 1 (out of range and NaN included) takes block 1 at every step,
     so every walk starts at 0, then moves by 1 and feeds x = (t - 1) / t to
     step t. With B = 2, 4-row blocks (_BLOCK_DOUBLES = 8), 10-step chunks
-    (_CHUNK_DOUBLES = 40) and one checkpoint at n = 30, the blocks hold steps
+    (_CHUNK_STEPS = 10) and one checkpoint at n = 30, the blocks hold steps
     0-3, 4-7, 8-9 | 10-13, 14-17, 18-19 | 20-23, ...
     """
 
@@ -832,7 +851,7 @@ class TestDeferredRangeCheck:
                              ids=[case[0] for case in DEFERRED_CASES])
     def test_first_failing_step_wins(self, r, maps, t, later, monkeypatch):
         monkeypatch.setattr(simulate, "_BLOCK_DOUBLES", 8)
-        monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", 40)
+        monkeypatch.setattr(simulate, "_CHUNK_STEPS", 10)
         (n, want), got = self._errors(self._walk(r, maps))
         assert n == t + 1 and want.startswith("probability-out-of-range at runtime: P in ")
         assert got == want

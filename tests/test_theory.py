@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from erwlab import build_preset, classify, find_fixed_point, validate_model
+from erwlab import theory as theory_mod
 from erwlab.theory import (
     TheoryError,
     asymptotic_covariances,
@@ -209,16 +210,17 @@ class TestFixedPoint:
 
     @pytest.mark.parametrize("name,kwargs", [("kdim", {"k": 3, "p": 0.7}), ("random-step", {"p": 0.7})])
     def test_feasible_rows_match_single_points(self, name, kwargs):
-        from erwlab.theory import _feasible
+        from erwlab.theory import _feasible_map
 
         model = _model(name, **kwargs)
+        feasible = _feasible_map(model)
         rng = np.random.default_rng(7)
         pts = rng.uniform(-0.5, 2.5, size=(200, model.s))
         pts[:5] = 0.0
-        got = _feasible(model, pts)
+        got = feasible(pts)
         assert got.shape == pts.shape
         for i in range(len(pts)):
-            assert got[i].tobytes() == _feasible(model, pts[i]).tobytes() == _feasible_one(model, pts[i]).tobytes()
+            assert got[i].tobytes() == feasible(pts[i]).tobytes() == _feasible_one(model, pts[i]).tobytes()
         if model.meta.get("simplex_cap") is not None:
             assert np.any(np.clip(pts, 0.0, 1.0).sum(axis=1) > 1.0)  # the cap was exercised
 
@@ -302,9 +304,10 @@ class TestSearchReference:
         assert _root_or_error(find_fixed_point, base) == _root_or_error(reference_damped_search, base)
 
     def test_one_call_per_round_on_the_active_starts(self, monkeypatch):
-        from erwlab.theory import _feasible
+        from erwlab.theory import _feasible_map
 
         model = _model("kdim", k=3, p=0.7)
+        feasible = _feasible_map(model)
         calls = _eval_H_calls(monkeypatch)
         root = find_fixed_point(model)
         assert len(calls[0][0]) == 1 + 2 ** 3
@@ -312,7 +315,7 @@ class TestSearchReference:
             delta = H - points
             done = np.max(np.abs(delta), axis=1) < 1e-13
             # a start that converged in this round is not evaluated again
-            assert following.tobytes() == _feasible(model, points + 0.5 * delta)[~done].tobytes()
+            assert following.tobytes() == feasible(points + 0.5 * delta)[~done].tobytes()
         points, H = calls[-1]
         assert np.all(np.max(np.abs(H - points), axis=1) < 1e-13)
         assert len({len(points) for points, _ in calls}) >= 4  # the active set shrank three times
@@ -340,10 +343,11 @@ class TestDowncrossing:
         assert res.verified
         assert res.max_value < 0
 
-    def test_quadratic_grid_value(self):
+    def test_quadratic_grid_value(self, monkeypatch):
         # (x - 1/2)(h(x) - x) = -(1 - (2p-1)) (x - 1/2)^2 for the affine map
         model = _model("erw", p=0.6, q=0.5)
-        res = check_downcrossing(model, np.array([0.5]), grid_density=401)
+        monkeypatch.setattr(theory_mod, "GRID_DENSITY", 401)
+        res = check_downcrossing(model, np.array([0.5]))
         xs = 0.5 + 0.25
         assert res.max_value <= -0.8 * (1 - 0.2) * (1.0 / 400) ** 2
 
@@ -405,21 +409,24 @@ class TestDowncrossingReference:
     skipped where no row can be excluded, gives the result of the whole grid
     filtered row by row (``tests/theory_reference.py``), bit for bit."""
 
-    def _assert_same(self, model, x0, **kwargs):
-        got = _outcome(check_downcrossing, model, x0, **kwargs)
-        assert got == _outcome(reference_check_downcrossing, model, x0, **kwargs)
+    @staticmethod
+    def _assert_same(monkeypatch, model, x0, grid_density=201, exclusion_radius=1e-6):
+        monkeypatch.setattr(theory_mod, "GRID_DENSITY", grid_density)
+        monkeypatch.setattr(theory_mod, "_EXCLUSION_RADIUS", exclusion_radius)
+        got = _outcome(check_downcrossing, model, x0)
+        assert got == _outcome(reference_check_downcrossing, model, x0, grid_density, exclusion_radius)
         return got
 
     @pytest.mark.parametrize("name,kwargs", MULTI_PRESETS,
                              ids=[f"{n}-{'-'.join(map(str, k.values()))}" for n, k in MULTI_PRESETS])
-    def test_presets_at_the_fixed_point(self, name, kwargs):
+    def test_presets_at_the_fixed_point(self, name, kwargs, monkeypatch):
         model = _model(name, **kwargs)
         assert model.s > 1
-        self._assert_same(model, find_fixed_point(model))
+        self._assert_same(monkeypatch, model, find_fixed_point(model))
 
     @pytest.mark.parametrize("name,kwargs", MULTI_PRESETS[:2] + MULTI_PRESETS[3:4],
                              ids=["kdim-2", "kdim-3", "random-step"])
-    def test_edge_cases(self, name, kwargs):
+    def test_edge_cases(self, name, kwargs, monkeypatch):
         model = _model(name, **kwargs)
         r = 1e-6
         grid = interior_grid(model.spec, 21, 1.0)[0]
@@ -427,32 +434,29 @@ class TestDowncrossingReference:
         unit = np.eye(model.s)[0]
         # x0 on the grid point nearest the fixed point: the ball drops that
         # row, whose value 0 would otherwise be the maximum
-        assert self._assert_same(model, on, grid_density=21)[0]
-        assert not self._assert_same(model, on, grid_density=21, exclusion_radius=-1.0)[0]
+        assert self._assert_same(monkeypatch, model, on, grid_density=21)[0]
+        assert not self._assert_same(monkeypatch, model, on, grid_density=21, exclusion_radius=-1.0)[0]
         # x0 in (r, 2r] from a grid point on one axis, and within r on
         # every axis of one whose norm is past r: no row is dropped
-        self._assert_same(model, on + 1.5 * r * unit, grid_density=21)
-        self._assert_same(model, on + 0.9 * r, grid_density=21)
-        self._assert_same(model, on, grid_density=21, exclusion_radius=0.0)
-        self._assert_same(model, on, grid_density=21, exclusion_radius=0.15)
+        self._assert_same(monkeypatch, model, on + 1.5 * r * unit, grid_density=21)
+        self._assert_same(monkeypatch, model, on + 0.9 * r, grid_density=21)
+        self._assert_same(monkeypatch, model, on, grid_density=21, exclusion_radius=0.0)
+        self._assert_same(monkeypatch, model, on, grid_density=21, exclusion_radius=0.15)
         # NaN drops every row, also where the other coordinates lie off the
         # grid on some axis; an empty interior raises with its own cause
         off = np.where(unit == 1.0, np.nan, 0.51)
         for x0, density in ((np.full(model.s, np.nan), 21), (on + np.nan * unit, 21), (off, 21), (off, 201)):
-            message = self._assert_same(model, x0, grid_density=density)
+            message = self._assert_same(monkeypatch, model, x0, grid_density=density)
             assert message == (f"downcrossing grid is empty: the exclusion ball of radius 1e-06 around "
                                f"x0 = {x0.tolist()} drops every interior point")
-        message = self._assert_same(model, on, grid_density=2)
+        message = self._assert_same(monkeypatch, model, on, grid_density=2)
         assert message == "downcrossing grid is empty: the 2-per-axis grid has no interior point"
-        message = self._assert_same(model, on, grid_density=21, exclusion_radius=math.nan)
-        assert message == (f"downcrossing grid is empty: the exclusion ball of radius nan around "
-                           f"x0 = {on.tolist()} drops every interior point")
 
-    def test_no_interior_point_under_the_cap(self):
+    def test_no_interior_point_under_the_cap(self, monkeypatch):
         # kdim k=4 has s = 7, so 5 points per axis; each interior coordinate
         # is at least 0.25, and 7 of them pass the cap 1
         model = _model("kdim", k=4, p=0.6)
-        message = self._assert_same(model, np.full(model.s, 0.1))
+        message = self._assert_same(monkeypatch, model, np.full(model.s, 0.1))
         assert message == ("downcrossing grid is empty: no interior point of the 5-per-axis grid (s = 7) "
                            "lies within simplex_cap 1.0")
 
@@ -483,10 +487,11 @@ class TestDowncrossingReference:
 
         model = _scalar_model("0.3 + 0.2*x + 0.8*exp(-1e8*(x - 0.2857142857142857)^2)")
         monkeypatch.setattr(theory, "_DOWN_SLICE", 2 * 50)
+        monkeypatch.setattr(theory, "GRID_DENSITY", 701)
         with pytest.raises(ModelError, match="^probability-out-of-range at runtime") as want:
             reference_check_downcrossing(model, [0.5], grid_density=701)
         with pytest.raises(ModelError) as got:
-            check_downcrossing(model, [0.5], grid_density=701)
+            check_downcrossing(model, [0.5])
         assert str(got.value) == str(want.value)
         grid = interior_grid(model.spec, 701, 1.0)[0]
         with pytest.raises(ModelError) as one_slice:

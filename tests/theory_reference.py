@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from erwlab.theory import DowncrossingResult, TheoryError, _feasible, enumerate_partitions
+from erwlab.theory import DowncrossingResult, TheoryError, _feasible_map, enumerate_partitions
 
 
 def reference_damped_search(model):
@@ -34,13 +34,14 @@ def reference_damped_search(model):
     span = np.minimum(dom.upper, dom.lower + 1.0) - dom.lower
     offs = np.array([[(corner >> j) & 1 for j in range(model.s)] for corner in range(2 ** min(model.s, 3))],
                     dtype=float)
-    x = _feasible(model, np.vstack([dom.lower + 0.5 * span, dom.lower + (0.1 + 0.8 * offs) * span]))
+    feasible = _feasible_map(model)
+    x = feasible(np.vstack([dom.lower + 0.5 * span, dom.lower + (0.1 + 0.8 * offs) * span]))
     active = np.ones(len(x), dtype=bool)  # a converged start keeps the iterate of its last round
     for _ in range(20000):
         rows = np.flatnonzero(active)
         xr = x[rows]
         delta = model.eval_H(xr) - xr
-        x[rows] = _feasible(model, xr + 0.5 * delta)
+        x[rows] = feasible(xr + 0.5 * delta)
         active[rows[np.max(np.abs(delta), axis=1) < 1e-13]] = False
         if not active.any():
             break

@@ -53,14 +53,6 @@ class WalkState:
         return self.s_aux @ model.spec.A.T + float(self.n) * model.spec.b
 
 
-def _block_probs(model: ValidatedModel, x) -> np.ndarray:
-    """``block_probs`` at one point, evaluated as a batch of one, as the
-    kernel evaluates its maps: at a bare point the maps run on numpy scalars,
-    whose ``**`` (libm ``pow``) differs from the array loop's in the last bit
-    for some inputs (2741 of 100000 cubes on numpy 2.4)."""
-    return model.block_probs(x[None])[:, 0]
-
-
 def step(state: WalkState, model: ValidatedModel) -> WalkState:
     """Advance one time step, consuming exactly two uniforms.
 
@@ -76,7 +68,7 @@ def step(state: WalkState, model: ValidatedModel) -> WalkState:
                   len(spec.initial.probs) - 1)
         move = spec.initial.atoms[idx]
     else:
-        probs = _block_probs(model, state.s_aux / state.n)
+        probs = model.block_probs(state.s_aux / state.n)
         cum = np.cumsum(probs)
         block = min(int(np.sum(u1 >= cum)), model.r - 1)
         atom_cum = np.cumsum(spec.step_law.probs)
@@ -124,8 +116,9 @@ def replay_stats(model: ValidatedModel, n_max: int, seed: int, index: int, check
     """Every ``EnsembleStats`` array of trajectory ``index`` of master seed
     ``seed``, with a leading axis of length 1 (None where a functional is off).
 
-    The noise increment of step t is H(x) - (the step), with H from the full
-    ``block_probs`` at x = (position after step t - 1) / t.
+    With noise collection, ``noise`` holds the reduction's noise of step t,
+    H(x) - (the step), with H from the full ``block_probs`` at
+    x = (position after step t - 1) / t.
     """
     checkpoints = resolve_checkpoints(n_max, checkpoints)
     C, lil, returns, noise = len(checkpoints), cfg.lil_mode is not None, cfg.track_returns, cfg.collect_noise
@@ -137,7 +130,8 @@ def replay_stats(model: ValidatedModel, n_max: int, seed: int, index: int, check
         "last_return": np.zeros(1, dtype=np.int64) if returns else None,
         "returns_at": np.zeros((1, C), dtype=np.int64) if returns else None,
         "noise_x": np.empty((1, n_max - 1)) if noise else None,
-        "noise_e": np.empty((1, n_max - 1)) if noise else None,
+        "noise_step": np.empty((1, n_max - 1)) if noise else None,
+        "noise": np.empty((1, n_max - 1)) if noise else None,
     }
     rec = StepRecorder(model, n_max, checkpoints, cfg, out)
     block_mu = model.block_masks * model.mu
@@ -146,8 +140,10 @@ def replay_stats(model: ValidatedModel, n_max: int, seed: int, index: int, check
         after = step(state, model)
         if noise and t > 0:
             x = state.s_aux / t
+            move = after.s_aux - state.s_aux
             out["noise_x"][0, t - 1] = x[0]
-            out["noise_e"][0, t - 1] = (_block_probs(model, x) @ block_mu - (after.s_aux - state.s_aux))[0]
+            out["noise_step"][0, t - 1] = move[0]
+            out["noise"][0, t - 1] = (model.block_probs(x) @ block_mu - move)[0]
         state = after
         rec.record(state.s_aux[None], t + 1)
     out["aux_final"][0] = state.s_aux
