@@ -34,15 +34,15 @@ EXIT_CONFIG = 2
 
 SUITES = ("slln", "clt", "lil", "super", "expansion", "recurrence")  # verify's order under --suite all
 
-# every --tol-overrides key and the value used when the file omits it
+# every --tol-overrides key and the check parameter it sets; a key the file omits leaves the check's default
 TOLERANCES = {
-    "slln_z": 3.0,
-    "ks_alpha": 0.01,
-    "clt_rel_tol": None,  # fluctuation_test picks one per regime
-    "lil_band": (0.3, 1.8),
-    "super_threshold": 0.15,
-    "expansion_tolerance": 0.15,
-    "sa_var_tol": 0.05,
+    "slln_z": "z",
+    "ks_alpha": "alpha",
+    "clt_rel_tol": "rel_tol",
+    "lil_band": "band",
+    "super_threshold": "threshold",
+    "expansion_tolerance": "tolerance",
+    "sa_var_tol": "tolerance",
 }
 
 # every preset parameter flag and its type; a list is given as a comma list of numbers
@@ -149,6 +149,11 @@ def _load_tol_overrides(args) -> dict:
     return overrides
 
 
+def _tol(overrides: dict, *keys) -> dict:
+    """The keyword arguments that the override file sets among ``keys``."""
+    return {TOLERANCES[k]: tuple(overrides[k]) if k == "lil_band" else overrides[k] for k in keys if k in overrides}
+
+
 def cmd_simulate(args) -> int:
     if args.N < 2:  # the standard errors and covariances divide by N - 1
         raise ConfigError(f"config-invalid: simulate needs --N >= 2 trajectories, got {args.N}")
@@ -221,13 +226,13 @@ def _run_suites(model, report, args, overrides) -> list:
         track_returns="recurrence" in runs,
     )
     stats = ensemble(model, args.n, args.N, args.seed, threads=args.threads, functional_config=cfg)
-    tol = {**TOLERANCES, **overrides}
     checks = {
-        "slln": lambda: verify_mod.slln_test(stats, report.limit, z=tol["slln_z"], clt_cov=report.clt_variance),
-        "clt": lambda: verify_mod.fluctuation_test(stats, report, alpha=tol["ks_alpha"], rel_tol=tol["clt_rel_tol"]),
-        "lil": lambda: verify_mod.lil_envelope_test(stats, report, band=tuple(tol["lil_band"])),
-        "super": lambda: verify_mod.supercritical_limit_test(stats, report, threshold=tol["super_threshold"]),
-        "expansion": lambda: verify_mod.expansion_residual_test(stats, report, tolerance=tol["expansion_tolerance"]),
+        "slln": lambda: verify_mod.slln_test(stats, report.limit, report.clt_variance, **_tol(overrides, "slln_z")),
+        "clt": lambda: verify_mod.fluctuation_test(stats, report, **_tol(overrides, "ks_alpha", "clt_rel_tol")),
+        "lil": lambda: verify_mod.lil_envelope_test(stats, report, **_tol(overrides, "lil_band")),
+        "super": lambda: verify_mod.supercritical_limit_test(stats, report, **_tol(overrides, "super_threshold")),
+        "expansion": lambda: verify_mod.expansion_residual_test(stats, report,
+                                                                **_tol(overrides, "expansion_tolerance")),
         "recurrence": lambda: verify_mod.recurrence_report(stats, report),
     }
     reports = []
@@ -282,7 +287,6 @@ def cmd_verify(args) -> int:
 
 def cmd_sa(args) -> int:
     overrides = _load_tol_overrides(args)
-    tol = {**TOLERANCES, **overrides}
     out_path = Path(args.out or "sa_verdicts.json")
     resolved = {"command": "sa", "seed": args.seed, "n": args.n, "N": args.N}
     if args.model or args.preset:
@@ -304,9 +308,9 @@ def cmd_sa(args) -> int:
         resolved.update({"drift": args.drift, "theta0": args.theta0, "noise": args.noise})
         paths = sa_mod.run_sa(proc, args.n, N=args.N, master_seed=args.seed)
         if proc.psi_prime() > 0.5:
-            check = sa_mod.sa_clt_variance_check(proc, paths, tolerance=tol["sa_var_tol"])
+            check = sa_mod.sa_clt_variance_check(proc, paths, **_tol(overrides, "sa_var_tol"))
         else:
-            check = sa_mod.sa_expansion_check(proc, paths, tolerance=tol["expansion_tolerance"])
+            check = sa_mod.sa_expansion_check(proc, paths, **_tol(overrides, "expansion_tolerance"))
     else:
         raise ConfigError("config-invalid: provide --drift or --model/--preset")
     digest = _config_hash(resolved)

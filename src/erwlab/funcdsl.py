@@ -549,7 +549,7 @@ class NonSmoothError(DslError):
     """Raised when Richardson extrapolants diverge at the requested point."""
 
 
-def derive_at(expr: FuncExpr, x0, order: int = 1):
+def derive_at(expr: FuncExpr, x0, order: int):
     """Derivative of the arity-1 ``expr`` of the given order at ``x0``.
 
     Uses central differences at steps ``1e-2 * 2**-k``, k = 0..6, combined by

@@ -134,13 +134,17 @@ class InitialLaw:
 # Domain
 
 
+GRID_DENSITY = 201  # grid points per axis in validation and the downcrossing check
+INFINITE_EDGE_SPAN = 1.0  # the grids span [lower, lower + INFINITE_EDGE_SPAN] on an axis whose upper edge is inf
+
+
 @dataclass(frozen=True)
 class Domain:
     """Axis-aligned rectangle with the origin as one corner.
 
     ``upper`` entries may be ``inf``; validation grids never probe infinite
-    edges and instead span [lo, lo + clip] there. ``lower`` is finite, and
-    no bound is NaN.
+    edges and instead span [lo, lo + INFINITE_EDGE_SPAN] there. ``lower`` is
+    finite, and no bound is NaN.
     """
 
     lower: np.ndarray
@@ -159,12 +163,12 @@ class Domain:
     def s(self) -> int:
         return self.lower.shape[0]
 
-    def axes(self, density: int, clip: float = 1.0) -> list:
-        """The grid's values on each axis: ``density`` evenly spaced points
-        from lower to upper (to lower + clip on an infinite edge), fewer when
-        that would give more than 1e5 points in all."""
-        per_axis = min(density, max(2, int(1e5 ** (1.0 / self.s))))
-        return [np.linspace(lo, lo + clip if math.isinf(hi) else hi, per_axis)
+    def axes(self) -> list:
+        """The grid's values on each axis: ``GRID_DENSITY`` evenly spaced points
+        from lower to upper (to lower + ``INFINITE_EDGE_SPAN`` on an infinite
+        edge), fewer when that would give more than 1e5 points in all."""
+        per_axis = min(GRID_DENSITY, max(2, int(1e5 ** (1.0 / self.s))))
+        return [np.linspace(lo, lo + INFINITE_EDGE_SPAN if math.isinf(hi) else hi, per_axis)
                 for lo, hi in zip(self.lower, self.upper)]
 
     @property
@@ -239,7 +243,8 @@ def _check_meta(spec: ModelSpec, errors: list):
     number above the coordinate sum of the rectangle's lower corner (so the
     grids keep that corner), and whose ``exact`` entry is a dict; the keys
     of ``exact`` that :mod:`erwlab.theory` reads must have the types it
-    reads them as."""
+    reads them as, and the numbers in ``x0``, ``tau`` and ``h_derivs`` must
+    be finite."""
     if not isinstance(spec.meta, dict):
         errors.append(f"meta must be a JSON object, got {spec.meta!r}")
         return
@@ -262,8 +267,14 @@ def _check_meta(spec: ModelSpec, errors: list):
         "max_smooth_order": ("an integer or null", lambda v: v is None or is_integer(v)),
     }
     for key, (want, ok) in wanted.items():
-        if key in exact and not ok(exact[key]):
-            errors.append(f"meta.exact.{key} must be {want}, got {exact[key]!r}")
+        if key not in exact:
+            continue
+        value = exact[key]
+        numbers = value if isinstance(value, (list, tuple)) else [value]
+        if not ok(value):
+            errors.append(f"meta.exact.{key} must be {want}, got {value!r}")
+        elif key != "max_smooth_order" and not all(abs(v) <= sys.float_info.max for v in numbers):  # NaN fails too
+            errors.append(f"meta.exact.{key} must be finite, got {value!r}")
 
 
 CLAMP_TOL = 1e-9  # how far past [0, 1] a probability may stray at run time and be clamped back
@@ -328,11 +339,12 @@ class ValidatedModel:
 
     @property
     def integer_lattice(self) -> bool:
-        """d = 1 and A, b, every step atom and every initial atom are integers,
-        so the observed position lives on Z and its returns to 0 can be counted."""
+        """d = 1 and A, b, every step atom and every initial atom are exact
+        integers, so the observed position lives on Z and its returns to 0,
+        where it equals 0.0, can be counted."""
         spec = self.spec
         return self.d == 1 and all(
-            np.allclose(v, np.round(v)) for v in (spec.A, spec.b, spec.step_law.atoms, spec.initial.atoms)
+            np.array_equal(v, np.round(v)) for v in (spec.A, spec.b, spec.step_law.atoms, spec.initial.atoms)
         )
 
     def _points(self, x) -> tuple:
@@ -432,10 +444,10 @@ class ValidatedModel:
         return self.sigma_blocks(x) - np.outer(H, H)
 
 
-def _grid_product(axes, cap=None) -> np.ndarray:
+def _grid_product(axes, cap) -> np.ndarray:
     """The Cartesian product of the 1-d ``axes`` as (n, s) rows in
-    lexicographic order, keeping only rows with ``row.sum() <= cap`` when a
-    cap is given.
+    lexicographic order, keeping only rows with ``row.sum() <= cap`` when
+    the cap is not None.
 
     The product grows one axis at a time, and a row is dropped as soon as
     the running sum of its first coordinates passes the cap by more than
@@ -482,24 +494,24 @@ def _model_grid(spec: ModelSpec, axes) -> np.ndarray:
     return _grid_product(axes, None if cap is None else float(cap) + 1e-12)
 
 
-def validation_grid(spec: ModelSpec, density: int, clip: float) -> tuple:
+def validation_grid(spec: ModelSpec) -> tuple:
     """The grid that validation probes, and its interior.
 
     Returns ``(grid, interior)``: the Cartesian product of
-    :meth:`Domain.axes` as (n, s) rows in lexicographic order (the last
-    coordinate varies fastest, as in ``np.meshgrid(..., indexing="ij")``),
-    within the model's ``simplex_cap`` and built by :func:`_grid_product`
-    without the rows past the cap, and a mask of those more than 1e-12
-    inside every edge of [lower, reach].
+    :meth:`Domain.axes`, at :data:`GRID_DENSITY` points per axis, as (n, s)
+    rows in lexicographic order (the last coordinate varies fastest, as in
+    ``np.meshgrid(..., indexing="ij")``), within the model's ``simplex_cap``
+    and built by :func:`_grid_product` without the rows past the cap, and a
+    mask of those more than 1e-12 inside every edge of [lower, reach].
     """
     dom = spec.domain
-    grid = _model_grid(spec, dom.axes(density, clip))
+    grid = _model_grid(spec, dom.axes())
     # column by column: a comparison with the (s,) bounds would loop over the s values of each row
     interior = np.logical_and.reduce([_inside(col, lo, hi) for col, lo, hi in zip(grid.T, dom.lower, dom.reach)])
     return grid, interior
 
 
-def interior_grid(spec: ModelSpec, density: int, clip: float) -> tuple:
+def interior_grid(spec: ModelSpec) -> tuple:
     """``grid[interior]`` of :func:`validation_grid`, and the axes it is built from.
 
     Being interior is a test on each coordinate alone, so this is the
@@ -507,11 +519,8 @@ def interior_grid(spec: ModelSpec, density: int, clip: float) -> tuple:
     order, and no boundary row is built. Returns ``(grid, axes)``.
     """
     dom = spec.domain
-    axes = [values[_inside(values, lo, hi)] for values, lo, hi in zip(dom.axes(density, clip), dom.lower, dom.reach)]
+    axes = [values[_inside(values, lo, hi)] for values, lo, hi in zip(dom.axes(), dom.lower, dom.reach)]
     return _model_grid(spec, axes), axes
-
-
-GRID_DENSITY = 201  # grid points per axis in validation and the downcrossing check
 
 
 def _check_initial_atoms(spec: ModelSpec, errors: list):
@@ -561,7 +570,7 @@ def validate_model(spec: ModelSpec):
         raise ModelError("; ".join(errors))
 
     _check_initial_atoms(spec, errors)
-    grid, interior = validation_grid(spec, GRID_DENSITY, 1.0)
+    grid, interior = validation_grid(spec)
     total = np.zeros(grid.shape[0])
     cols = [grid[:, j] for j in range(spec.s)]
     for i, pm in enumerate(spec.prob_maps):

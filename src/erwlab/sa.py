@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .funcdsl import FuncExpr, derivatives, derive_at
+from .funcdsl import MAX_DERIV_ORDER, FuncExpr, derivatives, derive_at
 from .model import ModelError, ValidatedModel
 from .simulate import FunctionalConfig, check_integer, ensemble, nearest_checkpoint, philox_keys, resolve_checkpoints
 from .theory import expansion_coeffs, fixed_point, report_dict, strict_errstate
@@ -91,13 +91,12 @@ class SAProcess:
         value, _ = derive_at(self.drift, self.theta0, order=1)
         return value
 
-    def psi_derivs(self, upto: int) -> list:
-        """psi', psi'', ... up to the requested order (closed form or numeric)."""
+    def psi_derivs(self) -> list:
+        """psi', psi'', ... up to order ``MAX_DERIV_ORDER`` (closed form padded with zeros, or numeric)."""
         if self.drift_derivs is not None:
-            out = [float(v) for v in self.drift_derivs]
-            out += [0.0] * max(0, upto - len(out))
-            return out[:upto]
-        return derivatives(self.drift, self.theta0, upto)
+            out = [float(v) for v in self.drift_derivs[:MAX_DERIV_ORDER]]
+            return out + [0.0] * (MAX_DERIV_ORDER - len(out))
+        return derivatives(self.drift, self.theta0, MAX_DERIV_ORDER)
 
 
 @dataclass
@@ -111,8 +110,7 @@ class SAPaths:
     s2: float
 
 
-def run_sa(proc: SAProcess, n_max: int, N: int = 1, master_seed: int = 0,
-           checkpoints=None) -> SAPaths:
+def run_sa(proc: SAProcess, n_max: int, N: int, master_seed: int, checkpoints=None) -> SAPaths:
     """Simulate N independent paths of the recursion, a_n = 1/(n+1).
 
     Paths whose magnitude passes ``_GUARD`` are frozen and reported in
@@ -251,8 +249,8 @@ class CheckReport:
         return report_dict(self)
 
 
-def noise_moment_check(model: ValidatedModel, n_max: int = 4000, N: int = 200,
-                       master_seed: int = 7, min_count: int = 500) -> CheckReport:
+def noise_moment_check(model: ValidatedModel, n_max: int, N: int, master_seed: int,
+                       min_count: int = 500) -> CheckReport:
     """Empirical verification of the reduction noise moments (s = 1).
 
     Bins pairs (Gamma_n, e_{n+1}) by state into 16 bins: conditional mean
@@ -466,7 +464,7 @@ def sa_expansion_check(proc: SAProcess, paths: SAPaths, eval_ratio: float = 2.0 
     k = int(math.floor(1.0 / (2.0 * psi_p) + 1e-12))
     if abs(psi_p - 1.0 / (2.0 * (k + 1))) < 1e-12:
         k += 1  # boundary psi' = 1/(2k) belongs to the k path
-    derivs = proc.psi_derivs(upto=6)
+    derivs = proc.psi_derivs()
     coeffs = sa_coeffs(derivs, upto=max(k, len(derivs)))
     n_max = paths.n_max
     keep, z_hat = _converged_scales(proc, paths, psi_p, coeffs, converged_band)

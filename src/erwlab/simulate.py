@@ -140,8 +140,8 @@ def check_master_seed(master_seed) -> None:
         raise ModelError(f"master_seed must be a non-negative integer, got {master_seed!r}")
 
 
-def resolve_checkpoints(n_max: int, checkpoints=None) -> list:
-    """Sorted distinct checkpoints in [1, n_max] (geometric by default), n_max included."""
+def resolve_checkpoints(n_max: int, checkpoints) -> list:
+    """Sorted distinct checkpoints in [1, n_max] (geometric when ``checkpoints`` is None), n_max included."""
     check_integer("n_max", n_max)
     if n_max < 1:
         raise ModelError("n_max must be >= 1")

@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from . import funcdsl
-from .model import GRID_DENSITY, ModelError, ValidatedModel, clip_ufunc, interior_grid
+from . import model as model_mod
+from .model import ModelError, ValidatedModel, clip_ufunc, interior_grid
 
 # scipy.linalg is imported where it is called: the import costs about 0.25 s,
 # and simulate, sa, oracle and presets import this module without ever
@@ -65,14 +66,14 @@ def _feasible_map(model):
     return feasible
 
 
-def _midpoint_table(a, b, depth):
-    """Midpoints of the 2**depth - 1 brackets the next ``depth`` halvings of
-    [a, b] can reach, in heap order: node i halves into 2i + 1 (left) and
-    2i + 2 (right). Each is ``0.5 * (lo + hi)`` of its own bracket, computed
-    on Python floats, which are IEEE doubles as numpy's are, and returned as
-    one array."""
+def _midpoint_table(a, b):
+    """Midpoints of the 2**d - 1 brackets the next d = ``_BISECT_DEPTH``
+    halvings of [a, b] can reach, in heap order: node i halves into 2i + 1
+    (left) and 2i + 2 (right). Each is ``0.5 * (lo + hi)`` of its own
+    bracket, computed on Python floats, which are IEEE doubles as numpy's
+    are, and returned as one array."""
     ends, mids = [float(a), float(b)], []
-    for _ in range(depth):
+    for _ in range(_BISECT_DEPTH):
         mid = [0.5 * (lo + hi) for lo, hi in zip(ends, ends[1:])]  # the brackets of one level, left to right
         mids += mid
         split = [0.0] * (2 * len(ends) - 1)
@@ -116,7 +117,7 @@ def find_fixed_point(model: ValidatedModel):
             fa = vals[c]
             halvings, done = 0, False
             while not done:
-                mids = _midpoint_table(a, b_, _BISECT_DEPTH)
+                mids = _midpoint_table(a, b_)
                 fmids = model.eval_H(mids[:, None])[:, 0] - mids
                 node = 0
                 for _ in range(_BISECT_DEPTH):
@@ -226,9 +227,9 @@ def check_downcrossing(model: ValidatedModel, x0) -> DowncrossingResult:
     a single ``eval_H`` call on it does.
     """
     x0 = np.asarray(x0, dtype=float)
-    grid, axes = interior_grid(model.spec, GRID_DENSITY, 1.0)
+    grid, axes = interior_grid(model.spec)
     if grid.shape[0] == 0:  # an axis without interior values, or the simplex cap
-        per_axis = len(model.domain.axes(GRID_DENSITY)[0])
+        per_axis = len(model.domain.axes()[0])
         cause = (f"no interior point of the {per_axis}-per-axis grid (s = {model.s}) lies within simplex_cap "
                  f"{model.meta.get('simplex_cap')!r}" if all(map(len, axes))
                  else f"the {per_axis}-per-axis grid has no interior point")
@@ -308,16 +309,14 @@ def jacobian(model: ValidatedModel, x0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralProfile:
-    """Spectral data of the drift Jacobian at the fixed point."""
+    """Spectral data of the drift Jacobian at the fixed point; ``tau`` may be
+    a registered closed form (``exact_tau``)."""
 
     J: np.ndarray
     eigenvalues: np.ndarray  # with algebraic multiplicity
     tau: float
     kappa: int
     clusters: tuple  # of dicts: value, multiplicity, block_sizes
-    # per top cluster when kappa = 1: right and left eigenvectors (V, W) with
-    # W^T V = I, or the reason they cannot be paired
-    top_pairs: tuple = ()
     exact_tau: bool = False
 
 
@@ -423,6 +422,12 @@ def _block_sizes_for_cluster(J, lam, members, eig):
     return sorted(sizes, reverse=True)
 
 
+def _top_clusters(clusters) -> list:
+    """The clusters within ``CLUSTER_TOL`` of the largest real part among them."""
+    tau = max(c["value"].real for c in clusters)
+    return [c for c in clusters if abs(c["value"].real - tau) <= CLUSTER_TOL]
+
+
 def spectral_profile_from_jacobian(J) -> SpectralProfile:
     """Eigenvalues, tau, kappa, and per-eigenvalue Jordan block sizes.
 
@@ -431,10 +436,8 @@ def spectral_profile_from_jacobian(J) -> SpectralProfile:
     cluster that cannot be sized, or whose blocks all have size 1 although
     it holds an eigenvalue with reciprocal condition number below 1e-3 (a
     member of a defective ring), raises ``jacobian-nonsmooth``: no verdict
-    is read off an unresolved structure.
-
-    When kappa = 1, ``top_pairs`` holds each top cluster's eigenvectors,
-    or the reason they cannot be paired, for :func:`sigma2_critical`.
+    is read off an unresolved structure. kappa is the largest block of the
+    top clusters (:func:`_top_clusters`).
     """
     J = np.atleast_2d(np.asarray(J, dtype=float))
     import scipy.linalg
@@ -454,39 +457,8 @@ def spectral_profile_from_jacobian(J) -> SpectralProfile:
         clusters.append({"value": complex(lam), "multiplicity": len(members), "block_sizes": tuple(sizes)})
 
     tau = max(c["value"].real for c in clusters)
-    top = [c for c in clusters if abs(c["value"].real - tau) <= CLUSTER_TOL]
-    kappa = max(max(c["block_sizes"]) for c in top)
-
-    top_pairs = []
-    if kappa == 1:
-        (vals_r, vecs_r), (vals_l, vecs_l) = np.linalg.eig(J), np.linalg.eig(J.T)
-        for c in top:
-            lam, m = c["value"], c["multiplicity"]
-            ridx = np.flatnonzero(np.abs(vals_r - lam) <= CLUSTER_TOL)
-            lidx = np.flatnonzero(np.abs(vals_l - lam) <= CLUSTER_TOL)
-            if len(ridx) != m or len(lidx) != m:
-                top_pairs.append(f"eigenvector-pairing: {len(ridx)} right and {len(lidx)} left "
-                                 f"eigenvectors for top eigenvalue {lam} of multiplicity {m}")
-                continue
-            V, W = vecs_r[:, ridx], vecs_l[:, lidx]
-            # enforce the dual-basis condition W^T V = I on the whole
-            # eigenspace (bilinear pairing; per-vector scaling is not
-            # enough when the eigenvalue repeats)
-            G = W.T @ V
-            if abs(np.linalg.det(G)) < 1e-12:
-                top_pairs.append(f"eigenvector-pairing: left and right eigenvectors of top eigenvalue {lam} "
-                                 "are near orthogonal")
-            else:
-                top_pairs.append((V, W @ np.linalg.inv(G).T))
-
-    return SpectralProfile(
-        J=J,
-        eigenvalues=eig,
-        tau=float(tau),
-        kappa=int(kappa),
-        clusters=tuple(clusters),
-        top_pairs=tuple(top_pairs),
-    )
+    kappa = max(max(c["block_sizes"]) for c in _top_clusters(clusters))
+    return SpectralProfile(J=J, eigenvalues=eig, tau=float(tau), kappa=int(kappa), clusters=tuple(clusters))
 
 
 def spectral_profile(model: ValidatedModel, x0) -> SpectralProfile:
@@ -494,13 +466,18 @@ def spectral_profile(model: ValidatedModel, x0) -> SpectralProfile:
 
     Presets that registered a closed-form top eigenvalue override the
     numerically computed tau (floating-point classification at the exact
-    phase boundary is meaningless otherwise).
+    phase boundary is meaningless otherwise). For s = 1 a registered
+    ``h_derivs[0]`` is the Jacobian. Each registered value is refused when
+    it lies farther than 1e-4 from its numeric counterpart.
     """
     exact = model.meta.get("exact", {})
+    J = jacobian(model, x0)
     if model.s == 1 and exact.get("h_derivs"):
-        J = np.array([[float(exact["h_derivs"][0])]])
-    else:
-        J = jacobian(model, x0)
+        registered = float(exact["h_derivs"][0])
+        if abs(registered - J[0, 0]) > 1e-4:
+            raise TheoryError(f"registered drift derivative h_derivs[0] = {registered} disagrees with numerics "
+                              f"{J[0, 0]}")
+        J = np.array([[registered]])
     profile = spectral_profile_from_jacobian(J)
     if "tau" in exact:
         exact_tau = float(exact["tau"])
@@ -544,20 +521,36 @@ def sigma2_critical(profile: SpectralProfile, Sigma0):
     """Critical covariance from the top-eigenvalue eigenvector formula.
 
     Only the diagonalizable-at-top case (kappa = 1) is computed from
-    numerical eigenvectors: cross terms pair eigenvectors belonging to the
-    same top cluster, the (V, W) pairs of ``profile.top_pairs``. Defective
-    tops need exact chain data, which numerics do not give, and are
-    refused; so is a top cluster whose eigenvectors could not be paired.
+    numerical eigenvectors of ``profile.J``: cross terms pair the right and
+    left eigenvectors (V, W, with W^T V = I) of each top cluster, found from
+    the clusters' numeric real parts (:func:`_top_clusters`) whatever tau a
+    preset registered. Defective tops need exact chain data, which numerics
+    do not give, and are refused; so is a top cluster whose eigenvectors
+    cannot be paired.
     """
     if profile.kappa != 1:
         raise TheoryError("unavailable-numerically: critical covariance needs exact block data when kappa > 1")
     Sigma0 = np.atleast_2d(np.asarray(Sigma0, dtype=float))
     s = Sigma0.shape[0]
     out = np.zeros((s, s), dtype=complex)
-    for pair in profile.top_pairs:
-        if isinstance(pair, str):
-            raise TheoryError(pair)
-        V, W = pair
+    J = profile.J
+    (vals_r, vecs_r), (vals_l, vecs_l) = np.linalg.eig(J), np.linalg.eig(J.T)
+    for c in _top_clusters(profile.clusters):
+        lam, m = c["value"], c["multiplicity"]
+        ridx = np.flatnonzero(np.abs(vals_r - lam) <= CLUSTER_TOL)
+        lidx = np.flatnonzero(np.abs(vals_l - lam) <= CLUSTER_TOL)
+        if len(ridx) != m or len(lidx) != m:
+            raise TheoryError(f"eigenvector-pairing: {len(ridx)} right and {len(lidx)} left "
+                              f"eigenvectors for top eigenvalue {lam} of multiplicity {m}")
+        V, W = vecs_r[:, ridx], vecs_l[:, lidx]
+        # enforce the dual-basis condition W^T V = I on the whole eigenspace
+        # (bilinear pairing; per-vector scaling is not enough when the
+        # eigenvalue repeats)
+        G = W.T @ V
+        if abs(np.linalg.det(G)) < 1e-12:
+            raise TheoryError(f"eigenvector-pairing: left and right eigenvectors of top eigenvalue {lam} "
+                              "are near orthogonal")
+        W = W @ np.linalg.inv(G).T
         for j1 in range(V.shape[1]):
             for j2 in range(V.shape[1]):
                 out += np.outer(V[:, j1], V[:, j2]) * (W[:, j1] @ Sigma0 @ W[:, j2])
@@ -690,16 +683,20 @@ class RegimeReport:
         }
 
 
-def _h_derivatives(model: ValidatedModel, x0, upto: int) -> list:
-    """Drift-map derivatives H', H'', ... at x0 (s = 1), exact when known."""
+_H_ORDERS = 7  # drift-map derivatives H', ..., H^(7) that classify reads for the expansion
+
+
+def _h_derivatives(model: ValidatedModel, x0) -> list:
+    """Drift-map derivatives H', H'', ... at x0 (s = 1) up to order
+    ``_H_ORDERS``, exact when known."""
     exact = model.meta.get("exact", {})
     max_order = exact.get("max_smooth_order", None)
-    limit = upto if max_order is None else min(upto, max_order)
+    limit = _H_ORDERS if max_order is None else min(_H_ORDERS, max_order)
     listed = exact.get("h_derivs")
     if listed is not None:
         out = [float(v) for v in listed]
         if max_order is None:
-            out += [0.0] * max(0, upto - len(out))
+            out += [0.0] * max(0, _H_ORDERS - len(out))
         return out[:limit]
     mu = float(model.mu[0])
     return [value * mu for value in funcdsl.derivatives(model.spec.prob_maps[0], float(x0[0]), limit)]
@@ -771,7 +768,7 @@ def classify(model: ValidatedModel) -> RegimeReport:
         profile=profile,
         notes=notes,
         provenance={
-            "grid_density": GRID_DENSITY,
+            "grid_density": model_mod.GRID_DENSITY,
             "regime_tol": REGIME_TOL,
             "exact_tau": profile.exact_tau,
         },
@@ -796,7 +793,7 @@ def classify(model: ValidatedModel) -> RegimeReport:
     elif report.regime == "Critical":
         report.sigma2 = limit_sigma
 
-    derivs = _h_derivatives(model, x0, upto=7) if model.s == 1 else []
+    derivs = _h_derivatives(model, x0) if model.s == 1 else []
     if model.s == 1 and len(derivs) >= 2:
         report.eta1 = derivs[1]
 
@@ -818,7 +815,7 @@ def classify(model: ValidatedModel) -> RegimeReport:
             )
 
     if model.s == 1 and derivs:
-        m_avail = max(0, min(len(derivs), 7) - 1)
+        m_avail = len(derivs) - 1
         b_coeffs, m0 = expansion_coeffs(derivs[1 : m_avail + 1], tau, m_avail)
         report.expansion_b = b_coeffs
         a_scalar = float(A[0, 0])

@@ -45,12 +45,13 @@ class VerificationReport:
         return report_dict(self)
 
 
-def slln_test(stats, predicted, z: float = 3.0, clt_cov=None) -> VerificationReport:
+def slln_test(stats, predicted, clt_cov, z: float = 3.0) -> VerificationReport:
     """Mean of S_n/n at the final checkpoint against the predicted limit.
 
     Componentwise pass when |mean - predicted| <= z * SE + c/sqrt(n), with c
-    the predicted per-component fluctuation scale (drift allowance for the
-    finite-n bias of the mean).
+    the per-component fluctuation scale (drift allowance for the finite-n
+    bias of the mean): from the predicted CLT covariance ``clt_cov``, or
+    from the ensemble's scaled covariance where it is None.
     """
     j = len(stats.checkpoints) - 1
     n = stats.checkpoints[j]

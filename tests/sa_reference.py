@@ -129,7 +129,7 @@ def sa_order_check(proc: SAProcess, paths: SAPaths, k: int,
     psi_p = proc.psi_prime()
     if not psi_p < 1.0 / (2.0 * k):
         raise SAError("wrong-derivative-regime: order check needs psi' < 1/(2k)")
-    coeffs = sa_coeffs(proc.psi_derivs(upto=k), upto=k)
+    coeffs = sa_coeffs(proc.psi_derivs()[:k], upto=k)
     keep, z_hat = _converged_scales(proc, paths, psi_p, coeffs, 0.1)
     slope, _ = residual_order_slope(paths.theta[keep], proc.theta0, paths.checkpoints, paths.n_max,
                                     z_hat, psi_p, coeffs)

@@ -361,6 +361,33 @@ def test_sa_refuses_the_registered_root_analyze_refuses(tmp_path, capsys, preset
     assert errors[0].startswith(f"config-invalid: {message}")
 
 
+@pytest.mark.parametrize("h_derivs,message", [
+    ([0.9], "registered drift derivative h_derivs[0] = 0.9 disagrees with numerics 0.2"),
+    ([0.20011], "registered drift derivative h_derivs[0] = 0.20011 disagrees with numerics 0.2"),
+], ids=["tau-0.9", "just-past-1e-4"])
+def test_registered_drift_derivative_checked_against_the_jacobian(tmp_path, capsys, h_derivs, message):
+    # for s = 1 a registered h_derivs[0] is the Jacobian; erw p=0.6 has tau = 0.2
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_erw_doc(meta={"exact": {"h_derivs": h_derivs}})))
+    assert main(["analyze", "--model", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith(f"config-invalid: {message}")
+    path.write_text(json.dumps(_erw_doc(meta={"exact": {"h_derivs": [0.20009]}})))
+    assert main(["analyze", "--model", str(path), "--out", str(tmp_path / "r.json")]) == 0
+    assert "Supercritical" not in capsys.readouterr().out
+
+
+def test_near_integer_model_is_not_a_lattice_model(tmp_path, capsys):
+    # with b = -1 + 1e-9 the observed walk never equals 0.0, so returns
+    # cannot be counted: recurrence is skipped, not run under the transient rule
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_erw_doc(b=[-1.0 + 1e-9])))
+    out = tmp_path / "v.json"
+    main(["verify", "--model", str(path), "--suite", "recurrence", "--n", "2000", "--N", "50", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert doc["checks"] == []
+    assert doc["skipped"] == [{"suite": "recurrence", "reason": "not applicable: needs a d=1 integer-lattice model"}]
+
+
 @pytest.mark.parametrize("argv,message", [
     (["analyze"], "config-invalid: provide --model or --preset"),
     (["verify", "--preset", "erw", "--p", "0.6", "--suite", "slln", "--n", "100", "--N", "8",
@@ -508,6 +535,13 @@ MALFORMED_MODELS = {
                          "domain must satisfy 0 <= lower < upper per axis, got lower [0.0], upper [nan]"),
     "domain-lower-infinity": (lambda: json.dumps(_erw_doc(domain={"lower": [_INF], "upper": [None]})),
                               "domain must satisfy 0 <= lower < upper per axis, got lower [inf]"),
+    "exact-tau-nan": (lambda: json.dumps(_erw_doc(meta={"exact": {"tau": _NAN}})), "meta.exact.tau must be finite, got nan"),
+    "exact-h-derivs-nan": (lambda: json.dumps(_erw_doc(meta={"exact": {"h_derivs": [_NAN]}})),
+                           "meta.exact.h_derivs must be finite, got [nan]"),
+    "exact-h-derivs-infinity": (lambda: json.dumps(_erw_doc(meta={"exact": {"h_derivs": [0.2, _INF]}})),
+                                "meta.exact.h_derivs must be finite, got [0.2, inf]"),
+    "exact-x0-nan": (lambda: json.dumps(_erw_doc(meta={"exact": {"x0": [_NAN]}})), "meta.exact.x0 must be finite, got [nan]"),
+    "exact-tau-huge-int": (lambda: json.dumps(_erw_doc(meta={"exact": {"tau": 10 ** 400}})), "meta.exact.tau must be finite"),
 }
 
 

@@ -424,4 +424,4 @@ class TestDerivatives:
         with pytest.raises(funcdsl.DslError):
             derive_at(parse("x"), 0.0, order=7)
         with pytest.raises(funcdsl.DslError, match="arity-1 expressions, got arity 2"):
-            derive_at(parse("x1 * x2", arity=2), [0.5, 0.5])
+            derive_at(parse("x1 * x2", arity=2), [0.5, 0.5], order=1)

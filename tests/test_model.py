@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import erwlab
+from erwlab import model as model_mod
 from erwlab import (
     Domain,
     InitialLaw,
@@ -29,6 +30,12 @@ from erwlab.model import (
 )
 from erwlab.presets import build_preset, list_presets
 from theory_reference import reference_validation_grid
+
+
+def _grid_shape(monkeypatch, density, span=1.0):
+    """Set the points per axis and the infinite-edge span that the model layer's grids read."""
+    monkeypatch.setattr(model_mod, "GRID_DENSITY", density)
+    monkeypatch.setattr(model_mod, "INFINITE_EDGE_SPAN", span)
 
 
 def _erw_spec(p=0.75, q=0.5, prob_text=None):
@@ -103,16 +110,23 @@ class TestValidation:
         with pytest.raises(ModelError, match="partition"):
             validate_model(bad)
 
-    def test_drift_norm_bound(self):
+    def test_integer_lattice_is_exact(self):
+        spec = _erw_spec(p=0.6)
+        assert validate_model(spec).integer_lattice
+        for field, value in (("b", [-1.0 + 1e-9]), ("A", [[2.0 + 1e-12]])):
+            assert not validate_model(ModelSpec(**{**spec.__dict__, field: value})).integer_lattice
+
+    def test_drift_norm_bound(self, monkeypatch):
         # |H(x)| <= |mu| holds everywhere on the grid
-        for name, kwargs in [
+        models = [validate_model(build_preset(name, **kwargs)) for name, kwargs in [
             ("erw", dict(p=0.7)),
             ("minimal", dict(f="x^2", p=0.9, q=0.3)),
             ("kdim", dict(k=2, p=0.6)),
             ("random-step", dict(p=0.6)),
-        ]:
-            model = validate_model(build_preset(name, **kwargs))
-            grid = validation_grid(model.spec, 21, 1.0)[0]
+        ]]
+        _grid_shape(monkeypatch, 21)
+        for model in models:
+            grid = validation_grid(model.spec)[0]
             H = model.eval_H(grid)
             norm_mu = np.linalg.norm(model.mu)
             assert np.all(np.linalg.norm(H, axis=-1) <= norm_mu + 1e-12)
@@ -246,10 +260,11 @@ class TestValidation:
 
 @pytest.mark.parametrize("name,kwargs", [("erw", dict(p=0.7)), ("random-step", dict(p=0.6)), ("kdim", dict(k=3, p=0.6))],
                          ids=["erw-s1", "random-step-s3", "kdim3-s5"])
-def test_point_layout(name, kwargs):
+def test_point_layout(name, kwargs, monkeypatch):
     # every point is an (..., s) array, s = 1 included
     model = validate_model(build_preset(name, **kwargs))
-    grid = validation_grid(model.spec, 7, 1.0)[0]
+    _grid_shape(monkeypatch, 7)
+    grid = validation_grid(model.spec)[0]
     H = model.eval_H(grid)
     assert H.shape == grid.shape
     for i in range(grid.shape[0]):
@@ -270,9 +285,10 @@ class TestBlockProbs:
 
     @pytest.mark.parametrize("name,kwargs", [("erw", dict(p=0.7)), ("kdim", dict(k=3, p=0.6))],
                              ids=["erw-s1", "kdim3-s5"])
-    def test_rows_are_the_maps_and_the_complement(self, name, kwargs):
+    def test_rows_are_the_maps_and_the_complement(self, name, kwargs, monkeypatch):
         model = validate_model(build_preset(name, **kwargs))
-        grid = _grid_product(model.domain.axes(7))[:6]
+        _grid_shape(monkeypatch, 7)
+        grid = _grid_product(model.domain.axes(), None)[:6]
         probs = model.block_probs(grid)
         assert probs.shape == (model.r, grid.shape[0])
         arg = grid[:, 0] if model.s == 1 else grid
@@ -369,13 +385,14 @@ class TestValidationGrid:
     product filtered afterwards (``tests/theory_reference.py``), bit for bit."""
 
     @staticmethod
-    def _assert_same(spec, density, clip):
-        grid, interior = validation_grid(spec, density, clip)
+    def _assert_same(monkeypatch, spec, density, clip):
+        _grid_shape(monkeypatch, density, clip)
+        grid, interior = validation_grid(spec)
         ref_grid, ref_interior = reference_validation_grid(spec, density, clip)
         assert grid.shape == ref_grid.shape and grid.flags.c_contiguous
         assert grid.tobytes() == ref_grid.tobytes()
         assert np.array_equal(interior, ref_interior)
-        inner, axes = interior_grid(spec, density, clip)
+        inner, axes = interior_grid(spec)
         assert inner.tobytes() == ref_grid[ref_interior].tobytes()
         assert len(axes) == spec.domain.s
         return grid
@@ -383,11 +400,11 @@ class TestValidationGrid:
     @pytest.mark.parametrize("name,kwargs", GRID_PRESETS,
                              ids=[f"{n}-{'-'.join(map(str, k.values()))}" for n, k in GRID_PRESETS])
     @pytest.mark.parametrize("density,clip", [(201, 1.0), (21, 1.0), (2, 0.5)])
-    def test_presets(self, name, kwargs, density, clip):
-        self._assert_same(build_preset(name, **kwargs), density, clip)
+    def test_presets(self, name, kwargs, density, clip, monkeypatch):
+        self._assert_same(monkeypatch, build_preset(name, **kwargs), density, clip)
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
-    def test_random_domains(self, s):
+    def test_random_domains(self, s, monkeypatch):
         rng = np.random.default_rng(100 + s)
         for trial in range(4):
             lower = rng.choice([0.0, 0.0, 0.3], size=s) * rng.random(s)
@@ -395,18 +412,20 @@ class TestValidationGrid:
             domain = Domain(lower, upper)
             # 201 per axis exceeds the 1e5-point cap for s >= 3
             for density in (201, 7):
-                probe = self._assert_same(SimpleNamespace(domain=domain, meta={}), density, 0.7)
+                probe = self._assert_same(monkeypatch, SimpleNamespace(domain=domain, meta={}), density, 0.7)
                 # caps at a row's own sum, between sums, at 0 and below every row
                 row_sum = float(probe[rng.integers(len(probe))].sum())
                 for cap in (row_sum, row_sum - 1e-12, 0.37 * s, 0.0, -1.0):
-                    self._assert_same(SimpleNamespace(domain=domain, meta={"simplex_cap": cap}), density, 0.7)
+                    self._assert_same(monkeypatch, SimpleNamespace(domain=domain, meta={"simplex_cap": cap}), density,
+                                      0.7)
 
-    def test_caps_at_every_row_sum(self):
+    def test_caps_at_every_row_sum(self, monkeypatch):
         # the threshold cap + 1e-12 lands on, or an ulp beside, a row's sum
         domain = Domain([0.0] * 3, [0.4, 0.3, 1.0])
-        for total in np.unique(_grid_product(domain.axes(6)).sum(axis=1)):
+        _grid_shape(monkeypatch, 6)
+        for total in np.unique(_grid_product(domain.axes(), None).sum(axis=1)):
             for cap in (float(total), float(total) - 1e-12):
-                self._assert_same(SimpleNamespace(domain=domain, meta={"simplex_cap": cap}), 6, 1.0)
+                self._assert_same(monkeypatch, SimpleNamespace(domain=domain, meta={"simplex_cap": cap}), 6, 1.0)
 
 
 class TestDomainCheck:

@@ -63,7 +63,7 @@ class TestRunner:
         proc = SAProcess(
             drift=parse("x"), theta0=0.0, noise=NoiseSpec("gaussian", 0.0), theta1=1.0, drift_derivs=[1.0]
         )
-        paths = run_sa(proc, 10_000, N=1)
+        paths = run_sa(proc, 10_000, N=1, master_seed=0)
         for j, n in enumerate(paths.checkpoints):
             assert paths.theta[0, j] == pytest.approx(1.0 / n, abs=1e-14)
 
@@ -90,13 +90,13 @@ class TestRunner:
     def test_checkpoints_outside_horizon_rejected(self, checkpoints):
         proc = SAProcess(drift=parse("x"), theta0=0.0, noise=NoiseSpec("gaussian", 1.0), drift_derivs=[1.0])
         with pytest.raises(ModelError, match="checkpoints"):
-            run_sa(proc, 100, N=3, checkpoints=checkpoints)
+            run_sa(proc, 100, N=3, master_seed=0, checkpoints=checkpoints)
 
     @pytest.mark.parametrize("n_max,N", [(0, 3), (-2, 3), (100, 0), (100, -1)])
     def test_bad_run_size_rejected(self, n_max, N):
         proc = SAProcess(drift=parse("x"), theta0=0.0, noise=NoiseSpec("gaussian", 1.0), drift_derivs=[1.0])
         with pytest.raises(ModelError, match="must be >= 1"):
-            run_sa(proc, n_max, N=N)
+            run_sa(proc, n_max, N=N, master_seed=0)
 
     @pytest.mark.parametrize("name,value,error", [
         ("n_max", 100.0, ModelError), ("n_max", True, ModelError), ("N", 3.0, SAError),
@@ -104,7 +104,7 @@ class TestRunner:
     ])
     def test_non_integer_run_size_rejected(self, name, value, error):
         proc = SAProcess(drift=parse("x"), theta0=0.0, noise=NoiseSpec("gaussian", 1.0), drift_derivs=[1.0])
-        args = dict(n_max=100, N=3) | {name: value}
+        args = dict(n_max=100, N=3, master_seed=0) | {name: value}
         with pytest.raises(error, match=f"^{name} must be an integer, got"):
             run_sa(proc, **args)
 
@@ -112,7 +112,7 @@ class TestRunner:
     def test_non_integer_checkpoint_rejected(self, checkpoints):
         proc = SAProcess(drift=parse("x"), theta0=0.0, noise=NoiseSpec("gaussian", 1.0), drift_derivs=[1.0])
         with pytest.raises(ModelError, match="checkpoints must be integers"):
-            run_sa(proc, 100, N=3, checkpoints=checkpoints)
+            run_sa(proc, 100, N=3, master_seed=0, checkpoints=checkpoints)
 
     def test_numpy_integers_accepted(self):
         proc = SAProcess(drift=parse("x"), theta0=0.0, noise=NoiseSpec("gaussian", 1.0), drift_derivs=[1.0])
@@ -148,7 +148,7 @@ class TestRunner:
 
     def test_peak_memory(self):
         proc = SAProcess(drift=parse("x"), theta0=0.0, noise=NoiseSpec("gaussian", 1.0), drift_derivs=[1.0])
-        run_sa(proc, 100, N=4)  # compile the drift outside the trace
+        run_sa(proc, 100, N=4, master_seed=0)  # compile the drift outside the trace
         tracemalloc.start()
         try:
             run_sa(proc, 10_000, N=256, master_seed=1)

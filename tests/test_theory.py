@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from erwlab import build_preset, classify, find_fixed_point, validate_model
+from erwlab import model as model_mod
 from erwlab import theory as theory_mod
 from erwlab.theory import (
     TheoryError,
@@ -321,7 +322,7 @@ class TestSearchReference:
         assert len({len(points) for points, _ in calls}) >= 4  # the active set shrank three times
         assert root.tobytes() == reference_damped_search(model).tobytes()
 
-    def test_midpoint_table(self):
+    def test_midpoint_table(self, monkeypatch):
         from erwlab.theory import _midpoint_table
 
         rng = np.random.default_rng(3)
@@ -331,9 +332,10 @@ class TestSearchReference:
         for a, width in zip(lows, widths):
             for lo, hi in ((a, a + width), (float(a), float(a + width)), (a + width, a)):
                 for depth in (1, 7):
+                    monkeypatch.setattr(theory_mod, "_BISECT_DEPTH", depth)
                     want = reference_midpoint_table(lo, hi, depth)
-                    assert _midpoint_table(lo, hi, depth).tobytes() == want.tobytes()
-        assert _midpoint_table(-0.0, 0.0, 7).tobytes() == reference_midpoint_table(-0.0, 0.0, 7).tobytes()
+                    assert _midpoint_table(lo, hi).tobytes() == want.tobytes()
+        assert _midpoint_table(-0.0, 0.0).tobytes() == reference_midpoint_table(-0.0, 0.0, 7).tobytes()
 
 
 class TestDowncrossing:
@@ -346,7 +348,7 @@ class TestDowncrossing:
     def test_quadratic_grid_value(self, monkeypatch):
         # (x - 1/2)(h(x) - x) = -(1 - (2p-1)) (x - 1/2)^2 for the affine map
         model = _model("erw", p=0.6, q=0.5)
-        monkeypatch.setattr(theory_mod, "GRID_DENSITY", 401)
+        monkeypatch.setattr(model_mod, "GRID_DENSITY", 401)
         res = check_downcrossing(model, np.array([0.5]))
         xs = 0.5 + 0.25
         assert res.max_value <= -0.8 * (1 - 0.2) * (1.0 / 400) ** 2
@@ -411,7 +413,7 @@ class TestDowncrossingReference:
 
     @staticmethod
     def _assert_same(monkeypatch, model, x0, grid_density=201, exclusion_radius=1e-6):
-        monkeypatch.setattr(theory_mod, "GRID_DENSITY", grid_density)
+        monkeypatch.setattr(model_mod, "GRID_DENSITY", grid_density)
         monkeypatch.setattr(theory_mod, "_EXCLUSION_RADIUS", exclusion_radius)
         got = _outcome(check_downcrossing, model, x0)
         assert got == _outcome(reference_check_downcrossing, model, x0, grid_density, exclusion_radius)
@@ -429,7 +431,8 @@ class TestDowncrossingReference:
     def test_edge_cases(self, name, kwargs, monkeypatch):
         model = _model(name, **kwargs)
         r = 1e-6
-        grid = interior_grid(model.spec, 21, 1.0)[0]
+        monkeypatch.setattr(model_mod, "GRID_DENSITY", 21)
+        grid = interior_grid(model.spec)[0]
         on = grid[np.argmin(np.linalg.norm(grid - find_fixed_point(model), axis=1))]
         unit = np.eye(model.s)[0]
         # x0 on the grid point nearest the fixed point: the ball drops that
@@ -487,13 +490,13 @@ class TestDowncrossingReference:
 
         model = _scalar_model("0.3 + 0.2*x + 0.8*exp(-1e8*(x - 0.2857142857142857)^2)")
         monkeypatch.setattr(theory, "_DOWN_SLICE", 2 * 50)
-        monkeypatch.setattr(theory, "GRID_DENSITY", 701)
+        monkeypatch.setattr(model_mod, "GRID_DENSITY", 701)
         with pytest.raises(ModelError, match="^probability-out-of-range at runtime") as want:
             reference_check_downcrossing(model, [0.5], grid_density=701)
         with pytest.raises(ModelError) as got:
             check_downcrossing(model, [0.5])
         assert str(got.value) == str(want.value)
-        grid = interior_grid(model.spec, 701, 1.0)[0]
+        grid = interior_grid(model.spec)[0]
         with pytest.raises(ModelError) as one_slice:
             model.eval_H(grid[150:200])
         assert str(one_slice.value) != str(want.value)
@@ -524,7 +527,7 @@ class TestDowncrossingReference:
 
         model = _model("random-step", p=0.6)
         x0 = find_fixed_point(model)
-        grid = interior_grid(model.spec, 201, 1.0)[0]
+        grid = interior_grid(model.spec)[0]
         tracemalloc.start()
         try:
             check_downcrossing(model, x0)
@@ -850,6 +853,17 @@ class TestCovariances:
         prof = spectral_profile_from_jacobian(np.diag([0.5, 0.5 + 0.99e-7, 0.5 + 1.98e-7]))
         with pytest.raises(TheoryError, match="eigenvector-pairing: 2 right and 2 left"):
             sigma2_critical(prof, np.eye(3))
+
+    def test_sigma2_pairs_the_numeric_top_under_a_registered_tau(self):
+        # a registered tau within the 1e-4 rule moves profile.tau off the
+        # numeric top; the top clusters are still those of the numeric one
+        P = np.array([[1.0, 1.0], [0.0, 1.0]])
+        prof = spectral_profile_from_jacobian(P @ np.diag([0.5 + 3e-5, 0.1]) @ np.linalg.inv(P))
+        Sigma0 = np.array([[0.5, 0.2], [0.2, 0.3]])
+        want = sigma2_critical(prof, Sigma0)
+        assert np.any(want)
+        for tau in (0.5, 0.5 + 6e-5):
+            assert sigma2_critical(replace(prof, tau=tau, exact_tau=True), Sigma0).tobytes() == want.tobytes()
 
     def test_sigma2_defective_numeric_refused(self):
         prof = spectral_profile_from_jacobian([[0.5, 1.0], [0.0, 0.5]])
