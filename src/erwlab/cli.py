@@ -24,7 +24,7 @@ from . import sa as sa_mod
 from . import verify as verify_mod
 from .funcdsl import DslError, parse
 from .model import ModelError, is_number, load_model, save_model, spec_to_dict, validate_model
-from .presets import build_preset, list_presets
+from .presets import build_preset, list_presets, parameter_defaults
 from .simulate import FunctionalConfig, ensemble, stats_to_rows
 from .theory import classify
 
@@ -45,9 +45,10 @@ TOLERANCES = {
     "sa_var_tol": "tolerance",
 }
 
-# every preset parameter flag and its type; a list is given as a comma list of numbers
-PRESET_PARAMS = {"p": float, "q": float, "a": float, "b": float, "k": int, "f": str, "init": float, "phi": str,
-                 "U": float, "L": float, "coeffs": list, "z_values": list, "z_probs": list}
+# every preset parameter flag and its type, read off the builders' defaults; a tuple default makes a flag
+# that takes a comma list of numbers
+PRESET_PARAMS = {name: list if isinstance(default, tuple) else type(default)
+                 for name, default in parameter_defaults().items()}
 
 
 class ConfigError(Exception):
@@ -72,20 +73,28 @@ def _write_sidecars(out_path: Path, spec):
     save_model(spec, Path(f"{stem}_model.json"))
 
 
-def _write_table(out_path: Path, header, rows, resolved: dict, spec) -> str:
-    """Write a CSV table, its config JSON and the sidecars; return the config hash."""
+def _write_artifact(out_path: Path, resolved: dict, spec, body: dict) -> str:
+    """Write ``body`` under the hash of the resolved config, and the sidecars unless
+    ``spec`` is None; return the config hash."""
     digest = _config_hash(resolved)
+    _write_json(out_path, {"config_hash": digest, **body})
+    if spec is not None:
+        _write_sidecars(out_path, spec)
+    return digest
+
+
+def _write_table(out_path: Path, header, rows, resolved: dict, spec) -> str:
+    """Write a CSV table and, beside it, its config JSON and the sidecars; return the config hash."""
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    _write_json(out_path.with_suffix(".json"), {"config_hash": digest, "config": resolved})
-    _write_sidecars(out_path, spec)
-    return digest
+    return _write_artifact(out_path.with_suffix(".json"), resolved, spec, {"config": resolved})
 
 
 def _resolve_model(args):
+    """The validated model, its spec and the base of the resolved config: the command, the source and the model."""
     params = {}
     # ModelError, the DSL's errors, JSONDecodeError and a bad number in a
     # comma list are ValueErrors; a KeyError is a missing field of a model file
@@ -112,7 +121,7 @@ def _resolve_model(args):
     except (ValueError, KeyError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ConfigError(f"config-invalid: {detail}") from exc
-    return model, spec, source
+    return model, spec, {"command": args.command, "source": source, "model": spec_to_dict(spec)}
 
 
 def _add_model_args(parser):
@@ -155,20 +164,10 @@ def _tol(overrides: dict, *keys) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    if args.N < 2:  # the standard errors and covariances divide by N - 1
-        raise ConfigError(f"config-invalid: simulate needs --N >= 2 trajectories, got {args.N}")
-    model, spec, source = _resolve_model(args)
+    model, spec, resolved = _resolve_model(args)
     out_path = Path(args.out or "stats.csv")
     stats = ensemble(model, args.n, args.N, args.seed, threads=args.threads)
-    resolved = {
-        "command": "simulate",
-        "source": source,
-        "model": spec_to_dict(spec),
-        "n": args.n,
-        "N": args.N,
-        "seed": args.seed,
-        "checkpoints": stats.checkpoints,
-    }
+    resolved.update({"n": args.n, "N": args.N, "seed": args.seed, "checkpoints": stats.checkpoints})
     header = ["checkpoint", "component", "mean", "se", "var"] + [f"cov_{k}" for k in range(model.d)]
     digest = _write_table(out_path, header, stats_to_rows(stats), resolved, spec)
     print(f"wrote {out_path} ({args.N} trajectories to n={args.n}); config {digest[:12]}")
@@ -176,22 +175,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    model, spec, source = _resolve_model(args)
+    model, spec, resolved = _resolve_model(args)
     report = classify(model)
     out_path = Path(args.out or "report.json")
-    resolved = {"command": "analyze", "source": source, "model": spec_to_dict(spec)}
-    digest = _config_hash(resolved)
-    doc = {"config_hash": digest, "regime_report": report.to_dict()}
-    _write_json(out_path, doc)
-    _write_sidecars(out_path, spec)
+    _write_artifact(out_path, resolved, spec, {"regime_report": report.to_dict()})
     print(f"regime: {report.regime} (tau={report.tau:.6g}, kappa={report.kappa}); wrote {out_path}")
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    model, spec, source = _resolve_model(args)
+    model, spec, resolved = _resolve_model(args)
     out_path = Path(args.out or "law.csv")
-    resolved = {"command": "oracle", "source": source, "model": spec_to_dict(spec), "n": args.n}
+    resolved["n"] = args.n
     if oracle_mod.is_unit_step_1d(model):
         law = oracle_mod.exact_dp_1d(model, args.n)
         rows = [(k, float(p), float(law.A * k + law.n * law.b)) for k, p in enumerate(law.pmf)]
@@ -249,32 +244,17 @@ def _run_suites(model, report, args, overrides) -> list:
 
 
 def cmd_verify(args) -> int:
-    if args.N < 2:  # every check's standard error divides by N - 1
-        raise ConfigError(f"config-invalid: verify needs --N >= 2 trajectories, got {args.N}")
-    model, spec, source = _resolve_model(args)
+    model, spec, resolved = _resolve_model(args)
     overrides = _load_tol_overrides(args)
     report = classify(model)
     reports, skipped = _run_suites(model, report, args, overrides)
     out_path = Path(args.out or "verdicts.json")
-    resolved = {
-        "command": "verify",
-        "source": source,
-        "model": spec_to_dict(spec),
-        "suite": args.suite,
-        "n": args.n,
-        "N": args.N,
-        "seed": args.seed,
-        "tol_overrides": overrides,
-    }
-    digest = _config_hash(resolved)
-    doc = {
-        "config_hash": digest,
+    resolved.update({"suite": args.suite, "n": args.n, "N": args.N, "seed": args.seed, "tol_overrides": overrides})
+    _write_artifact(out_path, resolved, spec, {
         "regime_report": report.to_dict(),
         "checks": [r.to_dict() for r in reports],
         "skipped": [{"suite": s, "reason": why} for s, why in skipped],
-    }
-    _write_json(out_path, doc)
-    _write_sidecars(out_path, spec)
+    })
     for r in reports:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.theorem}: statistic={r.statistic} predicted={r.predicted}")
     for s, why in skipped:
@@ -290,8 +270,8 @@ def cmd_sa(args) -> int:
     out_path = Path(args.out or "sa_verdicts.json")
     resolved = {"command": "sa", "seed": args.seed, "n": args.n, "N": args.N}
     if args.model or args.preset:
-        model, _, source = _resolve_model(args)
-        resolved["source"] = source
+        model, _, base = _resolve_model(args)
+        resolved["source"] = base["source"]
         sa_mod.walk_theta0(model)  # the reduction needs s = 1 and a unique fixed point
         check = sa_mod.noise_moment_check(model, n_max=min(args.n, 4000), N=min(args.N, 500), master_seed=args.seed)
     elif args.drift:
@@ -313,8 +293,7 @@ def cmd_sa(args) -> int:
             check = sa_mod.sa_expansion_check(proc, paths, **_tol(overrides, "expansion_tolerance"))
     else:
         raise ConfigError("config-invalid: provide --drift or --model/--preset")
-    digest = _config_hash(resolved)
-    _write_json(out_path, {"config_hash": digest, "checks": [check.to_dict()]})
+    _write_artifact(out_path, resolved, None, {"checks": [check.to_dict()]})  # sa writes no sidecars
     print(f"{'PASS' if check.passed else 'FAIL'} {check.name}")
     return EXIT_OK if check.passed else EXIT_CHECK_FAILED
 
@@ -395,6 +374,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "threads", 1) < 1:
             raise ConfigError(f"config-invalid: threads must be >= 1, got {args.threads}")
+        if args.command in ("simulate", "verify") and args.N < 2:  # their standard errors divide by N - 1
+            raise ConfigError(f"config-invalid: {args.command} needs --N >= 2 trajectories, got {args.N}")
         return args.func(args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)

@@ -24,7 +24,7 @@ Grammar (see docs/grammar.md for the full EBNF)::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 from typing import Union
 
@@ -509,22 +509,16 @@ def substitute(expr: FuncExpr, replacement: Node) -> FuncExpr:
     if expr.arity != 1:
         raise DslError("substitute supports arity-1 expressions only")
 
-    def walk(node):
-        if isinstance(node, Var):
+    def walk(value):
+        # every node is a frozen dataclass: rebuild it from its rewritten
+        # fields, and the tuples of fields of Call and Piecewise likewise
+        if isinstance(value, Var):
             return replacement
-        if isinstance(node, Const):
-            return node
-        if isinstance(node, Neg):
-            return Neg(walk(node.operand))
-        if isinstance(node, BinOp):
-            return BinOp(node.op, walk(node.left), walk(node.right))
-        if isinstance(node, Call):
-            return Call(node.name, tuple(walk(a) for a in node.args))
-        if isinstance(node, Comparison):
-            return Comparison(node.op, walk(node.left), walk(node.right))
-        if isinstance(node, Piecewise):
-            return Piecewise(tuple((walk(c), walk(b)) for c, b in node.branches))
-        raise DslError(f"cannot substitute into {node!r}")
+        if isinstance(value, tuple):
+            return tuple(walk(v) for v in value)
+        if is_dataclass(value):
+            return type(value)(*(walk(getattr(value, f.name)) for f in fields(value)))
+        return value  # an operator, a name or a number
 
     return FuncExpr(walk(expr.ast), 1)
 

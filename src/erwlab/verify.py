@@ -22,7 +22,7 @@ import numpy as np
 from .model import ModelError
 from .sa import residual_order_slope, residual_variance
 from .simulate import EnsembleStats, nearest_checkpoint
-from .theory import RegimeReport, report_dict
+from .theory import RegimeReport, _complex_top, report_dict
 
 
 class VerifyError(ModelError):
@@ -181,8 +181,7 @@ def supercritical_limit_test(stats, report: RegimeReport, threshold: float = 0.1
     """
     if report.regime != "Supercritical":
         raise VerifyError(f"wrong-regime: got {report.regime}")
-    top = [c for c in report.profile.clusters if abs(c["value"].real - report.tau) <= 1e-9]
-    if any(abs(c["value"].imag) > 1e-9 for c in top):
+    if _complex_top(report.profile.clusters):
         raise VerifyError("complex-top-eigenvalue: oscillatory limits are reported symbolically only")
     if report.kappa != 1:
         raise VerifyError("defective top eigenvalue: per-trajectory limit check needs kappa = 1")

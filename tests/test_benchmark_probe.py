@@ -1,12 +1,19 @@
-"""The benchmark's traced pass finds every boundary it wraps and restores it.
+"""The benchmark's traced-only code runs in the test suite.
 
 ``perfbench/probe.py`` wraps functions by attribute name, also where ``cli``
-and ``sa`` bind them at import. A renamed or dropped binding would only show
-when the benchmark traces a pass; this check runs in the test suite. It only
-reads ``perfbench/``.
+and ``sa`` bind them at import, and a traced run of ``perfbench/run.py``
+also times the set-up layers, the stream set-up and ``ensemble`` at one and
+two threads. A renamed or dropped binding, or a broken probe, would only show
+when the benchmark traces a run; these checks run them in this process at
+size tiny. They only read ``perfbench/``.
 """
 
+import importlib.util
+import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -21,3 +28,30 @@ def test_traced_probe_wraps_and_restores_every_boundary(monkeypatch):
             assert owner.__dict__[attr] is not fn, name
     for (owner, attr, name), fn in zip(probe.BOUNDARIES, original):
         assert owner.__dict__[attr] is fn, name
+
+
+def _run_module(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports probe and workloads by name
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look their module up there
+    spec.loader.exec_module(run)
+    return run
+
+
+@pytest.mark.parametrize("workload", ["long-1d", "long-multi", "short-oracle", "phase-sweep"])
+def test_traced_layer_probes_run(monkeypatch, workload):
+    run = _run_module(monkeypatch)
+    import workloads
+
+    args = SimpleNamespace(workload=workload, seed=run.REFERENCE_SEED, size="tiny")
+    layers = run.setup_layers(args)
+    assert set(layers) == {"presets.build_s", "model.validate_s"}
+    assert all(value > 0 for value in layers.values())
+    wl = workloads.build(workload, args.seed, args.size)
+    assert set(wl.extras) <= {"thread_speedup", "stream_setup"}
+    if "thread_speedup" in wl.extras:
+        speedup, agree = run.thread_speedup(wl, args)
+        assert speedup > 0 and agree  # threads=1 and threads=2 give the same ensemble digest
+    if "stream_setup" in wl.extras:
+        assert run.stream_setup_us(wl, args) > 0

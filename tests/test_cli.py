@@ -364,9 +364,12 @@ def test_sa_refuses_the_registered_root_analyze_refuses(tmp_path, capsys, preset
 @pytest.mark.parametrize("h_derivs,message", [
     ([0.9], "registered drift derivative h_derivs[0] = 0.9 disagrees with numerics 0.2"),
     ([0.20011], "registered drift derivative h_derivs[0] = 0.20011 disagrees with numerics 0.2"),
-], ids=["tau-0.9", "just-past-1e-4"])
+    ([0.2, 5.0], "registered drift derivative h_derivs[1] = 5.0 (order 2) disagrees with numerics "),
+    ([0.2, 0.00009, 0.00011], "registered drift derivative h_derivs[2] = 0.00011 (order 3) disagrees with numerics "),
+], ids=["tau-0.9", "just-past-1e-4", "eta1-5", "order-3-just-past-1e-4"])
 def test_registered_drift_derivative_checked_against_the_jacobian(tmp_path, capsys, h_derivs, message):
-    # for s = 1 a registered h_derivs[0] is the Jacobian; erw p=0.6 has tau = 0.2
+    # for s = 1 a registered h_derivs[0] is the Jacobian; erw p=0.6 has tau = 0.2, and its affine
+    # map has no higher derivative, which each later h_derivs entry must match
     path = tmp_path / "model.json"
     path.write_text(json.dumps(_erw_doc(meta={"exact": {"h_derivs": h_derivs}})))
     assert main(["analyze", "--model", str(path), "--out", str(tmp_path / "r.json")]) == 2
@@ -374,6 +377,31 @@ def test_registered_drift_derivative_checked_against_the_jacobian(tmp_path, caps
     path.write_text(json.dumps(_erw_doc(meta={"exact": {"h_derivs": [0.20009]}})))
     assert main(["analyze", "--model", str(path), "--out", str(tmp_path / "r.json")]) == 0
     assert "Supercritical" not in capsys.readouterr().out
+
+
+def _complex_top_doc(exact) -> dict:
+    """s = 2, r = 3 on the unit simplex with drift Jacobian [[0.6, -0.1], [0.1, 0.6]]: lambda = 0.6 +- 0.1i."""
+    doc = spec_to_dict(build_preset("kdim", k=2))
+    return {**doc, "s": 2, "r": 3, "partition": [[1], [2], []],
+            "step_law": {"kind": "point-mass", "atoms": [[1.0, 1.0]], "probs": [1.0]},
+            "prob_maps": ["0.2 + 0.6*(x1 - 0.2) - 0.1*(x2 - 0.2)", "0.2 + 0.1*(x1 - 0.2) + 0.6*(x2 - 0.2)"],
+            "A": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0],
+            "initial": {"atoms": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], "probs": [1 / 3, 1 / 3, 1 / 3]},
+            "domain": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}, "meta": {"simplex_cap": 1.0, "exact": exact}}
+
+
+@pytest.mark.parametrize("exact", [{}, {"tau": 0.600001}], ids=["numeric-tau", "registered-tau"])
+def test_complex_top_eigenvalue_seen_whatever_tau_is_registered(tmp_path, capsys, exact):
+    # the top clusters are picked by their numeric real part, not by a registered tau
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_complex_top_doc(exact)))
+    assert main(["analyze", "--model", str(path), "--out", str(tmp_path / "r.json")]) == 0
+    notes = json.loads((tmp_path / "r.json").read_text())["regime_report"]["notes"]
+    assert any(note.startswith("complex top eigenvalues: oscillatory corrections") for note in notes)
+    capsys.readouterr()
+    argv = ["verify", "--model", str(path), "--suite", "super", "--n", "2000", "--N", "64"]
+    assert main(argv + ["--out", str(tmp_path / "v.json")]) == 2
+    assert "SKIP super: complex-top-eigenvalue" in capsys.readouterr().out
 
 
 def test_near_integer_model_is_not_a_lattice_model(tmp_path, capsys):

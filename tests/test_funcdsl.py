@@ -385,6 +385,38 @@ class TestPrinter:
             assert once.ast == twice.ast
 
 
+def _substitute_reference(node, replacement):
+    """Independent oracle for ``substitute``: one rebuild per node type."""
+    def walk(n):
+        if isinstance(n, funcdsl.Var):
+            return replacement
+        if isinstance(n, funcdsl.Const):
+            return n
+        if isinstance(n, funcdsl.Neg):
+            return funcdsl.Neg(walk(n.operand))
+        if isinstance(n, (funcdsl.BinOp, funcdsl.Comparison)):
+            return type(n)(n.op, walk(n.left), walk(n.right))
+        if isinstance(n, funcdsl.Call):
+            return funcdsl.Call(n.name, tuple(walk(a) for a in n.args))
+        return funcdsl.Piecewise(tuple((walk(c), walk(b)) for c, b in n.branches))
+
+    return walk(node)
+
+
+class TestSubstitute:
+    @given(expression_trees([funcdsl.Var(0, "x")]))
+    @settings(max_examples=200)
+    def test_matches_a_rebuild_per_node_type(self, tree):
+        replacement = funcdsl.BinOp("*", funcdsl.Const(2.0), funcdsl.Var(2, "x3"))
+        got = funcdsl.substitute(funcdsl.FuncExpr(tree, 1), replacement)
+        assert got.arity == 1
+        assert got.ast == _substitute_reference(tree, replacement)
+
+    def test_arity_above_one_refused(self):
+        with pytest.raises(funcdsl.DslError, match="arity-1 expressions only"):
+            funcdsl.substitute(parse("x1 + x2", arity=2), funcdsl.Const(0.0))
+
+
 class TestDerivatives:
     def test_tanh_prime_at_zero(self):
         value, err = derive_at(parse("tanh(x)"), 0.0, order=1)

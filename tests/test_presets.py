@@ -1,10 +1,11 @@
+import inspect
 import math
 import re
 
 import numpy as np
 import pytest
 
-from erwlab import build_preset, validate_model
+from erwlab import build_preset, cli, presets, validate_model
 from erwlab.presets import ParameterError, UnknownPresetError, list_presets
 
 
@@ -24,6 +25,13 @@ class TestRegistry:
         assert "Harbola" in by_name["minimal"][2]
         assert "Bercu" in by_name["kdim"][2]
         assert "p, q" in by_name["erw"][1]
+
+    def test_every_builder_default_has_its_flag_type(self):
+        # the CLI types each flag by the first builder that takes it; no other builder may disagree
+        for builder, _ in presets._REGISTRY.values():
+            for name, param in inspect.signature(builder).parameters.items():
+                kind = list if isinstance(param.default, tuple) else type(param.default)
+                assert cli.PRESET_PARAMS[name] is kind, (builder.__name__, name)
 
     def test_unknown_preset(self):
         with pytest.raises(UnknownPresetError, match="unknown-preset"):
