@@ -337,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument(
         "--n", type=int, default=12,
         help="horizon: n <= 2000 for 1-d unit-step models started in {0,1} (dense DP); "
-        "n <= 12 for any other model (sparse enumeration, at most 1e6 state x block x atom entries per step)",
+        "any n >= 1 for any other model (sparse enumeration, stopped with too-many-states past 1e6 "
+        "state x block x atom entries in a step)",
     )
     p_or.set_defaults(func=cmd_oracle)
 

@@ -12,8 +12,8 @@ drift map H. Every map of a model, P_1..P_{r-1}, is a
 affine images of a memory map f (see :mod:`erwlab.presets`).
 
 Point layout: the model's maps (``block_probs``, ``eval_H``,
-``noise_second_moment``) take a point as an array whose last axis has
-length s, and a batch of points as ``(..., s)``. The one-dimensional walks
+``sigma_blocks``, ``noise_second_moment``) take a point as an array whose
+last axis has length s, and a batch of points as ``(..., s)``. The one-dimensional walks
 are the s = 1 case of the same layout: a point is ``[x]``, never a bare
 scalar. Those maps, and grid validation, evaluate each P_i through
 ``FuncExpr.fast``, the expression language's only evaluator, so validation
@@ -368,38 +368,50 @@ class ValidatedModel:
         Within the tolerance band they are clamped. The complement sums the
         rows in order, and every shape is evaluated as an (n, s) batch, a
         single (s,) point as a batch of one, so a point's probabilities have
-        the same bits alone as in any batch.
+        the same bits alone as in any batch. Every map of the model outside
+        the step kernel's hot loop is evaluated here.
         """
         x, pts = self._points(x)
-        probs = self._probs(pts)
-        return probs if pts is x else probs.reshape((self.r,) + x.shape[:-1])
-
-    def _probs(self, x) -> np.ndarray:
-        """:meth:`block_probs` at an (n, s) batch x already checked by :meth:`_points`."""
         r = self.r
-        cols = [x[:, j] for j in range(x.shape[1])]
-        probs = np.empty((r, len(x)))
+        cols = [pts[:, j] for j in range(pts.shape[1])]
+        probs = np.empty((r, len(pts)))
         head = probs[:-1]
         for i, pm in enumerate(self.spec.prob_maps):
             head[i] = pm.fast(cols)
         check_runtime_probs(head)
         clip_ufunc(head, 0.0, 1.0, out=head)
-        totals = head[0] if r > 1 else np.zeros(len(x))
+        totals = head[0] if r > 1 else np.zeros(len(pts))
         for row in head[1:]:  # in row order, where numpy sums one point's rows pairwise
             totals = totals + row
         check_runtime_sum(totals)
         tail = probs[-1]
         np.subtract(1.0, totals, out=tail)
         clip_ufunc(tail, 0.0, 1.0, out=tail)
-        return probs
+        return probs if pts is x else probs.reshape((r,) + x.shape[:-1])
+
+    # Tables built from the spec once per model; the maps, the step kernel and the oracle read them.
 
     @cached_property
-    def _drift(self) -> tuple:
-        """What every :meth:`eval_H` call reads of the model: mu masked to
-        each block, shape (r, s), and the rectangle widened by 1e-9 on each
-        side, as the bounds of its domain check."""
+    def masked_mu(self) -> np.ndarray:
+        """(r, s): row i is E[Y] on block i's coordinates and 0 elsewhere."""
+        return self.block_masks * self.mu
+
+    @cached_property
+    def masked_sigma(self) -> np.ndarray:
+        """(r, s, s): entry i is E[Y Y^T] on block i's square and 0.0 (never -0.0) elsewhere."""
+        inside = self.block_masks.astype(bool)
+        return np.where(inside[:, :, None] & inside[:, None, :], self.sigma, 0.0)
+
+    @cached_property
+    def step_table(self) -> np.ndarray:
+        """(r, n_atoms, s): entry [i, a], step atom a masked to block i, is that (block, atom)'s step."""
+        return self.block_masks[:, None, :] * self.spec.step_law.atoms
+
+    @cached_property
+    def _bounds(self) -> tuple:
+        """The rectangle widened by 1e-9 on each side: the bounds of :meth:`eval_H`'s domain check."""
         dom = self.spec.domain
-        return self.block_masks * self.mu, dom.lower - 1e-9, dom.upper + 1e-9
+        return dom.lower - 1e-9, dom.upper + 1e-9
 
     def eval_H(self, x) -> np.ndarray:
         """Drift map H(x) = sum_i P_i(x) * mu masked to block i.
@@ -407,13 +419,13 @@ class ValidatedModel:
         Takes points of shape (..., s), a single point (s,) or points
         (n, s) included, and returns H at each in the same shape. A
         coordinate outside the model rectangle, or NaN, raises
-        :class:`DomainViolation`. The points are checked once, and the
-        masked mu and the domain bounds are computed once per model
-        (:attr:`_drift`), so a call on a few points, as in each round of
-        the fixed-point search, costs little more than the maps themselves.
+        :class:`DomainViolation`. The masked mu and the domain bounds are
+        computed once per model, so a call on a few points, as in each
+        round of the fixed-point search, costs little more than the maps
+        themselves.
         """
         x, pts = self._points(x)
-        masked_mu, low, high = self._drift
+        low, high = self._bounds
         # Each coordinate's values made contiguous: reduced over axis 0 of
         # pts, numpy's inner loop would run over one point's s values, 10
         # times slower on a large grid. The initial bounds let an empty batch
@@ -423,27 +435,22 @@ class ValidatedModel:
                   & (np.maximum.reduce(coords, axis=1, initial=-np.inf) <= high))
         if not inside.all():
             raise DomainViolation(f"coordinate {int(np.argmin(inside)) + 1} outside model rectangle")
-        H = np.einsum("rn,rs->ns", self._probs(pts), masked_mu)
+        H = np.einsum("rn,rs->ns", self.block_probs(pts), self.masked_mu)
         return H if pts is x else H.reshape(x.shape)
 
     def sigma_blocks(self, x) -> np.ndarray:
-        """sum_i P_i(x) Sigma^(pi_i) at a point x of shape (s,), as an (s, s) matrix."""
-        probs = self.block_probs(x)
-        out = np.zeros((self.s, self.s))
-        for i in range(self.r):
-            mask = self.block_masks[i].astype(bool)
-            if not mask.any():
-                continue
-            block = np.zeros_like(out)
-            ix = np.ix_(mask, mask)
-            block[ix] = self.sigma[ix]
-            out += float(probs[i]) * block
-        return out
+        """sum_i P_i(x) Sigma^(pi_i) at points x of shape (..., s), as (..., s, s).
+
+        Each entry has at most one nonzero term, P_i(x) E[Y_j Y_k] for the
+        block i that holds both j and k, so the sum is that product exactly.
+        """
+        return np.einsum("r...,rij->...ij", self.block_probs(x), self.masked_sigma)
 
     def noise_second_moment(self, x) -> np.ndarray:
-        """Sigma(x) = sum_i P_i(x) Sigma^(pi_i) - H(x) H(x)^T at a point x of shape (s,)."""
+        """Sigma(x) = sum_i P_i(x) Sigma^(pi_i) - H(x) H(x)^T at points x of
+        shape (..., s), as (..., s, s)."""
         H = self.eval_H(x)
-        return self.sigma_blocks(x) - np.outer(H, H)
+        return self.sigma_blocks(x) - H[..., :, None] * H[..., None, :]
 
 
 def _grid_product(axes, cap) -> np.ndarray:

@@ -3,10 +3,11 @@
 The auxiliary walk is a time-inhomogeneous Markov chain in its own position,
 so its exact law can be pushed forward step by step: a dense O(n^2) table for
 one-dimensional unit-step models (n <= 2000), and a sparse law over the
-reached positions for any model (n <= 12, at most ``_MAX_STATES`` state x
-block x atom entries per step). Both evaluate the maps in batches, and both
-return the float sums, in the same order, that a scalar step-by-step or
-state-by-state loop gives (``tests/oracle_reference.py`` holds those loops).
+reached positions for any model (at most ``_MAX_STATES`` state x block x
+atom entries per step, its only bound on n). Both evaluate the maps in
+batches, and both return the float sums, in the same order, that a scalar
+step-by-step or state-by-state loop gives (``tests/oracle_reference.py``
+holds those loops).
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def _merge(keys: np.ndarray, probs: np.ndarray):
 
 
 def enumerate_small_multi(model: ValidatedModel, n: int) -> dict:
-    """Exact sparse law of the auxiliary position at time n <= 12, any model.
+    """Exact sparse law of the auxiliary position at time n >= 1, any model.
 
     Returns a dict mapping position tuples to probabilities, in order of
     first appearance. The chain is Markov in its position, so the law is
@@ -128,14 +129,15 @@ def enumerate_small_multi(model: ValidatedModel, n: int) -> dict:
     and the contributions summed per position in that order. Every
     probability is the float sum a dict of positions, filled state by
     state, gives. Before each step, states x r x atoms above ``_MAX_STATES``
-    raises ``too-many-states``: that bounds the step's work and memory.
+    raises ``too-many-states``: that bounds the step's work and memory, and
+    it is the only bound on n.
     """
-    if n < 1 or n > 12:
-        raise OracleError("exhaustive horizon limited to n <= 12")
+    if n < 1:
+        raise OracleError(f"exhaustive horizon must be n >= 1, got {n}")
     law = model.spec.step_law
     n_atoms = law.atoms.shape[0]
     n_entries = model.r * n_atoms
-    steps = model.block_masks[:, None, :] * law.atoms[None, :, :]  # (r, atoms, s)
+    steps = model.step_table  # (r, atoms, s)
     initial = model.spec.initial
     pos, probs = _merge(initial.atoms, initial.probs)
     for t in range(1, n):

@@ -354,6 +354,10 @@ def build_preset(name: str, **params) -> ModelSpec:
     if name not in _REGISTRY:
         raise UnknownPresetError(f"unknown-preset: {name!r} (known: {', '.join(sorted(_REGISTRY))})")
     builder, _ = _REGISTRY[name]
+    takes = inspect.signature(builder).parameters
+    unknown = [key for key in params if key not in takes]
+    if unknown:
+        raise ParameterError(f"unknown-parameter: preset {name!r} takes {', '.join(takes)}; got {', '.join(unknown)}")
     try:
         return builder(**params)
     except TypeError as exc:

@@ -286,6 +286,9 @@ def noise_moment_check(model: ValidatedModel, n_max: int, N: int, master_seed: i
         counts += np.bincount(which[part], minlength=bins)
         H = model.eval_H(xs[part, None])[..., 0]
         np.subtract(H, es[part], out=es[part])
+        # Sigma(x) of an s = 1, r = 2 walk, written here rather than read from
+        # model.noise_second_moment: that would evaluate the maps twice more per
+        # slice, where this reuses the slice's one eval_H
         pred[part] = H * float(model.sigma[0, 0]) / float(model.mu[0]) - H ** 2
         peaks.append(np.abs(es[part]).max())
 

@@ -469,8 +469,7 @@ def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
     counted = n_atoms > 1 and r * n_atoms <= _COUNTED_TABLE_ROWS
     searched = n_atoms > 1 and not counted
     single = r == 2 and not counted  # the block hit alone is the row
-    # row block * n_atoms + atom: the step of that block with that atom
-    steps = (atoms[None] * model.block_masks[:, None]).reshape(r * n_atoms, s)
+    steps = model.step_table.reshape(r * n_atoms, s)  # row block * n_atoms + atom
     max_atom = float(np.max(np.abs(atoms))) if atoms.size else 0.0
     maps = [pm.fast for pm in spec.prob_maps]
 

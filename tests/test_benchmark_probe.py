@@ -55,3 +55,23 @@ def test_traced_layer_probes_run(monkeypatch, workload):
         assert speedup > 0 and agree  # threads=1 and threads=2 give the same ensemble digest
     if "stream_setup" in wl.extras:
         assert run.stream_setup_us(wl, args) > 0
+
+
+def test_traced_map_layer_counts_every_drift_evaluation(monkeypatch, tmp_path):
+    # the probe wraps block_probs, the model's one map evaluator, so every
+    # eval_H of a traced pass shows in the layer's call count
+    run = _run_module(monkeypatch)
+    import workloads
+    from probe import pass_metrics
+
+    from erwlab.model import ValidatedModel
+
+    eval_H = ValidatedModel.eval_H
+    calls = []
+    monkeypatch.setattr(ValidatedModel, "eval_H", lambda self, x: calls.append(1) or eval_H(self, x))
+    wl = workloads.build("phase-sweep", run.REFERENCE_SEED, "tiny")
+    done = run.run_pass(wl, workloads.Context(tmp_path / "ops"), trace=True)
+    assert done.errors == {}
+    metrics = pass_metrics(done.probe.spans, done.probe.counts, done.wall)
+    assert calls
+    assert metrics["model.block_probs_calls"] >= len(calls)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from erwlab import build_preset, funcdsl
+from erwlab import build_preset, funcdsl, oracle
 from erwlab.cli import _parser, build_parser, main
 from erwlab.model import spec_to_dict
 from test_funcdsl import expression_trees
@@ -424,9 +424,12 @@ def test_near_integer_model_is_not_a_lattice_model(tmp_path, capsys):
     (["sa", "--drift", "x", "--noise", "cauchy"], "config-invalid: unknown noise kind 'cauchy'"),
     (["sa"], "config-invalid: provide --drift or --model/--preset"),
     (["oracle", "--preset", "kdim", "--k", "2", "--n", "13"],
-     "config-invalid: exhaustive horizon limited to n <= 12"),
-], ids=["no-model", "absent-tol-overrides", "sa-unknown-noise", "sa-nothing-to-run", "oracle-horizon"])
-def test_config_error_message_exit_2(tmp_path, capsys, argv, message):
+     "config-invalid: too-many-states: 364 states x 4 (block, atom) pairs at t=11"),
+], ids=["no-model", "absent-tol-overrides", "sa-unknown-noise", "sa-nothing-to-run", "oracle-too-many-states"])
+def test_config_error_message_exit_2(tmp_path, capsys, monkeypatch, argv, message):
+    # the sparse oracle's state guard is its only bound on n; lowered here
+    # so that kdim k=2 stops at t = 11, where it holds 364 states
+    monkeypatch.setattr(oracle, "_MAX_STATES", 364 * 4 - 1)
     out = tmp_path / "out.json"
     code = main([arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(out)])
     assert code == 2

@@ -372,6 +372,34 @@ class TestNoiseMoments:
         expected = np.diag([0.25] * 3) - np.outer(x0, x0)
         assert np.allclose(sigma0, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("name,kwargs", [("erw", dict(p=0.7)), ("random-step", dict(p=0.6)),
+                                             ("kdim", dict(k=2, p=0.6)), ("kdim", dict(k=3, f="x^2", p=0.7))],
+                             ids=["erw-s1", "random-step-s3", "kdim2-s3", "kdim3-s5"])
+    def test_batches_give_the_bits_of_single_points(self, name, kwargs, monkeypatch):
+        # (n, s), (1, s) and (2, 3, s) batches give (..., s, s), each point's
+        # matrix as the per-point call gives it, and that matrix is the
+        # block-by-block sum of P_i(x) times E[Y Y^T] on block i's square
+        model = validate_model(build_preset(name, **kwargs))
+        _grid_shape(monkeypatch, 7)
+        points = validation_grid(model.spec)[0][-6:]
+        s = model.s
+        for fn in (model.sigma_blocks, model.noise_second_moment):
+            single = [fn(x) for x in points]
+            assert all(m.shape == (s, s) for m in single)
+            assert fn(points).tobytes() == np.stack(single).tobytes()
+            assert fn(points[:1]).tobytes() == single[0][None].tobytes()
+            assert fn(points.reshape(2, 3, s)).tobytes() == np.stack(single).reshape(2, 3, s, s).tobytes()
+        for x in points:
+            probs, loop = model.block_probs(x), np.zeros((s, s))
+            for i in range(model.r):
+                mask = model.block_masks[i].astype(bool)
+                block = np.zeros((s, s))
+                block[np.ix_(mask, mask)] = model.sigma[np.ix_(mask, mask)]
+                loop += float(probs[i]) * block
+            assert model.sigma_blocks(x).tobytes() == loop.tobytes()
+            H = model.eval_H(x)
+            assert model.noise_second_moment(x).tobytes() == (loop - np.outer(H, H)).tobytes()
+
 
 GRID_PRESETS = [(name, {}) for name, _, _ in list_presets()] + [
     ("kdim", dict(k=3, p=0.6)),

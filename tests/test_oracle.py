@@ -132,6 +132,21 @@ class TestEnumeration:
             worst = max(abs(law.pmf[k] - lookup.get(k, 0.0)) for k in range(n + 1))
             assert worst <= 1e-12
 
+    @pytest.mark.parametrize("name,kwargs", UNIT_STEP_PRESETS)
+    def test_sparse_law_is_the_dp_bit_for_bit_past_twelve(self, name, kwargs):
+        # the state guard alone bounds n: at n = 200 a unit-step walk has 201 states
+        model = _model(name, kwargs)
+        pmf = exact_dp_1d(model, 200).pmf
+        sparse = enumerate_small_multi(model, 200)
+        assert set(sparse) <= {(float(k),) for k in range(201)}
+        got = np.array([sparse.get((float(k),), 0.0) for k in range(201)])
+        assert got.tobytes() == pmf.tobytes()
+
+    def test_multi_dimensional_law_past_twelve(self):
+        model = _model("kdim", dict(k=2, p=0.6))
+        for n in (13, 20):
+            assert _bits(enumerate_small_multi(model, n)) == _bits(enumerate_states(model, n)), n
+
     def test_dual_parameterization_same_law(self):
         # (f, p) and (1-f, 1-p) generate identical exact laws
         base = _model("gerw-1d", dict(f="x^2", p=0.8, q=0.5))

@@ -37,6 +37,22 @@ class TestRegistry:
         with pytest.raises(UnknownPresetError, match="unknown-preset"):
             build_preset("urn-of-mystery")
 
+    @pytest.mark.parametrize("name,params,message", [
+        ("erw", {"k": 2}, "unknown-parameter: preset 'erw' takes p, q; got k"),
+        ("kdim", {"q": 0.3, "p": 0.6}, "unknown-parameter: preset 'kdim' takes k, f, p; got q"),
+        ("minimal", {"a": 0.1, "b": 0.2}, "unknown-parameter: preset 'minimal' takes f, p, q, init; got a, b"),
+    ])
+    def test_unknown_parameter_is_named_with_the_presets_parameters(self, name, params, message, capsys, tmp_path):
+        # a parameter the preset does not take is not out of range
+        with pytest.raises(ParameterError, match=re.escape(message) + "$"):
+            build_preset(name, **params)
+        argv = ["analyze", "--preset", name, "--out", str(tmp_path / "r.json")]
+        for key, value in params.items():
+            argv += ["--" + key, str(value)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"config-invalid: {message}\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_parameter_range_errors(self):
         with pytest.raises(ParameterError):
             build_preset("cubic-supercritical", p=0.9)  # needs 11/30 < p < 19/30
