@@ -157,7 +157,29 @@ def _log(a):
     return np.log(a)
 
 
-def _emit(node):
+# Calls whose value is correctly rounded, and the exponents numpy computes as a
+# reciprocal, ones, a copy, a square root or a square: their bits at a point do
+# not depend on the layout of the array that holds it. exp, log, sin, tanh and
+# other powers may run a SIMD loop whose last bit can, so a template keeps their
+# operands the same in every member (see templates).
+_EXACT_CALLS = frozenset({"abs", "sgn", "sqrt", "min", "max"})
+_EXACT_EXPONENTS = frozenset({-1.0, 0.0, 0.5, 1.0, 2.0})
+
+
+def _has_var(node) -> bool:
+    if isinstance(node, Var):
+        return True
+    if isinstance(node, tuple):
+        return any(map(_has_var, node))
+    return is_dataclass(node) and any(_has_var(getattr(node, f.name)) for f in fields(node))
+
+
+def _leaf(node, free):
+    """A constant as its literal, a variable as its coordinate array."""
+    return repr(node.value) if isinstance(node, Const) else f"cols[{node.index}]"
+
+
+def _emit(node, leaf=_leaf, free=False):
     """Python source evaluating ``node`` on the coordinate arrays ``cols``.
 
     Total operations become numpy operators and ufuncs. The partial ones
@@ -165,16 +187,23 @@ def _emit(node):
     integer constant, sqrt and log) call the checked helpers above, which
     raise :class:`EvalDomainError` wherever any point leaves the domain.
     Every node compiles; :data:`MAX_DEPTH` keeps the source's nesting within
-    what Python's parser accepts."""
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return f"cols[{node.index}]"
+    what Python's parser accepts.
+
+    ``leaf(node, free)`` writes each constant and variable. :func:`templates`
+    starts with ``free`` True and keeps the leaves where it is False the same
+    in every member: an exponent, a divisor, a subtree without variables
+    (one value, computed on Python floats) and the operands of a call or
+    power outside ``_EXACT_CALLS`` and ``_EXACT_EXPONENTS``."""
+    if isinstance(node, (Const, Var)):
+        return leaf(node, free)
+    free = free and _has_var(node)
     if isinstance(node, Neg):
-        return f"(-{_emit(node.operand)})"
+        return f"(-{_emit(node.operand, leaf, free)})"
     if isinstance(node, BinOp):
-        left, right = _emit(node.left), _emit(node.right)
         constant = node.right.value if isinstance(node.right, Const) else None
+        exact = node.op != "^" or constant in _EXACT_EXPONENTS
+        left = _emit(node.left, leaf, free and exact)
+        right = _emit(node.right, leaf, free and exact and (constant is None or node.op not in "/^"))
         if node.op == "/" and not constant:
             return f"_div({left}, {right})"
         if node.op == "^":
@@ -184,33 +213,104 @@ def _emit(node):
             return f"_pow({left}, {int(constant) if integer else right})"
         return f"({left} {node.op} {right})"
     if isinstance(node, Call):
-        return f"{_FUNCTIONS[node.name][0]}({', '.join(_emit(a) for a in node.args)})"
+        free = free and node.name in _EXACT_CALLS
+        return f"{_FUNCTIONS[node.name][0]}({', '.join(_emit(a, leaf, free) for a in node.args)})"
     if isinstance(node, Piecewise):
         # nested np.where with the first branch outermost, so the first
         # match wins. Every branch runs at every point. Uncovered points
-        # surface as NaN and are rejected by _compile; the full-shape
+        # surface as NaN and are rejected by _build; the full-shape
         # default keeps the result full-shape when every branch is constant.
         source = "(zeros + np.nan)"
         for cond, branch in reversed(node.branches):
-            source = f"np.where(({_emit(cond.left)} {cond.op} {_emit(cond.right)}), {_emit(branch)}, {source})"
+            test = f"({_emit(cond.left, leaf, free)} {cond.op} {_emit(cond.right, leaf, free)})"
+            source = f"np.where({test}, {_emit(branch, leaf, free)}, {source})"
         return source
     raise DslError(f"cannot compile node {node!r}")
 
 
-def _compile(expr):
-    source = _emit(expr.ast)
-    namespace = {"np": np, "inf": math.inf, "_div": _div, "_pow": _pow, "_sqrt": _sqrt, "_log": _log}
+def _build(source, rows=None, names=None):
+    """The function ``f(cols)`` that evaluates ``source``. ``names`` holds the
+    arrays the source reads besides the helpers. A ``piecewise`` result has
+    the broadcast shape of ``cols``, or with ``rows`` given, that many rows
+    of the (s, B) array ``cols``."""
+    namespace = {"np": np, "inf": math.inf, "_div": _div, "_pow": _pow, "_sqrt": _sqrt, "_log": _log,
+                 **(names or {})}
     if "np.where" not in source:
         return eval(f"lambda cols: ({source})", namespace)  # noqa: S307 - generated from our own AST
     fn = eval(f"lambda cols, zeros: ({source})", namespace)  # noqa: S307 - generated from our own AST
 
     def run(cols):
-        out = fn(cols, np.zeros(np.broadcast(*cols).shape))
+        shape = np.broadcast(*cols).shape if rows is None else (rows,) + cols.shape[1:]
+        out = fn(cols, np.zeros(shape))
         if np.isnan(out).any():
             raise EvalDomainError("piecewise evaluated outside its covered region")
         return out
 
     return run
+
+
+def _compile(expr):
+    return _build(_emit(expr.ast))
+
+
+def templates(exprs) -> list:
+    """Split ``exprs`` into groups that share one compiled template.
+
+    Members of a group have trees of the same shape, and agree on every
+    exponent, divisor and subtree without variables, and on whatever lies
+    under a call or power whose bits could depend on memory layout (see
+    ``_EXACT_CALLS``). A constant that differs across the m members becomes
+    an (m, 1) column, and a variable whose index differs becomes rows of
+    ``X``: a slice view for consecutive indices, else a gather. The
+    template ``f(X)`` takes the coordinates as one (s, B) array ``X`` and
+    returns the members' values as one (m, B) array, row j that of member
+    j; its operations are the members' own, on the same values, so each row
+    has the bits of that member's :attr:`FuncExpr.fast`. A member's errors
+    and warnings are not its own, though: the caller runs a template under
+    a raising ``np.errstate`` and evaluates its members one by one when it
+    raises.
+
+    Returns ``(members, f)`` pairs, in the order of each group's first
+    member. A group of one comes with that member's ``fast``, which takes
+    the list of coordinate arrays.
+    """
+    groups = {}  # template source -> [(index, its varying leaves)]
+    for i, expr in enumerate(exprs):
+        holes = []
+
+        def leaf(node, free):
+            if not free:
+                return _leaf(node, free)
+            holes.append(node)
+            k = len(holes) - 1
+            return f"{{{k}}}" if isinstance(node, Const) else f"cols[{{{k}}}]"
+
+        groups.setdefault(_emit(expr.ast, leaf, True), []).append((i, holes))
+    out = []
+    for source, members in groups.items():
+        if len(members) == 1:
+            out.append(((members[0][0],), exprs[members[0][0]].fast))
+            continue
+        m, fills, names = len(members), [], {}
+        for k, column in enumerate(zip(*(holes for _, holes in members))):
+            if isinstance(column[0], Const):
+                values = [node.value for node in column]
+                if len(set(map(repr, values))) == 1:
+                    fills.append(repr(values[0]))
+                else:
+                    names[f"_c{k}"] = np.array(values)[:, None]
+                    fills.append(f"_c{k}")
+            else:
+                index = [node.index for node in column]
+                if len(set(index)) == 1:
+                    fills.append(str(index[0]))
+                elif index == list(range(index[0], index[0] + m)):
+                    fills.append(f"{index[0]}:{index[0] + m}")
+                else:
+                    names[f"_g{k}"] = np.array(index)
+                    fills.append(f"_g{k}")
+        out.append((tuple(i for i, _ in members), _build(source.format(*fills), m, names)))
+    return out
 
 
 # ---------------------------------------------------------------------------

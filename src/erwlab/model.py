@@ -15,9 +15,10 @@ Point layout: the model's maps (``block_probs``, ``eval_H``,
 ``sigma_blocks``, ``noise_second_moment``) take a point as an array whose
 last axis has length s, and a batch of points as ``(..., s)``. The one-dimensional walks
 are the s = 1 case of the same layout: a point is ``[x]``, never a bare
-scalar. Those maps, and grid validation, evaluate each P_i through
-``FuncExpr.fast``, the expression language's only evaluator, so validation
-checks the same code that runs.
+scalar. Grid validation evaluates each P_i through ``FuncExpr.fast``, the
+expression language's only evaluator. Those maps evaluate the same compiled
+code, with maps of one shape stacked into one template whose rows have each
+map's bits (``map_groups``), so validation checks the values that run.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .funcdsl import FuncExpr, parse
+from .funcdsl import FuncExpr, parse, templates
 
 # The ufunc np.clip ends in. Calling it directly only skips np.clip's Python
 # wrappers, about 3 us a call; the values are the same. numpy keeps it in a
@@ -42,6 +43,15 @@ except ImportError:
         from numpy.core.umath import clip as clip_ufunc
     except ImportError:
         clip_ufunc = np.clip
+
+
+def strict_errstate():
+    """``np.errstate`` raising on every floating-point event that the
+    caller's settings do not ignore. A batched fast path runs under it, and
+    when it raises, the exact code it stands for runs again under the
+    caller's settings, so the caller sees that code's warnings, errors and
+    results."""
+    return np.errstate(**{kind: "ignore" if mode == "ignore" else "raise" for kind, mode in np.geterr().items()})
 
 
 class ModelError(ValueError):
@@ -356,15 +366,64 @@ class ValidatedModel:
             raise ModelError(f"points must have shape (..., {self.s}), got {x.shape}")
         return x, x if x.ndim == 2 else x.reshape(-1, x.shape[-1])
 
+    @cached_property
+    def map_groups(self) -> tuple:
+        """The maps P_1..P_{r-1} split once into groups of one compiled
+        template each (:func:`~erwlab.funcdsl.templates`), in order of each
+        group's first map: ``(rows, f, stacked)`` triples. A group of one has
+        its map's index as ``rows`` and its ``FuncExpr.fast`` as ``f``, which
+        takes the list of coordinate arrays. A stacked group's ``f`` takes the
+        (s, B) array of the points and gives its maps' rows, which ``rows``
+        (a slice where they are consecutive) selects. kdim's 2k - 1 maps are
+        one group, one ``a * x + b`` over a (2k - 1, B) array."""
+        groups = []
+        for members, fn in templates(self.spec.prob_maps):
+            first, last = members[0], members[-1]
+            if len(members) == 1:
+                rows = first
+            elif last - first == len(members) - 1:
+                rows = slice(first, last + 1)
+            else:
+                rows = np.array(members)
+            groups.append((rows, fn, len(members) > 1))
+        return tuple(groups)
+
+    def maps_one_by_one(self, out, cols):
+        """``out[i] = P_{i+1}(cols)``, map by map, under the caller's
+        settings: what the groups stand for, so where a group raises, this
+        gives the first failing map's exception and warnings."""
+        for i, pm in enumerate(self.spec.prob_maps):
+            out[i] = pm.fast(cols)
+
+    def eval_maps(self, out, X):
+        """``out[i] = P_{i+1}`` at the points of the (s, B) array ``X``, one
+        call per group of :attr:`map_groups`. Without a stacked group each map
+        runs as it stands. Otherwise the groups run under
+        :func:`strict_errstate`, and if one raises, :meth:`maps_one_by_one`
+        evaluates every map again under the caller's settings, so the values,
+        errors and warnings are those of a loop over the maps."""
+        cols = list(X)
+        groups = self.map_groups
+        if len(groups) == len(out):  # every group a single map
+            for rows, fn, _ in groups:
+                out[rows] = fn(cols)
+            return
+        try:
+            with strict_errstate():
+                for rows, fn, stacked in groups:
+                    out[rows] = fn(X if stacked else cols)
+        except Exception:  # noqa: BLE001 - the maps raise it again one by one
+            self.maps_one_by_one(out, cols)
+
     def block_probs(self, x):
         """All r block probabilities at points x of shape (..., s), as (r, ...).
 
         A 0-d x, or one whose last axis is not s, raises :class:`ModelError`:
         a leftover bare s = 1 point would otherwise be read as its first
-        element. The maps P_1..P_{r-1} are evaluated through
-        :attr:`FuncExpr.fast` into the first r - 1 rows of one array, and the
-        last row takes the complement. Values outside [0 - CLAMP_TOL,
-        1 + CLAMP_TOL], and NaN, abort: that is model misuse, not noise.
+        element. The maps P_1..P_{r-1} are evaluated by :meth:`eval_maps`
+        into the first r - 1 rows of one array, and the last row takes the
+        complement. Values outside [0 - CLAMP_TOL, 1 + CLAMP_TOL], and NaN,
+        abort: that is model misuse, not noise.
         Within the tolerance band they are clamped. The complement sums the
         rows in order, and every shape is evaluated as an (n, s) batch, a
         single (s,) point as a batch of one, so a point's probabilities have
@@ -373,11 +432,9 @@ class ValidatedModel:
         """
         x, pts = self._points(x)
         r = self.r
-        cols = [pts[:, j] for j in range(pts.shape[1])]
         probs = np.empty((r, len(pts)))
         head = probs[:-1]
-        for i, pm in enumerate(self.spec.prob_maps):
-            head[i] = pm.fast(cols)
+        self.eval_maps(head, pts.T)
         check_runtime_probs(head)
         clip_ufunc(head, 0.0, 1.0, out=head)
         totals = head[0] if r > 1 else np.zeros(len(pts))

@@ -2,7 +2,8 @@
 
 The auxiliary walk is a time-inhomogeneous Markov chain in its own position,
 so its exact law can be pushed forward step by step: a dense O(n^2) table for
-one-dimensional unit-step models (n <= 2000), and a sparse law over the
+one-dimensional unit-step models (n <= 2000; :func:`exact_law_1d` reads
+the sparse law past that), and a sparse law over the
 reached positions for any model (at most ``_MAX_STATES`` state x block x
 atom entries per step, its only bound on n). Both evaluate the maps in
 batches, and both return the float sums, in the same order, that a scalar
@@ -54,6 +55,7 @@ def is_unit_step_1d(model: ValidatedModel) -> bool:
     )
 
 
+_DP_MAX_N = 2000  # the dense DP's horizon; exact_law_1d takes the sparse law past it
 _DP_POINTS = 32_768  # map points per block_probs call in exact_dp_1d: 256 KB per array
 _MAX_STATES = 1_000_000  # state x block x atom entries one step of enumerate_small_multi may hold
 
@@ -69,8 +71,8 @@ def exact_dp_1d(model: ValidatedModel, n: int) -> ExactLaw1D:
     """
     if not is_unit_step_1d(model):
         raise OracleError("unsupported-model: exact DP needs s=1 with unit steps and V_1 in {0,1}")
-    if not 1 <= n <= 2000:
-        raise OracleError("exact DP horizon limited to 1 <= n <= 2000")
+    if not 1 <= n <= _DP_MAX_N:
+        raise OracleError(f"exact DP horizon limited to 1 <= n <= {_DP_MAX_N}")
     pmf = np.zeros(2)
     for atom, prob in zip(model.spec.initial.atoms, model.spec.initial.probs):
         pmf[int(atom[0])] += prob
@@ -97,6 +99,18 @@ def exact_dp_1d(model: ValidatedModel, n: int) -> ExactLaw1D:
     total = math.fsum(pmf.tolist())
     if abs(total - 1.0) > 1e-12:
         raise OracleError(f"probability mass drifted to {total}")
+    return ExactLaw1D(n=n, pmf=pmf, A=float(model.spec.A[0, 0]), b=float(model.spec.b[0]))
+
+
+def exact_law_1d(model: ValidatedModel, n: int) -> ExactLaw1D:
+    """:func:`exact_dp_1d`'s law of V_n, and past its horizon the same law
+    read from :func:`enumerate_small_multi`, whose probabilities are the
+    DP's bit for bit where both run."""
+    if n <= _DP_MAX_N:
+        return exact_dp_1d(model, n)
+    pmf = np.zeros(n + 1)
+    for (k,), prob in enumerate_small_multi(model, n).items():
+        pmf[int(k)] = prob
     return ExactLaw1D(n=n, pmf=pmf, A=float(model.spec.A[0, 0]), b=float(model.spec.b[0]))
 
 

@@ -26,9 +26,9 @@ from typing import Optional
 import numpy as np
 
 from .funcdsl import MAX_DERIV_ORDER, FuncExpr, derivatives, derive_at
-from .model import INFINITE_EDGE_SPAN, ModelError, ValidatedModel
+from .model import INFINITE_EDGE_SPAN, ModelError, ValidatedModel, strict_errstate
 from .simulate import FunctionalConfig, check_integer, ensemble, nearest_checkpoint, philox_keys, resolve_checkpoints
-from .theory import expansion_coeffs, fixed_point, report_dict, strict_errstate
+from .theory import expansion_coeffs, fixed_point, report_dict
 
 
 class SAError(ModelError):
@@ -249,6 +249,18 @@ class CheckReport:
         return report_dict(self)
 
 
+def _bin_into(out, x, edges, above):
+    """Write into the uint8 array ``out`` the bin of each finite x among the
+    intervals of the increasing ``edges``, values past either end in the
+    first or last: the number of interior edges at or below x, which is
+    ``np.clip(np.digitize(x, edges) - 1, 0, len(edges) - 2)``. ``above`` is a
+    bool buffer of x's length. Two calls per edge over the slice cost about
+    a third of ``np.digitize``'s binary searches."""
+    out.fill(0)
+    for edge in edges[1:-1]:
+        np.add(out, np.greater_equal(x, edge, out=above), out=out)
+
+
 def noise_moment_check(model: ValidatedModel, n_max: int, N: int, master_seed: int,
                        min_count: int = 500) -> CheckReport:
     """Empirical verification of the reduction noise moments (s = 1).
@@ -280,9 +292,10 @@ def noise_moment_check(model: ValidatedModel, n_max: int, N: int, master_seed: i
     pred = np.empty(xs.size)
     counts = np.zeros(bins, dtype=np.int64)
     peaks = []
+    above = np.empty(min(xs.size, _SLICE), dtype=bool)
     for at in range(0, xs.size, _SLICE):
         part = slice(at, at + _SLICE)
-        which[part] = np.clip(np.digitize(xs[part], edges) - 1, 0, bins - 1)
+        _bin_into(which[part], xs[part], edges, above[:len(xs[part])])
         counts += np.bincount(which[part], minlength=bins)
         H = model.eval_H(xs[part, None])[..., 0]
         np.subtract(H, es[part], out=es[part])
@@ -319,6 +332,9 @@ def noise_moment_check(model: ValidatedModel, n_max: int, N: int, master_seed: i
     row_sums = np.empty(N)
     for n in grid:
         thr = 0.2 * math.sqrt(n)
+        if thr > max_abs_noise:  # no |e| reaches the threshold, so every tail term is 0.0
+            lindeberg.append(0.0)
+            continue
         rows = max(1, _SLICE // (n - 1))
         for first in range(0, N, rows):
             e_slice = noise[first:first + rows, : n - 1]

@@ -44,6 +44,7 @@ step.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -51,7 +52,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ModelError, ValidatedModel, check_runtime_probs, check_runtime_sum, clip_ufunc, is_integer
+from .model import (ModelError, ValidatedModel, check_runtime_probs, check_runtime_sum, clip_ufunc, is_integer,
+                    strict_errstate)
 
 
 def default_checkpoints(n_max: int) -> list:
@@ -310,6 +312,23 @@ def _overflow_guard(state, t, max_atom):
         raise ModelError("overflow-guard: auxiliary position exceeds n * max atom")
 
 
+def _quiet_steps(model, n_max) -> bool:
+    """Whether the step loop's own operations on positions cannot signal a
+    floating-point event, so that the loop can run under
+    :func:`~erwlab.model.strict_errstate`. A coordinate of a position is 0
+    or a sum of at most n_max nonnegative atoms, the initial one included;
+    the loop divides it by t <= n_max, adds a step to it and, for the
+    functionals, takes its products with A and their sums. While every such
+    result lies between 1e-300 and 1e300, none overflows or underflows."""
+    spec = model.spec
+    atoms = np.abs(np.concatenate([spec.step_law.atoms.ravel(), spec.initial.atoms.ravel()]))
+    scale = np.abs(spec.A)
+    # on Python floats, which overflow to inf and underflow to 0.0 without a warning
+    top = n_max * float(atoms.max()) * spec.s * max(1.0, float(scale.max()))
+    bottom = float(atoms[atoms > 0].min(initial=1.0)) / n_max * min(1.0, float(scale[scale > 0].min(initial=1.0)))
+    return top < 1e300 and bottom > 1e-300
+
+
 _BLOCK_DOUBLES = 32_768  # doubles per (K, B) block: 256 KB, well inside L2 (the P block holds r - 1)
 
 
@@ -330,7 +349,9 @@ class _Recorder:
     row of step 0, which draws the initial position, is in range.
 
     :meth:`flush` runs when the block is full, at every checkpoint and at
-    every chunk end. It first runs the range and NaN abort of
+    every chunk end, under the floating-point settings the recorder was
+    made under (the kernel's step loop may run under
+    :func:`~erwlab.model.strict_errstate`). It first runs the range and NaN abort of
     ``block_probs`` over the filled P rows, then each functional's
     elementwise operations once over the filled rows. They are the
     operations a per-step update runs on each row, and the maximum, the hit
@@ -345,6 +366,7 @@ class _Recorder:
         if cfg.track_returns and not model.integer_lattice:
             raise ModelError("non-lattice-model: return counting needs d=1 integer-valued positions")
         self.cfg, self.out, self.state = cfg, out, state
+        self.errors = np.geterr()
         self.cp_set = {cp: j for j, cp in enumerate(checkpoints)}
         lil_lo, lil_hi = cfg.lil_window
         self.lil_window = (lil_lo, n_max if lil_hi is None else lil_hi)
@@ -373,12 +395,14 @@ class _Recorder:
         self.k += 1
         self.n = n
         j = self.cp_set.get(n)
-        if j is not None or self.k == self.K:
+        if j is None and self.k < self.K:
+            return
+        with np.errstate(**self.errors):
             self.flush()
-        if j is not None:
-            self.out["snn"][:, j, :] = self.state @ self.A.T / n + self.b
-            if self.cfg.track_returns:
-                self.out["returns_at"][:, j] = self.out["return_counts"]
+            if j is not None:
+                self.out["snn"][:, j, :] = self.state @ self.A.T / n + self.b
+                if self.cfg.track_returns:
+                    self.out["returns_at"][:, j] = self.out["return_counts"]
 
     def check_probs(self, k):
         """The range abort over P rows 0..k-1: one test of the whole, and on
@@ -437,7 +461,16 @@ def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
 
     The one kernel: any s, r and step law. Each step does the work of
     :meth:`ValidatedModel.block_probs` on reused buffers: the maps
-    P_1..P_{r-1} go into the recorder's P row of the step. Their range and
+    P_1..P_{r-1} go into the recorder's P row of the step, one call per
+    group of :attr:`ValidatedModel.map_groups` (kdim's 2k - 1 maps are one
+    call). A model with a stacked group runs each chunk's step loop under
+    :func:`~erwlab.model.strict_errstate`, entered once per chunk, where a
+    group that raises is evaluated again map by map under the caller's
+    settings, so the first failing map's error and warnings surface as in
+    a per-map loop. That holds only where the loop's own operations signal
+    nothing, which :func:`_quiet_steps` checks; otherwise, and for a model
+    whose maps are all alone, the maps run one by one under the caller's
+    settings. Their range and
     NaN abort runs over the block's rows at each flush, and in an
     ``except`` around the step loop before any other error propagates, so
     the first failing step wins as it does in a per-step check. At r = 2
@@ -471,7 +504,6 @@ def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
     single = r == 2 and not counted  # the block hit alone is the row
     steps = model.step_table.reshape(r * n_atoms, s)  # row block * n_atoms + atom
     max_atom = float(np.max(np.abs(atoms))) if atoms.size else 0.0
-    maps = [pm.fast for pm in spec.prob_maps]
 
     state = np.zeros((B, s))
     rec = _Recorder(model, n_max, checkpoints, cfg, out, state, steps)
@@ -481,6 +513,10 @@ def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
     x_rows = None if rec.noise_x is None else list(rec.noise_x)
     x = np.empty((B, s))
     cols = [x[:, j] for j in range(s)]
+    # stacked groups need the step loop under strict_errstate; without them each map runs as it stands
+    strict = len(model.map_groups) < r - 1 and _quiet_steps(model, n_max)
+    groups = model.map_groups if strict else [(i, pm.fast, False) for i, pm in enumerate(spec.prob_maps)]
+    evals = [(rows, fn, x.T if stacked else cols) for rows, fn, stacked in groups]
     aux = state[:, 0]
     cum = np.empty((r - 1, B))
     sums = list(zip(cum[:-1], cum[1:]))  # (sum before P_i, P_i and then the sum through it)
@@ -494,43 +530,50 @@ def _simulate_batch(model, n_max, checkpoints, keys, cfg, out):
     atom_cuts = atom_cum[:-1, None]
     for t, uniforms in _uniform_chunks(keys, n_max):
         try:
-            for tt in range(uniforms.shape[0]):
-                tc = t + tt
-                u1 = uniforms[tt, 0]
-                if tc == 0:
-                    state += _initial_step(spec.initial, u1)
-                else:
-                    k = rec.k
-                    if x_rows is None:
-                        np.divide(state, tc, out=x)
-                    else:  # s = 1: the noise row is the map's input
-                        cols[0] = np.divide(aux, tc, out=x_rows[k])
-                    P, row = P_rows[k], drawn_rows[k]
-                    for i, fast in enumerate(maps):
-                        P[i] = fast(cols)
-                    if r > 2:
-                        clip_ufunc(P, 0.0, 1.0, out=cum)
-                        for prev, through in sums:
-                            np.add(prev, through, out=through)
-                        try:
-                            check_runtime_sum(cum[-1])
-                        except ModelError:
-                            rec.k += 1  # this step's P row is whole: its range abort goes first
-                            raise
-                    if single:
-                        np.greater_equal(u1, cut_rows[k], out=row)
+            with strict_errstate() if strict else contextlib.nullcontext():
+                for tt in range(uniforms.shape[0]):
+                    tc = t + tt
+                    u1 = uniforms[tt, 0]
+                    if tc == 0:
+                        state += _initial_step(spec.initial, u1)
                     else:
-                        np.greater_equal(u1, (cum if r > 2 else P)[:, None], out=block_hits)
-                        if counted:
-                            np.greater_equal(uniforms[tt, 1], atom_cuts, out=atom_hits)
-                        np.add.reduce(hits, axis=0, out=row)  # block * n_atoms + atom, or the block
-                    if searched:
-                        atom = np.searchsorted(atom_cum, uniforms[tt, 1], side="right")
-                        np.minimum(atom, n_atoms - 1, out=atom)
-                        np.multiply(row, n_atoms, out=row)
-                        np.add(row, atom, out=row)
-                    state += steps.take(row, axis=0)
-                rec.record(tc + 1)
+                        k = rec.k
+                        if x_rows is None:
+                            np.divide(state, tc, out=x)
+                        else:  # s = 1: the noise row is the map's input
+                            cols[0] = np.divide(aux, tc, out=x_rows[k])
+                        P, row = P_rows[k], drawn_rows[k]
+                        try:
+                            for rows, fn, arg in evals:
+                                P[rows] = fn(arg)
+                        except Exception:
+                            if not strict:
+                                raise
+                            with np.errstate(**rec.errors):  # the caller's settings
+                                model.maps_one_by_one(P, cols)
+                        if r > 2:
+                            clip_ufunc(P, 0.0, 1.0, out=cum)
+                            for prev, through in sums:
+                                np.add(prev, through, out=through)
+                            try:
+                                check_runtime_sum(cum[-1])
+                            except ModelError:
+                                rec.k += 1  # this step's P row is whole: its range abort goes first
+                                raise
+                        if single:
+                            np.greater_equal(u1, cut_rows[k], out=row)
+                        else:
+                            np.greater_equal(u1, (cum if r > 2 else P)[:, None], out=block_hits)
+                            if counted:
+                                np.greater_equal(uniforms[tt, 1], atom_cuts, out=atom_hits)
+                            np.add.reduce(hits, axis=0, out=row)  # block * n_atoms + atom, or the block
+                        if searched:
+                            atom = np.searchsorted(atom_cum, uniforms[tt, 1], side="right")
+                            np.minimum(atom, n_atoms - 1, out=atom)
+                            np.multiply(row, n_atoms, out=row)
+                            np.add(row, atom, out=row)
+                        state += steps.take(row, axis=0)
+                    rec.record(tc + 1)
             rec.flush()
         except Exception:
             rec.check_probs(rec.k)

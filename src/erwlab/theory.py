@@ -18,7 +18,7 @@ import numpy as np
 
 from . import funcdsl
 from . import model as model_mod
-from .model import ModelError, ValidatedModel, clip_ufunc, interior_grid
+from .model import ModelError, ValidatedModel, clip_ufunc, interior_grid, strict_errstate
 
 # scipy.linalg is imported where it is called: the import costs about 0.25 s,
 # and simulate, sa, oracle and presets import this module without ever
@@ -27,15 +27,6 @@ from .model import ModelError, ValidatedModel, clip_ufunc, interior_grid
 
 class TheoryError(ModelError):
     pass
-
-
-def strict_errstate():
-    """``np.errstate`` raising on every floating-point event that the
-    caller's settings do not ignore. A batched fast path runs under it, and
-    when it raises, the exact code it stands for runs again under the
-    caller's settings, so the caller sees that code's warnings, errors and
-    results."""
-    return np.errstate(**{kind: "ignore" if mode == "ignore" else "raise" for kind, mode in np.geterr().items()})
 
 
 # ---------------------------------------------------------------------------

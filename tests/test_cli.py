@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,18 @@ def test_oracle_csv(tmp_path):
 
     probs = [float(line.split(",")[1]) for line in lines[1:]]
     assert abs(sum(probs) - 1.0) < 1e-12
+
+
+def test_oracle_past_the_dp_horizon(tmp_path):
+    # n = 2001 is past the dense DP's horizon: the DP's rows come from the sparse law
+    out = tmp_path / "law.csv"
+    assert main(["oracle", "--preset", "erw", "--p", "0.6", "--n", "2001", "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "k,probability,observed_value"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(k) for k, _, _ in rows] == list(range(2002))
+    assert [float(v) for _, _, v in rows] == [2.0 * k - 2001.0 for k in range(2002)]
+    assert abs(math.fsum(float(p) for _, p, _ in rows) - 1.0) < 1e-12
 
 
 def test_oracle_off_lattice_start_uses_enumeration(tmp_path):

@@ -1,9 +1,11 @@
+import dataclasses
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import erwlab
 from erwlab import model as model_mod
@@ -29,6 +31,7 @@ from erwlab.model import (
     validation_grid,
 )
 from erwlab.presets import build_preset, list_presets
+from test_funcdsl import expression_trees
 from theory_reference import reference_validation_grid
 
 
@@ -333,6 +336,132 @@ class TestBlockProbs:
         want = np.array([value, 1.0 - value])
         assert np.array_equal(model.block_probs(np.array([0.3])), want)
         assert np.array_equal(model.block_probs(np.full((4, 1), 0.3)), np.repeat(want[:, None], 4, axis=1))
+
+
+def _relabel(data, node, s, j):
+    """``node`` with each constant and variable index redrawn for member j
+    of a family: kept, shifted by j (a variable) or drawn anew. Exponents
+    and divisors are constants too, so some members keep them and some do
+    not."""
+    if isinstance(node, funcdsl.Const):
+        return funcdsl.Const(data.draw(st.sampled_from([node.value, round(node.value + 0.25 * j, 3), 0.5, 2.0])))
+    if isinstance(node, funcdsl.Var):
+        index = data.draw(st.sampled_from([node.index, (node.index + j) % s, *range(s)]))
+        return funcdsl.Var(index, f"x{index + 1}")
+    if isinstance(node, tuple):
+        return tuple(_relabel(data, v, s, j) for v in node)
+    if dataclasses.is_dataclass(node):
+        return type(node)(*(_relabel(data, getattr(node, f.name), s, j) for f in dataclasses.fields(node)))
+    return node
+
+
+def _family(data):
+    """s in 2..5, a family of 2 to 4 maps on x1..xs that share one random tree's
+    shape (every node kind: piecewise, sqrt, log, / and ^ included), and an
+    (s, B) array of points, some on and past the domains' edges and some
+    large or small enough to overflow or underflow."""
+    s = data.draw(st.integers(min_value=2, max_value=5))
+    tree = data.draw(expression_trees([funcdsl.Var(j, f"x{j + 1}") for j in range(s)], max_leaves=8))
+    m = data.draw(st.integers(min_value=2, max_value=4))
+    maps = [funcdsl.FuncExpr(tree, s)] + [funcdsl.FuncExpr(_relabel(data, tree, s, j), s) for j in range(1, m)]
+    value = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 1e200, 1e-200]) | st.floats(min_value=-3.0, max_value=3.0)
+    B = data.draw(st.integers(min_value=1, max_value=5))
+    X = np.array(data.draw(st.lists(st.lists(value, min_size=B, max_size=B), min_size=s, max_size=s)))
+    return maps, X
+
+
+def _maps_model(maps, s):
+    """An unvalidated model whose r - 1 maps are ``maps``: enough for eval_maps."""
+    spec = ModelSpec(s=s, d=1, r=len(maps) + 1, partition=(), step_law=StepLaw.point_mass([1.0] * s),
+                     prob_maps=tuple(maps), A=np.ones((1, s)), b=[0.0], initial=InitialLaw([[0.0] * s], [1.0]),
+                     domain=Domain([0.0] * s, [1.0] * s))
+    return ValidatedModel(spec=spec, mu=spec.step_law.mu, sigma=spec.step_law.second_moment,
+                          block_masks=np.zeros((spec.r, s)))
+
+
+def _one_by_one(maps, X, mode):
+    """:func:`_run` of each map's fast in turn: the reference for a family."""
+    def fill(out):
+        for i, pm in enumerate(maps):
+            out[i] = pm.fast(list(X))
+
+    return _run(fill, len(maps), X, mode)
+
+
+def _run(fill, m, X, mode):
+    """``fill(out)`` for an (m, B) ``out`` under ``np.errstate(all="warn")`` and
+    the warnings filter ``mode``: the warnings seen, then the exception or the values."""
+    out = np.empty((m, X.shape[1]))
+    with warnings.catch_warnings(record=True) as seen, np.errstate(all="warn"):
+        warnings.simplefilter(mode)
+        try:
+            fill(out)
+        except Exception as exc:  # noqa: BLE001 - compared with the maps' own
+            return [(w.category, str(w.message)) for w in seen], (type(exc), str(exc))
+    return [(w.category, str(w.message)) for w in seen], out.tobytes()
+
+
+class TestMapGroups:
+    """Same-shape maps evaluated as one template: each map's bits, errors and warnings."""
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_rows_are_each_maps_fast(self, data):
+        maps, X = _family(data)
+        groups = funcdsl.templates(maps)
+        firsts = [members[0] for members, _ in groups]
+        assert firsts == sorted(firsts)
+        assert sorted(i for members, _ in groups for i in members) == list(range(len(maps)))
+        with np.errstate(all="ignore"):
+            for members, fn in groups:
+                arg = X if len(members) > 1 else list(X)
+                try:
+                    want = [np.broadcast_to(maps[i].fast(list(X)), X.shape[1:]) for i in members]
+                except Exception:  # noqa: BLE001 - a member's checked operation: the template's too
+                    with pytest.raises(Exception):
+                        fn(arg)
+                    continue
+                got = np.broadcast_to(fn(arg), (len(members),) + X.shape[1:])
+                for row, value in zip(got, want):
+                    assert row.tobytes() == value.tobytes(), members
+
+    @given(st.data())
+    @settings(max_examples=200)
+    @pytest.mark.parametrize("mode", ["always", "error"], ids=["warn", "warnings-as-errors"])
+    def test_errors_and_warnings_are_the_maps_own(self, mode, data):
+        maps, X = _family(data)
+        model = _maps_model(maps, X.shape[0])
+        assert _run(lambda out: model.eval_maps(out, X), len(maps), X, mode) == _one_by_one(maps, X, mode)
+
+    @pytest.mark.parametrize("mode", ["always", "error"], ids=["warn", "warnings-as-errors"])
+    def test_each_map_warns_for_itself(self, mode):
+        # the template warns once per operation for both maps; map by map
+        # there are two overflows and an invalid subtraction per map
+        maps = [parse(f"x{j} * 1e300 * 1e10 - x{j} * 1e300 * 1e10", arity=2) for j in (1, 2)]
+        model = _maps_model(maps, 2)
+        assert model.map_groups[0][2]
+        X = np.full((2, 3), 0.5)
+        seen, result = _run(lambda out: model.eval_maps(out, X), 2, X, mode)
+        assert (seen, result) == _one_by_one(maps, X, mode)
+        if mode == "always":
+            per_map = 2 * ["overflow encountered in multiply"] + ["invalid value encountered in subtract"]
+            assert [message for _, message in seen] == 2 * per_map
+        else:
+            assert result == (RuntimeWarning, "overflow encountered in multiply")
+
+    def test_a_later_map_failing_first_does_not_speak_for_map_0(self):
+        # the template computes each sqrt before any division: map 1's sqrt
+        # fails there, but map by map, map 0's division fails first
+        maps = [parse(f"0.2 + 0 * sqrt(x{j + 1} - {a}) / (x{j + 1} - {b})", arity=3)
+                for j, (a, b) in enumerate([(0, 0.5), (1, 5), (0, 7)])]
+        model = _maps_model(maps, 3)
+        ((rows, fn, stacked),) = model.map_groups
+        assert stacked and rows == slice(0, 3)
+        X = np.full((3, 2), 0.5)
+        with pytest.raises(funcdsl.EvalDomainError, match="sqrt of negative value"):
+            fn(X)
+        with pytest.raises(funcdsl.EvalDomainError, match="division by zero"):
+            model.eval_maps(np.empty((3, 2)), X)
 
 
 class TestJsonRoundTrip:

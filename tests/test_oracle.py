@@ -142,6 +142,18 @@ class TestEnumeration:
         got = np.array([sparse.get((float(k),), 0.0) for k in range(201)])
         assert got.tobytes() == pmf.tobytes()
 
+    @pytest.mark.parametrize("name,kwargs", [("erw", dict(p=0.6)), ("quadratic-sym", dict(p=0.75))])
+    def test_law_past_the_dp_horizon_is_the_sparse_law(self, name, kwargs, monkeypatch):
+        # exact_law_1d takes the sparse law past the DP's horizon: moved
+        # below n = 200 here, its pmf is still the DP's, bit for bit
+        model = _model(name, kwargs)
+        pmf = exact_dp_1d(model, 200).pmf
+        assert oracle.exact_law_1d(model, 200).pmf.tobytes() == pmf.tobytes()
+        monkeypatch.setattr(oracle, "_DP_MAX_N", 199)
+        law = oracle.exact_law_1d(model, 200)
+        assert law.pmf.tobytes() == pmf.tobytes()
+        assert (law.n, law.A, law.b) == (200, 2.0, -1.0)
+
     def test_multi_dimensional_law_past_twelve(self):
         model = _model("kdim", dict(k=2, p=0.6))
         for n in (13, 20):

@@ -374,6 +374,8 @@ class TestNoiseMoments:
         ("erw", {"p": 0.6, "q": 0.5}),
         ("gerw-1d", {"f": "x^2", "p": 0.6, "q": 0.5}),
         ("cubic-supercritical", {}),
+        ("quadratic-sym", {"p": 0.75, "q": 0.5}),
+        ("market", {"p": 0.5, "q": 0.5}),
     ])
     @pytest.mark.parametrize("n_max,N,min_count", [
         (701, 97, 500),  # 67,900 samples: a short second slice, and some bins skipped
@@ -386,6 +388,17 @@ class TestNoiseMoments:
         ref = noise_moment_check_reference(model, n_max, N, 7, min_count)
         assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(ref.to_dict(), sort_keys=True)
         assert 0 < rep.details["bins_used"] < 16
+
+    def test_bins_are_digitize_clipped(self):
+        # every edge, a hair to either side of it, and points past both ends
+        edges = np.linspace(0.0, 1.0, 17)
+        rng = np.random.default_rng(3)
+        x = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                            [-1.0, -1e-300, 1.0 + 1e-12, 2.0, 1e300], rng.uniform(-0.5, 1.5, 1000)])
+        got = np.empty(x.size, dtype=np.uint8)
+        sa_mod._bin_into(got, x, edges, np.empty(x.size, dtype=bool))
+        want = np.clip(np.digitize(x, edges) - 1, 0, 15)
+        assert np.array_equal(got, want)
 
     def test_insufficient_bins(self):
         model = _model("erw", p=0.6, q=0.5)

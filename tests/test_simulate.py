@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from erwlab import build_preset, ensemble, funcdsl, parse, simulate, validate_model
-from erwlab.model import Domain, InitialLaw, ModelError, ModelSpec, StepLaw, ValidatedModel
+from erwlab.model import (Domain, InitialLaw, ModelError, ModelSpec, StepLaw, ValidatedModel, check_runtime_probs,
+                          clip_ufunc)
 from erwlab.simulate import (
     MAX_TRAJECTORIES,
     FunctionalConfig,
@@ -750,6 +752,95 @@ class TestGeneralRuntimeAbort:
         stats = ensemble(model, 60, 12, master_seed=7)
         for i in (0, 5, 11):
             assert np.array_equal(stats.aux_final[i], _replay(model, 60, 7, i)[-1]), i
+
+    def test_a_later_map_failing_first_does_not_speak_for_map_0(self):
+        # one template: it computes every map's sqrt before any division, and
+        # map 2's sqrt fails at the walks' first states, where map by map
+        # map 0's division by x1 = 0 fails first
+        model = _hacked_kdim("0.1 + 0 * sqrt(x1 - 0) / (x1 - 0)", "0.1 + 0 * sqrt(x2 - 0) / (x2 - 7)",
+                             "0.1 + 0 * sqrt(x3 - 0.9) / (x3 - 7)")
+        ((rows, fn, stacked),) = model.map_groups
+        assert stacked
+        with pytest.raises(funcdsl.EvalDomainError, match="sqrt of negative value"):
+            fn(np.zeros((3, 1)))
+        _, message = _first_replay_error(model, 40, 8, 3)
+        assert message == "division by zero"
+        with pytest.raises(funcdsl.EvalDomainError, match="^division by zero$"):
+            self._kernel(model)
+
+    @pytest.mark.parametrize("mode", ["always", "error"], ids=["warn", "warnings-as-errors"])
+    def test_warnings_are_each_maps_own(self, mode, monkeypatch):
+        # every map underflows wherever its coordinate is positive: the
+        # template would warn once a step, map by map each map warns
+        model = _hacked_kdim(*(f"0.1 + x{j} * 1e-300 * 1e-300" for j in (1, 2, 3)))
+        assert model.map_groups[0][2]
+
+        def run():
+            with warnings.catch_warnings(record=True) as seen, np.errstate(under="warn"):
+                warnings.simplefilter(mode)
+                try:
+                    result = ensemble(model, 30, 8, 3).aux_final.tobytes()
+                except RuntimeWarning as exc:
+                    result = str(exc)
+            return [str(w.message) for w in seen], result
+
+        grouped = run()
+        monkeypatch.setattr(simulate, "_quiet_steps", lambda model, n_max: False)  # the maps one by one
+        assert grouped == run()
+        if mode == "always":
+            assert grouped[0]
+        else:
+            assert grouped[1] == "underflow encountered in multiply"
+
+    def test_no_floating_point_event_outside_the_maps(self):
+        # the step loop runs under a raising errstate: NaN and infinite P, the
+        # kernel's comparisons, clip, cumulative sums and range checks signal nothing
+        P = np.array([[np.nan, 0.3, np.inf], [-np.inf, 0.5, 1.0]])
+        with np.errstate(all="raise"):
+            clipped = clip_ufunc(P, 0.0, 1.0, out=np.empty_like(P))
+            np.add(clipped[0], clipped[1], out=clipped[1])
+            np.greater_equal(np.array([0.1, 0.9, 0.5]), P[:, None], out=np.empty((2, 1, 3), dtype=np.intp))
+            np.greater_equal(0.5, P[0], out=np.empty(3, dtype=np.intp))
+            with pytest.raises(ModelError, match="NaN present"):
+                check_runtime_probs(P)
+            # one template whose rows are NaN, inf and 0.5 (c + 0 * x_j) without an event of its own
+            kdim = _model("kdim", k=2, p=0.6)
+            zero_times = [funcdsl.BinOp("*", funcdsl.Const(0.0), funcdsl.Var(j, f"x{j + 1}")) for j in range(3)]
+            maps = tuple(funcdsl.FuncExpr(funcdsl.BinOp("+", funcdsl.Const(c), term), 3)
+                         for c, term in zip([math.nan, math.inf, 0.5], zero_times))
+            model = ValidatedModel(spec=ModelSpec(**{**kdim.spec.__dict__, "prob_maps": maps}), mu=kdim.mu,
+                                   sigma=kdim.sigma, block_masks=kdim.block_masks)
+            assert model.map_groups[0][2]
+            with pytest.raises(ModelError, match=r"at runtime: P in \[0\.5, inf\] \(NaN present\)$"):
+                self._kernel(model)
+
+    def test_positions_past_float_range_warn_as_before(self):
+        # A = 1e306 takes the observed position past the float range once x1 passes
+        # 180, near n = 900: the per-step product warns under the caller's settings
+        spec = ModelSpec(s=2, d=1, r=3, partition=((1,), (2,), ()), step_law=StepLaw.point_mass([1.0, 1.0]),
+                         prob_maps=(parse("0.2 + 0 * x1", arity=2), parse("0.3 + 0 * x2", arity=2)),
+                         A=[[1e306, 0.0]], b=[0.0], initial=InitialLaw([[0.0, 0.0]], [1.0]),
+                         domain=Domain([0.0, 0.0], [1.0, 1.0]), meta={"simplex_cap": 1.0})
+        model = validate_model(spec)
+        assert model.map_groups[0][2] and not simulate._quiet_steps(model, 2000)
+        with pytest.raises(RuntimeWarning, match="overflow encountered in matmul"):
+            ensemble(model, 2000, 4, 1, functional_config=FunctionalConfig(track_returns=True))
+
+
+class TestMapGroupCensus:
+    """The maps a kdim model compiles to one template, so its step makes one map call."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("f", ["x", "x^2"])
+    def test_kdim_is_one_group(self, k, f):
+        model = _model("kdim", k=k, f=f, p=0.6)
+        ((rows, fn, stacked),) = model.map_groups
+        assert (rows, stacked) == ((slice(0, 2 * k - 1), True) if k > 1 else (0, False))
+        assert simulate._quiet_steps(model, 10**6)
+
+    def test_a_different_operator_splits_a_group(self):
+        model = _hacked_kdim("x1 + 5e-10", "x2 - 5e-10", "x3 - 5e-10")
+        assert [(rows, stacked) for rows, _, stacked in model.map_groups] == [(0, False), (slice(1, 3), True)]
 
 
 class TestRuntimeAbort:
