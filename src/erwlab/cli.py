@@ -188,7 +188,7 @@ def cmd_oracle(args) -> int:
     out_path = Path(args.out or "law.csv")
     resolved["n"] = args.n
     if oracle_mod.is_unit_step_1d(model):
-        law = oracle_mod.exact_law_1d(model, args.n)
+        law = oracle_mod.exact_dp_1d(model, args.n)
         rows = [(k, float(p), float(law.A * k + law.n * law.b)) for k, p in enumerate(law.pmf)]
         header = ["k", "probability", "observed_value"]
     else:
@@ -337,9 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument(
         "--n", type=int, default=12,
         help="horizon n >= 1: a 1-d unit-step model started in {0,1} gets the law of k = V_n from the "
-        "dense DP up to n = 2000 and from the sparse enumeration past it; any other model gets the "
-        "sparse enumeration's positions (stopped with too-many-states past 1e6 state x block x atom "
-        "entries in a step)",
+        "dense DP, any other model the sparse enumeration's positions (either stopped with "
+        "too-many-states past 1e6 state x block x atom entries in a step)",
     )
     p_or.set_defaults(func=cmd_oracle)
 

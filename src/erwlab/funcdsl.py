@@ -233,8 +233,8 @@ def _build(source, rows=None, names=None):
     arrays the source reads besides the helpers. A ``piecewise`` result has
     the broadcast shape of ``cols``, or with ``rows`` given, that many rows
     of the (s, B) array ``cols``."""
-    namespace = {"np": np, "inf": math.inf, "_div": _div, "_pow": _pow, "_sqrt": _sqrt, "_log": _log,
-                 **(names or {})}
+    namespace = {"np": np, "inf": math.inf, "nan": math.nan, "_div": _div, "_pow": _pow, "_sqrt": _sqrt,
+                 "_log": _log, **(names or {})}
     if "np.where" not in source:
         return eval(f"lambda cols: ({source})", namespace)  # noqa: S307 - generated from our own AST
     fn = eval(f"lambda cols, zeros: ({source})", namespace)  # noqa: S307 - generated from our own AST
@@ -274,6 +274,8 @@ def templates(exprs) -> list:
     member. A group of one comes with that member's ``fast``, which takes
     the list of coordinate arrays.
     """
+    if len(exprs) < 2:  # nothing to group: the scan below would emit each tree for nothing
+        return [((i,), expr.fast) for i, expr in enumerate(exprs)]
     groups = {}  # template source -> [(index, its varying leaves)]
     for i, expr in enumerate(exprs):
         holes = []

@@ -15,10 +15,9 @@ Point layout: the model's maps (``block_probs``, ``eval_H``,
 ``sigma_blocks``, ``noise_second_moment``) take a point as an array whose
 last axis has length s, and a batch of points as ``(..., s)``. The one-dimensional walks
 are the s = 1 case of the same layout: a point is ``[x]``, never a bare
-scalar. Grid validation evaluates each P_i through ``FuncExpr.fast``, the
-expression language's only evaluator. Those maps evaluate the same compiled
-code, with maps of one shape stacked into one template whose rows have each
-map's bits (``map_groups``), so validation checks the values that run.
+scalar. Grid validation, ``block_probs`` and the step kernel run the same
+compiled maps, those of one shape stacked into one template whose rows have
+each map's bits (``map_groups``), so validation checks the values that run.
 """
 
 from __future__ import annotations
@@ -47,11 +46,20 @@ except ImportError:
 
 def strict_errstate():
     """``np.errstate`` raising on every floating-point event that the
-    caller's settings do not ignore. A batched fast path runs under it, and
-    when it raises, the exact code it stands for runs again under the
-    caller's settings, so the caller sees that code's warnings, errors and
-    results."""
+    caller's settings do not ignore."""
     return np.errstate(**{kind: "ignore" if mode == "ignore" else "raise" for kind, mode in np.geterr().items()})
+
+
+def exact_batch(batch, exact):
+    """``batch()`` under :func:`strict_errstate`; where it raises, ``exact()``
+    under the caller's settings. ``batch`` is a faster form of the exact
+    code that gives its values bit for bit wherever it raises nothing, so
+    the caller sees the exact code's values, warnings and errors."""
+    try:
+        with strict_errstate():
+            return batch()
+    except Exception:  # noqa: BLE001 - the exact code raises it again, or warns as the caller asked
+        return exact()
 
 
 class ModelError(ValueError):
@@ -105,6 +113,10 @@ class StepLaw:
         _finite_law(self, "step-law")
         if np.any(self.atoms < 0):
             raise ModelError("step atoms must be nonnegative (walk lives in [0, inf)^s)")
+        with np.errstate(over="ignore"):  # an overflow is refused here, by name
+            finite = np.isfinite(self.mu).all() and np.isfinite(self.second_moment).all()
+        if not finite:
+            raise ModelError("step-law atoms must have a finite mean and second moment E[Y Y^T]")
 
     @property
     def s(self) -> int:
@@ -398,22 +410,20 @@ class ValidatedModel:
     def eval_maps(self, out, X):
         """``out[i] = P_{i+1}`` at the points of the (s, B) array ``X``, one
         call per group of :attr:`map_groups`. Without a stacked group each map
-        runs as it stands. Otherwise the groups run under
-        :func:`strict_errstate`, and if one raises, :meth:`maps_one_by_one`
-        evaluates every map again under the caller's settings, so the values,
-        errors and warnings are those of a loop over the maps."""
+        runs as it stands; otherwise the groups are the batch of
+        :func:`exact_batch` and :meth:`maps_one_by_one` its exact code."""
         cols = list(X)
         groups = self.map_groups
         if len(groups) == len(out):  # every group a single map
             for rows, fn, _ in groups:
                 out[rows] = fn(cols)
             return
-        try:
-            with strict_errstate():
-                for rows, fn, stacked in groups:
-                    out[rows] = fn(X if stacked else cols)
-        except Exception:  # noqa: BLE001 - the maps raise it again one by one
-            self.maps_one_by_one(out, cols)
+
+        def stacked_groups():
+            for rows, fn, stacked in groups:
+                out[rows] = fn(X if stacked else cols)
+
+        exact_batch(stacked_groups, lambda: self.maps_one_by_one(out, cols))
 
     def block_probs(self, x):
         """All r block probabilities at points x of shape (..., s), as (r, ...).
@@ -636,18 +646,22 @@ def validate_model(spec: ModelSpec):
         raise ModelError("; ".join(errors))
 
     _check_initial_atoms(spec, errors)
+    masks = np.zeros((spec.r, spec.s))
+    for i, blk in enumerate(spec.partition):
+        for j in blk:
+            masks[i, j - 1] = 1.0
+    model = ValidatedModel(spec=spec, mu=spec.step_law.mu, sigma=spec.step_law.second_moment, block_masks=masks)
     grid, interior = validation_grid(spec)
-    total = np.zeros(grid.shape[0])
-    cols = [grid[:, j] for j in range(spec.s)]
-    for i, pm in enumerate(spec.prob_maps):
-        with np.errstate(all="ignore"):  # every non-finite or out-of-range value is reported below
-            vals = np.broadcast_to(pm.fast(cols), (grid.shape[0],))
+    maps = np.empty((spec.r - 1, grid.shape[0]))
+    with np.errstate(all="ignore"):  # every non-finite or out-of-range value is reported below
+        model.eval_maps(maps, grid.T)
+    for i, vals in enumerate(maps):
         bad = np.where(~((vals >= -1e-12) & (vals <= 1.0 + 1e-12)))[0]  # NaN is bad too
         if bad.size:
             errors.append(
                 f"probability-out-of-range: P_{i + 1}({grid[bad[0]].tolist()}) = {vals[bad[0]]:.6g}"
             )
-        total += vals
+    total = maps.sum(axis=0)  # row by row, as a loop over the maps adds them
     over = np.where(total > 1.0 + 1e-12)[0]
     if over.size:
         errors.append(
@@ -660,17 +674,7 @@ def validate_model(spec: ModelSpec):
         )
     if errors:
         raise ModelError("; ".join(errors))
-
-    masks = np.zeros((spec.r, spec.s))
-    for i, blk in enumerate(spec.partition):
-        for j in blk:
-            masks[i, j - 1] = 1.0
-    return ValidatedModel(
-        spec=spec,
-        mu=spec.step_law.mu,
-        sigma=spec.step_law.second_moment,
-        block_masks=masks,
-    )
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,12 @@
 
 The auxiliary walk is a time-inhomogeneous Markov chain in its own position,
 so its exact law can be pushed forward step by step: a dense O(n^2) table for
-one-dimensional unit-step models (n <= 2000; :func:`exact_law_1d` reads
-the sparse law past that), and a sparse law over the
-reached positions for any model (at most ``_MAX_STATES`` state x block x
-atom entries per step, its only bound on n). Both evaluate the maps in
-batches, and both return the float sums, in the same order, that a scalar
-step-by-step or state-by-state loop gives (``tests/oracle_reference.py``
-holds those loops).
+one-dimensional unit-step models, and a sparse law over the reached
+positions for any model. ``_MAX_STATES`` bounds both: at most that many
+state x block x atom entries in a step, their only bound on n. Both
+evaluate the maps in batches, and both return the float sums, in the same
+order, that a scalar step-by-step or state-by-state loop gives
+(``tests/oracle_reference.py`` holds those loops).
 """
 
 from __future__ import annotations
@@ -55,24 +54,27 @@ def is_unit_step_1d(model: ValidatedModel) -> bool:
     )
 
 
-_DP_MAX_N = 2000  # the dense DP's horizon; exact_law_1d takes the sparse law past it
 _DP_POINTS = 32_768  # map points per block_probs call in exact_dp_1d: 256 KB per array
-_MAX_STATES = 1_000_000  # state x block x atom entries one step of enumerate_small_multi may hold
+_MAX_STATES = 1_000_000  # state x block x atom entries one step of either oracle may hold
 
 
 def exact_dp_1d(model: ValidatedModel, n: int) -> ExactLaw1D:
-    """Exact law of V_n by forward dynamic programming, n <= 2000.
+    """Exact law of V_n by forward dynamic programming, n >= 1.
 
     Transition: from V_t = k the next auxiliary increment is +1 with
     probability P_1(k/t), else 0. Time 1 is drawn from the initial law.
     The maps of consecutive steps are evaluated together, in
     ``block_probs`` calls of at most ``_DP_POINTS`` points; the loop over
-    steps then only moves the mass.
+    steps then only moves the mass. The last step moves n states x r
+    blocks: above ``_MAX_STATES`` that raises ``too-many-states``, as
+    :func:`enumerate_small_multi` does, before any step runs.
     """
     if not is_unit_step_1d(model):
         raise OracleError("unsupported-model: exact DP needs s=1 with unit steps and V_1 in {0,1}")
-    if not 1 <= n <= _DP_MAX_N:
-        raise OracleError(f"exact DP horizon limited to 1 <= n <= {_DP_MAX_N}")
+    if n < 1:
+        raise OracleError(f"exact DP horizon must be n >= 1, got {n}")
+    if n > 1 and n * model.r > _MAX_STATES:
+        raise OracleError(f"too-many-states: {n} states x {model.r} (block, atom) pairs at t={n - 1}")
     pmf = np.zeros(2)
     for atom, prob in zip(model.spec.initial.atoms, model.spec.initial.probs):
         pmf[int(atom[0])] += prob
@@ -99,18 +101,6 @@ def exact_dp_1d(model: ValidatedModel, n: int) -> ExactLaw1D:
     total = math.fsum(pmf.tolist())
     if abs(total - 1.0) > 1e-12:
         raise OracleError(f"probability mass drifted to {total}")
-    return ExactLaw1D(n=n, pmf=pmf, A=float(model.spec.A[0, 0]), b=float(model.spec.b[0]))
-
-
-def exact_law_1d(model: ValidatedModel, n: int) -> ExactLaw1D:
-    """:func:`exact_dp_1d`'s law of V_n, and past its horizon the same law
-    read from :func:`enumerate_small_multi`, whose probabilities are the
-    DP's bit for bit where both run."""
-    if n <= _DP_MAX_N:
-        return exact_dp_1d(model, n)
-    pmf = np.zeros(n + 1)
-    for (k,), prob in enumerate_small_multi(model, n).items():
-        pmf[int(k)] = prob
     return ExactLaw1D(n=n, pmf=pmf, A=float(model.spec.A[0, 0]), b=float(model.spec.b[0]))
 
 

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .funcdsl import MAX_DERIV_ORDER, FuncExpr, derivatives, derive_at
-from .model import INFINITE_EDGE_SPAN, ModelError, ValidatedModel, strict_errstate
+from .model import INFINITE_EDGE_SPAN, ModelError, ValidatedModel, exact_batch
 from .simulate import FunctionalConfig, check_integer, ensemble, nearest_checkpoint, philox_keys, resolve_checkpoints
 from .theory import expansion_coeffs, fixed_point, report_dict
 
@@ -205,18 +205,20 @@ def _step_clear(fast, theta, eps, n, path) -> bool:
     loop computes it (m counts n + 1.0, n + 2.0, ... with no rounding, so
     1 / m is its a_n). True when every value lies within ``_GUARD``; False
     when one does not, is NaN, or the pass raised on some path, which the
-    freeze might have stopped before it got there: a domain error of the
-    drift, or a floating-point event that the caller's ``np.errstate`` does
-    not ignore, so that the replay reports it as the caller asked."""
-    prev, m = theta, n + 1.0
-    try:
-        with strict_errstate():
-            for e, row in zip(eps, path):
-                np.add(fast([prev]), e, row)
-                np.multiply(row, 1.0 / m, row)
-                np.subtract(prev, row, row)
-                prev, m = row, m + 1.0
-    except Exception:  # noqa: BLE001 - the replay raises it again if the freeze does not prevent it
+    freeze might have stopped before it got there. The pass is the batch of
+    :func:`~erwlab.model.exact_batch`, and False its exact code, which sends
+    ``run_sa`` to its per-step replay."""
+
+    def speculate():
+        prev, m = theta, n + 1.0
+        for e, row in zip(eps, path):
+            np.add(fast([prev]), e, row)
+            np.multiply(row, 1.0 / m, row)
+            np.subtract(prev, row, row)
+            prev, m = row, m + 1.0
+        return True
+
+    if not exact_batch(speculate, lambda: False):
         return False
     moved = path[:len(eps)]
     return bool(moved.max() <= _GUARD and -moved.min() <= _GUARD)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import funcdsl
 from . import model as model_mod
-from .model import ModelError, ValidatedModel, clip_ufunc, interior_grid, strict_errstate
+from .model import ModelError, ValidatedModel, clip_ufunc, exact_batch, interior_grid
 
 # scipy.linalg is imported where it is called: the import costs about 0.25 s,
 # and simulate, sa, oracle and presets import this module without ever
@@ -157,6 +157,15 @@ def find_fixed_point(model: ValidatedModel):
     return base
 
 
+def _check_registered(label, registered, numeric, tol):
+    """Refuse a registered value that lies farther than ``tol`` from its
+    numeric counterpart in some coordinate. ``label`` names the value, with
+    ``{}`` where the registered value is written; it is formatted only for
+    the error."""
+    if np.max(np.abs(numeric - registered)) > tol:
+        raise TheoryError(f"registered {label.format(registered)} disagrees with numerics {numeric}")
+
+
 def fixed_point(model: ValidatedModel):
     """``(x0, registered)``: the model's fixed point, and whether it is the
     ``meta.exact.x0`` a preset registers.
@@ -171,8 +180,7 @@ def fixed_point(model: ValidatedModel):
     if "x0" not in exact:
         return numeric, False
     x0 = np.asarray(exact["x0"], dtype=float)
-    if np.max(np.abs(numeric - x0)) > 1e-6:
-        raise TheoryError(f"registered fixed point {x0} disagrees with numerics {numeric}")
+    _check_registered("fixed point {}", x0, numeric, 1e-6)
     return x0, True
 
 
@@ -215,9 +223,9 @@ def check_downcrossing(model: ValidatedModel, x0) -> DowncrossingResult:
     (at least one), so that no temporary of ``eval_H`` or of the product
     is larger than ``_DOWN_SLICE`` doubles, and written into one array,
     whose first maximum is reported: a row's value has the same bits in
-    every slice. The slices run under :func:`strict_errstate`; if one
-    raises, the whole grid is evaluated at once, which raises or warns as
-    a single ``eval_H`` call on it does.
+    every slice. The slices are the batch of
+    :func:`~erwlab.model.exact_batch`, and one ``eval_H`` call on the whole
+    grid its exact code.
     """
     x0 = np.asarray(x0, dtype=float)
     grid, axes = interior_grid(model.spec)
@@ -234,14 +242,15 @@ def check_downcrossing(model: ValidatedModel, x0) -> DowncrossingResult:
         raise TheoryError(f"downcrossing grid is empty: the exclusion ball of radius {_EXCLUSION_RADIUS!r} "
                           f"around x0 = {x0.tolist()} drops every interior point")
     rows = max(1, _DOWN_SLICE // max(model.s, model.r))
-    values = np.empty(grid.shape[0])
-    try:
-        with strict_errstate():
-            for at in range(0, grid.shape[0], rows):
-                part = grid[at:at + rows]
-                np.einsum("ij,ij->i", part - x0, model.eval_H(part) - part, out=values[at:at + rows])
-    except Exception:  # noqa: BLE001 - the whole grid raises it again, or warns as the caller asked
-        values = np.einsum("ij,ij->i", grid - x0, model.eval_H(grid) - grid)
+
+    def slices():
+        values = np.empty(grid.shape[0])
+        for at in range(0, grid.shape[0], rows):
+            part = grid[at:at + rows]
+            np.einsum("ij,ij->i", part - x0, model.eval_H(part) - part, out=values[at:at + rows])
+        return values
+
+    values = exact_batch(slices, lambda: np.einsum("ij,ij->i", grid - x0, model.eval_H(grid) - grid))
     k = int(np.argmax(values))
     return DowncrossingResult(verified=bool(values[k] < 0.0), max_value=float(values[k]), argmax=grid[k])
 
@@ -279,11 +288,10 @@ def jacobian(model: ValidatedModel, x0) -> np.ndarray:
     steps h = step_j * 2**-k, k = 0..5, where step_j is half the distance
     from x0 to the nearer edge of axis j, kept within [1e-7, 1e-3]
     (:func:`_richardson`). The whole stencil of 12 s points is one
-    ``eval_H`` call under :func:`strict_errstate`, and a point's drift has
-    the same bits in that batch as alone. If the batch raises, the points
-    are evaluated again one at a time in stencil order (x0 + h e_j, then
-    x0 - h e_j, for each k and each axis), so the first that fails raises
-    its own error, as each point's own call does.
+    ``eval_H`` call, in which a point's drift has the same bits as alone:
+    the batch of :func:`~erwlab.model.exact_batch`, whose exact code
+    evaluates the points one at a time in stencil order (x0 + h e_j, then
+    x0 - h e_j, for each k and each axis).
     """
     x0 = np.asarray(x0, dtype=float)
     dist = np.minimum(x0 - model.domain.lower, model.domain.reach - x0)
@@ -293,11 +301,8 @@ def jacobian(model: ValidatedModel, x0) -> np.ndarray:
         h = [base_step * 2.0 ** (-k) for k in range(6)]
         stencil[12 * j:12 * j + 12:2, j] += h
         stencil[12 * j + 1:12 * j + 12:2, j] -= h
-    try:
-        with strict_errstate():
-            return _richardson(model.eval_H(stencil).__getitem__, steps)
-    except Exception:  # noqa: BLE001 - the replay raises it again, or warns as the caller asked
-        return _richardson(lambda at: model.eval_H(stencil[at]), steps)
+    return exact_batch(lambda: _richardson(model.eval_H(stencil).__getitem__, steps),
+                       lambda: _richardson(lambda at: model.eval_H(stencil[at]), steps))
 
 
 @dataclass(frozen=True)
@@ -474,17 +479,12 @@ def spectral_profile(model: ValidatedModel, x0) -> SpectralProfile:
     J = jacobian(model, x0)
     if model.s == 1 and exact.get("h_derivs"):
         registered = float(exact["h_derivs"][0])
-        if abs(registered - J[0, 0]) > 1e-4:
-            raise TheoryError(f"registered drift derivative h_derivs[0] = {registered} disagrees with numerics "
-                              f"{J[0, 0]}")
+        _check_registered("drift derivative h_derivs[0] = {}", registered, J[0, 0], 1e-4)
         J = np.array([[registered]])
     profile = spectral_profile_from_jacobian(J)
     if "tau" in exact:
         exact_tau = float(exact["tau"])
-        if abs(exact_tau - profile.tau) > 1e-4:
-            raise TheoryError(
-                f"registered top eigenvalue {exact_tau} disagrees with numerics {profile.tau}"
-            )
+        _check_registered("top eigenvalue {}", exact_tau, profile.tau, 1e-4)
         profile = replace(profile, tau=exact_tau, exact_tau=True)
     return profile
 
@@ -705,9 +705,8 @@ def _h_derivatives(model: ValidatedModel, x0) -> list:
         out = [float(v) for v in listed]
         numeric = funcdsl.derivatives(model.spec.prob_maps[0], float(x0[0]), len(out)) if len(out) > 1 else []
         for k, (registered, value) in enumerate(zip(out[1:], numeric[1:]), start=1):
-            if abs(registered - value * mu) > 1e-4 * max(1.0, abs(registered)):
-                raise TheoryError(f"registered drift derivative h_derivs[{k}] = {registered} (order {k + 1}) "
-                                  f"disagrees with numerics {value * mu}")
+            _check_registered(f"drift derivative h_derivs[{k}] = {{}} (order {k + 1})", registered,
+                              value * mu, 1e-4 * max(1.0, abs(registered)))
         if max_order is None:
             out += [0.0] * max(0, _H_ORDERS - len(out))
         return out[:limit]

@@ -1,12 +1,13 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from erwlab import build_preset, funcdsl, oracle
+from erwlab import build_preset, funcdsl, oracle, validate_model
 from erwlab.cli import _parser, build_parser, main
 from erwlab.model import spec_to_dict
 from test_funcdsl import expression_trees
@@ -111,7 +112,8 @@ def test_oracle_csv(tmp_path):
 
 
 def test_oracle_past_the_dp_horizon(tmp_path):
-    # n = 2001 is past the dense DP's horizon: the DP's rows come from the sparse law
+    # n = 2001 is past the dense DP's old horizon of 2000: the DP writes every row, and its
+    # probabilities are the sparse law's, byte for byte
     out = tmp_path / "law.csv"
     assert main(["oracle", "--preset", "erw", "--p", "0.6", "--n", "2001", "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
@@ -120,6 +122,9 @@ def test_oracle_past_the_dp_horizon(tmp_path):
     assert [int(k) for k, _, _ in rows] == list(range(2002))
     assert [float(v) for _, _, v in rows] == [2.0 * k - 2001.0 for k in range(2002)]
     assert abs(math.fsum(float(p) for _, p, _ in rows) - 1.0) < 1e-12
+    sparse = oracle.enumerate_small_multi(validate_model(build_preset("erw", p=0.6)), 2001)
+    want = np.array([sparse.get((float(k),), 0.0) for k in range(2002)])
+    assert np.array([float(p) for _, p, _ in rows]).tobytes() == want.tobytes()
 
 
 def test_oracle_off_lattice_start_uses_enumeration(tmp_path):
@@ -586,6 +591,9 @@ MALFORMED_MODELS = {
                                 "meta.exact.h_derivs must be finite, got [0.2, inf]"),
     "exact-x0-nan": (lambda: json.dumps(_erw_doc(meta={"exact": {"x0": [_NAN]}})), "meta.exact.x0 must be finite, got [nan]"),
     "exact-tau-huge-int": (lambda: json.dumps(_erw_doc(meta={"exact": {"tau": 10 ** 400}})), "meta.exact.tau must be finite"),
+    "step-second-moment-overflow": (lambda: json.dumps(_erw_doc(step_law={"kind": "point-mass", "atoms": [[1e306]],
+                                                                          "probs": [1.0]})),
+                                    "step-law atoms must have a finite mean and second moment E[Y Y^T]"),
 }
 
 
@@ -599,6 +607,21 @@ def test_malformed_model_file_exit_2(tmp_path, capsys, command, case):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config-invalid:") and message in err
+
+
+def test_step_moments_past_the_float_range_exit_2_without_a_warning(tmp_path, capsys):
+    # E[Y Y^T] of atoms 1e306 overflows: the step law is refused by name, and no overflow warning is shown
+    doc = _erw_doc(s=2, r=3, partition=[[1], [2], []], prob_maps=["0.3", "0.3"], A=[[1.0, 0.0]],
+                   step_law={"kind": "finite-support", "atoms": [[1e306, 0.0], [0.0, 1e306]], "probs": [0.5, 0.5]},
+                   initial={"atoms": [[0.0, 0.0]], "probs": [1.0]}, domain={"lower": [0.0, 0.0], "upper": [None, None]})
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["analyze", "--model", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    assert seen == []
+    assert capsys.readouterr().err == ("config-invalid: step-law atoms must have a finite mean and second moment "
+                                       "E[Y Y^T]\n")
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate"])

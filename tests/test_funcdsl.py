@@ -353,6 +353,21 @@ class TestSingleEvaluator:
         e = parse("min(1e999, x) + 0 * x")
         assert np.array_equal(e.fast([np.array([0.25, 0.5])]), [0.25, 0.5])
 
+    def test_nan_constant_compiles(self):
+        # the parser writes none, but const, affine and hand-built trees can
+        x = np.array([0.25, 0.5])
+        assert np.isnan(funcdsl.affine(parse("x"), math.nan, 0.5).fast([x])).all()
+        assert np.isnan(funcdsl.FuncExpr(funcdsl.const(math.nan), 1).fast([x]))
+
+    @pytest.mark.parametrize("scales", [(math.nan, 0.3), (math.nan, math.nan)], ids=["column", "shared-literal"])
+    def test_nan_constant_compiles_in_a_template(self, scales):
+        maps = [funcdsl.affine(parse(f"x{j + 1}", arity=2), scale, 0.5 - j / 4) for j, scale in enumerate(scales)]
+        ((members, fn),) = funcdsl.templates(maps)
+        X = np.array([[0.25, 0.5], [0.75, 1.0]])
+        assert members == (0, 1)
+        for row, pm in zip(fn(X), maps):
+            assert row.tobytes() == pm.fast(list(X)).tobytes()
+
     @pytest.mark.parametrize("text,want", [("0 ^ -1.5", math.inf), ("1e200 ^ 2", math.inf),
                                            ("(-1e200) ^ 3", -math.inf), ("(-2) ^ 3", -8.0)])
     def test_constant_powers_follow_ieee(self, text, want):

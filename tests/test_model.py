@@ -25,6 +25,7 @@ from erwlab.model import (
     DomainViolation,
     ValidatedModel,
     _grid_product,
+    exact_batch,
     interior_grid,
     spec_from_dict,
     spec_to_dict,
@@ -77,6 +78,21 @@ class TestStepLaw:
             StepLaw.finite([[1.0]], [0.7])
         with pytest.raises(ModelError):
             StepLaw.finite([[-1.0]], [1.0])
+
+    @pytest.mark.parametrize("atoms,probs", [
+        ([[1e306, 0.0], [0.0, 1e306]], [0.5, 0.5]),  # E[Y Y^T] overflows
+        ([[1.4e154]], [1.0]),  # just past sqrt of the largest float
+        ([[1.7e308], [1.7e308]], [0.5, 0.5]),  # the mean's sum of halves is finite; E[Y Y^T] is not
+    ], ids=["1e306", "1.4e154", "max"])
+    def test_moments_must_be_finite(self, atoms, probs):
+        # refused by name, and no overflow warning escapes, even as an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                with pytest.raises(ModelError, match=r"^step-law atoms must have a finite mean and second moment"):
+                    StepLaw.finite(atoms, probs)
+        law = StepLaw.finite([[1.3e154]], [1.0])  # its square is still a float
+        assert np.isfinite(law.second_moment).all()
 
     @given(st.lists(st.tuples(st.floats(0.1, 3.0), st.integers(1, 5)), min_size=1, max_size=4))
     def test_moment_consistency(self, pairs):
@@ -462,6 +478,62 @@ class TestMapGroups:
             fn(X)
         with pytest.raises(funcdsl.EvalDomainError, match="division by zero"):
             model.eval_maps(np.empty((3, 2)), X)
+
+
+def _outcome(fn, mode):
+    """``fn()`` under ``np.errstate(all=mode)`` with every warning recorded:
+    the warnings seen, then the exception or the value."""
+    with warnings.catch_warnings(record=True) as seen, np.errstate(all=mode):
+        warnings.simplefilter("always")
+        try:
+            value = fn()
+        except Exception as exc:  # noqa: BLE001 - compared with the exact code's own
+            return [(w.category, str(w.message)) for w in seen], (type(exc), str(exc))
+    return [(w.category, str(w.message)) for w in seen], value
+
+
+class TestExactBatch:
+    """The replay rule: a batch that raises nothing stands; otherwise the
+    exact code runs under the caller's settings and speaks for itself."""
+
+    @staticmethod
+    def _exact():
+        return float(np.float64(1e300) * np.float64(1e300))  # overflows: inf, a warning or an error
+
+    @pytest.mark.parametrize("mode", ["ignore", "warn", "raise"])
+    def test_a_quiet_batch_stands(self, mode):
+        calls = []
+        result = _outcome(lambda: exact_batch(lambda: calls.append("batch") or 0.25, calls.append), mode)
+        assert result == ([], 0.25) and calls == ["batch"]
+
+    @pytest.mark.parametrize("mode", ["ignore", "warn", "raise"])
+    def test_a_raising_batch_gives_the_exact_code(self, mode):
+        def batch():
+            raise funcdsl.EvalDomainError("the batch's own error")
+
+        seen, result = _outcome(lambda: exact_batch(batch, self._exact), mode)
+        assert (seen, result) == _outcome(self._exact, mode)
+        assert {"ignore": ([], math.inf),
+                "warn": ([(RuntimeWarning, "overflow encountered in scalar multiply")], math.inf),
+                "raise": ([], (FloatingPointError, "overflow encountered in scalar multiply"))}[mode] == (seen, result)
+
+    @pytest.mark.parametrize("mode", ["warn", "raise"])
+    def test_a_batch_event_the_caller_does_not_ignore_is_not_seen(self, mode):
+        # the batch's overflow raises under strict_errstate, so neither its
+        # warning nor its value reaches the caller: the exact code's do
+        def batch():
+            np.float64(1e300) * np.float64(1e10)
+            return 0.5
+
+        assert _outcome(lambda: exact_batch(batch, self._exact), mode) == _outcome(self._exact, mode)
+        assert _outcome(lambda: exact_batch(batch, self._exact), "ignore") == ([], 0.5)
+
+    def test_the_exact_codes_own_exception_propagates(self):
+        def exact():
+            raise ModelError("the exact code's error")
+
+        with pytest.raises(ModelError, match="^the exact code's error$"):
+            exact_batch(lambda: 1.0 / np.zeros(1), exact)
 
 
 class TestJsonRoundTrip:

@@ -115,9 +115,19 @@ class TestExactDP:
         with pytest.raises(OracleError, match="unsupported-model"):
             exact_dp_1d(model, 5)
 
-    def test_horizon_cap(self):
-        with pytest.raises(OracleError):
-            exact_dp_1d(_model("erw", dict(p=0.6)), 2001)
+    def test_state_guard(self, monkeypatch):
+        # the last step of n = 100 moves 100 states x 2 blocks; the guard
+        # and its message are enumerate_small_multi's
+        model = _model("erw", dict(p=0.6))
+        monkeypatch.setattr(oracle, "_MAX_STATES", 199)
+        with pytest.raises(OracleError, match=r"^too-many-states: 100 states x 2 \(block, atom\) pairs at t=99$"):
+            exact_dp_1d(model, 100)
+        assert exact_dp_1d(model, 99).pmf.tobytes() == dp_1d_pmf(model, 99).tobytes()
+        monkeypatch.setattr(oracle, "_MAX_STATES", 0)
+        assert exact_dp_1d(model, 1).pmf.tolist() == [0.5, 0.5]  # no step, nothing to guard
+        for n in (0, -3):
+            with pytest.raises(OracleError, match=rf"^exact DP horizon must be n >= 1, got {n}$"):
+                exact_dp_1d(model, n)
 
 
 class TestEnumeration:
@@ -143,16 +153,15 @@ class TestEnumeration:
         assert got.tobytes() == pmf.tobytes()
 
     @pytest.mark.parametrize("name,kwargs", [("erw", dict(p=0.6)), ("quadratic-sym", dict(p=0.75))])
-    def test_law_past_the_dp_horizon_is_the_sparse_law(self, name, kwargs, monkeypatch):
-        # exact_law_1d takes the sparse law past the DP's horizon: moved
-        # below n = 200 here, its pmf is still the DP's, bit for bit
+    def test_dp_past_n_2000_is_the_sparse_law(self, name, kwargs):
+        # the dense DP has no horizon but the state guard: at n = 2600 it is still the sparse law, bit for bit
         model = _model(name, kwargs)
-        pmf = exact_dp_1d(model, 200).pmf
-        assert oracle.exact_law_1d(model, 200).pmf.tobytes() == pmf.tobytes()
-        monkeypatch.setattr(oracle, "_DP_MAX_N", 199)
-        law = oracle.exact_law_1d(model, 200)
-        assert law.pmf.tobytes() == pmf.tobytes()
-        assert (law.n, law.A, law.b) == (200, 2.0, -1.0)
+        law = exact_dp_1d(model, 2600)
+        sparse = enumerate_small_multi(model, 2600)
+        assert set(sparse) <= {(float(k),) for k in range(2601)}
+        got = np.array([sparse.get((float(k),), 0.0) for k in range(2601)])
+        assert law.pmf.tobytes() == got.tobytes()
+        assert (law.n, law.A, law.b) == (2600, 2.0, -1.0)
 
     def test_multi_dimensional_law_past_twelve(self):
         model = _model("kdim", dict(k=2, p=0.6))
