@@ -24,6 +24,7 @@ Grammar (see docs/grammar.md for the full EBNF)::
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 from typing import Union
@@ -218,9 +219,11 @@ def _emit(node, leaf=_leaf, free=False):
     if isinstance(node, Piecewise):
         # nested np.where with the first branch outermost, so the first
         # match wins. Every branch runs at every point. Uncovered points
-        # surface as NaN and are rejected by _build; the full-shape
-        # default keeps the result full-shape when every branch is constant.
-        source = "(zeros + np.nan)"
+        # surface as NaN and are rejected by _build. A node that holds a
+        # variable has the points' shape, so its default is the scalar NaN;
+        # a constant-only node, and any node of a template (another leaf),
+        # defaults to full-shape NaN so that the result keeps its shape.
+        source = "nan" if leaf is _leaf and _has_var(node) else "(zeros + nan)"
         for cond, branch in reversed(node.branches):
             test = f"({_emit(cond.left, leaf, free)} {cond.op} {_emit(cond.right, leaf, free)})"
             source = f"np.where({test}, {_emit(branch, leaf, free)}, {source})"
@@ -232,17 +235,24 @@ def _build(source, rows=None, names=None):
     """The function ``f(cols)`` that evaluates ``source``. ``names`` holds the
     arrays the source reads besides the helpers. A ``piecewise`` result has
     the broadcast shape of ``cols``, or with ``rows`` given, that many rows
-    of the (s, B) array ``cols``."""
+    of the (s, B) array ``cols``: a piecewise node's variables give it that
+    shape, and ``zeros``, an array of it, is passed only where the source
+    reads it (a constant-only node or a template). Any NaN in the result,
+    an uncovered point, raises; one minimum, which NaN propagates through
+    without a floating-point event, finds it."""
     namespace = {"np": np, "inf": math.inf, "nan": math.nan, "_div": _div, "_pow": _pow, "_sqrt": _sqrt,
                  "_log": _log, **(names or {})}
     if "np.where" not in source:
         return eval(f"lambda cols: ({source})", namespace)  # noqa: S307 - generated from our own AST
-    fn = eval(f"lambda cols, zeros: ({source})", namespace)  # noqa: S307 - generated from our own AST
+    full = "zeros" in source
+    fn = eval(f"lambda cols{', zeros' if full else ''}: ({source})", namespace)  # noqa: S307 - generated from our own AST
 
     def run(cols):
-        shape = np.broadcast(*cols).shape if rows is None else (rows,) + cols.shape[1:]
-        out = fn(cols, np.zeros(shape))
-        if np.isnan(out).any():
+        if full:
+            out = fn(cols, np.zeros(np.broadcast(*cols).shape if rows is None else (rows,) + cols.shape[1:]))
+        else:
+            out = fn(cols)
+        if math.isnan(np.minimum.reduce(out, axis=None, initial=math.inf)):
             raise EvalDomainError("piecewise evaluated outside its covered region")
         return out
 
@@ -251,6 +261,93 @@ def _build(source, rows=None, names=None):
 
 def _compile(expr):
     return _build(_emit(expr.ast))
+
+
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _literal(node):
+    """The value of a literal or a negated literal, else None."""
+    if isinstance(node, Neg) and isinstance(node.operand, Const):
+        return -node.operand.value
+    return node.value if isinstance(node, Const) else None
+
+
+def _outer_piecewise(node):
+    """The piecewise nodes of a tree that no other piecewise node holds."""
+    if isinstance(node, Piecewise):
+        yield node
+    elif isinstance(node, tuple):
+        for value in node:
+            yield from _outer_piecewise(value)
+    elif is_dataclass(node):
+        for f in fields(node):
+            yield from _outer_piecewise(getattr(node, f.name))
+
+
+def _bounds(node):
+    """``(variable, [(op, c), ...])`` with the variable on the left when
+    every condition of the piecewise ``node`` compares that one variable
+    with a literal, else None."""
+    var, tests = None, []
+    for cond, _ in node.branches:
+        op, left, right = cond.op, cond.left, cond.right
+        if isinstance(right, Var):
+            op, left, right = _FLIPPED[op], right, left
+        c = _literal(right)
+        if not isinstance(left, Var) or c is None or (var is not None and left.index != var.index):
+            return None
+        var = left
+        if not math.isnan(c):  # a NaN bound holds nowhere
+            tests.append((op, c))
+    return var, tests
+
+
+def uncovered(expr: FuncExpr, lower, upper) -> list:
+    """The gaps of ``expr``'s piecewise nodes that can be decided exactly.
+
+    A node that no other piecewise holds, and whose every condition
+    compares one variable with a literal (``x <= 0.5``, ``0.3 > x1``),
+    covers the union of two half-lines of that variable. This returns, for
+    each such node, the floats of the variable's [lower, upper] (the
+    entries of the (s,) ``lower`` and ``upper`` for its index) that no
+    condition holds at, when there are any, as text such as
+    ``x in (0.5001, 0.5002]``: the compiled node is NaN there. Any other
+    node is left out.
+    """
+    gaps = []
+    for node in _outer_piecewise(expr.ast):
+        decided = _bounds(node)
+        if decided is None:
+            continue
+        var, tests = decided
+        lo, hi = float(lower[var.index]), float(upper[var.index])
+        right = f"{hi!r}]" if hi < math.inf else "inf)"  # an infinite edge is never reached
+        hi = min(hi, sys.float_info.max)
+        first, last, left = lo, hi, f"[{lo!r}"
+        # the last float a lower half-line covers, and whether the condition includes it
+        below = [(c, True) if op == "<=" else (math.nextafter(c, -math.inf), False)
+                 for op, c in tests if op in ("<", "<=")]
+        # the first float an upper half-line covers, and whether the condition includes it
+        above = [(c, True) if op == ">=" else (math.nextafter(c, math.inf), False)
+                 for op, c in tests if op in (">", ">=")]
+        if below:
+            end, inclusive = max(below)
+            if end >= hi:
+                continue
+            if math.nextafter(end, math.inf) > lo:
+                first = math.nextafter(end, math.inf)
+                left = f"({end!r}" if inclusive else f"[{first!r}"
+        if above:
+            start, inclusive = min(above)
+            if start <= lo:
+                continue
+            if math.nextafter(start, -math.inf) < hi:
+                last = math.nextafter(start, -math.inf)
+                right = f"{start!r})" if inclusive else f"{last!r}]"
+        if first <= last:
+            gaps.append(f"{var.name} in {left}, {right}")
+    return gaps
 
 
 def templates(exprs) -> list:

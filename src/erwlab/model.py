@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .funcdsl import FuncExpr, parse, templates
+from .funcdsl import FuncExpr, parse, templates, uncovered
 
 # The ufunc np.clip ends in. Calling it directly only skips np.clip's Python
 # wrappers, about 3 us a call; the values are the same. numpy keeps it in a
@@ -434,26 +434,31 @@ class ValidatedModel:
         into the first r - 1 rows of one array, and the last row takes the
         complement. Values outside [0 - CLAMP_TOL, 1 + CLAMP_TOL], and NaN,
         abort: that is model misuse, not noise.
-        Within the tolerance band they are clamped. The complement sums the
-        rows in order, and every shape is evaluated as an (n, s) batch, a
-        single (s,) point as a batch of one, so a point's probabilities have
-        the same bits alone as in any batch. Every map of the model outside
-        the step kernel's hot loop is evaluated here.
+        Within the tolerance band they are clamped. For r > 2 the complement
+        sums the rows in order, aborts where the sum passes 1 + CLAMP_TOL
+        and is clamped too. For r <= 2 it is ``1 - P_1`` (1 at r = 1): one
+        clamped P lies in [0, 1], and so does 1 - P, so neither can fire.
+        Every shape is evaluated as an (n, s) batch, a single (s,) point as
+        a batch of one, so a point's probabilities have the same bits alone
+        as in any batch. Every map of the model outside the step kernel's
+        hot loop is evaluated here.
         """
         x, pts = self._points(x)
         r = self.r
         probs = np.empty((r, len(pts)))
-        head = probs[:-1]
+        head, tail = probs[:-1], probs[-1]
         self.eval_maps(head, pts.T)
         check_runtime_probs(head)
         clip_ufunc(head, 0.0, 1.0, out=head)
-        totals = head[0] if r > 1 else np.zeros(len(pts))
-        for row in head[1:]:  # in row order, where numpy sums one point's rows pairwise
-            totals = totals + row
-        check_runtime_sum(totals)
-        tail = probs[-1]
-        np.subtract(1.0, totals, out=tail)
-        clip_ufunc(tail, 0.0, 1.0, out=tail)
+        if r > 2:
+            totals = head[0]
+            for row in head[1:]:  # in row order, where numpy sums one point's rows pairwise
+                totals = totals + row
+            check_runtime_sum(totals)
+            np.subtract(1.0, totals, out=tail)
+            clip_ufunc(tail, 0.0, 1.0, out=tail)
+        else:  # one clipped P cannot pass 1, and a NaN has failed above
+            np.subtract(1.0, head[0] if r == 2 else 0.0, out=tail)
         return probs if pts is x else probs.reshape((r,) + x.shape[:-1])
 
     # Tables built from the spec once per model; the maps, the step kernel and the oracle read them.
@@ -618,6 +623,12 @@ def _check_initial_atoms(spec: ModelSpec, errors: list):
 def validate_model(spec: ModelSpec):
     """Validate a spec on a finite grid of :data:`GRID_DENSITY` points per axis.
 
+    A ``piecewise`` node whose conditions each compare one variable with a
+    literal is checked exactly first: any float of that variable's domain
+    interval where no condition holds is reported, with the interval
+    (:func:`~erwlab.funcdsl.uncovered`). Other conditions are checked at
+    the grid points only.
+
     Returns a :class:`ValidatedModel` or raises :class:`ModelError` carrying
     the full list of violations (with an offending grid point each, where
     applicable).
@@ -651,6 +662,11 @@ def validate_model(spec: ModelSpec):
         for j in blk:
             masks[i, j - 1] = 1.0
     model = ValidatedModel(spec=spec, mu=spec.step_law.mu, sigma=spec.step_law.second_moment, block_masks=masks)
+    dom = spec.domain
+    gaps = [f"piecewise evaluated outside its covered region: no condition of P_{i + 1} holds for {gap}"
+            for i, pm in enumerate(spec.prob_maps) for gap in uncovered(pm, dom.lower, dom.upper)]
+    if gaps:  # decided exactly; the grid would raise at the first gap it probes, or miss it
+        raise ModelError("; ".join(errors + gaps))
     grid, interior = validation_grid(spec)
     maps = np.empty((spec.r - 1, grid.shape[0]))
     with np.errstate(all="ignore"):  # every non-finite or out-of-range value is reported below

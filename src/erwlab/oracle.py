@@ -64,8 +64,12 @@ def exact_dp_1d(model: ValidatedModel, n: int) -> ExactLaw1D:
     Transition: from V_t = k the next auxiliary increment is +1 with
     probability P_1(k/t), else 0. Time 1 is drawn from the initial law.
     The maps of consecutive steps are evaluated together, in
-    ``block_probs`` calls of at most ``_DP_POINTS`` points; the loop over
-    steps then only moves the mass. The last step moves n states x r
+    ``block_probs`` calls of at most ``_DP_POINTS`` points (one step's
+    points at least), written by one division per step into one reused
+    buffer; the loop over steps then only moves the mass between two
+    (n + 1,) buffers. The stay probability is ``block_probs``' last row,
+    which at r = 2 is ``1 - P_1`` and at r = 1 (no map) is the move
+    itself, so there it is ``1 - up``. The last step moves n states x r
     blocks: above ``_MAX_STATES`` that raises ``too-many-states``, as
     :func:`enumerate_small_multi` does, before any step runs.
     """
@@ -75,28 +79,34 @@ def exact_dp_1d(model: ValidatedModel, n: int) -> ExactLaw1D:
         raise OracleError(f"exact DP horizon must be n >= 1, got {n}")
     if n > 1 and n * model.r > _MAX_STATES:
         raise OracleError(f"too-many-states: {n} states x {model.r} (block, atom) pairs at t={n - 1}")
-    pmf = np.zeros(2)
+    pmf, nxt, prod = np.zeros(n + 1), np.empty(n + 1), np.empty(n + 1)
     for atom, prob in zip(model.spec.initial.atoms, model.spec.initial.probs):
         pmf[int(atom[0])] += prob
+    ks = np.arange(n, dtype=float)
+    # steps 1..n-1 take 2..n points, (n - 1)(n + 2) / 2 in all; a call takes
+    # at most _DP_POINTS of them, or one step's when that is more
+    pts = np.empty(min(max(_DP_POINTS, n), (n - 1) * (n + 2) // 2))
     t = 1
     while t < n:
         stop, size = t + 1, t + 1  # steps t..stop-1 take `size` points
         while stop < n and size + stop + 1 <= _DP_POINTS:
             size += stop + 1
             stop += 1
-        us = np.arange(t, stop)
-        counts = us + 1  # step u evaluates the map at k/u, k = 0..u
-        ks = np.arange(size) - np.repeat(np.cumsum(counts) - counts, counts)
-        up = model.block_probs((ks / np.repeat(us, counts))[:, None])[0]
-        stay = 1.0 - up
         lo = 0
-        for u in us.tolist():
+        for u in range(t, stop):  # step u evaluates the map at k/u, k = 0..u
+            np.divide(ks[:u + 1], u, out=pts[lo:lo + u + 1])
+            lo += u + 1
+        probs = model.block_probs(pts[:size, None])
+        up = probs[0]
+        stay = probs[1] if model.r == 2 else 1.0 - up
+        lo = 0
+        for u in range(t, stop):
             hi = lo + u + 1
-            nxt = np.empty(u + 2)
-            np.multiply(pmf, stay[lo:hi], out=nxt[:-1])
-            nxt[-1] = 0.0
-            nxt[1:] += pmf * up[lo:hi]
-            pmf, lo = nxt, hi
+            np.multiply(pmf[:u + 1], stay[lo:hi], out=nxt[:u + 1])
+            nxt[u + 1] = 0.0
+            np.multiply(pmf[:u + 1], up[lo:hi], out=prod[:u + 1])
+            np.add(nxt[1:u + 2], prod[:u + 1], out=nxt[1:u + 2])
+            pmf, nxt, lo = nxt, pmf, hi
         t = stop
     total = math.fsum(pmf.tolist())
     if abs(total - 1.0) > 1e-12:

@@ -661,18 +661,36 @@ GAP_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(GAP_COMMANDS))
-def test_piecewise_gap_off_the_validation_grid_exit_2(tmp_path, capsys, command):
-    # no point of the 201-point validation grid falls in (0.5001, 0.5002], so the
-    # model validates; walks and the fixed-point search near x = 1/2 reach the gap
+def _gap_model(tmp_path, conditions) -> Path:
     doc = spec_to_dict(build_preset("gerw-1d", f="x", p=0.6))
-    doc["prob_maps"] = ["piecewise(x <= 0.5001 : 0.2 + 0.6 * x ; x > 0.5002 : 0.2 + 0.6 * x)"]
+    doc["prob_maps"] = ["piecewise({} : 0.2 + 0.6 * x ; {} : 0.2 + 0.6 * x)".format(*conditions)]
     path = tmp_path / "gap_model.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("command", sorted(GAP_COMMANDS))
+def test_piecewise_gap_off_the_validation_grid_exit_2(tmp_path, capsys, command):
+    # the conditions bound 2x, not x, so validation probes them on its grid,
+    # and no point of the 201-point grid falls in the gap 2x in (1.0002, 1.0004];
+    # walks and the fixed-point search near x = 1/2 reach it
+    path = _gap_model(tmp_path, ("2 * x <= 1.0002", "2 * x > 1.0004"))
     argv = GAP_COMMANDS[command]
     code = main(argv[:-1] + [str(tmp_path / argv[-1]), "--model", str(path)])
     assert code == 2
-    assert capsys.readouterr().err.startswith("config-invalid:")
+    err = capsys.readouterr().err
+    assert err.startswith("config-invalid: piecewise evaluated outside its covered region") and "P_1" not in err
+
+
+@pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))
+def test_piecewise_gap_of_one_variable_exit_2_at_validation(tmp_path, capsys, command):
+    # conditions on x alone are decided exactly, so the gap is found between the grid points
+    path = _gap_model(tmp_path, ("x <= 0.5001", "x > 0.5002"))
+    code = main([command, "--model", str(path), "--out", str(tmp_path / "out")] + MODEL_COMMANDS[command])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "config-invalid: piecewise evaluated outside its covered region: no condition of P_1 holds for "
+        "x in (0.5001, 0.5002]")
 
 
 SUITE_CASES = {

@@ -1,5 +1,6 @@
 import math
 import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ from erwlab.funcdsl import (
     evaluate,
     parse,
     print_ast,
+    templates,
+    uncovered,
 )
+from erwlab.model import strict_errstate
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +196,40 @@ class TestEval:
         out = parse("piecewise(x <= 1 : x ; x >= 2 : 0 * x)").fast([np.empty(shape)])
         assert isinstance(out, np.ndarray) and out.shape == shape
 
+    @pytest.mark.parametrize("n", [1, 7, 256, 65_536])
+    @pytest.mark.parametrize("text", ["piecewise(x < 0.5 : x ; x >= 0.5 : 1 - x)", "piecewise(1 < 2 : x)",
+                                      "piecewise(x < 0.5 : 0.25 ; x >= 0.5 : 0.75)",
+                                      "x + piecewise(1 < 2 : 0.5)", "piecewise(1 > 2 : 0.5 ; 1 < 2 : 0.25)"],
+                             ids=["variable-branches", "variable-branch", "variable-tests", "constant-in-sum",
+                                  "constant"])
+    def test_piecewise_keeps_the_points_shape(self, n, text):
+        xs = np.linspace(0.0, 1.0, n)
+        e = parse(text)
+        out = e.fast([xs])
+        assert out.shape == (n,)
+        assert out.tobytes() == np.array([e(x) for x in xs.tolist()]).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 256, 65_536])
+    def test_piecewise_template_keeps_one_row_per_member(self, n):
+        # identical members: only the default gives the template its rows
+        text = "piecewise(x1 < 0.5 : 0.25 ; x1 >= 0.5 : 0.75 * x2)"
+        [(members, f)] = templates([parse(text, arity=2)] * 3)
+        X = np.random.default_rng(n).random((2, n))
+        assert members == (0, 1, 2)
+        assert f(X).tobytes() == np.repeat(parse(text, arity=2).fast(list(X))[None], 3, axis=0).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 256, 65_536])
+    @pytest.mark.parametrize("strict", [False, True], ids=["warnings-as-errors", "strict-errstate"])
+    def test_piecewise_uncovered_point_raises_no_warning(self, n, strict):
+        e = parse("piecewise(x < 0.5 : x ; x > 0.5 : 1 - x)")
+        xs = np.linspace(0.0, 1.0, n)
+        xs[n // 2] = 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with strict_errstate() if strict else np.errstate(), pytest.raises(EvalDomainError,
+                                                                              match="outside its covered region"):
+                e.fast([xs])
+
     def test_piecewise_first_match_wins(self):
         e = parse("piecewise(x <= 0.5 : 1.0 ; x >= 0.5 : 2.0)")
         assert e(0.5) == 1.0
@@ -286,6 +324,60 @@ _points = st.lists(
     st.tuples(*[st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]) | st.floats(min_value=-3.0, max_value=3.0)] * 2),
     min_size=1, max_size=6,
 )
+
+
+class TestUncovered:
+    """The exact gaps of piecewise nodes whose conditions bound one variable by literals."""
+
+    @pytest.mark.parametrize("text,gaps", [
+        ("piecewise(x <= 0.5001 : 0.2 ; x > 0.5002 : 0.3)", ["x in (0.5001, 0.5002]"]),
+        ("piecewise(x < 0.3 : 0.4 ; x > 0.6 : 0.5)", ["x in [0.3, 0.6]"]),
+        ("piecewise(x < 0.3 : 0.4 ; x >= 0.6 : 0.5)", ["x in [0.3, 0.6)"]),
+        ("piecewise(x < 0.3 : 0.4 ; x > 0.3 : 0.5)", ["x in [0.3, 0.3]"]),
+        ("piecewise(0.3 > x : 0.4 ; 0.6 <= x : 0.5)", ["x in [0.3, 0.6)"]),
+        ("piecewise(x < 0.3 : 0.4)", ["x in [0.3, 1.0]"]),
+        ("piecewise(x > 0 : 0.4)", ["x in [0.0, 0.0]"]),
+        ("piecewise(x < -0.5 : 0.4 ; x > 2 : 0.5)", ["x in [0.0, 1.0]"]),
+        ("0.5 * piecewise(x < 0.2 : 0.4) + piecewise(x > 0.9 : 0.1)", ["x in [0.2, 1.0]", "x in [0.0, 0.9]"]),
+        ("piecewise(x < 0.5 : x ; x >= 0.5 : 1 - x)", []),
+        ("piecewise(0.3 > x : 0.4 ; x >= 0.3 : 0.5)", []),
+        ("piecewise(x <= 0.5 : 0.4 ; x >= 0.5 : 0.5)", []),
+        ("piecewise(x >= 0 : 0.4)", []),
+        ("piecewise(x <= 1 : 0.4)", []),
+        ("piecewise(x < -0.5 : 0.4 ; x >= -0.5 : 0.5)", []),
+        # undecided: a condition on an expression, a nested node, several variables
+        ("piecewise(2 * x < 0.6 : 0.4 ; x > 0.6 : 0.5)", []),
+        ("piecewise(x < 0.5 : piecewise(x < 0.1 : 0.4) ; x >= 0.5 : 0.5)", []),
+    ])
+    def test_gaps(self, text, gaps):
+        assert uncovered(parse(text), [0.0], [1.0]) == gaps
+
+    def test_each_gap_is_exactly_where_the_node_gives_nan(self):
+        e = parse("piecewise(x <= 0.5001 : 0.2 ; x > 0.5002 : 0.3)")
+        for x, covered in ((0.5001, True), (math.nextafter(0.5001, 1), False), (0.5002, False),
+                           (math.nextafter(0.5002, 1), True)):
+            if covered:
+                e(x)
+            else:
+                with pytest.raises(EvalDomainError):
+                    e(x)
+
+    def test_infinite_edge(self):
+        assert uncovered(parse("piecewise(x < 5 : 0.4)"), [0.0], [math.inf]) == ["x in [5.0, inf)"]
+        assert uncovered(parse("piecewise(x < 5 : 0.4)"), [0.0], [5.0]) == ["x in [5.0, 5.0]"]
+        assert uncovered(parse("piecewise(x < 1e999 : 0.4)"), [0.0], [math.inf]) == []
+
+    def test_one_variable_of_several(self):
+        lower, upper = [0.0, 0.0], [1.0, 2.0]
+        assert uncovered(parse("piecewise(x2 < 0.3 : 0.4 ; x2 > 1.5 : 0.5)", arity=2), lower, upper) == \
+            ["x2 in [0.3, 1.5]"]
+        assert uncovered(parse("piecewise(x1 < 0.3 : 0.4 ; x2 > 1.5 : 0.5)", arity=2), lower, upper) == []
+
+    def test_a_nan_bound_covers_nothing(self):
+        x = funcdsl.Var(0, "x")
+        node = funcdsl.Piecewise(((funcdsl.Comparison("<", x, funcdsl.Const(math.nan)), funcdsl.Const(0.4)),
+                                  (funcdsl.Comparison(">=", x, funcdsl.Const(0.5)), funcdsl.Const(0.5))))
+        assert uncovered(funcdsl.FuncExpr(node, 1), [0.0], [1.0]) == ["x in [0.0, 0.5)"]
 
 
 class TestSingleEvaluator:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -22,9 +23,12 @@ from erwlab import (
     validate_model,
 )
 from erwlab.model import (
+    CLAMP_TOL,
     DomainViolation,
     ValidatedModel,
     _grid_product,
+    check_runtime_probs,
+    check_runtime_sum,
     exact_batch,
     interior_grid,
     spec_from_dict,
@@ -117,6 +121,21 @@ class TestValidation:
         spec = _erw_spec(prob_text="1.2")
         with pytest.raises(ModelError, match="probability-out-of-range"):
             validate_model(spec)
+
+    @pytest.mark.parametrize("text,gap", [
+        ("piecewise(x <= 0.5001 : 0.5 ; x > 0.5002 : 0.5)", "x in (0.5001, 0.5002]"),
+        ("piecewise(0.3 > x : 0.5 ; x >= 0.30000000000000004 : 0.5)", "x in [0.3, 0.30000000000000004)"),
+        ("0.5 * piecewise(x < 0.9 : 1)", "x in [0.9, 1.0]"),
+    ])
+    def test_piecewise_gap_of_one_variable_is_found_between_grid_points(self, text, gap):
+        # the first two gaps hold no grid point: the grid alone accepts them
+        with pytest.raises(ModelError, match=f"no condition of P_1 holds for {re.escape(gap)}$"):
+            validate_model(_erw_spec(prob_text=text))
+
+    def test_other_piecewise_conditions_are_probed_on_the_grid(self):
+        validate_model(_erw_spec(prob_text="piecewise(2 * x <= 1.0002 : 0.5 ; 2 * x > 1.0004 : 0.5)"))
+        with pytest.raises(funcdsl.EvalDomainError, match="outside its covered region"):
+            validate_model(_erw_spec(prob_text="piecewise(2 * x <= 1 : 0.5 ; 2 * x > 1.2 : 0.5)"))
 
     def test_minimal_square_map_valid(self):
         spec = build_preset("minimal", f="x^2", p=0.9, q=0.3)
@@ -299,6 +318,9 @@ def test_point_layout(name, kwargs, monkeypatch):
                 fn(bad)
 
 
+_P_EQUALS_X = validate_model(_erw_spec(prob_text="x"))
+
+
 class TestBlockProbs:
     """One (r, ...) array: the maps, clamped, then their complement."""
 
@@ -344,6 +366,32 @@ class TestBlockProbs:
         model = validate_model(spec)
         assert np.array_equal(model.block_probs(np.array([0.3])), np.ones(1))
         assert np.array_equal(model.block_probs(np.linspace(0.0, 1.0, 4)[:, None]), np.ones((1, 4)))
+
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(st.floats(-3 * CLAMP_TOL, 3 * CLAMP_TOL), st.floats(1 - 3 * CLAMP_TOL, 1 + 3 * CLAMP_TOL),
+                              st.floats(0.0, 1.0),
+                              st.sampled_from([-0.0, 0.0, 1.0, -CLAMP_TOL, 1 + CLAMP_TOL, math.nan])),
+                    min_size=1, max_size=12))
+    def test_r2_complement_is_the_full_rule(self, values):
+        # P_1 = x, so the points are the probabilities. The full rule, as
+        # block_probs runs it for r > 2: range abort, clamp, sum abort,
+        # complement, clamp. At r = 2 its last two steps change no bit
+        model = _P_EQUALS_X
+        head = np.array([values])
+
+        def full_rule():
+            check_runtime_probs(head)
+            clipped = np.clip(head, 0.0, 1.0)
+            check_runtime_sum(clipped[0])
+            return np.vstack([clipped, np.clip(1.0 - clipped[0], 0.0, 1.0)])
+
+        def outcome(fn):
+            try:
+                return fn().tobytes()
+            except ModelError as exc:
+                return str(exc)
+
+        assert outcome(lambda: model.block_probs(head.T)) == outcome(full_rule)
 
     @pytest.mark.parametrize("text", ["0.3", "0.09 ^ 0.5"], ids=["compiled", "interpreted"])
     def test_constant_map_fills_every_point(self, text):

@@ -249,8 +249,20 @@ class TestReferenceLoops:
     @pytest.mark.parametrize("name,kwargs", UNIT_STEP_PRESETS + MORE_UNIT_STEP_PRESETS)
     def test_dp(self, name, kwargs):
         model = _model(name, kwargs)
-        for n in (1, 2, 12, 50, 2000):
+        for n in (1, 2, 3, 12, 50, 60, 2000):
             assert exact_dp_1d(model, n).pmf.tobytes() == dp_1d_pmf(model, n).tobytes(), n
+
+    def test_dp_without_maps(self):
+        # r = 1: block_probs' one row is the move, 1 everywhere, and the walk
+        # always steps up, so V_n is V_1 + n - 1
+        model = validate_model(ModelSpec(
+            s=1, d=1, r=1, partition=((1,),), step_law=StepLaw.point_mass([1.0]), prob_maps=(),
+            A=[[2.0]], b=[-1.0], initial=InitialLaw([[1.0], [0.0]], [0.3, 0.7]), domain=Domain([0.0], [1.0]),
+        ))
+        for n in (1, 2, 3, 60, 2000):
+            pmf = exact_dp_1d(model, n).pmf
+            assert pmf.tobytes() == dp_1d_pmf(model, n).tobytes(), n
+            assert pmf[n - 1:].tolist() == [0.7, 0.3] and not pmf[:n - 1].any(), n
 
     @pytest.mark.parametrize("points", [1, 7, 40, 1000, 65_536])
     def test_dp_steps_straddle_calls(self, monkeypatch, points):

@@ -2,6 +2,8 @@
 
 import csv
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,10 +12,15 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def test_phase_sweep_tabulates_each_regime(monkeypatch, tmp_path, capsys):
-    spec = importlib.util.spec_from_file_location("phase_sweep", SCRIPTS / "phase_sweep.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_phase_sweep_tabulates_each_regime(monkeypatch, tmp_path, capsys):
+    script = _load("phase_sweep")
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "argv", ["phase_sweep.py", "erw", "0.55", "0.95", "3"])
     script.main()
@@ -28,3 +35,64 @@ def test_phase_sweep_tabulates_each_regime(monkeypatch, tmp_path, capsys):
     assert float(table[1]["clt_variance"]) == 1.0
     assert table[2]["clt_variance"] == ""
     assert capsys.readouterr().out.endswith("wrote phase_sweep.csv\n")
+
+
+def _run_output(wall, raw, rss, correct=True) -> str:
+    """The lines of a run.py output that bench_pairs reads, among others it skips."""
+    metrics = {"wall_s": {"value": wall, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}}
+    return "\n".join([
+        'machine: {"nproc": 2}',
+        "untraced passes: wall 0.150 0.149 s; mean calibration 3.50 3.51 ms (reference 3.5 ms)",
+        f"raw median pass wall = {raw} s; raw median set-up = 0.14 s",
+        "error_rate = 0/33",
+        f"wall_s = {wall} s",
+        json.dumps({"correct": correct, "attempted": 33, "failed": 0 if correct else 1, "metrics": metrics}),
+    ]) + "\n"
+
+
+METRICS = [{"name": "wall_s", "unit": "s", "better": "lower"},
+           {"name": "peak_rss_mb", "unit": "MB", "better": "lower"},
+           {"name": "raw_pass_s", "unit": "s", "better": "lower"}]
+
+
+def test_bench_pairs_reads_a_run():
+    run = _load("bench_pairs").read_run(_run_output(0.1904, 0.1482, 43.8, correct=False))
+    assert run == {"correct": False, "values": {"wall_s": 0.1904, "peak_rss_mb": 43.8, "raw_pass_s": 0.1482}}
+
+
+def test_bench_pairs_summarizes_medians_quartiles_and_wins():
+    script = _load("bench_pairs")
+    base = [script.read_run(_run_output(w, w - 0.05, 44.0)) for w in (0.20, 0.21, 0.19, 0.22, 0.20)]
+    change = [script.read_run(_run_output(w, w - 0.05, m)) for w, m in
+              ((0.19, 44.0), (0.19, 43.0), (0.20, 43.5), (0.18, 43.9), (0.185, 45.0))]
+    wall, rss, raw = script.summarize(base, change, METRICS)
+    assert wall == ("wall_s (s, lower is better): base 0.2 [0.2, 0.21], change 0.19 [0.185, 0.19], "
+                    "change better in 4/5 pairs, median gap +0.01 against base IQR 0.01")
+    assert "change better in 3/5 pairs" in rss  # a tie is no win
+    assert raw.startswith("raw_pass_s (s, lower is better): base 0.15 ") and "4/5 pairs" in raw
+    higher = [{"name": "wall_s", "unit": "s", "better": "higher"}]
+    assert "change better in 1/5 pairs" in script.summarize(base, change, higher)[0]
+
+
+@pytest.mark.parametrize("argv,message", [(["--pairs", "3", "--seeds", "1-2"], "gives 2 seeds for 3 pairs"),
+                                          (["--pairs", "0", "--seeds", "1-0"], "gives 0 seeds for 0 pairs")])
+def test_bench_pairs_needs_one_seed_per_pair(capsys, argv, message):
+    with pytest.raises(SystemExit):
+        _load("bench_pairs").parse_args(["--base", "HEAD", "--workload", "short-oracle"] + argv)
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not (SCRIPTS.parent / ".git").exists(), reason="needs a git checkout for the base worktree")
+def test_bench_pairs_smoke_against_head():
+    # one tiny pair with the base at HEAD: both runs are correct, and the worktree is gone afterwards
+    root = SCRIPTS.parent
+    cmd = [sys.executable, "scripts/bench_pairs.py", "--base", "HEAD", "--workload", "short-oracle",
+           "--pairs", "1", "--seeds", "7-7", "--seconds", "0", "--size", "tiny"]
+    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[1] == "short-oracle: 1 alternating pairs at seeds 7-7, --seconds 0, base HEAD"
+    assert [line.split(" ")[0] for line in lines[2:]] == ["wall_s", "setup_s", "peak_rss_mb", "raw_pass_s"]
+    assert all("change better in " in line and "/1 pairs" in line for line in lines[2:])
+    worktrees = subprocess.run(["git", "worktree", "list"], cwd=root, capture_output=True, text=True, check=True)
+    assert "bench_pairs_" not in worktrees.stdout

@@ -287,13 +287,14 @@ class TestSearchReference:
 
     @pytest.mark.parametrize("text,error,message", [
         ("0.1 + 0.3*x1 + 0.9*exp(-1e20*(x1 - {c})^2)", ModelError, "probability-out-of-range at runtime: P in "),
-        ("piecewise(x1 < {c} : 0.1 + 0.3*x1 ; x1 > {c} : 0.1 + 0.3*x1)", ValueError,
+        ("piecewise(1*x1 < {c} : 0.1 + 0.3*x1 ; 1*x1 > {c} : 0.1 + 0.3*x1)", ValueError,
          "piecewise evaluated outside its covered region"),
     ], ids=["bump", "gap"])
     def test_iterate_that_fails_a_map(self, text, error, message):
         # the center start reaches x1 = c after three rounds; the bump past
         # 1, and the gap of the piecewise map, lie at c alone, which no
-        # point of the validation grid is near
+        # point of the validation grid is near (the gap's conditions bound
+        # 1*x1, not x1, so validation probes them on its grid only)
         base = _plane_model("0.1 + 0.3*x1", "0.1 + 0.3*x2")
         x = np.array([[0.5, 0.5]])
         for _ in range(3):
@@ -629,7 +630,7 @@ class TestJacobianReference:
         assert heard[0][1] == ["overflow encountered in exp"] * 9
 
     @pytest.mark.parametrize("text,message", [
-        ("piecewise(x <= 0.4446944 : 0.2 + 0.55*x ; x > 0.4446945 : 0.2 + 0.55*x)",
+        ("piecewise(1*x <= 0.4446944 : 0.2 + 0.55*x ; 1*x > 0.4446945 : 0.2 + 0.55*x)",
          "piecewise evaluated outside its covered region"),
         ("0.2 + 0.55*x + 0.9*exp(-1e14*(x - 0.44469444)^2)",
          "probability-out-of-range at runtime: P in [1.34281, 1.34281]"),
@@ -637,8 +638,10 @@ class TestJacobianReference:
     def test_failing_stencil_point(self, text, message):
         # the gap (0.4446944, 0.4446945], and the bump past 1, hold the
         # stencil point x0 + 2.5e-4 and none of the points the validation
-        # grid, the scan or the bisection evaluates; the bump's message
-        # gives the range of the values of the one call that fails
+        # grid, the scan or the bisection evaluates (the gap's conditions
+        # bound 1*x, not x, so validation probes them on its grid only);
+        # the bump's message gives the range of the values of the one call
+        # that fails
         model = _scalar_model(text)
         x0 = find_fixed_point(model)
         assert 0.4446944 < x0[0] + 2.5e-4 <= 0.4446945
