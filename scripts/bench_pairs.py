@@ -3,11 +3,14 @@
 
     python3 scripts/bench_pairs.py --base HEAD~1 --workload short-oracle --pairs 10 --seeds 41-50 --seconds 20
 
-Run from the repository root. The base revision is checked out with
-``git worktree add --detach`` in a temporary directory, which is removed at
-the end. Pair i runs ``perfbench/run.py --trace 0`` once in each tree at the
-i-th seed of ``--seeds``; the base runs first in even pairs and this
-checkout first in odd ones. Only run.py's output is read: its last line
+Run from the repository root. Both sides are written by one function
+(:func:`export_tree`) into fresh directories under one temporary directory,
+which is removed at the end: the base from the tree of ``--base``, the
+change from a tree of this checkout's working files, tracked and untracked
+but not ignored (:func:`working_tree`). The checkout's index, HEAD and
+stash never move. Pair i runs ``perfbench/run.py --trace 0`` once in each
+tree at the i-th seed of ``--seeds``; the base runs first in even pairs and
+the change first in odd ones. Only run.py's output is read: its last line
 (``correct`` and the end-to-end metrics) and its raw median pass time.
 
 For each end-to-end metric of ``BENCHMARK.json`` and the raw pass time it
@@ -20,7 +23,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -88,24 +93,48 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, size: str) ->
     return read_run(done.stdout)
 
 
+def _git(root: Path, *args, index: Path = None) -> str:
+    """Run git in ``root``, on the index file ``index`` when given; return its stdout."""
+    env = None if index is None else {**os.environ, "GIT_INDEX_FILE": str(index)}
+    return subprocess.run(["git", *args], cwd=root, env=env, check=True, capture_output=True, text=True).stdout
+
+
+def working_tree(root: Path, tmp: Path) -> str:
+    """The id of a git tree of the working files of ``root``: tracked and
+    untracked ones, not ignored ones. It is written through a temporary copy
+    of the index, so the checkout's index, HEAD and stash do not move."""
+    index = tmp / "working.index"
+    user_index = root / _git(root, "rev-parse", "--git-path", "index").strip()
+    if user_index.exists():
+        shutil.copyfile(user_index, index)
+    _git(root, "add", "-A", index=index)
+    return _git(root, "write-tree", index=index).strip()
+
+
+def export_tree(root: Path, treeish: str, dest: Path) -> Path:
+    """Write the files of ``treeish`` (a revision or a tree id) of the
+    repository at ``root`` into the new directory ``dest``."""
+    index = dest.with_name(dest.name + ".index")
+    _git(root, "read-tree", treeish, index=index)
+    _git(root, "checkout-index", "--all", f"--prefix={dest}{os.sep}", index=index)
+    return dest
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     root = Path.cwd()
     metrics = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"] + [RAW_METRIC]
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        base_tree = Path(tmp) / "base"
-        subprocess.run(["git", "worktree", "add", "--detach", str(base_tree), args.base],
-                       cwd=root, check=True, capture_output=True)
-        try:
-            runs = {"base": [], "change": []}
-            for i, seed in enumerate(args.seeds):
-                order = [("base", base_tree), ("change", root)]
-                for side, tree in order if i % 2 == 0 else order[::-1]:
-                    runs[side].append(run_once(tree, args.workload, seed, args.seconds, args.size))
-                print(f"pair {i + 1}/{args.pairs} seed {seed}: wall_s base {runs['base'][-1]['values']['wall_s']:.6g}"
-                      f", change {runs['change'][-1]['values']['wall_s']:.6g}", flush=True)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(base_tree)], cwd=root, capture_output=True)
+        tmp = Path(tmp)
+        trees = {"base": export_tree(root, args.base, tmp / "base"),
+                 "change": export_tree(root, working_tree(root, tmp), tmp / "change")}
+        runs = {"base": [], "change": []}
+        for i, seed in enumerate(args.seeds):
+            order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
+            for side in order:
+                runs[side].append(run_once(trees[side], args.workload, seed, args.seconds, args.size))
+            print(f"pair {i + 1}/{args.pairs} seed {seed}: wall_s base {runs['base'][-1]['values']['wall_s']:.6g}"
+                  f", change {runs['change'][-1]['values']['wall_s']:.6g}", flush=True)
     print(f"{args.workload}: {args.pairs} alternating pairs at seeds {args.seeds[0]}-{args.seeds[-1]}, "
           f"--seconds {args.seconds:g}, base {args.base}")
     for line in summarize(runs["base"], runs["change"], metrics):

@@ -141,7 +141,7 @@ def _load_tol_overrides(args) -> dict:
     try:
         with open(path) as fh:
             overrides = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past Python's digit limit
         raise ConfigError(f"config-invalid: tolerance override file {path}: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ConfigError(f"config-invalid: tolerance override file {path} must hold a JSON object")
@@ -155,12 +155,19 @@ def _load_tol_overrides(args) -> dict:
         if not ok:
             want = "a list of two numbers" if key == "lil_band" else "a number"
             raise ConfigError(f"config-invalid: tolerance override {key!r} must be {want}, got {value!r}")
+        # json.load reads NaN and Infinity; a comparison refuses them, and ints past the float range too
+        if not all(0 <= v <= sys.float_info.max for v in (value if key == "lil_band" else [value])):
+            raise ConfigError(f"config-invalid: tolerance override {key!r} must be finite and >= 0, got {value!r}")
+        if key == "ks_alpha" and value > 1:
+            raise ConfigError(f"config-invalid: tolerance override 'ks_alpha' must lie in [0, 1], got {value!r}")
+        if key == "lil_band" and value[0] > value[1]:
+            raise ConfigError(f"config-invalid: tolerance override 'lil_band' must have low <= high, got {value!r}")
     return overrides
 
 
 def _tol(overrides: dict, *keys) -> dict:
     """The keyword arguments that the override file sets among ``keys``."""
-    return {TOLERANCES[k]: tuple(overrides[k]) if k == "lil_band" else overrides[k] for k in keys if k in overrides}
+    return {TOLERANCES[k]: overrides[k] for k in keys if k in overrides}
 
 
 def cmd_simulate(args) -> int:

@@ -82,6 +82,8 @@ def _finite_law(law, name: str):
     probs = np.asarray(law.probs, dtype=float)
     object.__setattr__(law, "atoms", atoms)
     object.__setattr__(law, "probs", probs)
+    if atoms.ndim != 2:
+        raise ModelError(f"{name} atoms must be a list of vectors, got an array of shape {atoms.shape}")
     if probs.ndim != 1 or atoms.shape[0] != probs.shape[0]:
         raise ModelError("atoms and probabilities must align")
     if not np.isfinite(atoms).all():
@@ -337,9 +339,6 @@ class ValidatedModel:
     """
 
     spec: ModelSpec
-    mu: np.ndarray
-    sigma: np.ndarray  # E[Y Y^T]
-    block_masks: np.ndarray  # (r, s) 0/1
 
     @property
     def s(self) -> int:
@@ -462,6 +461,25 @@ class ValidatedModel:
         return probs if pts is x else probs.reshape((r,) + x.shape[:-1])
 
     # Tables built from the spec once per model; the maps, the step kernel and the oracle read them.
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        """(s,): E[Y]."""
+        return self.spec.step_law.mu
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """(s, s): E[Y Y^T]."""
+        return self.spec.step_law.second_moment
+
+    @cached_property
+    def block_masks(self) -> np.ndarray:
+        """(r, s) 0/1: row i is 1.0 on block i's coordinates."""
+        masks = np.zeros((self.r, self.s))
+        for i, blk in enumerate(self.spec.partition):
+            for j in blk:
+                masks[i, j - 1] = 1.0
+        return masks
 
     @cached_property
     def masked_mu(self) -> np.ndarray:
@@ -657,11 +675,7 @@ def validate_model(spec: ModelSpec):
         raise ModelError("; ".join(errors))
 
     _check_initial_atoms(spec, errors)
-    masks = np.zeros((spec.r, spec.s))
-    for i, blk in enumerate(spec.partition):
-        for j in blk:
-            masks[i, j - 1] = 1.0
-    model = ValidatedModel(spec=spec, mu=spec.step_law.mu, sigma=spec.step_law.second_moment, block_masks=masks)
+    model = ValidatedModel(spec=spec)
     dom = spec.domain
     gaps = [f"piecewise evaluated outside its covered region: no condition of P_{i + 1} holds for {gap}"
             for i, pm in enumerate(spec.prob_maps) for gap in uncovered(pm, dom.lower, dom.upper)]
@@ -738,6 +752,8 @@ def spec_from_dict(doc) -> ModelSpec:
             return build(doc[key])
         except (TypeError, AttributeError) as exc:
             raise ModelError(f"model field {key!r} has the wrong type: {exc}") from exc
+        except OverflowError as exc:  # an integer that no float holds
+            raise ModelError(f"model field {key!r} holds a number past the float range: {exc}") from exc
 
     def integer(value):
         if not is_integer(value):

@@ -376,12 +376,12 @@ def _cluster_eigenvalues(eig, scale, rcond):
 def _block_sizes_for_cluster(J, lam, members, eig):
     """Jordan block sizes for one eigenvalue cluster by rank gaps.
 
-    Works on the cluster's invariant block of the complex Schur form, so
-    eigenvalues from other clusters cannot contaminate the rank tests.
+    Called only for a cluster that holds an ill-conditioned eigenvalue
+    (:func:`spectral_profile_from_jacobian`). Works on the cluster's
+    invariant block of the complex Schur form, so eigenvalues from other
+    clusters cannot contaminate the rank tests.
     """
     m = len(members)
-    if m == 1:
-        return [1]
     spread = max(abs(eig[i] - lam) for i in members)
     # the Schur recomputation spreads a defective ring slightly differently
     # than the eigensolver; widen the capture radius until the invariant
@@ -436,12 +436,14 @@ def _complex_top(clusters) -> list:
 def spectral_profile_from_jacobian(J) -> SpectralProfile:
     """Eigenvalues, tau, kappa, and per-eigenvalue Jordan block sizes.
 
-    The eigenvalues are clustered once (:func:`_cluster_eigenvalues`) and
-    each cluster is sized once (:func:`_block_sizes_for_cluster`). A
-    cluster that cannot be sized, or whose blocks all have size 1 although
-    it holds an eigenvalue with reciprocal condition number below
-    ``ILL_RCOND`` (a member of a defective ring), raises
-    ``jacobian-nonsmooth``: no verdict is read off an unresolved structure.
+    The eigenvalues are clustered once (:func:`_cluster_eigenvalues`). One
+    rule decides whether a cluster may be defective: it holds an eigenvalue
+    with reciprocal condition number below ``ILL_RCOND`` (a member of a
+    defective ring). Only such a cluster is sized by rank gaps
+    (:func:`_block_sizes_for_cluster`); every other cluster of m eigenvalues
+    has m blocks of size 1. An ill cluster that cannot be sized, or whose
+    blocks all come back with size 1, raises ``jacobian-nonsmooth``: no
+    verdict is read off an unresolved structure.
     kappa is the largest block of the top clusters (:func:`_top_clusters`).
     """
     J = np.atleast_2d(np.asarray(J, dtype=float))
@@ -456,8 +458,9 @@ def spectral_profile_from_jacobian(J) -> SpectralProfile:
 
     clusters = []
     for lam, members in _cluster_eigenvalues(eig, scale, rcond):
-        sizes = _block_sizes_for_cluster(J, lam, members, eig)
-        if sizes is None or (max(sizes) == 1 and any(rcond[i] < ILL_RCOND for i in members)):
+        ill = any(rcond[i] < ILL_RCOND for i in members)
+        sizes = _block_sizes_for_cluster(J, lam, members, eig) if ill else [1] * len(members)
+        if sizes is None or (ill and max(sizes) == 1):
             raise TheoryError(f"jacobian-nonsmooth: unresolved Jordan structure near eigenvalue {complex(lam)}")
         clusters.append({"value": complex(lam), "multiplicity": len(members), "block_sizes": tuple(sizes)})
 
@@ -748,10 +751,25 @@ def asymptotic_covariances(model: ValidatedModel, x0, profile: SpectralProfile):
         limit_sigma = sigma2_critical(profile, sigma0)
     if limit_sigma is not None:
         A = model.spec.A
-        clt_cov = A @ limit_sigma @ A.T
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+            clt_cov = A @ limit_sigma @ A.T
+        if not np.isfinite(clt_cov).all():
+            raise TheoryError(f"observation-out-of-range: A Sigma A^T is not finite for A = {A.tolist()}")
         if model.s == 1:
             lil_constant = math.sqrt(max(float(clt_cov[0, 0]), 0.0))
     return sigma0, limit_sigma, clt_cov, lil_constant
+
+
+def _observed(name, a_scalar, compute):
+    """``compute()``, a report constant of a scalar walk that powers of
+    A[0,0] scale; a power past the float range, or a zero divisor (A[0,0]
+    or a power that underflows), raises ``observation-out-of-range`` naming
+    ``name``."""
+    try:
+        return compute()
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise TheoryError(f"observation-out-of-range: {name} needs powers of A[0,0] = {a_scalar!r} that are "
+                          f"nonzero and within the float range ({exc})") from exc
 
 
 def classify(model: ValidatedModel) -> RegimeReport:
@@ -808,10 +826,11 @@ def classify(model: ValidatedModel) -> RegimeReport:
     if model.s == 1 and len(derivs) >= 2:
         report.eta1 = derivs[1]
 
+    a_scalar = float(A[0, 0])
     if report.regime == "Supercritical":
         if model.s == 1:
             sig2_x0 = float(report.sigma0[0, 0])
-            a2 = float(A[0, 0]) ** 2
+            a2 = _observed("residual_variance", a_scalar, lambda: a_scalar ** 2)
             report.residual_variance = a2 * sig2_x0 / (2.0 * tau - 1.0)
         complex_top = _complex_top(profile.clusters)
         if complex_top:
@@ -825,8 +844,8 @@ def classify(model: ValidatedModel) -> RegimeReport:
         m_avail = len(derivs) - 1
         b_coeffs, m0 = expansion_coeffs(derivs[1 : m_avail + 1], tau, m_avail)
         report.expansion_b = b_coeffs
-        a_scalar = float(A[0, 0])
-        report.expansion_beta = [b / a_scalar ** j for j, b in enumerate(b_coeffs)]
+        report.expansion_beta = _observed("expansion_beta", a_scalar,
+                                          lambda: [b / a_scalar ** j for j, b in enumerate(b_coeffs)])
         report.m0 = m0
 
     return report

@@ -279,9 +279,9 @@ def test_simulate_single_trajectory_exit_2(tmp_path, capsys, recwarn, N):
 
 @pytest.mark.parametrize("text", ['{"lil_band": ', "[0.2, 2.5]", '{"lil_band": 5}', '{"lil_band": [0.2]}',
                                   '{"lil_band": [0.2, "x"]}', '{"slln_z": "x"}', '{"ks_alpha": true}',
-                                  '{"slln_zz": 3}'],
+                                  '{"slln_zz": 3}', '{"slln_z": ' + "1" * 5000 + "}"],
                          ids=["truncated", "not-an-object", "band-number", "band-short", "band-string",
-                              "z-string", "alpha-bool", "unknown-key"])
+                              "z-string", "alpha-bool", "unknown-key", "int-past-digit-limit"])
 def test_malformed_tol_overrides_exit_2(tmp_path, capsys, text):
     overrides = tmp_path / "tol.json"
     overrides.write_text(text)
@@ -289,6 +289,44 @@ def test_malformed_tol_overrides_exit_2(tmp_path, capsys, text):
                  "--tol-overrides", str(overrides), "--out", str(tmp_path / "v.json")])
     assert code == 2
     assert "config-invalid:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"expansion_tolerance": NaN}', "expansion_tolerance"),
+    ('{"slln_z": Infinity}', "slln_z"),
+    ('{"clt_rel_tol": -Infinity}', "clt_rel_tol"),
+    ('{"lil_band": [0.3, NaN]}', "lil_band"),
+    ('{"super_threshold": 1e400}', "super_threshold"),
+    ('{"sa_var_tol": 1' + "0" * 400 + '}', "sa_var_tol"),
+    ('{"slln_z": -3}', "slln_z"),
+    ('{"lil_band": [-0.1, 1.8]}', "lil_band"),
+    ('{"ks_alpha": 1.5}', "ks_alpha"),
+    ('{"ks_alpha": -0.01}', "ks_alpha"),
+    ('{"lil_band": [2.0, 1.0]}', "lil_band"),
+    ('{"expansion_tolerance": NaN, "lil_band": [2.0, 1.0]}', "expansion_tolerance"),
+], ids=["nan", "inf", "minus-inf", "band-nan", "float-overflow", "int-past-float", "negative", "band-negative",
+        "alpha-above-1", "alpha-negative", "band-reversed", "nan-and-reversed-band"])
+def test_unusable_tol_overrides_exit_2(tmp_path, capsys, text, key):
+    # a value no check can use is refused before any ensemble runs, naming its key
+    overrides = tmp_path / "tol.json"
+    overrides.write_text(text)
+    out = tmp_path / "v.json"
+    code = main(["verify", "--preset", "erw", "--p", "0.6", "--suite", "slln", "--n", "100", "--N", "8",
+                 "--tol-overrides", str(overrides), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config-invalid: tolerance override") and repr(key) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ['{"ks_alpha": 0}', '{"ks_alpha": 1}', '{"lil_band": [0.9, 0.9]}',
+                                  '{"slln_z": 0.0}'])
+def test_edge_tol_overrides_accepted(tmp_path, text):
+    overrides = tmp_path / "tol.json"
+    overrides.write_text(text)
+    code = main(["verify", "--preset", "erw", "--p", "0.6", "--suite", "slln", "--n", "100", "--N", "8",
+                 "--tol-overrides", str(overrides), "--out", str(tmp_path / "v.json")])
+    assert code in (0, 1)
 
 
 @pytest.mark.parametrize("argv", [

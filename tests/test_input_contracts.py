@@ -3,17 +3,26 @@
 The kernel names the range of the first out-of-range step, a LIL
 window where the norm is undefined fails before any draw, and an initial
 law whose atoms and probabilities do not align is a configuration error
-(exit code 2) in every command.
+(exit code 2) in every command. A model document with one field broken
+is analyzed or refused with ``config-invalid``, never a traceback.
 """
 
+import contextlib
+import copy
+import io
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from erwlab import build_preset, ensemble, simulate, validate_model
 from erwlab.cli import main
 from erwlab.model import InitialLaw, ModelError, spec_to_dict
+from erwlab.presets import list_presets
 from erwlab.simulate import FunctionalConfig
 from erwlab.theory import plain, report_dict
 from erwlab.verify import VerificationReport
@@ -110,3 +119,102 @@ def test_report_json_is_plain_at_every_depth():
     assert doc["details"] == {"pairs": [[2, 0.5]], "mask": [True, False], "nested": {"n": 7, "flag": True}}
     assert doc["statistic"] == 1.5 and type(doc["statistic"]) is float
     assert plain((np.float32(0.25), None, "x")) == [0.25, None, "x"]
+
+
+# Every preset's document at its defaults, the seeds of the model document fuzz.
+PRESET_DOCUMENTS = {name: spec_to_dict(build_preset(name)) for name, _, _ in list_presets()}
+DIMENSIONS = [("s",), ("d",), ("r",)]
+BAD_NUMBERS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 10 ** 400, -1.0, -1e-3, 0.0]
+WRONG_TYPES = ["x", True, None, {}, [], 0.5, [["x"]]]
+
+
+def _fields(value, at=()):
+    """The path of every field below ``value``: dict keys and list indices, nested fields included."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield at + (key,)
+        yield from _fields(item, at + (key,))
+
+
+@st.composite
+def broken_documents(draw):
+    """A preset's document with one field dropped, retyped, set to a bad
+    number, emptied or made ragged, shifted by one (s, d, r and partition
+    blocks) or, for an expression, broken."""
+    name = draw(st.sampled_from(sorted(PRESET_DOCUMENTS)))
+    doc = copy.deepcopy(PRESET_DOCUMENTS[name])
+    path = draw(st.sampled_from(list(_fields(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key, value = path[-1], parent[path[-1]]
+    kinds = ["drop", "type", "number"]
+    if isinstance(value, list):
+        kinds += ["empty", "ragged"]
+    if path in DIMENSIONS or path[0] == "partition" and len(path) > 1:
+        kinds.append("shift")
+    if isinstance(value, str):
+        kinds.append("expression")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "drop":
+        del parent[key]
+    elif kind == "type":
+        parent[key] = draw(st.sampled_from(WRONG_TYPES))
+    elif kind == "number":
+        parent[key] = draw(st.sampled_from(BAD_NUMBERS))
+    elif kind == "empty":
+        parent[key] = []
+    elif kind == "ragged" and value and all(isinstance(row, list) for row in value):
+        i = draw(st.integers(0, len(value) - 1))
+        value[i] = value[i][:-1] if draw(st.booleans()) else value[i] + [0.5]
+    elif kind == "ragged":
+        parent[key] = value + [[0.5]]
+    elif kind == "shift":
+        step = draw(st.sampled_from([-1, 1]))
+        parent[key] = [j + step for j in value] if isinstance(value, list) else value + step
+    else:
+        parent[key] = draw(st.sampled_from([value + " +", "(" + value, value + ")", "", "y + " + value,
+                                            "nope(" + value + ")", "1 / 0 + " + value, "piecewise(x < 0.5 : 1)",
+                                            "x1 + x9", "0.5 +* x"]))
+    return name, path, kind, doc
+
+
+@settings(max_examples=1500, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(case=broken_documents())
+def test_broken_model_documents_analyze_or_exit_2(tmp_path, case):
+    name, path, kind, doc = case
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as heard, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main(["analyze", "--model", str(model), "--out", str(tmp_path / "report.json")])
+    assert code in (0, 1, 2)
+    # a compiled map that overflows inside (tanh(2*x) on a rectangle reaching 1e308) warns under the
+    # caller's settings, as the theory's warning tests require; nothing else warns
+    assert [str(w.message) for w in heard if w.filename != "<string>"] == []
+    if code == 2:
+        assert err.getvalue().startswith("config-invalid"), (name, path, kind, err.getvalue())
+
+
+@pytest.mark.parametrize("name, path, value, message", [
+    ("erw", ("step_law", "atoms"), 10 ** 400, "model field 'step_law' holds a number past the float range"),
+    ("kdim", ("domain", "upper", 0), 10 ** 400, "model field 'domain' holds a number past the float range"),
+    ("erw", ("initial", "atoms"), [[[1.0]], [[0.0]]], "initial-law atoms must be a list of vectors"),
+    ("erw", ("A",), [[1e200]], "observation-out-of-range: A Sigma A^T is not finite"),
+    ("cubic-supercritical", ("A",), [[1e160]], "observation-out-of-range: residual_variance needs powers"),
+    ("erw", ("A",), [[0.0]], "observation-out-of-range: expansion_beta needs powers of A[0,0] = 0.0"),
+], ids=["int-past-float", "int-past-float-nested", "atoms-3d", "covariance-overflow", "residual-overflow",
+        "A-zero"])
+def test_broken_model_document_messages(tmp_path, capsys, name, path, value, message):
+    doc = copy.deepcopy(PRESET_DOCUMENTS[name])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    assert main(["analyze", "--model", str(model), "--out", str(tmp_path / "report.json")]) == 2
+    assert capsys.readouterr().err.startswith(f"config-invalid: {message}")

@@ -181,9 +181,7 @@ class TestValidation:
         hacked = ModelSpec(**{**model.spec.__dict__, "prob_maps": (parse("2*x"),)})
         from erwlab.model import ValidatedModel
 
-        bad = ValidatedModel(
-            spec=hacked, mu=model.mu, sigma=model.sigma, block_masks=model.block_masks
-        )
+        bad = ValidatedModel(spec=hacked)
         with pytest.raises(ModelError, match="probability-out-of-range"):
             bad.block_probs(np.array([0.9]))
 
@@ -290,8 +288,7 @@ class TestValidation:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ModelError, match="probability-out-of-range"):
                 validate_model(spec)
-            bad = ValidatedModel(spec=spec, mu=np.array([1.0]), sigma=np.array([[1.0]]),
-                                 block_masks=np.array([[1.0], [0.0]]))
+            bad = ValidatedModel(spec=spec)
             with pytest.raises(ModelError, match="probability-out-of-range"):
                 bad.block_probs(np.array([0.9]))
 
@@ -439,8 +436,7 @@ def _maps_model(maps, s):
     spec = ModelSpec(s=s, d=1, r=len(maps) + 1, partition=(), step_law=StepLaw.point_mass([1.0] * s),
                      prob_maps=tuple(maps), A=np.ones((1, s)), b=[0.0], initial=InitialLaw([[0.0] * s], [1.0]),
                      domain=Domain([0.0] * s, [1.0] * s))
-    return ValidatedModel(spec=spec, mu=spec.step_law.mu, sigma=spec.step_law.second_moment,
-                          block_masks=np.zeros((spec.r, s)))
+    return ValidatedModel(spec=spec)
 
 
 def _one_by_one(maps, X, mode):

@@ -82,9 +82,57 @@ def test_bench_pairs_needs_one_seed_per_pair(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.skipif(not (SCRIPTS.parent / ".git").exists(), reason="needs a git checkout for the base worktree")
+def _files(tree: Path) -> dict:
+    return {str(path.relative_to(tree)): path.read_text() for path in sorted(tree.rglob("*")) if path.is_file()}
+
+
+def test_bench_pairs_trees_of_a_revision_and_of_the_working_files(tmp_path):
+    script = _load("bench_pairs")
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True, text=True).stdout
+
+    git("init", "-q")
+    git("config", "user.email", "bench@example.org")
+    git("config", "user.name", "bench")
+    (repo / ".gitignore").write_text("out/\n")
+    (repo / "kept.txt").write_text("committed\n")
+    (repo / "edited.txt").write_text("committed\n")
+    (repo / "deleted.txt").write_text("committed\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "stashed.txt").write_text("stashed\n")
+    git("add", "stashed.txt")
+    git("stash", "-q")
+    (repo / "edited.txt").write_text("edited\n")
+    (repo / "deleted.txt").unlink()
+    (repo / "staged.txt").write_text("staged\n")
+    git("add", "staged.txt")
+    (repo / "sub").mkdir()
+    (repo / "sub" / "untracked.txt").write_text("untracked\n")
+    (repo / "out").mkdir()
+    (repo / "out" / "ignored.txt").write_text("ignored\n")
+    before = [git("status", "--porcelain", "--ignored"), git("rev-parse", "HEAD"), git("stash", "list"),
+              git("ls-files", "--stage")]
+
+    trees = tmp_path / "trees"
+    trees.mkdir()
+    base = script.export_tree(repo, "HEAD", trees / "base")
+    change = script.export_tree(repo, script.working_tree(repo, trees), trees / "change")
+    assert _files(base) == {".gitignore": "out/\n", "kept.txt": "committed\n", "edited.txt": "committed\n",
+                            "deleted.txt": "committed\n"}
+    assert _files(change) == {".gitignore": "out/\n", "kept.txt": "committed\n", "edited.txt": "edited\n",
+                              "staged.txt": "staged\n", "sub/untracked.txt": "untracked\n"}
+    after = [git("status", "--porcelain", "--ignored"), git("rev-parse", "HEAD"), git("stash", "list"),
+             git("ls-files", "--stage")]
+    assert after == before
+
+
+@pytest.mark.skipif(not (SCRIPTS.parent / ".git").exists(), reason="needs a git checkout for the base tree")
 def test_bench_pairs_smoke_against_head():
-    # one tiny pair with the base at HEAD: both runs are correct, and the worktree is gone afterwards
+    # one tiny pair with the base at HEAD: both runs are correct, and no worktree is left behind
     root = SCRIPTS.parent
     cmd = [sys.executable, "scripts/bench_pairs.py", "--base", "HEAD", "--workload", "short-oracle",
            "--pairs", "1", "--seeds", "7-7", "--seconds", "0", "--size", "tiny"]

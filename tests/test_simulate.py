@@ -141,7 +141,7 @@ def _with_maps(model, *prob_texts):
     """``model`` with its probability maps replaced, bypassing validation."""
     maps = tuple(parse(text, arity=model.s) for text in prob_texts)
     spec = ModelSpec(**{**model.spec.__dict__, "prob_maps": maps})
-    return ValidatedModel(spec=spec, mu=model.mu, sigma=model.sigma, block_masks=model.block_masks)
+    return ValidatedModel(spec=spec)
 
 
 def _hacked_kdim(*prob_texts):
@@ -808,8 +808,7 @@ class TestGeneralRuntimeAbort:
             zero_times = [funcdsl.BinOp("*", funcdsl.Const(0.0), funcdsl.Var(j, f"x{j + 1}")) for j in range(3)]
             maps = tuple(funcdsl.FuncExpr(funcdsl.BinOp("+", funcdsl.Const(c), term), 3)
                          for c, term in zip([math.nan, math.inf, 0.5], zero_times))
-            model = ValidatedModel(spec=ModelSpec(**{**kdim.spec.__dict__, "prob_maps": maps}), mu=kdim.mu,
-                                   sigma=kdim.sigma, block_masks=kdim.block_masks)
+            model = ValidatedModel(spec=ModelSpec(**{**kdim.spec.__dict__, "prob_maps": maps}))
             assert model.map_groups[0][2]
             with pytest.raises(ModelError, match=r"at runtime: P in \[0\.5, inf\] \(NaN present\)$"):
                 self._kernel(model)

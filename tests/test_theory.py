@@ -723,6 +723,38 @@ class TestSpectral:
         with pytest.raises(TheoryError, match="jacobian-nonsmooth"):
             spectral_profile_from_jacobian(J)
 
+    @classmethod
+    def _profiles(cls, D, lo, hi):
+        # 300 conjugations of D with cond(S) = 10**U(lo, hi); a refusal reads None
+        out = []
+        for seed in range(300):
+            J = cls._conjugated(seed, D, lambda rng: np.logspace(0, -rng.uniform(lo, hi), D.shape[0]))
+            try:
+                out.append(spectral_profile_from_jacobian(J))
+            except TheoryError as exc:
+                assert "jacobian-nonsmooth" in str(exc)
+                out.append(None)
+        return out
+
+    @pytest.mark.parametrize("values", [(0.5, -0.4, 0.5), (0.5, -0.4, 0.5, 0.2)])
+    def test_well_conditioned_semisimple_double_is_not_a_block(self, values):
+        # every eigenvalue's rcond is above ILL_RCOND, so no rank test runs;
+        # the rank thresholds read 8 (resp. 7) of these seeds as kappa = 2
+        profiles = self._profiles(np.diag(values), 2, 3)
+        assert [(p.kappa, p.tau) for p in profiles] == [(1, pytest.approx(0.5, abs=1e-9))] * 300
+
+    @pytest.mark.parametrize("lo, hi, refused", [(3, 4, 79), (4, 5, 262)])
+    def test_ill_conditioned_semisimple_double_is_refused_or_simple(self, lo, hi, refused):
+        profiles = self._profiles(np.diag([0.5, -0.4, 0.5]), lo, hi)
+        assert sum(p is None for p in profiles) == refused
+        assert {p.kappa for p in profiles if p is not None} == {1}
+
+    @pytest.mark.parametrize("coupling", [1.0, 1e-3])
+    def test_jordan_block_beside_a_simple_eigenvalue(self, coupling):
+        D = np.array([[0.5, coupling, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, -0.4]])
+        profiles = self._profiles(D, 2, 3)
+        assert [p.kappa for p in profiles] == [2] * 300
+
     def test_jordan_block_past_detection_range_refused(self):
         # a 6x6 block is past the ring scale's supported size 4; merging
         # clusters reads it as kappa = 2
